@@ -1,14 +1,19 @@
 GO ?= go
 
-.PHONY: all build test vet race race-shards bench bench-shards-smoke joinbench bench-sim bench-serve bench-serve-smoke bench-check serve-smoke deploy-gate obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
+.PHONY: all build test vet race race-shards bench bench-shards-smoke serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
 
 all: verify
 
 build:
 	$(GO) build ./...
 
+# bench/ is a nested module (the repository's benchmark, BENCHMARK.json),
+# so ./... does not reach it: its smoke test runs all six workloads at
+# seconds size, traced and untraced, each checked against the
+# centralized oracle.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -30,64 +35,17 @@ race-shards:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Wall-clock-free stand-in for the sharded-scheduler bench: pins the
-# deterministic fold count (barriers per 1k events) and the elision
-# rate on the exact workload the benchcheck sharding gate measures.
+# Wall-clock-free stand-in for the sharded-scheduler bench
+# (BenchmarkE15Shards): pins the deterministic fold count (barriers per
+# 1k events) and the elision rate on the same workload.
 bench-shards-smoke:
 	$(GO) test -run 'TestShardBarrierBudget' -count=1 -v ./internal/experiments/
-
-# Regenerate the headline indexed-vs-naive join metrics.
-joinbench:
-	$(GO) run ./cmd/snbench -joinjson BENCH_join.json
-
-# Regenerate the simulator fast-path metrics (spatial index, typed event
-# queue, batched links): substrate micro-benchmarks plus BENCH_sim.json.
-bench-sim:
-	$(GO) test -run '^$$' -bench 'Finalize|Events' -benchmem ./internal/nsim/
-	$(GO) test -run '^$$' -bench 'E13' -benchmem .
-	$(GO) run ./cmd/snbench -simjson BENCH_sim.json
-
-# Regenerate the query-serving metrics (E16): qps through a
-# serve.Session cold / from the result cache / under injection churn,
-# plus the serve.query_latency quantiles.
-bench-serve:
-	$(GO) run ./cmd/snbench -servejson BENCH_serve.json
-
-# Gate the regenerated simulator and serving metrics against the
-# committed baselines: events/queries must match exactly, allocs/event
-# within ±10%, throughput and qps within their timing-noise floors,
-# serve p99 within the bucket-jump headroom. After an intentional perf
-# change, refresh the baselines:
-#   cp BENCH_sim.json BENCH_baseline.json
-#   cp BENCH_serve.json BENCH_serve_baseline.json
-bench-check: bench-sim bench-serve
-	$(GO) run ./cmd/benchcheck -baseline BENCH_baseline.json -candidate BENCH_sim.json \
-		-serve-baseline BENCH_serve_baseline.json -serve-candidate BENCH_serve.json
-
-# Seconds-sized E16 variant: every serving-bench phase — cold, hot,
-# concurrent readers, churn, churn-batched — at CI scale, asserting the
-# structural properties (zero fallbacks, real coalescing, stale serves)
-# rather than wall-clock rates.
-bench-serve-smoke:
-	$(GO) test -run 'TestServeBenchSmoke' -count=1 -v ./internal/experiments/servebench/
 
 # End-to-end smoke of the serving stack: snlogd's exact wire surface —
 # open, query, cache hit, inject, delete, explain, subscribe, stats —
 # over a real TCP connection.
 serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
-
-# DeployGrid/DeployRandom are deprecated shims; deploy_compat_test.go
-# pins them equivalent to Deploy(Grid(m)/Random(...)) and snlog.go
-# defines them — no other call site may creep back in.
-deploy-gate:
-	@if grep -rn --include='*.go' -E '\bDeployGrid\(|\bDeployRandom\(' . \
-		| grep -v -e '^\./snlog.go:' -e '^\./deploy_compat_test.go:'; then \
-		echo 'deploy-gate: deprecated DeployGrid/DeployRandom call sites above — use Deploy(Grid(m), ...) / Deploy(Random(...), ...)'; \
-		exit 1; \
-	else \
-		echo 'deploy-gate: no deprecated deploy call sites'; \
-	fi
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
 # stay at the PR 2 allocation baseline when Observe was never called,
@@ -128,4 +86,4 @@ profile:
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
 
-verify: build test vet race race-shards bench-shards-smoke bench-serve-smoke serve-smoke deploy-gate obs-guard obs-export-smoke fuzz-smoke bench-check
+verify: build test vet race race-shards bench-shards-smoke serve-smoke obs-guard obs-export-smoke fuzz-smoke

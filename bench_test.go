@@ -184,18 +184,14 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	}
 }
 
-func benchDistributedJoinGrid10(b *testing.B, naive bool) {
+func BenchmarkDistributedJoinGrid10(b *testing.B) {
 	src := `
 .base ra/2.
 .base rb/2.
 out(X, Z) :- ra(X, Y), rb(Y, Z).
 `
 	for i := 0; i < b.N; i++ {
-		opts := []Option{WithSeed(int64(i))}
-		if naive {
-			opts = append(opts, WithNaiveJoin())
-		}
-		c, err := Deploy(Grid(10), src, opts...)
+		c, err := Deploy(Grid(10), src, WithSeed(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,18 +206,10 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 	}
 }
 
-func BenchmarkDistributedJoinGrid10(b *testing.B) { benchDistributedJoinGrid10(b, false) }
-
-// BenchmarkDistributedJoinGrid10Naive retains the pre-index full-scan
-// window stores for A/B comparison; message counts must match the
-// indexed run exactly (TestStoreIndexEquivalence pins this).
-func BenchmarkDistributedJoinGrid10Naive(b *testing.B) { benchDistributedJoinGrid10(b, true) }
-
-// benchJoin exercises the centralized join machinery on the 60-node
-// transitive-closure workload with and without argument-position
-// indexes. Results are byte-identical across modes (TestIndexedEquivalence);
-// only the lookup strategy differs.
-func benchJoin(b *testing.B, naive bool) {
+// BenchmarkJoinIndexed exercises the centralized join machinery on the
+// 60-node transitive-closure workload, pre-parsed (BenchmarkCentralizedEvalTC
+// is the same workload through Eval, parse included).
+func BenchmarkJoinIndexed(b *testing.B) {
 	src := `
 path(X, Y) :- edge(X, Y).
 path(X, Z) :- path(X, Y), edge(Y, Z).
@@ -237,7 +225,7 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev, err := eval.New(p, eval.Options{NaiveJoin: naive})
+		ev, err := eval.New(p, eval.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,7 +238,3 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 		}
 	}
 }
-
-func BenchmarkJoinIndexed(b *testing.B) { benchJoin(b, false) }
-
-func BenchmarkJoinNaive(b *testing.B) { benchJoin(b, true) }

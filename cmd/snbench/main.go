@@ -7,9 +7,6 @@
 //	snbench            # run everything
 //	snbench -only E5   # run one experiment
 //	snbench -quick     # smaller parameters (CI-sized)
-//	snbench -joinjson BENCH_join.json   # indexed-vs-naive join A/B
-//	snbench -simjson BENCH_sim.json     # simulator fast-path A/B
-//	snbench -servejson BENCH_serve.json # query-serving qps + latency (E16)
 //	snbench -trace e1.jsonl             # observed E1: JSONL trace + counters
 //	snbench -explain 'j(n3,3)'          # provenance: why is this tuple derived?
 //	snbench -hist                       # settle/hop/fan-in/queue histograms
@@ -20,6 +17,9 @@
 // aggregated send/recv/drop counts against the registry counters —
 // exiting nonzero on any disagreement.
 //
+// Performance numbers are not this command's job: `bash bench/run.sh`
+// measures both product paths end to end and layer by layer.
+//
 // Explain runs the E5 logicJ shortest-path program with provenance
 // capture on and prints the queried tuple's derivation tree (down to
 // the injected adjacency facts) and its critical path — which chain of
@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/datalog/parser"
 	"repro/internal/experiments"
-	"repro/internal/experiments/servebench"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/provenance"
@@ -46,9 +44,6 @@ import (
 func main() {
 	only := flag.String("only", "", "run only this experiment (E1..E14)")
 	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
-	joinJSON := flag.String("joinjson", "", "write the indexed-vs-naive join benchmark to this JSON file and exit")
-	simJSON := flag.String("simjson", "", "write the simulator fast-path benchmark to this JSON file and exit")
-	serveJSON := flag.String("servejson", "", "write the query-serving benchmark (E16: qps + latency quantiles) to this JSON file and exit")
 	traceOut := flag.String("trace", "", "write an observed-E1 JSONL trace to this file and exit")
 	traceKinds := flag.String("trace-kinds", "", "comma-separated event kinds to export (send,recv,drop,derive,delete,settle,crash,recover,linkdown,linkup,dup,reorder); empty = all")
 	traceNode := flag.Int("trace-node", -1, "export only events touching this node (-1 = all)")
@@ -56,7 +51,6 @@ func main() {
 	explain := flag.String("explain", "", "explain a derived tuple of the E5 shortest-path run, e.g. 'j(n3,3)': print its derivation tree and critical path, then exit")
 	explainDOT := flag.String("explain-dot", "", "with -explain, also write the derivation DAG as Graphviz DOT to this file")
 	hist := flag.Bool("hist", false, "run the observed E1 workload with provenance attached and print the latency/hop/fan-in/queue histograms, then exit")
-	shards := flag.Int("shards", 0, "with -simjson, sweep the sharded scheduler over {1, N} instead of the default {1, 2, 4, 8}")
 	flag.Parse()
 
 	if *explain != "" {
@@ -80,80 +74,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *simJSON != "" {
-		reps := 5
-		if *quick {
-			reps = 2
-		}
-		res := experiments.SimBench(reps, *shards)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*simJSON, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		last := res.Finalize[len(res.Finalize)-1]
-		bat := res.Batching[0]
-		fmt.Printf("sim A/B: finalize n=%d %.1fx, %.0f events/s vs %.0f legacy (%.2fx), %.2f vs %.2f allocs/event (-%.0f%%), batching -%.0f%% msgs\n",
-			last.Nodes, last.Speedup,
-			res.EventsPerSecFast, res.EventsPerSecLegacy, res.EventThroughputGain,
-			res.AllocsPerEventFast, res.AllocsPerEventLegacy, res.AllocReduxPct,
-			bat.MsgReduxPct)
-		return
-	}
-
-	if *serveJSON != "" {
-		reps := 3
-		if *quick {
-			reps = 1
-		}
-		res, err := servebench.Run(reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*serveJSON, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serve: %d queries — cold %.0f q/s, hot %.0f q/s, churn %.0f q/s, hit rate %.1f%%, p50 %dµs p99 %dµs, %d fallbacks\n",
-			res.Queries, res.ColdQPS, res.HotQPS, res.ChurnQPS,
-			res.CacheHitRatePct, res.P50Us, res.P99Us, res.Fallbacks)
-		return
-	}
-
-	if *joinJSON != "" {
-		reps := 10
-		if *quick {
-			reps = 3
-		}
-		res := experiments.JoinBench(reps)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*joinJSON, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("join A/B: centralized %.2fms indexed vs %.2fms naive (%.2fx), distributed %.2fms vs %.2fms, %d msgs both\n",
-			res.CentralizedIndexedMs, res.CentralizedNaiveMs, res.CentralizedSpeedup,
-			res.DistributedIndexedMs, res.DistributedNaiveMs, res.DistributedMessages)
 		return
 	}
 

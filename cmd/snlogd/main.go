@@ -35,7 +35,6 @@ func main() {
 	grid := flag.Int("grid", 4, "deploy on an m x m grid")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	cache := flag.Int("cache", 0, "result cache entries (0 = default 256, negative = disabled)")
-	cacheShards := flag.Int("cache-shards", 0, "result cache shards (0 = default 8, rounded up to a power of two)")
 	loss := flag.Float64("loss", 0, "radio loss rate [0, 1)")
 	shards := flag.Int("shards", 0, "parallel scheduler shards (0 = single-threaded)")
 	noProv := flag.Bool("no-provenance", false, "skip provenance capture (explain disabled)")
@@ -69,7 +68,6 @@ func main() {
 	s, err := serve.Open(context.Background(), string(src), snlog.Grid(*grid), serve.Options{
 		Deploy:       deploy,
 		CacheSize:    *cache,
-		CacheShards:  *cacheShards,
 		BatchSize:    *batch,
 		BatchDelay:   *batchDelay,
 		NoProvenance: *noProv,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -15,6 +16,21 @@ import (
 // workload with BatchLinks on and off reaches the same final derived
 // database, while the batched run ships strictly fewer link messages and
 // strictly fewer accounted bytes (shared headers).
+
+func derivedFingerprint(e *Engine) string {
+	db := e.DerivedDB()
+	var b strings.Builder
+	for _, pred := range db.Predicates() {
+		b.WriteString(pred)
+		b.WriteString(":\n")
+		for _, t := range db.Tuples(pred) {
+			b.WriteString("  ")
+			b.WriteString(t.Key())
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
 
 func TestBatchLinksEquivalence(t *testing.T) {
 	src := `

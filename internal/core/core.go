@@ -69,10 +69,6 @@ type Config struct {
 	DefaultWindow int64
 	// Registry supplies built-ins (nil = builtin.Default()).
 	Registry *builtin.Registry
-	// NaiveJoin disables the window stores' argument-position indexes
-	// (full visible-scan lookups). Retained for A/B determinism checks
-	// and benchmarks; results and message counts are identical.
-	NaiveJoin bool
 	// BatchLinks coalesces the store/join/result tuples a node emits
 	// within one tick into a single framed link message per destination,
 	// accounted as one shared 8-byte header plus the sum of the tuple
@@ -81,11 +77,6 @@ type Config struct {
 	// batching disabled. The final derived database is identical either
 	// way (see TestBatchLinksEquivalence).
 	BatchLinks bool
-	// LegacyRouting bypasses the per-engine nearest-node cache and calls
-	// the stateless routing functions on every hop, restoring the
-	// pre-cache rescan behavior. Results are identical; retained (like
-	// NaiveJoin) so the cache can be A/B benchmarked.
-	LegacyRouting bool
 	// NodeTerm names a node as a term for placement-based storage; the
 	// default is the symbol n<id>.
 	NodeTerm func(n *nsim.Node) ast.Term

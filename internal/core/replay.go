@@ -99,9 +99,7 @@ func (e *Engine) replayNow() {
 	// hooks.
 	e.prov.Reset()
 	for _, rt := range e.rts {
-		st := window.NewStore()
-		st.Naive = e.cfg.NaiveJoin
-		rt.store = st
+		rt.store = window.NewStore()
 		rt.derivs = make(map[string]map[string]bool)
 		rt.derivedLive = make(map[string]eval.Tuple)
 		rt.derivedIDs = make(map[string]window.Stamp)

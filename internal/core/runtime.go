@@ -208,15 +208,10 @@ type nodeRT struct {
 
 // visibleMatch probes the node's store for the visible entries matching
 // lit's bound argument positions under subst, reusing the runtime's
-// scratch buffers. In naive mode it retains the pre-index discipline:
-// the full insertion-order visible scan, with the bound-position key
-// never computed. The returned slice is valid until the next call.
+// scratch buffers. The returned slice is valid until the next call.
 func (rt *nodeRT) visibleMatch(lit ast.Literal, subst unify.Subst, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
 	w := rt.e.windows[lit.PredKey()]
-	if rt.store.Naive {
-		return rt.store.Visible(lit.PredKey(), tau, w)
-	}
 	if rt.colBuf == nil {
 		rt.colBuf = rt.colArr[:0]
 		rt.keyBuf = rt.keyArr[:0]
@@ -240,12 +235,10 @@ type pendingCand struct {
 }
 
 func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
-	st := window.NewStore()
-	st.Naive = e.cfg.NaiveJoin
 	return &nodeRT{
 		e:           e,
 		node:        n,
-		store:       st,
+		store:       window.NewStore(),
 		derivs:      make(map[string]map[string]bool),
 		derivedLive: make(map[string]eval.Tuple),
 		derivedIDs:  make(map[string]window.Stamp),
@@ -450,12 +443,9 @@ func stampFlagKey(prefix string, id window.Stamp, flag bool) string {
 	return string(b)
 }
 
-// atTarget answers the walker termination test through the engine's
-// routing cache, or the stateless per-call scan under LegacyRouting.
+// atTarget answers the walker termination test through the routing
+// cache of the engine (or, under sharding, of the node's shard).
 func (rt *nodeRT) atTarget(x, y float64) bool {
-	if rt.e.cfg.LegacyRouting {
-		return routing.AtTarget(rt.e.nw, rt.node.ID, x, y)
-	}
 	if rt.es != nil {
 		return rt.es.router.AtTarget(rt.node.ID, x, y)
 	}

@@ -96,8 +96,8 @@ func (e *Engine) flushShards(safe nsim.Time) {
 // The walker messages implement nsim.PayloadCloner: their receivers
 // mutate them in place (Visited sets, leg indexes, partial/pending
 // lists), so the sharded transmit hands every recipient — broadcast
-// neighbor or fault duplicate — its own snapshot instead of the legacy
-// shared pointer. Clones are shallow except for the receiver-mutated
+// neighbor or fault duplicate — its own snapshot instead of a shared
+// pointer. Clones are shallow except for the receiver-mutated
 // parts: the Visited map and the Partials/Pending slice headers.
 // Elements stay shared — partials and candidates are copied on
 // extension, never mutated in place — and so does candR.Prov, whose

@@ -228,14 +228,6 @@ type Options struct {
 	MaxRounds int
 	// MaxTermDepth bounds the nesting depth of derived terms.
 	MaxTermDepth int
-	// NaiveJoin disables argument-position indexes and subgoal
-	// reordering, retaining the pre-index discipline: body-position
-	// subgoal order with full scans that re-sort the predicate table on
-	// every expansion. Kept for A/B equivalence tests and benchmarks;
-	// results and derivation sets are byte-identical either way
-	// (aggregate folds always scan in insertion order in both modes, so
-	// non-commutative-in-float fold order cannot diverge).
-	NaiveJoin bool
 }
 
 func (o *Options) fill() {

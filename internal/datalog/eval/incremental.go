@@ -680,23 +680,18 @@ func (st *pinnedSolver) step(i int, s unify.Subst, deferred []ast.Literal, used 
 		return st.step(i+1, ns, deferred, append(used, posTuple{pos: i, t: t}))
 	}
 	if tab != nil {
-		probed := false
-		if !st.ev.opts.NaiveJoin {
-			if cols, key := BoundCols(l.Args, s); len(cols) > 0 {
-				it := tab.index(cols).probeString(key)
-				for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
-					sl := tab.slots[si]
-					if sl.dead || sl.t.Key() == excl {
-						continue
-					}
-					if err := scan(sl.t); err != nil {
-						return err
-					}
+		if cols, key := BoundCols(l.Args, s); len(cols) > 0 {
+			it := tab.index(cols).probeString(key)
+			for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
+				sl := tab.slots[si]
+				if sl.dead || sl.t.Key() == excl {
+					continue
 				}
-				probed = true
+				if err := scan(sl.t); err != nil {
+					return err
+				}
 			}
-		}
-		if !probed {
+		} else {
 			for _, sl := range tab.slots {
 				if sl.dead || sl.t.Key() == excl {
 					continue

@@ -232,16 +232,142 @@ func TestMaintainerStats(t *testing.T) {
 	}
 }
 
+// timelineInput is one program plus a generator of base tuples for the
+// random insert/delete timelines checked by checkTimeline.
+type timelineInput struct {
+	name string
+	src  string
+	gen  func(r *rand.Rand) Tuple
+	// insertOnly keeps deletions out of the timeline: the program is
+	// recursive through cyclic data, where only full re-evaluation can
+	// retract soundly (counting and set-of-derivations keep mutually
+	// supporting tuples alive — the paper's locally-non-recursive caveat).
+	insertOnly bool
+}
+
+// timelineCorpus is the corpus that used to run the indexed evaluator
+// against the deleted full-scan one: cyclic transitive closure, negation
+// over compound terms, arithmetic built-ins, a three-way self-join. (Its
+// fifth program, aggregates, is checked against a direct fold instead:
+// the maintainer rejects aggregates.)
+func timelineCorpus() []timelineInput {
+	return []timelineInput{
+		{
+			name: "tc-chain-cycle",
+			src: `
+.base edge/2.
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+`,
+			gen: func(r *rand.Rand) Tuple {
+				return NewTuple("edge", ast.Int64(int64(r.Intn(10))), ast.Int64(int64(r.Intn(10))))
+			},
+			insertOnly: true,
+		},
+		{
+			name: "negation-uncovered",
+			src: `
+.base veh/3.
+cov(L, T) :- veh(enemy, L, T), veh(friendly, L2, T), dist(L, L2) <= 5.
+uncov(L, T) :- NOT cov(L, T), veh(enemy, L, T).
+`,
+			gen: func(r *rand.Rand) Tuple {
+				kind := "enemy"
+				if r.Intn(2) == 0 {
+					kind = "friendly"
+				}
+				return vehTuple(kind, int64(r.Intn(5)), int64(r.Intn(5)), int64(r.Intn(2)))
+			},
+		},
+		{
+			name: "builtins-arith",
+			src: `
+.base temp/2.
+warm(N, T) :- temp(N, T), T > 50.
+bump(N, U) :- temp(N, T), U = T + 1.
+pair(N, M) :- warm(N, T), warm(M, T2), N != M.
+`,
+			gen: func(r *rand.Rand) Tuple {
+				return NewTuple("temp",
+					ast.Symbol(fmt.Sprintf("n%d", r.Intn(10))), ast.Int64(int64(40+r.Intn(30))))
+			},
+		},
+		{
+			name: "self-join-triangle",
+			src: `
+.base e/2.
+tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X), X < Y, Y < Z.
+`,
+			gen: func(r *rand.Rand) Tuple {
+				return NewTuple("e", ast.Int64(int64(r.Intn(6))), ast.Int64(int64(r.Intn(6))))
+			},
+		},
+	}
+}
+
+// reachInput is the recursive + negation program whose random op-stream
+// TestMaintainerIndexedEquivalence drives in every maintenance mode.
+var reachInput = timelineInput{
+	name: "reach-flagged-quiet",
+	src: `
+.base edge/2.
+.base mark/1.
+reach(X, Y) :- edge(X, Y).
+reach(X, Z) :- edge(X, Y), reach(Y, Z).
+flagged(X, Y) :- reach(X, Y), mark(X).
+quiet(X) :- mark(X), NOT busy(X).
+busy(X) :- edge(X, Y).
+`,
+	gen: func(r *rand.Rand) Tuple {
+		if r.Intn(4) == 0 {
+			return NewTuple("mark", ast.Int64(int64(r.Intn(5))))
+		}
+		// DAG edges keep the program locally non-recursive.
+		a := r.Intn(5)
+		return NewTuple("edge", ast.Int64(int64(a)), ast.Int64(int64(a+1+r.Intn(2))))
+	},
+}
+
+var allModes = []Mode{SetOfDerivations, Counting, Rederivation}
+
+// checkTimeline drives one maintainer through a seeded timeline of
+// insertions and deletions and, every tenth step, demands that its
+// database equal full re-evaluation over the surviving base facts. Run
+// and the Maintainer reach the join engine through different drivers
+// (semi-naive rounds vs per-update cascades with table adjustments), so
+// an index or subgoal-ordering bug has to fool both.
+func checkTimeline(t *testing.T, in timelineInput, mode Mode, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	m := newMaint(t, in.src, mode)
+	// live holds the surviving base facts in insertion order, so the
+	// timeline is the same on every run.
+	var live []Tuple
+	for step := 0; step < 120; step++ {
+		var err error
+		if len(live) > 0 && !in.insertOnly && r.Intn(100) < 35 {
+			k := r.Intn(len(live))
+			_, err = m.Delete(live[k])
+			live = append(live[:k], live[k+1:]...)
+		} else if tup := in.gen(r); !m.DB().Contains(tup) {
+			live = append(live, tup)
+			_, err = m.Insert(tup)
+		}
+		if err != nil {
+			t.Fatalf("%s step %d: %v", mode, step, err)
+		}
+		if step%10 == 9 {
+			requireSameDB(t, mode, step, m.DB(), mustEval(t, in.src, live))
+		}
+	}
+}
+
 // The central correctness property (paper Theorem 3 + Section IV-C): after
 // any timeline of insertions and deletions, the incrementally maintained
 // database equals full re-evaluation over the surviving base facts — for
 // all three maintenance modes.
 func TestMaintainerEquivalenceRandomTimeline(t *testing.T) {
-	progs := []struct {
-		name string
-		src  string
-		gen  func(r *rand.Rand) Tuple
-	}{
+	progs := []timelineInput{
 		{
 			name: "uncov",
 			src:  uncovSrc,
@@ -286,57 +412,70 @@ out(X) :- t(X, Z), Z > 2.
 		},
 	}
 	for _, pc := range progs {
-		for _, mode := range []Mode{SetOfDerivations, Counting, Rederivation} {
+		for _, mode := range allModes {
 			t.Run(fmt.Sprintf("%s/%s", pc.name, mode), func(t *testing.T) {
-				r := rand.New(rand.NewSource(42))
-				m := newMaint(t, pc.src, mode)
-				live := map[string]Tuple{}
-				for step := 0; step < 120; step++ {
-					var err error
-					if len(live) > 0 && r.Intn(100) < 35 {
-						// Delete a random live tuple.
-						keys := make([]string, 0, len(live))
-						for k := range live {
-							keys = append(keys, k)
-						}
-						k := keys[r.Intn(len(keys))]
-						_, err = m.Delete(live[k])
-						delete(live, k)
-					} else {
-						tup := pc.gen(r)
-						live[tup.Key()] = tup
-						_, err = m.Insert(tup)
-					}
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-				}
-				// Full re-evaluation over surviving facts.
-				var base []Tuple
-				for _, tup := range live {
-					base = append(base, tup)
-				}
-				want := mustEval(t, pc.src, base)
-				got := m.DB()
-				for _, pred := range want.Predicates() {
-					w := want.Tuples(pred)
-					g := got.Tuples(pred)
-					if len(w) != len(g) {
-						t.Fatalf("%s: maintained %d tuples, recomputed %d\nmaint: %v\nfull: %v",
-							pred, len(g), len(w), g, w)
-					}
-					for i := range w {
-						if !w[i].Equal(g[i]) {
-							t.Fatalf("%s: mismatch at %d: %v vs %v", pred, i, g[i], w[i])
-						}
-					}
-				}
-				for _, pred := range got.Predicates() {
-					if want.Count(pred) != got.Count(pred) {
-						t.Fatalf("%s: extra tuples in maintained db: %v", pred, got.Tuples(pred))
-					}
+				checkTimeline(t, pc, mode, 42)
+			})
+		}
+	}
+}
+
+// TestIndexedEquivalence runs the corpus that once compared the indexed
+// evaluator with the full-scan one, over several seeds, against the
+// references that survive: from-scratch Run vs the Maintainer in every
+// mode, and for the aggregates program a fold written out by hand.
+func TestIndexedEquivalence(t *testing.T) {
+	for _, c := range timelineCorpus() {
+		for seed := int64(0); seed < 5; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
+				for _, mode := range allModes {
+					checkTimeline(t, c, mode, seed*31+1)
 				}
 			})
+		}
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		t.Run(fmt.Sprintf("aggregates/seed%d", seed), func(t *testing.T) {
+			checkAggregatesAgainstDirectFold(t, seed*31+1)
+		})
+	}
+}
+
+// TestMaintainerIndexedEquivalence drives the recursive reach/flagged/
+// quiet program (negation over a derived predicate included) through
+// random insert/delete streams in every maintenance mode, against full
+// re-evaluation.
+func TestMaintainerIndexedEquivalence(t *testing.T) {
+	for _, mode := range allModes {
+		for seed := int64(0); seed < 4; seed++ {
+			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
+				checkTimeline(t, reachInput, mode, seed*17+3)
+			})
+		}
+	}
+}
+
+// requireSameDB fails unless the maintained database holds exactly the
+// tuples of the recomputed one, predicate by predicate in canonical
+// order.
+func requireSameDB(t *testing.T, mode Mode, step int, got, want *Database) {
+	t.Helper()
+	for _, pred := range want.Predicates() {
+		w := want.Tuples(pred)
+		g := got.Tuples(pred)
+		if len(w) != len(g) {
+			t.Fatalf("%s step %d %s: maintained %d tuples, recomputed %d\nmaint: %v\nfull: %v",
+				mode, step, pred, len(g), len(w), g, w)
+		}
+		for i := range w {
+			if !w[i].Equal(g[i]) {
+				t.Fatalf("%s step %d %s: mismatch at %d: %v vs %v", mode, step, pred, i, g[i], w[i])
+			}
+		}
+	}
+	for _, pred := range got.Predicates() {
+		if want.Count(pred) != got.Count(pred) {
+			t.Fatalf("%s step %d %s: extra tuples in maintained db: %v", mode, step, pred, got.Tuples(pred))
 		}
 	}
 }

@@ -36,7 +36,7 @@ func (e *Evaluator) applyRule(db *Database, r *ast.Rule, delta map[string]*Tuple
 		e.arena = &unify.Arena{}
 	}
 	e.arena.Reset()
-	return e.streamBodyIn(e.arena, db, r, delta, deltaIdx, e.opts.NaiveJoin, e.opts.NaiveJoin, func(s unify.Subst, _ []posTuple) error {
+	return e.streamBodyIn(e.arena, db, r, delta, deltaIdx, false, func(s unify.Subst, _ []posTuple) error {
 		args := e.argScratch[:0]
 		for _, a := range r.Head.Args {
 			// Fast path: a variable bound to a scalar needs no builtin
@@ -104,14 +104,14 @@ func (e *Evaluator) instantiateHead(r *ast.Rule, s unify.Subst) (Tuple, error) {
 // ranges over delta[pred] instead of db. Built-ins are evaluated as soon
 // as their arguments are bound; negated subgoals are checked once ground.
 //
-// Unless Options.NaiveJoin is set, positive subgoals are expanded in
-// selectivity order (most ground argument positions first, ties broken
-// by smaller table, then static SIP rank) and each expansion probes the
-// table's argument-position index instead of scanning. Index buckets
-// preserve insertion order, so the set of solutions — and the Used
-// tuples of each — is identical to the naive body-order scan.
+// Positive subgoals are expanded in selectivity order (most ground
+// argument positions first, ties broken by smaller table, then static
+// SIP rank) and each expansion probes the table's argument-position
+// index instead of scanning. Index buckets preserve insertion order, so
+// the set of solutions — and the Used tuples of each — is the one a
+// body-order scan would find.
 func (e *Evaluator) SolveBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int) ([]Solution, error) {
-	return e.solveBody(db, r, delta, deltaIdx, e.opts.NaiveJoin)
+	return e.solveBody(db, r, delta, deltaIdx, false)
 }
 
 func (e *Evaluator) solveBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool) ([]Solution, error) {
@@ -143,16 +143,12 @@ func orderedTuples(used []posTuple) []Tuple {
 // streamBody enumerates body solutions, invoking sink per solution. The
 // used slice passed to sink is scratch — copy what must be retained.
 func (e *Evaluator) streamBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool, sink func(unify.Subst, []posTuple) error) error {
-	return e.streamBodyIn(nil, db, r, delta, deltaIdx, bodyOrder, false, sink)
+	return e.streamBodyIn(nil, db, r, delta, deltaIdx, bodyOrder, sink)
 }
 
-// streamBodyIn is streamBody with bindings drawn from arena (nil = heap)
-// and, when sortedScan is set, full scans that re-sort the predicate
-// table per expansion (the retained pre-index discipline; see
-// Options.NaiveJoin). Aggregate rules never set sortedScan so the fold
-// order of each group's multiset is identical in both join modes.
+// streamBodyIn is streamBody with bindings drawn from arena (nil = heap).
 // Only safe with a sink that does not retain its Subst past the call.
-func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder, sortedScan bool, sink func(unify.Subst, []posTuple) error) error {
+func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool, sink func(unify.Subst, []posTuple) error) error {
 	if len(r.Body) > 64 {
 		return fmt.Errorf("eval: rule %d has %d body literals (limit 64)", r.ID, len(r.Body))
 	}
@@ -165,7 +161,7 @@ func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, 
 		e.solver = st
 	}
 	st.ev, st.db, st.r, st.keys, st.arena = e, db, r, ks, arena
-	st.delta, st.deltaIdx, st.bodyOrder, st.sortedScan, st.rank, st.sink = nil, deltaIdx, bodyOrder, sortedScan, nil, sink
+	st.delta, st.deltaIdx, st.bodyOrder, st.rank, st.sink = nil, deltaIdx, bodyOrder, nil, sink
 	if deltaIdx >= 0 {
 		st.delta = delta[ks.body[deltaIdx]]
 	}
@@ -192,16 +188,13 @@ type solveState struct {
 	arena    *unify.Arena // binding arena (nil = heap)
 	delta    *TupleSet    // table for the deltaIdx subgoal
 	deltaIdx int
-	// bodyOrder forces naive body-position subgoal order (NaiveJoin, and
-	// aggregate rules, where the fold order of each group's value
-	// multiset must not depend on the ordering heuristic).
+	// bodyOrder forces body-position subgoal order (aggregate rules,
+	// where the fold order of each group's value multiset must not
+	// depend on the ordering heuristic).
 	bodyOrder bool
-	// sortedScan restores the pre-index full-scan discipline (re-sort
-	// the table per expansion) for the retained naive path.
-	sortedScan bool
-	rank       []int // static SIP ranks (nil in bodyOrder mode)
-	sink       func(unify.Subst, []posTuple) error
-	busy       bool // guards the evaluator's cached state against re-entry
+	rank      []int // static SIP ranks (nil in bodyOrder mode)
+	sink      func(unify.Subst, []posTuple) error
+	busy      bool // guards the evaluator's cached state against re-entry
 
 	// Scratch buffers for probe-key computation, reused across steps
 	// (tab.index copies cols when it materializes a new index). They
@@ -290,39 +283,20 @@ func (st *solveState) step(done uint64, n int, s unify.Subst, deferred []ast.Lit
 	if tab == nil {
 		return nil
 	}
-	if !st.ev.opts.NaiveJoin {
-		if cols, key := st.boundCols(l.Args, s); len(cols) > 0 {
-			it := tab.index(cols).probe(key)
-			for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
-				sl := tab.slots[si]
-				if sl.dead {
-					continue
-				}
-				st.ev.ScanOps++
-				ns, ok := unify.MatchArgsIn(st.arena, l.Args, sl.t.Args, s)
-				if !ok {
-					continue
-				}
-				st.ev.JoinOps++
-				if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: sl.t})); err != nil {
-					return err
-				}
+	if cols, key := st.boundCols(l.Args, s); len(cols) > 0 {
+		it := tab.index(cols).probe(key)
+		for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
+			sl := tab.slots[si]
+			if sl.dead {
+				continue
 			}
-			return nil
-		}
-	}
-	if st.sortedScan {
-		// Retained naive discipline: deterministic iteration by
-		// collecting and sorting the table's keys on every expansion —
-		// the per-step cost the indexed path exists to remove.
-		for _, t := range st.db.Tuples(st.keys.body[i]) {
 			st.ev.ScanOps++
-			ns, ok := unify.MatchArgsIn(st.arena, l.Args, t.Args, s)
+			ns, ok := unify.MatchArgsIn(st.arena, l.Args, sl.t.Args, s)
 			if !ok {
 				continue
 			}
 			st.ev.JoinOps++
-			if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: t})); err != nil {
+			if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: sl.t})); err != nil {
 				return err
 			}
 		}
@@ -345,8 +319,8 @@ func (st *solveState) step(done uint64, n int, s unify.Subst, deferred []ast.Lit
 	return nil
 }
 
-// next picks the body index to expand. Body-order mode replays the naive
-// engine exactly: lowest unexpanded index, whatever its kind. Otherwise
+// next picks the body index to expand. Body-order mode takes the lowest
+// unexpanded index, whatever its kind. Otherwise
 // built-ins and negations run as soon as reached (they defer themselves
 // if not ground) and positive subgoals are ranked by selectivity.
 func (st *solveState) next(done uint64, s unify.Subst) int {

@@ -17,7 +17,7 @@ import (
 // untouched: export is pull-based, so with no StartAdmin call and no
 // sampler running there is no listener, no goroutine, and no handle on
 // the event path, and allocations per event stay at the same baseline
-// as the fully-unobserved run (2.81 allocs/event in BENCH_sim.json).
+// as the fully-unobserved run (2.81 allocs/event, EXPERIMENTS.md E13).
 // Part of make obs-guard.
 func TestAdminDisabledOverheadE1(t *testing.T) {
 	// The zero Source is the "admin not configured" state snlogd runs in
@@ -37,6 +37,6 @@ func TestAdminDisabledOverheadE1(t *testing.T) {
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
 	if perEvent > 3.2 {
-		t.Errorf("admin-disabled path allocates %.2f/event, baseline is 2.81 (BENCH_sim.json)", perEvent)
+		t.Errorf("admin-disabled path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
 	}
 }

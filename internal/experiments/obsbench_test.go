@@ -77,7 +77,7 @@ func TestTraceE1MatchesUnobserved(t *testing.T) {
 // TestObsDisabledOverheadE1 guards the disabled-observability path on
 // the E1 m=18 hot loop: with no Observe call, every counter handle is
 // nil and every trace pointer check fails, so allocations per event
-// must stay at the PR 2 baseline (2.81 allocs/event in BENCH_sim.json;
+// must stay at the PR 2 baseline (2.81 allocs/event, EXPERIMENTS.md E13;
 // the bound leaves headroom for map-growth jitter while sitting far
 // below +1 alloc/event).
 func TestObsDisabledOverheadE1(t *testing.T) {
@@ -94,7 +94,7 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
 	if perEvent > 3.2 {
-		t.Errorf("disabled-obs path allocates %.2f/event, baseline is 2.81 (BENCH_sim.json)", perEvent)
+		t.Errorf("disabled-obs path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestProvDisabledOverheadE1(t *testing.T) {
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
 	if perEvent > 3.2 {
-		t.Errorf("provenance-off path allocates %.2f/event, baseline is 2.81 (BENCH_sim.json)", perEvent)
+		t.Errorf("provenance-off path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
 	}
 }
 

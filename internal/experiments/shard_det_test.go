@@ -21,8 +21,8 @@ import (
 //
 //   - Shards=1 must be BYTE-IDENTICAL to the default single-threaded
 //     path — the partitioner refuses to build a single stripe, so the
-//     legacy determinism guarantees (E1/E5/E7 trace bytes, stats)
-//     carry over untouched;
+//     single-threaded determinism guarantees (E1/E5/E7 trace bytes,
+//     stats) carry over untouched;
 //   - the same (seed, Shards=n) must replay identically run-to-run —
 //     the parallel schedule is itself deterministic;
 //   - on loss-free workloads the sharded fixpoint must equal the
@@ -129,6 +129,14 @@ func shardE7Run(shards int, tweak func(*nsim.Config)) shardRunOut {
 	e.Observe(reg, tr)
 	nw.Finalize()
 	e.Start()
+	injectLossyJoinWorkload(e, nw)
+	nw.Run(0)
+	return shardFingerprint(e, nw, tr)
+}
+
+// injectLossyJoinWorkload is the E7 gates' input: 40 ra/rb pairs over 20
+// join keys at seeded nodes, one pair every 9 ticks.
+func injectLossyJoinWorkload(e *core.Engine, nw *nsim.Network) {
 	r := rand.New(rand.NewSource(67))
 	for i := 0; i < 40; i++ {
 		key := int64(i % 20)
@@ -137,8 +145,6 @@ func shardE7Run(shards int, tweak func(*nsim.Config)) shardRunOut {
 		e.InjectAt(nsim.Time(i*9+4), nsim.NodeID(r.Intn(nw.Len())),
 			eval.NewTuple("rb", ast.Int64(key), ast.Int64(int64(i))))
 	}
-	nw.Run(0)
-	return shardFingerprint(e, nw, tr)
 }
 
 var shardWorkloads = []struct {
@@ -251,30 +257,6 @@ func TestShardCoalescingEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(ref.derived, got.derived) {
 					t.Errorf("%s: derived sets diverged (%d vs %d tuples)", v.name, len(ref.derived), len(got.derived))
 				}
-			}
-		})
-	}
-}
-
-// TestShardAdaptiveMatchesFixedFixpoint: the adaptive per-shard-pair
-// horizons produce a different (deterministic) schedule than the fixed
-// PR-6 window, so traces legitimately differ — but on loss-free
-// workloads every message is still delivered and the derived fixpoint
-// must match. E7 is excluded for the same reason it is excluded from
-// the single-threaded fixpoint gate: under loss the surviving set is
-// schedule-dependent.
-func TestShardAdaptiveMatchesFixedFixpoint(t *testing.T) {
-	for _, w := range shardWorkloads[:2] {
-		w := w
-		t.Run(w.name, func(t *testing.T) {
-			adaptive := w.run(4, nil)
-			fixed := w.run(4, func(c *nsim.Config) { c.ShardFixedWindow = true })
-			if adaptive.shards < 2 {
-				t.Fatalf("run did not shard (ShardCount = %d)", adaptive.shards)
-			}
-			if !reflect.DeepEqual(adaptive.derived, fixed.derived) {
-				t.Errorf("derived fixpoint diverged: adaptive %d tuples, fixed-window %d tuples",
-					len(adaptive.derived), len(fixed.derived))
 			}
 		})
 	}

@@ -25,26 +25,20 @@ func intSqrt(n int) int {
 	return i
 }
 
-func benchFinalize(b *testing.B, legacy bool) {
+func BenchmarkFinalizeGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nw := benchNet(1600, Config{Seed: 7, LegacyScan: legacy})
+		nw := benchNet(1600, Config{Seed: 7})
 		nw.Finalize()
 	}
 }
 
-func BenchmarkFinalizeGrid(b *testing.B)  { benchFinalize(b, false) }
-func BenchmarkFinalizeBrute(b *testing.B) { benchFinalize(b, true) }
-
-func benchEvents(b *testing.B, legacy bool) {
+func BenchmarkEventsTyped(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		nw, _ := runChatty(legacy)
+		nw, _ := runChatty()
 		if nw.EventsProcessed == 0 {
 			b.Fatal("no events processed")
 		}
 	}
 }
-
-func BenchmarkEventsTyped(b *testing.B)  { benchEvents(b, false) }
-func BenchmarkEventsLegacy(b *testing.B) { benchEvents(b, true) }

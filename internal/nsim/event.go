@@ -1,18 +1,12 @@
 package nsim
 
-// Event queue. Two implementations share the (time, seq) ordering
-// contract, so a run is bit-identical under either:
+// Event queue: an index-based min-heap over value-typed events. Timer
+// and delivery events carry their payload inline instead of capturing
+// it in a closure, so scheduling allocates nothing beyond amortized
+// slice growth, and there is no per-event box or container/heap
+// interface traffic.
 //
-//   - typedQueue (default): an index-based min-heap over value-typed
-//     events. Timer and delivery events carry their payload inline
-//     instead of capturing it in a closure, so scheduling allocates
-//     nothing beyond amortized slice growth, and there is no per-event
-//     box or container/heap interface traffic.
-//   - eventQueue (Config.LegacyEvents): the original closure-per-event
-//     heap of *event, retained for A/B benchmarking of the rewrite.
-//
-// Determinism rests only on the pop order — (at, seq) lexicographic —
-// which both heaps implement identically.
+// Determinism rests only on the pop order — (at, seq) lexicographic.
 
 // typed event kinds.
 const (
@@ -93,31 +87,4 @@ func (q typedQueue) siftDown(i int) {
 		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-}
-
-// Legacy closure-based queue (Config.LegacyEvents).
-type event struct {
-	at  Time
-	seq int64
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
 }

@@ -1,6 +1,8 @@
 package nsim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -33,8 +35,8 @@ func (a *chattyApp) Timer(n *Node, key string, data interface{}) {
 	}
 }
 
-func runChatty(legacy bool) (*Network, []*chattyApp) {
-	nw := New(Config{Seed: 42, LossRate: 0.1, MaxSkew: 6, Retries: 1, LegacyEvents: legacy})
+func runChatty() (*Network, []*chattyApp) {
+	nw := New(Config{Seed: 42, LossRate: 0.1, MaxSkew: 6, Retries: 1})
 	apps := make([]*chattyApp, 0, 9)
 	for q := 0; q < 3; q++ {
 		for p := 0; p < 3; p++ {
@@ -48,42 +50,32 @@ func runChatty(legacy bool) (*Network, []*chattyApp) {
 	return nw, apps
 }
 
-// TestTypedAndLegacyQueuesIdentical pins the event-queue rewrite: the
-// typed value heap and the original closure heap must produce the same
-// run — same event count, same counters, same per-node event traces,
-// same final clock.
-func TestTypedAndLegacyQueuesIdentical(t *testing.T) {
-	nwT, appsT := runChatty(false)
-	nwL, appsL := runChatty(true)
-	if nwT.Now() != nwL.Now() {
-		t.Errorf("final time: typed %d legacy %d", nwT.Now(), nwL.Now())
-	}
-	if nwT.EventsProcessed != nwL.EventsProcessed {
-		t.Errorf("events: typed %d legacy %d", nwT.EventsProcessed, nwL.EventsProcessed)
-	}
-	if nwT.TotalSent != nwL.TotalSent || nwT.TotalBytes != nwL.TotalBytes || nwT.TotalDropped != nwL.TotalDropped {
-		t.Errorf("counters: typed %d/%d/%d legacy %d/%d/%d",
-			nwT.TotalSent, nwT.TotalBytes, nwT.TotalDropped,
-			nwL.TotalSent, nwL.TotalBytes, nwL.TotalDropped)
-	}
-	for i := range appsT {
-		at, al := appsT[i].events, appsL[i].events
-		if len(at) != len(al) {
-			t.Fatalf("node %d: %d events typed, %d legacy", i, len(at), len(al))
+// TestChattyRunGolden pins the event queue's schedule on the chatty
+// workload: final clock, event count, counters and an FNV-1a hash of
+// the per-node event traces. The constants were recorded at commit
+// 3105227, where the typed value heap and the original closure heap
+// (container/heap over *event, since deleted) both produced them.
+func TestChattyRunGolden(t *testing.T) {
+	nw, apps := runChatty()
+	h := fnv.New64a()
+	for i, a := range apps {
+		fmt.Fprintf(h, "%d:", i)
+		for _, ev := range a.events {
+			h.Write([]byte(ev))
+			h.Write([]byte{0})
 		}
-		for j := range at {
-			if at[j] != al[j] {
-				t.Fatalf("node %d event %d: typed %q legacy %q", i, j, at[j], al[j])
-			}
-		}
+		h.Write([]byte{'\n'})
 	}
-	if nwT.EventsProcessed == 0 {
-		t.Fatal("workload processed no events")
+	got := fmt.Sprintf("now=%d events=%d sent=%d bytes=%d dropped=%d trace=%#x",
+		nw.Now(), nw.EventsProcessed, nw.TotalSent, nw.TotalBytes, nw.TotalDropped, h.Sum64())
+	const want = "now=14 events=146 sent=102 bytes=1224 dropped=10 trace=0x3459a21559023705"
+	if got != want {
+		t.Errorf("chatty run moved:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestTimerSkipsDownNode: the typed timer path must keep the fire-time
-// Down check the legacy closure performed.
+// TestTimerSkipsDownNode: a timer armed on a node that goes down before
+// it fires must not fire.
 func TestTimerSkipsDownNode(t *testing.T) {
 	nw, a, _ := twoNodeNet(Config{Seed: 1})
 	nw.Node(0).SetTimer(5, "late", nil)

@@ -11,7 +11,6 @@
 package nsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,9 +18,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// Compile-time references keeping both queue implementations honest.
-var _ heap.Interface = (*eventQueue)(nil)
 
 // NodeID identifies a node within a network.
 type NodeID int
@@ -104,18 +100,6 @@ type Config struct {
 	RxCostBase   float64
 	RxCostByte   float64
 
-	// LegacyEvents selects the original closure-per-event scheduler
-	// (container/heap over *event) instead of the value-typed min-heap.
-	// Results are bit-identical either way; the flag exists so the event
-	// queue rewrite can be A/B benchmarked, mirroring the NaiveJoin
-	// retention discipline in internal/core.
-	LegacyEvents bool
-	// LegacyScan disables the spatial grid index: Finalize computes
-	// neighbor lists with the original all-pairs O(n²) loop and
-	// NearestNode scans every node. Results are bit-identical; retained
-	// for the same A/B benchmarking purpose as LegacyEvents.
-	LegacyScan bool
-
 	// Shards, when ≥ 2, partitions the node set into that many spatial
 	// stripes run concurrently under conservative lookahead windows (see
 	// shard.go: per-shard-pair horizons derived from boundary link
@@ -126,15 +110,8 @@ type Config struct {
 	// deterministic per (Seed, Shards) pair but draw delay/loss
 	// randomness from per-shard streams, so their traces differ from the
 	// single-threaded ones. Ignored (with the network staying
-	// single-threaded) under LegacyEvents, LegacyScan, or an energy
-	// budget.
+	// single-threaded) under an energy budget.
 	Shards int
-	// ShardFixedWindow forces the fixed global lookahead window
-	// horizon = base + MinDelay for every shard instead of the adaptive
-	// per-shard-pair horizons — the A/B baseline for the adaptive
-	// lookahead. Same event set and fixpoint, different (deterministic)
-	// schedule. Ignored when unsharded.
-	ShardFixedWindow bool
 	// ShardNoCoalesce folds counters/traces at every window, disabling
 	// fold elision — the A/B baseline for window coalescing.
 	// Byte-identical traces, stats, and derived state to the coalescing
@@ -245,14 +222,13 @@ func (n *Node) isNeighbor(id NodeID) bool {
 
 // Network is the simulated network.
 type Network struct {
-	cfg    Config
-	nodes  []*Node
-	now    Time
-	rng    *rand.Rand
-	queue  typedQueue
-	legacy eventQueue
-	seq    int64
-	index  *spatialIndex
+	cfg   Config
+	nodes []*Node
+	now   Time
+	rng   *rand.Rand
+	queue typedQueue
+	seq   int64
+	index *spatialIndex
 	// scratch is the reusable delivery Message of the typed event loop
 	// (see Handler.Receive); one allocation for the whole run.
 	scratch Message
@@ -416,21 +392,17 @@ func (nw *Network) Finalize() {
 		return
 	}
 	nw.finalized = true
-	if nw.cfg.LegacyScan {
+	nw.buildSpatialIndex()
+	// Below the cutoff the all-pairs scan beats assembling per-cell
+	// candidate lists (bruteNeighborCutoff, spatial.go); both paths
+	// produce identical neighbor lists, and the index is still built
+	// for NearestNode and the shard partitioner.
+	if len(nw.nodes) < bruteNeighborCutoff {
 		nw.computeNeighborsBrute()
 	} else {
-		nw.buildSpatialIndex()
-		// Below the cutoff the all-pairs scan beats assembling per-cell
-		// candidate lists (bruteNeighborCutoff, spatial.go); both paths
-		// produce identical neighbor lists, and the index is still built
-		// for NearestNode and the shard partitioner.
-		if len(nw.nodes) < bruteNeighborCutoff {
-			nw.computeNeighborsBrute()
-		} else {
-			nw.computeNeighbors()
-		}
-		nw.partitionShards()
+		nw.computeNeighbors()
 	}
+	nw.partitionShards()
 	for _, a := range nw.nodes {
 		if nw.cfg.MaxSkew > 0 {
 			a.skew = Time(nw.rng.Int63n(int64(nw.cfg.MaxSkew)+1)) - nw.cfg.MaxSkew/2
@@ -580,26 +552,12 @@ func (nw *Network) ScheduleAt(t Time, f func()) {
 
 func (nw *Network) schedule(t Time, f func()) {
 	nw.seq++
-	if nw.cfg.LegacyEvents {
-		heap.Push(&nw.legacy, &event{at: t, seq: nw.seq, fn: f})
-		return
-	}
 	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evFunc, fn: f})
 }
 
 // scheduleTimer queues a Handler.Timer callback without allocating a
-// closure on the typed path; the Down check moves to dispatch time.
+// closure; the Down check happens at dispatch time.
 func (nw *Network) scheduleTimer(t Time, node NodeID, key string, data interface{}) {
-	if nw.cfg.LegacyEvents {
-		n := nw.nodes[node]
-		nw.schedule(t, func() {
-			if n.Down {
-				return
-			}
-			n.App.Timer(n, key, data)
-		})
-		return
-	}
 	if sh := nw.nodes[node].sh; sh != nil {
 		sh.seq++
 		sh.queue.push(simEvent{at: t, seq: sh.seq, kind: evTimer, node: node, str: key, data: data})
@@ -609,14 +567,9 @@ func (nw *Network) scheduleTimer(t Time, node NodeID, key string, data interface
 	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evTimer, node: node, str: key, data: data})
 }
 
-// scheduleDelivery queues a message delivery; the typed path defers
-// constructing the Message until dispatch.
+// scheduleDelivery queues a message delivery; the Message itself is
+// constructed at dispatch.
 func (nw *Network) scheduleDelivery(t Time, src, dst NodeID, kind string, payload interface{}, size int) {
-	if nw.cfg.LegacyEvents {
-		m := &Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size}
-		nw.schedule(t, func() { nw.deliver(m) })
-		return
-	}
 	nw.seq++
 	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evDelivery, node: dst, src: src, size: size, str: kind, data: payload})
 }
@@ -626,9 +579,6 @@ func (nw *Network) scheduleDelivery(t Time, src, dst NodeID, kind string, payloa
 func (nw *Network) Run(until Time) Time {
 	if !nw.finalized {
 		nw.Finalize()
-	}
-	if nw.cfg.LegacyEvents {
-		return nw.runLegacy(until)
 	}
 	if len(nw.shards) > 0 {
 		return nw.runSharded(until)
@@ -660,27 +610,9 @@ func (nw *Network) Run(until Time) Time {
 	return nw.now
 }
 
-func (nw *Network) runLegacy(until Time) Time {
-	for nw.legacy.Len() > 0 {
-		ev := nw.legacy[0]
-		if until > 0 && ev.at > until {
-			nw.now = until
-			return nw.now
-		}
-		heap.Pop(&nw.legacy)
-		if ev.at > nw.now {
-			nw.now = ev.at
-		}
-		nw.EventsProcessed++
-		nw.hQueue.Observe(int64(nw.legacy.Len()))
-		ev.fn()
-	}
-	return nw.now
-}
-
 // Pending reports the number of queued events across all queues.
 func (nw *Network) Pending() int {
-	p := len(nw.queue) + nw.legacy.Len()
+	p := len(nw.queue)
 	for _, sh := range nw.shards {
 		p += len(sh.queue)
 	}

@@ -58,7 +58,7 @@ func (nw *Network) Observe(reg *obs.Registry, trace *obs.Trace) {
 	nw.hQueue = reg.Histogram("nsim.queue_hist", obs.ExpBuckets(1, 2, 12))
 	// Lookahead-window widths of the sharded scheduler, one sample per
 	// window barrier. Registered unconditionally (it stays empty on
-	// single-threaded runs) so BENCH_sim.json keys are stable.
+	// single-threaded runs) so snapshot keys are stable.
 	nw.hWindow = reg.Histogram("nsim.shard.window_ticks", obs.ExpBuckets(1, 2, 10))
 	reg.Provide(func(emit func(name string, v int64)) {
 		emit("nsim.messages", nw.TotalSent)

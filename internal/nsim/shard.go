@@ -19,8 +19,7 @@
 // the window can reach s before nextEvent(j) + pairLookahead. This is
 // the channel-clock form of the classic conservative (Chandy–Misra–
 // Bryant) bound, with the per-hop delay floor Theorems 1–3 lean on
-// reused as the lookahead (see DESIGN.md §13). Config.ShardFixedWindow
-// restores the PR-6 fixed horizon = base + MinDelay for A/B comparison.
+// reused as the lookahead (see DESIGN.md §13).
 //
 // Window barriers are split into their two halves, because only one is
 // needed every window. Cross-shard deliveries buffered during a window
@@ -162,13 +161,12 @@ const timeInf = Time(math.MaxInt64)
 // exports deliveries, never mutates a foreign queue mid-window). It also
 // records the boundary link lists the per-pair lookahead probes.
 //
-// Sharding is skipped (the network stays single-threaded) for legacy
-// event/scan modes and for energy-budget runs: energy deaths flip Down
-// mid-transmission, which the parallel path cannot observe race-free.
+// Sharding is skipped (the network stays single-threaded) for
+// energy-budget runs: energy deaths flip Down mid-transmission, which
+// the parallel path cannot observe race-free.
 func (nw *Network) partitionShards() {
 	k := nw.cfg.Shards
-	if k < 2 || nw.cfg.LegacyEvents || nw.cfg.LegacyScan || nw.cfg.EnergyBudget > 0 ||
-		nw.index == nil || len(nw.nodes) == 0 {
+	if k < 2 || nw.cfg.EnergyBudget > 0 || len(nw.nodes) == 0 {
 		return
 	}
 	if k > nw.index.cols {
@@ -387,7 +385,6 @@ func (sh *shard) workerLoop(stop <-chan struct{}) {
 // a crossing exchange; the fold — counters, traces, results — is elided
 // until trace-buffer pressure forces one or Run returns.
 func (nw *Network) runSharded(until Time) Time {
-	w := nw.cfg.MinDelay
 	var forker ShardForker
 	if nw.faults != nil {
 		forker, _ = nw.faults.(ShardForker)
@@ -477,8 +474,7 @@ func (nw *Network) runSharded(until Time) Time {
 			}
 			continue
 		}
-		// Window phase: per-shard horizons from the boundary lookaheads
-		// (or the fixed PR-6 window under ShardFixedWindow).
+		// Window phase: per-shard horizons from the boundary lookaheads.
 		nw.refreshLookahead()
 		hCap := gNext
 		if until > 0 && until+1 < hCap {
@@ -488,20 +484,14 @@ func (nw *Network) runSharded(until Time) Time {
 		busy = busy[:0]
 		for i, sh := range nw.shards {
 			h := hCap
-			if nw.cfg.ShardFixedWindow {
-				if base+w < h {
-					h = base + w
+			if i > 0 {
+				if c := latArrival(nextAt[i-1], nw.pairLA[i-1]); c < h {
+					h = c
 				}
-			} else {
-				if i > 0 {
-					if c := latArrival(nextAt[i-1], nw.pairLA[i-1]); c < h {
-						h = c
-					}
-				}
-				if i < k-1 {
-					if c := latArrival(nextAt[i+1], nw.pairLA[i]); c < h {
-						h = c
-					}
+			}
+			if i < k-1 {
+				if c := latArrival(nextAt[i+1], nw.pairLA[i]); c < h {
+					h = c
 				}
 			}
 			horizons[i] = h

@@ -166,9 +166,9 @@ func (s *spatialIndex) scanRing(nw *Network, cx, cy, r int, x, y float64, best *
 // invisible to results (pinned by TestNeighborPathsAgreeAcrossCutoff).
 const bruteNeighborCutoff = 256
 
-// computeNeighborsBrute is the original all-pairs neighbor loop
-// (Config.LegacyScan, and the small-n fast path below
-// bruteNeighborCutoff), kept as the A/B baseline for the grid index.
+// computeNeighborsBrute is the all-pairs neighbor loop: the path below
+// bruteNeighborCutoff, and the reference the spatial tests check the
+// grid index against.
 func (nw *Network) computeNeighborsBrute() {
 	r2 := nw.cfg.Range * nw.cfg.Range
 	for _, a := range nw.nodes {
@@ -184,9 +184,8 @@ func (nw *Network) computeNeighborsBrute() {
 	}
 }
 
-// nearestBrute is the original O(n) scan, used before Finalize builds
-// the index (Config.LegacyScan leaves it as the only path) and as the
-// reference implementation in property tests.
+// nearestBrute is the O(n) scan, used before Finalize builds the index
+// and as the reference implementation in property tests.
 func (nw *Network) nearestBrute(x, y float64) *Node {
 	var best *Node
 	bestD := math.Inf(1)

@@ -54,8 +54,7 @@ import (
 // never move between shards.
 //
 // Capacity is per shard: ceil(total/shards), min 1, evicted LRU
-// within the shard. A single-shard cache (CacheShards: 1) degenerates
-// to the PR-8 global LRU.
+// within the shard. A single-shard cache degenerates to a global LRU.
 //
 // The nil cache (caching disabled) is a valid no-op receiver.
 type shardedCache struct {
@@ -87,13 +86,9 @@ type cacheEntry struct {
 	elem    *list.Element
 }
 
-// newShardedCache builds a cache totalling max entries across shards
-// (rounded up to a power of two).
-func newShardedCache(max, shards int, evictions *obs.Counter) *shardedCache {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+// newShardedCache builds a cache totalling max entries across n shards;
+// n must be a power of two (the shard is picked by masking the hash).
+func newShardedCache(max, n int, evictions *obs.Counter) *shardedCache {
 	perShard := (max + n - 1) / n
 	if perShard < 1 {
 		perShard = 1

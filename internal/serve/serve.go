@@ -52,13 +52,16 @@ const maxSupport = 4096
 
 // Defaults for the zero Options value.
 const (
-	defaultCacheSize   = 256
-	defaultCacheShards = 8
-	defaultBatchSize   = 64
-	defaultBatchDelay  = 2 * time.Millisecond
-	defaultSubBuffer   = 64
-	defaultSpanRing    = 4096
+	defaultCacheSize  = 256
+	defaultBatchSize  = 64
+	defaultBatchDelay = 2 * time.Millisecond
+	defaultSubBuffer  = 64
+	defaultSpanRing   = 4096
 )
+
+// cacheShards is the number of independently locked result-cache
+// shards (canonical-goal hash partitioned); a power of two.
+const cacheShards = 8
 
 // Options configures a serving session.
 type Options struct {
@@ -68,11 +71,6 @@ type Options struct {
 	// CacheSize caps the result cache (entries, summed across shards);
 	// 0 means the default (256). Negative disables caching.
 	CacheSize int
-	// CacheShards is the number of independently locked result-cache
-	// shards (canonical-goal hash partitioned); 0 means the default
-	// (8). Values are rounded up to a power of two. Use 1 for the
-	// PR-8 single-LRU semantics.
-	CacheShards int
 	// SubscribeBuffer is the per-subscription channel capacity; 0
 	// means the default (64). A full subscriber drops updates and
 	// counts them under serve.subs.dropped.
@@ -256,9 +254,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	if opts.CacheSize == 0 {
 		opts.CacheSize = defaultCacheSize
 	}
-	if opts.CacheShards <= 0 {
-		opts.CacheShards = defaultCacheShards
-	}
 	if opts.SubscribeBuffer == 0 {
 		opts.SubscribeBuffer = defaultSubBuffer
 	}
@@ -320,7 +315,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	reg.Gauge("serve.read_concurrency", func() int64 { return s.readers.Load() })
 	reg.Gauge("serve.read_concurrency.peak", func() int64 { return s.readerPeak.Load() })
 	if opts.CacheSize > 0 {
-		s.cache = newShardedCache(opts.CacheSize, opts.CacheShards, s.evictions)
+		s.cache = newShardedCache(opts.CacheSize, cacheShards, s.evictions)
 	}
 	// Precompute the dependency cone of every derived predicate: goals
 	// are validated to be derived, so concurrent readers only ever

@@ -344,8 +344,9 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	// One shard = the PR-8 global-LRU semantics this test pins.
-	s := openSession(t, reachSrc, Options{CacheSize: 2, CacheShards: 1})
+	// One shard = the global-LRU semantics this test pins.
+	s := openSession(t, reachSrc, Options{})
+	s.cache = newShardedCache(2, 1, s.evictions)
 	for _, l := range []eval.Tuple{link("a", "b"), link("b", "c"), link("c", "d")} {
 		if err := s.Inject(0, l); err != nil {
 			t.Fatal(err)
@@ -643,7 +644,8 @@ func TestBatchDeadlineFlush(t *testing.T) {
 // The sharded cache keeps the total capacity bound (per-shard caps sum
 // to >= CacheSize, each shard evicts LRU within itself).
 func TestShardedCacheBounds(t *testing.T) {
-	s := openSession(t, reachSrc, Options{CacheSize: 8, CacheShards: 4})
+	s := openSession(t, reachSrc, Options{})
+	s.cache = newShardedCache(8, 4, s.evictions)
 	for i := 0; i < 12; i++ {
 		if err := s.Inject(0, link(fmt.Sprintf("s%d", i), fmt.Sprintf("s%d", i+1))); err != nil {
 			t.Fatal(err)

@@ -61,16 +61,16 @@ func runSoundnessSchedule(t *testing.T, seed int64) {
 		nodes     = 9 // Grid(3)
 	)
 	opts := Options{
-		Deploy:      []snlog.Option{snlog.WithSeed(7)},
-		CacheSize:   16, // small: force constant eviction/refill churn
-		CacheShards: shards,
-		BatchSize:   batchSize,
-		BatchDelay:  -1, // deterministic flush points
+		Deploy:     []snlog.Option{snlog.WithSeed(7)},
+		BatchSize:  batchSize,
+		BatchDelay: -1, // deterministic flush points
 	}
 	oracleOpts := opts
 	oracleOpts.CacheSize = -1 // the oracle: same session, no cache
 
 	cached := openSession(t, soundSrc, opts)
+	// Small and 4-way sharded: constant eviction/refill churn.
+	cached.cache = newShardedCache(16, shards, cached.evictions)
 	oracle := openSession(t, soundSrc, oracleOpts)
 
 	rng := rand.New(rand.NewSource(seed))

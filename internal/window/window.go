@@ -11,7 +11,7 @@
 // with lazily built hash indexes on argument-position sets, so rule
 // firing probes the matching bucket instead of scanning every visible
 // replica. An index bucket is an insertion-order subsequence of the full
-// scan, so indexed and naive lookups see candidates in the same order.
+// scan, so a probe and a scan see candidates in the same order.
 package window
 
 import (
@@ -184,10 +184,6 @@ func (tab *predTable) compact() {
 // Store holds the replicas of many predicates at one node.
 type Store struct {
 	preds map[string]*predTable
-	// Naive disables argument-position indexes: every lookup scans the
-	// insertion-order slice. Retained for A/B determinism checks and
-	// benchmarks; behavior is identical either way.
-	Naive bool
 }
 
 // NewStore returns an empty store.
@@ -237,36 +233,23 @@ func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
 // Visible returns the entries of predKey visible at τ under window w, in
 // deterministic (insertion) order. Tombstone-only entries never match.
 func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
-	tab := s.preds[predKey]
-	if tab == nil {
-		return nil
-	}
-	var out []*Entry
-	for _, e := range tab.order {
-		if e.gone {
-			continue
-		}
-		if e.VisibleAt(tau, w) {
-			out = append(out, e)
-		}
-	}
-	return out
+	return s.VisibleMatch(predKey, tau, w, nil, nil, nil)
 }
 
 // VisibleMatch appends to out the visible entries of predKey whose
 // argument values at positions cols have joint key key (per eval.ArgKey,
 // passed as raw bytes so the bucket probe does not materialize a
-// string). It probes the (lazily built) position index unless the store
-// is Naive or no positions are bound; the result is always an
-// insertion-order subsequence of Visible, so callers behave identically
-// either way. out is caller-owned scratch — reusing it across probes is
-// what keeps the per-expansion lookup allocation-free.
+// string). It probes the (lazily built) position index unless no
+// positions are bound or the table is below indexMinTable; the result is
+// always an insertion-order subsequence of Visible, so callers behave
+// identically either way. out is caller-owned scratch — reusing it
+// across probes is what keeps the per-expansion lookup allocation-free.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
 	tab := s.preds[predKey]
 	if tab == nil {
 		return out
 	}
-	if s.Naive || len(cols) == 0 || len(tab.order)-tab.gone < indexMinTable {
+	if len(cols) == 0 || len(tab.order)-tab.gone < indexMinTable {
 		for _, e := range tab.order {
 			if !e.gone && e.VisibleAt(tau, w) {
 				out = append(out, e)

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +169,90 @@ func TestVisibleDeterministicOrder(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("iteration order not deterministic")
+		}
+	}
+}
+
+// TestVisibleMatchEqualsFilteredVisible is the index path's property
+// test: through seeded streams of inserts, deletion marks, tombstones
+// for unknown IDs, ExpirePred and the compactions it triggers, on a
+// table whose live size wanders across indexMinTable, a bound-column
+// probe must return exactly the entries of the full visible scan whose
+// values at those columns have that key — the same pointers in the same
+// (insertion) order.
+func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
+	const pred = "p/2"
+	colSets := [][]int{{0}, {1}, {0, 1}}
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		var ids []Stamp
+		var now int64
+		probed, scanned, compactions := false, false, 0
+		orderLen := func() int {
+			if tab := s.preds[pred]; tab != nil {
+				return len(tab.order)
+			}
+			return 0
+		}
+		for step := 0; step < 600; step++ {
+			now += int64(r.Intn(3))
+			switch op := r.Intn(100); {
+			case op < 70:
+				id := Stamp{TS: now, Node: r.Intn(3), Seq: int64(step)}
+				s.Insert(eval.NewTuple("p", ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))), id)
+				ids = append(ids, id)
+			case op < 85:
+				id := Stamp{TS: now, Node: 7, Seq: int64(step)} // unknown: tombstone
+				if len(ids) > 0 && r.Intn(4) > 0 {
+					id = ids[r.Intn(len(ids))]
+				}
+				s.MarkDeleted(pred, id, Stamp{TS: now + int64(r.Intn(4)), Node: 8, Seq: int64(step)})
+			default:
+				before := orderLen()
+				s.ExpirePred(pred, now, []int64{10, 30, 80}[r.Intn(3)])
+				if orderLen() < before {
+					compactions++
+				}
+			}
+			small := s.SmallTable(pred)
+			scanned = scanned || small
+			probed = probed || !small
+			tau := Stamp{TS: now + int64(r.Intn(6)) - 2, Node: 9, Seq: int64(step)}
+			w := []int64{0, 15, 60}[r.Intn(3)]
+			cols := colSets[r.Intn(len(colSets))]
+			key := eval.ArgKey([]ast.Term{ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))}, cols)
+			matching := func(in []*Entry) []*Entry {
+				var out []*Entry
+				for _, e := range in {
+					if eval.ArgKey(e.Tuple.Args, cols) == key {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
+			want := matching(s.Visible(pred, tau, w))
+			raw := s.VisibleMatch(pred, tau, w, cols, []byte(key), nil)
+			// Below the cutover the probe degrades to the scan and
+			// callers re-match; above it, it returns exactly the bucket.
+			got := matching(raw)
+			if !small && len(raw) != len(got) {
+				t.Fatalf("seed %d step %d cols %v: index probe returned %d entries, %d of them match the key",
+					seed, step, cols, len(raw), len(got))
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d cols %v: %d entries, want %d", seed, step, cols, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d step %d cols %v: entry %d is %v, want %v (order or identity differs)",
+						seed, step, cols, i, got[i].Tuple, want[i].Tuple)
+				}
+			}
+		}
+		if !probed || !scanned || compactions == 0 {
+			t.Errorf("seed %d did not straddle the cutover: probed=%v scanned=%v compactions=%d",
+				seed, probed, scanned, compactions)
 		}
 	}
 }

@@ -200,8 +200,8 @@ type Options struct {
 	// SpatialRadius scopes storage/join regions (0 = unbounded).
 	SpatialRadius float64
 	// BandWidth generalizes PA rows/columns to geographic bands on
-	// arbitrary topologies; DeployRandom defaults it to 1.5x the radio
-	// range when unset.
+	// arbitrary topologies; the Random topology defaults it to 1.5x the
+	// radio range when unset.
 	BandWidth float64
 	// LossRate is the per-transmission message loss probability.
 	LossRate float64
@@ -213,9 +213,6 @@ type Options struct {
 	DefaultWindow int64
 	// Registry overrides the built-in registry.
 	Registry *Registry
-	// NaiveJoin disables the per-node argument-position indexes,
-	// retaining full-scan lookups (A/B benchmarking; results identical).
-	NaiveJoin bool
 	// Retries is the link-layer ARQ re-attempt budget per transmission.
 	Retries int
 	// BatchLinks coalesces same-link messages within the skew bound
@@ -278,9 +275,6 @@ func WithDefaultWindow(rng int64) Option { return func(o *Options) { o.DefaultWi
 
 // WithBuiltins overrides the built-in predicate/function registry.
 func WithBuiltins(reg *Registry) Option { return func(o *Options) { o.Registry = reg } }
-
-// WithNaiveJoin retains full-scan window stores (A/B benchmarking).
-func WithNaiveJoin() Option { return func(o *Options) { o.NaiveJoin = true } }
 
 // WithBatchLinks enables batched link transport.
 func WithBatchLinks() Option { return func(o *Options) { o.BatchLinks = true } }
@@ -392,30 +386,11 @@ func Deploy(t Topology, src string, opts ...Option) (*Cluster, error) {
 	for _, f := range opts {
 		f(&o)
 	}
-	return deployTopo(t, src, o)
-}
-
-// DeployGrid compiles src onto an m×m grid network.
-//
-// Deprecated: use Deploy(Grid(m), src, opts...).
-func DeployGrid(m int, src string, opt Options) (*Cluster, error) {
-	return deployTopo(Grid(m), src, opt)
-}
-
-// DeployRandom compiles src onto n nodes placed uniformly at random in a
-// side×side square with the given radio range (retrying until connected).
-//
-// Deprecated: use Deploy(Random(n, side, radioRange), src, opts...).
-func DeployRandom(n int, side, radioRange float64, src string, opt Options) (*Cluster, error) {
-	return deployTopo(Random(n, side, radioRange), src, opt)
-}
-
-func deployTopo(t Topology, src string, opt Options) (*Cluster, error) {
-	nw, err := t.build(&opt)
+	nw, err := t.build(&o)
 	if err != nil {
 		return nil, err
 	}
-	return deploy(nw, src, opt)
+	return deploy(nw, src, o)
 }
 
 func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
@@ -431,7 +406,6 @@ func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
 		BandWidth:     opt.BandWidth,
 		DefaultWindow: opt.DefaultWindow,
 		Registry:      opt.Registry,
-		NaiveJoin:     opt.NaiveJoin,
 		BatchLinks:    opt.BatchLinks,
 		ReplayLog:     opt.ReplayLog,
 		Shards:        opt.Shards,

@@ -59,7 +59,7 @@ anc(X, Z) :- par(X, Y), anc(Y, Z).
 	}
 }
 
-func TestDeployGridAlert(t *testing.T) {
+func TestDeployAlertOnGrid(t *testing.T) {
 	c, err := Deploy(Grid(6), `
 .base temp/2.
 alert(N, T) :- temp(N, T), T > 90.
@@ -81,7 +81,7 @@ alert(N, T) :- temp(N, T), T > 90.
 	}
 }
 
-func TestDeployRandomTopology(t *testing.T) {
+func TestDeployOnRandomTopology(t *testing.T) {
 	c, err := Deploy(Random(40, 8, 2.6), `
 .base ra/2.
 .base rb/2.
@@ -115,7 +115,7 @@ d(X) :- s(X).
 	}
 }
 
-func TestDeployGridSPTViaAPI(t *testing.T) {
+func TestDeploySPTViaAPI(t *testing.T) {
 	m := 4
 	src := `
 .base g/2.

@@ -15,8 +15,12 @@ test:
 	$(GO) test ./...
 	cd bench && $(GO) test ./...
 
+# gofmt -l prints the files it would rewrite (bench/ included); any
+# name is a failure.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # livenet is goroutine-per-node and the window/eval index structures are
 # shared per node runtime; the serve layer multiplexes concurrent
@@ -48,9 +52,10 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay at the PR 2 allocation baseline when Observe was never called,
-# when metrics are on but provenance is off, and with the telemetry
-# export layer linked in but no admin endpoint configured.
+# stay within 5 % of its allocation baseline (2.565 allocs/event, logged
+# by each test) when Observe was never called, when metrics are on but
+# provenance is off, and with the telemetry export layer linked in but
+# no admin endpoint configured.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1' -v ./internal/experiments/
 

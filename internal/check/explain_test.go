@@ -62,8 +62,8 @@ func TestExplainDumpEngineExtra(t *testing.T) {
 	for _, part := range []string{
 		"first divergent tuple: d/2|i7,i8",
 		"the engine derives it, the oracle does not",
-		"<- rule",     // the engine-side provenance tree
-		"b/2|i7,i8",   // ...grounded in the base fact
+		"<- rule",                // the engine-side provenance tree
+		"b/2|i7,i8",              // ...grounded in the base fact
 		"is not in the database", // the oracle side refuses
 	} {
 		if !strings.Contains(dump, part) {

@@ -224,7 +224,7 @@ func (rt *nodeRT) localAggContribution(s *aggSession) {
 		if entry.ID.Node != int(rt.node.ID) {
 			continue // replica owned elsewhere
 		}
-		sub, ok := unify.MatchArgs(lit.Args, entry.Tuple.Args, unify.Subst{})
+		sub, ok := unify.MatchArgs(lit.Args, entry.Args, unify.Subst{})
 		if !ok {
 			continue
 		}

@@ -198,8 +198,8 @@ type Engine struct {
 	finalizePrio map[string]int
 	// windows per predicate (0 = unbounded).
 	windows map[string]int64
-	// windowPreds lists the predicates with a positive window range, so
-	// the per-event expiry sweep iterates a slice instead of the map.
+	// windowPreds lists the predicates with a positive window range: the
+	// ones whose retention every node's store is told (newStore).
 	windowPreds []string
 	// placements per predicate.
 	placements map[string]ast.Placement
@@ -230,6 +230,9 @@ type Engine struct {
 	cSettles     *obs.Counter
 	cDerivations *obs.Counter
 	cDeletions   *obs.Counter
+	cExpireCalls *obs.Counter
+	cExpireDue   *obs.Counter
+	cExpired     *obs.Counter
 	predDerive   map[string]*obs.Counter
 	predDelete   map[string]*obs.Counter
 	// Histograms (Observe with a registry): settle latency, candidate
@@ -733,6 +736,16 @@ func (e *Engine) centroidFor(key string) *nsim.Node {
 		h = -h
 	}
 	return e.nw.Node(e.centroidNodes[h%len(e.centroidNodes)])
+}
+
+// newStore returns an empty replica store that knows each windowed
+// predicate's retention, so the store can tell when something is due.
+func (e *Engine) newStore() *window.Store {
+	s := window.NewStore()
+	for _, pred := range e.windowPreds {
+		s.SetRetention(pred, e.retention(pred))
+	}
+	return s
 }
 
 // retention computes the replica lifetime of Section IV-B:

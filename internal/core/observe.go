@@ -36,6 +36,9 @@ var (
 //	core.derivations.<pred>  ditto, split by head predicate
 //	core.deletions           derived tuples losing their last derivation
 //	core.deletions.<pred>    ditto, split by head predicate
+//	window.expire_calls      expiry checks by the node handlers (expire)
+//	window.expire_due        those that found a replica past its retention
+//	window.expired           replicas and tombstones reclaimed
 //
 // Snapshot-time providers expose state the engine already tracks, so
 // observed and unobserved runs execute identical hot paths for them:
@@ -71,6 +74,9 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 	e.cSettles = reg.Counter("core.settles")
 	e.cDerivations = reg.Counter("core.derivations")
 	e.cDeletions = reg.Counter("core.deletions")
+	e.cExpireCalls = reg.Counter("window.expire_calls")
+	e.cExpireDue = reg.Counter("window.expire_due")
+	e.cExpired = reg.Counter("window.expired")
 
 	// Pre-resolve the per-predicate handles for every predicate the
 	// program mentions, so the finalize path indexes a read-only map

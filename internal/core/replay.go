@@ -99,7 +99,7 @@ func (e *Engine) replayNow() {
 	// hooks.
 	e.prov.Reset()
 	for _, rt := range e.rts {
-		rt.store = window.NewStore()
+		rt.store = e.newStore()
 		rt.derivs = make(map[string]map[string]bool)
 		rt.derivedLive = make(map[string]eval.Tuple)
 		rt.derivedIDs = make(map[string]window.Stamp)

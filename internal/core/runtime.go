@@ -175,7 +175,6 @@ type nodeRT struct {
 	derivedIDs  map[string]window.Stamp    // their generation stamps
 
 	aggSessions map[string]*aggSession // epoch -> collection state
-	lastExpire  int64
 
 	// Batched link transport (Config.BatchLinks): sends staged within
 	// the current tick, flushed per destination by timerFlush.
@@ -238,7 +237,7 @@ func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
 	return &nodeRT{
 		e:           e,
 		node:        n,
-		store:       window.NewStore(),
+		store:       e.newStore(),
 		derivs:      make(map[string]map[string]bool),
 		derivedLive: make(map[string]eval.Tuple),
 		derivedIDs:  make(map[string]window.Stamp),
@@ -693,7 +692,7 @@ func (rt *nodeRT) extend(p *partialR, tau window.Stamp, onlyIdx int, out *[]*par
 		}
 		lit := p.cr.rule.Body[i]
 		for _, e := range rt.visibleMatch(lit, p.subst, tau) {
-			ns, ok := unify.MatchArgs(lit.Args, e.Tuple.Args, p.subst)
+			ns, ok := unify.MatchArgs(lit.Args, e.Args, p.subst)
 			if !ok {
 				continue
 			}
@@ -802,7 +801,7 @@ func (rt *nodeRT) negMatchLocal(cr *compiledRule, subst unify.Subst, tau window.
 		}
 		lit := cr.rule.Body[ni]
 		for _, e := range rt.visibleMatch(lit, subst, tau) {
-			if _, ok := unify.MatchArgs(lit.Args, e.Tuple.Args, subst); ok {
+			if _, ok := unify.MatchArgs(lit.Args, e.Args, subst); ok {
 				return true
 			}
 		}
@@ -1072,7 +1071,7 @@ func (rt *nodeRT) liveNegMatch(lit ast.Literal, c *candR) bool {
 		return false
 	}
 	for _, e := range rt.store.All(lit.PredKey()) {
-		if _, ok := unify.MatchArgs(lit.Args, e.Tuple.Args, s); ok {
+		if _, ok := unify.MatchArgs(lit.Args, e.Args, s); ok {
 			return true
 		}
 	}
@@ -1413,15 +1412,13 @@ func (rt *nodeRT) launchMultiPass(p *partialR, rec *updateRec, plan gpa.Plan) {
 	rt.forwardJoin(jm)
 }
 
-// expire lazily reclaims replicas past their retention, at most once per
-// τc+1 ticks to keep the scan off the per-message fast path.
+// expire lazily reclaims replicas past their retention. The store knows
+// the earliest instant at which anything in it is due, so on a node with
+// nothing to reclaim — nearly every call — this is one comparison.
 func (rt *nodeRT) expire() {
-	now := int64(rt.node.LocalTime())
-	if now-rt.lastExpire <= int64(rt.e.cfg.TauC) {
-		return
-	}
-	rt.lastExpire = now
-	for _, pred := range rt.e.windowPreds {
-		rt.store.ExpirePred(pred, now, rt.e.retention(pred))
+	rt.e.cExpireCalls.Add(1)
+	if n := rt.store.ExpireDue(int64(rt.node.LocalTime())); n > 0 {
+		rt.e.cExpireDue.Add(1)
+		rt.e.cExpired.Add(int64(n))
 	}
 }

@@ -305,7 +305,9 @@ func appendArgKey(b, tmp []byte, t ast.Term) ([]byte, []byte) {
 // positions. Each component is length-prefixed so distinct value
 // sequences cannot collide regardless of the characters they contain.
 func ArgKey(args []ast.Term, cols []int) string {
-	var b, tmp []byte
+	var barr [64]byte // most keys fit; append spills to the heap if not
+	var tarr [48]byte
+	b, tmp := barr[:0], tarr[:0]
 	for _, c := range cols {
 		b, tmp = appendArgKey(b, tmp, args[c])
 	}
@@ -314,7 +316,9 @@ func ArgKey(args []ast.Term, cols []int) string {
 
 // ArgKeyVals is ArgKey over an already-projected value slice.
 func ArgKeyVals(vals []ast.Term) string {
-	var b, tmp []byte
+	var barr [64]byte
+	var tarr [48]byte
+	b, tmp := barr[:0], tarr[:0]
 	for _, v := range vals {
 		b, tmp = appendArgKey(b, tmp, v)
 	}

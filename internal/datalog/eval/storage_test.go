@@ -42,6 +42,8 @@ tally(A, B, count<V>) :- obs(A, B, V).
 	}
 }
 
+var keySink string // keeps the measured calls from being optimized away
+
 // TestArgKeyInjective pins the length-prefixed index-key encoding
 // against splice collisions.
 func TestArgKeyInjective(t *testing.T) {
@@ -53,6 +55,16 @@ func TestArgKeyInjective(t *testing.T) {
 	if got := ArgKey([]ast.Term{ast.Symbol("x"), ast.Symbol("y"), ast.Symbol("z")}, []int{0, 2}); got !=
 		ArgKeyVals([]ast.Term{ast.Symbol("x"), ast.Symbol("z")}) {
 		t.Fatalf("ArgKey projection mismatch: %q", got)
+	}
+	// Both build in stack scratch: the result string is the only
+	// allocation.
+	args := []ast.Term{ast.Symbol("alpha"), ast.Int64(1234567), ast.Symbol("omega")}
+	cols := []int{0, 2}
+	if n := testing.AllocsPerRun(100, func() { keySink = ArgKey(args, cols) }); n > 1 {
+		t.Errorf("ArgKey allocates %v times per key, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keySink = ArgKeyVals(args) }); n > 1 {
+		t.Errorf("ArgKeyVals allocates %v times per key, want <= 1", n)
 	}
 }
 

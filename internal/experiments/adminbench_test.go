@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +16,7 @@ import (
 // untouched: export is pull-based, so with no StartAdmin call and no
 // sampler running there is no listener, no goroutine, and no handle on
 // the event path, and allocations per event stay at the same baseline
-// as the fully-unobserved run (2.81 allocs/event, EXPERIMENTS.md E13).
+// as the fully-unobserved run (e1AllocBaseline, EXPERIMENTS.md E13).
 // Part of make obs-guard.
 func TestAdminDisabledOverheadE1(t *testing.T) {
 	// The zero Source is the "admin not configured" state snlogd runs in
@@ -27,16 +26,5 @@ func TestAdminDisabledOverheadE1(t *testing.T) {
 	e, nw := deployGrid(18, twoStreamSrc,
 		core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
 	injectJoinWorkload(e, nw, 40, 17)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nw.Run(0)
-	runtime.ReadMemStats(&after)
-	if nw.EventsProcessed == 0 {
-		t.Fatal("no events processed")
-	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
-	if perEvent > 3.2 {
-		t.Errorf("admin-disabled path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
-	}
+	guardE1Allocs(t, "admin-disabled", nw)
 }

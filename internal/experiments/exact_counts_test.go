@@ -6,27 +6,40 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
+	"repro/internal/obs"
 )
 
-// TestExactCounts pins the simulated counts of three fixed-seed runs.
-// The rows were recorded at commit 3105227 — the last one carrying the
-// retained pre-PR-1/PR-2 implementations — where the typed event queue,
-// grid index, routing cache and indexed join on the one side and the
-// closure-heap queue, all-pairs scan, uncached routing and full-scan
-// join on the other (every combination of the two groups of flags)
-// produced exactly these numbers. With the old paths deleted, "byte-
+// TestExactCounts pins the simulated counts of four fixed-seed runs.
+// The first three rows were recorded at commit 3105227 — the last one
+// carrying the retained pre-PR-1/PR-2 implementations — where the typed
+// event queue, grid index, routing cache and indexed join on the one
+// side and the closure-heap queue, all-pairs scan, uncached routing and
+// full-scan join on the other (every combination of the two groups of
+// flags) produced exactly these numbers. With the old paths deleted, "byte-
 // identical to the old path" is "identical to this table"; a change
 // that moves a row changed the schedule, not just the speed.
+//
+// The fourth row is the only one that declares a window, so the only
+// one whose numbers depend on when a replica is reclaimed. It was
+// recorded at d375ea9, where ExpirePred was a scan of the whole table,
+// and also pins per-node memory (replicas + derivation records) at
+// quiescence, at one mid-run instant, and summed over a sample every
+// 10 ticks: a store that expires a different set at any call moves the
+// sum (one tick more or less retention moves it by +58 / −136).
 func TestExactCounts(t *testing.T) {
 	type counts struct {
 		events, sent, bytes int64
 		derived             int
 		end                 nsim.Time
+		mem                 memCounts
 	}
 	cases := []struct {
 		name string
 		run  func() (*core.Engine, *nsim.Network)
-		want counts
+		// sampleMem: run returns before nw.Run, and the test steps the
+		// network itself to read memory on the way.
+		sampleMem bool
+		want      counts
 	}{
 		{
 			// The E1 m=18 Perpendicular join every allocation guard and
@@ -60,11 +73,29 @@ func TestExactCounts(t *testing.T) {
 			},
 			want: counts{events: 2383, sent: 3030, bytes: 94634, derived: 64, end: 1091},
 		},
+		{
+			// E9's windowed stream: 60 pairs over 9,000 ticks, range 400.
+			name: "E9/window400/m6/seed85",
+			run: func() (*core.Engine, *nsim.Network) {
+				e, nw := deployGrid(6, winSrc,
+					core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 85})
+				injectLong(e, nw)
+				return e, nw
+			},
+			sampleMem: true,
+			want: counts{events: 2400, sent: 2040, bytes: 65686, derived: 60, end: 9429,
+				mem: memCounts{midMax: 13, midTotal: 254, endMax: 22, endTotal: 471, sampledTotal: 253935,
+					expireCalls: 2171, expireDue: 527, expired: 669}},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			e, nw := c.run()
-			got := counts{events: nw.EventsProcessed, sent: nw.TotalSent, bytes: nw.TotalBytes, end: nw.Now()}
+			var mem memCounts
+			if c.sampleMem {
+				mem = runSamplingMem(e, nw)
+			}
+			got := counts{events: nw.EventsProcessed, sent: nw.TotalSent, bytes: nw.TotalBytes, end: nw.Now(), mem: mem}
 			db := e.DerivedDB()
 			for _, pred := range db.Predicates() {
 				got.derived += db.Count(pred)
@@ -74,4 +105,36 @@ func TestExactCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// memCounts is core.mem.max / core.mem.total_tuples read through the obs
+// provider path at tick 4400, at quiescence, and the total summed over
+// every 10th tick up to 9500; then the expiry counters. The counters did
+// not exist at d375ea9: expired is the sum of what its ExpirePred calls
+// returned there, the other two were first read at this commit — of
+// 2,171 handler entries 527 found something due.
+type memCounts struct {
+	midMax, midTotal, endMax, endTotal, sampledTotal int64
+	expireCalls, expireDue, expired                  int64
+}
+
+func runSamplingMem(e *core.Engine, nw *nsim.Network) memCounts {
+	reg := obs.NewRegistry()
+	nw.Observe(reg, nil)
+	e.Observe(reg, nil)
+	var mem memCounts
+	for at := nsim.Time(10); at <= 9500; at += 10 {
+		nw.Run(at)
+		s := reg.Snapshot()
+		mem.sampledTotal += s.Get("core.mem.total_tuples")
+		if at == 4400 {
+			mem.midMax, mem.midTotal = s.Get("core.mem.max"), s.Get("core.mem.total_tuples")
+		}
+	}
+	nw.Run(0)
+	s := reg.Snapshot()
+	mem.endMax, mem.endTotal = s.Get("core.mem.max"), s.Get("core.mem.total_tuples")
+	mem.expireCalls, mem.expireDue, mem.expired =
+		s.Get("window.expire_calls"), s.Get("window.expire_due"), s.Get("window.expired")
+	return mem
 }

@@ -415,6 +415,28 @@ uncov(L, T) :- NOT cov(L, T), veh(enemy, L, T).
 	return t
 }
 
+// winSrc is E9's windowed two-stream join.
+const winSrc = `
+.base ra/2.
+.base rb/2.
+.window ra/2 400.
+.window rb/2 400.
+out(X, Z) :- ra(X, Y), rb(Y, Z).
+`
+
+// injectLong is E9's long-running stream: 60 ra/rb pairs spread over
+// 9,000 ticks — many window ranges — so expiry has something to reclaim.
+func injectLong(e *core.Engine, nw *nsim.Network) {
+	r := rand.New(rand.NewSource(87))
+	for i := 0; i < 60; i++ {
+		at := nsim.Time(i * 150)
+		e.InjectAt(at, nsim.NodeID(r.Intn(nw.Len())),
+			eval.NewTuple("ra", ast.Int64(int64(i)), ast.Int64(int64(i%10))))
+		e.InjectAt(at+3, nsim.NodeID(r.Intn(nw.Len())),
+			eval.NewTuple("rb", ast.Int64(int64(i%10)), ast.Int64(int64(i))))
+	}
+}
+
 // E9Memory — per-node memory: stored replicas plus derivation records,
 // for the SPT programs and the windowed join (Section V "Memory
 // Requirements"; DESIGN.md E9).
@@ -443,25 +465,6 @@ func E9Memory(m int) *metrics.Table {
 	eH, nwH := runSPTProgram(m, logicHSrc, 83)
 	memRow("logicH SPT", eH, nwH)
 
-	const winSrc = `
-.base ra/2.
-.base rb/2.
-.window ra/2 400.
-.window rb/2 400.
-out(X, Z) :- ra(X, Y), rb(Y, Z).
-`
-	// Long-running stream: injections spread over many window ranges so
-	// expiry has something to reclaim.
-	injectLong := func(e *core.Engine, nw *nsim.Network) {
-		r := rand.New(rand.NewSource(87))
-		for i := 0; i < 60; i++ {
-			at := nsim.Time(i * 150)
-			e.InjectAt(at, nsim.NodeID(r.Intn(nw.Len())),
-				eval.NewTuple("ra", ast.Int64(int64(i)), ast.Int64(int64(i%10))))
-			e.InjectAt(at+3, nsim.NodeID(r.Intn(nw.Len())),
-				eval.NewTuple("rb", ast.Int64(int64(i%10)), ast.Int64(int64(i))))
-		}
-	}
 	e, nw := deployGrid(m, winSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 85})
 	injectLong(e, nw)
 	nw.Run(0)

@@ -77,13 +77,25 @@ func TestTraceE1MatchesUnobserved(t *testing.T) {
 // TestObsDisabledOverheadE1 guards the disabled-observability path on
 // the E1 m=18 hot loop: with no Observe call, every counter handle is
 // nil and every trace pointer check fails, so allocations per event
-// must stay at the PR 2 baseline (2.81 allocs/event, EXPERIMENTS.md E13;
-// the bound leaves headroom for map-growth jitter while sitting far
-// below +1 alloc/event).
+// must stay at e1AllocBaseline.
 func TestObsDisabledOverheadE1(t *testing.T) {
 	e, nw := deployGrid(18, twoStreamSrc,
 		core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
 	injectJoinWorkload(e, nw, 40, 17)
+	guardE1Allocs(t, "disabled-obs", nw)
+}
+
+// e1AllocBaseline is what the E1 m=18 hot loop allocates per event with
+// observability off (EXPERIMENTS.md E13). The three obs-guard tests
+// measure exactly this loop and allow 5 % over it: the count is
+// deterministic but for map-growth jitter, and one extra allocation on
+// any per-message path is +1/event.
+const e1AllocBaseline = 2.565
+
+// guardE1Allocs runs the prepared E1 network to quiescence and fails if
+// the run allocated more than the baseline allows.
+func guardE1Allocs(t *testing.T, path string, nw *nsim.Network) {
+	t.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -93,8 +105,9 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 		t.Fatal("no events processed")
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
-	if perEvent > 3.2 {
-		t.Errorf("disabled-obs path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
+	t.Logf("%s path: %.3f allocs/event over %d events", path, perEvent, nw.EventsProcessed)
+	if perEvent > e1AllocBaseline*1.05 {
+		t.Errorf("%s path allocates %.3f/event, baseline is %.3f + 5 %% (EXPERIMENTS.md E13)", path, perEvent, e1AllocBaseline)
 	}
 }
 
@@ -116,21 +129,10 @@ func TestProvDisabledOverheadE1(t *testing.T) {
 	nw.Finalize()
 	e.Start()
 	injectJoinWorkload(e, nw, 40, 17)
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nw.Run(0)
-	runtime.ReadMemStats(&after)
-	if nw.EventsProcessed == 0 {
-		t.Fatal("no events processed")
-	}
 	if e.Provenance() != nil {
 		t.Fatal("provenance should be off in this guard")
 	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
-	if perEvent > 3.2 {
-		t.Errorf("provenance-off path allocates %.2f/event, baseline is 2.81 (EXPERIMENTS.md E13)", perEvent)
-	}
+	guardE1Allocs(t, "provenance-off", nw)
 }
 
 // TestProvE5ExplainTree validates Explain against the hand-computed

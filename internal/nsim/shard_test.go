@@ -75,7 +75,7 @@ func TestShardPartitionProperties(t *testing.T) {
 // tokenSrc emits `remaining` tokens toward node 1, one every 10 ticks.
 type tokenSrc struct{ remaining int }
 
-func (a *tokenSrc) Init(n *Node) {}
+func (a *tokenSrc) Init(n *Node)                {}
 func (a *tokenSrc) Receive(n *Node, m *Message) {}
 func (a *tokenSrc) Timer(n *Node, key string, data interface{}) {
 	if a.remaining <= 0 {

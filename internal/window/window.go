@@ -12,11 +12,20 @@
 // firing probes the matching bucket instead of scanning every visible
 // replica. An index bucket is an insertion-order subsequence of the full
 // scan, so a probe and a scan see candidates in the same order.
+//
+// Expiry costs what expires: every entry is also threaded on a list
+// ordered by generation time, so reclaiming pops the due entries off the
+// old end, and the store keeps the earliest instant at which anything in
+// it can be due, so asking a store with nothing due is one comparison.
+// Reclaimed slots are recycled, which is why results handed out by
+// VisibleMatch and All are valid only until the next mutating call.
 package window
 
 import (
+	"math"
 	"strconv"
 
+	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
 )
 
@@ -60,18 +69,23 @@ func (s Stamp) AppendKey(b []byte) []byte {
 	return b
 }
 
-// Entry is one stored replica.
+// Entry is one stored replica. It carries the argument values only: the
+// table it lives in knows the predicate.
 type Entry struct {
-	Tuple eval.Tuple
-	ID    Stamp
+	Args []ast.Term
+	ID   Stamp
 	// Del is the deletion stamp; Deleted reports whether it is set. Per
 	// Section IV-B, deletion does not remove the replica — it records the
 	// deletion stamp so in-flight joins of earlier updates still see the
 	// tuple; the replica is reclaimed by expiry.
-	Del     Stamp
-	Deleted bool
+	Del Stamp
 
-	gone bool // expired; awaiting compaction
+	// older and newer thread the entry on its table's generation-time
+	// list; a reclaimed slot reuses newer as the free-list link.
+	older, newer *Entry
+
+	Deleted bool
+	gone    bool // expired; awaiting compaction
 }
 
 // VisibleAt reports whether the entry participates in the join
@@ -92,24 +106,39 @@ func (e *Entry) VisibleAt(tau Stamp, w int64) bool {
 
 // predTable stores one predicate's replicas in insertion order. byID
 // also holds payload-less tombstones (deletions that arrived before
-// their insertion), which never enter order or any index.
+// their insertion), which never enter order or any index. Every byID
+// entry, tombstones included, is on the oldest..newest list in ID.TS
+// order, so the entries past a retention are a prefix of it.
 type predTable struct {
 	byID    map[Stamp]*Entry // Stamp is comparable, so no key string is built
 	order   []*Entry
 	gone    int
 	indexes map[string]*storeIndex
+
+	oldest, newest *Entry
+	// retention is the declared replica lifetime (SetRetention); 0 when
+	// undeclared, and then the table is not in Store.windowed.
+	retention int64
+
 	// slab backs new entries in chunks so a table of k replicas costs
 	// O(log k) allocations instead of k. Chunks grow geometrically from
-	// small, since sensor-node tables often hold only a few replicas. A
-	// chunk is retained while any of its entries is referenced, which is
-	// bounded by the expiry horizon that already bounds the table itself.
+	// small, since sensor-node tables often hold only a few replicas.
+	// Slots never leave the table: an expired one goes on the free list
+	// once nothing in order or an index bucket points at it, and newEntry
+	// takes from there first, so a sliding window in steady state
+	// allocates nothing.
 	slab      []Entry
 	slabChunk int
+	free      *Entry
 }
 
 const maxSlabChunk = 64
 
 func (tab *predTable) newEntry() *Entry {
+	if e := tab.free; e != nil {
+		tab.free, e.newer = e.newer, nil
+		return e
+	}
 	if len(tab.slab) == 0 {
 		if tab.slabChunk == 0 {
 			tab.slabChunk = 4
@@ -123,6 +152,13 @@ func (tab *predTable) newEntry() *Entry {
 	return e
 }
 
+// recycle zeroes the slot (dropping its hold on the argument values) and
+// puts it on the free list.
+func (tab *predTable) recycle(e *Entry) {
+	*e = Entry{newer: tab.free}
+	tab.free = e
+}
+
 // storeIndex hashes entries by the joint key of a set of argument
 // positions; buckets preserve insertion order. Visibility and deletion
 // stamps are re-checked at probe time, so buckets never need updating
@@ -132,14 +168,33 @@ type storeIndex struct {
 	buckets map[string][]*Entry
 }
 
+// add files a new entry under its stamp, on the generation-time list,
+// and — unless it is a tombstone — in insertion order and every index.
 func (tab *predTable) add(e *Entry) {
 	tab.byID[e.ID] = e
-	if e.Tuple.Args == nil {
+	// Arrivals are near-sorted (skew is bounded by τc), so walking in
+	// from the new end is short.
+	at := tab.newest
+	for at != nil && at.ID.TS > e.ID.TS {
+		at = at.older
+	}
+	e.older = at
+	if at == nil {
+		e.newer, tab.oldest = tab.oldest, e
+	} else {
+		e.newer, at.newer = at.newer, e
+	}
+	if e.newer == nil {
+		tab.newest = e
+	} else {
+		e.newer.older = e
+	}
+	if e.Args == nil {
 		return // tombstone: identity only
 	}
 	tab.order = append(tab.order, e)
 	for _, ix := range tab.indexes {
-		bk := eval.ArgKey(e.Tuple.Args, ix.cols)
+		bk := eval.ArgKey(e.Args, ix.cols)
 		ix.buckets[bk] = append(ix.buckets[bk], e)
 	}
 }
@@ -153,7 +208,7 @@ func (tab *predTable) index(cols []int) *storeIndex {
 			if e.gone {
 				continue
 			}
-			bk := eval.ArgKey(e.Tuple.Args, ix.cols)
+			bk := eval.ArgKey(e.Args, ix.cols)
 			ix.buckets[bk] = append(ix.buckets[bk], e)
 		}
 		if tab.indexes == nil {
@@ -164,15 +219,43 @@ func (tab *predTable) index(cols []int) *storeIndex {
 	return ix
 }
 
-// compact drops expired entries from order (preserving relative order)
-// and discards indexes for lazy rebuild.
-func (tab *predTable) compact() {
-	if tab.gone <= len(tab.order)/2 || tab.gone < 32 {
-		return
+// expire reclaims the entries with nowLocal - ID.TS > retention: a
+// prefix of the generation-time list. Tombstones are recycled at once;
+// replicas are flagged gone and wait in order and the index buckets for
+// the compaction that keeps the dead below the living.
+func (tab *predTable) expire(nowLocal, retention int64) int {
+	n := 0
+	for e := tab.oldest; e != nil && nowLocal-e.ID.TS > retention; e = tab.oldest {
+		tab.oldest = e.newer
+		if e.newer == nil {
+			tab.newest = nil
+		} else {
+			e.newer.older = nil
+		}
+		delete(tab.byID, e.ID)
+		if e.Args == nil {
+			tab.recycle(e)
+		} else {
+			e.gone = true
+			tab.gone++
+		}
+		n++
 	}
+	if tab.gone > len(tab.order)/2 {
+		tab.compact()
+	}
+	return n
+}
+
+// compact drops expired entries from order (preserving relative order),
+// discards indexes for lazy rebuild, and only then — nothing points at
+// them any more — recycles their slots.
+func (tab *predTable) compact() {
 	live := tab.order[:0]
 	for _, e := range tab.order {
-		if !e.gone {
+		if e.gone {
+			tab.recycle(e)
+		} else {
 			live = append(live, e)
 		}
 	}
@@ -181,14 +264,36 @@ func (tab *predTable) compact() {
 	tab.indexes = nil
 }
 
+// dueAt is the first local time at which e is past the declared
+// retention: the smallest now with now - ID.TS > retention.
+func (tab *predTable) dueAt(e *Entry) int64 {
+	return e.ID.TS + tab.retention + 1
+}
+
+// nextDue is the first local time at which anything in the table is
+// past the declared retention.
+func (tab *predTable) nextDue() int64 {
+	if tab.retention == 0 || tab.oldest == nil {
+		return math.MaxInt64
+	}
+	return tab.dueAt(tab.oldest)
+}
+
 // Store holds the replicas of many predicates at one node.
 type Store struct {
 	preds map[string]*predTable
+	// windowed lists the tables with a declared retention, and nextDue is
+	// the earliest local time at which one of their entries is past it:
+	// lowered by every insert and tombstone, recomputed after a due pass.
+	// A node's state is cache-cold when its event fires, so the common
+	// "nothing to reclaim" answer must not touch a map, table or entry.
+	windowed []*predTable
+	nextDue  int64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{preds: make(map[string]*predTable)}
+	return &Store{preds: make(map[string]*predTable), nextDue: math.MaxInt64}
 }
 
 func (s *Store) table(predKey string) *predTable {
@@ -200,6 +305,30 @@ func (s *Store) table(predKey string) *predTable {
 	return tab
 }
 
+// add files e in its table and lowers nextDue to cover it (from e
+// itself: the table's oldest entry is cold, e is not).
+func (s *Store) add(tab *predTable, e *Entry) {
+	tab.add(e)
+	if tab.retention > 0 {
+		s.nextDue = min(s.nextDue, tab.dueAt(e))
+	}
+}
+
+// SetRetention declares predKey's replica lifetime for ExpireDue. Only a
+// positive retention declares anything: undeclared replicas are never
+// due.
+func (s *Store) SetRetention(predKey string, retention int64) {
+	if retention <= 0 {
+		return
+	}
+	tab := s.table(predKey)
+	if tab.retention == 0 {
+		s.windowed = append(s.windowed, tab)
+	}
+	tab.retention = retention
+	s.nextDue = min(s.nextDue, tab.nextDue())
+}
+
 // Insert stores a replica; duplicates (same stamp) are idempotent.
 // Reports whether the entry was new.
 func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
@@ -208,8 +337,8 @@ func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
 		return false
 	}
 	e := tab.newEntry()
-	e.Tuple, e.ID = t.Keyed(), id
-	tab.add(e)
+	e.Args, e.ID = t.Args, id
+	s.add(tab, e)
 	return true
 }
 
@@ -221,8 +350,8 @@ func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
 	e, ok := tab.byID[id]
 	if !ok {
 		e = tab.newEntry()
-		e.ID, e.Tuple = id, eval.Tuple{Pred: predKey}
-		tab.add(e)
+		e.ID = id
+		s.add(tab, e)
 	}
 	if !e.Deleted || del.Less(e.Del) {
 		e.Deleted = true
@@ -244,6 +373,8 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 // always an insertion-order subsequence of Visible, so callers behave
 // identically either way. out is caller-owned scratch — reusing it
 // across probes is what keeps the per-expansion lookup allocation-free.
+// The entries are valid until the next mutating call (Insert,
+// MarkDeleted, ExpirePred, ExpireDue): expired slots are recycled.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
 	tab := s.preds[predKey]
 	if tab == nil {
@@ -282,7 +413,8 @@ func (s *Store) SmallTable(predKey string) bool {
 }
 
 // All returns every live (non-deleted, non-tombstone) entry of predKey
-// in insertion order.
+// in insertion order; like VisibleMatch's, the entries are valid until
+// the next mutating call.
 func (s *Store) All(predKey string) []*Entry {
 	tab := s.preds[predKey]
 	if tab == nil {
@@ -298,21 +430,14 @@ func (s *Store) All(predKey string) []*Entry {
 	return out
 }
 
-// Expire removes entries whose retention ended: generation stamp older
-// than nowLocal - retention, and for deleted entries, deletion stamp also
-// past retention. retention == 0 disables expiry. Returns entries removed.
-func (s *Store) Expire(nowLocal int64, retention int64) int {
-	if retention <= 0 {
-		return 0
-	}
-	n := 0
-	for predKey := range s.preds {
-		n += s.ExpirePred(predKey, nowLocal, retention)
-	}
-	return n
-}
-
-// ExpirePred removes entries of one predicate past their retention.
+// ExpirePred removes the entries of one predicate whose retention ended:
+// generation stamp older than nowLocal - retention, tombstones included.
+// A deletion stamp does not extend a replica's life: by Section IV-B
+// every update that can still see a replica generated at ID.TS under
+// window w has τ.TS < ID.TS + w, and the retention (τs+τc)+τj+(τw+τc)
+// covers the last of those joins whether or not the replica has been
+// marked deleted in the meantime. retention <= 0 disables expiry.
+// Returns entries removed.
 func (s *Store) ExpirePred(predKey string, nowLocal int64, retention int64) int {
 	if retention <= 0 {
 		return 0
@@ -321,18 +446,29 @@ func (s *Store) ExpirePred(predKey string, nowLocal int64, retention int64) int 
 	if tab == nil {
 		return 0
 	}
-	n := 0
-	for k, e := range tab.byID {
-		if nowLocal-e.ID.TS > retention {
-			delete(tab.byID, k)
-			if !e.gone && e.Tuple.Args != nil {
-				e.gone = true
-				tab.gone++
-			}
-			n++
-		}
+	return tab.expire(nowLocal, retention)
+}
+
+// ExpireDue removes, from every predicate with a declared retention
+// (SetRetention), what ExpirePred would remove at nowLocal under that
+// retention, and returns the count. When nothing is due — the common
+// case — it reads one field of the store and nothing else.
+func (s *Store) ExpireDue(nowLocal int64) int {
+	if nowLocal < s.nextDue {
+		return 0
 	}
-	tab.compact()
+	return s.expireDue(nowLocal)
+}
+
+// expireDue is the pass itself, split off so that the check above
+// inlines into the node runtime's handlers.
+func (s *Store) expireDue(nowLocal int64) int {
+	n := 0
+	s.nextDue = math.MaxInt64
+	for _, tab := range s.windowed {
+		n += tab.expire(nowLocal, tab.retention)
+		s.nextDue = min(s.nextDue, tab.nextDue())
+	}
 	return n
 }
 

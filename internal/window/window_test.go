@@ -1,9 +1,12 @@
 package window
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
@@ -114,15 +117,67 @@ func TestExpiry(t *testing.T) {
 	s := NewStore()
 	s.Insert(tup(1), Stamp{TS: 10, Node: 1, Seq: 1})
 	s.Insert(tup(2), Stamp{TS: 100, Node: 1, Seq: 2})
-	if n := s.Expire(150, 60); n != 1 {
+	if n := s.ExpirePred("s/1", 150, 60); n != 1 {
 		t.Errorf("expired %d, want 1", n)
 	}
 	if s.Count("s/1") != 1 {
 		t.Errorf("count = %d", s.Count("s/1"))
 	}
 	// Retention 0 disables expiry.
-	if n := s.Expire(1e9, 0); n != 0 {
+	if n := s.ExpirePred("s/1", 1e9, 0); n != 0 {
 		t.Error("retention 0 must not expire")
+	}
+}
+
+// TestExpiryIgnoresDeletionStamp pins Section IV-B's retention argument:
+// every update that can still see a replica has τ.TS < ID.TS + w, so the
+// generation stamp alone decides when it leaves — a deletion stamp, even
+// one set on the replica's last visible tick, buys no extra time.
+func TestExpiryIgnoresDeletionStamp(t *testing.T) {
+	const w = 50
+	s := NewStore()
+	s.SetRetention("s/1", w)
+	plain, marked := Stamp{TS: 10, Node: 1, Seq: 1}, Stamp{TS: 10, Node: 2, Seq: 1}
+	s.Insert(tup(1), plain)
+	s.Insert(tup(2), marked)
+	s.MarkDeleted("s/1", marked, Stamp{TS: 10 + w - 1, Node: 2, Seq: 2})
+	if n := s.ExpireDue(10 + w); n != 0 {
+		t.Fatalf("expired %d entries one tick early", n)
+	}
+	if n := s.ExpireDue(10 + w + 1); n != 2 {
+		t.Fatalf("expired %d entries, want the replica and its deleted twin together", n)
+	}
+	if s.Count("s/1") != 0 {
+		t.Errorf("count = %d after both left", s.Count("s/1"))
+	}
+}
+
+// TestLateTombstoneIsReclaimed: a deletion marker arriving after its
+// replica expired leaves a tombstone that is already past retention. It
+// must pull the store's next-due instant back so the next expiry call
+// reclaims it instead of leaving it behind a not-due answer.
+func TestLateTombstoneIsReclaimed(t *testing.T) {
+	const w = 50
+	s := NewStore()
+	s.SetRetention("s/1", w)
+	old, fresh := Stamp{TS: 10, Node: 1, Seq: 1}, Stamp{TS: 200, Node: 1, Seq: 2}
+	s.Insert(tup(1), old)
+	s.Insert(tup(2), fresh)
+	if n := s.ExpireDue(210); n != 1 {
+		t.Fatalf("expired %d, want the old replica", n)
+	}
+	if s.nextDue != fresh.TS+w+1 {
+		t.Fatalf("nextDue = %d, want %d (the surviving replica)", s.nextDue, fresh.TS+w+1)
+	}
+	s.MarkDeleted("s/1", old, Stamp{TS: 205, Node: 1, Seq: 3})
+	if s.Count("s/1") != 2 {
+		t.Fatalf("count = %d, want the replica and the late tombstone", s.Count("s/1"))
+	}
+	if s.nextDue != old.TS+w+1 {
+		t.Fatalf("nextDue = %d, want %d: the tombstone is already due", s.nextDue, old.TS+w+1)
+	}
+	if n := s.ExpireDue(211); n != 1 || s.Count("s/1") != 1 {
+		t.Fatalf("next call reclaimed %d, count %d; want 1 and 1", n, s.Count("s/1"))
 	}
 }
 
@@ -144,7 +199,7 @@ func TestAllSkipsDeleted(t *testing.T) {
 	s.Insert(tup(2), g2)
 	s.MarkDeleted("s/1", g1, Stamp{TS: 3, Node: 1, Seq: 3})
 	all := s.All("s/1")
-	if len(all) != 1 || all[0].Tuple.Args[0].Int != 2 {
+	if len(all) != 1 || all[0].Args[0].Int != 2 {
 		t.Errorf("All = %v", all)
 	}
 }
@@ -173,48 +228,250 @@ func TestVisibleDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestVisibleMatchEqualsFilteredVisible is the index path's property
-// test: through seeded streams of inserts, deletion marks, tombstones
-// for unknown IDs, ExpirePred and the compactions it triggers, on a
-// table whose live size wanders across indexMinTable, a bound-column
-// probe must return exactly the entries of the full visible scan whose
-// values at those columns have that key — the same pointers in the same
-// (insertion) order.
+// refTable is the store's reference model: the pre-time-order design,
+// reduced to what callers observe. Entries live in a map by ID that
+// expirePred scans in full, and in one insertion-ordered slice; nothing
+// is ordered by time, indexed, compacted or recycled.
+type refTable struct {
+	byID  map[Stamp]*Entry
+	order []*Entry // replicas only, expired ones flagged gone
+}
+
+type refStore map[string]*refTable
+
+func (m refStore) table(pred string) *refTable {
+	if m[pred] == nil {
+		m[pred] = &refTable{byID: map[Stamp]*Entry{}}
+	}
+	return m[pred]
+}
+
+func (m refStore) insert(pred string, args []ast.Term, id Stamp) bool {
+	tab := m.table(pred)
+	if tab.byID[id] != nil {
+		return false
+	}
+	e := &Entry{Args: args, ID: id}
+	tab.byID[id] = e
+	tab.order = append(tab.order, e)
+	return true
+}
+
+func (m refStore) markDeleted(pred string, id, del Stamp) {
+	tab := m.table(pred)
+	e := tab.byID[id]
+	if e == nil {
+		e = &Entry{ID: id} // tombstone: never in order
+		tab.byID[id] = e
+	}
+	if !e.Deleted || del.Less(e.Del) {
+		e.Deleted, e.Del = true, del
+	}
+}
+
+// expirePred is the map scan ExpirePred used to be.
+func (m refStore) expirePred(pred string, now, retention int64) int {
+	tab := m[pred]
+	if retention <= 0 || tab == nil {
+		return 0
+	}
+	n := 0
+	for id, e := range tab.byID {
+		if now-e.ID.TS > retention {
+			delete(tab.byID, id)
+			e.gone = true
+			n++
+		}
+	}
+	return n
+}
+
+func (m refStore) count(pred string) int {
+	if m[pred] == nil {
+		return 0
+	}
+	return len(m[pred].byID)
+}
+
+// rows keeps the entries of pred, in insertion order, that are not
+// expired and pass keep.
+func (m refStore) rows(pred string, keep func(*Entry) bool) []row {
+	var out []row
+	if tab := m[pred]; tab != nil {
+		for _, e := range tab.order {
+			if !e.gone && keep(e) {
+				out = append(out, rowOf(e))
+			}
+		}
+	}
+	return out
+}
+
+// row is an entry by value: slots are recycled, so the store and its
+// model are compared as sequences of these, never as pointers.
+type row struct {
+	ID      Stamp
+	Args    string
+	Deleted bool
+	Del     Stamp
+}
+
+func rowOf(e *Entry) row {
+	return row{ID: e.ID, Args: eval.ArgKeyVals(e.Args), Deleted: e.Deleted, Del: e.Del}
+}
+
+func rowsOf(es []*Entry) []row {
+	var out []row
+	for _, e := range es {
+		out = append(out, rowOf(e))
+	}
+	return out
+}
+
+// checkTable verifies the structure ExpirePred and newEntry rely on: the
+// generation-time list holds exactly the byID entries in non-decreasing
+// TS order with consistent back links, gone counts the flagged entries
+// of order and stays at most half of it, and free slots are zeroed.
+func checkTable(t *testing.T, tab *predTable) {
+	t.Helper()
+	n := 0
+	var prev *Entry
+	for e := tab.oldest; e != nil; prev, e = e, e.newer {
+		if e.older != prev {
+			t.Fatalf("entry %v: older link does not point at its predecessor", e.ID)
+		}
+		if prev != nil && prev.ID.TS > e.ID.TS {
+			t.Fatalf("time list out of order: %v before %v", prev.ID, e.ID)
+		}
+		if tab.byID[e.ID] != e {
+			t.Fatalf("entry %v is on the time list but not in byID", e.ID)
+		}
+		n++
+	}
+	if prev != tab.newest || n != len(tab.byID) {
+		t.Fatalf("time list has %d entries ending at %v; byID has %d, newest is %v", n, prev, len(tab.byID), tab.newest)
+	}
+	gone := 0
+	for _, e := range tab.order {
+		if e.gone {
+			gone++
+		}
+	}
+	if gone != tab.gone || gone > len(tab.order)/2 {
+		t.Fatalf("gone = %d, counted %d of %d in order", tab.gone, gone, len(tab.order))
+	}
+	for e := tab.free; e != nil; e = e.newer {
+		if e.Args != nil || e.older != nil || e.gone || e.Deleted || e.ID != (Stamp{}) {
+			t.Fatalf("free slot not zeroed: %+v", *e)
+		}
+	}
+}
+
+// TestVisibleMatchEqualsFilteredVisible is the store's property test.
+// Seeded streams drive the store and the map-scan reference model
+// together: generation stamps out of order within a skew bound and
+// duplicated, re-inserted IDs, deletions before their insertions and of
+// IDs that already expired, ExpirePred at wandering instants under
+// random retentions (0 included) and ExpireDue under the declared one,
+// on tables whose live size wanders across indexMinTable and through
+// compaction and slot recycling. After every step the return value,
+// Count/TotalCount, and Visible/VisibleMatch/All as value sequences must
+// equal the model's; and a bound-column probe must return exactly the
+// entries of the full visible scan whose values at those columns have
+// that key — the same pointers in the same (insertion) order.
 func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
-	const pred = "p/2"
+	preds := []string{"p/2", "q/2"}
 	colSets := [][]int{{0}, {1}, {0, 1}}
+	const skew = 4
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s, m := NewStore(), refStore{}
+		// p is declared (ExpireDue reclaims it), q only ever expires
+		// through explicit ExpirePred calls.
+		declared := []int64{20, 45}[seed%2]
+		s.SetRetention("p/2", declared)
 		var ids []Stamp
 		var now int64
-		probed, scanned, compactions := false, false, 0
-		orderLen := func() int {
-			if tab := s.preds[pred]; tab != nil {
-				return len(tab.order)
-			}
-			return 0
-		}
-		for step := 0; step < 600; step++ {
+		probed, scanned, compactions, recycled, dueHits, lateTombs := false, false, 0, 0, 0, 0
+		for step := 0; step < 900; step++ {
 			now += int64(r.Intn(3))
+			pred := preds[r.Intn(len(preds))]
+			tab := s.preds[pred]
 			switch op := r.Intn(100); {
-			case op < 70:
-				id := Stamp{TS: now, Node: r.Intn(3), Seq: int64(step)}
-				s.Insert(eval.NewTuple("p", ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))), id)
+			case op < 65:
+				id := Stamp{TS: now - int64(r.Intn(skew+1)), Node: r.Intn(3), Seq: int64(r.Intn(4))}
+				if len(ids) > 0 && r.Intn(8) == 0 {
+					id = ids[r.Intn(len(ids))] // seen before: duplicate, tombstoned or expired
+				}
+				args := []ast.Term{ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))}
+				hadFree := tab != nil && tab.free != nil
+				got, want := s.Insert(eval.Tuple{Pred: pred, Args: args}, id), m.insert(pred, args, id)
+				if got != want {
+					t.Fatalf("seed %d step %d: Insert(%v) = %v, model %v", seed, step, id, got, want)
+				}
+				if got && hadFree {
+					recycled++
+				}
 				ids = append(ids, id)
-			case op < 85:
-				id := Stamp{TS: now, Node: 7, Seq: int64(step)} // unknown: tombstone
+			case op < 82:
+				id := Stamp{TS: now - int64(r.Intn(skew+1)), Node: 7, Seq: int64(step)} // unknown: tombstone
 				if len(ids) > 0 && r.Intn(4) > 0 {
 					id = ids[r.Intn(len(ids))]
 				}
-				s.MarkDeleted(pred, id, Stamp{TS: now + int64(r.Intn(4)), Node: 8, Seq: int64(step)})
-			default:
-				before := orderLen()
-				s.ExpirePred(pred, now, []int64{10, 30, 80}[r.Intn(3)])
-				if orderLen() < before {
+				if m.count(pred) > 0 && m[pred].byID[id] == nil && now-id.TS > declared {
+					lateTombs++
+				}
+				del := Stamp{TS: now + int64(r.Intn(4)), Node: 8, Seq: int64(step)}
+				s.MarkDeleted(pred, id, del)
+				m.markDeleted(pred, id, del)
+				ids = append(ids, id)
+			case op < 91:
+				before := 0
+				if tab != nil {
+					before = len(tab.order)
+				}
+				at, retention := now+int64(r.Intn(10))-3, []int64{0, 10, 30, 80}[r.Intn(4)]
+				got, want := s.ExpirePred(pred, at, retention), m.expirePred(pred, at, retention)
+				if got != want {
+					t.Fatalf("seed %d step %d: ExpirePred(%s, %d, %d) = %d, model %d", seed, step, pred, at, retention, got, want)
+				}
+				if tab != nil && len(tab.order) < before {
 					compactions++
 				}
+			default:
+				at := now + int64(r.Intn(10)) - 3
+				pass := at >= s.nextDue
+				got, want := s.ExpireDue(at), m.expirePred("p/2", at, declared)
+				if got != want {
+					t.Fatalf("seed %d step %d: ExpireDue(%d) = %d, model %d", seed, step, at, got, want)
+				}
+				if got > 0 {
+					dueHits++
+				}
+				// Explicit ExpirePred calls leave nextDue a lower bound; a
+				// pass makes it exact again.
+				if want := s.preds["p/2"].nextDue(); pass && s.nextDue != want {
+					t.Fatalf("seed %d step %d: nextDue = %d after a pass, want %d", seed, step, s.nextDue, want)
+				}
 			}
+			total := 0
+			for _, p := range preds {
+				if s.Count(p) != m.count(p) {
+					t.Fatalf("seed %d step %d: Count(%s) = %d, model %d", seed, step, p, s.Count(p), m.count(p))
+				}
+				total += m.count(p)
+				if tab := s.preds[p]; tab != nil {
+					checkTable(t, tab)
+				}
+			}
+			if s.TotalCount() != total {
+				t.Fatalf("seed %d step %d: TotalCount = %d, model %d", seed, step, s.TotalCount(), total)
+			}
+			if s.nextDue > s.preds["p/2"].nextDue() {
+				t.Fatalf("seed %d step %d: nextDue = %d is past the oldest declared entry's %d",
+					seed, step, s.nextDue, s.preds["p/2"].nextDue())
+			}
+
 			small := s.SmallTable(pred)
 			scanned = scanned || small
 			probed = probed || !small
@@ -225,13 +482,14 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			matching := func(in []*Entry) []*Entry {
 				var out []*Entry
 				for _, e := range in {
-					if eval.ArgKey(e.Tuple.Args, cols) == key {
+					if eval.ArgKey(e.Args, cols) == key {
 						out = append(out, e)
 					}
 				}
 				return out
 			}
-			want := matching(s.Visible(pred, tau, w))
+			visible := s.Visible(pred, tau, w)
+			want := matching(visible)
 			raw := s.VisibleMatch(pred, tau, w, cols, []byte(key), nil)
 			// Below the cutover the probe degrades to the scan and
 			// callers re-match; above it, it returns exactly the bucket.
@@ -246,13 +504,116 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d step %d cols %v: entry %d is %v, want %v (order or identity differs)",
-						seed, step, cols, i, got[i].Tuple, want[i].Tuple)
+						seed, step, cols, i, got[i].Args, want[i].Args)
 				}
 			}
+			if got, want := rowsOf(visible), m.rows(pred, func(e *Entry) bool { return e.VisibleAt(tau, w) }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: Visible(%s, %v, %d) =\n%v\nmodel\n%v", seed, step, pred, tau, w, got, want)
+			}
+			if got, want := rowsOf(s.All(pred)), m.rows(pred, func(e *Entry) bool { return !e.Deleted }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: All(%s) =\n%v\nmodel\n%v", seed, step, pred, got, want)
+			}
 		}
-		if !probed || !scanned || compactions == 0 {
-			t.Errorf("seed %d did not straddle the cutover: probed=%v scanned=%v compactions=%d",
-				seed, probed, scanned, compactions)
+		if !probed || !scanned || compactions == 0 || recycled == 0 || dueHits == 0 || lateTombs == 0 {
+			t.Errorf("seed %d left a path untested: probed=%v scanned=%v compactions=%d recycled=%d dueHits=%d lateTombs=%d",
+				seed, probed, scanned, compactions, recycled, dueHits, lateTombs)
 		}
 	}
 }
+
+// TestEntrySize: the two time-list links are paid for inside the entry —
+// it shed the predicate string and identity key of the eval.Tuple it
+// used to embed (112 B) — and the slabs are most of a windowed run's heap.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got > 96 {
+		t.Errorf("sizeof(Entry) = %d B, want <= 96", got)
+	}
+}
+
+// TestExpirySteadyStateAllocs pins the two costs the time-ordered store
+// exists for: asking a store with nothing due allocates nothing, and so
+// does one insert plus the expiry of one entry on a warmed table — the
+// reclaimed slot is the next insert's entry.
+func TestExpirySteadyStateAllocs(t *testing.T) {
+	const live, retention = 26, 26
+	s := NewStore()
+	s.SetRetention("s/1", retention)
+	tuple := tup(1)
+	var ts int64
+	cycle := func() {
+		ts++
+		s.Insert(tuple, Stamp{TS: ts, Node: 1, Seq: ts})
+		s.ExpireDue(ts)
+	}
+	for i := 0; i < 8*live; i++ {
+		cycle()
+	}
+	if got := s.Count("s/1"); got != live+1 {
+		t.Fatalf("warmed table holds %d entries, want %d", got, live+1)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if s.ExpireDue(ts) != 0 || s.ExpirePred("s/1", ts, retention) != 0 {
+			t.Fatal("nothing was due")
+		}
+	}); n != 0 {
+		t.Errorf("a not-due expiry allocates %v times, want 0", n)
+	}
+	before := s.Count("s/1")
+	if n := testing.AllocsPerRun(4*live, cycle); n != 0 {
+		t.Errorf("insert + expire at steady state allocates %v times per cycle, want 0", n)
+	}
+	if s.Count("s/1") != before {
+		t.Errorf("steady state drifted: %d entries, was %d", s.Count("s/1"), before)
+	}
+}
+
+// BenchmarkStoreSlidingWindow times the window layer at the table sizes
+// the engine workloads reach (8 and 26 live replicas per node) and a
+// large one: the expiry check that finds nothing due, through the
+// store's next-due instant (ExpireDue, what the node runtime calls) and
+// through the table (ExpirePred), and one slide of the window — an
+// insert plus the expiry of the entry it pushes out.
+func BenchmarkStoreSlidingWindow(b *testing.B) {
+	for _, live := range []int{8, 26, 256} {
+		retention := int64(live)
+		tuple := tup(1)
+		warm := func() (*Store, int64) {
+			s := NewStore()
+			s.SetRetention("s/1", retention)
+			var ts int64
+			for ; ts < 4*retention; ts++ {
+				s.Insert(tuple, Stamp{TS: ts, Node: 1, Seq: ts})
+				s.ExpireDue(ts)
+			}
+			return s, ts - 1
+		}
+		b.Run(fmt.Sprintf("live=%d/notdue", live), func(b *testing.B) {
+			s, ts := warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += s.ExpireDue(ts)
+			}
+		})
+		b.Run(fmt.Sprintf("live=%d/notdue-pred", live), func(b *testing.B) {
+			s, ts := warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += s.ExpirePred("s/1", ts, retention)
+			}
+		})
+		b.Run(fmt.Sprintf("live=%d/slide", live), func(b *testing.B) {
+			s, ts := warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts++
+				s.Insert(tuple, Stamp{TS: ts, Node: 1, Seq: ts})
+				benchSink += s.ExpireDue(ts)
+			}
+		})
+	}
+}
+
+var benchSink int

@@ -37,7 +37,7 @@ race-shards:
 	$(GO) test -race -count=1 -run 'Shard' ./internal/nsim/ ./internal/experiments/ ./internal/check/
 
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
+	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # Wall-clock-free stand-in for the sharded-scheduler bench
 # (BenchmarkE15Shards): pins the deterministic fold count (barriers per

@@ -529,11 +529,13 @@ func (e *Engine) Start() {
 func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 	rt := e.rts[nodeID]
 	key := t.Key()
-	if rt.derivs[key] == nil {
-		rt.derivs[key] = make(map[string]bool)
+	h := rt.homed[key]
+	if h == nil {
+		h = &homed{derivs: make(map[string]bool)}
+		rt.homed[key] = h
 	}
 	dk := fmt.Sprintf("fact:r%d", ruleID)
-	rt.derivs[key][dk] = true
+	h.derivs[dk] = true
 	if e.prov != nil {
 		now := int64(e.nw.Now())
 		e.prov.Add(provenance.Record{
@@ -541,8 +543,7 @@ func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 			SentAt: now, SettledAt: now, Head: key, DerivKey: dk,
 		}, nil)
 	}
-	rt.derivedLive[key] = t
-	rt.derivedIDs[key] = rt.generate(t, nil)
+	h.t, h.id = t, rt.generate(t, nil)
 }
 
 // homeFor returns the node where tuple t should originate: its placement
@@ -662,9 +663,9 @@ func (e *Engine) InjectDeleteAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) er
 func (e *Engine) Derived(predKey string) []eval.Tuple {
 	seen := map[string]eval.Tuple{}
 	for _, rt := range e.rts {
-		for k, t := range rt.derivedLive {
-			if t.Pred == predKey {
-				seen[k] = t
+		for k, h := range rt.homed {
+			if h.t.Pred == predKey {
+				seen[k] = h.t
 			}
 		}
 	}
@@ -685,8 +686,8 @@ func (e *Engine) Derived(predKey string) []eval.Tuple {
 func (e *Engine) DerivedDB() *eval.Database {
 	db := eval.NewDatabase()
 	for _, rt := range e.rts {
-		for _, t := range rt.derivedLive {
-			db.Insert(t)
+		for _, h := range rt.homed {
+			db.Insert(h.t)
 		}
 	}
 	return db
@@ -699,8 +700,8 @@ func (e *Engine) StoredReplicas(id nsim.NodeID) int { return e.rts[id].store.Tot
 // DerivationEntries returns the derivation records held at node id.
 func (e *Engine) DerivationEntries(id nsim.NodeID) int {
 	n := 0
-	for _, set := range e.rts[id].derivs {
-		n += len(set)
+	for _, h := range e.rts[id].homed {
+		n += len(h.derivs)
 	}
 	return n
 }

@@ -319,7 +319,8 @@ func TestLogicJTuplesLiveAtTheirNodes(t *testing.T) {
 	e.Start()
 	nw.Run(0)
 	for _, n := range nw.Nodes() {
-		for _, tup := range e.rts[n.ID].derivedLive {
+		for _, h := range e.rts[n.ID].homed {
+			tup := h.t
 			if tup.Pred != "j/2" && tup.Pred != "jp/2" {
 				continue
 			}

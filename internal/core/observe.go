@@ -126,9 +126,9 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 		var live int64
 		perPred := make(map[string]int64)
 		for _, rt := range e.rts {
-			for _, t := range rt.derivedLive {
+			for _, h := range rt.homed {
 				live++
-				perPred[t.Pred]++
+				perPred[h.t.Pred]++
 			}
 		}
 		emit("core.derived_live", live)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/datalog/eval"
 	"repro/internal/nsim"
 	"repro/internal/routing"
-	"repro/internal/window"
 )
 
 // Replay (and ReplayAt) is the engine's anti-entropy repair pass for
@@ -100,9 +99,7 @@ func (e *Engine) replayNow() {
 	e.prov.Reset()
 	for _, rt := range e.rts {
 		rt.store = e.newStore()
-		rt.derivs = make(map[string]map[string]bool)
-		rt.derivedLive = make(map[string]eval.Tuple)
-		rt.derivedIDs = make(map[string]window.Stamp)
+		rt.homed = make(map[string]*homed)
 		rt.aggSessions = make(map[string]*aggSession)
 		rt.pendingCands = rt.pendingCands[:0]
 		rt.outbox = rt.outbox[:0]

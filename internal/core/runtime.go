@@ -169,10 +169,10 @@ type nodeRT struct {
 	seq   int64
 	dedup routing.Dedup
 
-	// Home-node state for derived tuples.
-	derivs      map[string]map[string]bool // tupleKey -> derivation keys
-	derivedLive map[string]eval.Tuple      // live derived tuples homed here
-	derivedIDs  map[string]window.Stamp    // their generation stamps
+	// homed is the home-node state for derived tuples (Definition 2), by
+	// tuple key. A record exists exactly while its derivation set is
+	// non-empty, i.e. while the tuple is live.
+	homed map[string]*homed
 
 	aggSessions map[string]*aggSession // epoch -> collection state
 
@@ -227,6 +227,13 @@ func (rt *nodeRT) visibleMatch(lit ast.Literal, subst unify.Subst, tau window.St
 	return rt.entBuf
 }
 
+// homed is one live derived tuple at its home node.
+type homed struct {
+	t      eval.Tuple
+	id     window.Stamp    // its generation stamp
+	derivs map[string]bool // the derivation keys that support it
+}
+
 // pendingCand is a buffered candidate with its deadline.
 type pendingCand struct {
 	c  *candR
@@ -238,9 +245,7 @@ func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
 		e:           e,
 		node:        n,
 		store:       e.newStore(),
-		derivs:      make(map[string]map[string]bool),
-		derivedLive: make(map[string]eval.Tuple),
-		derivedIDs:  make(map[string]window.Stamp),
+		homed:       make(map[string]*homed),
 		aggSessions: make(map[string]*aggSession),
 	}
 }
@@ -1001,14 +1006,14 @@ func (rt *nodeRT) finalize(c *candR) {
 		}
 	}
 	key := c.Head.Key()
-	set := rt.derivs[key]
+	h := rt.homed[key]
 	if c.Add {
-		if set == nil {
-			set = make(map[string]bool)
-			rt.derivs[key] = set
+		fresh := h == nil
+		if fresh {
+			h = &homed{t: c.Head, derivs: make(map[string]bool)}
+			rt.homed[key] = h
 		}
-		was := len(set)
-		if !set[c.DerivKey] && rt.e.prov != nil {
+		if !h.derivs[c.DerivKey] && rt.e.prov != nil {
 			rec := provenance.Record{
 				Settler: int32(rt.node.ID), SettledAt: int64(rt.node.Now()),
 				Head: key, DerivKey: c.DerivKey,
@@ -1030,32 +1035,26 @@ func (rt *nodeRT) finalize(c *candR) {
 			}
 			rt.e.prov.Add(rec, body)
 		}
-		set[c.DerivKey] = true
-		if was == 0 {
+		h.derivs[c.DerivKey] = true
+		if fresh {
 			rt.e.cDerivations.Add(1)
 			rt.e.predDerive[c.Head.Pred].Add(1)
 			rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDerive, Pred: c.Head.Pred})
-			rt.derivedLive[key] = c.Head
-			rt.derivedIDs[key] = rt.generate(c.Head, nil)
+			h.id = rt.generate(c.Head, nil)
 		}
 		return
 	}
-	if set == nil || !set[c.DerivKey] {
+	if h == nil || !h.derivs[c.DerivKey] {
 		return // unknown derivation: harmless no-op (Section IV-A)
 	}
-	delete(set, c.DerivKey)
+	delete(h.derivs, c.DerivKey)
 	rt.e.prov.Remove(key, c.DerivKey)
-	if len(set) == 0 {
-		delete(rt.derivs, key)
-		if _, live := rt.derivedLive[key]; live {
-			rt.e.cDeletions.Add(1)
-			rt.e.predDelete[c.Head.Pred].Add(1)
-			rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDelete, Pred: c.Head.Pred})
-			delete(rt.derivedLive, key)
-			id := rt.derivedIDs[key]
-			delete(rt.derivedIDs, key)
-			rt.generate(c.Head, &id)
-		}
+	if len(h.derivs) == 0 {
+		delete(rt.homed, key)
+		rt.e.cDeletions.Add(1)
+		rt.e.predDelete[c.Head.Pred].Add(1)
+		rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDelete, Pred: c.Head.Pred})
+		rt.generate(c.Head, &h.id)
 	}
 }
 
@@ -1075,11 +1074,11 @@ func (rt *nodeRT) liveNegMatch(lit ast.Literal, c *candR) bool {
 			return true
 		}
 	}
-	for _, t := range rt.derivedLive {
-		if t.Pred != lit.PredKey() {
+	for _, h := range rt.homed {
+		if h.t.Pred != lit.PredKey() {
 			continue
 		}
-		if _, ok := unify.MatchArgs(lit.Args, t.Args, s); ok {
+		if _, ok := unify.MatchArgs(lit.Args, h.t.Args, s); ok {
 			return true
 		}
 	}
@@ -1223,9 +1222,7 @@ func (rt *nodeRT) processJoinHere(jm *joinMsg) {
 		if jm.PassRule != nil {
 			onlyIdx = rt.passSubgoal(jm)
 		}
-		before := len(jm.Partials)
 		jm.Partials = rt.saturate(jm.Partials, jm.Tau, onlyIdx)
-		_ = before
 		var still []*partialR
 		for _, p := range jm.Partials {
 			if !p.complete() {

@@ -51,11 +51,22 @@ type XYWitness struct {
 	SameStageOrder []string
 }
 
-// Analyze runs every analysis. It returns an error for unsafe rules, for
-// aggregates on recursive predicates, and for programs that are neither
-// stratified nor XY-stratifiable (the engine cannot evaluate those; see
-// Section IV-C "Evaluating General Recursive Programs").
+// maxBodyLiterals is the longest rule body the engines evaluate: the
+// centralized solver and the node runtime both track which body
+// positions are done in a uint64.
+const maxBodyLiterals = 64
+
+// Analyze runs every analysis. It returns an error for rule bodies longer
+// than maxBodyLiterals, for unsafe rules, for aggregates on recursive
+// predicates, and for programs that are neither stratified nor
+// XY-stratifiable (the engine cannot evaluate those; see Section IV-C
+// "Evaluating General Recursive Programs").
 func Analyze(p *ast.Program) (*Result, error) {
+	for _, r := range p.Rules {
+		if len(r.Body) > maxBodyLiterals {
+			return nil, fmt.Errorf("analysis: rule %d has %d body literals (limit %d)", r.ID, len(r.Body), maxBodyLiterals)
+		}
+	}
 	if err := CheckSafety(p); err != nil {
 		return nil, err
 	}

@@ -327,3 +327,17 @@ func TestTopoSortCycleDetection(t *testing.T) {
 		t.Error("cycle not detected")
 	}
 }
+
+// A rule body is limited to 64 literals — the evaluators track body
+// positions in a uint64 — and the limit is enforced here, once, for every
+// engine built on the analysis.
+func TestBodyLiteralLimit(t *testing.T) {
+	body := func(n int) string { return "q(X) :- p(X)" + strings.Repeat(", X >= 0", n-1) + "." }
+	if _, err := Analyze(mustParse(t, body(64))); err != nil {
+		t.Errorf("64 body literals refused: %v", err)
+	}
+	_, err := Analyze(mustParse(t, body(65)))
+	if err == nil || !strings.Contains(err.Error(), "has 65 body literals (limit 64)") || !strings.HasPrefix(err.Error(), "analysis: rule ") {
+		t.Errorf("65 body literals: err = %v", err)
+	}
+}

@@ -1,7 +1,5 @@
 package eval
 
-import "fmt"
-
 // InsertBatch applies a batch of base-stream insertions as one
 // semi-naive delta: every batch tuple enters the database up front, then
 // a single shared cascade queue propagates all of them. Compared to a
@@ -40,42 +38,5 @@ func (m *Maintainer) InsertBatch(ts []Tuple) ([]Change, error) {
 			queue = append(queue, Change{Tuple: t, Insert: true})
 		}
 	}
-	var out []Change
-	for steps := 0; len(queue) > 0; steps++ {
-		if steps > maxCascade {
-			return out, fmt.Errorf("eval: maintenance cascade exceeded %d steps (program not locally non-recursive?)", maxCascade)
-		}
-		m.stats.CascadeSteps++
-		c := queue[0]
-		queue = queue[1:]
-		effects, err := m.propagate(c)
-		if err != nil {
-			return out, err
-		}
-		for _, e := range effects {
-			out = append(out, e)
-			queue = append(queue, e)
-		}
-	}
-	return out, nil
-}
-
-// DeleteBatch applies a batch of base-stream deletions as a sequential
-// fold over Delete. Deletions cannot be batch-applied the way
-// insertions are: removing the whole batch from the database before
-// propagating would hide a derivation supported by two simultaneously
-// deleted tuples from both tuples' retraction sweeps (each sweep needs
-// the other tuple still visible to reconstruct the derivation key it
-// must remove). The fold keeps every intermediate state consistent; the
-// method exists so batch producers have one symmetric entry point.
-func (m *Maintainer) DeleteBatch(ts []Tuple) ([]Change, error) {
-	var out []Change
-	for _, t := range ts {
-		ch, err := m.Delete(t)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ch...)
-	}
-	return out, nil
+	return m.cascade(queue)
 }

@@ -109,9 +109,9 @@ func TestInsertBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestInsertBatchThenDeleteBatch: deleting every batch-inserted base
-// tuple must drain the derived state exactly as sequential deletes do.
-func TestInsertBatchThenDeleteBatch(t *testing.T) {
+// TestInsertBatchThenDeleteAll: deleting every batch-inserted base tuple,
+// one Delete at a time, must drain the derived state.
+func TestInsertBatchThenDeleteAll(t *testing.T) {
 	work := batchWorkload(5, 40)
 
 	bat, err := NewMaintainer(batchProg(t), SetOfDerivations, Options{})
@@ -121,8 +121,10 @@ func TestInsertBatchThenDeleteBatch(t *testing.T) {
 	if _, err := bat.InsertBatch(work); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bat.DeleteBatch(work); err != nil {
-		t.Fatal(err)
+	for _, tup := range work {
+		if _, err := bat.Delete(tup); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := dbSnapshot(bat.DB()); len(got) != 0 {
 		t.Fatalf("database not empty after deleting every base tuple: %v", got)

@@ -146,14 +146,19 @@ func (db *Database) Contains(t Tuple) bool {
 	return ok
 }
 
-// ContainsKey reports membership by cached tuple key.
-func (db *Database) ContainsKey(pred, key string) bool {
-	tab := db.tables[pred]
+// lookup resolves a tuple key ("pred|args", see Tuple.Key) to the stored
+// tuple through its table's position map, so following a derivation
+// costs one probe per child whatever the database holds.
+func (db *Database) lookup(key string) (Tuple, bool) {
+	tab := db.tables[key[:strings.IndexByte(key, '|')]]
 	if tab == nil {
-		return false
+		return Tuple{}, false
 	}
-	_, ok := tab.pos[key]
-	return ok
+	si, ok := tab.pos[key]
+	if !ok {
+		return Tuple{}, false
+	}
+	return tab.slots[si].t, true
 }
 
 // Tuples returns the tuples of predicate key ("name/arity") in canonical

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -358,4 +359,30 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	// path(a, b)
 	// path(a, c)
 	// path(b, c)
+}
+
+// Rule bodies longer than 64 literals are refused up front by the analysis
+// (the solver's done-mask is a uint64) for the evaluator and the
+// maintainer alike; 64 still evaluate.
+func TestBodyLiteralLimit(t *testing.T) {
+	body := func(n int) string { return "q(X) :- p(X)" + strings.Repeat(", X >= 0", n-1) + "." }
+	p := func(v int64) Tuple { return NewTuple("p", ast.Int64(v)) }
+
+	db := mustEval(t, body(64), []Tuple{p(-1), p(1)})
+	if got := db.Tuples("q/1"); len(got) != 1 || !got[0].Equal(NewTuple("q", ast.Int64(1))) {
+		t.Errorf("64 literals: q = %v, want [q(1)]", got)
+	}
+	m := newMaint(t, body(64), SetOfDerivations)
+	m.Insert(p(-1))
+	if ch, err := m.Insert(p(1)); err != nil || len(ch) != 1 || m.DB().Count("q/1") != 1 {
+		t.Errorf("64 literals maintained: changes %v, err %v", ch, err)
+	}
+
+	const want = "analysis: rule 0 has 65 body literals (limit 64)"
+	if _, err := New(mustProg(t, body(65)), Options{}); err == nil || err.Error() != want {
+		t.Errorf("New: err = %v, want %q", err, want)
+	}
+	if _, err := NewMaintainer(mustProg(t, body(65)), Counting, Options{}); err == nil || err.Error() != want {
+		t.Errorf("NewMaintainer: err = %v, want %q", err, want)
+	}
 }

@@ -2,10 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/datalog/analysis"
 	"repro/internal/datalog/ast"
-	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/unify"
 )
 
@@ -38,26 +38,32 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Derivation identifies one way a tuple was derived: the rule and the
-// keys of the positive body tuples used, in body order (Definition 2).
-type Derivation struct {
-	RuleID int
-	Used   []string
-}
-
-// Key returns the canonical identity of the derivation. The separator is
-// a control character that cannot occur inside tuple keys (string
-// constants may contain any printable character).
-func (d Derivation) Key() string {
-	k := fmt.Sprintf("r%d", d.RuleID)
-	for _, u := range d.Used {
-		k += derivSep + u
-	}
-	return k
-}
-
-// derivSep separates components of a derivation key.
+// derivSep separates the components of a derivation key. It is a control
+// character that cannot occur inside tuple keys (string constants may
+// contain any printable character).
 const derivSep = "\x1f"
+
+// derivKey is the canonical identity of one way a tuple was derived
+// (Definition 2): "r<rule ID>" then the keys of the positive body tuples
+// used, in body order whatever order used lists them in. parseDerivKey
+// inverts it.
+func derivKey(ruleID int, used []posTuple) string {
+	var arr [128]byte
+	b := strconv.AppendInt(append(arr[:0], 'r'), int64(ruleID), 10)
+	for prev := -1; ; {
+		next := -1
+		for j := range used {
+			if used[j].pos > prev && (next < 0 || used[j].pos < used[next].pos) {
+				next = j
+			}
+		}
+		if next < 0 {
+			return string(b)
+		}
+		b = append(append(b, derivSep...), used[next].t.Key()...)
+		prev = used[next].pos
+	}
+}
 
 // Change records one maintenance effect on a derived predicate.
 type Change struct {
@@ -81,7 +87,6 @@ type MaintStats struct {
 type Maintainer struct {
 	prog *ast.Program
 	res  *analysis.Result
-	reg  *builtin.Registry
 	mode Mode
 
 	db *Database
@@ -98,7 +103,6 @@ type Maintainer struct {
 
 // NewMaintainer prepares incremental maintenance for p in the given mode.
 func NewMaintainer(p *ast.Program, mode Mode, opts Options) (*Maintainer, error) {
-	opts.fill()
 	ev, err := New(p, opts)
 	if err != nil {
 		return nil, err
@@ -106,7 +110,6 @@ func NewMaintainer(p *ast.Program, mode Mode, opts Options) (*Maintainer, error)
 	m := &Maintainer{
 		prog:        p,
 		res:         ev.res,
-		reg:         opts.Registry,
 		mode:        mode,
 		db:          NewDatabase(),
 		derivations: make(map[string]map[string]bool),
@@ -178,138 +181,101 @@ func (m *Maintainer) update(t Tuple, insert bool) ([]Change, error) {
 	if m.mode == Rederivation {
 		return m.runDRed(Change{Tuple: t, Insert: insert})
 	}
+	return m.cascade([]Change{{Tuple: t, Insert: insert}})
+}
+
+// cascade propagates the queued changes, and the derived changes they
+// cause, first in first out until none is left; it returns the derived
+// ones in application order (derivation-set and counting modes).
+func (m *Maintainer) cascade(queue []Change) ([]Change, error) {
 	var out []Change
-	queue := []Change{{Tuple: t, Insert: insert}}
 	for steps := 0; len(queue) > 0; steps++ {
 		if steps > maxCascade {
 			return out, fmt.Errorf("eval: maintenance cascade exceeded %d steps (program not locally non-recursive?)", maxCascade)
 		}
 		m.stats.CascadeSteps++
-		c := queue[0]
-		queue = queue[1:]
-		effects, err := m.propagate(c)
+		effects, err := m.propagate(queue[0])
 		if err != nil {
 			return out, err
 		}
-		for _, e := range effects {
-			out = append(out, e)
-			queue = append(queue, e)
-		}
+		out = append(out, effects...)
+		queue = append(queue[1:], effects...)
 	}
 	return out, nil
 }
 
 // propagate computes the derived effects of one change through every rule
-// that references its predicate (derivation-set and counting modes).
+// that references its predicate: per rule, its positive occurrences and
+// then its negated ones, where an insertion into S retracts the
+// derivations that relied on S's tuple being absent and a deletion
+// enables them.
 func (m *Maintainer) propagate(c Change) ([]Change, error) {
 	var out []Change
 	for _, r := range m.ruleIndex[c.Tuple.Pred] {
-		// Positive occurrences.
-		for i, l := range r.Body {
-			if l.Builtin || l.Negated || l.PredKey() != c.Tuple.Pred {
-				continue
-			}
-			sols, err := m.solvePinned(r, i, c.Tuple, c.Insert)
-			if err != nil {
-				return nil, err
-			}
-			for _, sol := range sols {
-				head, err := m.ev.instantiateHead(r, sol.Subst)
+		preds := m.ev.keysOf(r).body
+		for _, negated := range [2]bool{false, true} {
+			for i, l := range r.Body {
+				if l.Builtin || l.Negated != negated || preds[i] != c.Tuple.Pred {
+					continue
+				}
+				ds, err := m.solvePinned(r, i, c.Tuple, c.Insert)
 				if err != nil {
 					return nil, err
 				}
-				d := derivationOf(r, sol)
-				ch, err := m.applyDerivationDelta(head, d, c.Insert)
-				if err != nil {
-					return nil, err
+				for _, d := range ds {
+					if add := c.Insert != negated; m.applyDerivationDelta(d, add) {
+						out = append(out, Change{Tuple: d.head, Insert: add})
+					}
 				}
-				out = append(out, ch...)
-			}
-		}
-		// Negated occurrences: an insertion into S retracts derivations
-		// that relied on S's tuple being absent; a deletion enables them.
-		for i, l := range r.Body {
-			if l.Builtin || !l.Negated || l.PredKey() != c.Tuple.Pred {
-				continue
-			}
-			sols, err := m.solveNegPinned(r, i, c.Tuple)
-			if err != nil {
-				return nil, err
-			}
-			for _, sol := range sols {
-				head, err := m.ev.instantiateHead(r, sol.Subst)
-				if err != nil {
-					return nil, err
-				}
-				d := derivationOf(r, sol)
-				// Insert into S => remove derivations; delete => add.
-				ch, err := m.applyDerivationDelta(head, d, !c.Insert)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, ch...)
 			}
 		}
 	}
 	return out, nil
 }
 
-func derivationOf(r *ast.Rule, sol Solution) Derivation {
-	used := make([]string, len(sol.Used))
-	for i, u := range sol.Used {
-		used[i] = u.Key()
-	}
-	return Derivation{RuleID: r.ID, Used: used}
-}
-
-// applyDerivationDelta adds or removes one derivation of head and emits a
-// visible change when the tuple's support transitions empty<->non-empty.
-func (m *Maintainer) applyDerivationDelta(head Tuple, d Derivation, add bool) ([]Change, error) {
-	key := head.Key()
-	switch m.mode {
-	case SetOfDerivations:
-		set := m.derivations[key]
-		if add {
-			if set == nil {
-				set = make(map[string]bool)
-				m.derivations[key] = set
-			}
-			was := len(set)
-			set[d.Key()] = true
-			if was == 0 {
-				m.db.Insert(head)
-				return []Change{{Tuple: head, Insert: true}}, nil
-			}
-			return nil, nil
-		}
-		if set == nil || !set[d.Key()] {
-			return nil, nil // removing an unknown derivation: harmless no-op
-		}
-		delete(set, d.Key())
-		if len(set) == 0 {
-			delete(m.derivations, key)
-			m.db.Delete(head)
-			return []Change{{Tuple: head, Insert: false}}, nil
-		}
-		return nil, nil
-	case Counting:
+// applyDerivationDelta adds or removes one derivation of d.head and
+// reports whether the tuple's support went from empty to non-empty or
+// back — a visible change, which it applies to the database.
+func (m *Maintainer) applyDerivationDelta(d derived, add bool) bool {
+	key := d.head.Key()
+	if m.mode == Counting {
 		if add {
 			m.counts[key]++
-			if m.counts[key] == 1 {
-				m.db.Insert(head)
-				return []Change{{Tuple: head, Insert: true}}, nil
+			if m.counts[key] > 1 {
+				return false
 			}
-			return nil, nil
+			m.db.Insert(d.head)
+			return true
 		}
 		m.counts[key]--
-		if m.counts[key] <= 0 {
-			delete(m.counts, key)
-			m.db.Delete(head)
-			return []Change{{Tuple: head, Insert: false}}, nil
+		if m.counts[key] > 0 {
+			return false
 		}
-		return nil, nil
+		delete(m.counts, key)
+		m.db.Delete(d.head)
+		return true
 	}
-	return nil, fmt.Errorf("eval: applyDerivationDelta in mode %v", m.mode)
+	// A set exists exactly while it is non-empty.
+	set := m.derivations[key]
+	if add {
+		if set != nil {
+			set[d.deriv] = true
+			return false
+		}
+		m.derivations[key] = map[string]bool{d.deriv: true}
+		m.db.Insert(d.head)
+		return true
+	}
+	if !set[d.deriv] {
+		return false // removing an unknown derivation: harmless no-op
+	}
+	delete(set, d.deriv)
+	if len(set) > 0 {
+		return false
+	}
+	delete(m.derivations, key)
+	m.db.Delete(d.head)
+	return true
 }
 
 // --- DRed (delete-and-rederive), stratum by stratum ---
@@ -319,21 +285,12 @@ func (m *Maintainer) applyDerivationDelta(head Tuple, d Derivation, add bool) ([
 // insertions; net changes feed the next stratum.
 func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 	// Group derived predicates' rules by stratum.
-	type stratumRules struct {
-		preds map[string]bool
-		rules []*ast.Rule
-	}
-	strata := make([]stratumRules, m.res.NumStrata)
-	for i := range strata {
-		strata[i].preds = map[string]bool{}
-	}
+	strata := make([][]*ast.Rule, m.res.NumStrata)
 	for _, r := range m.prog.Rules {
-		if len(r.Body) == 0 {
-			continue
+		if len(r.Body) > 0 {
+			s := m.res.Strata[r.Head.PredKey()]
+			strata[s] = append(strata[s], r)
 		}
-		s := m.res.Strata[r.Head.PredKey()]
-		strata[s].preds[r.Head.PredKey()] = true
-		strata[s].rules = append(strata[s].rules, r)
 	}
 
 	dels := []Tuple{}
@@ -346,8 +303,8 @@ func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 	var out []Change
 
 	for s := 0; s < m.res.NumStrata; s++ {
-		sr := strata[s]
-		if len(sr.rules) == 0 {
+		rules := strata[s]
+		if len(rules) == 0 {
 			continue
 		}
 		// Phase 1: over-delete. Seeds: lower-stratum deletions through
@@ -365,36 +322,24 @@ func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 		for qi := 0; qi < len(queue); qi++ {
 			m.stats.CascadeSteps++
 			c := queue[qi]
-			for _, r := range sr.rules {
+			for _, r := range rules {
+				preds := m.ev.keysOf(r).body
 				for i, l := range r.Body {
-					if l.Builtin || l.PredKey() != c.Tuple.Pred {
+					if l.Builtin || l.Negated != c.Insert || preds[i] != c.Tuple.Pred {
 						continue
 					}
-					var sols []Solution
-					var err error
-					switch {
-					case !l.Negated && !c.Insert:
-						sols, err = m.solvePinned(r, i, c.Tuple, false)
-					case l.Negated && c.Insert:
-						sols, err = m.solveNegPinned(r, i, c.Tuple)
-					default:
-						continue
-					}
+					ds, err := m.solvePinned(r, i, c.Tuple, c.Insert)
 					if err != nil {
 						return out, err
 					}
-					for _, sol := range sols {
-						head, err := m.ev.instantiateHead(r, sol.Subst)
-						if err != nil {
-							return out, err
-						}
-						if !m.db.Contains(head) || odSeen[head.Key()] {
+					for _, d := range ds {
+						if !m.db.Contains(d.head) || odSeen[d.head.Key()] {
 							continue
 						}
-						odSeen[head.Key()] = true
-						m.db.Delete(head)
-						overdeleted = append(overdeleted, head)
-						queue = append(queue, Change{Tuple: head, Insert: false})
+						odSeen[d.head.Key()] = true
+						m.db.Delete(d.head)
+						overdeleted = append(overdeleted, d.head)
+						queue = append(queue, Change{Tuple: d.head, Insert: false})
 					}
 				}
 			}
@@ -436,32 +381,20 @@ func (m *Maintainer) runDRed(c0 Change) ([]Change, error) {
 		for qi := 0; qi < len(insQueue); qi++ {
 			m.stats.CascadeSteps++
 			c := insQueue[qi]
-			for _, r := range sr.rules {
+			for _, r := range rules {
+				preds := m.ev.keysOf(r).body
 				for i, l := range r.Body {
-					if l.Builtin || l.PredKey() != c.Tuple.Pred {
+					if l.Builtin || l.Negated == c.Insert || preds[i] != c.Tuple.Pred {
 						continue
 					}
-					var sols []Solution
-					var err error
-					switch {
-					case !l.Negated && c.Insert:
-						sols, err = m.solvePinned(r, i, c.Tuple, true)
-					case l.Negated && !c.Insert:
-						sols, err = m.solveNegPinned(r, i, c.Tuple)
-					default:
-						continue
-					}
+					ds, err := m.solvePinned(r, i, c.Tuple, c.Insert)
 					if err != nil {
 						return out, err
 					}
-					for _, sol := range sols {
-						head, err := m.ev.instantiateHead(r, sol.Subst)
-						if err != nil {
-							return out, err
-						}
-						if m.db.Insert(head) {
-							inserted = append(inserted, head)
-							insQueue = append(insQueue, Change{Tuple: head, Insert: true})
+					for _, d := range ds {
+						if m.db.Insert(d.head) {
+							inserted = append(inserted, d.head)
+							insQueue = append(insQueue, Change{Tuple: d.head, Insert: true})
 						}
 					}
 				}
@@ -501,17 +434,13 @@ func (m *Maintainer) derivable(t Tuple) (bool, error) {
 		if !ok {
 			continue
 		}
-		sols, err := m.solveWith(r, -1, s0, -1, Tuple{}, nil, nil)
+		ds, err := m.solveWith(r, &seed{skip: -1, subst: s0})
 		if err != nil {
 			return false, err
 		}
 		// Head arguments may involve arithmetic; verify instantiation.
-		for _, sol := range sols {
-			h, err := m.ev.instantiateHead(r, sol.Subst)
-			if err != nil {
-				return false, err
-			}
-			if h.Equal(t) {
+		for _, d := range ds {
+			if d.head.Equal(t) {
 				return true, nil
 			}
 		}
@@ -541,206 +470,41 @@ func headMatch(r *ast.Rule, t Tuple) (unify.Subst, bool) {
 
 // --- pinned body solving ---
 
-// solvePinned solves r's body with positive subgoal i pinned to t.
-//
-// Exact delta semantics (needed by Counting; harmless elsewhere): for
-// other occurrences of t's predicate, positions before i range over the
-// pre-change table and positions after i over the post-change table. On
-// insertion the pre-change table excludes t; on deletion the post-change
-// table must still include t (it has just been removed from db).
-func (m *Maintainer) solvePinned(r *ast.Rule, i int, t Tuple, insert bool) ([]Solution, error) {
+// derived is one body solution seen from the head: the tuple it derives
+// and, in SetOfDerivations mode, the identity of the derivation.
+type derived struct {
+	head  Tuple
+	deriv string
+}
+
+// solvePinned solves r's body with subgoal i matched against the changed
+// tuple t. A positive subgoal pins t there (see seed); a negated one is
+// only suppressed — its absence check is the thing that changed — and
+// the positive rest is solved under the bindings t gives it.
+func (m *Maintainer) solvePinned(r *ast.Rule, i int, t Tuple, insert bool) ([]derived, error) {
 	s0, ok := unify.MatchArgs(r.Body[i].Args, t.Args, unify.Subst{})
 	if !ok {
 		return nil, nil
 	}
-	exclude := make(map[int]string)
-	include := make(map[int]Tuple)
-	for j, l := range r.Body {
-		if j == i || l.Builtin || l.Negated || l.PredKey() != t.Pred {
-			continue
-		}
-		if insert && j < i {
-			exclude[j] = t.Key() // pre-change table: without t
-		}
-		if !insert && j > i {
-			include[j] = t // post-change table at time of derivation: with t
-		}
-	}
-	return m.solveWith(r, i, s0, i, t, exclude, include)
+	return m.solveWith(r, &seed{skip: i, subst: s0, pinned: !r.Body[i].Negated, pin: t, insert: insert})
 }
 
-// solveNegPinned solves r's positive body with negated subgoal i pinned
-// to match t, skipping that subgoal's absence check.
-func (m *Maintainer) solveNegPinned(r *ast.Rule, i int, t Tuple) ([]Solution, error) {
-	s0, ok := unify.MatchArgs(r.Body[i].Args, t.Args, unify.Subst{})
-	if !ok {
-		return nil, nil
-	}
-	return m.solveWith(r, i, s0, -1, Tuple{}, nil, nil)
-}
-
-// solveWith runs the body solver with subgoal `skip` suppressed, an
-// initial substitution, an optional pinned positive tuple recorded at its
-// body position, and per-index table adjustments.
-func (m *Maintainer) solveWith(r *ast.Rule, skip int, s0 unify.Subst, pinIdx int, pin Tuple, exclude map[int]string, include map[int]Tuple) ([]Solution, error) {
-	var out []Solution
-	st := &pinnedSolver{
-		ev: m.ev, db: m.db, r: r, skip: skip,
-		exclude: exclude, include: include, out: &out,
-	}
-	var used []posTuple
-	if pinIdx >= 0 {
-		used = append(used, posTuple{pos: pinIdx, t: pin})
-	}
-	err := st.step(0, s0, nil, used)
+// solveWith runs the one body solver from sd, in body order, and returns
+// what each solution derives. Everything is collected before the caller
+// applies any of it: applying mutates the tables being walked.
+func (m *Maintainer) solveWith(r *ast.Rule, sd *seed) ([]derived, error) {
+	var out []derived
+	err := m.ev.streamBodyIn(nil, m.db, r, nil, -1, true, sd, func(s unify.Subst, used []posTuple) error {
+		head, err := m.ev.instantiateHead(r, s)
+		if err != nil {
+			return err
+		}
+		d := derived{head: head}
+		if m.mode == SetOfDerivations {
+			d.deriv = derivKey(r.ID, used)
+		}
+		out = append(out, d)
+		return nil
+	})
 	return out, err
-}
-
-type posTuple struct {
-	pos int
-	t   Tuple
-}
-
-// pinnedSolver mirrors solveState with a suppressed subgoal and
-// per-position table adjustments; used tuples carry their body position
-// so derivation keys come out in body order regardless of pin position.
-type pinnedSolver struct {
-	ev      *Evaluator
-	db      *Database
-	r       *ast.Rule
-	skip    int
-	exclude map[int]string
-	include map[int]Tuple
-	out     *[]Solution
-}
-
-func (st *pinnedSolver) step(i int, s unify.Subst, deferred []ast.Literal, used []posTuple) error {
-	base := &solveState{ev: st.ev, db: st.db, r: st.r, deltaIdx: -1}
-	var still []ast.Literal
-	for _, d := range deferred {
-		ok, ns, err := base.tryLiteral(d, s)
-		switch {
-		case err == builtin.ErrNotGround || err == errNotReady:
-			still = append(still, d)
-		case err != nil:
-			return err
-		case !ok:
-			return nil
-		default:
-			s = ns
-		}
-	}
-	deferred = still
-	if i == len(st.r.Body) {
-		return st.finish(s, deferred, used)
-	}
-	if i == st.skip {
-		return st.step(i+1, s, deferred, used)
-	}
-	l := st.r.Body[i]
-	if l.Builtin {
-		ok, ns, err := st.ev.opts.Registry.Eval(l, s)
-		switch {
-		case err == builtin.ErrNotGround:
-			return st.step(i+1, s, append(deferred, l), used)
-		case err != nil:
-			return err
-		case !ok:
-			return nil
-		default:
-			return st.step(i+1, ns, deferred, used)
-		}
-	}
-	if l.Negated {
-		ok, ns, err := base.tryLiteral(l, s)
-		switch {
-		case err == errNotReady:
-			return st.step(i+1, s, append(deferred, l), used)
-		case err != nil:
-			return err
-		case !ok:
-			return nil
-		default:
-			return st.step(i+1, ns, deferred, used)
-		}
-	}
-	// Positive subgoal: iterate the table in insertion order (index
-	// probe when argument positions are bound), honoring the per-index
-	// table adjustments. The include tuple — present at derivation time
-	// but absent from the current table — is examined last.
-	tab := st.db.tables[l.PredKey()]
-	excl := st.exclude[i]
-	scan := func(t Tuple) error {
-		st.ev.ScanOps++
-		ns, ok := unify.MatchArgs(l.Args, t.Args, s)
-		if !ok {
-			return nil
-		}
-		st.ev.JoinOps++
-		return st.step(i+1, ns, deferred, append(used, posTuple{pos: i, t: t}))
-	}
-	if tab != nil {
-		if cols, key := BoundCols(l.Args, s); len(cols) > 0 {
-			it := tab.index(cols).probeString(key)
-			for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
-				sl := tab.slots[si]
-				if sl.dead || sl.t.Key() == excl {
-					continue
-				}
-				if err := scan(sl.t); err != nil {
-					return err
-				}
-			}
-		} else {
-			for _, sl := range tab.slots {
-				if sl.dead || sl.t.Key() == excl {
-					continue
-				}
-				if err := scan(sl.t); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if inc, ok := st.include[i]; ok {
-		present := false
-		if tab != nil {
-			_, present = tab.pos[inc.Key()]
-		}
-		if !present && inc.Key() != excl {
-			if err := scan(inc.Keyed()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (st *pinnedSolver) finish(s unify.Subst, deferred []ast.Literal, used []posTuple) error {
-	// Resolve remaining deferred literals as the base solver does.
-	base := &solveState{ev: st.ev, db: st.db, r: st.r, deltaIdx: -1}
-	for progress := true; progress && len(deferred) > 0; {
-		progress = false
-		var rest []ast.Literal
-		for _, d := range deferred {
-			ok, ns, err := base.tryLiteral(d, s)
-			switch {
-			case err == errNotReady || err == builtin.ErrNotGround:
-				rest = append(rest, d)
-			case err != nil:
-				return err
-			case !ok:
-				return nil
-			default:
-				s = ns
-				progress = true
-			}
-		}
-		deferred = rest
-	}
-	if len(deferred) > 0 {
-		return fmt.Errorf("eval: rule %d: unresolvable subgoals remain: %v", st.r.ID, deferred)
-	}
-	*st.out = append(*st.out, Solution{Subst: s, Used: orderedTuples(used)})
-	return nil
 }

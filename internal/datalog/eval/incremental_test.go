@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -162,6 +163,57 @@ func TestSelfJoinDeletion(t *testing.T) {
 			m.Delete(NewTuple("n", ast.Int64(2)))
 			if m.DB().Count("pair/2") != 2 {
 				t.Errorf("after delete pairs = %v", m.DB().Tuples("pair/2"))
+			}
+		})
+	}
+}
+
+// Three occurrences of one predicate put the pinned subgoal before,
+// between and after its twins, and the loop edge e(a, a) matches all three
+// at once — the case the exact-delta table rule exists for: every
+// derivation must be found at exactly one pin position, or Counting
+// drifts from the truth (too high: tuples outlive their support; too
+// low: they die early). Each step is checked against from-scratch Run.
+func TestThreeOccurrenceSelfJoinExactDeltas(t *testing.T) {
+	const src = `p(X, Z) :- e(X, Y), e(Y, W), e(W, Z).`
+	e := func(a, b string) Tuple { return NewTuple("e", ast.Symbol(a), ast.Symbol(b)) }
+	steps := []struct {
+		insert bool
+		t      Tuple
+	}{
+		{true, e("a", "b")}, {true, e("a", "a")}, {true, e("b", "a")},
+		{false, e("a", "a")}, {true, e("a", "a")}, {true, e("b", "b")},
+		{false, e("a", "b")}, {false, e("a", "a")}, {true, e("a", "a")},
+		{false, e("b", "a")}, {false, e("b", "b")}, {false, e("a", "a")},
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := newMaint(t, src, mode)
+			var live []Tuple
+			for i, st := range steps {
+				var err error
+				if st.insert {
+					live = append(live, st.t)
+					_, err = m.Insert(st.t)
+				} else {
+					for k := range live {
+						if live[k].Equal(st.t) {
+							live = append(live[:k], live[k+1:]...)
+							break
+						}
+					}
+					_, err = m.Delete(st.t)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameDB(t, mode, i, m.DB(), mustEval(t, src, live))
+			}
+			if n := m.DB().TotalSize(); n != 0 {
+				t.Errorf("%d tuples survive the deletion of every edge", n)
+			}
+			if mode == Counting && len(m.counts) != 0 {
+				t.Errorf("counts left behind: %v", m.counts)
 			}
 		})
 	}
@@ -335,31 +387,39 @@ var allModes = []Mode{SetOfDerivations, Counting, Rederivation}
 // database equal full re-evaluation over the surviving base facts. Run
 // and the Maintainer reach the join engine through different drivers
 // (semi-naive rounds vs per-update cascades with table adjustments), so
-// an index or subgoal-ordering bug has to fool both.
-func checkTimeline(t *testing.T, in timelineInput, mode Mode, seed int64) {
+// an index or subgoal-ordering bug has to fool both. It returns an FNV-1a
+// hash over the ordered stream of Changes the maintainer returned, which
+// TestChangeStreamGolden pins.
+func checkTimeline(t *testing.T, in timelineInput, mode Mode, seed int64) uint64 {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	m := newMaint(t, in.src, mode)
+	stream := fnv.New64a()
 	// live holds the surviving base facts in insertion order, so the
 	// timeline is the same on every run.
 	var live []Tuple
 	for step := 0; step < 120; step++ {
+		var changes []Change
 		var err error
 		if len(live) > 0 && !in.insertOnly && r.Intn(100) < 35 {
 			k := r.Intn(len(live))
-			_, err = m.Delete(live[k])
+			changes, err = m.Delete(live[k])
 			live = append(live[:k], live[k+1:]...)
 		} else if tup := in.gen(r); !m.DB().Contains(tup) {
 			live = append(live, tup)
-			_, err = m.Insert(tup)
+			changes, err = m.Insert(tup)
 		}
 		if err != nil {
 			t.Fatalf("%s step %d: %v", mode, step, err)
+		}
+		for _, c := range changes {
+			fmt.Fprintf(stream, "%d %t %s\n", step, c.Insert, c.Tuple.Key())
 		}
 		if step%10 == 9 {
 			requireSameDB(t, mode, step, m.DB(), mustEval(t, in.src, live))
 		}
 	}
+	return stream.Sum64()
 }
 
 // The central correctness property (paper Theorem 3 + Section IV-C): after

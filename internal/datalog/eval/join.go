@@ -11,14 +11,6 @@ import (
 	"repro/internal/datalog/unify"
 )
 
-// Solution is one satisfying assignment of a rule body: the substitution
-// plus the positive body tuples used, in body order (the derivation of
-// Definition 2 lists exactly these plus the rule ID).
-type Solution struct {
-	Subst unify.Subst
-	Used  []Tuple
-}
-
 // applyRule computes the head tuples derivable by r. When deltaIdx >= 0,
 // the positive subgoal at that body index ranges over delta (semi-naive
 // restriction) and all others over db. Emission goes through emit.
@@ -36,7 +28,7 @@ func (e *Evaluator) applyRule(db *Database, r *ast.Rule, delta map[string]*Tuple
 		e.arena = &unify.Arena{}
 	}
 	e.arena.Reset()
-	return e.streamBodyIn(e.arena, db, r, delta, deltaIdx, false, func(s unify.Subst, _ []posTuple) error {
+	return e.streamBodyIn(e.arena, db, r, delta, deltaIdx, false, nil, func(s unify.Subst, _ []posTuple) error {
 		args := e.argScratch[:0]
 		for _, a := range r.Head.Args {
 			// Fast path: a variable bound to a scalar needs no builtin
@@ -71,7 +63,7 @@ func (e *Evaluator) applyRule(db *Database, r *ast.Rule, delta map[string]*Tuple
 			kb = a.AppendKey(kb)
 		}
 		e.keyScratch = kb
-		// Inline ContainsKey so the map probe reuses kb without
+		// Probe the table inline so the lookup reuses kb without
 		// materializing a string for already-known heads.
 		if tab := db.tables[ks.head]; tab != nil {
 			if _, ok := tab.pos[string(kb)]; ok {
@@ -99,59 +91,39 @@ func (e *Evaluator) instantiateHead(r *ast.Rule, s unify.Subst) (Tuple, error) {
 	return Tuple{Pred: e.keysOf(r).head, Args: args}.Keyed(), nil
 }
 
-// SolveBody enumerates all solutions of r's body against db. When
-// deltaIdx >= 0, the positive relational subgoal at that body index
-// ranges over delta[pred] instead of db. Built-ins are evaluated as soon
-// as their arguments are bound; negated subgoals are checked once ground.
+// seed starts a body solve part-way through, which is how incremental
+// maintenance evaluates a rule for one changed tuple (Section IV-A,
+// Definitions 1–2: the semi-naive join with a singleton delta). Subgoal
+// skip counts as already satisfied under subst. When pinned, skip is a
+// positive subgoal that matched pin: pin is recorded as the tuple used at
+// that position, and the other occurrences of its predicate read the
+// tables the exact-delta rule in step prescribes.
+type seed struct {
+	skip   int         // satisfied body index (-1: none)
+	subst  unify.Subst // the bindings it contributed
+	pinned bool
+	pin    Tuple
+	insert bool // the change inserted pin (false: deleted it)
+}
+
+// streamBodyIn enumerates the solutions of r's body against db, invoking
+// sink per solution with the substitution and the positive body tuples
+// used (scratch, in expansion order — copy what must be retained). When
+// deltaIdx >= 0, the positive subgoal at that body index ranges over
+// delta[pred] instead of db (semi-naive restriction). Built-ins are
+// evaluated as soon as their arguments are bound; negated subgoals are
+// checked once ground.
 //
 // Positive subgoals are expanded in selectivity order (most ground
 // argument positions first, ties broken by smaller table, then static
-// SIP rank) and each expansion probes the table's argument-position
-// index instead of scanning. Index buckets preserve insertion order, so
-// the set of solutions — and the Used tuples of each — is the one a
-// body-order scan would find.
-func (e *Evaluator) SolveBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int) ([]Solution, error) {
-	return e.solveBody(db, r, delta, deltaIdx, false)
-}
-
-func (e *Evaluator) solveBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool) ([]Solution, error) {
-	var out []Solution
-	err := e.streamBody(db, r, delta, deltaIdx, bodyOrder, func(s unify.Subst, used []posTuple) error {
-		out = append(out, Solution{Subst: s, Used: orderedTuples(used)})
-		return nil
-	})
-	return out, err
-}
-
-// orderedTuples projects used (distinct body positions, evaluation order)
-// into a body-ordered tuple slice, so derivation identities do not depend
-// on the expansion order chosen.
-func orderedTuples(used []posTuple) []Tuple {
-	tuples := make([]Tuple, len(used))
-	for i := range used {
-		rank := 0
-		for j := range used {
-			if used[j].pos < used[i].pos {
-				rank++
-			}
-		}
-		tuples[rank] = used[i].t
-	}
-	return tuples
-}
-
-// streamBody enumerates body solutions, invoking sink per solution. The
-// used slice passed to sink is scratch — copy what must be retained.
-func (e *Evaluator) streamBody(db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool, sink func(unify.Subst, []posTuple) error) error {
-	return e.streamBodyIn(nil, db, r, delta, deltaIdx, bodyOrder, sink)
-}
-
-// streamBodyIn is streamBody with bindings drawn from arena (nil = heap).
-// Only safe with a sink that does not retain its Subst past the call.
-func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool, sink func(unify.Subst, []posTuple) error) error {
-	if len(r.Body) > 64 {
-		return fmt.Errorf("eval: rule %d has %d body literals (limit 64)", r.ID, len(r.Body))
-	}
+// SIP rank) unless bodyOrder is set, and each expansion probes the
+// table's argument-position index instead of scanning. Index buckets
+// preserve insertion order, so the set of solutions — and the tuples used
+// by each — is the one a body-order scan would find.
+//
+// Bindings are drawn from arena (nil = heap); an arena is only safe with a
+// sink that does not retain its Subst past the call.
+func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, delta map[string]*TupleSet, deltaIdx int, bodyOrder bool, sd *seed, sink func(unify.Subst, []posTuple) error) error {
 	ks := e.keysOf(r)
 	// Reuse one solveState (and its scratch buffers) per evaluator; a
 	// fresh one is made only if a sink ever re-enters the solver.
@@ -174,10 +146,29 @@ func (e *Evaluator) streamBodyIn(arena *unify.Arena, db *Database, r *ast.Rule, 
 	if cap(e.usedBuf) < len(r.Body) {
 		e.usedBuf = make([]posTuple, 0, len(r.Body))
 	}
+	done, n, s, used := uint64(0), 0, unify.Subst{}, e.usedBuf[:0]
+	st.pinIdx = -1
+	if sd != nil {
+		s = sd.subst
+		if sd.skip >= 0 {
+			done, n = 1<<uint(sd.skip), 1
+		}
+		if sd.pinned {
+			st.pinIdx, st.pin, st.insert = sd.skip, sd.pin.Keyed(), sd.insert
+			used = append(used, posTuple{pos: sd.skip, t: st.pin})
+		}
+	}
 	st.busy = true
-	err := st.step(0, 0, unify.Subst{}, nil, e.usedBuf[:0])
+	err := st.step(done, n, s, nil, used)
 	st.busy, st.sink = false, nil
 	return err
+}
+
+// posTuple is a tuple used by a solution, with the body position of the
+// subgoal it satisfied.
+type posTuple struct {
+	pos int
+	t   Tuple
 }
 
 type solveState struct {
@@ -195,6 +186,10 @@ type solveState struct {
 	rank      []int // static SIP ranks (nil in bodyOrder mode)
 	sink      func(unify.Subst, []posTuple) error
 	busy      bool // guards the evaluator's cached state against re-entry
+	// The seed's pinned positive subgoal (pinIdx < 0: none); see step.
+	pinIdx int
+	pin    Tuple
+	insert bool
 
 	// Scratch buffers for probe-key computation, reused across steps
 	// (tab.index copies cols when it materializes a new index). They
@@ -267,56 +262,65 @@ func (st *solveState) step(done uint64, n int, s unify.Subst, deferred []ast.Lit
 	// Positive relational subgoal: branch over matching tuples.
 	if i == st.deltaIdx {
 		for _, t := range st.delta.Items() {
-			st.ev.ScanOps++
-			ns, ok := unify.MatchArgsIn(st.arena, l.Args, t.Args, s)
-			if !ok {
-				continue
-			}
-			st.ev.JoinOps++
-			if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: t})); err != nil {
+			if err := st.match(i, t, done, n, s, deferred, used); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	// Exact-delta rule of a seeded solve (Counting needs it, the other
+	// modes tolerate it): the database already holds the change, and
+	// another occurrence of the pinned tuple's predicate ranges over the
+	// pre-change table when it precedes the pin in the body and over the
+	// post-change table when it follows. So on insertion an earlier
+	// occurrence passes over the pin, and on deletion a later one still
+	// examines it — last, after the surviving tuples, unless something
+	// re-inserted it meanwhile and the table walk already met it.
+	var without string
+	withPin := false
+	if st.pinIdx >= 0 && st.keys.body[i] == st.pin.Pred {
+		if st.insert && i < st.pinIdx {
+			without = st.pin.key
+		}
+		withPin = !st.insert && i > st.pinIdx
 	}
 	tab := st.db.tables[st.keys.body[i]]
-	if tab == nil {
-		return nil
+	if tab != nil {
+		if cols, key := st.boundCols(l.Args, s); len(cols) > 0 {
+			it := tab.index(cols).probe(key)
+			for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
+				if sl := tab.slots[si]; !sl.dead && sl.t.key != without {
+					if err := st.match(i, sl.t, done, n, s, deferred, used); err != nil {
+						return err
+					}
+				}
+			}
+		} else {
+			for _, sl := range tab.slots {
+				if !sl.dead && sl.t.key != without {
+					if err := st.match(i, sl.t, done, n, s, deferred, used); err != nil {
+						return err
+					}
+				}
+			}
+		}
 	}
-	if cols, key := st.boundCols(l.Args, s); len(cols) > 0 {
-		it := tab.index(cols).probe(key)
-		for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
-			sl := tab.slots[si]
-			if sl.dead {
-				continue
-			}
-			st.ev.ScanOps++
-			ns, ok := unify.MatchArgsIn(st.arena, l.Args, sl.t.Args, s)
-			if !ok {
-				continue
-			}
-			st.ev.JoinOps++
-			if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: sl.t})); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, sl := range tab.slots {
-		if sl.dead {
-			continue
-		}
-		st.ev.ScanOps++
-		ns, ok := unify.MatchArgsIn(st.arena, l.Args, sl.t.Args, s)
-		if !ok {
-			continue
-		}
-		st.ev.JoinOps++
-		if err := st.step(done|bit, n+1, ns, deferred, append(used, posTuple{pos: i, t: sl.t})); err != nil {
-			return err
-		}
+	if withPin && !st.db.Contains(st.pin) {
+		return st.match(i, st.pin, done, n, s, deferred, used)
 	}
 	return nil
+}
+
+// match tries t at positive subgoal i and, where it unifies, solves the
+// rest of the body under the extended substitution.
+func (st *solveState) match(i int, t Tuple, done uint64, n int, s unify.Subst, deferred []ast.Literal, used []posTuple) error {
+	st.ev.ScanOps++
+	ns, ok := unify.MatchArgsIn(st.arena, st.r.Body[i].Args, t.Args, s)
+	if !ok {
+		return nil
+	}
+	st.ev.JoinOps++
+	return st.step(done|1<<uint(i), n+1, ns, deferred, append(used, posTuple{pos: i, t: t}))
 }
 
 // next picks the body index to expand. Body-order mode takes the lowest
@@ -370,31 +374,13 @@ func (st *solveState) tableSize(i int) int {
 	return 0
 }
 
-// BoundCols returns the argument positions of args that are ground under
-// s (ascending) together with their joint index key, or (nil, "") when
-// none are.
-func BoundCols(args []ast.Term, s unify.Subst) ([]int, string) {
-	var cols []int
-	var vals []ast.Term
-	for j, a := range args {
-		v := s.Apply(a)
-		if v.Ground() {
-			cols = append(cols, j)
-			vals = append(vals, v)
-		}
-	}
-	if len(cols) == 0 {
-		return nil, ""
-	}
-	return cols, ArgKeyVals(vals)
-}
-
-// AppendBoundCols is BoundCols over caller-owned scratch: cols, key and
-// tmp are truncated and regrown in place, and returned so the caller can
-// keep the (possibly reallocated) backing. The node runtime probes its
-// window stores once per subgoal expansion, so this path must not
-// allocate; the returned cols and key bytes are valid until the buffers
-// are next passed in.
+// AppendBoundCols collects the argument positions of args that are ground
+// under s (ascending) and their joint index key into caller-owned
+// scratch: cols, key and tmp are truncated and regrown in place, and
+// returned so the caller can keep the (possibly reallocated) backing. The
+// node runtime probes its window stores once per subgoal expansion, so
+// this path must not allocate; the returned cols and key bytes are valid
+// until the buffers are next passed in.
 func AppendBoundCols(cols []int, key, tmp []byte, args []ast.Term, s unify.Subst) ([]int, []byte, []byte) {
 	cols, key = cols[:0], key[:0]
 	for j, a := range args {
@@ -407,9 +393,10 @@ func AppendBoundCols(cols []int, key, tmp []byte, args []ast.Term, s unify.Subst
 	return cols, key, tmp
 }
 
-// boundCols is BoundCols over the state's scratch buffers: both returned
-// slices are only valid until the next call (tab.index copies cols when
-// it needs to retain them; the key bytes feed an alloc-free map lookup).
+// boundCols is AppendBoundCols over the state's scratch buffers: both
+// returned slices are only valid until the next call (tab.index copies
+// cols when it needs to retain them; the key bytes feed an alloc-free
+// index probe).
 func (st *solveState) boundCols(args []ast.Term, s unify.Subst) ([]int, []byte) {
 	if st.colbuf == nil {
 		st.colbuf = st.colArr[:0]
@@ -470,9 +457,8 @@ func (st *solveState) tryLiteral(l ast.Literal, s unify.Subst) (bool, unify.Subs
 }
 
 // finish resolves remaining deferred literals (forcing = / is by
-// unification as a last resort) and records the solution. Used tuples
-// are sorted back into body order so derivation identities do not depend
-// on the expansion order chosen.
+// unification as a last resort) and hands the solution to the sink, its
+// used tuples still in expansion order (derivKey puts them in body order).
 func (st *solveState) finish(s unify.Subst, deferred []ast.Literal, used []posTuple) error {
 	for progress := true; progress && len(deferred) > 0; {
 		progress = false
@@ -510,10 +496,6 @@ func (st *solveState) finish(s unify.Subst, deferred []ast.Literal, used []posTu
 // multiset (which matters for floating-point sums) is independent of
 // the subgoal-ordering heuristic.
 func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
-	sols, err := e.solveBody(db, r, nil, -1, true)
-	if err != nil {
-		return err
-	}
 	type group struct {
 		groupArgs []ast.Term
 		values    [][]ast.Term // per aggregate position: multiset of values
@@ -525,13 +507,13 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			aggPositions = append(aggPositions, i)
 		}
 	}
-	for _, sol := range sols {
+	err := e.streamBodyIn(nil, db, r, nil, -1, true, nil, func(s unify.Subst, _ []posTuple) error {
 		gargs := make([]ast.Term, 0, len(r.Head.Args))
 		for i, a := range r.Head.Args {
 			if r.HeadAggs[i] != nil {
 				continue
 			}
-			v, err := e.opts.Registry.EvalTerm(a, sol.Subst)
+			v, err := e.opts.Registry.EvalTerm(a, s)
 			if err != nil {
 				return err
 			}
@@ -546,12 +528,16 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			groups[key] = g
 		}
 		for gi, pos := range aggPositions {
-			v, err := e.opts.Registry.EvalTerm(ast.Var(r.HeadAggs[pos].Var), sol.Subst)
+			v, err := e.opts.Registry.EvalTerm(ast.Var(r.HeadAggs[pos].Var), s)
 			if err != nil {
 				return err
 			}
 			g.values[gi] = append(g.values[gi], v)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -71,8 +72,7 @@ func (m *Maintainer) ProofTree(t Tuple) (*ProofTree, error) {
 	if !m.db.Contains(t) {
 		return nil, fmt.Errorf("eval: %s is not in the database", t)
 	}
-	byKey := m.tupleIndex()
-	return m.unfold(t, byKey, map[string]bool{})
+	return m.unfold(t, map[string]bool{})
 }
 
 // CheckLocallyNonRecursive unfolds every derived tuple; it returns an
@@ -82,33 +82,21 @@ func (m *Maintainer) CheckLocallyNonRecursive() error {
 	if m.mode != SetOfDerivations {
 		return fmt.Errorf("eval: the check requires SetOfDerivations mode")
 	}
-	byKey := m.tupleIndex()
 	for key := range m.derivations {
-		t, ok := byKey[key]
+		t, ok := m.db.lookup(key)
 		if !ok {
 			continue
 		}
-		if _, err := m.unfold(t, byKey, map[string]bool{}); err != nil {
+		if _, err := m.unfold(t, map[string]bool{}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tupleIndex maps tuple keys to tuples across the whole database.
-func (m *Maintainer) tupleIndex() map[string]Tuple {
-	idx := make(map[string]Tuple)
-	for _, pred := range m.db.Predicates() {
-		for _, t := range m.db.Tuples(pred) {
-			idx[t.Key()] = t
-		}
-	}
-	return idx
-}
-
 // unfold expands t's first derivation (in canonical order) recursively.
 // visiting guards against cycles along the current path.
-func (m *Maintainer) unfold(t Tuple, byKey map[string]Tuple, visiting map[string]bool) (*ProofTree, error) {
+func (m *Maintainer) unfold(t Tuple, visiting map[string]bool) (*ProofTree, error) {
 	key := t.Key()
 	if visiting[key] {
 		return nil, &ErrDerivationCycle{Tuple: t}
@@ -137,12 +125,12 @@ func (m *Maintainer) unfold(t Tuple, byKey map[string]Tuple, visiting map[string
 		node := &ProofTree{Tuple: t, RuleID: ruleID}
 		ok := true
 		for _, ck := range childKeys {
-			child, found := byKey[ck]
+			child, found := m.db.lookup(ck)
 			if !found {
 				ok = false
 				break
 			}
-			sub, err := m.unfold(child, byKey, visiting)
+			sub, err := m.unfold(child, visiting)
 			if err != nil {
 				if _, cyc := err.(*ErrDerivationCycle); cyc {
 					return nil, err
@@ -162,14 +150,11 @@ func (m *Maintainer) unfold(t Tuple, byKey map[string]Tuple, visiting map[string
 	return nil, lastErr
 }
 
-// parseDerivKey inverts Derivation.Key: "r<ID>" + sep-joined keys.
+// parseDerivKey inverts derivKey.
 func parseDerivKey(dk string) (int, []string, error) {
 	parts := strings.Split(dk, derivSep)
-	if len(parts) == 0 || !strings.HasPrefix(parts[0], "r") {
-		return 0, nil, fmt.Errorf("eval: malformed derivation key %q", dk)
-	}
-	var ruleID int
-	if _, err := fmt.Sscanf(parts[0], "r%d", &ruleID); err != nil {
+	ruleID, err := strconv.Atoi(strings.TrimPrefix(parts[0], "r"))
+	if err != nil || !strings.HasPrefix(parts[0], "r") {
 		return 0, nil, fmt.Errorf("eval: malformed derivation key %q", dk)
 	}
 	return ruleID, parts[1:], nil

@@ -104,3 +104,112 @@ func TestProofTreeThroughNegationRule(t *testing.T) {
 		t.Errorf("tree = \n%s", tree)
 	}
 }
+
+// A nullary head has the key "p/0|": nothing follows the separator that
+// lookup splits the predicate off at.
+func TestProofTreeNullaryHead(t *testing.T) {
+	m := newMaint(t, `
+p :- q(X).
+top(X) :- p, q(X).
+`, SetOfDerivations)
+	m.Insert(NewTuple("q", ast.Int64(1)))
+	p := Tuple{Pred: "p/0"}
+	if p.Key() != "p/0|" {
+		t.Fatalf("key = %q", p.Key())
+	}
+	tree, err := m.ProofTree(NewTuple("top", ast.Int64(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Children) != 2 || tree.Children[0].Tuple.Key() != "p/0|" ||
+		len(tree.Children[0].Children) != 1 || tree.Children[0].Children[0].Tuple.Name() != "q" {
+		t.Errorf("tree =\n%s", tree)
+	}
+	if err := m.CheckLocallyNonRecursive(); err != nil {
+		t.Error(err)
+	}
+}
+
+// Children are resolved through the tables' position maps, which a
+// compaction renumbers (it runs once 32 slots are dead and outnumber the
+// live ones): after 40 deletions the proof must find its child in the
+// slot it moved to.
+func TestProofTreeAfterCompaction(t *testing.T) {
+	m := newMaint(t, `d(X) :- s(X).`, SetOfDerivations)
+	s := func(i int64) Tuple { return NewTuple("s", ast.Int64(i)) }
+	for i := int64(0); i < 50; i++ {
+		m.Insert(s(i))
+	}
+	tab := m.db.tables["s/1"]
+	was := tab.pos[s(45).Key()]
+	for i := int64(0); i < 40; i++ {
+		m.Delete(s(i))
+	}
+	if now := tab.pos[s(45).Key()]; now == was {
+		t.Fatalf("table did not compact: s(45) still in slot %d of %d", now, len(tab.slots))
+	}
+	tree, err := m.ProofTree(NewTuple("d", ast.Int64(45)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Children) != 1 || !tree.Children[0].Tuple.Equal(s(45)) {
+		t.Errorf("tree =\n%s", tree)
+	}
+}
+
+// A derivation whose child is no longer stored cannot be unfolded: the
+// next derivation (in key order) is tried, and with none left the error
+// says so. The maintainer never leaves such a derivation behind, so the
+// test removes the children underneath it.
+func TestProofTreeSkipsDerivationWithMissingChild(t *testing.T) {
+	m := newMaint(t, `join(X) :- a(X), b(X, Y).`, SetOfDerivations)
+	b10 := NewTuple("b", ast.Int64(1), ast.Int64(10))
+	b20 := NewTuple("b", ast.Int64(1), ast.Int64(20))
+	m.Insert(NewTuple("a", ast.Int64(1)))
+	m.Insert(b10)
+	m.Insert(b20)
+	join := NewTuple("join", ast.Int64(1))
+
+	tree, err := m.ProofTree(join)
+	if err != nil || !tree.Children[1].Tuple.Equal(b10) {
+		t.Fatalf("first derivation should use b(1, 10): %v\n%s", err, tree)
+	}
+	m.db.Delete(b10)
+	tree, err = m.ProofTree(join)
+	if err != nil || !tree.Children[1].Tuple.Equal(b20) {
+		t.Fatalf("should fall through to the b(1, 20) derivation: %v\n%s", err, tree)
+	}
+	m.db.Delete(b20)
+	if _, err = m.ProofTree(join); err == nil || !strings.Contains(err.Error(), "no derivation of join(1) unfolds") {
+		t.Errorf("err = %v", err)
+	}
+}
+
+// ProofTree costs what the proof costs, not what the database holds: the
+// same tuple's tree allocates the same with 10,000 unrelated tuples
+// stored next to it.
+func TestProofTreeAllocsIndependentOfDatabaseSize(t *testing.T) {
+	measure := func(unrelated int) float64 {
+		m := newMaint(t, `
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+`, SetOfDerivations)
+		m.Insert(edge("a", "b"))
+		m.Insert(edge("b", "c"))
+		m.Insert(edge("c", "d"))
+		for i := 0; i < unrelated; i++ {
+			m.Insert(NewTuple("noise", ast.Int64(int64(i)), ast.Int64(int64(i))))
+		}
+		target := NewTuple("path", ast.Symbol("a"), ast.Symbol("d"))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := m.ProofTree(target); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(0), measure(10000)
+	t.Logf("ProofTree(path(a, d)): %.0f allocs with 0 unrelated tuples, %.0f with 10,000", small, large)
+	if small != large {
+		t.Errorf("ProofTree allocations depend on database size: %.0f vs %.0f", small, large)
+	}
+}

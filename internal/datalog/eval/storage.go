@@ -85,15 +85,6 @@ func hashKeyBytes(b []byte) uint64 {
 	return h
 }
 
-func hashKeyString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // add appends table slot si (which must exceed every slot already
 // present) under key hash h.
 func (ix *argIndex) add(h uint64, si int) {
@@ -144,15 +135,11 @@ type ixIter struct {
 	h  uint64
 }
 
-func (ix *argIndex) probeHash(h uint64) ixIter {
+// probe starts a walk over the slots whose indexed values have key k.
+func (ix *argIndex) probe(k []byte) ixIter {
+	h := hashKeyBytes(k)
 	return ixIter{ix: ix, e: ix.ht[2*(uint32(h)&ix.mask)], h: h}
 }
-
-// probe starts a walk over the slots whose indexed values have key k.
-func (ix *argIndex) probe(k []byte) ixIter { return ix.probeHash(hashKeyBytes(k)) }
-
-// probeString is probe for an already-materialized key string.
-func (ix *argIndex) probeString(k string) ixIter { return ix.probeHash(hashKeyString(k)) }
 
 // nextSlot returns the next candidate table slot in insertion order.
 func (it *ixIter) nextSlot() (int, bool) {

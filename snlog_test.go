@@ -394,3 +394,39 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 		t.Errorf("Inject bad node = %v", err)
 	}
 }
+
+// A rule body of 65 literals used to deploy and then spin forever in
+// Run (the node runtime's uint64 done-mask cannot mark literal 64); it is
+// now refused by the analysis. 64 literals deploy and derive what the
+// centralized evaluator derives.
+func TestDeployBodyLiteralLimit(t *testing.T) {
+	src := func(n int) string {
+		return ".base p/1.\nq(X) :- p(X)" + strings.Repeat(", X >= 0", n-1) + ".\n.query q/1.\n"
+	}
+	if _, err := Deploy(Grid(3), src(65), WithSeed(1)); err == nil || !strings.Contains(err.Error(), "analysis: rule 0 has 65 body literals (limit 64)") {
+		t.Fatalf("Deploy with a 65-literal rule: err = %v", err)
+	}
+
+	c, err := Deploy(Grid(3), src(64), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := []Tuple{NewTuple("p", Int(-3)), NewTuple("p", Int(3)), NewTuple("p", Int(7))}
+	for i, f := range facts {
+		c.Inject(i, f)
+	}
+	c.Run()
+	db, err := Eval(src(64), facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := c.Results("q/1"), db.Tuples("q/1")
+	if len(want) != 2 || len(got) != len(want) {
+		t.Fatalf("q = %v, centralized %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Errorf("q[%d] = %v, centralized %v", i, got[i], want[i])
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/unify"
 	"repro/internal/nsim"
+	"repro/internal/routing"
 )
 
 // TAG-style in-network aggregation (Section IV-C points at TAG [32] for
@@ -105,7 +106,7 @@ func (e *Engine) aggSlot() nsim.Time {
 
 // aggMaxDepth conservatively bounds the collection tree depth.
 func (e *Engine) aggMaxDepth() int {
-	minX, minY, maxX, maxY := boundsOf(e.nw)
+	minX, minY, maxX, maxY := routing.Bounds(e.nw)
 	return int(maxX-minX) + int(maxY-minY) + 4
 }
 

@@ -105,7 +105,7 @@ func (c *Config) fill(nw *nsim.Network) {
 			return ast.Symbol(fmt.Sprintf("n%d", n.ID))
 		}
 	}
-	minX, minY, maxX, maxY := boundsOf(nw)
+	minX, minY, maxX, maxY := routing.Bounds(nw)
 	diamHops := nsim.Time((maxX-minX)+(maxY-minY)) + 4
 	hop := nw.Config().MaxDelay
 	if c.TauS == 0 {
@@ -120,26 +120,6 @@ func (c *Config) fill(nw *nsim.Network) {
 	if c.FinalizeGap == 0 {
 		c.FinalizeGap = c.TauS + c.TauC + 4*hop
 	}
-}
-
-func boundsOf(nw *nsim.Network) (minX, minY, maxX, maxY float64) {
-	minX, minY = 1e18, 1e18
-	maxX, maxY = -1e18, -1e18
-	for _, n := range nw.Nodes() {
-		if n.X < minX {
-			minX = n.X
-		}
-		if n.Y < minY {
-			minY = n.Y
-		}
-		if n.X > maxX {
-			maxX = n.X
-		}
-		if n.Y > maxY {
-			maxY = n.Y
-		}
-	}
-	return
 }
 
 // ruleMode distinguishes hash-placed (GPA) rules from node-placement
@@ -369,7 +349,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 			cfg.CentroidRadius = 1.5 * nw.Config().Range
 			e.cfg.CentroidRadius = cfg.CentroidRadius
 		}
-		minX, minY, maxX, maxY := boundsOf(nw)
+		minX, minY, maxX, maxY := routing.Bounds(nw)
 		cx, cy := (minX+maxX)/2, (minY+maxY)/2
 		for _, n := range nw.Nodes() {
 			dx, dy := n.X-cx, n.Y-cy

@@ -559,7 +559,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 	if rt.e.cfg.Scheme == gpa.Centroid {
 		// Seek to the region center, then flood the region with a small
 		// TTL so every region node extends the pinned partials.
-		minX, minY, maxX, maxY := boundsOf(rt.e.nw)
+		minX, minY, maxX, maxY := routing.Bounds(rt.e.nw)
 		ttl := int(rt.e.cfg.CentroidRadius/rt.e.nw.Config().Range) + 2
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,

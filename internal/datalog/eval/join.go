@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
+	"repro/internal/agg"
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/unify"
@@ -191,16 +191,14 @@ type solveState struct {
 	pin    Tuple
 	insert bool
 
-	// Scratch buffers for probe-key computation, reused across steps
-	// (tab.index copies cols when it materializes a new index). They
-	// start out backed by the fixed arrays below and spill to the heap
-	// only for unusually wide literals or long keys.
+	// AppendBoundCols scratch, reused across steps (NewIndex copies cols
+	// when tab.index materializes a new index). The buffers start out
+	// backed by the fixed arrays below and spill to the heap only for
+	// unusually wide literals or long keys.
 	colbuf []int
-	valbuf []ast.Term
 	keybuf []byte
 	tmpbuf []byte
 	colArr [8]int
-	valArr [8]ast.Term
 	keyArr [64]byte
 	tmpArr [48]byte
 }
@@ -286,9 +284,13 @@ func (st *solveState) step(done uint64, n int, s unify.Subst, deferred []ast.Lit
 	}
 	tab := st.db.tables[st.keys.body[i]]
 	if tab != nil {
-		if cols, key := st.boundCols(l.Args, s); len(cols) > 0 {
-			it := tab.index(cols).probe(key)
-			for si, ok := it.nextSlot(); ok; si, ok = it.nextSlot() {
+		if st.colbuf == nil {
+			st.colbuf, st.keybuf, st.tmpbuf = st.colArr[:0], st.keyArr[:0], st.tmpArr[:0]
+		}
+		st.colbuf, st.keybuf, st.tmpbuf = AppendBoundCols(st.colbuf, st.keybuf, st.tmpbuf, l.Args, s)
+		if len(st.colbuf) > 0 {
+			it := tab.index(st.colbuf).Probe(st.keybuf)
+			for si, ok := it.Next(); ok; si, ok = it.Next() {
 				if sl := tab.slots[si]; !sl.dead && sl.t.key != without {
 					if err := st.match(i, sl.t, done, n, s, deferred, used); err != nil {
 						return err
@@ -393,40 +395,6 @@ func AppendBoundCols(cols []int, key, tmp []byte, args []ast.Term, s unify.Subst
 	return cols, key, tmp
 }
 
-// boundCols is AppendBoundCols over the state's scratch buffers: both
-// returned slices are only valid until the next call (tab.index copies
-// cols when it needs to retain them; the key bytes feed an alloc-free
-// index probe).
-func (st *solveState) boundCols(args []ast.Term, s unify.Subst) ([]int, []byte) {
-	if st.colbuf == nil {
-		st.colbuf = st.colArr[:0]
-		st.valbuf = st.valArr[:0]
-		st.keybuf = st.keyArr[:0]
-		st.tmpbuf = st.tmpArr[:0]
-	}
-	st.colbuf = st.colbuf[:0]
-	st.valbuf = st.valbuf[:0]
-	for j, a := range args {
-		v := s.Apply(a)
-		if v.Ground() {
-			st.colbuf = append(st.colbuf, j)
-			st.valbuf = append(st.valbuf, v)
-		}
-	}
-	if len(st.colbuf) == 0 {
-		return nil, nil
-	}
-	b, tmp := st.keybuf[:0], st.tmpbuf
-	for _, v := range st.valbuf {
-		tmp = v.AppendKey(tmp[:0])
-		b = strconv.AppendInt(b, int64(len(tmp)), 10)
-		b = append(b, ':')
-		b = append(b, tmp...)
-	}
-	st.keybuf, st.tmpbuf = b, tmp
-	return st.colbuf, b
-}
-
 var errNotReady = errors.New("eval: literal not ready")
 
 // tryLiteral evaluates a builtin or negated literal if its arguments are
@@ -498,7 +466,7 @@ func (st *solveState) finish(s unify.Subst, deferred []ast.Literal, used []posTu
 func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 	type group struct {
 		groupArgs []ast.Term
-		values    [][]ast.Term // per aggregate position: multiset of values
+		states    []*agg.State // per aggregate position: the fold so far
 	}
 	groups := make(map[string]*group)
 	aggPositions := []int{}
@@ -524,7 +492,14 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 		key := ArgKeyVals(gargs)
 		g := groups[key]
 		if g == nil {
-			g = &group{groupArgs: gargs, values: make([][]ast.Term, len(aggPositions))}
+			g = &group{groupArgs: gargs, states: make([]*agg.State, len(aggPositions))}
+			for gi, pos := range aggPositions {
+				st, err := agg.New(r.HeadAggs[pos].Func)
+				if err != nil {
+					return fmt.Errorf("eval: rule %d: %w", r.ID, err)
+				}
+				g.states[gi] = st
+			}
 			groups[key] = g
 		}
 		for gi, pos := range aggPositions {
@@ -532,7 +507,9 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			if err != nil {
 				return err
 			}
-			g.values[gi] = append(g.values[gi], v)
+			if err := g.states[gi].Add(v); err != nil {
+				return fmt.Errorf("eval: rule %d: %w", r.ID, err)
+			}
 		}
 		return nil
 	})
@@ -554,7 +531,7 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 				ai++
 				continue
 			}
-			v, err := aggregate(r.HeadAggs[i].Func, g.values[gi])
+			v, err := g.states[gi].Value()
 			if err != nil {
 				return fmt.Errorf("eval: rule %d: %w", r.ID, err)
 			}
@@ -564,63 +541,4 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 		db.Insert(Tuple{Pred: r.Head.PredKey(), Args: args})
 	}
 	return nil
-}
-
-// aggregate folds a multiset of values with the named aggregate function.
-func aggregate(fn string, list []ast.Term) (ast.Term, error) {
-	if fn == "count" {
-		return ast.Int64(int64(len(list))), nil
-	}
-	if len(list) == 0 {
-		return ast.Term{}, fmt.Errorf("aggregate %s over empty group", fn)
-	}
-	switch fn {
-	case "min", "max":
-		best := list[0]
-		bf, ok := best.Numeric()
-		if !ok {
-			// Fall back to structural order for non-numerics.
-			for _, v := range list[1:] {
-				c := v.Compare(best)
-				if (fn == "min" && c < 0) || (fn == "max" && c > 0) {
-					best = v
-				}
-			}
-			return best, nil
-		}
-		for _, v := range list[1:] {
-			vf, ok := v.Numeric()
-			if !ok {
-				return ast.Term{}, fmt.Errorf("aggregate %s: mixed numeric and non-numeric values", fn)
-			}
-			if (fn == "min" && vf < bf) || (fn == "max" && vf > bf) {
-				best, bf = v, vf
-			}
-		}
-		return best, nil
-	case "sum", "avg":
-		allInt := true
-		var fsum float64
-		var isum int64
-		for _, v := range list {
-			f, ok := v.Numeric()
-			if !ok {
-				return ast.Term{}, fmt.Errorf("aggregate %s: non-numeric value %s", fn, v)
-			}
-			fsum += f
-			if v.Kind == ast.KindInt {
-				isum += v.Int
-			} else {
-				allInt = false
-			}
-		}
-		if fn == "sum" {
-			if allInt {
-				return ast.Int64(isum), nil
-			}
-			return ast.Float64(fsum), nil
-		}
-		return ast.Float64(fsum / float64(len(list))), nil
-	}
-	return ast.Term{}, fmt.Errorf("unknown aggregate %q", fn)
 }

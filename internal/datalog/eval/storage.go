@@ -1,15 +1,16 @@
 package eval
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/datalog/ast"
 )
 
-// This file implements the indexed storage layer shared (in structure) by
-// the centralized evaluator and the distributed runtime's window store:
-// per-predicate tables kept in insertion order with lazily built hash
-// indexes on argument-position sets. Insertion order is the determinism
+// This file implements the centralized evaluator's storage layer and the
+// Index it shares with the distributed runtime's window store: both keep
+// per-predicate tables in insertion order with lazily built hash indexes
+// on argument-position sets. Insertion order is the determinism
 // backbone: a probe of an index yields a subsequence of the full
 // insertion-order scan, so the indexed join visits candidate tuples in
 // exactly the order the naive scan would — results and derivation sets
@@ -27,37 +28,22 @@ type table struct {
 	pos     map[string]int // tuple key -> slot index
 	slots   []slot
 	dead    int
-	indexes map[string]*argIndex // colSig -> index
-	kb, tb  []byte               // scratch for index-key maintenance
-	kbArr   [48]byte             // initial backing for kb
-	tbArr   [48]byte             // initial backing for tb
+	indexes []*Index // one per probed position set; a handful at most
 }
 
-// argKeyInto builds the bucket key of args at cols in the table's scratch
-// buffers and returns it (valid until the next call).
-func (tab *table) argKeyInto(args []ast.Term, cols []int) []byte {
-	if tab.kb == nil {
-		tab.kb = tab.kbArr[:0]
-		tab.tb = tab.tbArr[:0]
-	}
-	b := tab.kb[:0]
-	for _, c := range cols {
-		b, tab.tb = appendArgKey(b, tab.tb, args[c])
-	}
-	tab.kb = b
-	return b
-}
-
-// argIndex is a hash index over a set of argument positions. Instead of
-// a map of materialized key strings it keeps chained parallel arrays: a
-// probe hashes the joint length-prefixed key bytes of the bound values
-// and walks the chain of that hash bucket, yielding candidate slots in
-// ascending insertion order (entries append at the chain tail, so chains
-// stay sorted). The full 64-bit key hash stored per entry filters
-// cross-key collisions; the join re-verifies every candidate by term
-// matching anyway, so a surviving collision costs one extra match
-// attempt, never a wrong result.
-type argIndex struct {
+// Index is the hash index over a set of argument positions that both the
+// centralized tables and the window store's replica tables probe. Instead
+// of a map of materialized key strings it keeps chained parallel arrays:
+// a probe hashes the joint length-prefixed key bytes of the bound values
+// (AppendBoundCols, ArgKey) and walks the chain of that hash bucket,
+// yielding candidate slots in ascending insertion order (entries append
+// at the chain tail, so chains stay sorted). A slot is whatever position
+// the owning table files the tuple under. The full 64-bit key hash stored
+// per entry filters cross-key collisions; two keys with the same hash
+// share candidates, so callers re-verify every candidate by term matching
+// and a surviving collision costs one extra match attempt, never a wrong
+// result.
+type Index struct {
 	cols []int
 	mask uint32 // bucket count - 1; buckets sized to a power of two
 	// ht packs head and tail per hash bucket: ht[2b] is the first entry
@@ -68,7 +54,36 @@ type argIndex struct {
 	// each chain), ent[2e+1] the next entry in the same bucket (-1 end).
 	ent  []int32
 	hash []uint64 // entry -> full key hash
+	// Key scratch for Add, backed by the arrays until a key outgrows them.
+	kb, tb []byte
+	kbArr  [48]byte
+	tbArr  [32]byte
 }
+
+// NewIndex returns an empty index over the (ascending) positions cols,
+// sized for live entries. cols may alias a caller's scratch buffer; it
+// is copied.
+func NewIndex(cols []int, live int) *Index {
+	n := 16
+	for n < 2*live {
+		n *= 2
+	}
+	ix := &Index{
+		cols: append([]int(nil), cols...),
+		mask: uint32(n - 1),
+		ht:   make([]int32, 2*n),
+		ent:  make([]int32, 0, 2*live),
+		hash: make([]uint64, 0, live),
+	}
+	ix.kb, ix.tb = ix.kbArr[:0], ix.tbArr[:0]
+	for i := range ix.ht {
+		ix.ht[i] = -1
+	}
+	return ix
+}
+
+// On reports whether the index is over exactly the positions cols.
+func (ix *Index) On(cols []int) bool { return slices.Equal(ix.cols, cols) }
 
 // FNV-1a.
 const (
@@ -85,11 +100,17 @@ func hashKeyBytes(b []byte) uint64 {
 	return h
 }
 
-// add appends table slot si (which must exceed every slot already
-// present) under key hash h.
-func (ix *argIndex) add(h uint64, si int) {
+// Add files slot (which must exceed every slot already present) under
+// the joint key of args at the indexed positions.
+func (ix *Index) Add(args []ast.Term, slot int) {
+	k := ix.kb[:0]
+	for _, c := range ix.cols {
+		k, ix.tb = appendArgKey(k, ix.tb, args[c])
+	}
+	ix.kb = k
+	h := hashKeyBytes(k)
 	e := int32(len(ix.hash))
-	ix.ent = append(ix.ent, int32(si), -1)
+	ix.ent = append(ix.ent, int32(slot), -1)
 	ix.hash = append(ix.hash, h)
 	ix.link(e, h)
 	if len(ix.hash) > len(ix.ht) {
@@ -98,7 +119,7 @@ func (ix *argIndex) add(h uint64, si int) {
 }
 
 // link appends entry e to the tail of its hash bucket's chain.
-func (ix *argIndex) link(e int32, h uint64) {
+func (ix *Index) link(e int32, h uint64) {
 	b := 2 * (uint32(h) & ix.mask)
 	if t := ix.ht[b+1]; t >= 0 {
 		ix.ent[2*t+1] = e
@@ -111,7 +132,7 @@ func (ix *argIndex) link(e int32, h uint64) {
 // rehash doubles the bucket count, rebuilding chains. Entries are
 // re-linked in ascending entry order, which preserves the ascending
 // slot order within every chain.
-func (ix *argIndex) rehash() {
+func (ix *Index) rehash() {
 	n := len(ix.ht) // bucket count was n/2; double it
 	for n < len(ix.hash) {
 		n *= 2
@@ -127,22 +148,24 @@ func (ix *argIndex) rehash() {
 	}
 }
 
-// ixIter walks the candidate slots of one probe; value type, no
+// IndexIter walks the candidate slots of one probe; value type, no
 // allocation.
-type ixIter struct {
-	ix *argIndex
+type IndexIter struct {
+	ix *Index
 	e  int32
 	h  uint64
 }
 
-// probe starts a walk over the slots whose indexed values have key k.
-func (ix *argIndex) probe(k []byte) ixIter {
-	h := hashKeyBytes(k)
-	return ixIter{ix: ix, e: ix.ht[2*(uint32(h)&ix.mask)], h: h}
+// Probe starts a walk over the slots filed under key (the encoding of
+// ArgKey and AppendBoundCols), plus those of any other key with the same
+// 64-bit hash.
+func (ix *Index) Probe(key []byte) IndexIter {
+	h := hashKeyBytes(key)
+	return IndexIter{ix: ix, e: ix.ht[2*(uint32(h)&ix.mask)], h: h}
 }
 
-// nextSlot returns the next candidate table slot in insertion order.
-func (it *ixIter) nextSlot() (int, bool) {
+// Next returns the next candidate slot in insertion order.
+func (it *IndexIter) Next() (int, bool) {
 	for it.e >= 0 {
 		e := it.e
 		it.e = it.ix.ent[2*e+1]
@@ -176,8 +199,7 @@ func (tab *table) insertNew(t Tuple) {
 	tab.pos[t.Key()] = len(tab.slots)
 	tab.slots = append(tab.slots, slot{t: t})
 	for _, ix := range tab.indexes {
-		bk := tab.argKeyInto(t.Args, ix.cols)
-		ix.add(hashKeyBytes(bk), len(tab.slots)-1)
+		ix.Add(t.Args, len(tab.slots)-1)
 	}
 }
 
@@ -216,66 +238,20 @@ func (tab *table) compact() {
 }
 
 // index returns the (lazily built) index over cols.
-func (tab *table) index(cols []int) *argIndex {
-	sig := colSig(cols)
-	ix := tab.indexes[sig]
-	if ix == nil {
-		live := tab.live()
-		n := 16
-		for n < 2*live {
-			n *= 2
+func (tab *table) index(cols []int) *Index {
+	for _, ix := range tab.indexes {
+		if ix.On(cols) {
+			return ix
 		}
-		ix = &argIndex{
-			// cols may alias a caller's scratch buffer; copy to retain.
-			cols: append([]int(nil), cols...),
-			mask: uint32(n - 1),
-			ht:   make([]int32, 2*n),
-			ent:  make([]int32, 0, 2*live),
-			hash: make([]uint64, 0, live),
-		}
-		for i := range ix.ht {
-			ix.ht[i] = -1
-		}
-		for i, sl := range tab.slots {
-			if sl.dead {
-				continue
-			}
-			bk := tab.argKeyInto(sl.t.Args, ix.cols)
-			ix.add(hashKeyBytes(bk), i)
-		}
-		if tab.indexes == nil {
-			tab.indexes = make(map[string]*argIndex)
-		}
-		tab.indexes[sig] = ix
 	}
+	ix := NewIndex(cols, tab.live())
+	for i, sl := range tab.slots {
+		if !sl.dead {
+			ix.Add(sl.t.Args, i)
+		}
+	}
+	tab.indexes = append(tab.indexes, ix)
 	return ix
-}
-
-// smallColSigs interns the signatures of the common single-position
-// indexes so a probe does not allocate just to find its index.
-var smallColSigs = [...]string{
-	"0", "1", "2", "3", "4", "5", "6", "7",
-	"8", "9", "10", "11", "12", "13", "14", "15",
-}
-
-// ColSig returns the interned index-map signature of a position set; the
-// window store uses it so its per-predicate index maps share the eval
-// layer's (allocation-free for single-position sets) naming scheme.
-func ColSig(cols []int) string { return colSig(cols) }
-
-// colSig is the index-map key for a (sorted) position set.
-func colSig(cols []int) string {
-	if len(cols) == 1 && cols[0] >= 0 && cols[0] < len(smallColSigs) {
-		return smallColSigs[cols[0]]
-	}
-	b := make([]byte, 0, 4*len(cols))
-	for i, c := range cols {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(c), 10)
-	}
-	return string(b)
 }
 
 // appendArgKey appends one length-prefixed term key to b, using tmp as

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -146,5 +147,78 @@ hot(R, max<T>) :- reading(R, S, T), T > 10.
 		if want := NewTuple("hot", ast.Symbol(room), ast.Float64(max)); !db.Contains(want) {
 			t.Errorf("missing %v in %v", want, db.Tuples("hot/2"))
 		}
+	}
+}
+
+// TestIndexProbeOrder drives the shared index alone: a probe yields the
+// slots filed under its key, ascending, and that survives the growth
+// from the 16 buckets an empty index starts with through several
+// rehashes.
+func TestIndexProbeOrder(t *testing.T) {
+	cols := []int{0, 2}
+	ix := NewIndex(cols, 0)
+	if !ix.On(cols) || ix.On([]int{0}) || ix.On([]int{0, 1}) {
+		t.Fatalf("On(%v) compares position sets wrongly", cols)
+	}
+	const n = 500
+	want := map[string][]int{}
+	for slot := 0; slot < n; slot++ {
+		args := []ast.Term{ast.Int64(int64(slot % 7)), ast.Int64(int64(slot)), ast.Symbol(fmt.Sprintf("s%d", slot%5))}
+		ix.Add(args, slot)
+		k := ArgKey(args, cols)
+		want[k] = append(want[k], slot)
+	}
+	for k, slots := range want {
+		var got []int
+		it := ix.Probe([]byte(k))
+		for si, ok := it.Next(); ok; si, ok = it.Next() {
+			got = append(got, si)
+		}
+		if !slices.Equal(got, slots) {
+			t.Fatalf("Probe(%q) = %v, want %v", k, got, slots)
+		}
+	}
+	it := ix.Probe([]byte(ArgKey([]ast.Term{ast.Int64(9), ast.Int64(0), ast.Symbol("s0")}, cols)))
+	if si, ok := it.Next(); ok {
+		t.Fatalf("probe of an absent key yields slot %d", si)
+	}
+}
+
+var slotSink int
+
+// TestIndexAllocs pins what the index costs a centralized table. A build
+// allocates the index, its copy of the positions, the three arrays and
+// the table's list of indexes — the same handful at 16 and at 256 live
+// tuples, because nothing is materialized per tuple. Finding a built
+// two-position index (no signature is rendered to look it up) and
+// probing it allocate nothing.
+func TestIndexAllocs(t *testing.T) {
+	cols := []int{0, 2}
+	fill := func(n int) *table {
+		tab := newTable()
+		for i := 0; i < n; i++ {
+			tab.insert(NewTuple("p", ast.Int64(int64(i%7)), ast.Int64(int64(i)), ast.Int64(int64(i%5))))
+		}
+		return tab
+	}
+	build := func(tab *table) float64 {
+		return testing.AllocsPerRun(20, func() {
+			tab.indexes = nil
+			tab.index(cols)
+		})
+	}
+	tab := fill(256)
+	small, large := build(fill(16)), build(tab)
+	if small != large || large > 6 {
+		t.Errorf("building an index allocates %v objects over 16 tuples and %v over 256, want the same and <= 6", small, large)
+	}
+	key := []byte(ArgKey(tab.slots[40].t.Args, cols))
+	if n := testing.AllocsPerRun(100, func() {
+		it := tab.index(cols).Probe(key)
+		for si, ok := it.Next(); ok; si, ok = it.Next() {
+			slotSink += si
+		}
+	}); n != 0 {
+		t.Errorf("index lookup + probe allocates %v times, want 0", n)
 	}
 }

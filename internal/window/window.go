@@ -6,12 +6,13 @@
 // its generation stamp precedes τ, lies within the window range of τ, and
 // it carries no deletion stamp preceding τ.
 //
-// Storage mirrors the centralized evaluator's indexed layer: entries are
-// kept per predicate in insertion order (deterministic in the simulator)
-// with lazily built hash indexes on argument-position sets, so rule
-// firing probes the matching bucket instead of scanning every visible
-// replica. An index bucket is an insertion-order subsequence of the full
-// scan, so a probe and a scan see candidates in the same order.
+// Storage mirrors the centralized evaluator's indexed layer and shares its
+// index (eval.Index): entries are kept per predicate in insertion order
+// (deterministic in the simulator) with lazily built hash indexes on
+// argument-position sets, so rule firing probes the matching chain
+// instead of scanning every visible replica. A probe yields an
+// insertion-order subsequence of the full scan, so a probe and a scan see
+// candidates in the same order.
 //
 // Expiry costs what expires: every entry is also threaded on a list
 // ordered by generation time, so reclaiming pops the due entries off the
@@ -86,6 +87,10 @@ type Entry struct {
 
 	Deleted bool
 	gone    bool // expired; awaiting compaction
+	// tomb marks a payload-less deletion record (MarkDeleted of an unknown
+	// ID). A flag and not Args == nil: a nullary fact has no arguments
+	// either, and it must join.
+	tomb bool
 }
 
 // VisibleAt reports whether the entry participates in the join
@@ -110,10 +115,14 @@ func (e *Entry) VisibleAt(tau Stamp, w int64) bool {
 // entry, tombstones included, is on the oldest..newest list in ID.TS
 // order, so the entries past a retention are a prefix of it.
 type predTable struct {
-	byID    map[Stamp]*Entry // Stamp is comparable, so no key string is built
-	order   []*Entry
-	gone    int
-	indexes map[string]*storeIndex
+	byID  map[Stamp]*Entry // Stamp is comparable, so no key string is built
+	order []*Entry
+	gone  int
+	// indexes file entries by their position in order, one index per
+	// probed position set. Visibility and deletion stamps are re-checked
+	// at probe time, so an index never needs updating when an entry is
+	// marked deleted or expires; compaction renumbers order and drops them.
+	indexes []*eval.Index
 
 	oldest, newest *Entry
 	// retention is the declared replica lifetime (SetRetention); 0 when
@@ -124,9 +133,9 @@ type predTable struct {
 	// O(log k) allocations instead of k. Chunks grow geometrically from
 	// small, since sensor-node tables often hold only a few replicas.
 	// Slots never leave the table: an expired one goes on the free list
-	// once nothing in order or an index bucket points at it, and newEntry
-	// takes from there first, so a sliding window in steady state
-	// allocates nothing.
+	// once order (which the indexes number into) no longer holds it, and
+	// newEntry takes from there first, so a sliding window in steady
+	// state allocates nothing.
 	slab      []Entry
 	slabChunk int
 	free      *Entry
@@ -159,15 +168,6 @@ func (tab *predTable) recycle(e *Entry) {
 	tab.free = e
 }
 
-// storeIndex hashes entries by the joint key of a set of argument
-// positions; buckets preserve insertion order. Visibility and deletion
-// stamps are re-checked at probe time, so buckets never need updating
-// when an entry is marked deleted.
-type storeIndex struct {
-	cols    []int
-	buckets map[string][]*Entry
-}
-
 // add files a new entry under its stamp, on the generation-time list,
 // and — unless it is a tombstone — in insertion order and every index.
 func (tab *predTable) add(e *Entry) {
@@ -189,40 +189,36 @@ func (tab *predTable) add(e *Entry) {
 	} else {
 		e.newer.older = e
 	}
-	if e.Args == nil {
-		return // tombstone: identity only
+	if e.tomb {
+		return // identity only
 	}
 	tab.order = append(tab.order, e)
 	for _, ix := range tab.indexes {
-		bk := eval.ArgKey(e.Args, ix.cols)
-		ix.buckets[bk] = append(ix.buckets[bk], e)
+		ix.Add(e.Args, len(tab.order)-1)
 	}
 }
 
-func (tab *predTable) index(cols []int) *storeIndex {
-	sig := eval.ColSig(cols)
-	ix := tab.indexes[sig]
-	if ix == nil {
-		ix = &storeIndex{cols: append([]int(nil), cols...), buckets: make(map[string][]*Entry)}
-		for _, e := range tab.order {
-			if e.gone {
-				continue
-			}
-			bk := eval.ArgKey(e.Args, ix.cols)
-			ix.buckets[bk] = append(ix.buckets[bk], e)
+// index returns the (lazily built) index over cols.
+func (tab *predTable) index(cols []int) *eval.Index {
+	for _, ix := range tab.indexes {
+		if ix.On(cols) {
+			return ix
 		}
-		if tab.indexes == nil {
-			tab.indexes = make(map[string]*storeIndex)
-		}
-		tab.indexes[sig] = ix
 	}
+	ix := eval.NewIndex(cols, len(tab.order)-tab.gone)
+	for i, e := range tab.order {
+		if !e.gone {
+			ix.Add(e.Args, i)
+		}
+	}
+	tab.indexes = append(tab.indexes, ix)
 	return ix
 }
 
 // expire reclaims the entries with nowLocal - ID.TS > retention: a
 // prefix of the generation-time list. Tombstones are recycled at once;
-// replicas are flagged gone and wait in order and the index buckets for
-// the compaction that keeps the dead below the living.
+// replicas are flagged gone and wait in order, still numbered by the
+// indexes, for the compaction that keeps the dead below the living.
 func (tab *predTable) expire(nowLocal, retention int64) int {
 	n := 0
 	for e := tab.oldest; e != nil && nowLocal-e.ID.TS > retention; e = tab.oldest {
@@ -233,7 +229,7 @@ func (tab *predTable) expire(nowLocal, retention int64) int {
 			e.newer.older = nil
 		}
 		delete(tab.byID, e.ID)
-		if e.Args == nil {
+		if e.tomb {
 			tab.recycle(e)
 		} else {
 			e.gone = true
@@ -247,9 +243,9 @@ func (tab *predTable) expire(nowLocal, retention int64) int {
 	return n
 }
 
-// compact drops expired entries from order (preserving relative order),
-// discards indexes for lazy rebuild, and only then — nothing points at
-// them any more — recycles their slots.
+// compact drops expired entries from order (preserving relative order)
+// and recycles their slots; the indexes number into the old order, so
+// they are discarded for lazy rebuild.
 func (tab *predTable) compact() {
 	live := tab.order[:0]
 	for _, e := range tab.order {
@@ -350,7 +346,7 @@ func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
 	e, ok := tab.byID[id]
 	if !ok {
 		e = tab.newEntry()
-		e.ID = id
+		e.ID, e.tomb = id, true
 		s.add(tab, e)
 	}
 	if !e.Deleted || del.Less(e.Del) {
@@ -367,14 +363,17 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 
 // VisibleMatch appends to out the visible entries of predKey whose
 // argument values at positions cols have joint key key (per eval.ArgKey,
-// passed as raw bytes so the bucket probe does not materialize a
-// string). It probes the (lazily built) position index unless no
-// positions are bound or the table is below indexMinTable; the result is
-// always an insertion-order subsequence of Visible, so callers behave
-// identically either way. out is caller-owned scratch — reusing it
-// across probes is what keeps the per-expansion lookup allocation-free.
-// The entries are valid until the next mutating call (Insert,
-// MarkDeleted, ExpirePred, ExpireDue): expired slots are recycled.
+// passed as raw bytes: the probe hashes them and materializes nothing).
+// It probes the (lazily built) position index unless no positions are
+// bound or the table is below indexMinTable; the result is always an
+// insertion-order subsequence of Visible, so callers behave identically
+// either way. A probe compares 64-bit key hashes, not keys, so on a hash
+// collision the result is a superset of the matching entries (and a scan
+// returns every visible entry): callers re-match each entry against
+// their literal. out is caller-owned scratch — reusing it across probes
+// is what keeps the per-expansion lookup allocation-free. The entries
+// are valid until the next mutating call (Insert, MarkDeleted,
+// ExpirePred, ExpireDue): expired slots are recycled.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
 	tab := s.preds[predKey]
 	if tab == nil {
@@ -388,8 +387,9 @@ func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key
 		}
 		return out
 	}
-	for _, e := range tab.index(cols).buckets[string(key)] {
-		if !e.gone && e.VisibleAt(tau, w) {
+	it := tab.index(cols).Probe(key)
+	for i, ok := it.Next(); ok; i, ok = it.Next() {
+		if e := tab.order[i]; !e.gone && e.VisibleAt(tau, w) {
 			out = append(out, e)
 		}
 	}

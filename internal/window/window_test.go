@@ -113,6 +113,42 @@ func TestDeletionTombstoneBeforeInsert(t *testing.T) {
 	}
 }
 
+// TestNullaryReplicaIsVisible: a fact of a 0-ary predicate has no
+// arguments (NewTuple("alarm") leaves Args nil), which is also what a
+// tombstone looks like; only the tombstone is invisible.
+func TestNullaryReplicaIsVisible(t *testing.T) {
+	s := NewStore()
+	alarm := eval.NewTuple("alarm")
+	if alarm.Args != nil {
+		t.Fatalf("fixture: NewTuple with no arguments has Args %v, want nil", alarm.Args)
+	}
+	gen, tau := Stamp{TS: 10, Node: 1, Seq: 1}, Stamp{TS: 20, Node: 2}
+	if !s.Insert(alarm, gen) {
+		t.Fatal("nullary insert refused")
+	}
+	if got := s.Visible("alarm/0", tau, 0); len(got) != 1 || got[0].ID != gen {
+		t.Fatalf("Visible = %v, want the nullary replica", got)
+	}
+	if got := s.All("alarm/0"); len(got) != 1 {
+		t.Fatalf("All = %v, want the nullary replica", got)
+	}
+	// A deletion that arrives first still wins, whatever the arity.
+	early := Stamp{TS: 11, Node: 1, Seq: 2}
+	s.MarkDeleted("alarm/0", early, Stamp{TS: 12, Node: 1, Seq: 3})
+	if s.Insert(alarm, early) {
+		t.Error("insert over a tombstone reported new")
+	}
+	if got := s.Visible("alarm/0", tau, 0); len(got) != 1 || got[0].ID != gen {
+		t.Errorf("Visible = %v after a tombstone-first ID, want only %v", got, gen)
+	}
+	// Expiry reclaims both; the replica waits in order for compaction,
+	// the tombstone does not.
+	if n := s.ExpirePred("alarm/0", 100, 10); n != 2 || s.Count("alarm/0") != 0 {
+		t.Errorf("expired %d, %d left; want 2 and 0", n, s.Count("alarm/0"))
+	}
+	checkTable(t, s.preds["alarm/0"])
+}
+
 func TestExpiry(t *testing.T) {
 	s := NewStore()
 	s.Insert(tup(1), Stamp{TS: 10, Node: 1, Seq: 1})
@@ -361,7 +397,7 @@ func checkTable(t *testing.T, tab *predTable) {
 		t.Fatalf("gone = %d, counted %d of %d in order", tab.gone, gone, len(tab.order))
 	}
 	for e := tab.free; e != nil; e = e.newer {
-		if e.Args != nil || e.older != nil || e.gone || e.Deleted || e.ID != (Stamp{}) {
+		if e.Args != nil || e.older != nil || e.gone || e.tomb || e.Deleted || e.ID != (Stamp{}) {
 			t.Fatalf("free slot not zeroed: %+v", *e)
 		}
 	}
@@ -564,6 +600,67 @@ func TestExpirySteadyStateAllocs(t *testing.T) {
 	}
 	if s.Count("s/1") != before {
 		t.Errorf("steady state drifted: %d entries, was %d", s.Count("s/1"), before)
+	}
+}
+
+// TestIndexedStoreAllocs pins what the shared index costs a replica
+// table: nothing per replica. A build allocates the index, its copy of
+// the positions, its three arrays and the table's list of indexes — the
+// same handful at 16 and at 256 live replicas. A two-position probe
+// allocates nothing, and neither does an insert into a table with two
+// indexes beyond the amortized growth of the slab and the arrays it
+// appends to, which AllocsPerRun's integer average rounds away; one key
+// string per index per insert would read 2.
+func TestIndexedStoreAllocs(t *testing.T) {
+	cols := []int{0, 1}
+	pair := func(i int) eval.Tuple {
+		return eval.NewTuple("p", ast.Int64(int64(i%7)), ast.Int64(int64(i%5)))
+	}
+	fill := func(n int) *Store {
+		s := NewStore()
+		for i := 0; i < n; i++ {
+			s.Insert(pair(i), Stamp{TS: int64(i), Node: 1, Seq: int64(i)})
+		}
+		return s
+	}
+	build := func(s *Store) float64 {
+		tab := s.preds["p/2"]
+		return testing.AllocsPerRun(20, func() {
+			tab.indexes = nil
+			tab.index(cols)
+		})
+	}
+	s := fill(256)
+	small, large := build(fill(16)), build(s)
+	if small != large || large > 6 {
+		t.Errorf("building an index allocates %v objects over 16 replicas and %v over 256, want the same and <= 6", small, large)
+	}
+	tau := Stamp{TS: 1 << 20, Node: 2}
+	key := []byte(eval.ArgKey(pair(3).Args, cols))
+	var out []*Entry
+	out = s.VisibleMatch("p/2", tau, 0, cols, key, out[:0])
+	if len(out) == 0 || len(out) == 256 {
+		t.Fatalf("fixture: the probe returned %d of 256 replicas", len(out))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		out = s.VisibleMatch("p/2", tau, 0, cols, key, out[:0])
+	}); n != 0 {
+		t.Errorf("a two-position probe allocates %v times, want 0", n)
+	}
+	s.VisibleMatch("p/2", tau, 0, []int{0}, key, out[:0]) // a second index to maintain
+	tuples := make([]eval.Tuple, 101)                     // AllocsPerRun warms up with one extra call
+	for i := range tuples {
+		tuples[i] = pair(i)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.Insert(tuples[next], Stamp{TS: int64(1000 + next), Node: 1, Seq: int64(next)})
+		next++
+	}); n != 0 {
+		t.Errorf("an insert into an indexed table allocates %v times, want 0", n)
+	}
+	if got := len(s.preds["p/2"].indexes); got != 2 {
+		t.Errorf("table has %d indexes, want 2", got)
 	}
 }
 

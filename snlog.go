@@ -187,9 +187,10 @@ func MagicRewrite(src, query string) (string, string, error) {
 	return tr.Program.String(), tr.AnswerPred, nil
 }
 
-// Options configures a deployment. Prefer the functional options
-// (WithScheme, WithLoss, ...) with Deploy; the struct remains exported
-// for the deprecated positional constructors.
+// Options configures a deployment. Deploy builds one from the functional
+// options it is passed (WithScheme, WithLoss, ...); the struct is exported
+// because an Option is a function over it, so callers can write their
+// own.
 type Options struct {
 	// Scheme is the GPA join scheme (default Perpendicular).
 	Scheme Scheme

@@ -430,3 +430,88 @@ func TestDeployBodyLiteralLimit(t *testing.T) {
 		}
 	}
 }
+
+// A fact of a 0-ary predicate joins in the network as it does in the
+// centralized evaluator. Its tuple has no argument slice, which the
+// window store used to read as "deletion tombstone": the replica was
+// stored but visible to no join, and top/1 came out empty.
+func TestDeployNullaryBaseFact(t *testing.T) {
+	const src = `
+.base q/1.
+.base alarm/0.
+top(X) :- alarm, q(X).
+.query top/1.
+`
+	c, err := Deploy(Grid(6), src, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := []Tuple{NewTuple("alarm"), NewTuple("q", Int(1)), NewTuple("q", Int(2)), NewTuple("q", Int(3))}
+	for i, f := range facts {
+		if err := c.Inject(i*7, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run()
+	db, err := Eval(src, facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := c.Results("top/1"), db.Tuples("top/1")
+	if len(want) != 3 || len(got) != len(want) {
+		t.Fatalf("top = %v, centralized %v", got, want)
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Errorf("top[%d] = %v, centralized %v", i, got[i], want[i])
+		}
+	}
+}
+
+// min and max over a group that mixes numbers with other constants have
+// one rule, agg.State's: numbers order by value and before everything
+// else, the rest structurally. The centralized evaluator used to have a
+// fold of its own that refused such a group when a number came first and
+// ordered it structurally otherwise; now it and the in-network TAG
+// collection run the same fold, in any arrival order.
+func TestMixedTypeMinMaxOneRule(t *testing.T) {
+	const src = `
+.base obs/2.
+lo(min<V>) :- obs(S, V).
+hi(max<V>) :- obs(S, V).
+`
+	values := []Term{Int(3), Sym("abc"), Flt(1.5), Str("zz"), Int(7)}
+	wantLo, wantHi := NewTuple("lo", Flt(1.5)), NewTuple("hi", Sym("abc"))
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {1, 3, 0, 2, 4}, {4, 3, 2, 1, 0}} {
+		c, err := Deploy(Grid(5), src, WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var facts []Tuple
+		for at, i := range order {
+			f := NewTuple("obs", NodeSym(i*6), values[i])
+			facts = append(facts, f)
+			if err := c.InjectAt(int64(at*3), i*6, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := Eval(src, facts)
+		if err != nil {
+			t.Fatalf("order %v: centralized: %v", order, err)
+		}
+		for _, pred := range []string{"lo/1", "hi/1"} {
+			if err := c.CollectAggregate(2000, pred, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Run()
+		for _, w := range []Tuple{wantLo, wantHi} {
+			if got := db.Tuples(w.Pred); len(got) != 1 || !got[0].Equal(w) {
+				t.Errorf("order %v: centralized %s = %v, want %v", order, w.Pred, got, w)
+			}
+			if got := c.AggregateResult(w.Pred); len(got) != 1 || !got[0].Equal(w) {
+				t.Errorf("order %v: in-network %s = %v, want %v", order, w.Pred, got, w)
+			}
+		}
+	}
+}

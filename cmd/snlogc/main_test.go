@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -58,9 +59,10 @@ func captureStdout(t *testing.T, f func()) string {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
-		buf := make([]byte, 1<<16)
-		n, _ := r.Read(buf)
-		done <- string(buf[:n])
+		// Everything up to w.Close: a single Read returns after the first
+		// line when it runs between two of report's writes.
+		b, _ := io.ReadAll(r)
+		done <- string(b)
 	}()
 	f()
 	w.Close()

@@ -40,7 +40,11 @@ type GenProgram struct {
 // second stratum cascading off the join, builtin selection, a
 // two-rule union (multiple derivations per tuple), negation over a
 // base stream, negation over a derived stream (stamp-ordered
-// retraction triggers), and recursive closure over a DAG.
+// retraction triggers), and recursive closure over a DAG. Four more aim
+// at the node runtime's slot matcher: a three-stream join (two orders
+// reach each result, so saturate's dedup runs), a variable repeated
+// within one literal, a head argument bound by `=` arithmetic, and a
+// compound head destructured by a second rule.
 const (
 	shapeChain = iota
 	shapeSelect
@@ -49,6 +53,14 @@ const (
 	shapeNegDerived
 	shapeRecursion
 	numShapes
+)
+
+// The matcher shapes, numbered after the sampled ones.
+const (
+	shapeThreeStream = numShapes + iota
+	shapeRepeatedVar
+	shapeArithHead
+	shapeCompound
 )
 
 // Generate builds a random stratified program: the join rule
@@ -69,7 +81,16 @@ func Generate(r *rand.Rand) *GenProgram {
 
 	needB2, needE0 := false, false
 	perm := r.Perm(numShapes)
-	for _, shape := range perm[:1+r.Intn(2)] {
+	shapes := perm[:1+r.Intn(2)]
+	// Two seeds in three also get a matcher shape. It is read off the
+	// permutation's unused tail and uses only b0 and b1, so it costs no
+	// draw: a seed's sampled shapes, workload and fault schedule are the
+	// ones it had before these shapes existed (-seed N still replays the
+	// run it named), and only the added rule's traffic is new.
+	if extra := numShapes + perm[numShapes-1]; extra <= shapeCompound {
+		shapes = append(shapes, extra)
+	}
+	for _, shape := range shapes {
 		switch shape {
 		case shapeChain:
 			needB2 = true
@@ -92,6 +113,18 @@ func Generate(r *rand.Rand) *GenProgram {
 			needE0 = true
 			rules.WriteString("d7(X, Y) :- e0(X, Y).\nd7(X, Z) :- d7(X, Y), e0(Y, Z).\n")
 			g.Deriveds = append(g.Deriveds, "d7/2")
+		case shapeThreeStream:
+			rules.WriteString("d8(X, W) :- b0(X, Y), b1(Y, Z), d1(Z, W).\n")
+			g.Deriveds = append(g.Deriveds, "d8/2")
+		case shapeRepeatedVar:
+			rules.WriteString("d9(X, Y) :- b0(X, X), b1(X, Y).\n")
+			g.Deriveds = append(g.Deriveds, "d9/2")
+		case shapeArithHead:
+			rules.WriteString("d10(X, S) :- b0(X, Y), S = X + Y.\n")
+			g.Deriveds = append(g.Deriveds, "d10/2")
+		case shapeCompound:
+			rules.WriteString("d11(pr(X, Y)) :- b0(X, Y).\nd12(X, Z) :- d11(pr(X, Y)), b1(Y, Z).\n")
+			g.Deriveds = append(g.Deriveds, "d11/1", "d12/2")
 		}
 	}
 	if needB2 {

@@ -29,6 +29,7 @@ import (
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/eval"
+	"repro/internal/datalog/unify"
 	"repro/internal/ghash"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
@@ -131,9 +132,13 @@ const (
 	localMode
 )
 
-// compiledRule is the per-rule execution plan.
+// compiledRule is the per-rule execution plan. The rule is compiled once
+// to variable slots: a partial result carries a register file of nvars
+// terms, and every literal, built-in and head argument addresses it by
+// slot (DESIGN.md, "The node-runtime join").
 type compiledRule struct {
-	rule   *ast.Rule
+	rule   *ast.Rule // variables numbered (ast.Rule.NumberVars): a Var's Int is its register
+	nvars  int
 	mode   ruleMode
 	posIdx []int // positive relational body indices, in order
 	negIdx []int
@@ -141,6 +146,24 @@ type compiledRule struct {
 	// head's XY component (checked at finalize against live state rather
 	// than by stamp order).
 	negSameStage []bool
+	lits         []compiledLit // by body index
+	posMask      uint64        // body indices of the positive subgoals
+	opMask       uint64        // body indices of the built-ins
+	headPred     string
+	// headPat is the head as a pattern over a settled tuple: arguments the
+	// registry evaluates (D + 1) cannot be matched back, so they are
+	// wildcards. liveNegMatch rebinds the negated variables through it.
+	headPat []ast.Term
+}
+
+// compiledLit is what a probe or a built-in evaluation needs of body
+// literal i, worked out once.
+type compiledLit struct {
+	pred string     // predicate key ("" for a built-in)
+	win  int64      // its window range
+	ord  int        // ordinal among the positive subgoals: the partial's stamp index
+	vars uint64     // slots a relational literal's arguments mention
+	op   builtin.Op // the built-in, compiled
 }
 
 // trigger links a stream update to a rule evaluation.
@@ -187,6 +210,10 @@ type Engine struct {
 	queryPreds map[string]bool
 
 	rts []*nodeRT // per-node runtimes, indexed by NodeID
+	// maxVars is the widest rule's register count. scratch serves
+	// single-threaded runs; under sharding each shard has its own.
+	maxVars int
+	scratch joinScratch
 
 	// baseIDs registers injected base generations for later deletion:
 	// tuple key -> stamp.
@@ -365,6 +392,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	if err := e.compileRules(); err != nil {
 		return nil, err
 	}
+	e.scratch = newJoinScratch(e.maxVars)
 
 	// Attach runtimes.
 	e.rts = make([]*nodeRT, nw.Len())
@@ -385,16 +413,33 @@ func (e *Engine) compileRules() error {
 		if r.HasAggregates() {
 			continue // evaluated by TAG collection epochs
 		}
-		cr := &compiledRule{rule: r}
+		nr, nvars := r.NumberVars()
+		cr := &compiledRule{
+			rule: nr, nvars: nvars, lits: make([]compiledLit, len(r.Body)),
+			headPred: r.Head.PredKey(),
+		}
+		r = nr
 		for i, l := range r.Body {
+			cl := &cr.lits[i]
 			if l.Builtin {
+				cl.op, cr.opMask = builtin.Compile(l), cr.opMask|1<<uint(i)
 				continue
 			}
+			cl.pred, cl.vars = l.PredKey(), unify.SlotMask(l.Args...)
+			cl.win = e.windows[cl.pred]
 			if l.Negated {
 				cr.negIdx = append(cr.negIdx, i)
 			} else {
+				cl.ord = len(cr.posIdx)
 				cr.posIdx = append(cr.posIdx, i)
+				cr.posMask |= 1 << uint(i)
 			}
+		}
+		for _, a := range r.Head.Args {
+			cr.headPat = append(cr.headPat, e.matchablePattern(a))
+		}
+		if nvars > e.maxVars {
+			e.maxVars = nvars
 		}
 		// Mode: local if the head and every relational subgoal have a
 		// declared placement.
@@ -429,23 +474,16 @@ func (e *Engine) compileRules() error {
 			cr.mode = hashMode
 		}
 		// Same-stage negation flags. Negations checked at finalize time
-		// (local-mode rules and same-stage XY negations) re-derive their
-		// bindings from the head tuple, so their variables must all
-		// occur in the head.
-		headVars := map[string]bool{}
-		for _, v := range r.Head.Vars(nil) {
-			headVars[v] = true
-		}
+		// (local-mode rules and same-stage XY negations) rebind their
+		// variables by matching the settled head tuple against headPat, so
+		// every one must occur in the head where matching can reach it.
+		matchable := unify.SlotMask(cr.headPat...)
 		for _, ni := range cr.negIdx {
-			same := e.sameXYComponent(r.Head.PredKey(), r.Body[ni].PredKey())
+			same := e.sameXYComponent(cr.headPred, cr.lits[ni].pred)
 			cr.negSameStage = append(cr.negSameStage, same)
-			if same || cr.mode == localMode {
-				for _, v := range r.Body[ni].Vars(nil) {
-					if !headVars[v] {
-						return fmt.Errorf("core: rule %d: negated subgoal %s is checked at the head's home node, so its variable %s must appear in the head",
-							r.ID, r.Body[ni], v)
-					}
-				}
+			if (same || cr.mode == localMode) && cr.lits[ni].vars&^matchable != 0 {
+				return validationErrorf(ErrNegationNeedsHead, "core: rule %d: %s is checked at the head's home node by matching the settled head tuple, so each of its variables must appear in the head outside any evaluated expression; bind the expression in the body (D1 = D + 1) and use that variable in the head and in the negated subgoal",
+					r.ID, r.Body[ni])
 			}
 		}
 		e.rules = append(e.rules, cr)
@@ -471,6 +509,22 @@ func (e *Engine) compileRules() error {
 		}
 	}
 	return nil
+}
+
+// matchablePattern returns head argument a as a pattern over its settled
+// value: a compound the registry evaluates becomes a wildcard.
+func (e *Engine) matchablePattern(a ast.Term) ast.Term {
+	if a.Kind != ast.KindCompound {
+		return a
+	}
+	if e.cfg.Registry.Evaluates(a.Str, len(a.Args)) {
+		return ast.Term{Kind: ast.KindVar, Str: ast.AnonymousVar, Int: -1}
+	}
+	args := make([]ast.Term, len(a.Args))
+	for i, x := range a.Args {
+		args[i] = e.matchablePattern(x)
+	}
+	return ast.Compound(a.Str, args...)
 }
 
 func (e *Engine) sameXYComponent(a, b string) bool {

@@ -35,6 +35,11 @@ var (
 	// ErrBadGoal marks a goal string that is not a single positive
 	// relational literal.
 	ErrBadGoal = errors.New("malformed goal")
+	// ErrNegationNeedsHead marks a rule New refuses because a negation
+	// checked at the head's home node uses a variable the settled head
+	// tuple cannot give back (absent, or only inside an evaluated
+	// expression such as D + 1).
+	ErrNegationNeedsHead = errors.New("negated variable not recoverable from the head")
 )
 
 // ValidationError is a validation failure carrying its sentinel: the

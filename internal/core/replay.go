@@ -103,7 +103,7 @@ func (e *Engine) replayNow() {
 		rt.aggSessions = make(map[string]*aggSession)
 		rt.pendingCands = rt.pendingCands[:0]
 		rt.outbox = rt.outbox[:0]
-		rt.dedup = routing.Dedup{}
+		rt.dedup = routing.Dedup[floodKey]{}
 	}
 	// Program facts of derived predicates are not rule-derived, so the
 	// base replay cannot restore them; re-seed them (fresh stamps).

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"errors"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/datalog/ast"
-	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/unify"
 	"repro/internal/gpa"
@@ -51,22 +51,72 @@ type storeMsg struct {
 	Band      *gpa.Band
 }
 
-// partialR is a partial result (Definition 1) in flight.
+// partialR is a partial result (Definition 1) in flight: the register
+// file of its rule's variables plus the stamps of the tuples joined so
+// far. It is immutable once built — walkers on different shards share
+// the partials of a cloned joinMsg, and pending candidates keep reading
+// b — so extension works on scratch registers and allocates the
+// successor only when the match and its built-ins succeed.
 type partialR struct {
 	cr     *compiledRule
-	pinned int // body index the update occupies (-1 when pinned at a negated subgoal)
-	subst  unify.Subst
-	used   []posStamp // positive body tuples joined so far (sorted by idx on emit)
-	bound  uint64     // bitmask over body indices of bound positive subgoals
-	bDone  uint64     // bitmask over body indices of satisfied builtins
+	pinned int         // body index the update occupies (-1 when pinned at a negated subgoal)
+	b      unify.Slots // len(b.Regs) == cr.nvars
+	// stamps[cr.lits[i].ord] is the tuple joined at positive subgoal i,
+	// valid where bound has bit i: body order, as the derivation key
+	// lists them.
+	stamps []window.Stamp
+	bound  uint64 // bitmask over body indices of bound positive subgoals
+	bDone  uint64 // bitmask over body indices of satisfied builtins
 	// negGroundAtSeed: every negated subgoal was ground under the seed
 	// substitution, so sweep-long filtering covers the whole region.
 	negGroundAtSeed bool
 }
 
-type posStamp struct {
-	idx   int
-	stamp window.Stamp
+// partialBlock lets a partial of an ordinary rule — up to inlineRegs
+// variables and inlineStamps positive subgoals — be one allocation:
+// header, registers and stamps together.
+type partialBlock struct {
+	p      partialR
+	regs   [inlineRegs]ast.Term
+	stamps [inlineStamps]window.Stamp
+}
+
+const (
+	inlineRegs   = 8
+	inlineStamps = 4
+)
+
+// newPartial builds the partial of rule cr that the scratch registers s
+// and the masks describe; stamps are its parent's (nil for a seed).
+func newPartial(cr *compiledRule, pinned int, s unify.Slots, stamps []window.Stamp, bound, bDone uint64) *partialR {
+	var np *partialR
+	if npos := len(cr.posIdx); cr.nvars <= inlineRegs && npos <= inlineStamps {
+		blk := new(partialBlock)
+		np = &blk.p
+		np.b.Regs, np.stamps = blk.regs[:cr.nvars:cr.nvars], blk.stamps[:npos:npos]
+	} else {
+		np = new(partialR)
+		np.b.Regs, np.stamps = make([]ast.Term, cr.nvars), make([]window.Stamp, npos)
+	}
+	np.cr, np.pinned, np.bound, np.bDone = cr, pinned, bound, bDone
+	copy(np.b.Regs, s.Regs)
+	np.b.Set = s.Set
+	copy(np.stamps, stamps)
+	return np
+}
+
+// joinScratch is the join path's reusable working memory. One event runs
+// at a time per engine — per shard under the sharded scheduler — so the
+// nodes of an engine (shard) share one.
+type joinScratch struct {
+	regs []ast.Term           // match registers, as wide as the widest rule
+	out  []*partialR          // one partial's extensions (saturate)
+	all  []*partialR          // a local expansion's partials, which never leave the node
+	seen map[uint64]*partialR // saturate's dedup set, by partialR.hash
+}
+
+func newJoinScratch(maxVars int) joinScratch {
+	return joinScratch{regs: make([]ast.Term, maxVars), seen: make(map[uint64]*partialR)}
 }
 
 // candR is a complete result on its way to (or buffered at) its home.
@@ -79,10 +129,11 @@ type candR struct {
 	// negCheckedFromStart: the negated subgoals were ground from the
 	// first sweep node, so the single pass covered the whole region.
 	negCheckedFromStart bool
-	// pendSubst/pendSkip support region-wide negation filtering while the
-	// candidate rides along the sweep.
-	pendSubst unify.Subst
-	pendSkip  int
+	// pend/pendSkip support region-wide negation filtering while the
+	// candidate rides along the sweep: the partial it completes (for its
+	// registers) and the negated subgoal its update pinned.
+	pend     *partialR
+	pendSkip int
 	// Prov carries the provenance capture for this candidate (nil when
 	// provenance is off, and on remove candidates — a removal only needs
 	// the deriv key it shares with the add it cancels).
@@ -167,7 +218,8 @@ type nodeRT struct {
 
 	store *window.Store
 	seq   int64
-	dedup routing.Dedup
+	dedup routing.Dedup[floodKey]
+	js    *joinScratch // the engine's, or this node's shard's
 
 	// homed is the home-node state for derived tuples (Definition 2), by
 	// tuple key. A record exists exactly while its derivation set is
@@ -206,25 +258,34 @@ type nodeRT struct {
 }
 
 // visibleMatch probes the node's store for the visible entries matching
-// lit's bound argument positions under subst, reusing the runtime's
-// scratch buffers. The returned slice is valid until the next call.
-func (rt *nodeRT) visibleMatch(lit ast.Literal, subst unify.Subst, tau window.Stamp) []*window.Entry {
+// the bound argument positions of cr's body literal i under b, reusing
+// the runtime's scratch buffers. The returned slice is valid until the
+// next call.
+func (rt *nodeRT) visibleMatch(cr *compiledRule, i int, b unify.Slots, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
-	w := rt.e.windows[lit.PredKey()]
+	l := &cr.lits[i]
 	if rt.colBuf == nil {
 		rt.colBuf = rt.colArr[:0]
 		rt.keyBuf = rt.keyArr[:0]
 		rt.tmpBuf = rt.tmpArr[:0]
 		rt.entBuf = rt.entArr[:0]
 	}
-	if rt.store.SmallTable(lit.PredKey()) {
+	if rt.store.SmallTable(l.pred) {
 		// The probe would scan anyway; don't pay for the key.
-		rt.entBuf = rt.store.VisibleMatch(lit.PredKey(), tau, w, nil, nil, rt.entBuf[:0])
+		rt.entBuf = rt.store.VisibleMatch(l.pred, tau, l.win, nil, nil, rt.entBuf[:0])
 		return rt.entBuf
 	}
-	rt.colBuf, rt.keyBuf, rt.tmpBuf = eval.AppendBoundCols(rt.colBuf, rt.keyBuf, rt.tmpBuf, lit.Args, subst)
-	rt.entBuf = rt.store.VisibleMatch(lit.PredKey(), tau, w, rt.colBuf, rt.keyBuf, rt.entBuf[:0])
+	rt.colBuf, rt.keyBuf, rt.tmpBuf = eval.AppendBoundCols(rt.colBuf, rt.keyBuf, rt.tmpBuf, cr.rule.Body[i].Args, b)
+	rt.entBuf = rt.store.VisibleMatch(l.pred, tau, l.win, rt.colBuf, rt.keyBuf, rt.entBuf[:0])
 	return rt.entBuf
+}
+
+// scratch returns the match registers loaded with b: matching and
+// built-ins bind into them, and restoring Set undoes an attempt.
+func (rt *nodeRT) scratch(cr *compiledRule, b unify.Slots) unify.Slots {
+	s := unify.Slots{Regs: rt.js.regs[:cr.nvars], Set: b.Set}
+	copy(s.Regs, b.Regs)
+	return s
 }
 
 // homed is one live derived tuple at its home node.
@@ -245,6 +306,7 @@ func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
 		e:           e,
 		node:        n,
 		store:       e.newStore(),
+		js:          &e.scratch,
 		homed:       make(map[string]*homed),
 		aggSessions: make(map[string]*aggSession),
 	}
@@ -394,7 +456,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 			case plan.Band != nil:
 				sm := &storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1, Band: plan.Band}
 				rt.bandBroadcast(kindStore, sm, plan.Band, sizeOfTuple(t)+8)
-				rt.dedup.Check(stampFlagKey("st|", id, delStamp != nil))
+				rt.dedup.Check(floodKey{id: id, del: delStamp != nil})
 			case plan.Flood:
 				rt.floodStore(&storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1})
 			case plan.Local:
@@ -428,23 +490,15 @@ func (rt *nodeRT) applyStoreLocal(t eval.Tuple, id window.Stamp, del *window.Sta
 
 // floodStore broadcasts a replication flood (TTL-limited for placements).
 func (rt *nodeRT) floodStore(sm *storeMsg) {
-	key := stampFlagKey("st|", sm.ID, sm.Del != nil)
-	rt.dedup.Check(key) // mark own
+	rt.dedup.Check(floodKey{id: sm.ID, del: sm.Del != nil}) // mark own
 	rt.bcast(kindStore, sm, sizeOfTuple(sm.Tuple)+8)
 }
 
-// stampFlagKey renders prefix + id.Key() + "|true"/"|false" without the
-// fmt machinery; these dedup keys are built on every forwarded flood.
-func stampFlagKey(prefix string, id window.Stamp, flag bool) string {
-	var arr [48]byte
-	b := append(arr[:0], prefix...)
-	b = id.AppendKey(b)
-	if flag {
-		b = append(b, "|true"...)
-	} else {
-		b = append(b, "|false"...)
-	}
-	return string(b)
+// floodKey identifies a flooded frame in a node's duplicate-suppression
+// set: a replication or a join flood of the update with stamp id.
+type floodKey struct {
+	id        window.Stamp
+	join, del bool
 }
 
 // atTarget answers the walker termination test through the routing
@@ -493,8 +547,7 @@ func (rt *nodeRT) storeWalkerArrived(sm *storeMsg) {
 func (rt *nodeRT) onStore(sm *storeMsg) {
 	rt.expire()
 	if sm.Flood {
-		key := stampFlagKey("st|", sm.ID, sm.Del != nil)
-		if rt.dedup.Check(key) {
+		if rt.dedup.Check(floodKey{id: sm.ID, del: sm.Del != nil}) {
 			return
 		}
 		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
@@ -544,7 +597,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		if tg.rule.mode == localMode {
 			// Localized join: expand fully against the local store and
 			// route candidates to the head's placement node.
-			rt.expandLocally(p, rec)
+			rt.expandHere(p, rec)
 			continue
 		}
 		if placed {
@@ -579,12 +632,12 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 			Partials: hashPartials, Flood: true, Band: plan.Band,
 		}
 		rt.processJoinHere(jm)
-		rt.dedup.Check(stampFlagKey("jf|", jm.ID, jm.Del))
+		rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del})
 		rt.bandBroadcast(kindJoin, jm, plan.Band, rt.joinMsgSize(jm))
 	case plan.Local:
 		// All replicas are local (naive-broadcast): expand in place.
 		for _, p := range hashPartials {
-			rt.expandLocalHash(p, rec)
+			rt.expandHere(p, rec)
 		}
 	case plan.Flood:
 		jm := &joinMsg{
@@ -612,191 +665,162 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 
 // seedPartial pins the update at the trigger's body position.
 func (rt *nodeRT) seedPartial(tg trigger, rec *updateRec) (*partialR, bool) {
-	lit := tg.rule.rule.Body[tg.bodyIdx]
-	s, ok := unify.MatchArgs(lit.Args, rec.Tuple.Args, unify.Subst{})
-	if !ok {
+	cr := tg.rule
+	s := rt.scratch(cr, unify.Slots{})
+	if !s.MatchArgs(cr.rule.Body[tg.bodyIdx].Args, rec.Tuple.Args) {
 		return nil, false
-	}
-	p := &partialR{cr: tg.rule, subst: s}
-	if tg.negated {
-		p.pinned = -1
-		// A deletion from a negated stream enables derivations (Add);
-		// an insertion retracts them. The caller reads this off rec.Del.
-	} else {
-		p.pinned = tg.bodyIdx
-		p.bound = 1 << uint(tg.bodyIdx)
-		p.used = append(p.used, posStamp{idx: tg.bodyIdx, stamp: rec.ID})
 	}
 	// Evaluate any builtins already ground.
-	p2, ok := rt.evalBuiltins(p)
+	done, ok := rt.runBuiltins(cr, &s, 0)
 	if !ok {
 		return nil, false
 	}
-	p2.negGroundAtSeed = rt.negReady(p2)
-	return p2, true
+	var p *partialR
+	if tg.negated {
+		// A deletion from a negated stream enables derivations (Add);
+		// an insertion retracts them. The caller reads this off rec.Del.
+		p = newPartial(cr, -1, s, nil, 0, done)
+	} else {
+		p = newPartial(cr, tg.bodyIdx, s, nil, 1<<uint(tg.bodyIdx), done)
+		p.stamps[cr.lits[tg.bodyIdx].ord] = rec.ID
+	}
+	p.negGroundAtSeed = p.negReady()
+	return p, true
 }
 
-// evalBuiltins evaluates every not-yet-done builtin whose arguments are
-// ground (or is an = that can bind); returns false when one fails.
-func (rt *nodeRT) evalBuiltins(p *partialR) (*partialR, bool) {
-	reg := rt.e.cfg.Registry
-	subst := p.subst
-	done := p.bDone
+// runBuiltins runs, in place on b, every built-in of cr not in done whose
+// need mask b satisfies, until none is left ready; it returns the grown
+// done mask, and false when one fails.
+func (rt *nodeRT) runBuiltins(cr *compiledRule, b *unify.Slots, done uint64) (uint64, bool) {
 	for progress := true; progress; {
 		progress = false
-		for i, l := range p.cr.rule.Body {
-			if !l.Builtin || done&(1<<uint(i)) != 0 {
+		for todo := cr.opMask &^ done; todo != 0; todo &= todo - 1 {
+			i := bits.TrailingZeros64(todo)
+			op := &cr.lits[i].op
+			if !op.Ready(b.Set) {
 				continue
 			}
-			ok, ns, err := reg.Eval(l, subst)
-			if errors.Is(err, builtin.ErrNotGround) {
-				continue
+			if ok, _ := rt.e.cfg.Registry.Run(op, b); !ok {
+				return done, false
 			}
-			if err != nil || !ok {
-				return nil, false
-			}
-			subst = ns
 			done |= 1 << uint(i)
 			progress = true
 		}
 	}
-	if subst.Len() == p.subst.Len() && done == p.bDone {
-		return p, true
-	}
-	np := *p
-	np.subst = subst
-	np.bDone = done
-	return &np, true
+	return done, true
 }
 
 // complete reports whether all positive subgoals are bound and all
 // builtins satisfied.
 func (p *partialR) complete() bool {
-	for _, i := range p.cr.posIdx {
-		if p.bound&(1<<uint(i)) == 0 {
-			return false
-		}
-	}
-	for i, l := range p.cr.rule.Body {
-		if l.Builtin && p.bDone&(1<<uint(i)) == 0 {
-			return false
-		}
-	}
-	return true
+	return p.bound == p.cr.posMask && p.bDone == p.cr.opMask
 }
 
 // extend tries to bind unbound positive subgoals of p against the local
-// store (visible at tau), producing new partials; out gathers them.
-func (rt *nodeRT) extend(p *partialR, tau window.Stamp, onlyIdx int, out *[]*partialR) {
-	for _, i := range p.cr.posIdx {
-		if p.bound&(1<<uint(i)) != 0 {
+// store (visible at tau), appending the new partials to out.
+func (rt *nodeRT) extend(p *partialR, tau window.Stamp, onlyIdx int, out []*partialR) []*partialR {
+	cr := p.cr
+	if p.bound == cr.posMask {
+		return out
+	}
+	s := rt.scratch(cr, p.b)
+	for _, i := range cr.posIdx {
+		bit := uint64(1) << uint(i)
+		if p.bound&bit != 0 || (onlyIdx >= 0 && i != onlyIdx) {
 			continue
 		}
-		if onlyIdx >= 0 && i != onlyIdx {
-			continue
-		}
-		lit := p.cr.rule.Body[i]
-		for _, e := range rt.visibleMatch(lit, p.subst, tau) {
-			ns, ok := unify.MatchArgs(lit.Args, e.Args, p.subst)
+		args := cr.rule.Body[i].Args
+		for _, e := range rt.visibleMatch(cr, i, p.b, tau) {
+			s.Set = p.b.Set
+			if !s.MatchArgs(args, e.Args) {
+				continue
+			}
+			done, ok := rt.runBuiltins(cr, &s, p.bDone)
 			if !ok {
 				continue
 			}
-			np := &partialR{
-				cr: p.cr, pinned: p.pinned, subst: ns,
-				bound: p.bound | 1<<uint(i), bDone: p.bDone,
-				negGroundAtSeed: p.negGroundAtSeed,
-			}
-			np.used = append(append([]posStamp(nil), p.used...), posStamp{idx: i, stamp: e.ID})
-			np2, ok := rt.evalBuiltins(np)
-			if !ok {
-				continue
-			}
+			np := newPartial(cr, p.pinned, s, p.stamps, p.bound|bit, done)
+			np.stamps[cr.lits[i].ord] = e.ID
+			np.negGroundAtSeed = p.negGroundAtSeed
 			rt.e.cJoins.Add(1)
-			*out = append(*out, np2)
+			out = append(out, np)
 		}
 	}
+	return out
 }
 
 // saturate expands partials transitively against the local store,
 // returning all partials (original + derived) deduplicated by shape.
 // saturate may retain and append to partials' backing array; callers
 // must not reuse the argument slice after the call. Most calls extend
-// nothing, so the dedup set is built lazily on the first extension.
+// nothing, so the dedup set is filled lazily on the first extension.
 func (rt *nodeRT) saturate(partials []*partialR, tau window.Stamp, onlyIdx int) []*partialR {
 	all := partials
-	var seen map[string]bool
-	var out []*partialR
+	js := rt.js
+	seeded := false
 	for i := 0; i < len(all); i++ {
-		out = out[:0]
-		rt.extend(all[i], tau, onlyIdx, &out)
-		if len(out) == 0 {
+		js.out = rt.extend(all[i], tau, onlyIdx, js.out[:0])
+		if len(js.out) == 0 {
 			continue
 		}
-		if seen == nil {
-			seen = make(map[string]bool, len(all)+len(out))
+		if !seeded {
+			seeded = true
 			for _, p := range all {
-				seen[p.key()] = true
+				js.seen[p.hash()] = p
 			}
 		}
-		for _, np := range out {
-			k := np.key()
-			if !seen[k] {
-				seen[k] = true
-				all = append(all, np)
+		for _, np := range js.out {
+			h := np.hash()
+			if q, ok := js.seen[h]; !ok {
+				js.seen[h] = np
+			} else if q.same(np) {
+				continue
 			}
+			// (A hash shared by two different partials keeps both: a
+			// duplicate only costs a repeated candidate.)
+			all = append(all, np)
 		}
+		clear(js.out) // scratch must not keep partials alive
+	}
+	if seeded {
+		clear(js.seen)
 	}
 	return all
 }
 
-// key canonically identifies a partial (rule, pinned position, used
-// tuples) for deduplication within a sweep.
-func (p *partialR) key() string {
-	var arr [96]byte
-	b := arr[:0]
-	b = append(b, 'r')
-	b = strconv.AppendInt(b, int64(p.cr.rule.ID), 10)
-	b = append(b, '|', 'p')
-	b = strconv.AppendInt(b, int64(p.pinned), 10)
-	// Canonical order is ascending body index (unique per partial),
-	// rendered without intermediate strings.
-	var ord [16]posStamp
-	used := ord[:0]
-	if len(p.used) > len(ord) {
-		used = make([]posStamp, 0, len(p.used))
+// hash and same identify a partial by shape — rule, pinned position and
+// the tuples joined — for deduplication within a sweep, on integers.
+func (p *partialR) hash() uint64 {
+	const prime = 1099511628211 // FNV-1a
+	h := (uint64(p.cr.rule.ID)*prime^uint64(p.pinned+1))*prime ^ p.bound
+	for _, st := range p.stamps {
+		h = ((h*prime^uint64(st.TS))*prime^uint64(st.Node))*prime ^ uint64(st.Seq)
 	}
-	used = append(used, p.used...)
-	for i := 1; i < len(used); i++ {
-		for j := i; j > 0 && used[j].idx < used[j-1].idx; j-- {
-			used[j], used[j-1] = used[j-1], used[j]
-		}
-	}
-	for _, u := range used {
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(u.idx), 10)
-		b = append(b, ':')
-		b = u.stamp.AppendKey(b)
-	}
-	return string(b)
+	return h * prime
+}
+
+func (p *partialR) same(q *partialR) bool {
+	return p.cr == q.cr && p.pinned == q.pinned && p.bound == q.bound && slices.Equal(p.stamps, q.stamps)
 }
 
 // negReady reports whether all negated subgoals are ground under p.
-func (rt *nodeRT) negReady(p *partialR) bool {
+func (p *partialR) negReady() bool {
 	for _, ni := range p.cr.negIdx {
-		lit := p.cr.rule.Body[ni]
-		for _, a := range lit.Args {
-			if !p.subst.Apply(a).Ground() {
-				return false
-			}
+		if v := p.cr.lits[ni].vars; p.b.Set&v != v {
+			return false
 		}
 	}
 	return true
 }
 
 // negMatchLocal reports whether any local visible tuple matches a
-// stamp-ordered negated subgoal of the candidate's rule under subst.
-// skipPinned skips the subgoal index pinned by a negated-trigger update.
-func (rt *nodeRT) negMatchLocal(cr *compiledRule, subst unify.Subst, tau window.Stamp, skipIdx int) bool {
+// stamp-ordered negated subgoal of the candidate's rule under b.
+// skipIdx skips the subgoal index pinned by a negated-trigger update.
+func (rt *nodeRT) negMatchLocal(cr *compiledRule, b unify.Slots, tau window.Stamp, skipIdx int) bool {
+	if len(cr.negIdx) == 0 {
+		return false
+	}
+	s := rt.scratch(cr, b)
 	for k, ni := range cr.negIdx {
 		if ni == skipIdx {
 			continue
@@ -804,9 +828,9 @@ func (rt *nodeRT) negMatchLocal(cr *compiledRule, subst unify.Subst, tau window.
 		if cr.negSameStage[k] {
 			continue // same-stage negation is checked at finalize time
 		}
-		lit := cr.rule.Body[ni]
-		for _, e := range rt.visibleMatch(lit, subst, tau) {
-			if _, ok := unify.MatchArgs(lit.Args, e.Args, subst); ok {
+		for _, e := range rt.visibleMatch(cr, ni, b, tau) {
+			s.Set = b.Set
+			if s.MatchArgs(cr.rule.Body[ni].Args, e.Args) {
 				return true
 			}
 		}
@@ -816,33 +840,25 @@ func (rt *nodeRT) negMatchLocal(cr *compiledRule, subst unify.Subst, tau window.
 
 // mkCand converts a complete partial into a result candidate.
 func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR, bool) {
-	r := p.cr.rule
-	args := make([]ast.Term, len(r.Head.Args))
-	for i, a := range r.Head.Args {
-		v, err := rt.e.cfg.Registry.EvalTerm(a, p.subst)
+	cr := p.cr
+	args := make([]ast.Term, len(cr.rule.Head.Args))
+	for i, a := range cr.rule.Head.Args {
+		v, err := rt.e.cfg.Registry.EvalSlots(a, p.b)
 		if err != nil || !v.Ground() {
 			return nil, false
 		}
 		args[i] = v
 	}
-	head := eval.Tuple{Pred: r.Head.PredKey(), Args: args}
 	// Derivation key: rule ID + positive body tuple IDs in body order
 	// (Definition 2). Both the add path (positive-pinned) and the remove
 	// path (negated-pinned) produce identical keys for the same tuples.
-	ordered := append([]posStamp(nil), p.used...)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].idx < ordered[j-1].idx; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
-		}
-	}
 	var dkArr [96]byte
 	db := append(dkArr[:0], 'r')
-	db = strconv.AppendInt(db, int64(r.ID), 10)
-	for _, u := range ordered {
+	db = strconv.AppendInt(db, int64(cr.rule.ID), 10)
+	for _, st := range p.stamps {
 		db = append(db, ';')
-		db = u.stamp.AppendKey(db)
+		db = st.AppendKey(db)
 	}
-	dk := string(db)
 	// Add/remove: a positive-pinned insert adds; a positive-pinned delete
 	// removes; a negated-pinned insert removes; a negated-pinned delete
 	// adds.
@@ -851,29 +867,29 @@ func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR
 		add = rec.Del
 	}
 	c := &candR{
-		cr: p.cr, Head: head, DerivKey: dk, Add: add, Update: rec.Tau,
-		negCheckedFromStart: negFromStart,
+		cr: cr, Head: eval.Tuple{Pred: cr.headPred, Args: args}, DerivKey: string(db),
+		Add: add, Update: rec.Tau, negCheckedFromStart: negFromStart,
 	}
 	if rt.e.prov != nil && add {
-		c.Prov = rt.captureProv(p, ordered)
+		c.Prov = rt.captureProv(p)
 	}
 	return c, true
 }
 
 // captureProv reconstructs the ground body tuples of a complete
-// partial — the substitution binds every variable of the positive
-// subgoals — in the same sorted-index order as the deriv key's stamps,
-// so record and key describe the same instantiation. Only runs with
-// provenance attached; the disabled path never reaches it.
-func (rt *nodeRT) captureProv(p *partialR, ordered []posStamp) *candProv {
-	body := make([]string, 0, len(ordered))
-	for _, u := range ordered {
-		lit := p.cr.rule.Body[u.idx]
+// partial — its registers bind every variable of the positive
+// subgoals — in body order like the deriv key's stamps, so record and
+// key describe the same instantiation. Only runs with provenance
+// attached; the disabled path never reaches it.
+func (rt *nodeRT) captureProv(p *partialR) *candProv {
+	body := make([]string, 0, len(p.cr.posIdx))
+	for _, i := range p.cr.posIdx {
+		lit := p.cr.rule.Body[i]
 		args := make([]ast.Term, len(lit.Args))
-		for i, a := range lit.Args {
-			args[i] = p.subst.Apply(a)
+		for j, a := range lit.Args {
+			args[j] = p.b.Apply(a)
 		}
-		body = append(body, eval.Tuple{Pred: lit.PredKey(), Args: args}.Key())
+		body = append(body, eval.Tuple{Pred: p.cr.lits[i].pred, Args: args}.Key())
 	}
 	return &candProv{Body: body, Producer: int32(rt.node.ID), SentAt: int64(rt.node.Now())}
 }
@@ -961,15 +977,21 @@ func (rt *nodeRT) drainFinalize() {
 		}
 	}
 	rt.pendingCands = rest
-	sort.SliceStable(due, func(i, j int) bool {
-		if due[i].Update != due[j].Update {
-			return due[i].Update.Less(due[j].Update)
+	slices.SortStableFunc(due, func(a, b *candR) int {
+		switch {
+		case a.Update != b.Update:
+			if a.Update.Less(b.Update) {
+				return -1
+			}
+			return 1
+		case a.DerivKey != b.DerivKey:
+			return strings.Compare(a.DerivKey, b.DerivKey)
+		case a.Add == b.Add:
+			return 0
+		case a.Add:
+			return -1 // adds before removes on the (impossible in practice) exact tie
 		}
-		if due[i].DerivKey != due[j].DerivKey {
-			return due[i].DerivKey < due[j].DerivKey
-		}
-		// Adds before removes on the (impossible in practice) exact tie.
-		return due[i].Add && !due[j].Add
+		return 1
 	})
 	for _, c := range due {
 		rt.e.cSettles.Add(1)
@@ -999,8 +1021,7 @@ func (rt *nodeRT) finalize(c *candR) {
 			if c.cr.mode != localMode && !c.cr.negSameStage[k] {
 				continue // already filtered during the sweep by stamp order
 			}
-			lit := c.cr.rule.Body[ni]
-			if rt.liveNegMatch(lit, c) {
+			if rt.liveNegMatch(ni, c) {
 				return
 			}
 		}
@@ -1058,27 +1079,29 @@ func (rt *nodeRT) finalize(c *candR) {
 	}
 }
 
-// liveNegMatch checks a negated subgoal against the node's current state:
-// replicas not marked deleted, plus derived tuples homed here.
-func (rt *nodeRT) liveNegMatch(lit ast.Literal, c *candR) bool {
-	// Instantiate the negated subgoal's arguments from the candidate's
-	// head: rebind via matching the head pattern. The candidate carries
-	// no substitution (it was resolved at emit time), so reconstruct by
-	// matching head args.
-	s, ok := unify.MatchArgs(c.cr.rule.Head.Args, c.Head.Args, unify.Subst{})
-	if !ok {
+// liveNegMatch checks negated subgoal ni of the candidate's rule against
+// the node's current state: replicas not marked deleted, plus derived
+// tuples homed here. The candidate carries no bindings (it was resolved
+// at emit time, and sizeOf is the paper's cost metric), so the negated
+// variables are rebound by matching the head pattern against the settled
+// tuple; New has checked that this reaches every one of them.
+func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
+	cr := c.cr
+	s := rt.scratch(cr, unify.Slots{})
+	if !s.MatchArgs(cr.headPat, c.Head.Args) {
 		return false
 	}
-	for _, e := range rt.store.All(lit.PredKey()) {
-		if _, ok := unify.MatchArgs(lit.Args, e.Args, s); ok {
+	head, pred, args := s.Set, cr.lits[ni].pred, cr.rule.Body[ni].Args
+	for _, e := range rt.store.All(pred) {
+		if s.Set = head; s.MatchArgs(args, e.Args) {
 			return true
 		}
 	}
 	for _, h := range rt.homed {
-		if h.t.Pred != lit.PredKey() {
+		if h.t.Pred != pred {
 			continue
 		}
-		if _, ok := unify.MatchArgs(lit.Args, h.t.Args, s); ok {
+		if s.Set = head; s.MatchArgs(args, h.t.Args) {
 			return true
 		}
 	}
@@ -1087,51 +1110,44 @@ func (rt *nodeRT) liveNegMatch(lit ast.Literal, c *candR) bool {
 
 // --- local-mode and local-hash expansion ---
 
-// expandLocally saturates a local-mode partial at this node and routes
-// completed candidates to the head's placement node.
-func (rt *nodeRT) expandLocally(p *partialR, rec *updateRec) {
-	all := rt.saturate([]*partialR{p}, rec.Tau, -1)
+// expandHere saturates p against the local store only and routes the
+// complete results: a local-mode rule (every negation deferred to
+// finalize at the home), or a hash-mode rule where all replicas are local
+// (naive-broadcast, the central server), whose stamp-ordered negation is
+// then local too. The partials never leave the node, so their list is
+// scratch.
+func (rt *nodeRT) expandHere(p *partialR, rec *updateRec) {
+	all := rt.saturate(append(rt.js.all[:0], p), rec.Tau, -1)
 	for _, q := range all {
 		if !q.complete() {
 			continue
 		}
-		// Negation is deferred to finalize at the home (localMode).
-		if c, ok := rt.mkCand(q, rec, true); ok {
-			rt.routeCand(c)
-		}
-	}
-}
-
-// expandLocalHash handles schemes where all replicas are local
-// (naive-broadcast): expansion and stamp-ordered negation both local.
-func (rt *nodeRT) expandLocalHash(p *partialR, rec *updateRec) {
-	all := rt.saturate([]*partialR{p}, rec.Tau, -1)
-	for _, q := range all {
-		if !q.complete() {
-			continue
-		}
-		skip := -1
-		if q.pinned < 0 {
-			skip = rt.pinnedNegIdx(q, rec)
-		}
-		if rt.negMatchLocal(q.cr, q.subst, rec.Tau, skip) {
-			continue
+		if q.cr.mode == hashMode {
+			skip := -1
+			if q.pinned < 0 {
+				skip = rt.pinnedNegIdx(q, rec)
+			}
+			if rt.negMatchLocal(q.cr, q.b, rec.Tau, skip) {
+				continue
+			}
 		}
 		if c, ok := rt.mkCand(q, rec, true); ok {
 			rt.routeCand(c)
 		}
 	}
+	clear(all)
+	rt.js.all = all[:0]
 }
 
 // pinnedNegIdx recovers which negated subgoal the update pinned (the one
-// whose predicate matches the update and whose args match under subst).
+// whose predicate matches the update and whose args match under p).
 func (rt *nodeRT) pinnedNegIdx(p *partialR, rec *updateRec) int {
+	s := rt.scratch(p.cr, p.b)
 	for _, ni := range p.cr.negIdx {
-		lit := p.cr.rule.Body[ni]
-		if lit.PredKey() != rec.Tuple.Pred {
+		if p.cr.lits[ni].pred != rec.Tuple.Pred {
 			continue
 		}
-		if _, ok := unify.MatchArgs(lit.Args, rec.Tuple.Args, p.subst); ok {
+		if s.Set = p.b.Set; s.MatchArgs(p.cr.rule.Body[ni].Args, rec.Tuple.Args) {
 			return ni
 		}
 	}
@@ -1149,7 +1165,7 @@ func (rt *nodeRT) serverJoin(t eval.Tuple, id window.Stamp, tau window.Stamp, de
 		if !ok {
 			continue
 		}
-		rt.expandLocalHash(p, rec)
+		rt.expandHere(p, rec)
 	}
 }
 
@@ -1173,7 +1189,7 @@ func (rt *nodeRT) floodJoin(jm *joinMsg) {
 func (rt *nodeRT) joinMsgSize(jm *joinMsg) int {
 	n := sizeOfTuple(jm.Update) + 16
 	for _, p := range jm.Partials {
-		n += 8 + 6*len(p.used)
+		n += 8 + 6*bits.OnesCount64(p.bound)
 	}
 	for _, c := range jm.Pending {
 		n += sizeOfTuple(c.Head) + len(c.DerivKey)
@@ -1185,8 +1201,7 @@ func (rt *nodeRT) joinMsgSize(jm *joinMsg) int {
 func (rt *nodeRT) onJoin(jm *joinMsg) {
 	rt.expire()
 	if jm.Flood {
-		key := stampFlagKey("jf|", jm.ID, jm.Del)
-		if rt.dedup.Check(key) {
+		if rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del}) {
 			return
 		}
 		rt.processJoinHere(jm)
@@ -1222,12 +1237,21 @@ func (rt *nodeRT) processJoinHere(jm *joinMsg) {
 		if jm.PassRule != nil {
 			onlyIdx = rt.passSubgoal(jm)
 		}
-		jm.Partials = rt.saturate(jm.Partials, jm.Tau, onlyIdx)
+		all := rt.saturate(jm.Partials, jm.Tau, onlyIdx)
+		// still collects the partials that travel on. At most sweep nodes
+		// nothing is added and nothing completes: the walker's list is
+		// kept as it is instead of being copied.
+		keep := len(all) == len(jm.Partials)
 		var still []*partialR
-		for _, p := range jm.Partials {
+		for i, p := range all {
 			if !p.complete() {
-				still = append(still, p)
+				if !keep {
+					still = append(still, p)
+				}
 				continue
+			}
+			if keep {
+				keep, still = false, append(still, all[:i]...)
 			}
 			skip := -1
 			if p.pinned < 0 {
@@ -1236,7 +1260,7 @@ func (rt *nodeRT) processJoinHere(jm *joinMsg) {
 			negFromStart := p.negGroundAtSeed
 			if len(p.cr.negIdx) == 0 || (p.pinned < 0 && len(p.cr.negIdx) == 1) {
 				// No (remaining) negation to check across the region.
-				if !rt.negMatchLocal(p.cr, p.subst, jm.Tau, skip) {
+				if !rt.negMatchLocal(p.cr, p.b, jm.Tau, skip) {
 					if c, ok := rt.mkCand(p, rec, true); ok {
 						rt.routeCand(c)
 					}
@@ -1244,45 +1268,27 @@ func (rt *nodeRT) processJoinHere(jm *joinMsg) {
 				continue
 			}
 			// Carry to the end of the sweep, filtering along the way.
-			if rt.negMatchLocal(p.cr, p.subst, jm.Tau, skip) {
+			if rt.negMatchLocal(p.cr, p.b, jm.Tau, skip) {
 				continue
 			}
-			if c, ok := rt.mkCandPending(p, rec, negFromStart, skip); ok {
+			if c, ok := rt.mkCand(p, rec, negFromStart); ok {
+				c.pend, c.pendSkip = p, skip
 				jm.Pending = append(jm.Pending, c)
 			}
 		}
-		jm.Partials = still
+		if !keep {
+			jm.Partials = still
+		}
 	}
 	// Filter pending completes against local negated tuples.
 	var surv []*candR
 	for _, c := range jm.Pending {
-		if rt.pendingNegMatch(c, jm.Tau) {
+		if rt.negMatchLocal(c.cr, c.pend.b, jm.Tau, c.pendSkip) {
 			continue
 		}
 		surv = append(surv, c)
 	}
 	jm.Pending = surv
-}
-
-// mkCandPending builds a candidate that still needs region-wide negation
-// checking; it retains the substitution for those checks.
-func (rt *nodeRT) mkCandPending(p *partialR, rec *updateRec, negFromStart bool, skipIdx int) (*candR, bool) {
-	c, ok := rt.mkCand(p, rec, negFromStart)
-	if !ok {
-		return nil, false
-	}
-	c.pendSubst = p.subst
-	c.pendSkip = skipIdx
-	return c, true
-}
-
-// pendingNegMatch checks a pending candidate's negated subgoals against
-// local visible tuples.
-func (rt *nodeRT) pendingNegMatch(c *candR, tau window.Stamp) bool {
-	if c.cr == nil {
-		return false
-	}
-	return rt.negMatchLocal(c.cr, c.pendSubst, tau, c.pendSkip)
 }
 
 // passSubgoal returns the body index the current multi-pass iteration
@@ -1339,7 +1345,7 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 		// region from here.
 		jm.FloodAfter = false
 		jm.Flood = true
-		rt.dedup.Check(stampFlagKey("jf|", jm.ID, jm.Del))
+		rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del})
 		rt.processJoinHere(jm)
 		if jm.FloodTTL != 0 {
 			fwd := *jm

@@ -32,6 +32,8 @@ type engineShard struct {
 	// are At-monotone: every append is stamped with the node's shard
 	// clock, which never decreases.
 	results []ResultEvent
+	// scratch is this shard's join working memory (joinScratch).
+	scratch joinScratch
 }
 
 // attachShards wires the engine to a sharded network: one routing cache
@@ -48,9 +50,11 @@ func (e *Engine) attachShards() {
 	e.shards = make([]engineShard, k)
 	for i := range e.shards {
 		e.shards[i].router = routing.NewEngine(e.nw)
+		e.shards[i].scratch = newJoinScratch(e.maxVars)
 	}
 	for _, rt := range e.rts {
 		rt.es = &e.shards[rt.node.Shard()]
+		rt.js = &rt.es.scratch
 	}
 	e.nw.SetShardTraceSink(func(ev obs.Event) {
 		if e.trace != nil {
@@ -99,8 +103,9 @@ func (e *Engine) flushShards(safe nsim.Time) {
 // neighbor or fault duplicate — its own snapshot instead of a shared
 // pointer. Clones are shallow except for the receiver-mutated
 // parts: the Visited map and the Partials/Pending slice headers.
-// Elements stay shared — partials and candidates are copied on
-// extension, never mutated in place — and so does candR.Prov, whose
+// Elements stay shared — a partial is immutable once built (extension
+// works on the shard's scratch registers and allocates a successor), a
+// candidate only reads its partial's registers — and so does candR.Prov, whose
 // hop counter is atomic precisely because clones share it.
 
 func cloneVisited(v map[nsim.NodeID]bool) map[nsim.NodeID]bool {

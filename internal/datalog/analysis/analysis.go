@@ -53,11 +53,17 @@ type XYWitness struct {
 
 // maxBodyLiterals is the longest rule body the engines evaluate: the
 // centralized solver and the node runtime both track which body
-// positions are done in a uint64.
-const maxBodyLiterals = 64
+// positions are done in a uint64. maxRuleVars is the same bound on a
+// rule's variables: the node runtime compiles them to register slots and
+// tracks the bound ones in a uint64 (unify.Slots).
+const (
+	maxBodyLiterals = 64
+	maxRuleVars     = 64
+)
 
 // Analyze runs every analysis. It returns an error for rule bodies longer
-// than maxBodyLiterals, for unsafe rules, for aggregates on recursive
+// than maxBodyLiterals or with more than maxRuleVars variables, for
+// unsafe rules, for aggregates on recursive
 // predicates, and for programs that are neither stratified nor
 // XY-stratifiable (the engine cannot evaluate those; see Section IV-C
 // "Evaluating General Recursive Programs").
@@ -65,6 +71,9 @@ func Analyze(p *ast.Program) (*Result, error) {
 	for _, r := range p.Rules {
 		if len(r.Body) > maxBodyLiterals {
 			return nil, fmt.Errorf("analysis: rule %d has %d body literals (limit %d)", r.ID, len(r.Body), maxBodyLiterals)
+		}
+		if n := len(r.Vars()); n > maxRuleVars {
+			return nil, fmt.Errorf("analysis: rule %d has %d variables (limit %d)", r.ID, n, maxRuleVars)
 		}
 	}
 	if err := CheckSafety(p); err != nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -339,5 +340,19 @@ func TestBodyLiteralLimit(t *testing.T) {
 	_, err := Analyze(mustParse(t, body(65)))
 	if err == nil || !strings.Contains(err.Error(), "has 65 body literals (limit 64)") || !strings.HasPrefix(err.Error(), "analysis: rule ") {
 		t.Errorf("65 body literals: err = %v", err)
+	}
+	// The same bound holds for a rule's variables (register slots).
+	vars := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i += 2 {
+			fmt.Fprintf(&b, "p(X%d, X%d), ", i, i+1)
+		}
+		return "q(X0) :- " + strings.TrimSuffix(b.String(), ", ") + "."
+	}
+	if _, err := Analyze(mustParse(t, vars(64))); err != nil {
+		t.Errorf("64 variables refused: %v", err)
+	}
+	if _, err := Analyze(mustParse(t, vars(66))); err == nil || !strings.Contains(err.Error(), "has 66 variables (limit 64)") {
+		t.Errorf("66 variables: err = %v", err)
 	}
 }

@@ -96,9 +96,13 @@ func isInfix(op string) bool {
 
 // RenameVars returns a copy of l with variables renamed by f.
 func (l Literal) RenameVars(f func(string) string) Literal {
+	return l.mapVars(func(v Term) Term { return Var(f(v.Str)) })
+}
+
+func (l Literal) mapVars(f func(Term) Term) Literal {
 	args := make([]Term, len(l.Args))
 	for i, a := range l.Args {
-		args[i] = a.RenameVars(f)
+		args[i] = a.mapVars(f)
 	}
 	return Literal{Predicate: l.Predicate, Args: args, Negated: l.Negated, Builtin: l.Builtin}
 }
@@ -199,16 +203,34 @@ func (r *Rule) Vars() []string {
 
 // RenameVars returns a copy of r with all variables renamed by f.
 func (r *Rule) RenameVars(f func(string) string) *Rule {
+	return r.mapVars(func(v Term) Term { return Var(f(v.Str)) })
+}
+
+// NumberVars compiles r's variables to slots: it returns a copy of r in
+// which every variable node carries in Int the index of its name in
+// r.Vars(), and the number of slots. Names are kept, so the copy prints,
+// keys and compares like r; code that joins on a register file
+// (unify.Slots) addresses registers by Int instead of looking names up.
+func (r *Rule) NumberVars() (*Rule, int) {
+	names := r.Vars()
+	slot := make(map[string]int64, len(names))
+	for i, n := range names {
+		slot[n] = int64(i)
+	}
+	return r.mapVars(func(v Term) Term { v.Int = slot[v.Str]; return v }), len(names)
+}
+
+func (r *Rule) mapVars(f func(Term) Term) *Rule {
 	body := make([]Literal, len(r.Body))
 	for i, l := range r.Body {
-		body[i] = l.RenameVars(f)
+		body[i] = l.mapVars(f)
 	}
-	nr := &Rule{Head: r.Head.RenameVars(f), Body: body, ID: r.ID, Line: r.Line}
+	nr := &Rule{Head: r.Head.mapVars(f), Body: body, ID: r.ID, Line: r.Line}
 	if r.HeadAggs != nil {
 		nr.HeadAggs = make([]*Aggregate, len(r.HeadAggs))
 		for i, a := range r.HeadAggs {
 			if a != nil {
-				nr.HeadAggs[i] = &Aggregate{Func: a.Func, Var: f(a.Var)}
+				nr.HeadAggs[i] = &Aggregate{Func: a.Func, Var: f(Var(a.Var)).Str}
 			}
 		}
 	}

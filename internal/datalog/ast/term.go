@@ -46,7 +46,7 @@ const AnonymousVar = "_"
 // functions treat them as values.
 type Term struct {
 	Kind  TermKind
-	Int   int64   // valid when Kind == KindInt
+	Int   int64   // valid when Kind == KindInt; on a KindVar of a numbered rule (Rule.NumberVars), its slot
 	Float float64 // valid when Kind == KindFloat
 	Str   string  // constant text (KindString, KindSymbol), variable name (KindVar), functor (KindCompound)
 	Args  []Term  // valid when Kind == KindCompound
@@ -400,13 +400,18 @@ func (t Term) appendListString(b *strings.Builder) {
 
 // RenameVars returns a copy of t with every variable name transformed by f.
 func (t Term) RenameVars(f func(string) string) Term {
+	return t.mapVars(func(v Term) Term { return Var(f(v.Str)) })
+}
+
+// mapVars returns a copy of t with every variable node replaced by f's.
+func (t Term) mapVars(f func(Term) Term) Term {
 	switch t.Kind {
 	case KindVar:
-		return Var(f(t.Str))
+		return f(t)
 	case KindCompound:
 		args := make([]Term, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = a.RenameVars(f)
+			args[i] = a.mapVars(f)
 		}
 		return Compound(t.Str, args...)
 	default:

@@ -29,28 +29,31 @@ type PredFunc func(args []ast.Term) (bool, error)
 // FuncFunc is a built-in function over ground arguments, producing a term.
 type FuncFunc func(args []ast.Term) (ast.Term, error)
 
-// Registry maps built-in predicate and function names (keyed by
-// "name/arity") to their implementations.
+// Registry maps built-in predicate and function names (keyed by name and
+// arity) to their implementations.
 type Registry struct {
-	preds map[string]PredFunc
-	funcs map[string]FuncFunc
+	preds map[sig]PredFunc
+	funcs map[sig]FuncFunc
+}
+
+type sig struct {
+	name  string
+	arity int
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{preds: make(map[string]PredFunc), funcs: make(map[string]FuncFunc)}
+	return &Registry{preds: make(map[sig]PredFunc), funcs: make(map[sig]FuncFunc)}
 }
-
-func key(name string, arity int) string { return fmt.Sprintf("%s/%d", name, arity) }
 
 // RegisterPred adds (or replaces) a built-in predicate.
 func (r *Registry) RegisterPred(name string, arity int, f PredFunc) {
-	r.preds[key(name, arity)] = f
+	r.preds[sig{name, arity}] = f
 }
 
 // RegisterFunc adds (or replaces) a built-in function usable inside terms.
 func (r *Registry) RegisterFunc(name string, arity int, f FuncFunc) {
-	r.funcs[key(name, arity)] = f
+	r.funcs[sig{name, arity}] = f
 }
 
 // IsPred reports whether name/arity is a built-in predicate (including the
@@ -60,14 +63,21 @@ func (r *Registry) IsPred(name string, arity int) bool {
 	case "<", "<=", ">", ">=", "=", "==", "!=", "is":
 		return arity == 2
 	}
-	_, ok := r.preds[key(name, arity)]
+	_, ok := r.preds[sig{name, arity}]
 	return ok
 }
 
 // IsFunc reports whether name/arity is a built-in function.
 func (r *Registry) IsFunc(name string, arity int) bool {
-	_, ok := r.funcs[key(name, arity)]
+	_, ok := r.funcs[sig{name, arity}]
 	return ok
+}
+
+// Evaluates reports whether a ground compound name/arity is reduced to a
+// value (arithmetic or a registered function) rather than kept as data —
+// so its arguments cannot be recovered from the result by matching.
+func (r *Registry) Evaluates(name string, arity int) bool {
+	return isArith(name, arity) || r.IsFunc(name, arity)
 }
 
 // EvalTerm functionally evaluates t under s: variables are substituted,
@@ -75,61 +85,90 @@ func (r *Registry) IsFunc(name string, arity int) bool {
 // reduced to constants. Non-evaluable structure is left intact (data
 // constructors such as lists pass through).
 func (r *Registry) EvalTerm(t ast.Term, s unify.Subst) (ast.Term, error) {
-	t = s.Apply(t)
-	return r.reduce(t)
+	return eval(r, t, s)
 }
 
-func (r *Registry) reduce(t ast.Term) (ast.Term, error) {
-	if t.Kind != ast.KindCompound {
+// EvalSlots is EvalTerm for a numbered term (ast.Rule.NumberVars) over a
+// register file.
+func (r *Registry) EvalSlots(t ast.Term, b unify.Slots) (ast.Term, error) {
+	return eval(r, t, b)
+}
+
+// eval substitutes and reduces in one pass. Arithmetic over bound scalars
+// is computed on the way up without building the substituted term, so
+// `D + 1` allocates nothing; only data constructors and function-call
+// arguments of the result are built.
+func eval[B unify.Bindings](r *Registry, t ast.Term, b B) (ast.Term, error) {
+	switch t.Kind {
+	case ast.KindVar:
+		if t = b.Apply(t); t.Kind != ast.KindCompound {
+			return t, nil
+		}
+		// A compound binding is fully substituted but may still hold
+		// arithmetic (a Subst can bind D1 to D + 1 before D is known).
+		return eval(r, t, unify.Subst{})
+	case ast.KindCompound:
+	default:
 		return t, nil
+	}
+	if len(t.Args) == 2 && isArith(t.Str, 2) {
+		x, err := eval(r, t.Args[0], b)
+		if err != nil {
+			return t, err
+		}
+		y, err := eval(r, t.Args[1], b)
+		if err != nil {
+			return t, err
+		}
+		if !x.Ground() || !y.Ground() {
+			return ast.Compound(t.Str, x, y), nil
+		}
+		return applyArith(t.Str, x, y)
 	}
 	args := make([]ast.Term, len(t.Args))
 	ground := true
 	for i, a := range t.Args {
-		ra, err := r.reduce(a)
+		v, err := eval(r, a, b)
 		if err != nil {
 			return t, err
 		}
-		args[i] = ra
-		if !ra.Ground() {
-			ground = false
-		}
+		args[i], ground = v, ground && v.Ground()
 	}
 	out := ast.Compound(t.Str, args...)
 	if !ground {
 		return out, nil
 	}
-	if f, ok := arithOp(t.Str, len(args)); ok {
-		return f(args)
-	}
-	if f, ok := r.funcs[key(t.Str, len(args))]; ok {
-		return f(args)
-	}
-	return out, nil
+	return r.apply(out)
 }
 
-// arithOp returns the evaluator for a core arithmetic functor.
-func arithOp(name string, arity int) (FuncFunc, bool) {
-	if arity == 1 && name == "-" {
-		return func(a []ast.Term) (ast.Term, error) {
-			if a[0].Kind == ast.KindInt {
-				return ast.Int64(-a[0].Int), nil
-			}
-			if a[0].Kind == ast.KindFloat {
-				return ast.Float64(-a[0].Float), nil
-			}
-			return ast.Term{}, fmt.Errorf("builtin: cannot negate %s", a[0])
-		}, true
+// apply reduces a compound whose arguments are already ground values:
+// arithmetic and registered functions evaluate, data constructors stay.
+func (r *Registry) apply(t ast.Term) (ast.Term, error) {
+	switch {
+	case !isArith(t.Str, len(t.Args)):
+		if f, ok := r.funcs[sig{t.Str, len(t.Args)}]; ok {
+			return f(t.Args)
+		}
+		return t, nil
+	case len(t.Args) == 2:
+		return applyArith(t.Str, t.Args[0], t.Args[1])
+	case t.Args[0].Kind == ast.KindInt:
+		return ast.Int64(-t.Args[0].Int), nil
+	case t.Args[0].Kind == ast.KindFloat:
+		return ast.Float64(-t.Args[0].Float), nil
 	}
-	if arity != 2 {
-		return nil, false
-	}
+	return ast.Term{}, fmt.Errorf("builtin: cannot negate %s", t.Args[0])
+}
+
+// isArith reports whether name/arity is a core arithmetic functor.
+func isArith(name string, arity int) bool {
 	switch name {
-	case "+", "-", "*", "/", "mod":
-		op := name
-		return func(a []ast.Term) (ast.Term, error) { return applyArith(op, a[0], a[1]) }, true
+	case "-":
+		return arity == 1 || arity == 2
+	case "+", "*", "/", "mod":
+		return arity == 2
 	}
-	return nil, false
+	return false
 }
 
 func applyArith(op string, x, y ast.Term) (ast.Term, error) {
@@ -177,10 +216,11 @@ func applyArith(op string, x, y ast.Term) (ast.Term, error) {
 }
 
 // Eval evaluates the built-in literal l under substitution s. On success
-// it returns (true, extended substitution). `=`/`is` may bind an unbound
-// variable on either side; all other built-ins require ground arguments
-// after functional evaluation and return ErrNotGround otherwise. A negated
-// literal succeeds when the positive form fails.
+// it returns (true, extended substitution). A positive `=`/`is` may bind
+// an unbound variable on either side; everything else — a negated `=`
+// included, which is a test and never a binding — requires ground
+// arguments after functional evaluation and returns ErrNotGround
+// otherwise. A negated literal succeeds when the positive form fails.
 func (r *Registry) Eval(l ast.Literal, s unify.Subst) (bool, unify.Subst, error) {
 	ok, ns, err := r.evalPositive(l, s)
 	if err != nil {
@@ -194,99 +234,121 @@ func (r *Registry) Eval(l ast.Literal, s unify.Subst) (bool, unify.Subst, error)
 }
 
 func (r *Registry) evalPositive(l ast.Literal, s unify.Subst) (bool, unify.Subst, error) {
-	switch l.Predicate {
-	case "=", "is":
-		return r.evalEq(l, s)
-	case "==":
-		lhs, err := r.EvalTerm(l.Args[0], s)
-		if err != nil {
-			return false, s, err
-		}
-		rhs, err := r.EvalTerm(l.Args[1], s)
-		if err != nil {
-			return false, s, err
-		}
-		if !lhs.Ground() || !rhs.Ground() {
-			return false, s, ErrNotGround
-		}
-		return numericAwareEqual(lhs, rhs), s, nil
-	case "!=":
-		lhs, err := r.EvalTerm(l.Args[0], s)
-		if err != nil {
-			return false, s, err
-		}
-		rhs, err := r.EvalTerm(l.Args[1], s)
-		if err != nil {
-			return false, s, err
-		}
-		if !lhs.Ground() || !rhs.Ground() {
-			return false, s, ErrNotGround
-		}
-		return !numericAwareEqual(lhs, rhs), s, nil
-	case "<", "<=", ">", ">=":
-		lhs, err := r.EvalTerm(l.Args[0], s)
-		if err != nil {
-			return false, s, err
-		}
-		rhs, err := r.EvalTerm(l.Args[1], s)
-		if err != nil {
-			return false, s, err
-		}
-		if !lhs.Ground() || !rhs.Ground() {
-			return false, s, ErrNotGround
-		}
-		c, err := compareGround(lhs, rhs)
-		if err != nil {
-			return false, s, err
-		}
-		switch l.Predicate {
-		case "<":
-			return c < 0, s, nil
-		case "<=":
-			return c <= 0, s, nil
-		case ">":
-			return c > 0, s, nil
-		case ">=":
-			return c >= 0, s, nil
-		}
-	}
-	f, ok := r.preds[l.PredKey()]
-	if !ok {
-		return false, s, fmt.Errorf("builtin: unknown predicate %s", l.PredKey())
-	}
-	args := make([]ast.Term, len(l.Args))
-	for i, a := range l.Args {
-		ra, err := r.EvalTerm(a, s)
-		if err != nil {
-			return false, s, err
-		}
-		if !ra.Ground() {
-			return false, s, ErrNotGround
-		}
-		args[i] = ra
-	}
-	res, err := f(args)
-	return res, s, err
-}
-
-// evalEq implements `X = expr` / `expr = X` / ground-ground comparison,
-// binding an unbound side when possible.
-func (r *Registry) evalEq(l ast.Literal, s unify.Subst) (bool, unify.Subst, error) {
-	lhs, err := r.EvalTerm(l.Args[0], s)
-	if err != nil {
-		return false, s, err
-	}
-	rhs, err := r.EvalTerm(l.Args[1], s)
-	if err != nil {
-		return false, s, err
-	}
-	switch {
-	case lhs.Ground() && rhs.Ground():
-		return numericAwareEqual(lhs, rhs), s, nil
-	default:
+	ok, lhs, rhs, err := test(r, l, s)
+	if errors.Is(err, ErrNotGround) && binds(l) {
 		ns, ok := unify.Unify(lhs, rhs, s)
 		return ok, ns, nil
 	}
+	return ok, s, err
+}
+
+// test evaluates l's arguments under b and applies its predicate to the
+// values; ErrNotGround when one stays non-ground. For a comparison it
+// also returns the two evaluated sides, so that `=` can go on to bind.
+func test[B unify.Bindings](r *Registry, l ast.Literal, b B) (ok bool, lhs, rhs ast.Term, err error) {
+	if isComparison(l) {
+		if lhs, err = eval(r, l.Args[0], b); err != nil {
+			return
+		}
+		if rhs, err = eval(r, l.Args[1], b); err != nil {
+			return
+		}
+		if !lhs.Ground() || !rhs.Ground() {
+			return false, lhs, rhs, ErrNotGround
+		}
+		return compare(l.Predicate, lhs, rhs), lhs, rhs, nil
+	}
+	f, known := r.preds[sig{l.Predicate, len(l.Args)}]
+	if !known {
+		err = fmt.Errorf("builtin: unknown predicate %s", l.PredKey())
+		return
+	}
+	args := make([]ast.Term, len(l.Args))
+	for i, a := range l.Args {
+		if args[i], err = eval(r, a, b); err != nil {
+			return
+		}
+		if !args[i].Ground() {
+			err = ErrNotGround
+			return
+		}
+	}
+	ok, err = f(args)
+	return
+}
+
+func isComparison(l ast.Literal) bool {
+	switch l.Predicate {
+	case "<", "<=", ">", ">=", "=", "==", "!=", "is":
+		return len(l.Args) == 2
+	}
+	return false
+}
+
+// binds reports whether l may bind variables: a positive `=`/`is`.
+func binds(l ast.Literal) bool {
+	return !l.Negated && (l.Predicate == "=" || l.Predicate == "is")
+}
+
+// compare applies a comparison operator to two ground values.
+func compare(op string, a, b ast.Term) bool {
+	switch op {
+	case "=", "is", "==":
+		return numericAwareEqual(a, b)
+	case "!=":
+		return !numericAwareEqual(a, b)
+	}
+	c := compareGround(a, b)
+	switch op {
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	}
+	return c >= 0
+}
+
+// Op is a built-in literal compiled against a rule's variable slots
+// (ast.Rule.NumberVars): the literal and the slots each side mentions, so
+// that readiness is a mask test instead of an ErrNotGround round trip.
+type Op struct {
+	lit      ast.Literal
+	lhs, rhs uint64 // slots of a comparison's two sides (a registered predicate: lhs holds all)
+}
+
+// Compile compiles the numbered built-in literal l.
+func Compile(l ast.Literal) Op {
+	if isComparison(l) {
+		return Op{lit: l, lhs: unify.SlotMask(l.Args[0]), rhs: unify.SlotMask(l.Args[1])}
+	}
+	return Op{lit: l, lhs: unify.SlotMask(l.Args...)}
+}
+
+// Ready reports whether op can run with the slots in set bound — its
+// need mask. A positive `=`/`is` needs one side bound: that side is
+// evaluated and the other matched against the value as a pattern. (A rule
+// where neither side ever becomes ground does not pass the safety
+// analysis.) Everything else needs every slot.
+func (op *Op) Ready(set uint64) bool {
+	l, r := set&op.lhs == op.lhs, set&op.rhs == op.rhs
+	return l && r || binds(op.lit) && (l || r)
+}
+
+// Run evaluates a Ready op over b, in place. It is Eval for slots: where
+// Eval unifies the two sides of a positive `=`/`is`, here one side is a
+// value and the other — bound slots substituted, ground subterms reduced
+// — a pattern over the unbound slots, which matching stores into.
+func (r *Registry) Run(op *Op, b *unify.Slots) (bool, error) {
+	ok, lhs, rhs, err := test(r, op.lit, *b)
+	if errors.Is(err, ErrNotGround) && binds(op.lit) {
+		if lhs.Ground() {
+			lhs, rhs = rhs, lhs
+		}
+		ok, err = b.Match(lhs, rhs), nil
+	}
+	return err == nil && ok != op.lit.Negated, err
 }
 
 func numericAwareEqual(a, b ast.Term) bool {
@@ -300,17 +362,17 @@ func numericAwareEqual(a, b ast.Term) bool {
 
 // compareGround totally orders two ground terms, comparing numerics by
 // value (so 2 < 2.5) and everything else structurally.
-func compareGround(a, b ast.Term) (int, error) {
+func compareGround(a, b ast.Term) int {
 	af, aok := a.Numeric()
 	bf, bok := b.Numeric()
 	if aok && bok {
 		switch {
 		case af < bf:
-			return -1, nil
+			return -1
 		case af > bf:
-			return 1, nil
+			return 1
 		}
-		return 0, nil
+		return 0
 	}
-	return a.Compare(b), nil
+	return a.Compare(b)
 }

@@ -335,15 +335,19 @@ func TestUnknownPredicateErrors(t *testing.T) {
 func TestNegatedEqDoesNotBind(t *testing.T) {
 	r := Default()
 	lit := ast.Literal{Predicate: "=", Args: []ast.Term{ast.Var("X"), ast.Int64(1)}, Builtin: true, Negated: true}
+	// NOT (X = 1) is a test, never a binding: with X unbound it is not
+	// ready (it used to "succeed" at unifying and so kill the branch).
 	ok, ns, err := r.Eval(lit, unify.Subst{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NOT (X = 1) with X unbound: unification succeeds, so negation fails.
-	if ok {
-		t.Error("NOT X=1 with unbound X should fail")
+	if !errors.Is(err, ErrNotGround) || ok {
+		t.Errorf("NOT X=1 with unbound X: ok=%v err=%v, want ErrNotGround", ok, err)
 	}
 	if _, bound := ns.Lookup("X"); bound {
 		t.Error("negated literal must not export bindings")
+	}
+	for x, want := range map[int64]bool{1: false, 2: true} {
+		ok, _, err := r.Eval(lit, unify.Subst{}.Bind("X", ast.Int64(x)))
+		if err != nil || ok != want {
+			t.Errorf("NOT %d=1: ok=%v err=%v, want %v", x, ok, err, want)
+		}
 	}
 }

@@ -377,16 +377,18 @@ func (st *solveState) tableSize(i int) int {
 }
 
 // AppendBoundCols collects the argument positions of args that are ground
-// under s (ascending) and their joint index key into caller-owned
-// scratch: cols, key and tmp are truncated and regrown in place, and
-// returned so the caller can keep the (possibly reallocated) backing. The
-// node runtime probes its window stores once per subgoal expansion, so
-// this path must not allocate; the returned cols and key bytes are valid
-// until the buffers are next passed in.
-func AppendBoundCols(cols []int, key, tmp []byte, args []ast.Term, s unify.Subst) ([]int, []byte, []byte) {
+// under the bindings b (ascending) and their joint index key into
+// caller-owned scratch: cols, key and tmp are truncated and regrown in
+// place, and returned so the caller can keep the (possibly reallocated)
+// backing. It is generic over the binding representation — the solver's
+// unify.Subst, the node runtime's unify.Slots — so there is one key
+// builder. The node runtime probes its window stores once per subgoal
+// expansion, so this path must not allocate; the returned cols and key
+// bytes are valid until the buffers are next passed in.
+func AppendBoundCols[B unify.Bindings](cols []int, key, tmp []byte, args []ast.Term, b B) ([]int, []byte, []byte) {
 	cols, key = cols[:0], key[:0]
 	for j, a := range args {
-		v := s.Apply(a)
+		v := b.Apply(a)
 		if v.Ground() {
 			cols = append(cols, j)
 			key, tmp = appendArgKey(key, tmp, v)

@@ -127,21 +127,31 @@ func (s Subst) Apply(t ast.Term) ast.Term {
 		}
 		return t
 	case ast.KindCompound:
-		args := make([]ast.Term, len(t.Args))
-		changed := false
-		for i, a := range t.Args {
-			args[i] = s.Apply(a)
-			if !args[i].Equal(a) {
-				changed = true
-			}
-		}
-		if !changed {
-			return t
-		}
-		return ast.Compound(t.Str, args...)
+		return applyArgs(s, t)
 	default:
 		return t
 	}
+}
+
+// Bindings is what code generic over the binding representation — a
+// persistent Subst or a register file, Slots — needs of it.
+type Bindings interface{ Apply(ast.Term) ast.Term }
+
+// applyArgs applies b to the arguments of compound t, sharing t when
+// nothing under it is bound.
+func applyArgs[B Bindings](b B, t ast.Term) ast.Term {
+	args := make([]ast.Term, len(t.Args))
+	changed := false
+	for i, a := range t.Args {
+		args[i] = b.Apply(a)
+		if !args[i].Equal(a) {
+			changed = true
+		}
+	}
+	if !changed {
+		return t
+	}
+	return ast.Compound(t.Str, args...)
 }
 
 // ApplyLiteral applies s to every argument of l.
@@ -306,4 +316,79 @@ func MatchArgsIn(a *Arena, patterns, values []ast.Term, s Subst) (Subst, bool) {
 		}
 	}
 	return s, true
+}
+
+// Slots is the binding representation of a rule compiled to variable
+// slots (ast.Rule.NumberVars): Regs[i] holds the ground value of the
+// variable whose nodes carry Int == i, valid where Set has bit i. Where a
+// Subst is persistent and keyed by name, Slots is a fixed-width register
+// file that matching stores into: a caller that branches copies the
+// registers, or just restores Set — a register outside Set is never read.
+// Values only ever come from ground tuples and evaluated built-ins, so a
+// bound register is ground and Match needs no unification.
+type Slots struct {
+	Regs []ast.Term
+	Set  uint64
+}
+
+// SlotMask returns the set of slots the numbered terms mention.
+func SlotMask(ts ...ast.Term) uint64 {
+	var m uint64
+	for _, t := range ts {
+		if t.Kind == ast.KindVar && t.Int >= 0 {
+			m |= 1 << uint(t.Int)
+		} else if t.Kind == ast.KindCompound {
+			m |= SlotMask(t.Args...)
+		}
+	}
+	return m
+}
+
+// Apply is Subst.Apply over registers.
+func (b Slots) Apply(t ast.Term) ast.Term {
+	switch t.Kind {
+	case ast.KindVar:
+		if t.Int >= 0 && b.Set&(1<<uint(t.Int)) != 0 {
+			return b.Regs[t.Int]
+		}
+	case ast.KindCompound:
+		return applyArgs(b, t)
+	}
+	return t
+}
+
+// Match is Match for a numbered pattern: a bound slot compares, an
+// unbound one is stored, and a negative slot is a wildcard. On failure
+// the slots bound on the way stay set; the caller restores Set.
+func (b *Slots) Match(pattern, value ast.Term) bool {
+	switch pattern.Kind {
+	case ast.KindVar:
+		if pattern.Int < 0 {
+			return true
+		}
+		bit := uint64(1) << uint(pattern.Int)
+		if b.Set&bit != 0 {
+			return b.Regs[pattern.Int].Equal(value)
+		}
+		b.Regs[pattern.Int], b.Set = value, b.Set|bit
+		return true
+	case ast.KindCompound:
+		return value.Kind == ast.KindCompound && pattern.Str == value.Str &&
+			b.MatchArgs(pattern.Args, value.Args)
+	default:
+		return pattern.Equal(value)
+	}
+}
+
+// MatchArgs is MatchArgs for numbered patterns.
+func (b *Slots) MatchArgs(patterns, values []ast.Term) bool {
+	if len(patterns) != len(values) {
+		return false
+	}
+	for i := range patterns {
+		if !b.Match(patterns[i], values[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -255,3 +255,40 @@ func TestQuickUnifyGroundSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Slots is checked against Match/MatchArgs on generated input in package
+// builtin (slots_test.go); here, the parts that have no symbolic twin.
+func TestSlots(t *testing.T) {
+	rule, n := (&ast.Rule{
+		Head: ast.Lit("h", ast.Var("Y"), ast.Compound("+", ast.Var("D"), ast.Int64(1))),
+		Body: []ast.Literal{ast.Lit("p", ast.Var("X"), ast.Compound("pr", ast.Var("Y"), ast.Var("X")))},
+	}).NumberVars()
+	if n != 3 || rule.String() != "h(Y, (D + 1)) :- p(X, pr(Y, X))." {
+		t.Fatalf("NumberVars: %d slots, %s", n, rule)
+	}
+	if m := SlotMask(rule.Body[0].Args...); m != 0b101 { // Y is slot 0, D slot 1, X slot 2
+		t.Errorf("SlotMask = %b", m)
+	}
+	b := Slots{Regs: make([]ast.Term, n)}
+	vals := []ast.Term{ast.Int64(7), ast.Compound("pr", ast.Symbol("a"), ast.Int64(7))}
+	if !b.MatchArgs(rule.Body[0].Args, vals) || b.Set != 0b101 {
+		t.Fatalf("match failed or bound %b", b.Set)
+	}
+	if got := b.Apply(rule.Head.Args[1]); got.String() != "(D + 1)" {
+		t.Errorf("Apply left D alone? %s", got)
+	}
+	if got := b.Apply(rule.Body[0].Args[1]); !got.Equal(vals[1]) {
+		t.Errorf("Apply = %s", got)
+	}
+	// The repeated X must agree; a failed attempt is undone by restoring Set.
+	b.Set = 0
+	if b.MatchArgs(rule.Body[0].Args, []ast.Term{ast.Int64(7), ast.Compound("pr", ast.Symbol("a"), ast.Int64(8))}) {
+		t.Error("X matched 7 and 8")
+	}
+	// A negative slot is a wildcard: it matches anything and binds nothing.
+	b.Set = 0
+	wild := ast.Term{Kind: ast.KindVar, Str: "_", Int: -1}
+	if !b.MatchArgs([]ast.Term{wild, wild}, vals) || b.Set != 0 || SlotMask(wild) != 0 {
+		t.Errorf("wildcard bound %b", b.Set)
+	}
+}

@@ -199,26 +199,26 @@ func (e *Engine) nextHopAvoid(from nsim.NodeID, tx, ty float64) (nsim.NodeID, bo
 	return best, best != from
 }
 
-// Dedup suppresses duplicate flooded messages by ID. The zero value is
-// ready to use.
-type Dedup struct {
-	seen map[string]bool
+// Dedup suppresses duplicate flooded messages by a comparable ID. The
+// zero value is ready to use.
+type Dedup[K comparable] struct {
+	seen map[K]struct{}
 }
 
 // Check records id and reports whether it was seen before.
-func (d *Dedup) Check(id string) bool {
-	if d.seen == nil {
-		d.seen = make(map[string]bool)
-	}
-	if d.seen[id] {
+func (d *Dedup[K]) Check(id K) bool {
+	if _, dup := d.seen[id]; dup {
 		return true
 	}
-	d.seen[id] = true
+	if d.seen == nil {
+		d.seen = make(map[K]struct{})
+	}
+	d.seen[id] = struct{}{}
 	return false
 }
 
 // Len returns the number of distinct IDs seen.
-func (d *Dedup) Len() int { return len(d.seen) }
+func (d *Dedup[K]) Len() int { return len(d.seen) }
 
 // Bounds returns the bounding box of the network's node positions.
 func Bounds(nw *nsim.Network) (minX, minY, maxX, maxY float64) {

@@ -98,14 +98,19 @@ func TestAtTarget(t *testing.T) {
 }
 
 func TestDedup(t *testing.T) {
-	var d Dedup
-	if d.Check("a") {
+	// Keyed the way the engine keys it: a comparable struct, no rendering.
+	type frame struct {
+		join bool
+		seq  int64
+	}
+	var d Dedup[frame]
+	if d.Check(frame{seq: 1}) {
 		t.Error("first occurrence reported duplicate")
 	}
-	if !d.Check("a") {
+	if !d.Check(frame{seq: 1}) {
 		t.Error("second occurrence not detected")
 	}
-	if d.Check("b") {
+	if d.Check(frame{join: true, seq: 1}) {
 		t.Error("unseen id reported duplicate")
 	}
 	if d.Len() != 2 {

@@ -500,7 +500,9 @@ func (c *Cluster) Results(pred string) []Tuple { return c.Engine.Derived(pred) }
 // injecting a derived predicate. ErrUnknownPredicate: predicate the
 // program never mentions. ErrArity: right name, wrong arity.
 // ErrBasePredicate: querying a base predicate. ErrBadGoal: goal text
-// that is not a single positive literal.
+// that is not a single positive literal. ErrNegationNeedsHead comes from
+// Deploy: a rule whose negation is checked at the head's home node uses
+// a variable the settled head tuple cannot give back (see DESIGN.md).
 var (
 	ErrBadNode          = core.ErrBadNode
 	ErrNotGround        = core.ErrNotGround
@@ -509,6 +511,8 @@ var (
 	ErrArity            = core.ErrArity
 	ErrBasePredicate    = core.ErrBasePredicate
 	ErrBadGoal          = core.ErrBadGoal
+
+	ErrNegationNeedsHead = core.ErrNegationNeedsHead
 )
 
 // Query answers a point query against the cluster's live derived

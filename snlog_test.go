@@ -515,3 +515,121 @@ hi(max<V>) :- obs(S, V).
 		}
 	}
 }
+
+// A negation checked at the head's home node (local-mode rules, same-
+// stage XY negations) rebinds its variables by matching the settled head
+// tuple, which cannot see through an evaluated argument: h(Y, D + 1)
+// settles as h(n1, 2), and D is gone. Such a rule used to deploy and
+// silently skip the negation — the cluster held five h tuples the
+// centralized evaluator refuses. Now Deploy refuses the rule, naming the
+// rewrite; the rewritten program, and a rule whose negated variables are
+// all matchable beside an evaluated argument (which used to lose its
+// negation the same way), derive what Eval derives.
+func TestDeployFinalizeNegationNeedsMatchableHead(t *testing.T) {
+	const decls = `
+.base g/2.
+.store g/2 at 0 hops 1.
+.store j/2 at 0 hops 1.
+.store blk/2 at 0.
+.store blk1/2 at 0.
+.store h/2 at 0.
+j(n0, 0). j(n1, 1). j(n5, 1).
+`
+	const (
+		refused   = "h(Y, D + 1) :- g(X, Y), j(X, D), NOT blk(Y, D).\n"
+		rewritten = "blk1(Y, D1) :- blk(Y, D), D1 = D + 1.\nh(Y, D1) :- g(X, Y), j(X, D), D1 = D + 1, NOT blk1(Y, D1).\n"
+		beside    = "h(Y, D + 1) :- g(X, Y), j(X, D), NOT blk(Y, 1).\n"
+	)
+	_, err := Deploy(Grid(4), decls+refused, WithSeed(1))
+	if !errors.Is(err, ErrNegationNeedsHead) || !strings.Contains(err.Error(), "D1 = D + 1") {
+		t.Fatalf("Deploy of %q: err = %v, want ErrNegationNeedsHead naming the rewrite", refused, err)
+	}
+
+	type op struct {
+		at   int64
+		node int
+		t    Tuple
+	}
+	var ops []op
+	for _, y := range []int{1, 2, 4} {
+		for d := int64(0); d < 3; d++ {
+			ops = append(ops, op{0, y, NewTuple("blk", NodeSym(y), Int(d))})
+		}
+	}
+	for q := 0; q < 4; q++ {
+		for p := 0; p < 4; p++ {
+			for _, d := range [][2]int{{1, 0}, {0, 1}} {
+				if np, nq := p+d[0], q+d[1]; np < 4 && nq < 4 {
+					a, b := GridID(4, p, q), GridID(4, np, nq)
+					ops = append(ops, op{50, a, NewTuple("g", NodeSym(a), NodeSym(b))}, op{50, b, NewTuple("g", NodeSym(b), NodeSym(a))})
+				}
+			}
+		}
+	}
+	var facts []Tuple
+	for _, o := range ops {
+		facts = append(facts, o.t)
+	}
+	orig, err := Eval(decls+refused, facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{rewritten, beside} {
+		c, err := Deploy(Grid(4), decls+src, WithSeed(1))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		for _, o := range ops {
+			if err := c.InjectAt(o.at, o.node, o.t); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Run()
+		db, err := Eval(decls+src, facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := c.Results("h/2"), db.Tuples("h/2")
+		if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%q: cluster h = %v, centralized %v", src, got, want)
+		}
+		if src == rewritten && fmt.Sprint(want) != fmt.Sprint(orig.Tuples("h/2")) {
+			t.Errorf("the rewrite changed the program: h = %v, original %v", want, orig.Tuples("h/2"))
+		}
+	}
+	if h := fmt.Sprint(orig.Tuples("h/2")); h != "[h(n0, 2) h(n5, 2) h(n6, 2) h(n9, 2)]" {
+		t.Errorf("centralized h = %s", h)
+	}
+}
+
+// A negated `=` is a test, never a binding. It used to run as soon as it
+// was reached: with Z still free, `X = Z` "succeeded" by binding Z, so
+// NOT killed every branch and d came out empty — from both evaluators —
+// while the two other spellings of the same condition derived six tuples.
+func TestNegatedEqIsATest(t *testing.T) {
+	var facts []Tuple
+	for i := int64(0); i < 6; i++ {
+		facts = append(facts, NewTuple("a", Int(i), Int(i%3)), NewTuple("b", Int(i%3), Int(i)))
+	}
+	for _, cond := range []string{"NOT X = Z", "NOT X == Z", "X != Z"} {
+		src := ".base a/2.\n.base b/2.\nd(X, Z) :- a(X, Y), b(Y, Z), " + cond + ".\n"
+		db, err := Eval(src, facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Deploy(Grid(4), src, WithSeed(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range facts {
+			if err := c.Inject(i, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Run()
+		got, want := c.Results("d/2"), db.Tuples("d/2")
+		if len(want) != 6 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: cluster d = %v, centralized %v (want 6 tuples)", cond, got, want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-shards bench bench-shards-smoke serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
+.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
 
 all: verify
 
@@ -29,21 +29,8 @@ vet:
 race:
 	$(GO) test -race ./internal/livenet/... ./internal/core/... ./internal/serve/...
 
-# The sharded scheduler runs shard windows on concurrent goroutines;
-# prove the parallel path race-free on its gates: the nsim partition
-# property tests, the E1/E5/E7 determinism gates, and the Shards=4
-# differential sweep.
-race-shards:
-	$(GO) test -race -count=1 -run 'Shard' ./internal/nsim/ ./internal/experiments/ ./internal/check/
-
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
-
-# Wall-clock-free stand-in for the sharded-scheduler bench
-# (BenchmarkE15Shards): pins the deterministic fold count (barriers per
-# 1k events) and the elision rate on the same workload.
-bench-shards-smoke:
-	$(GO) test -run 'TestShardBarrierBudget' -count=1 -v ./internal/experiments/
 
 # End-to-end smoke of the serving stack: snlogd's exact wire surface —
 # open, query, cache hit, inject, delete, explain, subscribe, stats —
@@ -92,4 +79,4 @@ profile:
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
 
-verify: build test vet race race-shards bench-shards-smoke serve-smoke obs-guard obs-export-smoke fuzz-smoke
+verify: build test vet race serve-smoke obs-guard obs-export-smoke fuzz-smoke

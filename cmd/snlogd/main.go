@@ -36,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	cache := flag.Int("cache", 0, "result cache entries (0 = default 256, negative = disabled)")
 	loss := flag.Float64("loss", 0, "radio loss rate [0, 1)")
-	shards := flag.Int("shards", 0, "parallel scheduler shards (0 = single-threaded)")
 	noProv := flag.Bool("no-provenance", false, "skip provenance capture (explain disabled)")
 	batch := flag.Int("batch", 0, "write batch size: the Nth buffered write flushes (0 = default 64, 1 = apply immediately)")
 	batchDelay := flag.Duration("batch-delay", 0, "write batch deadline (0 = default 2ms, negative = size/freshness flushes only)")
@@ -56,11 +55,8 @@ func main() {
 		fatal(err)
 	}
 	deploy := []snlog.Option{snlog.WithSeed(*seed)}
-	if *loss > 0 {
+	if *loss != 0 {
 		deploy = append(deploy, snlog.WithLoss(*loss))
-	}
-	if *shards > 1 {
-		deploy = append(deploy, snlog.WithShards(*shards))
 	}
 	if *traceCap > 0 {
 		deploy = append(deploy, snlog.WithTrace(*traceCap))

@@ -38,11 +38,6 @@ type Config struct {
 	// capacity (Result.Trace) — the determinism test compares its
 	// serialized bytes across runs.
 	TraceCap int
-	// Shards, when > 1, runs the simulation on the parallel sharded
-	// scheduler (nsim shard partitioning + windowed barriers). The
-	// differential comparison is unchanged: whatever the schedule, the
-	// surviving base set fully determines the oracle fixpoint.
-	Shards int
 }
 
 // Result reports one differential run.
@@ -92,8 +87,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("check: generated program does not parse: %v\n%s", err, g.Src)
 	}
 
-	nw := topo.Grid(cfg.GridM, nsim.Config{Seed: cfg.Seed, MaxSkew: 4, Shards: cfg.Shards})
-	e, err := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular, ReplayLog: true, Shards: cfg.Shards})
+	nw := topo.Grid(cfg.GridM, nsim.Config{Seed: cfg.Seed, MaxSkew: 4})
+	e, err := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular, ReplayLog: true})
 	if err != nil {
 		return nil, fmt.Errorf("check: generated program does not compile: %v\n%s", err, g.Src)
 	}

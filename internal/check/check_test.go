@@ -76,61 +76,6 @@ func TestDifferentialSweep(t *testing.T) {
 	}
 }
 
-// TestDifferentialSweepSharded reruns the full 24-seed sweep on the
-// parallel sharded scheduler (Shards=4). The oracle comparison is the
-// sharded path's soundness gate: whatever schedule the windowed
-// barriers produce, the surviving base set must still determine the
-// engine's fixpoint, and Replay must still repair fault losses.
-func TestDifferentialSweepSharded(t *testing.T) {
-	seeds := make([]int64, 0, 24)
-	if *seedFlag >= 0 {
-		seeds = append(seeds, *seedFlag)
-	} else {
-		for s := int64(0); s < 24; s++ {
-			seeds = append(seeds, s)
-		}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		churn := int(seed % 3 * 2) // 0, 2, 4
-		t.Run(fmt.Sprintf("seed%d/churn%d", seed, churn), func(t *testing.T) {
-			res, err := Run(Config{Seed: seed, Churn: churn, Shards: 4})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !res.Converged {
-				t.Fatalf("seed %d churn %d shards 4: not converged after %d repair rounds: %s\nprogram:\n%s",
-					seed, churn, res.Rounds, res.Mismatch, res.Program)
-			}
-			t.Logf("seed %d churn %d shards 4: rounds=%d msgs=%d faults=%+v",
-				seed, churn, res.Rounds, res.Messages, res.Faults)
-		})
-	}
-}
-
-// TestRunShardedDeterministic: the same (seed, Shards=n) must replay
-// identically run-to-run — the parallel schedule is deterministic, not
-// merely equivalent.
-func TestRunShardedDeterministic(t *testing.T) {
-	for _, seed := range []int64{1, 5} {
-		run := func() []byte {
-			res, err := Run(Config{Seed: seed, Churn: 3, TraceCap: 1 << 15, Shards: 4})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			var buf bytes.Buffer
-			if _, err := res.Trace.WriteJSONL(&buf, obs.Filter{}); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
-		a, b := run(), run()
-		if !bytes.Equal(a, b) {
-			t.Fatalf("seed %d: two identical sharded runs produced different traces (%d vs %d bytes)", seed, len(a), len(b))
-		}
-	}
-}
-
 // The same (program, workload, schedule, seed) must replay
 // byte-identically: the serialized trace of two runs is compared as
 // raw bytes.

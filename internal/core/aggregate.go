@@ -197,12 +197,7 @@ func (rt *nodeRT) aggFinal(epoch string) {
 		}
 		out = append(out, eval.Tuple{Pred: r.Head.PredKey(), Args: args})
 	}
-	// Sinks of different aggregate rules can live in different shards of
-	// the parallel scheduler; the shared results map needs the lock, the
-	// ResultLog goes through the per-shard buffer.
-	rt.e.aggMu.Lock()
 	rt.e.aggResults[s.pred] = out
-	rt.e.aggMu.Unlock()
 	if rt.e.queryPreds[s.pred] {
 		for _, t := range out {
 			rt.logResult(ResultEvent{

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/datalog/analysis"
 	"repro/internal/datalog/ast"
@@ -88,13 +87,6 @@ type Config struct {
 	// overhead on fault-free runs and would perturb the allocation
 	// baselines.
 	ReplayLog bool
-	// Shards, when ≥ 2, runs the simulator's sharded scheduler with that
-	// many spatial shards (forwarded to nsim via SetShards, since New
-	// runs before nw.Finalize) and attaches the engine's per-shard state:
-	// one routing cache per shard plus result/trace buffers folded
-	// deterministically at window barriers (shard.go). 0 or 1 keeps the
-	// single-threaded scheduler with byte-identical results.
-	Shards int
 }
 
 func (c *Config) fill(nw *nsim.Network) {
@@ -182,14 +174,6 @@ type Engine struct {
 	// router caches nearest-node lookups for the geographic-unicast
 	// termination test, which every walker hop performs.
 	router *routing.Engine
-	// shards holds the engine's per-shard state when the network runs the
-	// sharded scheduler: a private routing cache per shard (the shared
-	// cache's map would race) plus result buffers drained at real window
-	// barriers (shard.go). Empty on single-threaded runs.
-	shards []engineShard
-	// aggMu serializes writes to aggResults: aggregation sinks finalize
-	// epochs on their own shards' goroutines.
-	aggMu sync.Mutex
 
 	rules     []*compiledRule
 	triggers  map[string][]trigger // predKey -> triggers
@@ -210,8 +194,7 @@ type Engine struct {
 	queryPreds map[string]bool
 
 	rts []*nodeRT // per-node runtimes, indexed by NodeID
-	// maxVars is the widest rule's register count. scratch serves
-	// single-threaded runs; under sharding each shard has its own.
+	// maxVars is the widest rule's register count.
 	maxVars int
 	scratch joinScratch
 
@@ -278,14 +261,17 @@ type ResultEvent struct {
 
 // New compiles prog onto the network. Must be called before nw.Finalize.
 func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
+	if nw.Len() == 0 {
+		return nil, validationErrorf(ErrBadNetwork, "core: the network has no nodes")
+	}
+	if loss := nw.Config().LossRate; !(loss >= 0 && loss < 1) {
+		return nil, validationErrorf(ErrBadNetwork, "core: loss rate %g outside [0, 1)", loss)
+	}
 	res, err := analysis.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
 	cfg.fill(nw)
-	if cfg.Shards > 0 {
-		nw.SetShards(cfg.Shards)
-	}
 	e := &Engine{
 		nw:           nw,
 		prog:         prog,
@@ -541,7 +527,6 @@ func (e *Engine) sameXYComponent(a, b string) bool {
 // Start injects the program's facts (at their placement nodes, or their
 // geographic home for hash-placed predicates). Call after nw.Finalize.
 func (e *Engine) Start() {
-	e.attachShards()
 	for _, f := range e.prog.Facts() {
 		f := f
 		t := eval.Tuple{Pred: f.Head.PredKey(), Args: f.Head.Args}

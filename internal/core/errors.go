@@ -40,6 +40,10 @@ var (
 	// tuple cannot give back (absent, or only inside an evaluated
 	// expression such as D + 1).
 	ErrNegationNeedsHead = errors.New("negated variable not recoverable from the head")
+	// ErrBadNetwork marks a network New refuses to compile onto: one
+	// with no nodes, or with a loss rate outside [0, 1) — at 1 no frame
+	// is ever delivered, so nothing could be derived.
+	ErrBadNetwork = errors.New("unusable network")
 )
 
 // ValidationError is a validation failure carrying its sentinel: the

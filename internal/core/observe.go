@@ -136,13 +136,8 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 			emit("core.derived_live."+p, v)
 		}
 		emit("core.results_logged", int64(len(e.ResultLog)))
-		hits, misses := e.router.Hits, e.router.Misses
-		for i := range e.shards {
-			hits += e.shards[i].router.Hits
-			misses += e.shards[i].router.Misses
-		}
-		emit("routing.nearest_hits", hits)
-		emit("routing.nearest_misses", misses)
+		emit("routing.nearest_hits", e.router.Hits)
+		emit("routing.nearest_misses", e.router.Misses)
 	})
 }
 

@@ -85,12 +85,6 @@ func (e *Engine) ReplayLogLen() int {
 func (e *Engine) replayNow() {
 	e.finalizeFloor = e.nw.Now()
 	e.router.Invalidate()
-	// Per-shard routing caches hold the same kind of stale entries the
-	// shared one does; replayNow runs as a global event (serial phase of
-	// the sharded scheduler), so the wipe races with nothing.
-	for i := range e.shards {
-		e.shards[i].router.Invalidate()
-	}
 	// Provenance is wiped with the derivation state it mirrors: keeping
 	// pre-replay records would let Explain cite derivations the replayed
 	// timeline never produced (the §11 unsoundness argument again). The

@@ -53,9 +53,8 @@ type storeMsg struct {
 
 // partialR is a partial result (Definition 1) in flight: the register
 // file of its rule's variables plus the stamps of the tuples joined so
-// far. It is immutable once built — walkers on different shards share
-// the partials of a cloned joinMsg, and pending candidates keep reading
-// b — so extension works on scratch registers and allocates the
+// far. It is immutable once built — pending candidates keep reading b
+// — so extension works on scratch registers and allocates the
 // successor only when the match and its built-ins succeed.
 type partialR struct {
 	cr     *compiledRule
@@ -106,8 +105,7 @@ func newPartial(cr *compiledRule, pinned int, s unify.Slots, stamps []window.Sta
 }
 
 // joinScratch is the join path's reusable working memory. One event runs
-// at a time per engine — per shard under the sharded scheduler — so the
-// nodes of an engine (shard) share one.
+// at a time per engine, so the nodes of an engine share one.
 type joinScratch struct {
 	regs []ast.Term           // match registers, as wide as the widest rule
 	out  []*partialR          // one partial's extensions (saturate)
@@ -154,9 +152,7 @@ type candProv struct {
 // BumpHop implements nsim.HopCounter: the simulator calls it once per
 // transmitted frame when hop stamping is enabled, so a settled
 // candidate knows how many radio transmissions its route took. The
-// count is atomic: a duplicated delivery can put two references to the
-// same candidate in flight, and under the sharded scheduler those can
-// migrate to different shards and transmit concurrently.
+// count is read and written atomically.
 func (rm *resultMsg) BumpHop() {
 	if rm.Cand != nil && rm.Cand.Prov != nil {
 		atomic.AddInt32(&rm.Cand.Prov.Hops, 1)
@@ -211,15 +207,10 @@ type updateRec struct {
 type nodeRT struct {
 	e    *Engine
 	node *nsim.Node
-	// es points at this node's shard state under the sharded scheduler
-	// (shard.go): a per-shard routing cache plus result/trace buffers.
-	// Nil on single-threaded runs.
-	es *engineShard
 
 	store *window.Store
 	seq   int64
 	dedup routing.Dedup[floodKey]
-	js    *joinScratch // the engine's, or this node's shard's
 
 	// homed is the home-node state for derived tuples (Definition 2), by
 	// tuple key. A record exists exactly while its derivation set is
@@ -283,7 +274,7 @@ func (rt *nodeRT) visibleMatch(cr *compiledRule, i int, b unify.Slots, tau windo
 // scratch returns the match registers loaded with b: matching and
 // built-ins bind into them, and restoring Set undoes an attempt.
 func (rt *nodeRT) scratch(cr *compiledRule, b unify.Slots) unify.Slots {
-	s := unify.Slots{Regs: rt.js.regs[:cr.nvars], Set: b.Set}
+	s := unify.Slots{Regs: rt.e.scratch.regs[:cr.nvars], Set: b.Set}
 	copy(s.Regs, b.Regs)
 	return s
 }
@@ -306,7 +297,6 @@ func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
 		e:           e,
 		node:        n,
 		store:       e.newStore(),
-		js:          &e.scratch,
 		homed:       make(map[string]*homed),
 		aggSessions: make(map[string]*aggSession),
 	}
@@ -501,13 +491,23 @@ type floodKey struct {
 	join, del bool
 }
 
-// atTarget answers the walker termination test through the routing
-// cache of the engine (or, under sharding, of the node's shard).
+// atTarget answers the walker termination test through the engine's
+// routing cache.
 func (rt *nodeRT) atTarget(x, y float64) bool {
-	if rt.es != nil {
-		return rt.es.router.AtTarget(rt.node.ID, x, y)
-	}
 	return rt.e.router.AtTarget(rt.node.ID, x, y)
+}
+
+// logResult appends a query-predicate transition to the ResultLog.
+func (rt *nodeRT) logResult(ev ResultEvent) {
+	rt.e.ResultLog = append(rt.e.ResultLog, ev)
+}
+
+// recordTrace records an engine trace event (no-op without an attached
+// trace).
+func (rt *nodeRT) recordTrace(ev obs.Event) {
+	if rt.e.trace != nil {
+		rt.e.trace.Record(ev)
+	}
 }
 
 // forwardStore advances a storage walker one hop.
@@ -756,7 +756,7 @@ func (rt *nodeRT) extend(p *partialR, tau window.Stamp, onlyIdx int, out []*part
 // nothing, so the dedup set is filled lazily on the first extension.
 func (rt *nodeRT) saturate(partials []*partialR, tau window.Stamp, onlyIdx int) []*partialR {
 	all := partials
-	js := rt.js
+	js := &rt.e.scratch
 	seeded := false
 	for i := 0; i < len(all); i++ {
 		js.out = rt.extend(all[i], tau, onlyIdx, js.out[:0])
@@ -1117,7 +1117,7 @@ func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
 // then local too. The partials never leave the node, so their list is
 // scratch.
 func (rt *nodeRT) expandHere(p *partialR, rec *updateRec) {
-	all := rt.saturate(append(rt.js.all[:0], p), rec.Tau, -1)
+	all := rt.saturate(append(rt.e.scratch.all[:0], p), rec.Tau, -1)
 	for _, q := range all {
 		if !q.complete() {
 			continue
@@ -1136,7 +1136,7 @@ func (rt *nodeRT) expandHere(p *partialR, rec *updateRec) {
 		}
 	}
 	clear(all)
-	rt.js.all = all[:0]
+	rt.e.scratch.all = all[:0]
 }
 
 // pinnedNegIdx recovers which negated subgoal the update pinned (the one

@@ -5,8 +5,9 @@ package eval
 // a single shared cascade queue propagates all of them. Compared to a
 // fold over Insert, the batched path probes each rule's indexes once per
 // batch tuple against the full post-batch state instead of replaying the
-// intermediate states, which is what makes barrier-sized deltas from the
-// sharded scheduler amortize into one index-probe pass per predicate.
+// intermediate states, so a large delta (the differential harness loads
+// the oracle's whole surviving base set this way) costs one index-probe
+// pass per predicate.
 //
 // The batched path is only sound under SetOfDerivations: a join between
 // two batch tuples is discovered once per pinned occurrence, and the

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datalog/ast"
+	"repro/internal/datalog/eval"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
 	"repro/internal/obs"
@@ -42,8 +45,7 @@ func TestExactCounts(t *testing.T) {
 		want      counts
 	}{
 		{
-			// The E1 m=18 Perpendicular join every allocation guard and
-			// the Shards sweep run.
+			// The E1 m=18 Perpendicular join every allocation guard runs.
 			name: "E1/m18/seed11",
 			run: func() (*core.Engine, *nsim.Network) {
 				e, nw := deployGrid(18, twoStreamSrc,
@@ -137,4 +139,17 @@ func runSamplingMem(e *core.Engine, nw *nsim.Network) memCounts {
 	mem.expireCalls, mem.expireDue, mem.expired =
 		s.Get("window.expire_calls"), s.Get("window.expire_due"), s.Get("window.expired")
 	return mem
+}
+
+// injectLossyJoinWorkload is the E7 row's input: 40 ra/rb pairs over 20
+// join keys at seeded nodes, one pair every 9 ticks.
+func injectLossyJoinWorkload(e *core.Engine, nw *nsim.Network) {
+	r := rand.New(rand.NewSource(67))
+	for i := 0; i < 40; i++ {
+		key := int64(i % 20)
+		e.InjectAt(nsim.Time(i*9), nsim.NodeID(r.Intn(nw.Len())),
+			eval.NewTuple("ra", ast.Int64(int64(i)), ast.Int64(key)))
+		e.InjectAt(nsim.Time(i*9+4), nsim.NodeID(r.Intn(nw.Len())),
+			eval.NewTuple("rb", ast.Int64(key), ast.Int64(int64(i))))
+	}
 }

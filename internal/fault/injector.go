@@ -45,7 +45,6 @@ type Injector struct {
 	nw    *nsim.Network
 	sched *Schedule
 	rng   *rand.Rand
-	seed  int64 // Attach seed; per-shard forks derive their streams from it
 
 	cuts     map[linkKey]int // active cut multiplicity per link
 	cutCount int             // total active cuts (fast path gate)
@@ -65,7 +64,6 @@ func Attach(nw *nsim.Network, s *Schedule, seed int64) *Injector {
 		nw:    nw,
 		sched: s,
 		rng:   rand.New(rand.NewSource(seed)),
-		seed:  seed,
 		cuts:  make(map[linkKey]int),
 	}
 	for _, e := range s.crashes {
@@ -154,25 +152,13 @@ func (in *Injector) partClose(idx int) {
 // LinkBlocked implements nsim.FaultController: a frame is blocked by
 // an active cut on its link or by crossing an open partition boundary.
 func (in *Injector) LinkBlocked(src, dst nsim.NodeID, now nsim.Time) bool {
-	if in.LinkObstructed(src, dst, now) {
-		atomic.AddInt64(&in.Counts.Blocked, 1)
-		return true
-	}
-	return false
-}
-
-// LinkObstructed implements nsim.LinkStateProber: the same cut and
-// partition test as LinkBlocked, but side-effect free — the sharded
-// scheduler probes boundary links when recomputing its per-pair
-// lookahead, and a probe is not a transmission attempt, so it must not
-// inflate Counts.Blocked (which is cross-checked against the drop
-// trace).
-func (in *Injector) LinkObstructed(src, dst nsim.NodeID, now nsim.Time) bool {
 	if in.cutCount > 0 && in.cuts[mkLinkKey(src, dst)] > 0 {
+		atomic.AddInt64(&in.Counts.Blocked, 1)
 		return true
 	}
 	for _, p := range in.active {
 		if p.members[src] != p.members[dst] {
+			atomic.AddInt64(&in.Counts.Blocked, 1)
 			return true
 		}
 	}
@@ -184,26 +170,19 @@ func (in *Injector) LinkObstructed(src, dst nsim.NodeID, now nsim.Time) bool {
 // with the window's probability; inside an active duplicate window a
 // duplicate delivery is scheduled with the window's probability. All
 // draws come from the injector's rng and only happen while a window is
-// active, so an idle schedule consumes nothing.
+// active, so an idle schedule consumes nothing. Schedule windows are
+// read-only after Attach; the counters are updated atomically.
 func (in *Injector) DeliveryFault(src, dst nsim.NodeID, now nsim.Time) (extra nsim.Time, dup int) {
-	return in.deliveryFault(in.rng, now)
-}
-
-// deliveryFault is DeliveryFault against an explicit rng, shared with
-// the per-shard forks. Schedule windows are read-only after Attach;
-// only the counters are mutated, atomically, because forks of the same
-// injector run on concurrent shard goroutines.
-func (in *Injector) deliveryFault(rng *rand.Rand, now nsim.Time) (extra nsim.Time, dup int) {
 	for _, w := range in.sched.reorders {
-		if now >= w.From && now < w.To && rng.Float64() < w.Prob {
-			extra += 1 + nsim.Time(rng.Int63n(int64(w.MaxExtra)))
+		if now >= w.From && now < w.To && in.rng.Float64() < w.Prob {
+			extra += 1 + nsim.Time(in.rng.Int63n(int64(w.MaxExtra)))
 		}
 	}
 	if extra > 0 {
 		atomic.AddInt64(&in.Counts.Reordered, 1)
 	}
 	for _, w := range in.sched.dups {
-		if now >= w.From && now < w.To && rng.Float64() < w.Prob {
+		if now >= w.From && now < w.To && in.rng.Float64() < w.Prob {
 			dup++
 		}
 	}
@@ -211,35 +190,6 @@ func (in *Injector) deliveryFault(rng *rand.Rand, now nsim.Time) (extra nsim.Tim
 		atomic.AddInt64(&in.Counts.Duplicated, int64(dup))
 	}
 	return extra, dup
-}
-
-// ForkShard implements nsim.ShardForker: it returns a view of the
-// injector for one shard of the parallel scheduler, with its own rng
-// stream (deterministically derived from the Attach seed) and shared
-// fault state. Cut/partition state only changes in the scheduler's
-// serial phases — every schedule transition is a global ScheduleAt
-// event — so the shared reads are race-free mid-window, and the shared
-// counters are atomic.
-func (in *Injector) ForkShard(shard int) nsim.FaultController {
-	return &shardFork{
-		in:  in,
-		rng: rand.New(rand.NewSource(in.seed + int64(shard+1)*2654435761)),
-	}
-}
-
-// shardFork is the per-shard FaultController view handed out by
-// ForkShard.
-type shardFork struct {
-	in  *Injector
-	rng *rand.Rand
-}
-
-func (f *shardFork) LinkBlocked(src, dst nsim.NodeID, now nsim.Time) bool {
-	return f.in.LinkBlocked(src, dst, now)
-}
-
-func (f *shardFork) DeliveryFault(src, dst nsim.NodeID, now nsim.Time) (extra nsim.Time, dup int) {
-	return f.in.deliveryFault(f.rng, now)
 }
 
 // Observe registers the injector's bookkeeping as snapshot-time

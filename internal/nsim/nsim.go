@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -99,31 +98,6 @@ type Config struct {
 	TxCostByte   float64
 	RxCostBase   float64
 	RxCostByte   float64
-
-	// Shards, when ≥ 2, partitions the node set into that many spatial
-	// stripes run concurrently under conservative lookahead windows (see
-	// shard.go: per-shard-pair horizons derived from boundary link
-	// delays; windows exchange crossings but elide the observation fold
-	// until buffer pressure forces one). 0
-	// or 1 keeps the single-threaded scheduler, whose results are
-	// byte-identical to previous releases. Sharded runs are
-	// deterministic per (Seed, Shards) pair but draw delay/loss
-	// randomness from per-shard streams, so their traces differ from the
-	// single-threaded ones. Ignored (with the network staying
-	// single-threaded) under an energy budget.
-	Shards int
-	// ShardNoCoalesce folds counters/traces at every window, disabling
-	// fold elision — the A/B baseline for window coalescing.
-	// Byte-identical traces, stats, and derived state to the coalescing
-	// default for a fixed (Seed, Shards) pair; only the fold points
-	// differ. Ignored when unsharded.
-	ShardNoCoalesce bool
-	// ShardFoldBacklog is the buffered-trace-record count that forces a
-	// fold on a coalescing run (0 means the default, shardFoldBacklog).
-	// Any value produces the same traces, stats, and derived state —
-	// fold placement is observation-invariant — so this only trades
-	// buffer memory against fold frequency. Ignored when unsharded.
-	ShardFoldBacklog int
 }
 
 func (c *Config) fill() {
@@ -145,7 +119,6 @@ type Node struct {
 	App  Handler
 
 	net       *Network
-	sh        *shard // owning shard; nil when the network is unsharded
 	skew      Time
 	neighbors []NodeID
 
@@ -161,14 +134,11 @@ type Node struct {
 }
 
 // LocalTime returns the node's local clock: global time plus fixed skew.
-// Under sharding the base is the owning shard's clock, which runs ahead
-// independently inside a lookahead window.
-func (n *Node) LocalTime() Time { return n.simNow() + n.skew }
+func (n *Node) LocalTime() Time { return n.net.now + n.skew }
 
 // Now returns the current simulation time at this node (not observable
-// by real motes; provided for instrumentation). Under sharding this is
-// the owning shard's clock.
-func (n *Node) Now() Time { return n.simNow() }
+// by real motes; provided for instrumentation).
+func (n *Node) Now() Time { return n.net.now }
 
 // Neighbors returns the IDs of nodes within radio range, sorted.
 func (n *Node) Neighbors() []NodeID { return n.neighbors }
@@ -208,7 +178,7 @@ func (n *Node) SetTimer(delay Time, key string, data interface{}) {
 	if delay < 0 {
 		delay = 0
 	}
-	n.net.scheduleTimer(n.simNow()+delay, n.ID, key, data)
+	n.net.scheduleTimer(n.net.now+delay, n.ID, key, data)
 }
 
 func (n *Node) isNeighbor(id NodeID) bool {
@@ -260,53 +230,6 @@ type Network struct {
 	// and delivery (SetFaults).
 	faults FaultController
 
-	// Sharded-scheduler state (shard.go). shards is non-empty only when
-	// Finalize partitioned the network; parallel is true exactly while a
-	// lookahead window is in flight (it routes counter and trace writes
-	// to shard-local buffers); barrierHooks run after every real
-	// barrier, with the fold's safety bound.
-	shards       []*shard
-	parallel     bool
-	barrierHooks []func(Time)
-	// Per-shard-pair lookahead (shard.go): boundaryLinks[b] lists the
-	// radio links crossing the boundary between shards b and b+1 (fixed
-	// at partition time); pairLA[b] is the minimum delivery delay any of
-	// them can currently carry a frame with (timeInf when none can).
-	// laValid is cleared whenever link or liveness state may have
-	// changed — after every serial closure event — like the routing
-	// caches.
-	boundaryLinks [][]boundaryLink
-	pairLA        []Time
-	laValid       bool
-	// serialBuf buffers node-less trace records produced in serial
-	// phases (TraceRecord: fault transitions), At-monotone on the global
-	// clock; it drains first in the canonical fold order. foldScratch is
-	// the reusable fold trace-merge buffer; auxSink receives auxiliary
-	// (engine-side) trace events in canonical order (SetShardTraceSink).
-	serialBuf   []shardTraceEvent
-	foldScratch []shardTraceEvent
-	auxSink     func(obs.Event)
-	// Persistent shard workers (startWorkers): one goroutine per shard
-	// for the duration of a runSharded call, released per window via the
-	// shards' start channels and joined on workerWG.
-	workerWG   sync.WaitGroup
-	workerStop chan struct{}
-	workersUp  bool
-	// hWindow, when non-nil, samples the width of each lookahead window
-	// in ticks (nsim.shard.window_ticks).
-	hWindow *obs.Histogram
-	// ShardWindows counts window phases run; ShardElided counts the
-	// subset whose fold was elided (crossings still exchanged, counter
-	// and trace deltas left to accumulate); ShardBarriers counts folds
-	// forced mid-run (trace-buffer pressure or ShardNoCoalesce; the
-	// final fold when Run returns is not counted, so barriers + elided
-	// = windows); ShardCrossings counts deliveries buffered across a
-	// shard boundary.
-	ShardWindows   int64
-	ShardElided    int64
-	ShardBarriers  int64
-	ShardCrossings int64
-
 	// Energy-model outcomes.
 	Deaths         int64
 	FirstDeath     Time // 0 until a node dies
@@ -327,17 +250,6 @@ func New(cfg Config) *Network {
 // Config returns the network's configuration.
 func (nw *Network) Config() Config { return nw.cfg }
 
-// SetShards overrides the configured shard count before Finalize, so
-// deployment layers that build the network before reading their own
-// configuration (e.g. core.New) can still opt into the sharded
-// scheduler.
-func (nw *Network) SetShards(n int) {
-	if nw.finalized {
-		panic("nsim: SetShards after Finalize")
-	}
-	nw.cfg.Shards = n
-}
-
 // SetFaults attaches (or, with nil, detaches) a fault controller. The
 // controller sees every transmission attempt and surviving delivery;
 // detaching restores the fault-free paths exactly.
@@ -345,16 +257,9 @@ func (nw *Network) SetFaults(fc FaultController) { nw.faults = fc }
 
 // TraceRecord forwards an event to the attached trace ring (no-op
 // without one). Fault controllers use it to log crash/recover and
-// link-state transitions next to the radio events they perturb. Under
-// sharding the record is buffered in the serial buffer — TraceRecord
-// callers run in serial phases, stamped with the monotone global clock
-// — and drains at the next fold in canonical order.
+// link-state transitions next to the radio events they perturb.
 func (nw *Network) TraceRecord(e obs.Event) {
 	if nw.trace == nil {
-		return
-	}
-	if len(nw.shards) > 0 {
-		nw.serialBuf = append(nw.serialBuf, shardTraceEvent{ev: e})
 		return
 	}
 	nw.trace.Record(e)
@@ -396,13 +301,12 @@ func (nw *Network) Finalize() {
 	// Below the cutoff the all-pairs scan beats assembling per-cell
 	// candidate lists (bruteNeighborCutoff, spatial.go); both paths
 	// produce identical neighbor lists, and the index is still built
-	// for NearestNode and the shard partitioner.
+	// for NearestNode.
 	if len(nw.nodes) < bruteNeighborCutoff {
 		nw.computeNeighborsBrute()
 	} else {
 		nw.computeNeighbors()
 	}
-	nw.partitionShards()
 	for _, a := range nw.nodes {
 		if nw.cfg.MaxSkew > 0 {
 			a.skew = Time(nw.rng.Int63n(int64(nw.cfg.MaxSkew)+1)) - nw.cfg.MaxSkew/2
@@ -423,10 +327,6 @@ func (nw *Network) Finalize() {
 // dying), but a dead sender never re-attempts a lost frame.
 func (nw *Network) transmit(src *Node, dst NodeID, kind string, payload interface{}, size int) {
 	if src.Down {
-		return
-	}
-	if src.sh != nil {
-		src.sh.transmit(src, dst, kind, payload, size)
 		return
 	}
 	if nw.hopStamp {
@@ -516,7 +416,7 @@ func (nw *Network) transmit(src *Node, dst NodeID, kind string, payload interfac
 }
 
 // deliver performs receiver-side accounting and hands the message to the
-// destination's handler. Shared by both event-queue implementations.
+// destination's handler.
 func (nw *Network) deliver(m *Message) {
 	d := nw.nodes[m.Dst]
 	if d.Down || d.App == nil {
@@ -558,11 +458,6 @@ func (nw *Network) schedule(t Time, f func()) {
 // scheduleTimer queues a Handler.Timer callback without allocating a
 // closure; the Down check happens at dispatch time.
 func (nw *Network) scheduleTimer(t Time, node NodeID, key string, data interface{}) {
-	if sh := nw.nodes[node].sh; sh != nil {
-		sh.seq++
-		sh.queue.push(simEvent{at: t, seq: sh.seq, kind: evTimer, node: node, str: key, data: data})
-		return
-	}
 	nw.seq++
 	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evTimer, node: node, str: key, data: data})
 }
@@ -579,9 +474,6 @@ func (nw *Network) scheduleDelivery(t Time, src, dst NodeID, kind string, payloa
 func (nw *Network) Run(until Time) Time {
 	if !nw.finalized {
 		nw.Finalize()
-	}
-	if len(nw.shards) > 0 {
-		return nw.runSharded(until)
 	}
 	for len(nw.queue) > 0 {
 		if until > 0 && nw.queue[0].at > until {
@@ -610,14 +502,8 @@ func (nw *Network) Run(until Time) Time {
 	return nw.now
 }
 
-// Pending reports the number of queued events across all queues.
-func (nw *Network) Pending() int {
-	p := len(nw.queue)
-	for _, sh := range nw.shards {
-		p += len(sh.queue)
-	}
-	return p
-}
+// Pending reports the number of queued events.
+func (nw *Network) Pending() int { return len(nw.queue) }
 
 // MaxNodeLoad returns the maximum (sent + received) over all nodes — the
 // hotspot metric of experiment E2.

@@ -30,18 +30,6 @@ import "repro/internal/obs"
 //	nsim.max_node_load    max per-node sent+received (E2 hotspot)
 //	nsim.nodes            node count
 //	nsim.deaths           nodes dead from energy depletion
-//	nsim.shards           shard count of the parallel scheduler (0 when
-//	                      single-threaded)
-//	nsim.shard.windows    lookahead window phases run (ShardWindows)
-//	nsim.shard.elided     windows whose fold was elided: crossings
-//	                      exchanged, counter/trace deltas left to
-//	                      accumulate shard-locally (ShardElided)
-//	nsim.shard.barriers   folds forced mid-run by trace-buffer pressure
-//	                      or ShardNoCoalesce (ShardBarriers)
-//	nsim.shard.crossings  deliveries buffered across a shard boundary
-//	                      during a window (ShardCrossings)
-//	nsim.shard.window_ticks.*  histogram of lookahead-window widths in
-//	                      ticks, one sample per window
 //
 // Observe may be called at any point before or after Finalize; calling
 // it with both arguments nil detaches the trace.
@@ -49,17 +37,12 @@ func (nw *Network) Observe(reg *obs.Registry, trace *obs.Trace) {
 	nw.trace = trace
 	if reg == nil {
 		nw.hQueue = nil
-		nw.hWindow = nil
 		return
 	}
 	// Event-queue depth, sampled once per dispatched event. Unlike
 	// nsim.queue_depth (a point-in-time gauge), the histogram shows the
 	// backlog distribution over the whole run.
 	nw.hQueue = reg.Histogram("nsim.queue_hist", obs.ExpBuckets(1, 2, 12))
-	// Lookahead-window widths of the sharded scheduler, one sample per
-	// window barrier. Registered unconditionally (it stays empty on
-	// single-threaded runs) so snapshot keys are stable.
-	nw.hWindow = reg.Histogram("nsim.shard.window_ticks", obs.ExpBuckets(1, 2, 10))
 	reg.Provide(func(emit func(name string, v int64)) {
 		emit("nsim.messages", nw.TotalSent)
 		emit("nsim.bytes", nw.TotalBytes)
@@ -70,11 +53,6 @@ func (nw *Network) Observe(reg *obs.Registry, trace *obs.Trace) {
 		emit("nsim.max_node_load", nw.MaxNodeLoad())
 		emit("nsim.nodes", int64(len(nw.nodes)))
 		emit("nsim.deaths", nw.Deaths)
-		emit("nsim.shards", int64(len(nw.shards)))
-		emit("nsim.shard.windows", nw.ShardWindows)
-		emit("nsim.shard.elided", nw.ShardElided)
-		emit("nsim.shard.barriers", nw.ShardBarriers)
-		emit("nsim.shard.crossings", nw.ShardCrossings)
 		var recv, bytesIn int64
 		for _, n := range nw.nodes {
 			recv += n.Received

@@ -234,9 +234,6 @@ type Options struct {
 	// Provenance attaches a per-derivation lineage graph, queryable
 	// through Cluster.Explain and Cluster.Blame (see WithProvenance).
 	Provenance bool
-	// Shards, when > 1, runs the simulation on the parallel sharded
-	// scheduler (see WithShards).
-	Shards int
 }
 
 // Option is a functional deployment option for Deploy.
@@ -258,7 +255,8 @@ func WithSpatialRadius(r float64) Option { return func(o *Options) { o.SpatialRa
 // PA rows/columns on irregular topologies.
 func WithBandWidth(w float64) Option { return func(o *Options) { o.BandWidth = w } }
 
-// WithLoss sets the per-transmission message loss probability.
+// WithLoss sets the per-transmission message loss probability, in
+// [0, 1); Deploy refuses any other rate with ErrBadNetwork.
 func WithLoss(rate float64) Option { return func(o *Options) { o.LossRate = rate } }
 
 // WithRetries sets the link-layer ARQ re-attempt budget.
@@ -304,17 +302,6 @@ func WithTrace(capacity int) Option { return func(o *Options) { o.TraceCapacity 
 // every published baseline is produced with provenance off.
 func WithProvenance() Option { return func(o *Options) { o.Provenance = true } }
 
-// WithShards partitions the simulation spatially into n shards that run
-// concurrently under conservative lookahead windows derived from the
-// minimum per-hop delay (DESIGN.md §13). Results are equivalent but not
-// byte-identical to the single-threaded schedule (per-shard RNG
-// streams); a fixed (seed, shard count) still replays identically.
-// n <= 1 keeps the default single-threaded scheduler, byte-identical to
-// deployments without this option. Energy-model deployments ignore the
-// option (deaths flip mid-transmission, which the parallel path cannot
-// observe race-free).
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
 // Topology describes the network shape a program deploys onto; build
 // one with Grid or Random and pass it to Deploy.
 type Topology struct {
@@ -357,7 +344,6 @@ func simConfig(opt *Options) nsim.Config {
 		LossRate: opt.LossRate,
 		MaxSkew:  nsim.Time(opt.MaxSkew),
 		Retries:  opt.Retries,
-		Shards:   opt.Shards,
 	}
 }
 
@@ -409,7 +395,6 @@ func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
 		Registry:      opt.Registry,
 		BatchLinks:    opt.BatchLinks,
 		ReplayLog:     opt.ReplayLog,
-		Shards:        opt.Shards,
 	})
 	if err != nil {
 		return nil, err
@@ -500,9 +485,11 @@ func (c *Cluster) Results(pred string) []Tuple { return c.Engine.Derived(pred) }
 // injecting a derived predicate. ErrUnknownPredicate: predicate the
 // program never mentions. ErrArity: right name, wrong arity.
 // ErrBasePredicate: querying a base predicate. ErrBadGoal: goal text
-// that is not a single positive literal. ErrNegationNeedsHead comes from
-// Deploy: a rule whose negation is checked at the head's home node uses
-// a variable the settled head tuple cannot give back (see DESIGN.md).
+// that is not a single positive literal. The last two come from Deploy.
+// ErrNegationNeedsHead: a rule whose negation is checked at the head's
+// home node uses a variable the settled head tuple cannot give back (see
+// DESIGN.md). ErrBadNetwork: a topology with no nodes, or a loss rate
+// outside [0, 1).
 var (
 	ErrBadNode          = core.ErrBadNode
 	ErrNotGround        = core.ErrNotGround
@@ -513,6 +500,7 @@ var (
 	ErrBadGoal          = core.ErrBadGoal
 
 	ErrNegationNeedsHead = core.ErrNegationNeedsHead
+	ErrBadNetwork        = core.ErrBadNetwork
 )
 
 // Query answers a point query against the cluster's live derived

@@ -81,6 +81,45 @@ alert(N, T) :- temp(N, T), T > 90.
 	}
 }
 
+// A network that cannot work is refused at Deploy instead of deploying
+// and then rejecting every insert (no nodes) or silently deriving
+// nothing (every frame lost).
+func TestDeployRefusesUnusableNetwork(t *testing.T) {
+	const src = ".base temp/2.\nalert(N, T) :- temp(N, T), T > 90.\n.query alert/2.\n"
+	cases := []struct {
+		name string
+		topo Topology
+		loss float64
+		ok   bool
+	}{
+		{"grid 0", Grid(0), 0, false},
+		{"grid -3", Grid(-3), 0, false},
+		{"loss 1.0", Grid(4), 1.0, false},
+		{"loss 1.5", Grid(4), 1.5, false},
+		{"loss -0.5", Grid(4), -0.5, false},
+		{"loss 0", Grid(4), 0, true},
+		{"loss 0.3", Grid(4), 0.3, true},
+	}
+	for _, tc := range cases {
+		c, err := Deploy(tc.topo, src, WithSeed(1), WithLoss(tc.loss), WithRetries(3))
+		if !tc.ok {
+			if !errors.Is(err, ErrBadNetwork) {
+				t.Errorf("%s: Deploy err = %v, want errors.Is(ErrBadNetwork)", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Deploy: %v", tc.name, err)
+			continue
+		}
+		c.Inject(5, NewTuple("temp", Sym("n5"), Int(95)))
+		c.Run()
+		if got := c.Results("alert/2"); len(got) != 1 {
+			t.Errorf("%s: alerts = %v, want one", tc.name, got)
+		}
+	}
+}
+
 func TestDeployOnRandomTopology(t *testing.T) {
 	c, err := Deploy(Random(40, 8, 2.6), `
 .base ra/2.

@@ -5,9 +5,9 @@
 // in-network, handy for developing programs before deployment.
 //
 // With -connect it speaks the snlogd wire protocol instead, turning the
-// same console into a client of a live deployment: queries go through
-// the daemon's magic-set point-query path and result cache, proofs
-// through its provenance store.
+// same console into a client of a live deployment: queries read the
+// derived set the network maintains, through the daemon's result cache,
+// proofs its provenance store.
 //
 // With -watch it becomes snltop: it polls a daemon's admin endpoint
 // (snlogd -admin) and renders a refreshing table of query rate, cache

@@ -56,6 +56,9 @@ type Result struct {
 	RepairMessages   int64 // frames sent by the repair rounds alone
 	Faults           fault.Counts
 	Trace            *obs.Trace
+	// Engine is the engine the run drove, at the quiescent state the run
+	// ended in, for checks of its own state (it can be replayed further).
+	Engine *core.Engine
 	// ExplainDump, set on the first failed comparison (before any
 	// repair round rewrites history), renders both sides' view of the
 	// first divergent tuple: the engine's distributed provenance tree
@@ -92,7 +95,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: generated program does not compile: %v\n%s", err, g.Src)
 	}
-	res := &Result{Program: g.Src}
+	res := &Result{Program: g.Src, Engine: e}
 	reg := obs.NewRegistry()
 	if cfg.TraceCap > 0 {
 		res.Trace = obs.NewTrace(cfg.TraceCap)

@@ -198,9 +198,23 @@ type Engine struct {
 	maxVars int
 	scratch joinScratch
 
-	// baseIDs registers injected base generations for later deletion:
-	// tuple key -> stamp.
-	baseIDs map[string]window.Stamp
+	// baseIDs registers the live generations of every injected base tuple
+	// for later deletion, by tuple key.
+	baseIDs map[string]baseGens
+
+	// derived is the network's derived set as one database: the union of
+	// the nodes' homed records, updated at the three places such a record
+	// appears or disappears (finalize, seedDerivedFact, the replay wipe).
+	// Derived, DerivedDB and the serving layer read it. A fault can home
+	// one tuple at two nodes at once;
+	// extraHomes counts a tuple's homes beyond the first, and holds only
+	// tuples that have one.
+	derived    *eval.Database
+	extraHomes map[string]int
+	// derivedVer counts, per predicate, the changes of its derived set: a
+	// tuple appearing or disappearing, a replay wipe. It only ever grows,
+	// across Replay too.
+	derivedVer map[string]uint64
 
 	// centroidNodes is the Centroid scheme's storage region.
 	centroidNodes []nsim.NodeID
@@ -286,7 +300,9 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		windows:      make(map[string]int64),
 		placements:   prog.Placements,
 		queryPreds:   make(map[string]bool),
-		baseIDs:      make(map[string]window.Stamp),
+		baseIDs:      make(map[string]baseGens),
+		derived:      eval.NewDatabase(),
+		derivedVer:   make(map[string]uint64),
 		aggRules:     make(map[string]*aggRule),
 		aggResults:   make(map[string][]eval.Tuple),
 	}
@@ -547,11 +563,13 @@ func (e *Engine) Start() {
 // (which wipes derivation state and must re-seed).
 func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 	rt := e.rts[nodeID]
+	t = t.Keyed()
 	key := t.Key()
 	h := rt.homed[key]
 	if h == nil {
 		h = &homed{derivs: make(map[string]bool)}
 		rt.homed[key] = h
+		e.homeAdded(t)
 	}
 	dk := fmt.Sprintf("fact:r%d", ruleID)
 	h.derivs[dk] = true
@@ -643,74 +661,91 @@ func (e *Engine) InjectAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
 	return nil
 }
 
-// InjectDelete deletes a previously injected base tuple; the deletion
-// originates at the same source node (per the paper, deletion happens
-// only at the source).
+// InjectDelete deletes a previously injected base tuple: every live
+// generation of it, each from the node that generated it (per the paper,
+// deletion happens only at the source — a marker launched elsewhere would
+// sweep a different storage region). node is validated, not trusted.
 func (e *Engine) InjectDelete(node nsim.NodeID, t eval.Tuple) error {
 	if err := e.validateInject(node, t); err != nil {
 		return err
 	}
-	id, ok := e.baseIDs[t.Key()]
-	if !ok {
+	if _, ok := e.baseIDs[t.Key()]; !ok {
 		return fmt.Errorf("core: deleting unknown base tuple %s", t)
 	}
-	e.nw.ScheduleAt(e.nw.Now(), func() {
-		e.rts[node].generate(t, &id)
-	})
+	e.nw.ScheduleAt(e.nw.Now(), func() { e.deleteBase(t) })
 	return nil
 }
 
 // InjectDeleteAt schedules the deletion at an absolute time; the tuple
-// must have been generated by then (a stamp still unknown when the
+// must have been generated by then (a tuple still unknown when the
 // deletion fires is skipped, since validation cannot see the future).
 func (e *Engine) InjectDeleteAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
 	if err := e.validateInject(node, t); err != nil {
 		return err
 	}
-	e.nw.ScheduleAt(at, func() {
-		id, ok := e.baseIDs[t.Key()]
-		if !ok {
-			return
-		}
-		e.rts[node].generate(t, &id)
-	})
+	e.nw.ScheduleAt(at, func() { e.deleteBase(t) })
 	return nil
+}
+
+// baseGens is the live generations of one base tuple: the latest, and —
+// only for a tuple reported again while still live — the earlier ones.
+type baseGens struct {
+	last  window.Stamp
+	older []window.Stamp
+}
+
+// deleteBase generates the deletion of every live generation of t.
+func (e *Engine) deleteBase(t eval.Tuple) {
+	key := t.Key()
+	g, ok := e.baseIDs[key]
+	if !ok {
+		return
+	}
+	delete(e.baseIDs, key)
+	for _, id := range g.older {
+		e.rts[id.Node].generate(t, &id)
+	}
+	e.rts[g.last.Node].generate(t, &g.last)
+}
+
+// homeAdded and homeRemoved keep the derived view in step with the nodes'
+// homed records; t carries its key.
+func (e *Engine) homeAdded(t eval.Tuple) {
+	if e.derived.Insert(t) {
+		e.derivedVer[t.Pred]++
+		return
+	}
+	if e.extraHomes == nil {
+		e.extraHomes = make(map[string]int)
+	}
+	e.extraHomes[t.Key()]++
+}
+
+func (e *Engine) homeRemoved(t eval.Tuple) {
+	switch n := e.extraHomes[t.Key()]; {
+	case n > 1:
+		e.extraHomes[t.Key()] = n - 1
+	case n == 1:
+		delete(e.extraHomes, t.Key())
+	case e.derived.Delete(t):
+		e.derivedVer[t.Pred]++
+	}
 }
 
 // Derived returns the live derived tuples of predKey across the network
 // (union of home-node states), in canonical order.
-func (e *Engine) Derived(predKey string) []eval.Tuple {
-	seen := map[string]eval.Tuple{}
-	for _, rt := range e.rts {
-		for k, h := range rt.homed {
-			if h.t.Pred == predKey {
-				seen[k] = h.t
-			}
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]eval.Tuple, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
+func (e *Engine) Derived(predKey string) []eval.Tuple { return e.derived.Tuples(predKey) }
 
-// DerivedDB snapshots all derived predicates into a database for oracle
-// comparison.
-func (e *Engine) DerivedDB() *eval.Database {
-	db := eval.NewDatabase()
-	for _, rt := range e.rts {
-		for _, h := range rt.homed {
-			db.Insert(h.t)
-		}
-	}
-	return db
-}
+// DerivedDB is the live derived set of every predicate: the engine's own
+// view, not a copy. Read it at quiescence and do not write to it; its
+// Match builds hash indexes on first use, so concurrent readers serialise
+// their probes.
+func (e *Engine) DerivedDB() *eval.Database { return e.derived }
+
+// DerivedVersion is predKey's change counter: it moves whenever the
+// predicate's derived set does (and on every replay wipe), and never goes
+// back, so an answer read at one value is current while the value holds.
+func (e *Engine) DerivedVersion(predKey string) uint64 { return e.derivedVer[predKey] }
 
 // StoredReplicas returns the total replica entries held at node id (the
 // E9 memory metric).

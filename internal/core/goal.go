@@ -36,7 +36,7 @@ func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
 		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q must be a positive relational literal", goal)
 	}
 	key := lit.PredKey()
-	known := knownPredKeys(prog)
+	known := KnownPredKeys(prog)
 	switch {
 	case prog.IsDerived(key):
 		return lit, nil
@@ -56,9 +56,9 @@ func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
 	return ast.Literal{}, validationErrorf(ErrUnknownPredicate, "core: goal %s: predicate %s not mentioned by the program", goal, key)
 }
 
-// knownPredKeys collects every predicate key the program mentions:
+// KnownPredKeys collects every predicate key the program mentions:
 // declared base predicates, rule heads, and relational body literals.
-func knownPredKeys(prog *ast.Program) map[string]bool {
+func KnownPredKeys(prog *ast.Program) map[string]bool {
 	seen := make(map[string]bool)
 	for k := range prog.Base {
 		seen[k] = true

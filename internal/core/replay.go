@@ -91,6 +91,10 @@ func (e *Engine) replayNow() {
 	// re-execution below rebuilds the graph through the normal capture
 	// hooks.
 	e.prov.Reset()
+	for _, pred := range e.derived.Predicates() {
+		e.derivedVer[pred]++
+	}
+	e.derived, e.extraHomes = eval.NewDatabase(), nil
 	for _, rt := range e.rts {
 		rt.store = e.newStore()
 		rt.homed = make(map[string]*homed)

@@ -374,12 +374,16 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		id = *del
 		delStamp = &stamp
 	}
-	if rt.e.prog.IsBase(t.Pred) {
-		if del == nil {
-			rt.e.baseIDs[t.Key()] = id
-		} else {
-			delete(rt.e.baseIDs, t.Key())
+	if del == nil && rt.e.prog.IsBase(t.Pred) {
+		// A tuple reported again while live keeps its earlier generations:
+		// a deletion has to name every one (Engine.deleteBase).
+		key := t.Key()
+		g, live := rt.e.baseIDs[key]
+		if live {
+			g.older = append(g.older, g.last)
 		}
+		g.last = id
+		rt.e.baseIDs[key] = g
 	}
 	if rt.e.queryPreds[t.Pred] {
 		rt.logResult(ResultEvent{
@@ -1026,13 +1030,15 @@ func (rt *nodeRT) finalize(c *candR) {
 			}
 		}
 	}
-	key := c.Head.Key()
+	head := c.Head.Keyed() // one key string for the homed map and the view
+	key := head.Key()
 	h := rt.homed[key]
 	if c.Add {
 		fresh := h == nil
 		if fresh {
-			h = &homed{t: c.Head, derivs: make(map[string]bool)}
+			h = &homed{t: head, derivs: make(map[string]bool)}
 			rt.homed[key] = h
+			rt.e.homeAdded(head)
 		}
 		if !h.derivs[c.DerivKey] && rt.e.prov != nil {
 			rec := provenance.Record{
@@ -1072,6 +1078,7 @@ func (rt *nodeRT) finalize(c *candR) {
 	rt.e.prov.Remove(key, c.DerivKey)
 	if len(h.derivs) == 0 {
 		delete(rt.homed, key)
+		rt.e.homeRemoved(h.t)
 		rt.e.cDeletions.Add(1)
 		rt.e.predDelete[c.Head.Pred].Add(1)
 		rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDelete, Pred: c.Head.Pred})

@@ -1,0 +1,58 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/core"
+)
+
+// TestDerivedViewMatchesWalk holds the engine's derived view to the
+// per-node walk it replaced, on internal/check's 24 sweep seeds with
+// faults on every one of them — a crashed or cut-off home is what makes
+// a second home for a tuple, and so the view's home count, matter: at
+// the faulted quiescent state before any repair, and again after a
+// Replay has wiped and rebuilt everything.
+func TestDerivedViewMatchesWalk(t *testing.T) {
+	doubleHomed := 0
+	for seed := int64(0); seed < 24; seed++ {
+		churn := 2 + int(seed%2)*2
+		t.Run(fmt.Sprintf("seed%d/churn%d", seed, churn), func(t *testing.T) {
+			// MaxRepair < 0: compare-only, the faulted state is left as it is.
+			res, err := check.Run(check.Config{Seed: seed, Churn: churn, MaxRepair: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := res.Engine
+			preds := e.Analysis().Program.DerivedPredicates()
+			same := func(when string) {
+				t.Helper()
+				for _, pred := range preds {
+					view, walk := e.Derived(pred), core.DerivedByWalk(e, pred)
+					if len(view) != len(walk) {
+						t.Fatalf("%s, %s: the view has %d tuples, the walk %d\nview %v\nwalk %v", when, pred, len(view), len(walk), view, walk)
+					}
+					for i := range walk {
+						if view[i].Key() != walk[i].Key() {
+							t.Fatalf("%s, %s[%d]: the view has %s, the walk %s", when, pred, i, view[i], walk[i])
+						}
+					}
+				}
+			}
+			same("faulted")
+			doubleHomed += core.ExtraHomes(e)
+			if err := e.Replay(); err != nil {
+				t.Fatal(err)
+			}
+			e.Network().Run(0)
+			same("replayed")
+			if n := core.ExtraHomes(e); n != 0 {
+				t.Errorf("replayed: %d tuples still have a second home", n)
+			}
+		})
+	}
+	if doubleHomed == 0 {
+		t.Error("no seed left a tuple with a second home: the home count went untested")
+	}
+}

@@ -13,6 +13,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -174,8 +175,52 @@ func (db *Database) Tuples(pred string) []Tuple {
 			out = append(out, sl.t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sortByKey(out)
 	return out
+}
+
+// Match returns the tuples the goal literal matches, in canonical
+// order: ground goal arguments must be equal, variables bind
+// consistently (a repeated variable needs equal arguments). The goal's
+// ground positions probe the table's hash index over exactly those
+// columns (built on first use — the one mutation a read can cause, so
+// concurrent callers serialise); a goal with none scans. Every
+// candidate is re-verified by matching, as at any other Index probe.
+func (db *Database) Match(goal ast.Literal) []Tuple {
+	tab := db.tables[goal.PredKey()]
+	if tab == nil {
+		return nil
+	}
+	var out []Tuple
+	try := func(sl *slot) {
+		if sl.dead {
+			return
+		}
+		if _, ok := unify.MatchArgs(goal.Args, sl.t.Args, unify.Subst{}); ok {
+			out = append(out, sl.t)
+		}
+	}
+	var colArr [8]int
+	var keyArr [64]byte
+	var tmpArr [48]byte
+	cols, key, _ := AppendBoundCols(colArr[:0], keyArr[:0], tmpArr[:0], goal.Args, unify.Subst{})
+	if len(cols) > 0 {
+		it := tab.index(cols).Probe(key)
+		for si, ok := it.Next(); ok; si, ok = it.Next() {
+			try(&tab.slots[si])
+		}
+	} else {
+		for i := range tab.slots {
+			try(&tab.slots[i])
+		}
+	}
+	sortByKey(out)
+	return out
+}
+
+// sortByKey puts tuples in canonical order.
+func sortByKey(ts []Tuple) {
+	slices.SortFunc(ts, func(a, b Tuple) int { return strings.Compare(a.Key(), b.Key()) })
 }
 
 // Count returns the number of tuples of predicate key.

@@ -4,11 +4,11 @@ import "sync"
 
 // Span is one timed stage of a served query. The serving layer
 // allocates a trace id at query ingress (Query/QueryStale/Explain) and
-// appends one span per stage — parse, cache_probe, magic_rewrite,
-// eval, respond — so an operator can see where a specific query's
-// latency went. Offsets and durations are microseconds relative to the
-// query's ingress time; Note carries a small stage-specific annotation
-// ("hit"/"miss" on the cache probe, "fallback" on a degraded eval).
+// appends one span per stage — parse, cache_probe, eval (on a miss),
+// respond — so an operator can see where a specific query's latency
+// went. Offsets and durations are microseconds relative to the query's
+// ingress time; Note carries a small stage-specific annotation
+// ("hit"/"miss" on the cache probe).
 // Value-typed and JSON-tagged: the admin endpoint serves a trace's
 // spans verbatim at /trace/query/<id>.
 type Span struct {

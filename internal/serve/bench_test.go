@@ -10,12 +10,12 @@ import (
 	"repro/internal/datalog/eval"
 )
 
-// BenchmarkColdQuery times a cache miss in-process — magic rewrite,
-// per-query evaluation, support extraction — with the result cache off,
-// over four link chains of 32 (the shape of the repository benchmark's
-// serve_cold workload, without the wire). The goals cycle over every
-// chain node with the first argument bound (bf), the second (fb), or
-// both (bb):
+// BenchmarkColdQuery times a cache miss in-process — goal parse, one
+// indexed probe of the derived set, match and sort of the answers —
+// with the result cache off, over four link chains of 32 (the shape of
+// the repository benchmark's serve_cold workload, without the wire).
+// The goals cycle over every chain node with the first argument bound
+// (bf), the second (fb), or both (bb):
 //
 //	go test -run '^$' -bench ColdQuery -benchmem ./internal/serve/
 func BenchmarkColdQuery(b *testing.B) {

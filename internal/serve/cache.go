@@ -9,49 +9,22 @@ import (
 	"repro/internal/obs"
 )
 
-// shardedCache is the provenance-keyed point-query cache, partitioned
-// N ways by canonical-goal hash so concurrent readers contend only on
-// their own shard's lock. An entry is keyed on the canonical goal
-// (core.CanonicalGoal) and guarded by the goal's provenance subtree;
-// invalidation is lock-stepped with the session's base-fact ledger so
-// a served answer is always the answer a fresh evaluation would
-// produce.
+// shardedCache is the point-query result cache, partitioned N ways by
+// canonical-goal hash so concurrent readers contend only on their own
+// shard's lock. An entry is keyed on the canonical goal
+// (core.CanonicalGoal) and stamped with the goal predicate's change
+// counter (Engine.DerivedVersion) as read when the answer was probed.
+// It is a hit exactly while the counter has not moved: the counter
+// moves whenever the predicate's derived set does, so a hit is what a
+// fresh probe would return, and a write that changes only other
+// predicates evicts nothing. A stale entry goes (and is counted as an
+// eviction) when a lookup finds it.
 //
-// Soundness argument (DESIGN.md §14 carries the full version). Each
-// shard independently maintains the PR-8 invariant — the argument is
-// per-entry, and every entry lives in exactly one shard, so sharding
-// changes where an entry is stored but not when it is evicted:
-//
-//   - Base INSERT of predicate p: in the goal's positive cone a new
-//     fact can create answers that no recorded provenance mentions, so
-//     every entry with p in its cone is evicted — support sets cannot
-//     help here. In the negation-tainted cone an insert can also
-//     destroy answers. Either way: predicate-level eviction, applied
-//     to every shard (each shard scans its own entries).
-//
-//   - Base DELETE of tuple t of predicate p: derivations are monotone
-//     in the positive cone, so deleting t can only remove answers, and
-//     only answers whose every proof uses t. Each entry records one
-//     complete proof per answer (the evaluator's proof tree); if t is
-//     in none of them, every recorded proof survives the deletion and
-//     the cached answer set is still exact — the entry is kept. If t
-//     appears in a recorded proof (or the entry has no support set),
-//     the entry is evicted. If p is negation-tainted, a deletion can
-//     CREATE answers the cache never saw, so the entry is evicted
-//     regardless of support.
-//
-//   - Replay: rebuilds the set-of-derivations store wholesale; every
-//     shard flushes.
-//
-// Phase discipline (serve.go): get/put run in the session's read
-// phase — the deployment is quiescent and the answer being stored was
-// computed against the same quiescent snapshot the entry will serve,
-// so two concurrent puts for the same goal store equal answer sets.
-// baseInserted/baseDeleted/flush run only in the write phase (session
-// lock held exclusively), so an invalidation can never interleave
-// with a put of a stale answer. The per-shard mutex orders same-shard
-// readers; cross-shard operations need no ordering because entries
-// never move between shards.
+// get and put run in the session's read phase: the deployment is
+// quiescent, so the counter a reader holds belongs to the answer it
+// stores, and two concurrent puts for one goal store equal answers.
+// The per-shard mutex orders same-shard readers; entries never move
+// between shards.
 //
 // Capacity is per shard: ceil(total/shards), min 1, evicted LRU
 // within the shard. A single-shard cache degenerates to a global LRU.
@@ -71,18 +44,11 @@ type cacheShard struct {
 	evictions *obs.Counter
 }
 
-// cacheEntry is one cached point-query answer plus its guard sets.
+// cacheEntry is one cached point-query answer.
 type cacheEntry struct {
 	key     string
 	answers []eval.Tuple // immutable once stored; callers copy
-	// pos/neg are the goal's extensional cone (shared with the
-	// session's precomputed cone; read-only).
-	pos map[string]bool
-	neg map[string]bool
-	// support holds the base-fact keys of one recorded proof per
-	// answer; nil means predicate-level precision (proof trees
-	// unavailable or oversized).
-	support map[string]bool
+	ver     uint64       // the goal predicate's change counter at the probe
 	elem    *list.Element
 }
 
@@ -112,10 +78,11 @@ func (c *shardedCache) shard(key string) *cacheShard {
 	return c.shards[h.Sum32()&c.mask]
 }
 
-// get returns a live entry for key (and marks it recently used), or
-// nil. The returned entry's fields are immutable; callers copy
-// answers before handing them out.
-func (c *shardedCache) get(key string) *cacheEntry {
+// get returns the entry for key if its predicate's counter still reads
+// ver (and marks it recently used), or nil; an entry from an earlier
+// counter value is evicted. The returned entry's fields are immutable;
+// callers copy answers before handing them out.
+func (c *shardedCache) get(key string, ver uint64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
@@ -124,6 +91,10 @@ func (c *shardedCache) get(key string) *cacheEntry {
 	defer sh.mu.Unlock()
 	e := sh.entries[key]
 	if e == nil {
+		return nil
+	}
+	if e.ver != ver {
+		sh.remove(e, true)
 		return nil
 	}
 	sh.lru.MoveToFront(e.elem)
@@ -148,73 +119,6 @@ func (c *shardedCache) put(e *cacheEntry) {
 		back := sh.lru.Back()
 		sh.remove(back.Value.(*cacheEntry), true)
 	}
-}
-
-// baseInserted evicts every entry whose cone contains pred, in every
-// shard. Write phase only.
-func (c *shardedCache) baseInserted(pred string) {
-	if c == nil {
-		return
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.pos[pred] || e.neg[pred] {
-				sh.remove(e, true)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// baseDeleted evicts the entries the deleted tuple can affect: any
-// entry with pred in its negation-tainted cone, and positive-cone
-// entries whose recorded support contains the tuple (or that track no
-// support). Write phase only.
-func (c *shardedCache) baseDeleted(pred, tupleKey string) {
-	if c == nil {
-		return
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			switch {
-			case e.neg[pred]:
-				sh.remove(e, true)
-			case e.pos[pred] && (e.support == nil || e.support[tupleKey]):
-				sh.remove(e, true)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// flush drops everything (Replay). Write phase only.
-func (c *shardedCache) flush() {
-	if c == nil {
-		return
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			sh.remove(e, true)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// len reports the live entry count across all shards.
-func (c *shardedCache) len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // remove drops an entry; caller holds the shard lock.

@@ -1,8 +1,10 @@
 // Package serve is the query-serving subsystem: the long-lived front
-// door between a deployed deductive program and its users (Figure 2 of
-// the paper routes user queries through a magic-set rewrite so only
-// query-relevant facts are derived; the ROADMAP calls this the
-// "millions of users" item).
+// door between a deployed deductive program and its users. It reports
+// what the network has derived: the paper hashes every derived tuple to
+// a home node, Theorems 1–3 make those records the answer to every goal
+// at quiescence, and the engine keeps their union as one indexed
+// database (core.Engine.DerivedDB) — a query is a probe of it, windows
+// and faults included, and there is no second evaluator behind it.
 //
 // A Session wraps a running cluster behind a concurrent, context-aware
 // client API built as a read/write-phase state machine: any number of
@@ -15,9 +17,8 @@
 // Queries are fresh by default; QueryStale opts into answering from
 // the last quiesced snapshot with a reported freshness bound instead
 // of waiting for the in-flight batch. Repeated queries hit a sharded
-// result cache keyed on the canonical goal and guarded by the goal's
-// provenance subtree (cache.go documents the per-shard soundness
-// argument).
+// result cache keyed on the canonical goal; an entry is good while the
+// goal predicate's change counter stands still (cache.go).
 //
 // Command snlogd exposes the same operations to many concurrent
 // clients over newline-delimited JSON on TCP (server.go); Client is
@@ -38,17 +39,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
-	"repro/internal/datalog/magic"
 	"repro/internal/obs"
 )
 
 // ErrClosed is returned by every operation on a closed session.
 var ErrClosed = errors.New("serve: session closed")
-
-// maxSupport bounds the per-entry support set; an answer set whose
-// provenance subtree exceeds it degrades to predicate-level
-// invalidation (still sound, just coarser).
-const maxSupport = 4096
 
 // Defaults for the zero Options value.
 const (
@@ -66,7 +61,7 @@ const cacheShards = 8
 // Options configures a serving session.
 type Options struct {
 	// Deploy is passed through to snlog.Deploy (scheme, seed, loss,
-	// shards, ...).
+	// faults, ...).
 	Deploy []snlog.Option
 	// CacheSize caps the result cache (entries, summed across shards);
 	// 0 means the default (256). Negative disables caching.
@@ -87,9 +82,7 @@ type Options struct {
 	// benchmarks and property tests).
 	BatchDelay time.Duration
 	// NoProvenance skips attaching the provenance graph. Explain then
-	// returns an error; Query and the cache are unaffected (the cache
-	// derives support sets from the evaluator's proof trees, not the
-	// engine graph).
+	// returns an error; Query and the cache are unaffected.
 	NoProvenance bool
 	// Spans caps the per-query span ring (span records, summed over all
 	// retained queries); 0 means the default (4096). Negative disables
@@ -122,17 +115,16 @@ const (
 // counter suffixes; counters are pre-resolved at Open so the per-span
 // cost on the query path is one atomic add, not a map lookup.
 const (
-	stParse        = iota // goal parse + validation
-	stCacheProbe          // sharded result-cache lookup (note: "hit"/"miss")
-	stMagicRewrite        // magic-set rewrite of the program for the goal
-	stEval                // evaluation (note: "fallback" on the degraded path)
-	stExplain             // provenance walk (Explain only)
-	stRespond             // post-read bookkeeping until the answer is returned
+	stParse      = iota // goal parse + validation
+	stCacheProbe        // sharded result-cache lookup (note: "hit"/"miss")
+	stEval              // on a miss: the indexed probe of the derived set
+	stExplain           // provenance walk (Explain only)
+	stRespond           // post-read bookkeeping until the answer is returned
 	stageCount
 )
 
 var stageNames = [stageCount]string{
-	"parse", "cache_probe", "magic_rewrite", "eval", "explain", "respond",
+	"parse", "cache_probe", "eval", "explain", "respond",
 }
 
 // opKind distinguishes buffered write operations.
@@ -153,17 +145,17 @@ type writeOp struct {
 	tuple eval.Tuple // Keyed
 }
 
-// Session is one served deployment: a cluster, its base-fact ledger,
-// the sharded result cache, the write buffer, and the subscriber
-// fan-out. All methods are safe for concurrent use by many goroutines
-// ("clients").
+// Session is one served deployment: a cluster, the sharded result
+// cache, the write buffer, and the subscriber fan-out. All methods are
+// safe for concurrent use by many goroutines ("clients").
 //
 // Concurrency contract (the read/write-phase state machine): mu held
-// shared (RLock) is the read phase — the cluster is quiescent and
-// edb/cache/derived state are immutable, so any number of
-// Query/Explain calls evaluate concurrently. mu held exclusive (Lock)
+// shared (RLock) is the read phase — the cluster is quiescent and its
+// derived set and change counters stand still, so any number of
+// Query/Explain calls proceed concurrently. mu held exclusive (Lock)
 // is the write phase — the coalesced batch is applied, the cluster
-// runs to quiescence, cache entries are invalidated and subscription
+// runs to quiescence (moving the counters of the predicates it
+// changes, which is what invalidates cache entries) and subscription
 // deltas fan out. Writes themselves never take mu exclusively: they
 // validate under RLock, append to the buffer under bmu, and return;
 // only the flush pays the sync.
@@ -174,21 +166,16 @@ type Session struct {
 	opts   Options
 	closed bool
 
-	// edb is the session's base-fact ledger: the live extensional
-	// database at quiescence, keyed by tuple key. Queries evaluate
-	// against it (the reference semantics the differential harness
-	// pins: the deductive closure of the surviving base facts).
-	// Mutated only while mu is held exclusively.
-	edb map[string]eval.Tuple
-
 	cache *shardedCache
-	// cones is built once at Open for every derived predicate and
-	// read-only afterwards, so concurrent readers need no lock.
-	cones map[string]*cone
+	// probeMu serialises cache-miss probes of the derived set: a probe
+	// builds the hash index over its binding pattern on first use, the
+	// one mutation on the read path. Only the probe is held under it —
+	// not the copy, not the encode — and the write phase never takes it.
+	probeMu sync.Mutex
 
-	subs     map[int]*Subscription
-	nextSub  int
-	lastSeen map[string]map[string]eval.Tuple
+	subs    map[int]*Subscription
+	nextSub int
+	watched map[string]*watch // by subscribed predicate
 
 	// Write buffer. bmu orders enqueues against drains; enqSeq is the
 	// last accepted write's sequence number (stored while bmu is
@@ -220,11 +207,7 @@ type Session struct {
 	hits         *obs.Counter
 	misses       *obs.Counter
 	evictions    *obs.Counter
-	fallbacks    *obs.Counter
 	subDrops     *obs.Counter
-	evalIns      *obs.Counter
-	evalJoins    *obs.Counter
-	evalSteps    *obs.Counter
 	batchWrites  *obs.Counter
 	batchFlushes *obs.Counter
 	batchElided  *obs.Counter
@@ -269,25 +252,19 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	reg := c.Registry()
 	prog := c.Engine.Analysis().Program
 	s := &Session{
-		c:        c,
-		prog:     prog,
-		opts:     opts,
-		edb:      make(map[string]eval.Tuple),
-		cones:    make(map[string]*cone),
-		subs:     make(map[int]*Subscription),
-		lastSeen: make(map[string]map[string]eval.Tuple),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		c:       c,
+		prog:    prog,
+		opts:    opts,
+		subs:    make(map[int]*Subscription),
+		watched: make(map[string]*watch),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 
 		queries:      reg.Counter("serve.queries"),
 		hits:         reg.Counter("serve.cache.hits"),
 		misses:       reg.Counter("serve.cache.misses"),
 		evictions:    reg.Counter("serve.cache.evictions"),
-		fallbacks:    reg.Counter("serve.fallbacks"),
 		subDrops:     reg.Counter("serve.subs.dropped"),
-		evalIns:      reg.Counter("serve.eval.inserts"),
-		evalJoins:    reg.Counter("serve.eval.join_ops"),
-		evalSteps:    reg.Counter("serve.eval.cascade_steps"),
 		batchWrites:  reg.Counter("serve.batch.writes"),
 		batchFlushes: reg.Counter("serve.batch.flushes"),
 		batchElided:  reg.Counter("serve.batch.elided"),
@@ -317,12 +294,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	if opts.CacheSize > 0 {
 		s.cache = newShardedCache(opts.CacheSize, cacheShards, s.evictions)
 	}
-	// Precompute the dependency cone of every derived predicate: goals
-	// are validated to be derived, so concurrent readers only ever
-	// look cones up, never build them.
-	for _, pred := range prog.DerivedPredicates() {
-		s.cones[pred] = buildCone(prog, pred)
-	}
 	// Establish the initial quiescent snapshot (program-declared facts
 	// settle here) so reads never need to run the cluster.
 	s.lastEnd.Store(c.Run())
@@ -335,7 +306,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 }
 
 // Cluster exposes the wrapped deployment (read-mostly: drive mutations
-// through the session so the cache and ledger stay lock-stepped).
+// through the session, which owns the write phase).
 func (s *Session) Cluster() *snlog.Cluster { return s.c }
 
 // Snapshot samples every metric of the deployment plus the serving
@@ -384,9 +355,9 @@ func (s *Session) InjectAt(at int64, node int, t eval.Tuple) error {
 }
 
 // DeleteAt deletes a previously injected base fact at its source node
-// at an absolute virtual time. The ledger and cache update when the
-// batch holding the deletion is applied (the session's view is the
-// state at quiescence, after the deletion has fired).
+// at an absolute virtual time. Answers change when the batch holding
+// the deletion is applied (the session's view is the state at
+// quiescence, after the deletion has fired).
 func (s *Session) DeleteAt(at int64, node int, t eval.Tuple) error {
 	_, err := s.enqueue(opDeleteAt, at, node, t)
 	return err
@@ -497,16 +468,13 @@ func (s *Session) flushLocked(reason int) int64 {
 // the sensor-network common case of a node redundantly re-reporting a
 // reading it already reported. A repeat insert is not a no-op at the
 // engine level: it earns a fresh generation stamp, a full storage and
-// join cascade across the deployment, an overwritten base-ledger
-// entry and a duplicate result delta, all without changing any query
-// answer. Eliding it inside one coalesced batch is therefore
-// observation-equivalent — except when the same key is also deleted
-// somewhere in the batch, because deletion removes the derivation of
-// the latest stamp and collapsing insert;insert;delete to
-// insert;delete would change which stamp survives; those keys are
-// applied verbatim. The freshness horizon is untouched: elision
-// happens after acceptance, so appliedSeq still advances over the
-// elided ops.
+// join cascade across the deployment and a duplicate result delta, all
+// without changing any query answer. Eliding it inside one coalesced
+// batch is therefore observation-equivalent. A key that is also
+// deleted somewhere in the batch is applied verbatim: which
+// generations that deletion retracts is the engine's business. The
+// freshness horizon is untouched: elision happens after acceptance, so
+// appliedSeq still advances over the elided ops.
 func (s *Session) elideRedundant(ops []writeOp) []writeOp {
 	if len(ops) < 2 {
 		return ops
@@ -542,8 +510,8 @@ func (s *Session) elideRedundant(ops []writeOp) []writeOp {
 	return kept
 }
 
-// applyLocked replays one buffered write against the cluster, the
-// ledger and the cache. Caller holds mu exclusively.
+// applyLocked replays one buffered write against the cluster. Caller
+// holds mu exclusively.
 func (s *Session) applyLocked(op writeOp) {
 	var err error
 	switch op.kind {
@@ -559,29 +527,14 @@ func (s *Session) applyLocked(op writeOp) {
 		// same immutable program and topology. Count it rather than
 		// lose it silently.
 		s.applyErrors.Inc()
-		return
-	}
-	if op.kind == opDeleteAt {
-		delete(s.edb, op.tuple.Key())
-		// A deletion can only remove answers in the positive cone —
-		// only entries whose provenance subtree contains the tuple are
-		// touched — but under negation it can create answers, so
-		// negation-tainted cones evict predicate-wide.
-		s.cache.baseDeleted(op.tuple.Pred, op.tuple.Key())
-	} else {
-		s.edb[op.tuple.Key()] = op.tuple
-		// Lock-step with the store: a new base fact can create answers
-		// in its positive cone and destroy them under negation — evict
-		// every entry whose cone contains the predicate.
-		s.cache.baseInserted(op.tuple.Pred)
 	}
 }
 
 // Replay schedules the Replay-based repair pass (requires
-// snlog.WithReplayLog), runs it, and flushes the whole result cache:
-// repair rebuilds the set-of-derivations store wholesale, so no cached
-// subtree is trustworthy. Buffered writes are applied first so the
-// repair sees the full acknowledged timeline.
+// snlog.WithReplayLog) and runs it. Repair rebuilds the derived set
+// wholesale and moves every predicate's change counter on the way, so
+// no cached answer outlives it. Buffered writes are applied first so
+// the repair sees the full acknowledged timeline.
 func (s *Session) Replay() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -592,7 +545,6 @@ func (s *Session) Replay() error {
 	if err := s.c.Replay(); err != nil {
 		return err
 	}
-	s.cache.flush()
 	s.runLocked()
 	return nil
 }
@@ -650,12 +602,12 @@ func (s *Session) Spans() *obs.SpanRing { return s.spans }
 // "path(n0, X)". The goal is validated on the shared core.ParseGoal
 // path, any in-flight write batch is applied (Query is fresh — the
 // answer reflects every write acknowledged before the call), and the
-// answer is served from the sharded result cache when the goal's
-// provenance subtree is intact — otherwise the program is magic-set
-// rewritten for the goal and evaluated over the live base facts,
-// deriving only query-relevant tuples. Answers come back in canonical
-// order; the returned slice is the caller's to keep. Concurrent
-// queries evaluate in parallel under the shared read lock.
+// answer is served from the sharded result cache while the goal
+// predicate's derived set has not changed since it was stored —
+// otherwise from an indexed probe of the derived set the network
+// maintains (bound arguments pick the index). Answers come back in
+// canonical order; the returned slice is the caller's to keep.
+// Concurrent queries proceed in parallel under the shared read lock.
 func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) {
 	answers, _, _, err := s.query(ctx, goal, 0, 0)
 	return answers, err
@@ -710,34 +662,27 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) ([]
 	s.enterRead()
 	s.queries.Inc()
 	key := core.CanonicalGoal(lit)
+	ver := s.c.Engine.DerivedVersion(lit.PredKey())
 	var answers []eval.Tuple
-	if e := s.cache.get(key); e != nil {
+	if e := s.cache.get(key, ver); e != nil {
 		s.hits.Inc()
 		qt.step(stCacheProbe, "hit")
 		answers = append([]eval.Tuple(nil), e.answers...)
 	} else {
 		s.misses.Inc()
 		qt.step(stCacheProbe, "miss")
-		var support map[string]bool
-		answers, support, err = s.evaluate(lit, &qt)
-		if err == nil {
-			cn := s.coneOf(lit.PredKey())
-			s.cache.put(&cacheEntry{
-				key:     key,
-				answers: answers,
-				pos:     cn.pos,
-				neg:     cn.neg,
-				support: support,
-			})
+		s.probeMu.Lock()
+		answers = s.c.Engine.DerivedDB().Match(lit)
+		s.probeMu.Unlock()
+		qt.step(stEval, "")
+		if s.cache != nil {
+			s.cache.put(&cacheEntry{key: key, answers: answers, ver: ver})
 			answers = append([]eval.Tuple(nil), answers...)
 		}
 	}
 	fr := Freshness{Lag: s.Lag(), AsOf: s.lastEnd.Load()}
 	s.readers.Add(-1)
 	s.mu.RUnlock()
-	if err != nil {
-		return nil, Freshness{}, qt.id, err
-	}
 	if fr.Lag > 0 {
 		s.staleServed.Inc()
 	}
@@ -824,7 +769,7 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 		return nil, ErrClosed
 	}
 	if !s.prog.IsDerived(pred) {
-		if _, ok := knownKey(s.prog, pred); ok {
+		if core.KnownPredKeys(s.prog)[pred] {
 			return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrBasePredicate)
 		}
 		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrUnknownPredicate)
@@ -832,8 +777,8 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 	// Baseline at the current quiescent state so the subscriber sees
 	// only changes from now on.
 	s.flushLocked(flushExplicit)
-	if _, ok := s.lastSeen[pred]; !ok {
-		s.lastSeen[pred] = tuplesByKey(s.c.Results(pred))
+	if _, ok := s.watched[pred]; !ok {
+		s.watched[pred] = &watch{ver: s.c.Engine.DerivedVersion(pred), seen: tuplesByKey(s.c.Results(pred))}
 	}
 	id := s.nextSub
 	s.nextSub++
@@ -853,6 +798,13 @@ type Update struct {
 	// deleted.
 	Insert bool
 	Tuple  eval.Tuple
+}
+
+// watch is what a subscribed predicate's subscribers last saw: its
+// derived set, and the change counter it was read at.
+type watch struct {
+	ver  uint64
+	seen map[string]eval.Tuple
 }
 
 // Subscription is a live watch on one derived predicate.
@@ -881,18 +833,18 @@ func (sub *Subscription) Close() {
 }
 
 // runLocked runs the simulation to quiescence and fans out
-// derived-state diffs to subscribers. Caller holds mu exclusively.
+// derived-state diffs to subscribers, skipping every predicate whose
+// change counter did not move. Caller holds mu exclusively.
 func (s *Session) runLocked() int64 {
 	end := s.c.Run()
 	s.lastEnd.Store(end)
-	if len(s.lastSeen) == 0 {
-		return end
-	}
-	for pred, prev := range s.lastSeen {
-		cur := tuplesByKey(s.c.Results(pred))
-		if len(prev) == 0 && len(cur) == 0 {
+	for pred, w := range s.watched {
+		ver := s.c.Engine.DerivedVersion(pred)
+		if ver == w.ver {
 			continue
 		}
+		prev, cur := w.seen, tuplesByKey(s.c.Results(pred))
+		w.ver, w.seen = ver, cur
 		var ups []Update
 		for k, t := range prev {
 			if _, live := cur[k]; !live {
@@ -913,7 +865,6 @@ func (s *Session) runLocked() int64 {
 			}
 			return ups[i].Tuple.Key() < ups[j].Tuple.Key()
 		})
-		s.lastSeen[pred] = cur
 		for _, sub := range s.subs {
 			if sub.pred != pred {
 				continue
@@ -928,166 +879,6 @@ func (s *Session) runLocked() int64 {
 		}
 	}
 	return end
-}
-
-// evaluate answers the goal by magic-set rewriting the program and
-// evaluating the rewritten program over the live base facts with the
-// set-of-derivations maintainer, so each answer's proof tree yields
-// the base-fact support set the cache invalidates on. Falls back to
-// filtering the engine's derived state (predicate-level cache
-// precision) when the rewrite or the maintainer cannot handle the
-// program — aggregates, derivation cycles. Runs in the read phase:
-// everything it touches (prog, cones, edb, the engine's derived sets)
-// is immutable while mu is held shared, and the rewrite + maintainer
-// are private to this call.
-func (s *Session) evaluate(lit ast.Literal, qt *qtrace) (answers []eval.Tuple, support map[string]bool, err error) {
-	cn := s.coneOf(lit.PredKey())
-	tr, rewriteErr := magic.Rewrite(s.prog, lit)
-	if rewriteErr != nil {
-		qt.step(stMagicRewrite, "failed")
-		return s.fallback(lit, qt)
-	}
-	qt.step(stMagicRewrite, "")
-	// Split fact rules (the magic seed, plus any program facts) out of
-	// the rewritten program: NewMaintainer preloads fact rules into the
-	// database without cascading them through the rule set, so a seed
-	// whose predicate only feeds seed-triggered rules (fully-bound
-	// goals) would never propagate. Inserting them as ordinary base
-	// tuples makes them cascade like any other fact.
-	mprog := ast.NewProgram()
-	for k, v := range tr.Program.Base {
-		mprog.Base[k] = v
-	}
-	for k, v := range tr.Program.Windows {
-		mprog.Windows[k] = v
-	}
-	var seeds []eval.Tuple
-	for _, r := range tr.Program.Rules {
-		if r.IsFact() {
-			seeds = append(seeds, eval.Tuple{Pred: r.Head.PredKey(), Args: r.Head.Args}.Keyed())
-			continue
-		}
-		// Left-linear recursion makes the rewrite emit tautologies such
-		// as m_p_bf(X) :- m_p_bf(X). They are semantic no-ops but give
-		// every magic tuple a self-derivation, which the proof-tree
-		// unfolder (first-derivation, no backtracking) reports as a
-		// cycle — killing support-set precision. Drop them.
-		if isTautology(r) {
-			continue
-		}
-		mprog.AddRule(r)
-	}
-	m, mErr := eval.NewMaintainer(mprog, eval.SetOfDerivations, eval.Options{})
-	if mErr != nil {
-		return s.fallback(lit, qt)
-	}
-	for _, seed := range seeds {
-		if _, insErr := m.Insert(seed); insErr != nil {
-			return s.fallback(lit, qt)
-		}
-	}
-	// Feed the relevant slice of the ledger in deterministic order.
-	keys := make([]string, 0, len(s.edb))
-	for k, t := range s.edb {
-		if cn.pos[t.Pred] || cn.neg[t.Pred] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, insErr := m.Insert(s.edb[k]); insErr != nil {
-			return s.fallback(lit, qt)
-		}
-	}
-	st := m.Stats()
-	s.evalIns.Add(int64(len(keys)))
-	s.evalJoins.Add(st.JoinOps)
-	s.evalSteps.Add(st.CascadeSteps)
-
-	raw := m.DB().Tuples(tr.AnswerPred)
-	answers = make([]eval.Tuple, 0, len(raw))
-	support = make(map[string]bool)
-	for _, a := range raw {
-		answers = append(answers, eval.Tuple{Pred: lit.PredKey(), Args: a.Args}.Keyed())
-		if support == nil {
-			continue
-		}
-		pt, ptErr := m.ProofTree(a)
-		if ptErr != nil {
-			support = nil
-			continue
-		}
-		collectBaseSupport(pt, s.prog, support)
-		if len(support) > maxSupport {
-			support = nil
-		}
-	}
-	qt.step(stEval, "")
-	return answers, support, nil
-}
-
-// fallback answers the goal from the engine's live derived state —
-// the pre-magic "grep Derived()" path — with predicate-level cache
-// precision (support nil).
-func (s *Session) fallback(lit ast.Literal, qt *qtrace) ([]eval.Tuple, map[string]bool, error) {
-	s.fallbacks.Inc()
-	answers := core.MatchGoal(lit, s.c.Results(lit.PredKey()))
-	qt.step(stEval, "fallback")
-	return answers, nil, nil
-}
-
-// collectBaseSupport walks a proof tree and records the keys of every
-// base-fact leaf: leaves whose predicate the original program
-// mentions as extensional. Magic seeds and adorned helper tuples
-// (present only in the rewritten program) are skipped.
-func collectBaseSupport(pt *eval.ProofTree, prog *ast.Program, support map[string]bool) {
-	if len(pt.Children) == 0 {
-		pred := pt.Tuple.Pred
-		if !prog.IsDerived(pred) {
-			if _, ok := knownKey(prog, pred); ok {
-				support[pt.Tuple.Key()] = true
-			}
-		}
-		return
-	}
-	for _, c := range pt.Children {
-		collectBaseSupport(c, prog, support)
-	}
-}
-
-// isTautology reports whether the rule derives a literal from itself
-// verbatim (head and single positive body literal identical).
-func isTautology(r *ast.Rule) bool {
-	if len(r.Body) != 1 || r.HasAggregates() {
-		return false
-	}
-	b := r.Body[0]
-	if b.Negated || b.Builtin || b.PredKey() != r.Head.PredKey() {
-		return false
-	}
-	for i, a := range r.Head.Args {
-		ba := b.Args[i]
-		if a.Kind != ast.KindVar || ba.Kind != ast.KindVar || a.Str != ba.Str {
-			return false
-		}
-	}
-	return true
-}
-
-// knownKey reports whether the original program mentions pred —
-// declared base, derived, or appearing in a rule body.
-func knownKey(prog *ast.Program, pred string) (string, bool) {
-	if prog.Base[pred] || prog.IsDerived(pred) {
-		return pred, true
-	}
-	for _, r := range prog.Rules {
-		for _, l := range r.Body {
-			if !l.Builtin && l.PredKey() == pred {
-				return pred, true
-			}
-		}
-	}
-	return pred, false
 }
 
 // tuplesByKey indexes tuples by canonical key.

@@ -516,7 +516,7 @@ func (c *Cluster) Query(goal string) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.MatchGoal(lit, c.Engine.Derived(lit.PredKey())), nil
+	return c.Engine.DerivedDB().Match(lit), nil
 }
 
 // Registry exposes the cluster's live counter registry so embedding
@@ -577,7 +577,7 @@ func (c *Cluster) AggregateResult(pred string) []Tuple {
 }
 
 // ResultDB snapshots all derived predicates.
-func (c *Cluster) ResultDB() *Database { return c.Engine.DerivedDB() }
+func (c *Cluster) ResultDB() *Database { return c.Engine.DerivedDB().Clone() }
 
 // Observability re-exports: the counter snapshot and trace types of
 // internal/obs, so applications can consume Cluster.Snapshot and

@@ -43,9 +43,12 @@ serve-smoke:
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (6.089) the same way.
+# node runtime's join path — to its own baseline (6.089) the same way,
+# and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
+# (client encode, server, client decode) to its baseline (28 allocs).
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT' -v ./internal/experiments/
+	$(GO) test -run 'TestHotQueryAllocs' -v ./internal/serve/
 
 # End-to-end smoke of the live-telemetry surface: a serving session with
 # the admin server on an ephemeral port, scraped over real HTTP —

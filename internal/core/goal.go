@@ -36,11 +36,11 @@ func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
 		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q must be a positive relational literal", goal)
 	}
 	key := lit.PredKey()
-	known := KnownPredKeys(prog)
-	switch {
-	case prog.IsDerived(key):
+	if prog.IsDerived(key) {
 		return lit, nil
-	case known[key]:
+	}
+	known := KnownPredKeys(prog) // only a rejection needs the full set
+	if known[key] {
 		// Mentioned but not derived: declared .base or an undeclared
 		// extensional predicate appearing in rule bodies.
 		return ast.Literal{}, validationErrorf(ErrBasePredicate, "core: goal %s: %s is a base predicate (inject base facts; query derived ones)", goal, key)

@@ -9,6 +9,7 @@
 package ast
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -316,86 +317,70 @@ func isArithOp(functor string) bool {
 
 // String renders t in source syntax. Lists render as [a, b, c] or [H|T].
 func (t Term) String() string {
-	var b strings.Builder
-	t.appendString(&b)
-	return b.String()
+	var arr [64]byte // most terms fit; append spills to the heap if not
+	return string(t.AppendString(arr[:0]))
 }
 
-func (t Term) appendString(b *strings.Builder) {
+// AppendString appends t's source-syntax rendering (String) to b.
+func (t Term) AppendString(b []byte) []byte {
 	switch t.Kind {
 	case KindInt:
-		b.WriteString(strconv.FormatInt(t.Int, 10))
+		return strconv.AppendInt(b, t.Int, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(t.Float, 'g', -1, 64)
-		b.WriteString(s)
-		if !strings.ContainsAny(s, ".eE") {
-			b.WriteString(".0")
+		start := len(b)
+		b = strconv.AppendFloat(b, t.Float, 'g', -1, 64)
+		if !bytes.ContainsAny(b[start:], ".eE") {
+			b = append(b, ".0"...)
 		}
+		return b
 	case KindString:
-		b.WriteString(strconv.Quote(t.Str))
-	case KindSymbol:
-		b.WriteString(t.Str)
-	case KindVar:
-		b.WriteString(t.Str)
+		return strconv.AppendQuote(b, t.Str)
+	case KindSymbol, KindVar:
+		return append(b, t.Str...)
 	case KindCompound:
 		if t.Str == ListFunctor && len(t.Args) == 2 {
-			t.appendListString(b)
-			return
+			return t.appendList(b)
 		}
 		// Arithmetic operators lex as operator tokens, not identifiers,
 		// so functor form +(D, 1) would not re-parse; print them infix,
 		// fully parenthesized (the grammar's primary accepts '(' expr ')').
 		if isArithOp(t.Str) && len(t.Args) == 2 {
-			b.WriteByte('(')
-			t.Args[0].appendString(b)
-			b.WriteByte(' ')
-			b.WriteString(t.Str)
-			b.WriteByte(' ')
-			t.Args[1].appendString(b)
-			b.WriteByte(')')
-			return
+			b = append(b, '(')
+			b = t.Args[0].AppendString(b)
+			b = append(b, ' ')
+			b = append(b, t.Str...)
+			b = append(b, ' ')
+			b = t.Args[1].AppendString(b)
+			return append(b, ')')
 		}
 		if t.Str == "-" && len(t.Args) == 1 {
-			b.WriteByte('-')
-			t.Args[0].appendString(b)
-			return
+			return t.Args[0].AppendString(append(b, '-'))
 		}
-		b.WriteString(t.Str)
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			a.appendString(b)
-		}
-		b.WriteByte(')')
+		b = append(b, t.Str...)
+		b = append(b, '(')
+		b = AppendTerms(b, t.Args)
+		return append(b, ')')
 	}
+	return b
 }
 
-func (t Term) appendListString(b *strings.Builder) {
-	b.WriteByte('[')
-	first := true
-	for {
-		if !first {
-			// nothing; separators written below
-		}
+func (t Term) appendList(b []byte) []byte {
+	b = append(b, '[')
+	for first := true; ; first = false {
 		if t.Kind == KindCompound && t.Str == ListFunctor && len(t.Args) == 2 {
 			if !first {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			t.Args[0].appendString(b)
-			first = false
+			b = t.Args[0].AppendString(b)
 			t = t.Args[1]
 			continue
 		}
-		if t.Kind == KindSymbol && t.Str == NilSymbol {
-			break
+		if t.Kind != KindSymbol || t.Str != NilSymbol {
+			b = append(b, " | "...)
+			b = t.AppendString(b)
 		}
-		b.WriteString(" | ")
-		t.appendString(b)
-		break
+		return append(b, ']')
 	}
-	b.WriteByte(']')
 }
 
 // RenameVars returns a copy of t with every variable name transformed by f.
@@ -426,11 +411,19 @@ func SortTerms(ts []Term) {
 
 // FormatTerms renders a term slice as "t1, t2, ...".
 func FormatTerms(ts []Term) string {
-	parts := make([]string, len(ts))
+	var arr [64]byte
+	return string(AppendTerms(arr[:0], ts))
+}
+
+// AppendTerms appends ts rendered as FormatTerms does to b.
+func AppendTerms(b []byte, ts []Term) []byte {
 	for i, t := range ts {
-		parts[i] = t.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = t.AppendString(b)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
 var _ fmt.Stringer = Term{}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -69,5 +70,25 @@ func TestInsertAllocs(t *testing.T) {
 	t.Logf("one Insert: %.1f allocs (measured %d, bound +5%%)", got, measured)
 	if got > measured*1.05 {
 		t.Errorf("one Insert allocates %.1f objects, bound %.1f", got, measured*1.05)
+	}
+}
+
+// Tuple.String renders through the append renderer: the same bytes as
+// the fmt.Sprintf + FormatTerms form it replaced, zero-arity tuples
+// included, in one allocation.
+func TestTupleStringOneAlloc(t *testing.T) {
+	for _, tup := range []Tuple{
+		NewTuple("reach", ast.Symbol("s0_1"), ast.Symbol("X")),
+		NewTuple("flag"),
+		NewTuple("m", ast.Int64(-4), ast.Float64(2), ast.String_("a\"b"), ast.List(ast.Symbol("x"))),
+	} {
+		want := fmt.Sprintf("%s(%s)", tup.Name(), ast.FormatTerms(tup.Args))
+		if got := tup.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+	tup := NewTuple("reach", ast.Symbol("s0_1"), ast.Symbol("s0_17"))
+	if n := testing.AllocsPerRun(100, func() { _ = tup.String() }); n != 1 {
+		t.Fatalf("Tuple.String allocs = %v, want 1", n)
 	}
 }

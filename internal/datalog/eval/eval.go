@@ -80,7 +80,17 @@ func (t Tuple) Name() string {
 
 // String renders the tuple in source syntax.
 func (t Tuple) String() string {
-	return fmt.Sprintf("%s(%s)", t.Name(), ast.FormatTerms(t.Args))
+	var arr [64]byte // most tuples fit; append spills to the heap if not
+	return string(t.AppendString(arr[:0]))
+}
+
+// AppendString appends the tuple's source-syntax rendering (String) to
+// b.
+func (t Tuple) AppendString(b []byte) []byte {
+	b = append(b, t.Name()...)
+	b = append(b, '(')
+	b = ast.AppendTerms(b, t.Args)
+	return append(b, ')')
 }
 
 // Equal reports deep equality.

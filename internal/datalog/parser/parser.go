@@ -21,11 +21,14 @@ func Parse(src string) (*ast.Program, error) {
 	return ParseWith(src, Options{})
 }
 
+// defaultIsBuiltin is the standard registry's predicate test, built once:
+// the registry is immutable after construction.
+var defaultIsBuiltin = builtin.Default().IsPred
+
 // ParseWith parses a full program with explicit options.
 func ParseWith(src string, opts Options) (*ast.Program, error) {
 	if opts.IsBuiltin == nil {
-		reg := builtin.Default()
-		opts.IsBuiltin = reg.IsPred
+		opts.IsBuiltin = defaultIsBuiltin
 	}
 	p := &parser{lx: newLexer(src), opts: opts, prog: ast.NewProgram()}
 	if err := p.init(); err != nil {

@@ -50,6 +50,22 @@ type cacheEntry struct {
 	answers []eval.Tuple // immutable once stored; callers copy
 	ver     uint64       // the goal predicate's change counter at the probe
 	elem    *list.Element
+
+	// wire is the answers' wire encoding (appendAnswer, nil for none),
+	// rendered once, by the entry's first wire read.
+	wire     []byte
+	wireOnce sync.Once
+}
+
+// encoded returns the answers' wire encoding: after the first call on
+// an entry, a hit on the wire renders nothing.
+func (e *cacheEntry) encoded() []byte {
+	e.wireOnce.Do(func() {
+		if len(e.answers) > 0 {
+			e.wire = appendAnswer(nil, e.answers)
+		}
+	})
+	return e.wire
 }
 
 // newShardedCache builds a cache totalling max entries across n shards;

@@ -3,7 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -24,8 +24,8 @@ import (
 type Client struct {
 	conn net.Conn
 
-	wmu sync.Mutex
-	enc *json.Encoder
+	wmu  sync.Mutex
+	wbuf []byte // the request frame being written, reused under wmu
 
 	nextID atomic.Int64
 
@@ -52,7 +52,6 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
-		enc:      json.NewEncoder(conn),
 		pending:  make(map[int64]chan *Response),
 		subs:     make(map[int64]*ClientSub),
 		events:   make(chan Event, 256),
@@ -83,17 +82,21 @@ func (c *Client) Close() error {
 	return err
 }
 
+// readLoop decodes every frame of the connection. A frame it cannot
+// decode fails the connection: its caller could never be answered.
 func (c *Client) readLoop() {
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	var err error
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			continue
+		line := string(sc.Bytes()) // the decoded strings share this copy
+		resp := new(Response)
+		if derr := decodeResponse(line, resp); derr != nil {
+			err = fmt.Errorf("serve: undecodable frame %.64q: %w", line, derr)
+			break
 		}
 		if resp.Event != nil {
 			// Blocking send: the pump always drains until this channel
@@ -107,10 +110,12 @@ func (c *Client) readLoop() {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- &resp
+			ch <- resp
 		}
 	}
-	err := sc.Err()
+	if err == nil {
+		err = sc.Err()
+	}
 	if err == nil {
 		err = ErrClosed
 	}
@@ -170,7 +175,8 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := c.enc.Encode(req)
+	c.wbuf = appendRequest(c.wbuf[:0], req)
+	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,5 +97,38 @@ func TestClientCloseIdempotent(t *testing.T) {
 	// Calls after Close fail fast with the terminal error.
 	if err := c.Ping(context.Background()); err == nil {
 		t.Error("ping succeeded on a closed client")
+	}
+}
+
+// Regression: the read loop used to skip a frame it could not decode,
+// so the call waiting for it hung for as long as its context allowed —
+// forever under snlogrepl -connect's context.Background(). Now such a
+// frame fails the connection with an error that names it.
+func TestClientUndecodableFrameFailsCall(t *testing.T) {
+	for _, frame := range []string{"not json", `{"id":1,"ok":tr`} {
+		t.Run(frame, func(t *testing.T) {
+			local, remote := net.Pipe()
+			defer remote.Close()
+			go func() { // a "server" that answers the ping with frame
+				if bufio.NewScanner(remote).Scan() {
+					remote.Write([]byte(frame + "\n"))
+				}
+			}()
+			c := NewClient(local)
+			defer c.Close()
+			done := make(chan error, 1)
+			go func() { done <- c.Ping(context.Background()) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("ping succeeded on an undecodable reply")
+				}
+				if want := fmt.Sprintf("%q", frame); !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name the frame %s", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("ping still waiting 5s after an undecodable reply")
+			}
+		})
 	}
 }

@@ -163,6 +163,7 @@ type Session struct {
 	mu     sync.RWMutex
 	c      *snlog.Cluster
 	prog   *ast.Program
+	known  map[string]bool // core.KnownPredKeys(prog), computed once
 	opts   Options
 	closed bool
 
@@ -254,6 +255,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	s := &Session{
 		c:       c,
 		prog:    prog,
+		known:   core.KnownPredKeys(prog),
 		opts:    opts,
 		subs:    make(map[int]*Subscription),
 		watched: make(map[string]*watch),
@@ -609,7 +611,7 @@ func (s *Session) Spans() *obs.SpanRing { return s.spans }
 // canonical order; the returned slice is the caller's to keep.
 // Concurrent queries proceed in parallel under the shared read lock.
 func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) {
-	answers, _, _, err := s.query(ctx, goal, 0, 0)
+	answers, _, err := s.QueryStale(ctx, goal, 0)
 	return answers, err
 }
 
@@ -619,7 +621,7 @@ func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) 
 // reports the actual freshness bound. A negative maxLag means
 // unbounded. maxLag 0 is Query.
 func (s *Session) QueryStale(ctx context.Context, goal string, maxLag int64) ([]eval.Tuple, Freshness, error) {
-	answers, fr, _, err := s.query(ctx, goal, staleLag(maxLag), 0)
+	answers, fr, _, err := s.QueryTraced(ctx, goal, maxLag, 0)
 	return answers, fr, err
 }
 
@@ -628,7 +630,11 @@ func (s *Session) QueryStale(ctx context.Context, goal string, maxLag int64) ([]
 // Either way the effective id is returned alongside the answer, and
 // the query's stage spans land in Spans() under that id.
 func (s *Session) QueryTraced(ctx context.Context, goal string, maxLag, traceID int64) ([]eval.Tuple, Freshness, int64, error) {
-	return s.query(ctx, goal, staleLag(maxLag), traceID)
+	e, fr, tid, err := s.query(ctx, goal, staleLag(maxLag), traceID)
+	if err != nil {
+		return nil, fr, tid, err
+	}
+	return append([]eval.Tuple(nil), e.answers...), fr, tid, nil
 }
 
 func staleLag(maxLag int64) int64 {
@@ -638,7 +644,11 @@ func staleLag(maxLag int64) int64 {
 	return maxLag
 }
 
-func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) ([]eval.Tuple, Freshness, int64, error) {
+// query is the one query path. It returns the entry holding the answer
+// — the cached one on a hit; on a miss a fresh one, stored unless the
+// cache is off — whose fields are immutable: Query and its siblings copy
+// the answers out, the server writes the entry's encoding.
+func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*cacheEntry, Freshness, int64, error) {
 	start := time.Now()
 	qt := s.beginTrace(tid, start)
 	if err := ctx.Err(); err != nil {
@@ -663,22 +673,18 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) ([]
 	s.queries.Inc()
 	key := core.CanonicalGoal(lit)
 	ver := s.c.Engine.DerivedVersion(lit.PredKey())
-	var answers []eval.Tuple
-	if e := s.cache.get(key, ver); e != nil {
+	e := s.cache.get(key, ver)
+	if e != nil {
 		s.hits.Inc()
 		qt.step(stCacheProbe, "hit")
-		answers = append([]eval.Tuple(nil), e.answers...)
 	} else {
 		s.misses.Inc()
 		qt.step(stCacheProbe, "miss")
 		s.probeMu.Lock()
-		answers = s.c.Engine.DerivedDB().Match(lit)
+		e = &cacheEntry{key: key, answers: s.c.Engine.DerivedDB().Match(lit), ver: ver}
 		s.probeMu.Unlock()
 		qt.step(stEval, "")
-		if s.cache != nil {
-			s.cache.put(&cacheEntry{key: key, answers: answers, ver: ver})
-			answers = append([]eval.Tuple(nil), answers...)
-		}
+		s.cache.put(e)
 	}
 	fr := Freshness{Lag: s.Lag(), AsOf: s.lastEnd.Load()}
 	s.readers.Add(-1)
@@ -688,7 +694,7 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) ([]
 	}
 	qt.step(stRespond, "")
 	s.latency.Observe(time.Since(start).Microseconds())
-	return answers, fr, qt.id, nil
+	return e, fr, qt.id, nil
 }
 
 // enterRead tracks read-phase concurrency for the
@@ -769,7 +775,7 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 		return nil, ErrClosed
 	}
 	if !s.prog.IsDerived(pred) {
-		if core.KnownPredKeys(s.prog)[pred] {
+		if s.known[pred] {
 			return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrBasePredicate)
 		}
 		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrUnknownPredicate)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -97,25 +96,30 @@ func (srv *Server) acceptLoop() {
 	}
 }
 
-// connState is the per-connection handler state: an encoder guarded by
-// a write lock (request responses and subscription pumps interleave)
-// and the connection's live subscriptions.
+// connState is the per-connection handler state: a frame buffer
+// guarded by a write lock (request responses and subscription pumps
+// interleave) and the connection's live subscriptions.
 type connState struct {
 	srv  *Server
 	conn net.Conn
 
 	wmu sync.Mutex
-	enc *json.Encoder
+	buf []byte // the frame being written, reused under wmu
+
+	ans []byte // a cache-off answer's encoding; the handler's own
 
 	smu  sync.Mutex
 	subs map[int64]*Subscription
 	wg   sync.WaitGroup
 }
 
-func (cs *connState) send(r *Response) error {
+// send writes one frame; tuples, if non-nil, is the answer's encoding.
+func (cs *connState) send(r *Response, tuples []byte) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
-	return cs.enc.Encode(r)
+	cs.buf = appendResponse(cs.buf[:0], r, tuples)
+	_, err := cs.conn.Write(cs.buf)
+	return err
 }
 
 func (srv *Server) handle(conn net.Conn) {
@@ -123,7 +127,6 @@ func (srv *Server) handle(conn net.Conn) {
 	cs := &connState{
 		srv:  srv,
 		conn: conn,
-		enc:  json.NewEncoder(conn),
 		subs: make(map[int64]*Subscription),
 	}
 	defer func() {
@@ -142,43 +145,51 @@ func (srv *Server) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			cs.send(&Response{OK: false, Error: fmt.Sprintf("bad request: %v", err), Code: CodeBadRequest})
+		if err := decodeRequest(string(sc.Bytes()), &req); err != nil {
+			// Answered under the request's id when that was readable.
+			cs.send(&Response{ID: req.ID, Error: "bad request: " + err.Error(), Code: CodeBadRequest}, nil)
 			continue
 		}
-		resp := cs.dispatch(&req)
+		resp, tuples := cs.dispatch(&req)
 		resp.ID = req.ID
-		if err := cs.send(resp); err != nil {
+		if err := cs.send(resp, tuples); err != nil {
 			return
 		}
 	}
 }
 
-func (cs *connState) dispatch(req *Request) *Response {
+// dispatch runs one request. A query's tuples come back encoded: the
+// cache entry's memo, or — with the cache off — rendered afresh into
+// the handler's own buffer.
+func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 	s := cs.srv.s
 	ctx := context.Background()
 	switch req.Op {
 	case "ping":
-		return &Response{OK: true}
+		return &Response{OK: true}, nil
 	case "query":
 		maxLag := cs.srv.defaultMaxLag
 		if req.Stale {
 			maxLag = req.MaxLag // 0 = explicitly fresh, < 0 = unbounded
 		}
-		tuples, fr, tid, err := s.QueryTraced(ctx, req.Arg, maxLag, req.TraceID)
+		e, fr, tid, err := s.query(ctx, req.Arg, staleLag(maxLag), req.TraceID)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
-		return &Response{OK: true, Tuples: formatTuples(tuples), Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}
+		resp := &Response{OK: true, Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}
+		if s.cache == nil && len(e.answers) > 0 {
+			cs.ans = appendAnswer(cs.ans[:0], e.answers)
+			return resp, cs.ans
+		}
+		return resp, e.encoded()
 	case "inject", "inject_at", "delete_at":
 		t, err := ParseFact(req.Arg)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
 		var kind opKind
 		switch req.Op {
@@ -191,55 +202,55 @@ func (cs *connState) dispatch(req *Request) *Response {
 		}
 		seq, err := s.enqueue(kind, req.At, req.Node, t)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
 		// The ack means "validated and accepted": the apply+sync rides
 		// the coalesced batch. Seq lets a client await it via sync.
-		return &Response{OK: true, Batched: true, Seq: seq}
+		return &Response{OK: true, Batched: true, Seq: seq}, nil
 	case "sync":
 		end, err := s.Sync(ctx)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
-		return &Response{OK: true, Time: end, Seq: s.appliedSeq.Load()}
+		return &Response{OK: true, Time: end, Seq: s.appliedSeq.Load()}, nil
 	case "explain":
 		tree, tid, err := s.ExplainTraced(ctx, req.Arg, req.TraceID)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
-		return &Response{OK: true, Explain: tree.String(), TraceID: tid}
+		return &Response{OK: true, Explain: tree.String(), TraceID: tid}, nil
 	case "subscribe":
 		sub, err := s.Subscribe(req.Arg)
 		if err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
 		id := cs.srv.nextSub.Add(1)
 		cs.smu.Lock()
 		if cs.subs == nil { // connection tearing down
 			cs.smu.Unlock()
 			sub.Close()
-			return errResponse(ErrClosed)
+			return errResponse(ErrClosed), nil
 		}
 		cs.subs[id] = sub
 		cs.wg.Add(1)
 		cs.smu.Unlock()
 		go cs.pump(id, sub)
-		return &Response{OK: true, Sub: id}
+		return &Response{OK: true, Sub: id}, nil
 	case "unsubscribe":
 		cs.smu.Lock()
 		sub := cs.subs[req.Sub]
 		delete(cs.subs, req.Sub)
 		cs.smu.Unlock()
 		if sub == nil {
-			return &Response{OK: false, Error: fmt.Sprintf("unknown subscription %d", req.Sub), Code: CodeBadRequest}
+			return &Response{OK: false, Error: fmt.Sprintf("unknown subscription %d", req.Sub), Code: CodeBadRequest}, nil
 		}
 		sub.Close()
-		return &Response{OK: true}
+		return &Response{OK: true}, nil
 	case "stats":
 		snap := s.Snapshot()
-		return &Response{OK: true, Stats: snap.Counters}
+		return &Response{OK: true, Stats: snap.Counters}, nil
 	default:
-		return &Response{OK: false, Error: fmt.Sprintf("unknown op %q", req.Op), Code: CodeBadRequest}
+		return &Response{OK: false, Error: fmt.Sprintf("unknown op %q", req.Op), Code: CodeBadRequest}, nil
 	}
 }
 
@@ -248,7 +259,7 @@ func (cs *connState) pump(id int64, sub *Subscription) {
 	defer cs.wg.Done()
 	for u := range sub.C() {
 		r := &Response{OK: true, Event: &Event{Sub: id, Insert: u.Insert, Tuple: u.Tuple.String()}}
-		if cs.send(r) != nil {
+		if cs.send(r, nil) != nil {
 			sub.Close()
 			return
 		}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -184,5 +186,72 @@ func TestClientQueryTraced(t *testing.T) {
 	}
 	if probeNote != "hit" {
 		t.Fatalf("cache probe span note = %q (spans %+v), want hit", probeNote, spans)
+	}
+}
+
+// A request that is not well-formed is answered with code bad_request
+// under its own id when the id was readable before the error — a reply
+// under id 0 matches no pending call. A line with no readable id keeps
+// id 0.
+func TestWireBadRequestAnsweredUnderItsID(t *testing.T) {
+	srv, _ := startServer(t, reachSrc)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := bufio.NewScanner(conn)
+	for _, tc := range []struct {
+		frame string
+		id    int64
+	}{
+		{`{"id":7,"op":"query","arg":5}`, 7},
+		{`{"op":"query","id":9,"stale":"yes"}`, 9},
+		{`{"id":11,"op":"query","arg":"reach(a, X)"`, 11},
+		{`{"op":5,"id":12}`, 0},
+		{`not json`, 0},
+	} {
+		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if !rd.Scan() {
+			t.Fatalf("no response to %s: %v", tc.frame, rd.Err())
+		}
+		var resp Response
+		if err := json.Unmarshal(rd.Bytes(), &resp); err != nil {
+			t.Fatalf("bad response %q: %v", rd.Bytes(), err)
+		}
+		if resp.ID != tc.id || resp.OK || resp.Code != CodeBadRequest {
+			t.Errorf("%s answered %s, want id %d and code %s", tc.frame, rd.Bytes(), tc.id, CodeBadRequest)
+		}
+	}
+}
+
+// The codec's member tables are the structs' json tags, field by field:
+// a field added, renamed or retagged without its member would silently
+// drop off the wire, where encoding/json carried it.
+func TestWireMembersFollowTags(t *testing.T) {
+	var req Request
+	var resp Response
+	var ev Event
+	rm, sm, em := req.members(), resp.members(), ev.members()
+	if sm[tuplesMember].p != any(&resp.Tuples) {
+		t.Fatalf("tuplesMember %d is %q", tuplesMember, sm[tuplesMember].name)
+	}
+	for _, c := range []struct {
+		v  any
+		ms []member
+	}{{&req, rm[:]}, {&resp, sm[:]}, {&ev, em[:]}} {
+		rv := reflect.ValueOf(c.v).Elem()
+		if rv.NumField() != len(c.ms) {
+			t.Fatalf("%s has %d fields, %d members", rv.Type(), rv.NumField(), len(c.ms))
+		}
+		for i, m := range c.ms {
+			f := rv.Type().Field(i)
+			name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if m.name != name || m.omit != (opts == "omitempty") || reflect.ValueOf(m.p).Pointer() != rv.Field(i).Addr().Pointer() {
+				t.Errorf("%s member %d is %q (omit %v); field %s is tagged %q", rv.Type(), i, m.name, m.omit, f.Name, f.Tag.Get("json"))
+			}
+		}
 	}
 }

@@ -4,33 +4,44 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/datalog/eval"
 )
 
 // FuzzWire hammers the newline-delimited JSON wire codec with
 // malformed JSON, truncated lines, oversized payloads and bogus error
-// codes. The properties pinned:
+// codes, holding the hand codec to encoding/json, its reference. The
+// properties pinned:
 //
 //   - Decoding never panics, whatever the bytes.
-//   - A Request that decodes re-encodes to a JSON object that decodes
-//     back to the same Request (round-trip stability — the daemon can
-//     log and replay request lines verbatim).
-//   - Same for Response, including the batch-ack and freshness
-//     fields.
+//   - decodeRequest and decodeResponse accept exactly the lines
+//     json.Unmarshal accepts into the same struct, with an equal value:
+//     key order, whitespace, unknown and repeated keys, null, every
+//     string escape, invalid UTF-8, nesting depth. Keys fold as in
+//     encoding/json (strings.EqualFold), non-ASCII folds such as ſ → s
+//     included.
+//   - appendRequest(nil, &v) and appendResponse(nil, &v, nil) are
+//     json.Marshal(&v) plus '\n' for every decoded v, and decode back
+//     to v.
 //   - CodeError(code, msg) reconstructs an error whose ErrorCode maps
 //     back to the same code for every known code; unknown codes
 //     degrade to an untyped error (classified internal), never a
 //     panic.
 //   - ParseFact never panics; when it accepts a fact, re-parsing the
 //     tuple's rendering yields the identical canonical key (the
-//     inject wire format is a fixpoint).
+//     inject wire format is a fixpoint), and appendAnswer encodes the
+//     tuple as encoding/json encodes its rendering.
 //
 // `make fuzz-smoke` runs this target for a few seconds on every
 // verify.
 func FuzzWire(f *testing.F) {
 	// Seed corpus: the shapes server_test.go sends, plus truncated,
-	// oversized and hostile variants.
+	// oversized, hostile and escape-heavy variants.
 	seeds := []string{
 		`{"id":1,"op":"ping"}`,
 		`{"id":2,"op":"query","arg":"reach(a, X)"}`,
@@ -62,39 +73,59 @@ func FuzzWire(f *testing.F) {
 		"\x00\x01\x02",
 		`[1,2,3]`,
 		`"just a string"`,
+		// Escaping, both directions.
+		`{"id":5,"ok":true,"explain":"reach(a, c)\n  link(a, b)\n  reach(b, c)\n    link(b, c)\n"}`,
+		`{"id":6,"ok":true,"tuples":["says(a, \"hi \\\"there\\\"\")","m(\"<b>&amp;</b>\")"]}`,
+		`{"id":7,"op":"inject","arg":"m(\"<&>\")"}`,
+		"{\"id\":8,\"ok\":true,\"tuples\":[\"p(\\\"\u2028\u2029\\\")\"]}",
+		"{\"id\":9,\"op\":\"query\",\"arg\":\"p(\xff\xfe, \xc3)\"}",
+		`{"id":10,"op":"query","arg":"p(é, 😀, \ud800, \udc00x)\/\b\f\r\t"}`,
+		`{"ID":11,"Op":"PING","TRACE_ID":3,"Max_Lag":1}`,
+		"{\"ſub\":4,\"id\":1}",
+		`{"id":12,"ok":true,"stats":{"serve.queries":3,"serve.cache.hits":1,"a<b":-2,"z":null}}`,
+		`{"id":13,"ok":true,"tuples":["a","b"],"tuples":[null],"stats":{"x":1},"stats":{"y":2}}`,
+		`{"id":14,"ok":true,"event":{"sub":1},"event":{"insert":true},"tuples":[]}`,
+		`{"id":15,"ok":null,"tuples":null,"event":null,"stats":null,"unknown":[{"a":[1.5e-3,true,false,null,"s"]}]}`,
+		` null `,
+		`{"id":1.0}`,
+		`{"id":1e2}`,
+		`{"id":-0,"node":9223372036854775807,"at":9223372036854775808}`,
+		`{"id":1,"op":"ping"} x`,
+		`{"id":1,}`,
+		`{"id":01}`,
+		`{"arg":"\u12"}`,
+		`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,   // 10000 levels: the limit
+		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, // one past it
+		`{"\u0069d":5,"id":6,"ID":7,"tuples":["\ud800\u0041","\udc00\udc00","\ud83d\ude00"]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		// Request round-trip.
-		var req Request
-		if json.Unmarshal(line, &req) == nil {
-			out, err := json.Marshal(&req)
-			if err != nil {
-				t.Fatalf("re-encode of decoded request failed: %v", err)
+		// Request: the hand codec against encoding/json.
+		var req, jreq Request
+		if differ(t, line, json.Unmarshal(line, &jreq), decodeRequest(string(line), &req)) {
+			if req != jreq {
+				t.Fatalf("%q decodes to %+v, encoding/json says %+v", line, req, jreq)
 			}
-			var req2 Request
-			if err := json.Unmarshal(out, &req2); err != nil {
-				t.Fatalf("re-decode failed: %v (line %q)", err, out)
-			}
-			if req != req2 {
-				t.Fatalf("request round-trip drift: %+v != %+v", req, req2)
+			out := appendRequest(nil, &req)
+			sameBytes(t, out, &req)
+			var again Request
+			if err := decodeRequest(string(out), &again); err != nil || again != req {
+				t.Fatalf("request round trip: %+v -> %q -> %+v, %v", req, out, again, err)
 			}
 		}
-		// Response round-trip (Event pointer compared by value).
-		var resp Response
-		if json.Unmarshal(line, &resp) == nil {
-			out, err := json.Marshal(&resp)
-			if err != nil {
-				t.Fatalf("re-encode of decoded response failed: %v", err)
+		// Response: the same, plus the error-code round trip.
+		var resp, jresp Response
+		if differ(t, line, json.Unmarshal(line, &jresp), decodeResponse(string(line), &resp)) {
+			if !reflect.DeepEqual(resp, jresp) {
+				t.Fatalf("%q decodes to %+v, encoding/json says %+v", line, resp, jresp)
 			}
-			var resp2 Response
-			if err := json.Unmarshal(out, &resp2); err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !responseEqual(&resp, &resp2) {
-				t.Fatalf("response round-trip drift: %+v != %+v", resp, resp2)
+			out := appendResponse(nil, &resp, nil)
+			sameBytes(t, out, &resp)
+			var again Response
+			if err := decodeResponse(string(out), &again); err != nil || !responseEqual(&resp, &again) {
+				t.Fatalf("response round trip: %+v -> %q -> %+v, %v", resp, out, again, err)
 			}
 			// Error-code round-trip: rebuilding the typed error from a
 			// known wire code must classify back to the same code.
@@ -112,7 +143,8 @@ func FuzzWire(f *testing.F) {
 				}
 			}
 		}
-		// ParseFact: no panic; accepted facts are a rendering fixpoint.
+		// ParseFact: no panic; accepted facts are a rendering fixpoint,
+		// and their answer encoding is encoding/json's.
 		if tup, err := ParseFact(string(line)); err == nil {
 			again, err := ParseFact(tup.String())
 			if err != nil {
@@ -121,10 +153,38 @@ func FuzzWire(f *testing.F) {
 			if again.Key() != tup.Key() {
 				t.Fatalf("fact key drift: %q -> %q", tup.Key(), again.Key())
 			}
+			want, _ := json.Marshal([]string{tup.String(), again.String()})
+			if got := appendAnswer(nil, []eval.Tuple{tup, again}); string(got) != string(want) {
+				t.Fatalf("answer encoding %s, encoding/json %s", got, want)
+			}
 		} else if !errors.Is(err, ErrClosed) && err.Error() == "" {
 			t.Fatal("ParseFact returned an empty error")
 		}
 	})
+}
+
+// differ fails the test when encoding/json and the hand decoder
+// disagree on whether line is a frame, and reports whether both took
+// it.
+func differ(t *testing.T, line []byte, jerr, err error) bool {
+	t.Helper()
+	if (jerr == nil) != (err == nil) {
+		t.Fatalf("%q: encoding/json says %v, the hand decoder %v", line, jerr, err)
+	}
+	return err == nil
+}
+
+// sameBytes fails the test unless out is what a json.Encoder writes
+// for v.
+func sameBytes(t *testing.T, out []byte, v any) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(out, want) {
+		t.Fatalf("encoded %q, encoding/json %q", out, want)
+	}
 }
 
 // responseEqual compares two responses field-wise (slices, maps and
@@ -176,5 +236,50 @@ func TestWireOversizedLine(t *testing.T) {
 	}
 	if len(req.Arg) != 2<<20 {
 		t.Fatalf("arg truncated: %d", len(req.Arg))
+	}
+}
+
+// A string that needs unquoting is copied into a buffer sized from the
+// string, not from the rest of the line: a frame of many short escaped
+// strings decodes in memory linear in its length. Sized from the rest
+// of the line, this one allocated 188 MB.
+func TestWireDecodeEscapedStringsLinear(t *testing.T) {
+	line := `{"id":1,"tuples":[` + strings.Repeat(`"a\nb",`, 5000) + `"x"]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var r Response
+	if err := decodeResponse(line, &r); err != nil || len(r.Tuples) != 5001 {
+		t.Fatalf("%d tuples, %v", len(r.Tuples), err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, 20*uint64(len(line)); got > bound {
+		t.Fatalf("decoding a %d-byte frame allocated %d bytes, bound %d", len(line), got, bound)
+	}
+}
+
+// An escape-free string, non-ASCII included, is a substring of the
+// line: decoding a reply allocates the same for 2 tuples as for 30.
+func TestWireDecodeSharesTheLine(t *testing.T) {
+	frame := func(n int) string {
+		ts := make([]string, n)
+		for i := range ts {
+			ts[i] = fmt.Sprintf("reach(é%d, s%d)", i, i)
+		}
+		b, err := json.Marshal(&Response{ID: 1, OK: true, Tuples: ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	allocs := func(line string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			var r Response
+			if err := decodeResponse(line, &r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(frame(2)), allocs(frame(30)); few != many {
+		t.Fatalf("decoding 2 tuples allocates %v, 30 tuples %v: the strings are copied", few, many)
 	}
 }

@@ -194,6 +194,8 @@ type Engine struct {
 	queryPreds map[string]bool
 
 	rts []*nodeRT // per-node runtimes, indexed by NodeID
+	// arena backs the entries of every node's replica store (newStore).
+	arena *window.Arena
 	// maxVars is the widest rule's register count.
 	maxVars int
 	scratch joinScratch
@@ -301,6 +303,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		placements:   prog.Placements,
 		queryPreds:   make(map[string]bool),
 		baseIDs:      make(map[string]baseGens),
+		arena:        window.NewArena(),
 		derived:      eval.NewDatabase(),
 		derivedVer:   make(map[string]uint64),
 		aggRules:     make(map[string]*aggRule),
@@ -796,7 +799,7 @@ func (e *Engine) centroidFor(key string) *nsim.Node {
 // newStore returns an empty replica store that knows each windowed
 // predicate's retention, so the store can tell when something is due.
 func (e *Engine) newStore() *window.Store {
-	s := window.NewStore()
+	s := e.arena.NewStore()
 	for _, pred := range e.windowPreds {
 		s.SetRetention(pred, e.retention(pred))
 	}

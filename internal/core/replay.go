@@ -6,6 +6,7 @@ import (
 	"repro/internal/datalog/eval"
 	"repro/internal/nsim"
 	"repro/internal/routing"
+	"repro/internal/window"
 )
 
 // Replay (and ReplayAt) is the engine's anti-entropy repair pass for
@@ -95,6 +96,7 @@ func (e *Engine) replayNow() {
 		e.derivedVer[pred]++
 	}
 	e.derived, e.extraHomes = eval.NewDatabase(), nil
+	e.arena = window.NewArena() // the old stores and their slots go together
 	for _, rt := range e.rts {
 		rt.store = e.newStore()
 		rt.homed = make(map[string]*homed)

@@ -54,10 +54,6 @@ type Index struct {
 	// each chain), ent[2e+1] the next entry in the same bucket (-1 end).
 	ent  []int32
 	hash []uint64 // entry -> full key hash
-	// Key scratch for Add, backed by the arrays until a key outgrows them.
-	kb, tb []byte
-	kbArr  [48]byte
-	tbArr  [32]byte
 }
 
 // NewIndex returns an empty index over the (ascending) positions cols,
@@ -65,7 +61,7 @@ type Index struct {
 // is copied.
 func NewIndex(cols []int, live int) *Index {
 	n := 16
-	for n < 2*live {
+	for n < live {
 		n *= 2
 	}
 	ix := &Index{
@@ -75,7 +71,6 @@ func NewIndex(cols []int, live int) *Index {
 		ent:  make([]int32, 0, 2*live),
 		hash: make([]uint64, 0, live),
 	}
-	ix.kb, ix.tb = ix.kbArr[:0], ix.tbArr[:0]
 	for i := range ix.ht {
 		ix.ht[i] = -1
 	}
@@ -103,11 +98,12 @@ func hashKeyBytes(b []byte) uint64 {
 // Add files slot (which must exceed every slot already present) under
 // the joint key of args at the indexed positions.
 func (ix *Index) Add(args []ast.Term, slot int) {
-	k := ix.kb[:0]
+	var karr [64]byte // most keys fit; append spills to the heap if not
+	var tarr [48]byte
+	k, tmp := karr[:0], tarr[:0]
 	for _, c := range ix.cols {
-		k, ix.tb = appendArgKey(k, ix.tb, args[c])
+		k, tmp = appendArgKey(k, tmp, args[c])
 	}
-	ix.kb = k
 	h := hashKeyBytes(k)
 	e := int32(len(ix.hash))
 	ix.ent = append(ix.ent, int32(slot), -1)

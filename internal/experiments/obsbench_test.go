@@ -90,7 +90,7 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 // measure exactly this loop and allow 5 % over it: the count is
 // deterministic but for map-growth jitter, and one extra allocation on
 // any per-message path is +1/event.
-const e1AllocBaseline = 2.012
+const e1AllocBaseline = 1.660
 
 // guardE1Allocs runs the prepared E1 network to quiescence and fails if
 // the run allocated more than the baseline allows.
@@ -125,14 +125,51 @@ func guardAllocs(t *testing.T, path string, baseline float64, run func() *nsim.N
 // time negation. A join that allocates per binding again (a node per
 // bound variable, a term per D + 1, a key per partial) is several
 // allocations per event here (13.75 before partials were register files)
-// and fails tier-1.
-const sptAllocBaseline = 6.089
+// and fails tier-1. It was 6.089 before replica entries came from one
+// arena per engine.
+const sptAllocBaseline = 5.823
 
 func TestJoinAllocsSPT(t *testing.T) {
 	guardAllocs(t, "spt-join", sptAllocBaseline, func() *nsim.Network {
 		_, nw := runSPTProgram(6, logicJSrc, 41)
 		return nw
 	})
+}
+
+// replicaHeapBaseline is what the windowed E1 m=18 run of
+// TestReplicaHeapBytes retains on the heap per stored replica after
+// quiescence: the whole engine and network divided by the replicas the
+// nodes' stores hold, so a store whose bookkeeping outgrows its replicas
+// (a per-table slab, a map that never shrinks, per-index scratch)
+// shows up here. It was 707.7 B with per-table slabs and a Go map per
+// table.
+const replicaHeapBaseline = 339.8
+
+// TestReplicaHeapBytes holds the retained heap per stored replica of a
+// windowed two-stream join, run long enough for expiry to recycle slots,
+// to its baseline + 5 %: a count, no wall clock.
+func TestReplicaHeapBytes(t *testing.T) {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, nw := deployGrid(18, winSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
+	injectJoinWorkload(e, nw, 400, 17)
+	nw.Run(0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	replicas := 0
+	for id := 0; id < nw.Len(); id++ {
+		replicas += e.StoredReplicas(nsim.NodeID(id))
+	}
+	runtime.KeepAlive(e)
+	if replicas == 0 {
+		t.Fatal("no replicas stored at quiescence")
+	}
+	perReplica := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(replicas)
+	t.Logf("windowed E1: %.1f retained heap B/replica over %d replicas", perReplica, replicas)
+	if perReplica > replicaHeapBaseline*1.05 {
+		t.Errorf("windowed E1 retains %.1f B/replica, baseline is %.1f + 5 %%", perReplica, replicaHeapBaseline)
+	}
 }
 
 // TestProvDisabledOverheadE1 guards the provenance-disabled path on the

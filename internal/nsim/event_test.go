@@ -168,6 +168,32 @@ func TestTypedQueueOrdering(t *testing.T) {
 	}
 }
 
+// TestQuiescedQueueReleased: a run that drains the queue drops its
+// high-water backing array; one stopped by its time limit keeps the
+// pending events.
+func TestQuiescedQueueReleased(t *testing.T) {
+	nw := New(Config{Seed: 1})
+	n := nw.AddNode(0, 0)
+	n.App = appFunc{onTimer: func(string) {}}
+	nw.Finalize()
+	for i := 0; i < 1000; i++ {
+		n.SetTimer(Time(1+i%50), "t", nil)
+	}
+	nw.Run(25)
+	if nw.Pending() == 0 || cap(nw.queue) == 0 {
+		t.Fatalf("a time-limited run left %d events in a queue of capacity %d", nw.Pending(), cap(nw.queue))
+	}
+	nw.Run(0)
+	if cap(nw.queue) != 0 {
+		t.Errorf("after quiescence the queue keeps capacity %d, want 0", cap(nw.queue))
+	}
+	n.SetTimer(1, "again", nil)
+	nw.Run(0)
+	if nw.EventsProcessed != 1001 || cap(nw.queue) != 0 {
+		t.Errorf("rerun: %d events processed, queue capacity %d; want 1001 and 0", nw.EventsProcessed, cap(nw.queue))
+	}
+}
+
 // appFunc adapts a timer callback to the Handler interface.
 type appFunc struct {
 	onTimer func(key string)

@@ -470,7 +470,8 @@ func (nw *Network) scheduleDelivery(t Time, src, dst NodeID, kind string, payloa
 }
 
 // Run processes events until the queue empties or time exceeds `until`
-// (0 means no limit). It returns the final simulation time.
+// (0 means no limit). It returns the final simulation time. A run that
+// empties the queue releases its backing array.
 func (nw *Network) Run(until Time) Time {
 	if !nw.finalized {
 		nw.Finalize()
@@ -499,6 +500,10 @@ func (nw *Network) Run(until Time) Time {
 			ev.fn()
 		}
 	}
+	// A drained queue would keep its high-water backing array — about
+	// 135 k events of 80 B after an 80×80 shortest-path-tree run — for as
+	// long as the network lives; let it go.
+	nw.queue = nil
 	return nw.now
 }
 

@@ -18,8 +18,10 @@
 // ordered by generation time, so reclaiming pops the due entries off the
 // old end, and the store keeps the earliest instant at which anything in
 // it can be due, so asking a store with nothing due is one comparison.
-// Reclaimed slots are recycled, which is why results handed out by
-// VisibleMatch and All are valid only until the next mutating call.
+// Reclaimed slots return to the Arena the store draws from, which may be
+// shared with other stores, so results handed out by VisibleMatch and All
+// are valid only until the next mutating call on the same store: only
+// that store can free them, and another store reuses only freed slots.
 package window
 
 import (
@@ -115,7 +117,7 @@ func (e *Entry) VisibleAt(tau Stamp, w int64) bool {
 // entry, tombstones included, is on the oldest..newest list in ID.TS
 // order, so the entries past a retention are a prefix of it.
 type predTable struct {
-	byID  map[Stamp]*Entry // Stamp is comparable, so no key string is built
+	byID  stampTable
 	order []*Entry
 	gone  int
 	// indexes file entries by their position in order, one index per
@@ -128,50 +130,138 @@ type predTable struct {
 	// retention is the declared replica lifetime (SetRetention); 0 when
 	// undeclared, and then the table is not in Store.windowed.
 	retention int64
-
-	// slab backs new entries in chunks so a table of k replicas costs
-	// O(log k) allocations instead of k. Chunks grow geometrically from
-	// small, since sensor-node tables often hold only a few replicas.
-	// Slots never leave the table: an expired one goes on the free list
-	// once order (which the indexes number into) no longer holds it, and
-	// newEntry takes from there first, so a sliding window in steady
-	// state allocates nothing.
-	slab      []Entry
-	slabChunk int
-	free      *Entry
 }
 
-const maxSlabChunk = 64
+// Arena hands out the Entry slots of every store built from it (the node
+// runtime builds every node's store from one). Slots come in
+// fixed chunks of arenaChunk and return to one free list when their
+// table no longer holds them, so a slot expired at one node is the next
+// insert's entry at any node, and a sliding window in steady state
+// allocates nothing. An Arena is not safe for concurrent use; neither
+// are the stores that share it.
+type Arena struct {
+	chunk []Entry // the unused tail of the newest chunk
+	free  *Entry  // recycled slots, linked through newer
+}
 
-func (tab *predTable) newEntry() *Entry {
-	if e := tab.free; e != nil {
-		tab.free, e.newer = e.newer, nil
+const arenaChunk = 1024
+
+// NewArena returns an empty arena; it allocates its first chunk on the
+// first insert into one of its stores.
+func NewArena() *Arena { return &Arena{} }
+
+// NewStore returns an empty store whose entries come from a.
+func (a *Arena) NewStore() *Store {
+	return &Store{preds: make(map[string]*predTable), nextDue: math.MaxInt64, arena: a}
+}
+
+func (a *Arena) get() *Entry {
+	if e := a.free; e != nil {
+		a.free, e.newer = e.newer, nil
 		return e
 	}
-	if len(tab.slab) == 0 {
-		if tab.slabChunk == 0 {
-			tab.slabChunk = 4
-		} else if tab.slabChunk < maxSlabChunk {
-			tab.slabChunk *= 2
-		}
-		tab.slab = make([]Entry, tab.slabChunk)
+	if len(a.chunk) == 0 {
+		a.chunk = make([]Entry, arenaChunk)
 	}
-	e := &tab.slab[0]
-	tab.slab = tab.slab[1:]
+	e := &a.chunk[0]
+	a.chunk = a.chunk[1:]
 	return e
 }
 
-// recycle zeroes the slot (dropping its hold on the argument values) and
+// put zeroes the slot (dropping its hold on the argument values) and
 // puts it on the free list.
-func (tab *predTable) recycle(e *Entry) {
-	*e = Entry{newer: tab.free}
-	tab.free = e
+func (a *Arena) put(e *Entry) {
+	*e = Entry{newer: a.free}
+	a.free = e
+}
+
+// stampTable is a table's entries by stamp: an open-addressed hash set
+// of entry pointers (the key is the entry's own ID) with linear probing
+// over a power-of-two slot array and backward-shift deletion, so no
+// deleted marker ever occupies a slot. It doubles past 3/4 full and
+// halves below 1/8 full: a Go map never shrinks, and a burst would
+// leave every node's map at its peak size for good.
+type stampTable struct {
+	slots []*Entry
+	n     int
+}
+
+const minStampSlots = 8
+
+// stampHash mixes all three stamp components; its low bits pick the home
+// slot.
+func stampHash(s Stamp) uint64 {
+	h := uint64(s.TS)*0x9e3779b97f4a7c15 ^ uint64(s.Node)<<32 ^ uint64(s.Seq)
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+// get returns the entry stamped id, or nil.
+func (t *stampTable) get(id Stamp) *Entry {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := int(stampHash(id)) & mask; ; i = (i + 1) & mask {
+		if e := t.slots[i]; e == nil || e.ID == id {
+			return e
+		}
+	}
+}
+
+// put files e, whose stamp must not be present.
+func (t *stampTable) put(e *Entry) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.resize(max(minStampSlots, 2*len(t.slots)))
+	}
+	t.place(e)
+	t.n++
+}
+
+func (t *stampTable) place(e *Entry) {
+	mask := len(t.slots) - 1
+	i := int(stampHash(e.ID)) & mask
+	for t.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = e
+}
+
+// del removes the entry stamped id, which must be present: each entry
+// after the hole in the probe run moves back into it unless the hole
+// lies before that entry's home slot.
+func (t *stampTable) del(id Stamp) {
+	mask := len(t.slots) - 1
+	i := int(stampHash(id)) & mask
+	for t.slots[i].ID != id {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.slots[j] != nil; j = (j + 1) & mask {
+		if home := int(stampHash(t.slots[j].ID)) & mask; (j-home)&mask >= (j-i)&mask {
+			t.slots[i], i = t.slots[j], j
+		}
+	}
+	t.slots[i] = nil
+	t.n--
+	if 8*t.n < len(t.slots) && len(t.slots) > minStampSlots {
+		t.resize(len(t.slots) / 2)
+	}
+}
+
+func (t *stampTable) resize(n int) {
+	old := t.slots
+	t.slots = make([]*Entry, n)
+	for _, e := range old {
+		if e != nil {
+			t.place(e)
+		}
+	}
 }
 
 // add files a new entry under its stamp, on the generation-time list,
 // and — unless it is a tombstone — in insertion order and every index.
 func (tab *predTable) add(e *Entry) {
-	tab.byID[e.ID] = e
+	tab.byID.put(e)
 	// Arrivals are near-sorted (skew is bounded by τc), so walking in
 	// from the new end is short.
 	at := tab.newest
@@ -219,7 +309,7 @@ func (tab *predTable) index(cols []int) *eval.Index {
 // prefix of the generation-time list. Tombstones are recycled at once;
 // replicas are flagged gone and wait in order, still numbered by the
 // indexes, for the compaction that keeps the dead below the living.
-func (tab *predTable) expire(nowLocal, retention int64) int {
+func (tab *predTable) expire(a *Arena, nowLocal, retention int64) int {
 	n := 0
 	for e := tab.oldest; e != nil && nowLocal-e.ID.TS > retention; e = tab.oldest {
 		tab.oldest = e.newer
@@ -228,9 +318,9 @@ func (tab *predTable) expire(nowLocal, retention int64) int {
 		} else {
 			e.newer.older = nil
 		}
-		delete(tab.byID, e.ID)
+		tab.byID.del(e.ID)
 		if e.tomb {
-			tab.recycle(e)
+			a.put(e)
 		} else {
 			e.gone = true
 			tab.gone++
@@ -238,7 +328,7 @@ func (tab *predTable) expire(nowLocal, retention int64) int {
 		n++
 	}
 	if tab.gone > len(tab.order)/2 {
-		tab.compact()
+		tab.compact(a)
 	}
 	return n
 }
@@ -246,11 +336,11 @@ func (tab *predTable) expire(nowLocal, retention int64) int {
 // compact drops expired entries from order (preserving relative order)
 // and recycles their slots; the indexes number into the old order, so
 // they are discarded for lazy rebuild.
-func (tab *predTable) compact() {
+func (tab *predTable) compact(a *Arena) {
 	live := tab.order[:0]
 	for _, e := range tab.order {
 		if e.gone {
-			tab.recycle(e)
+			a.put(e)
 		} else {
 			live = append(live, e)
 		}
@@ -285,17 +375,16 @@ type Store struct {
 	// "nothing to reclaim" answer must not touch a map, table or entry.
 	windowed []*predTable
 	nextDue  int64
+	arena    *Arena
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{preds: make(map[string]*predTable), nextDue: math.MaxInt64}
-}
+// NewStore returns an empty store with an arena of its own.
+func NewStore() *Store { return NewArena().NewStore() }
 
 func (s *Store) table(predKey string) *predTable {
 	tab := s.preds[predKey]
 	if tab == nil {
-		tab = &predTable{byID: make(map[Stamp]*Entry)}
+		tab = &predTable{}
 		s.preds[predKey] = tab
 	}
 	return tab
@@ -329,10 +418,10 @@ func (s *Store) SetRetention(predKey string, retention int64) {
 // Reports whether the entry was new.
 func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
 	tab := s.table(t.Pred)
-	if _, ok := tab.byID[id]; ok {
+	if tab.byID.get(id) != nil {
 		return false
 	}
-	e := tab.newEntry()
+	e := s.arena.get()
 	e.Args, e.ID = t.Args, id
 	s.add(tab, e)
 	return true
@@ -343,9 +432,9 @@ func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
 // its insertion (message reordering) still wins.
 func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
 	tab := s.table(predKey)
-	e, ok := tab.byID[id]
-	if !ok {
-		e = tab.newEntry()
+	e := tab.byID.get(id)
+	if e == nil {
+		e = s.arena.get()
 		e.ID, e.tomb = id, true
 		s.add(tab, e)
 	}
@@ -372,7 +461,7 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 // returns every visible entry): callers re-match each entry against
 // their literal. out is caller-owned scratch — reusing it across probes
 // is what keeps the per-expansion lookup allocation-free. The entries
-// are valid until the next mutating call (Insert, MarkDeleted,
+// are valid until the next mutating call on s (Insert, MarkDeleted,
 // ExpirePred, ExpireDue): expired slots are recycled.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
 	tab := s.preds[predKey]
@@ -446,7 +535,7 @@ func (s *Store) ExpirePred(predKey string, nowLocal int64, retention int64) int 
 	if tab == nil {
 		return 0
 	}
-	return tab.expire(nowLocal, retention)
+	return tab.expire(s.arena, nowLocal, retention)
 }
 
 // ExpireDue removes, from every predicate with a declared retention
@@ -466,7 +555,7 @@ func (s *Store) expireDue(nowLocal int64) int {
 	n := 0
 	s.nextDue = math.MaxInt64
 	for _, tab := range s.windowed {
-		n += tab.expire(nowLocal, tab.retention)
+		n += tab.expire(s.arena, nowLocal, tab.retention)
 		s.nextDue = min(s.nextDue, tab.nextDue())
 	}
 	return n
@@ -479,7 +568,7 @@ func (s *Store) Count(predKey string) int {
 	if tab == nil {
 		return 0
 	}
-	return len(tab.byID)
+	return tab.byID.n
 }
 
 // TotalCount returns all stored entries — the per-node memory metric of
@@ -487,7 +576,7 @@ func (s *Store) Count(predKey string) int {
 func (s *Store) TotalCount() int {
 	n := 0
 	for _, tab := range s.preds {
-		n += len(tab.byID)
+		n += tab.byID.n
 	}
 	return n
 }

@@ -364,10 +364,10 @@ func rowsOf(es []*Entry) []row {
 	return out
 }
 
-// checkTable verifies the structure ExpirePred and newEntry rely on: the
+// checkTable verifies the structure ExpirePred relies on: the
 // generation-time list holds exactly the byID entries in non-decreasing
-// TS order with consistent back links, gone counts the flagged entries
-// of order and stays at most half of it, and free slots are zeroed.
+// TS order with consistent back links, and gone counts the flagged
+// entries of order and stays at most half of it.
 func checkTable(t *testing.T, tab *predTable) {
 	t.Helper()
 	n := 0
@@ -379,13 +379,13 @@ func checkTable(t *testing.T, tab *predTable) {
 		if prev != nil && prev.ID.TS > e.ID.TS {
 			t.Fatalf("time list out of order: %v before %v", prev.ID, e.ID)
 		}
-		if tab.byID[e.ID] != e {
+		if tab.byID.get(e.ID) != e {
 			t.Fatalf("entry %v is on the time list but not in byID", e.ID)
 		}
 		n++
 	}
-	if prev != tab.newest || n != len(tab.byID) {
-		t.Fatalf("time list has %d entries ending at %v; byID has %d, newest is %v", n, prev, len(tab.byID), tab.newest)
+	if prev != tab.newest || n != tab.byID.n {
+		t.Fatalf("time list has %d entries ending at %v; byID has %d, newest is %v", n, prev, tab.byID.n, tab.newest)
 	}
 	gone := 0
 	for _, e := range tab.order {
@@ -396,41 +396,107 @@ func checkTable(t *testing.T, tab *predTable) {
 	if gone != tab.gone || gone > len(tab.order)/2 {
 		t.Fatalf("gone = %d, counted %d of %d in order", tab.gone, gone, len(tab.order))
 	}
-	for e := tab.free; e != nil; e = e.newer {
+}
+
+// checkArena verifies what Arena.get relies on: free slots are zeroed.
+func checkArena(t *testing.T, a *Arena) {
+	t.Helper()
+	for e := a.free; e != nil; e = e.newer {
 		if e.Args != nil || e.older != nil || e.gone || e.tomb || e.Deleted || e.ID != (Stamp{}) {
 			t.Fatalf("free slot not zeroed: %+v", *e)
 		}
 	}
 }
 
+// checkSlotsConserved: every slot the stores were ever handed (used) is
+// either held by one of them — in byID or in order — or on the free
+// list, never both, so no expiry or compaction leaks a slot.
+func checkSlotsConserved(t *testing.T, a *Arena, used map[*Entry]bool, stores ...*Store) {
+	t.Helper()
+	held := map[*Entry]bool{}
+	for _, s := range stores {
+		for _, tab := range s.preds {
+			for _, e := range tab.order {
+				held[e] = true
+			}
+			for _, e := range tab.byID.slots {
+				if e != nil {
+					held[e] = true
+				}
+			}
+		}
+	}
+	free := 0
+	for e := a.free; e != nil; e = e.newer {
+		if held[e] {
+			t.Fatalf("slot %p is on the free list and still held by a store", e)
+		}
+		free++
+	}
+	if len(held)+free != len(used) {
+		t.Fatalf("%d slots handed out, %d held and %d free", len(used), len(held), free)
+	}
+}
+
 // TestVisibleMatchEqualsFilteredVisible is the store's property test.
-// Seeded streams drive the store and the map-scan reference model
-// together: generation stamps out of order within a skew bound and
-// duplicated, re-inserted IDs, deletions before their insertions and of
-// IDs that already expired, ExpirePred at wandering instants under
-// random retentions (0 included) and ExpireDue under the declared one,
-// on tables whose live size wanders across indexMinTable and through
-// compaction and slot recycling. After every step the return value,
+// Seeded streams drive two stores that share one Arena, each beside its
+// own map-scan reference model: generation stamps out of order within a
+// skew bound and duplicated, re-inserted IDs, deletions before their
+// insertions and of IDs that already expired, ExpirePred at wandering
+// instants under random retentions (0 included) and ExpireDue under the
+// declared one, on tables whose live size wanders across indexMinTable
+// and through compaction and slot recycling — slots one store frees are
+// reused by the other's inserts. After every step the return value,
 // Count/TotalCount, and Visible/VisibleMatch/All as value sequences must
-// equal the model's; and a bound-column probe must return exactly the
+// equal the model's; a bound-column probe must return exactly the
 // entries of the full visible scan whose values at those columns have
-// that key — the same pointers in the same (insertion) order.
+// that key — the same pointers in the same (insertion) order; and the
+// entries one store's probe returned must be untouched by inserts into
+// the other.
 func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 	preds := []string{"p/2", "q/2"}
 	colSets := [][]int{{0}, {1}, {0, 1}}
 	const skew = 4
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s, m := NewStore(), refStore{}
+		arena := NewArena()
+		stores := [2]*Store{arena.NewStore(), arena.NewStore()}
+		models := [2]refStore{{}, {}}
+		// filed[k] holds every slot store k has filed an entry in, used
+		// every slot either has.
+		filed := [2]map[*Entry]bool{{}, {}}
+		used := map[*Entry]bool{}
 		// p is declared (ExpireDue reclaims it), q only ever expires
 		// through explicit ExpirePred calls.
 		declared := []int64{20, 45}[seed%2]
-		s.SetRetention("p/2", declared)
+		for _, s := range stores {
+			s.SetRetention("p/2", declared)
+		}
 		var ids []Stamp
 		var now int64
-		probed, scanned, compactions, recycled, dueHits, lateTombs := false, false, 0, 0, 0, 0
+		probed, scanned, compactions, recycled, crossReused, dueHits, lateTombs, shielded := false, false, 0, 0, 0, 0, 0, 0
+		insert := func(k int, pred string, id Stamp, args []ast.Term, step int) {
+			s, m := stores[k], models[k]
+			hadFree := arena.free != nil
+			got, want := s.Insert(eval.Tuple{Pred: pred, Args: args}, id), m.insert(pred, args, id)
+			if got != want {
+				t.Fatalf("seed %d step %d: store %d Insert(%v) = %v, model %v", seed, step, k, id, got, want)
+			}
+			if got {
+				e := s.preds[pred].byID.get(id)
+				if hadFree {
+					recycled++
+				}
+				if filed[1-k][e] {
+					crossReused++
+				}
+				filed[k][e], used[e] = true, true
+			}
+		}
 		for step := 0; step < 900; step++ {
 			now += int64(r.Intn(3))
+			k := r.Intn(2)
+			s, m := stores[k], models[k]
 			pred := preds[r.Intn(len(preds))]
 			tab := s.preds[pred]
 			switch op := r.Intn(100); {
@@ -439,15 +505,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				if len(ids) > 0 && r.Intn(8) == 0 {
 					id = ids[r.Intn(len(ids))] // seen before: duplicate, tombstoned or expired
 				}
-				args := []ast.Term{ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))}
-				hadFree := tab != nil && tab.free != nil
-				got, want := s.Insert(eval.Tuple{Pred: pred, Args: args}, id), m.insert(pred, args, id)
-				if got != want {
-					t.Fatalf("seed %d step %d: Insert(%v) = %v, model %v", seed, step, id, got, want)
-				}
-				if got && hadFree {
-					recycled++
-				}
+				insert(k, pred, id, []ast.Term{ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))}, step)
 				ids = append(ids, id)
 			case op < 82:
 				id := Stamp{TS: now - int64(r.Intn(skew+1)), Node: 7, Seq: int64(step)} // unknown: tombstone
@@ -460,6 +518,8 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				del := Stamp{TS: now + int64(r.Intn(4)), Node: 8, Seq: int64(step)}
 				s.MarkDeleted(pred, id, del)
 				m.markDeleted(pred, id, del)
+				e := s.preds[pred].byID.get(id)
+				filed[k][e], used[e] = true, true
 				ids = append(ids, id)
 			case op < 91:
 				before := 0
@@ -469,7 +529,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				at, retention := now+int64(r.Intn(10))-3, []int64{0, 10, 30, 80}[r.Intn(4)]
 				got, want := s.ExpirePred(pred, at, retention), m.expirePred(pred, at, retention)
 				if got != want {
-					t.Fatalf("seed %d step %d: ExpirePred(%s, %d, %d) = %d, model %d", seed, step, pred, at, retention, got, want)
+					t.Fatalf("seed %d step %d: store %d ExpirePred(%s, %d, %d) = %d, model %d", seed, step, k, pred, at, retention, got, want)
 				}
 				if tab != nil && len(tab.order) < before {
 					compactions++
@@ -479,7 +539,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				pass := at >= s.nextDue
 				got, want := s.ExpireDue(at), m.expirePred("p/2", at, declared)
 				if got != want {
-					t.Fatalf("seed %d step %d: ExpireDue(%d) = %d, model %d", seed, step, at, got, want)
+					t.Fatalf("seed %d step %d: store %d ExpireDue(%d) = %d, model %d", seed, step, k, at, got, want)
 				}
 				if got > 0 {
 					dueHits++
@@ -487,26 +547,30 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				// Explicit ExpirePred calls leave nextDue a lower bound; a
 				// pass makes it exact again.
 				if want := s.preds["p/2"].nextDue(); pass && s.nextDue != want {
-					t.Fatalf("seed %d step %d: nextDue = %d after a pass, want %d", seed, step, s.nextDue, want)
+					t.Fatalf("seed %d step %d: store %d nextDue = %d after a pass, want %d", seed, step, k, s.nextDue, want)
 				}
 			}
-			total := 0
-			for _, p := range preds {
-				if s.Count(p) != m.count(p) {
-					t.Fatalf("seed %d step %d: Count(%s) = %d, model %d", seed, step, p, s.Count(p), m.count(p))
+			for k, s := range stores {
+				m, total := models[k], 0
+				for _, p := range preds {
+					if s.Count(p) != m.count(p) {
+						t.Fatalf("seed %d step %d: store %d Count(%s) = %d, model %d", seed, step, k, p, s.Count(p), m.count(p))
+					}
+					total += m.count(p)
+					if tab := s.preds[p]; tab != nil {
+						checkTable(t, tab)
+					}
 				}
-				total += m.count(p)
-				if tab := s.preds[p]; tab != nil {
-					checkTable(t, tab)
+				if s.TotalCount() != total {
+					t.Fatalf("seed %d step %d: store %d TotalCount = %d, model %d", seed, step, k, s.TotalCount(), total)
+				}
+				if s.nextDue > s.preds["p/2"].nextDue() {
+					t.Fatalf("seed %d step %d: store %d nextDue = %d is past the oldest declared entry's %d",
+						seed, step, k, s.nextDue, s.preds["p/2"].nextDue())
 				}
 			}
-			if s.TotalCount() != total {
-				t.Fatalf("seed %d step %d: TotalCount = %d, model %d", seed, step, s.TotalCount(), total)
-			}
-			if s.nextDue > s.preds["p/2"].nextDue() {
-				t.Fatalf("seed %d step %d: nextDue = %d is past the oldest declared entry's %d",
-					seed, step, s.nextDue, s.preds["p/2"].nextDue())
-			}
+			checkArena(t, arena)
+			checkSlotsConserved(t, arena, used, stores[:]...)
 
 			small := s.SmallTable(pred)
 			scanned = scanned || small
@@ -549,17 +613,151 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			if got, want := rowsOf(s.All(pred)), m.rows(pred, func(e *Entry) bool { return !e.Deleted }); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: All(%s) =\n%v\nmodel\n%v", seed, step, pred, got, want)
 			}
+
+			// Inserts into the other store draw on the free list the two
+			// share; they must leave this store's probe result alone.
+			before := rowsOf(raw)
+			for i := r.Intn(3); i > 0; i-- {
+				if arena.free != nil && len(raw) > 0 {
+					shielded++
+				}
+				id := Stamp{TS: now - int64(r.Intn(skew+1)), Node: 5, Seq: int64(step*4 + i)}
+				insert(1-k, preds[r.Intn(len(preds))], id, []ast.Term{ast.Int64(int64(r.Intn(4))), ast.Int64(int64(r.Intn(3)))}, step)
+			}
+			if after := rowsOf(raw); !reflect.DeepEqual(after, before) {
+				t.Fatalf("seed %d step %d: inserts into store %d rewrote store %d's probe result:\n%v\nwas\n%v", seed, step, 1-k, k, after, before)
+			}
 		}
-		if !probed || !scanned || compactions == 0 || recycled == 0 || dueHits == 0 || lateTombs == 0 {
-			t.Errorf("seed %d left a path untested: probed=%v scanned=%v compactions=%d recycled=%d dueHits=%d lateTombs=%d",
-				seed, probed, scanned, compactions, recycled, dueHits, lateTombs)
+		if !probed || !scanned || compactions == 0 || recycled == 0 || crossReused == 0 || dueHits == 0 || lateTombs == 0 || shielded == 0 {
+			t.Errorf("seed %d left a path untested: probed=%v scanned=%v compactions=%d recycled=%d crossReused=%d dueHits=%d lateTombs=%d shielded=%d",
+				seed, probed, scanned, compactions, recycled, crossReused, dueHits, lateTombs, shielded)
 		}
 	}
 }
 
+// TestStampTableMatchesMap drives the stamp table against a map through
+// seeded put/get/del phases: growth from empty, a drain that halves the
+// slot array down to its floor, and regrowth. Stamps from a narrow range
+// make probe runs long enough to wrap past the end of the slot array,
+// which the test requires it saw — as well as a shrink and a regrowth.
+func TestStampTableMatchesMap(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var tab stampTable
+		ref := map[Stamp]*Entry{}
+		wrapped, shrunk, regrown := 0, 0, 0
+		randStamp := func() Stamp {
+			return Stamp{TS: int64(r.Intn(64)), Node: r.Intn(4), Seq: int64(r.Intn(16))}
+		}
+		check := func(phase string, step int) {
+			if tab.n != len(ref) {
+				t.Fatalf("seed %d %s step %d: n = %d, map has %d", seed, phase, step, tab.n, len(ref))
+			}
+			if tab.slots == nil {
+				return
+			}
+			size := len(tab.slots)
+			if size < minStampSlots || size&(size-1) != 0 || 4*tab.n > 3*size {
+				t.Fatalf("seed %d %s step %d: %d entries in %d slots", seed, phase, step, tab.n, size)
+			}
+			for i, e := range tab.slots {
+				if e == nil {
+					continue
+				}
+				if ref[e.ID] != e {
+					t.Fatalf("seed %d %s step %d: slot %d holds %v, which the map does not", seed, phase, step, i, e.ID)
+				}
+				if int(stampHash(e.ID))&(size-1) > i {
+					wrapped++
+				}
+			}
+			for id, e := range ref {
+				if got := tab.get(id); got != e {
+					t.Fatalf("seed %d %s step %d: get(%v) = %p, want %p", seed, phase, step, id, got, e)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				id := randStamp()
+				if got := tab.get(id); got != ref[id] {
+					t.Fatalf("seed %d %s step %d: get(%v) = %p, map has %p", seed, phase, step, id, got, ref[id])
+				}
+			}
+		}
+		grow := func(phase string, n int) {
+			for step := 0; len(ref) < n; step++ {
+				before := len(tab.slots)
+				if id := randStamp(); ref[id] == nil && tab.get(id) == nil {
+					e := &Entry{ID: id}
+					tab.put(e)
+					ref[id] = e
+				}
+				if shrunk > 0 && len(tab.slots) > before {
+					regrown++
+				}
+				if r.Intn(4) == 0 { // deletions amid growth
+					for id := range ref {
+						tab.del(id)
+						delete(ref, id)
+						break
+					}
+				}
+				check(phase, step)
+			}
+		}
+		drain := func(phase string, n int) {
+			step := 0
+			for id := range ref {
+				if len(ref) <= n {
+					break
+				}
+				before := len(tab.slots)
+				tab.del(id)
+				delete(ref, id)
+				if len(tab.slots) < before {
+					shrunk++
+				}
+				check(phase, step)
+				step++
+			}
+		}
+		grow("grow", 600+r.Intn(600))
+		drain("drain", r.Intn(3))
+		if len(tab.slots) > 2*minStampSlots {
+			t.Fatalf("seed %d: %d entries left in %d slots after the drain", seed, tab.n, len(tab.slots))
+		}
+		grow("regrow", 200+r.Intn(200))
+		drain("empty", 0)
+		if wrapped == 0 || shrunk == 0 || regrown == 0 {
+			t.Errorf("seed %d left a path untested: wrapped=%d shrunk=%d regrown=%d", seed, wrapped, shrunk, regrown)
+		}
+	}
+}
+
+// TestBurstReleasesStampSlots: a table that held a burst gives its stamp
+// slots back once the burst expires.
+func TestBurstReleasesStampSlots(t *testing.T) {
+	const burst, retention = 10000, 50
+	s := NewStore()
+	s.SetRetention("s/1", retention)
+	for i := int64(0); i < burst; i++ {
+		s.Insert(tup(i), Stamp{TS: i / 100, Node: 1, Seq: i})
+	}
+	tab := s.preds["s/1"]
+	peak := len(tab.byID.slots)
+	if n := s.ExpireDue(burst); n != burst {
+		t.Fatalf("expired %d of %d", n, burst)
+	}
+	if got := len(tab.byID.slots); s.Count("s/1") != 0 || got > 16 {
+		t.Errorf("after the burst: Count = %d, %d stamp slots (peak %d); want 0 and <= 16", s.Count("s/1"), got, peak)
+	}
+	checkTable(t, tab)
+	checkArena(t, s.arena)
+}
+
 // TestEntrySize: the two time-list links are paid for inside the entry —
 // it shed the predicate string and identity key of the eval.Tuple it
-// used to embed (112 B) — and the slabs are most of a windowed run's heap.
+// used to embed (112 B) — and the arena's chunks are most of a windowed
+// run's heap.
 func TestEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(Entry{}); got > 96 {
 		t.Errorf("sizeof(Entry) = %d B, want <= 96", got)
@@ -608,7 +806,7 @@ func TestExpirySteadyStateAllocs(t *testing.T) {
 // the positions, its three arrays and the table's list of indexes — the
 // same handful at 16 and at 256 live replicas. A two-position probe
 // allocates nothing, and neither does an insert into a table with two
-// indexes beyond the amortized growth of the slab and the arrays it
+// indexes beyond the amortized growth of the arena and the arrays it
 // appends to, which AllocsPerRun's integer average rounds away; one key
 // string per index per insert would read 2.
 func TestIndexedStoreAllocs(t *testing.T) {

@@ -39,18 +39,23 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay within 5 % of its allocation baseline (1.660 allocs/event, logged
+# stay within 5 % of its allocation baseline (1.341 allocs/event, logged
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (5.823) the same way,
+# node runtime's join path — to its own baseline (4.037) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (28 allocs).
 # TestReplicaHeapBytes holds the heap a windowed E1 m=18 run retains at
 # quiescence, per stored replica, to its baseline (339.8 B) the same way.
+# TestJoinPathAllocations pins the join path where the cost is paid: one
+# extension is one allocation, a whole local-mode join phase allocates
+# only its candidate (its partials come from the engine's slab, released
+# and zeroed on return), and a seen flood frame costs nothing.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
 	$(GO) test -run 'TestHotQueryAllocs' -v ./internal/serve/
+	$(GO) test -run TestJoinPathAllocations -v ./internal/core/
 
 # End-to-end smoke of the live-telemetry surface: a serving session with
 # the admin server on an ephemeral port, scraped over real HTTP —

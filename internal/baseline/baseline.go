@@ -38,7 +38,7 @@ type kairosMsg struct {
 	Assign bool
 	// geographic routing state
 	TX, TY  float64
-	Visited map[nsim.NodeID]bool
+	Visited []nsim.NodeID
 }
 
 type kairosApp struct {
@@ -55,7 +55,7 @@ func (k *kairosApp) Init(n *nsim.Node) {
 	msg := &kairosMsg{From: n.ID, Edges: append([]nsim.NodeID(nil), n.Neighbors()...)}
 	root := n.Network().Node(k.root)
 	msg.TX, msg.TY = root.X, root.Y
-	msg.Visited = map[nsim.NodeID]bool{n.ID: true}
+	msg.Visited = []nsim.NodeID{n.ID}
 	k.forward(n, msg)
 }
 
@@ -74,7 +74,7 @@ func (k *kairosApp) forward(n *nsim.Node, msg *kairosMsg) {
 	if !ok {
 		return // stranded
 	}
-	msg.Visited[next] = true
+	msg.Visited = append(msg.Visited, next)
 	size := 8
 	if !msg.Assign {
 		size += 4 * len(msg.Edges)
@@ -107,7 +107,7 @@ func (k *kairosApp) deliver(n *nsim.Node, msg *kairosMsg) {
 		}
 		dst := n.Network().Node(id)
 		am := &kairosMsg{To: id, Depth: d, Parent: parent[id], Assign: true,
-			TX: dst.X, TY: dst.Y, Visited: map[nsim.NodeID]bool{n.ID: true}}
+			TX: dst.X, TY: dst.Y, Visited: []nsim.NodeID{n.ID}}
 		k.forward(n, am)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -40,7 +41,7 @@ type storeMsg struct {
 
 	Legs     []gpa.Leg
 	LegIdx   int
-	Visited  map[nsim.NodeID]bool
+	Visited  []nsim.NodeID
 	Flood    bool
 	TTL      int // remaining flood hops; -1 = unlimited
 	ToServer bool
@@ -86,11 +87,18 @@ const (
 )
 
 // newPartial builds the partial of rule cr that the scratch registers s
-// and the masks describe; stamps are its parent's (nil for a seed).
-func newPartial(cr *compiledRule, pinned int, s unify.Slots, stamps []window.Stamp, bound, bDone uint64) *partialR {
+// and the masks describe; stamps are its parent's (nil for a seed). While
+// js.local is set the block comes from the slab: the partial must not
+// outlive the local expansion that releases it.
+func (js *joinScratch) newPartial(cr *compiledRule, pinned int, s unify.Slots, stamps []window.Stamp, bound, bDone uint64) *partialR {
 	var np *partialR
 	if npos := len(cr.posIdx); cr.nvars <= inlineRegs && npos <= inlineStamps {
-		blk := new(partialBlock)
+		var blk *partialBlock
+		if js.local {
+			blk = js.block()
+		} else {
+			blk = new(partialBlock)
+		}
 		np = &blk.p
 		np.b.Regs, np.stamps = blk.regs[:cr.nvars:cr.nvars], blk.stamps[:npos:npos]
 	} else {
@@ -111,10 +119,43 @@ type joinScratch struct {
 	out  []*partialR          // one partial's extensions (saturate)
 	all  []*partialR          // a local expansion's partials, which never leave the node
 	seen map[uint64]*partialR // saturate's dedup set, by partialR.hash
+	due  []*candR             // drainFinalize's due candidates
+
+	// blocks is the slab local expansions draw their partials from, in
+	// fixed chunks that never move; used counts the blocks handed out
+	// since the last release, and local routes newPartial to the slab.
+	blocks [][]partialBlock
+	used   int
+	local  bool
 }
+
+// slabChunk is the number of partial blocks in one slab chunk.
+const slabChunk = 64
 
 func newJoinScratch(maxVars int) joinScratch {
 	return joinScratch{regs: make([]ast.Term, maxVars), seen: make(map[uint64]*partialR)}
+}
+
+// block hands out the next slab block, growing the slab by a chunk when
+// every block is in use.
+func (js *joinScratch) block() *partialBlock {
+	c, k := js.used/slabChunk, js.used%slabChunk
+	if c == len(js.blocks) {
+		js.blocks = append(js.blocks, make([]partialBlock, slabChunk))
+	}
+	js.used++
+	return &js.blocks[c][k]
+}
+
+// release ends a local expansion: it zeroes the blocks handed out (so the
+// slab keeps no term alive) and returns them all to the slab.
+func (js *joinScratch) release() {
+	for c := 0; js.used > 0; c++ {
+		n := min(js.used, slabChunk)
+		clear(js.blocks[c][:n])
+		js.used -= n
+	}
+	js.local = false
 }
 
 // candR is a complete result on its way to (or buffered at) its home.
@@ -171,7 +212,7 @@ type joinMsg struct {
 
 	Legs    []gpa.Leg
 	LegIdx  int
-	Visited map[nsim.NodeID]bool
+	Visited []nsim.NodeID
 	Flood   bool
 	// FloodTTL bounds a flood's hop count (0 = unlimited); FloodAfter
 	// starts a TTL-flood once the legs finish (Centroid: seek to the
@@ -192,7 +233,7 @@ type resultMsg struct {
 	TX, TY  float64
 	Home    nsim.NodeID
 	HasHome bool
-	Visited map[nsim.NodeID]bool
+	Visited []nsim.NodeID // nil until the first hop is forwarded
 }
 
 // updateRec is the pending join-phase work scheduled by a generation.
@@ -372,7 +413,8 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		id = stamp
 	} else {
 		id = *del
-		delStamp = &stamp
+		ds := stamp // only a deletion pays for a stamp that escapes
+		delStamp = &ds
 	}
 	if del == nil && rt.e.prog.IsBase(t.Pred) {
 		// A tuple reported again while live keeps its earlier generations:
@@ -422,11 +464,12 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 		case gpa.Centroid:
 			home := rt.e.centroidFor(t.Key())
 			if home.ID != rt.node.ID {
+				legs := []gpa.Leg{{TargetX: home.X, TargetY: home.Y}}
 				sm := &storeMsg{
 					Tuple: t, ID: id, Del: delStamp,
-					Legs:   []gpa.Leg{{TargetX: home.X, TargetY: home.Y}},
+					Legs:   legs,
 					ToNode: home.ID, HasToNode: true,
-					Visited: map[nsim.NodeID]bool{rt.node.ID: true},
+					Visited: rt.walkFor(legs...),
 				}
 				rt.forwardStore(sm)
 			}
@@ -434,10 +477,11 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 		case gpa.Centralized:
 			if rt.node.ID != rt.e.cfg.Server {
 				server := rt.e.nw.Node(rt.e.cfg.Server)
+				legs := []gpa.Leg{{TargetX: server.X, TargetY: server.Y}}
 				sm := &storeMsg{
 					Tuple: t, ID: id, Del: delStamp, ToServer: true,
-					Legs:    []gpa.Leg{{TargetX: server.X, TargetY: server.Y}},
-					Visited: map[nsim.NodeID]bool{rt.node.ID: true},
+					Legs:    legs,
+					Visited: rt.walkFor(legs...),
 				}
 				rt.forwardStore(sm)
 			} else {
@@ -460,7 +504,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 					sm := &storeMsg{
 						Tuple: t, ID: id, Del: delStamp,
 						Legs:    []gpa.Leg{leg},
-						Visited: map[nsim.NodeID]bool{rt.node.ID: true},
+						Visited: rt.walkFor(leg),
 					}
 					rt.forwardStore(sm)
 				}
@@ -493,6 +537,23 @@ func (rt *nodeRT) floodStore(sm *storeMsg) {
 type floodKey struct {
 	id        window.Stamp
 	join, del bool
+}
+
+// walkFor starts the visited set — the path — of a walker leaving this
+// node along legs. A new leg restarts the path in the same backing array,
+// so it is sized for the longest leg: |dx|+|dy| over the radio range, the
+// hop count of a greedy walk on a unit grid. No one size fits: on the
+// benchmark workloads paths run from 2 nodes (a one-hop result) to over
+// 100 (a result crossing a 64x64 grid).
+func (rt *nodeRT) walkFor(legs ...gpa.Leg) []nsim.NodeID {
+	x, y := rt.node.X, rt.node.Y
+	var d float64
+	for _, l := range legs {
+		d = max(d, math.Abs(l.TargetX-x)+math.Abs(l.TargetY-y))
+		x, y = l.TargetX, l.TargetY
+	}
+	n := min(int(d/rt.e.nw.Config().Range)+2, rt.e.nw.Len())
+	return append(make([]nsim.NodeID, 0, n), rt.node.ID)
 }
 
 // atTarget answers the walker termination test through the engine's
@@ -530,7 +591,7 @@ func (rt *nodeRT) forwardStore(sm *storeMsg) {
 		rt.storeWalkerArrived(sm)
 		return
 	}
-	sm.Visited[next] = true
+	sm.Visited = append(sm.Visited, next)
 	rt.send(next, kindStore, sm, sizeOfTuple(sm.Tuple)+8)
 }
 
@@ -555,18 +616,25 @@ func (rt *nodeRT) onStore(sm *storeMsg) {
 			return
 		}
 		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
-		if sm.TTL != 0 {
-			fwd := *sm
-			if fwd.TTL > 0 {
-				fwd.TTL--
-			}
-			if fwd.TTL != 0 {
-				if fwd.Band != nil {
-					rt.bandBroadcast(kindStore, &fwd, fwd.Band, sizeOfTuple(sm.Tuple)+8)
-				} else {
-					rt.bcast(kindStore, &fwd, sizeOfTuple(sm.Tuple)+8)
-				}
-			}
+		// A frame is read-only once sent (every neighbour got the same
+		// pointer), so a copy is made only to carry a decremented TTL.
+		ttl := sm.TTL
+		if ttl > 0 {
+			ttl--
+		}
+		if ttl == 0 {
+			return
+		}
+		fwd := sm
+		if ttl != sm.TTL {
+			c := *sm
+			c.TTL = ttl
+			fwd = &c
+		}
+		if fwd.Band != nil {
+			rt.bandBroadcast(kindStore, fwd, fwd.Band, sizeOfTuple(sm.Tuple)+8)
+		} else {
+			rt.bcast(kindStore, fwd, sizeOfTuple(sm.Tuple)+8)
 		}
 		return
 	}
@@ -591,23 +659,32 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		return
 	}
 	_, placed := rt.e.placements[rec.Tuple.Pred]
+	// Under naive broadcast every replica is local, so hash-mode rules
+	// are expanded here too, after the local-mode ones.
+	hashHere := rt.e.cfg.Scheme == gpa.NaiveBroadcast
 
 	var hashPartials []*partialR
 	for _, tg := range trigs {
-		p, ok := rt.seedPartial(tg, rec)
-		if !ok {
-			continue
-		}
-		if tg.rule.mode == localMode {
+		switch {
+		case tg.rule.mode == localMode:
 			// Localized join: expand fully against the local store and
 			// route candidates to the head's placement node.
-			rt.expandHere(p, rec)
-			continue
+			rt.expandHere(tg, rec)
+		case placed || hashHere:
+			// placed predicates only drive local-mode rules
+		default:
+			if p, ok := rt.seedPartial(tg, rec); ok {
+				hashPartials = append(hashPartials, p)
+			}
 		}
-		if placed {
-			continue // placed predicates only drive local-mode rules
+	}
+	if hashHere && !placed {
+		for _, tg := range trigs {
+			if tg.rule.mode == hashMode {
+				rt.expandHere(tg, rec)
+			}
 		}
-		hashPartials = append(hashPartials, p)
+		return
 	}
 	if len(hashPartials) == 0 {
 		return
@@ -618,11 +695,12 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		// TTL so every region node extends the pinned partials.
 		minX, minY, maxX, maxY := routing.Bounds(rt.e.nw)
 		ttl := int(rt.e.cfg.CentroidRadius/rt.e.nw.Config().Range) + 2
+		legs := []gpa.Leg{{TargetX: (minX + maxX) / 2, TargetY: (minY + maxY) / 2}}
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 			Partials:   hashPartials,
-			Legs:       []gpa.Leg{{TargetX: (minX + maxX) / 2, TargetY: (minY + maxY) / 2}},
-			Visited:    map[nsim.NodeID]bool{rt.node.ID: true},
+			Legs:       legs,
+			Visited:    rt.walkFor(legs...),
 			FloodAfter: true, FloodTTL: ttl,
 		}
 		rt.forwardJoin(jm)
@@ -638,11 +716,6 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		rt.processJoinHere(jm)
 		rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del})
 		rt.bandBroadcast(kindJoin, jm, plan.Band, rt.joinMsgSize(jm))
-	case plan.Local:
-		// All replicas are local (naive-broadcast): expand in place.
-		for _, p := range hashPartials {
-			rt.expandHere(p, rec)
-		}
 	case plan.Flood:
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
@@ -661,7 +734,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 			Partials: hashPartials,
 			Legs:     plan.Legs,
-			Visited:  map[nsim.NodeID]bool{rt.node.ID: true},
+			Visited:  rt.walkFor(plan.Legs...),
 		}
 		rt.forwardJoin(jm)
 	}
@@ -683,9 +756,9 @@ func (rt *nodeRT) seedPartial(tg trigger, rec *updateRec) (*partialR, bool) {
 	if tg.negated {
 		// A deletion from a negated stream enables derivations (Add);
 		// an insertion retracts them. The caller reads this off rec.Del.
-		p = newPartial(cr, -1, s, nil, 0, done)
+		p = rt.e.scratch.newPartial(cr, -1, s, nil, 0, done)
 	} else {
-		p = newPartial(cr, tg.bodyIdx, s, nil, 1<<uint(tg.bodyIdx), done)
+		p = rt.e.scratch.newPartial(cr, tg.bodyIdx, s, nil, 1<<uint(tg.bodyIdx), done)
 		p.stamps[cr.lits[tg.bodyIdx].ord] = rec.ID
 	}
 	p.negGroundAtSeed = p.negReady()
@@ -743,7 +816,7 @@ func (rt *nodeRT) extend(p *partialR, tau window.Stamp, onlyIdx int, out []*part
 			if !ok {
 				continue
 			}
-			np := newPartial(cr, p.pinned, s, p.stamps, p.bound|bit, done)
+			np := rt.e.scratch.newPartial(cr, p.pinned, s, p.stamps, p.bound|bit, done)
 			np.stamps[cr.lits[i].ord] = e.ID
 			np.negGroundAtSeed = p.negGroundAtSeed
 			rt.e.cJoins.Add(1)
@@ -903,20 +976,19 @@ func (rt *nodeRT) routeCand(c *candR) {
 	rt.e.cCandidates.Add(1)
 	head := c.Head
 	if pl, ok := rt.e.placements[head.Pred]; ok {
-		home, ok2 := rt.e.nodeTerms[head.Args[pl.Arg].Key()]
+		var kb [32]byte // the lookup key lives on the stack
+		home, ok2 := rt.e.nodeTerms[string(head.Args[pl.Arg].AppendKey(kb[:0]))]
 		if !ok2 {
 			return // head names an unknown node; drop
 		}
-		rm := &resultMsg{Cand: c, Home: home, HasHome: true,
-			Visited: map[nsim.NodeID]bool{rt.node.ID: true}}
+		rm := &resultMsg{Cand: c, Home: home, HasHome: true}
 		hn := rt.e.nw.Node(home)
 		rm.TX, rm.TY = hn.X, hn.Y
 		rt.forwardResult(rm)
 		return
 	}
 	tx, ty := rt.e.hasher.Location(head.Key())
-	rm := &resultMsg{Cand: c, TX: tx, TY: ty,
-		Visited: map[nsim.NodeID]bool{rt.node.ID: true}}
+	rm := &resultMsg{Cand: c, TX: tx, TY: ty}
 	rt.forwardResult(rm)
 }
 
@@ -936,7 +1008,13 @@ func (rt *nodeRT) forwardResult(rm *resultMsg) {
 		rt.bufferCand(rm.Cand) // stranded: act as home (best effort)
 		return
 	}
-	rm.Visited[next] = true
+	if rm.Visited == nil {
+		// First hop: only now does the route need its path. The origin
+		// is no neighbour of itself, so choosing next without it in the
+		// set changed nothing.
+		rm.Visited = rt.walkFor(gpa.Leg{TargetX: rm.TX, TargetY: rm.TY})
+	}
+	rm.Visited = append(rm.Visited, next)
 	rt.send(next, kindResult, rm, sizeOfTuple(rm.Cand.Head)+len(rm.Cand.DerivKey)+8)
 }
 
@@ -969,9 +1047,10 @@ func (rt *nodeRT) bufferCand(c *candR) {
 }
 
 // drainFinalize applies every due candidate in total update-stamp order.
+// The due list is the engine's scratch: only the finalize timer drains.
 func (rt *nodeRT) drainFinalize() {
 	now := rt.node.LocalTime()
-	var due []*candR
+	due := rt.e.scratch.due[:0]
 	rest := rt.pendingCands[:0]
 	for _, pc := range rt.pendingCands {
 		if pc.at <= now {
@@ -1014,6 +1093,8 @@ func (rt *nodeRT) drainFinalize() {
 		}
 		rt.finalize(c)
 	}
+	clear(due)
+	rt.e.scratch.due = due[:0]
 }
 
 // finalize applies a candidate's derivation delta at this home node.
@@ -1117,14 +1198,23 @@ func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
 
 // --- local-mode and local-hash expansion ---
 
-// expandHere saturates p against the local store only and routes the
-// complete results: a local-mode rule (every negation deferred to
-// finalize at the home), or a hash-mode rule where all replicas are local
-// (naive-broadcast, the central server), whose stamp-ordered negation is
-// then local too. The partials never leave the node, so their list is
-// scratch.
-func (rt *nodeRT) expandHere(p *partialR, rec *updateRec) {
-	all := rt.saturate(append(rt.e.scratch.all[:0], p), rec.Tau, -1)
+// expandHere seeds tg's partial from the update and saturates it against
+// the local store only, routing the complete results: a local-mode rule
+// (every negation deferred to finalize at the home), or a hash-mode rule
+// where all replicas are local (naive-broadcast, the central server),
+// whose stamp-ordered negation is then local too. The partials, seed
+// included, never leave the node — a candidate copies what it needs — so
+// they are drawn from the slab and released on return. This is the one
+// place the slab is switched on.
+func (rt *nodeRT) expandHere(tg trigger, rec *updateRec) {
+	js := &rt.e.scratch
+	js.local = true
+	defer js.release()
+	p, ok := rt.seedPartial(tg, rec)
+	if !ok {
+		return
+	}
+	all := rt.saturate(append(js.all[:0], p), rec.Tau, -1)
 	for _, q := range all {
 		if !q.complete() {
 			continue
@@ -1143,7 +1233,7 @@ func (rt *nodeRT) expandHere(p *partialR, rec *updateRec) {
 		}
 	}
 	clear(all)
-	rt.e.scratch.all = all[:0]
+	js.all = all[:0]
 }
 
 // pinnedNegIdx recovers which negated subgoal the update pinned (the one
@@ -1165,14 +1255,9 @@ func (rt *nodeRT) pinnedNegIdx(p *partialR, rec *updateRec) int {
 func (rt *nodeRT) serverJoin(t eval.Tuple, id window.Stamp, tau window.Stamp, del bool) {
 	rec := &updateRec{Tuple: t, ID: id, Tau: tau, Del: del}
 	for _, tg := range rt.e.triggers[t.Pred] {
-		if tg.rule.mode != hashMode {
-			continue
+		if tg.rule.mode == hashMode {
+			rt.expandHere(tg, rec)
 		}
-		p, ok := rt.seedPartial(tg, rec)
-		if !ok {
-			continue
-		}
-		rt.expandHere(p, rec)
 	}
 }
 
@@ -1325,7 +1410,7 @@ func (rt *nodeRT) forwardJoin(jm *joinMsg) {
 	if !rt.atTarget(leg.TargetX, leg.TargetY) {
 		next, ok := routing.NextHopGreedyAvoid(rt.e.nw, rt.node.ID, leg.TargetX, leg.TargetY, jm.Visited)
 		if ok {
-			jm.Visited[next] = true
+			jm.Visited = append(jm.Visited, next)
 			rt.send(next, kindJoin, jm, rt.joinMsgSize(jm))
 			return
 		}
@@ -1333,7 +1418,10 @@ func (rt *nodeRT) forwardJoin(jm *joinMsg) {
 	}
 	if jm.LegIdx+1 < len(jm.Legs) {
 		jm.LegIdx++
-		jm.Visited = map[nsim.NodeID]bool{rt.node.ID: true}
+		// A new leg is a new walk. No other walker shares this path's
+		// backing array (every copy that walks on starts its own), so
+		// it is reused.
+		jm.Visited = append(jm.Visited[:0], rt.node.ID)
 		if jm.Legs[jm.LegIdx].Sweep {
 			// The transition node is the first node of the sweep leg;
 			// process it here — onJoin only fires on arrivals.
@@ -1382,7 +1470,7 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 			nm := *jm
 			nm.Pass++
 			nm.LegIdx = 0
-			nm.Visited = map[nsim.NodeID]bool{rt.node.ID: true}
+			nm.Visited = rt.walkFor(nm.Legs...) // never jm's backing array
 			rt.forwardJoin(&nm)
 			return
 		}
@@ -1403,7 +1491,7 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 			Update: jm.Update, ID: jm.ID, Tau: jm.Tau, Del: jm.Del,
 			Pending: needVerify, Verify: true,
 			Legs:    jm.Legs,
-			Visited: map[nsim.NodeID]bool{rt.node.ID: true},
+			Visited: rt.walkFor(jm.Legs...),
 		}
 		vm.LegIdx = 0
 		rt.forwardJoin(vm)
@@ -1416,7 +1504,7 @@ func (rt *nodeRT) launchMultiPass(p *partialR, rec *updateRec, plan gpa.Plan) {
 		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 		Partials: []*partialR{p},
 		Legs:     plan.Legs,
-		Visited:  map[nsim.NodeID]bool{rt.node.ID: true},
+		Visited:  rt.walkFor(plan.Legs...),
 		PassRule: p.cr, PassPin: p.pinned,
 	}
 	rt.forwardJoin(jm)

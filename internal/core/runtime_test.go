@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
+	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/window"
 )
@@ -14,7 +17,8 @@ import (
 // The join path's allocation budget, pinned where the cost is paid:
 // extending a partial by one stored tuple allocates the successor and
 // nothing else — no binding nodes, no substituted arithmetic, no key —
-// and a flood frame already seen costs nothing to recognise.
+// a local-mode join phase allocates its candidate and no partial, and a
+// flood frame already seen costs nothing to recognise.
 func TestJoinPathAllocations(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
 	e, err := New(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{})
@@ -52,6 +56,33 @@ func TestJoinPathAllocations(t *testing.T) {
 	t.Logf("extending a partial by one entry: %v allocs", allocs)
 	if allocs > 2 {
 		t.Errorf("extending a partial by one entry: %v allocs, want <= 2", allocs)
+	}
+
+	// A whole join phase of the g(n0, n1) update at the warmed node: both
+	// logicJ rules are local-mode, so their seeds and extensions come from
+	// the engine's slab and are released on return. What is left is the
+	// candidate j(n1, 1) itself: candR, head args, deriv key, resultMsg.
+	rt.joinPhase(rec)
+	allocs = testing.AllocsPerRun(100, func() {
+		rt.pendingCands = rt.pendingCands[:0]
+		rt.joinPhase(rec)
+	})
+	t.Logf("join phase of one update, one candidate: %v allocs", allocs)
+	if allocs > 4 {
+		t.Errorf("join phase of one update: %v allocs, want <= 4 (no partialBlock)", allocs)
+	}
+	if js := &e.scratch; js.used != 0 || js.local {
+		t.Errorf("after the join phase: %d slab blocks in use, local = %v", js.used, js.local)
+	}
+	if len(e.scratch.blocks) == 0 {
+		t.Error("the local expansion drew no block from the slab")
+	}
+	for c, chunk := range e.scratch.blocks {
+		for i := range chunk {
+			if !reflect.ValueOf(chunk[i]).IsZero() {
+				t.Fatalf("slab block %d/%d not zeroed after release: it keeps terms alive", c, i)
+			}
+		}
 	}
 
 	key := floodKey{id: stamp(3), join: true}
@@ -100,4 +131,240 @@ w(A, K, S) :- s1(A, B), s2(B, C), s3(C, D, E), s4(E, F), s5(F, G, K), S = A + G.
 		t.Fatalf("w has %d tuples; the chain should fan out", n)
 	}
 	oracleCompare(t, e, src, base, "w/3")
+}
+
+// mixedSrc runs logicJ's local-mode rules beside a three-stream hash-mode
+// join, so local expansions (slab partials) and sweep walkers (heap
+// partials) interleave on one engine and its one slab.
+const mixedSrc = logicJSrc + `
+.base r/2.
+.base s/2.
+.base u/2.
+w(A, D) :- r(A, B), s(B, C), u(C, D).
+j(n0, 0).
+`
+
+// The engine's one slab is released at the end of every local expansion;
+// a sweep partial in flight must never be among the blocks it zeroes.
+func TestSlabLeavesInFlightPartials(t *testing.T) {
+	i64 := ast.Int64
+	var streams []eval.Tuple
+	for k := int64(0); k < 4; k++ {
+		streams = append(streams,
+			eval.NewTuple("r", i64(k), i64(10+k)), eval.NewTuple("s", i64(10+k), i64(20+k%2)),
+			eval.NewTuple("u", i64(20+k%2), i64(30+k)))
+	}
+
+	// End to end: edges (each one a local expansion somewhere) arrive
+	// spread over the time the stream walkers are in flight.
+	nw := topo.Grid(4, nsim.Config{Seed: 12})
+	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Finalize()
+	var base []eval.Tuple
+	for _, n := range nw.Nodes() {
+		for _, nb := range n.Neighbors() {
+			g := eval.NewTuple("g", ast.Symbol(fmt.Sprintf("n%d", n.ID)), ast.Symbol(fmt.Sprintf("n%d", nb)))
+			if err := e.InjectAt(nsim.Time(len(base)*7), n.ID, g); err != nil {
+				t.Fatal(err)
+			}
+			base = append(base, g)
+		}
+	}
+	e.Start()
+	for i, tup := range streams {
+		if err := e.InjectAt(nsim.Time(3+i*29), nsim.NodeID((i*5)%nw.Len()), tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Run(0)
+	if len(e.Derived("j/2")) != 16 || len(e.Derived("w/2")) < 8 {
+		t.Fatalf("j has %d tuples, w %d: the run did not exercise both modes",
+			len(e.Derived("j/2")), len(e.Derived("w/2")))
+	}
+	oracleCompare(t, e, mixedSrc, append(base, streams...), "j/2", "w/2")
+
+	// Directly: the partials of a walker that joinPhase launched keep
+	// their registers and stamps across another node's local expansion.
+	nw = topo.Grid(3, nsim.Config{Seed: 1})
+	e, err = New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Finalize()
+	stamp := func(seq int64) window.Stamp { return window.Stamp{TS: seq, Node: 0, Seq: seq} }
+	sweep, local := e.rts[4], e.rts[1]
+	sweep.store.Insert(eval.NewTuple("s", i64(10), i64(20)), stamp(1))
+	local.store.Insert(eval.NewTuple("j", ast.Symbol("n0"), i64(0)), stamp(2))
+
+	rr := &updateRec{Tuple: eval.NewTuple("r", i64(0), i64(10)), ID: stamp(3), Tau: stamp(3)}
+	sweep.joinPhase(rr)
+	var jm *joinMsg
+	for _, it := range sweep.outbox {
+		if m, ok := it.payload.(*joinMsg); ok {
+			jm = m
+		}
+	}
+	if jm == nil || len(jm.Partials) != 1 {
+		t.Fatalf("the r update launched no walker with its seed: %+v", jm)
+	}
+	sweep.processJoinHere(jm)
+	if len(jm.Partials) != 2 {
+		t.Fatalf("walker carries %d partials, want the seed and its s extension", len(jm.Partials))
+	}
+	type snap struct {
+		regs   []ast.Term
+		stamps []window.Stamp
+	}
+	var before []snap
+	for _, q := range jm.Partials {
+		before = append(before, snap{append([]ast.Term(nil), q.b.Regs...), append([]window.Stamp(nil), q.stamps...)})
+	}
+
+	local.joinPhase(&updateRec{Tuple: eval.NewTuple("g", ast.Symbol("n0"), ast.Symbol("n1")), ID: stamp(4), Tau: stamp(4)})
+	if len(e.scratch.blocks) == 0 {
+		t.Fatal("the local expansion drew no block from the slab")
+	}
+	for i, q := range jm.Partials {
+		if !reflect.DeepEqual(q.b.Regs, before[i].regs) || !reflect.DeepEqual(q.stamps, before[i].stamps) {
+			t.Errorf("walker partial %d changed under a local expansion: regs %v stamps %v, was %v %v",
+				i, q.b.Regs, q.stamps, before[i].regs, before[i].stamps)
+		}
+	}
+}
+
+// A flood frame is shared by every neighbour that received it, so
+// forwarding copies it only to carry a decremented TTL; a frame whose TTL
+// runs out is not forwarded, and an unlimited flood forwards the frame it
+// received.
+func TestStoreFloodForwarding(t *testing.T) {
+	nw := topo.Grid(3, nsim.Config{Seed: 1})
+	e, err := New(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Finalize()
+	tup := eval.NewTuple("p", ast.Symbol("n4"))
+	frames := func(rt *nodeRT) []*storeMsg {
+		var out []*storeMsg
+		for _, it := range rt.outbox {
+			out = append(out, it.payload.(*storeMsg))
+		}
+		rt.outbox = rt.outbox[:0]
+		return out
+	}
+
+	sm := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 1, Node: 4, Seq: 1}, Flood: true, TTL: 2}
+	for _, nb := range nw.Node(4).Neighbors() {
+		rt := e.rts[nb]
+		rt.onStore(sm)
+		if fwd := frames(rt); len(fwd) != len(rt.node.Neighbors()) {
+			t.Fatalf("node %d forwarded %d frames, want one per neighbour", nb, len(fwd))
+		} else {
+			for _, f := range fwd {
+				if f == sm || f.TTL != 1 {
+					t.Fatalf("node %d forwarded the received frame or TTL %d, want a TTL-1 copy", nb, f.TTL)
+				}
+			}
+		}
+		if sm.TTL != 2 {
+			t.Fatalf("the shared frame's TTL became %d after node %d forwarded", sm.TTL, nb)
+		}
+	}
+
+	last := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 2, Node: 4, Seq: 2}, Flood: true, TTL: 1}
+	e.rts[0].onStore(last)
+	if fwd := frames(e.rts[0]); len(fwd) != 0 {
+		t.Errorf("a TTL-1 frame was forwarded %d times", len(fwd))
+	}
+
+	open := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 3, Node: 4, Seq: 3}, Flood: true, TTL: -1}
+	e.rts[0].onStore(open)
+	fwd := frames(e.rts[0])
+	if len(fwd) == 0 {
+		t.Fatal("an unlimited flood was not forwarded")
+	}
+	for _, f := range fwd {
+		if f != open {
+			t.Errorf("an unlimited flood forwarded a copy, want the received frame")
+		}
+	}
+}
+
+// Every copy of a walker that walks on starts its own path: the next
+// multi-pass iteration never shares its visited set's backing array with
+// the walker it was copied from, so neither can overwrite the other's.
+func TestWalkerCopiesOwnTheirPath(t *testing.T) {
+	nw := topo.Grid(4, nsim.Config{Seed: 1})
+	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Finalize()
+	rt := e.rts[5]
+	stamp := window.Stamp{TS: 1, Node: 5, Seq: 1}
+	rec := &updateRec{Tuple: eval.NewTuple("r", ast.Int64(0), ast.Int64(10)), ID: stamp, Tau: stamp}
+	p, ok := rt.seedPartial(e.triggers["r/2"][0], rec)
+	if !ok {
+		t.Fatal("r seed did not match")
+	}
+	legs := e.planner.Join(rt.node).Legs
+	jm := &joinMsg{
+		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Partials: []*partialR{p},
+		Legs: legs, Visited: rt.walkFor(legs...),
+		PassRule: p.cr, PassPin: p.pinned,
+	}
+	rt.sweepFinished(jm) // the first pass ends here; the second sets out
+	var next *joinMsg
+	for _, it := range rt.outbox {
+		if m, ok := it.payload.(*joinMsg); ok {
+			next = m
+		}
+	}
+	if next == nil || next == jm || next.Pass != 1 {
+		t.Fatalf("no second-pass walker left the node: %+v", next)
+	}
+	if &next.Visited[0] == &jm.Visited[0] {
+		t.Fatal("the second pass shares its path's backing array with the first")
+	}
+	if len(jm.Visited) != 1 || jm.Visited[0] != rt.node.ID {
+		t.Errorf("the first pass's path became %v", jm.Visited)
+	}
+}
+
+// A walker's path is sized for the longest leg it walks, so on a grid it
+// never outgrows its one allocation: every storage and join walk of a
+// Perpendicular 16x16 grid, and a result walk between any two nodes, fit
+// the capacity walkFor gives them (as launch, joinPhase and
+// forwardResult call it).
+func TestWalkerPathFitsItsLegs(t *testing.T) {
+	m := 16
+	nw := topo.Grid(m, nsim.Config{Seed: 1})
+	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Finalize()
+	fits := func(what string, rt *nodeRT, legs []gpa.Leg) {
+		c := cap(rt.walkFor(legs...))
+		from := rt.node.ID
+		for i, l := range legs {
+			path := routing.GreedyPath(nw, from, l.TargetX, l.TargetY, 4*m)
+			if len(path) > c {
+				t.Fatalf("%s walk from node %d, leg %d: %d nodes, capacity %d", what, rt.node.ID, i, len(path), c)
+			}
+			from = path[len(path)-1]
+		}
+	}
+	for _, rt := range e.rts {
+		for _, l := range e.planner.Storage(rt.node).Legs {
+			fits("storage", rt, []gpa.Leg{l}) // each leg is its own walker
+		}
+		fits("join", rt, e.planner.Join(rt.node).Legs)
+		for _, to := range nw.Nodes() {
+			fits("result", rt, []gpa.Leg{{TargetX: to.X, TargetY: to.Y}})
+		}
+	}
 }

@@ -90,7 +90,7 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 // measure exactly this loop and allow 5 % over it: the count is
 // deterministic but for map-growth jitter, and one extra allocation on
 // any per-message path is +1/event.
-const e1AllocBaseline = 1.660
+const e1AllocBaseline = 1.270
 
 // guardE1Allocs runs the prepared E1 network to quiescence and fails if
 // the run allocated more than the baseline allows.
@@ -126,8 +126,9 @@ func guardAllocs(t *testing.T, path string, baseline float64, run func() *nsim.N
 // bound variable, a term per D + 1, a key per partial) is several
 // allocations per event here (13.75 before partials were register files)
 // and fails tier-1. It was 6.089 before replica entries came from one
-// arena per engine.
-const sptAllocBaseline = 5.823
+// arena per engine, and 5.823 before a local expansion's partials came
+// from the engine's slab.
+const sptAllocBaseline = 4.037
 
 func TestJoinAllocsSPT(t *testing.T) {
 	guardAllocs(t, "spt-join", sptAllocBaseline, func() *nsim.Network {

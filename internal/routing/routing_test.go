@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/nsim"
@@ -53,19 +54,18 @@ func TestGreedyAvoidEscapesRepeats(t *testing.T) {
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 1})
 	nw.Finalize()
-	visited := map[nsim.NodeID]bool{}
 	cur := topo.GridID(m, 0, 0)
 	target := topo.GridID(m, 3, 3)
-	visited[cur] = true
+	visited := []nsim.NodeID{cur}
 	for i := 0; i < 20 && cur != target; i++ {
 		next, ok := NextHopGreedyAvoid(nw, cur, 3, 3, visited)
 		if !ok {
 			break
 		}
-		if visited[next] {
+		if slices.Contains(visited, next) {
 			t.Fatalf("revisited %d", next)
 		}
-		visited[next] = true
+		visited = append(visited, next)
 		cur = next
 	}
 	if cur != target {
@@ -138,7 +138,7 @@ func TestGreedySkipsDownNodes(t *testing.T) {
 		t.Error("strict greedy should report a local minimum here")
 	}
 	next, ok := NextHopGreedyAvoid(nw, topo.GridID(m, 0, 2), 4, 2,
-		map[nsim.NodeID]bool{topo.GridID(m, 0, 2): true})
+		[]nsim.NodeID{topo.GridID(m, 0, 2)})
 	if !ok {
 		t.Fatal("avoid variant found no hop")
 	}

@@ -22,12 +22,11 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
-# livenet is goroutine-per-node and the window/eval index structures are
-# shared per node runtime; the serve layer multiplexes concurrent
-# sessions and wire clients over one cluster; prove them race-free on
-# every verify.
+# The window/eval index structures are shared per node runtime; the serve
+# layer multiplexes concurrent sessions and wire clients over one
+# cluster; prove them race-free on every verify.
 race:
-	$(GO) test -race ./internal/livenet/... ./internal/core/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/serve/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -39,7 +38,7 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay within 5 % of its allocation baseline (1.341 allocs/event, logged
+# stay within 5 % of its allocation baseline (1.270 allocs/event, logged
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the

@@ -101,7 +101,7 @@ func (e *Engine) AggregateResult(headPred string) []eval.Tuple {
 
 // aggSlot is the per-depth time slot of the collection schedule.
 func (e *Engine) aggSlot() nsim.Time {
-	return 4 * e.nw.Config().MaxDelay
+	return 4 * nsim.MaxDelay
 }
 
 // aggMaxDepth conservatively bounds the collection tree depth.
@@ -215,7 +215,7 @@ func (rt *nodeRT) localAggContribution(s *aggSession) {
 	plan := rt.e.aggRules[s.pred]
 	r := plan.rule
 	lit := r.Body[plan.relIdx]
-	reg := rt.e.cfg.Registry
+	reg := builtin.Standard
 	for _, entry := range rt.store.All(lit.PredKey()) {
 		if entry.ID.Node != int(rt.node.ID) {
 			continue // replica owned elsewhere

@@ -12,24 +12,26 @@ import (
 )
 
 func TestConfigDefaultsDerivedFromGeometry(t *testing.T) {
-	nw := topo.Grid(6, nsim.Config{})
-	cfg := Config{}
-	cfg.fill(nw)
-	if cfg.TauS <= 0 || cfg.TauJ <= 0 || cfg.FinalizeGap <= 0 {
-		t.Errorf("defaults not derived: %+v", cfg)
+	engine := func(m int, skew nsim.Time) *Engine {
+		e, err := New(topo.Grid(m, nsim.Config{MaxSkew: skew}), mustProg(t, joinSrc), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := engine(6, 0)
+	if e.tauS <= 0 || e.tauJ <= 0 || e.finalizeGap <= 0 {
+		t.Errorf("bounds not derived: τs=%d τj=%d gap=%d", e.tauS, e.tauJ, e.finalizeGap)
 	}
 	// Larger networks get larger settle bounds.
-	nwBig := topo.Grid(12, nsim.Config{})
-	cfgBig := Config{}
-	cfgBig.fill(nwBig)
-	if cfgBig.TauS <= cfg.TauS {
-		t.Errorf("TauS should grow with diameter: %d vs %d", cfgBig.TauS, cfg.TauS)
+	big := engine(12, 0)
+	if big.tauS <= e.tauS || big.tauJ <= e.tauJ || big.finalizeGap <= e.finalizeGap {
+		t.Errorf("bounds should grow with diameter: τs %d vs %d, τj %d vs %d, gap %d vs %d",
+			big.tauS, e.tauS, big.tauJ, e.tauJ, big.finalizeGap, e.finalizeGap)
 	}
-	// Explicit values are preserved.
-	cfgSet := Config{TauS: 7, TauJ: 9, TauC: 3, FinalizeGap: 11}
-	cfgSet.fill(nw)
-	if cfgSet.TauS != 7 || cfgSet.TauJ != 9 || cfgSet.TauC != 3 || cfgSet.FinalizeGap != 11 {
-		t.Errorf("explicit config overridden: %+v", cfgSet)
+	// τc is the network's clock-skew bound.
+	if skewed := engine(6, 7); skewed.tauC != 7 {
+		t.Errorf("τc = %d, want the network's MaxSkew 7", skewed.tauC)
 	}
 }
 

@@ -54,21 +54,9 @@ type Config struct {
 	// two-stream positive joins (the paper defers the full general-
 	// topology construction to [44]).
 	BandWidth float64
-	// CentroidRadius bounds the Centroid scheme's central region
-	// (default 1.5 radio ranges around the bounding-box center).
-	CentroidRadius float64
-	// TauS bounds storage-phase completion; TauC is the clock-skew bound;
-	// TauJ bounds join-phase completion. Zero values are derived from the
-	// network geometry.
-	TauS, TauC, TauJ nsim.Time
-	// FinalizeGap separates the finalize delays of same-stage predicates
-	// (XY evaluation order). Zero derives a default.
-	FinalizeGap nsim.Time
 	// DefaultWindow is the sliding-window range for streams without a
 	// .window declaration (0 = unbounded).
 	DefaultWindow int64
-	// Registry supplies built-ins (nil = builtin.Default()).
-	Registry *builtin.Registry
 	// BatchLinks coalesces the store/join/result tuples a node emits
 	// within one tick into a single framed link message per destination,
 	// accounted as one shared 8-byte header plus the sum of the tuple
@@ -77,9 +65,6 @@ type Config struct {
 	// batching disabled. The final derived database is identical either
 	// way (see TestBatchLinksEquivalence).
 	BatchLinks bool
-	// NodeTerm names a node as a term for placement-based storage; the
-	// default is the symbol n<id>.
-	NodeTerm func(n *nsim.Node) ast.Term
 	// ReplayLog keeps a per-node log of every generation (insert or
 	// delete, base or cascaded derived) so Engine.ReplayAt can repair
 	// state lost to injected faults by re-executing the log with the
@@ -89,30 +74,17 @@ type Config struct {
 	ReplayLog bool
 }
 
-func (c *Config) fill(nw *nsim.Network) {
-	if c.Registry == nil {
-		c.Registry = builtin.Default()
-	}
-	if c.NodeTerm == nil {
-		c.NodeTerm = func(n *nsim.Node) ast.Term {
-			return ast.Symbol(fmt.Sprintf("n%d", n.ID))
-		}
-	}
-	minX, minY, maxX, maxY := routing.Bounds(nw)
+// deriveBounds sets the engine's timing bounds from the network: τs and
+// τj from its geometry at the slowest per-hop delay, τc from its clock
+// skew, and a finalize gap that separates same-stage predicates by a
+// storage phase plus four hops.
+func (e *Engine) deriveBounds() {
+	minX, minY, maxX, maxY := routing.Bounds(e.nw)
 	diamHops := nsim.Time((maxX-minX)+(maxY-minY)) + 4
-	hop := nw.Config().MaxDelay
-	if c.TauS == 0 {
-		c.TauS = 2 * diamHops * hop
-	}
-	if c.TauC == 0 {
-		c.TauC = nw.Config().MaxSkew
-	}
-	if c.TauJ == 0 {
-		c.TauJ = 2 * diamHops * hop
-	}
-	if c.FinalizeGap == 0 {
-		c.FinalizeGap = c.TauS + c.TauC + 4*hop
-	}
+	e.tauS = 2 * diamHops * nsim.MaxDelay
+	e.tauC = e.nw.Config().MaxSkew
+	e.tauJ = 2 * diamHops * nsim.MaxDelay
+	e.finalizeGap = e.tauS + e.tauC + 4*nsim.MaxDelay
 }
 
 // ruleMode distinguishes hash-placed (GPA) rules from node-placement
@@ -171,6 +143,11 @@ type Engine struct {
 	prog *ast.Program
 	res  *analysis.Result
 	cfg  Config
+	// tauS bounds storage-phase completion, tauC is the clock-skew bound
+	// and tauJ bounds join-phase completion; finalizeGap separates the
+	// finalize delays of same-stage predicates (XY evaluation order). All
+	// four are derived from the network (deriveBounds).
+	tauS, tauC, tauJ, finalizeGap nsim.Time
 	// router caches nearest-node lookups for the geographic-unicast
 	// termination test, which every walker hop performs.
 	router *routing.Engine
@@ -218,8 +195,10 @@ type Engine struct {
 	// across Replay too.
 	derivedVer map[string]uint64
 
-	// centroidNodes is the Centroid scheme's storage region.
-	centroidNodes []nsim.NodeID
+	// centroidNodes is the Centroid scheme's storage region: the nodes
+	// within centroidRadius of the bounding-box center.
+	centroidNodes  []nsim.NodeID
+	centroidRadius float64
 
 	// knownPreds holds every predicate key the program mentions (rule
 	// heads and bodies, base declarations, windows, placements,
@@ -287,7 +266,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.fill(nw)
 	e := &Engine{
 		nw:           nw,
 		prog:         prog,
@@ -309,6 +287,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		aggRules:     make(map[string]*aggRule),
 		aggResults:   make(map[string][]eval.Tuple),
 	}
+	e.deriveBounds()
 	// Aggregate rules are evaluated by TAG collection epochs, not by the
 	// join machinery; validate and register them.
 	for _, r := range prog.Rules {
@@ -325,7 +304,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	e.planner.SpatialRadius = cfg.SpatialRadius
 	e.planner.BandWidth = cfg.BandWidth
 	for _, n := range nw.Nodes() {
-		e.nodeTerms[cfg.NodeTerm(n).Key()] = n.ID
+		e.nodeTerms[ast.Symbol(fmt.Sprintf("n%d", n.ID)).Key()] = n.ID
 	}
 	for _, w := range res.XY {
 		for i, p := range w.SameStageOrder {
@@ -377,15 +356,12 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	}
 
 	if cfg.Scheme == gpa.Centroid {
-		if cfg.CentroidRadius == 0 {
-			cfg.CentroidRadius = 1.5 * nw.Config().Range
-			e.cfg.CentroidRadius = cfg.CentroidRadius
-		}
+		e.centroidRadius = 1.5 * nw.Config().Range
 		minX, minY, maxX, maxY := routing.Bounds(nw)
 		cx, cy := (minX+maxX)/2, (minY+maxY)/2
 		for _, n := range nw.Nodes() {
 			dx, dy := n.X-cx, n.Y-cy
-			if dx*dx+dy*dy <= cfg.CentroidRadius*cfg.CentroidRadius+1e-9 {
+			if dx*dx+dy*dy <= e.centroidRadius*e.centroidRadius+1e-9 {
 				e.centroidNodes = append(e.centroidNodes, n.ID)
 			}
 		}
@@ -522,7 +498,7 @@ func (e *Engine) matchablePattern(a ast.Term) ast.Term {
 	if a.Kind != ast.KindCompound {
 		return a
 	}
-	if e.cfg.Registry.Evaluates(a.Str, len(a.Args)) {
+	if builtin.Standard.Evaluates(a.Str, len(a.Args)) {
 		return ast.Term{Kind: ast.KindVar, Str: ast.AnonymousVar, Int: -1}
 	}
 	args := make([]ast.Term, len(a.Args))
@@ -813,7 +789,7 @@ func (e *Engine) retention(predKey string) int64 {
 	if w == 0 {
 		return 0
 	}
-	return int64(e.cfg.TauS+2*e.cfg.TauC+e.cfg.TauJ) + w
+	return int64(e.tauS+2*e.tauC+e.tauJ) + w
 }
 
 // candSettle bounds how long after an update's timestamp its candidates
@@ -823,7 +799,7 @@ func (e *Engine) retention(predKey string) int64 {
 // order — the distributed analogue of Theorem 3's "process updates in
 // the order of their local timestamps".
 func (e *Engine) candSettle() nsim.Time {
-	return e.cfg.TauS + 2*e.cfg.TauJ + 2*e.cfg.TauC
+	return e.tauS + 2*e.tauJ + 2*e.tauC
 }
 
 // finalizeDeadline computes the local time at which a candidate with the
@@ -831,7 +807,7 @@ func (e *Engine) candSettle() nsim.Time {
 // predicates are staggered by their evaluation-order priority.
 func (e *Engine) finalizeDeadline(updateTS int64, predKey string) nsim.Time {
 	return nsim.Time(updateTS) + e.candSettle() +
-		e.cfg.FinalizeGap*nsim.Time(1+e.finalizePrio[predKey])
+		e.finalizeGap*nsim.Time(1+e.finalizePrio[predKey])
 }
 
 // sizeOfTuple estimates the wire size of a tuple in bytes.

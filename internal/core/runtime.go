@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/datalog/ast"
+	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/unify"
 	"repro/internal/gpa"
@@ -514,7 +515,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 
 	// Join-computation phase after the storage settle delay (Thm 3).
 	rec := &updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil}
-	rt.node.SetTimer(rt.e.cfg.TauS+rt.e.cfg.TauC, timerJoinPhase, rec)
+	rt.node.SetTimer(rt.e.tauS+rt.e.tauC, timerJoinPhase, rec)
 }
 
 // applyStoreLocal stores a replica or records a deletion stamp.
@@ -694,7 +695,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		// Seek to the region center, then flood the region with a small
 		// TTL so every region node extends the pinned partials.
 		minX, minY, maxX, maxY := routing.Bounds(rt.e.nw)
-		ttl := int(rt.e.cfg.CentroidRadius/rt.e.nw.Config().Range) + 2
+		ttl := int(rt.e.centroidRadius/rt.e.nw.Config().Range) + 2
 		legs := []gpa.Leg{{TargetX: (minX + maxX) / 2, TargetY: (minY + maxY) / 2}}
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
@@ -777,7 +778,7 @@ func (rt *nodeRT) runBuiltins(cr *compiledRule, b *unify.Slots, done uint64) (ui
 			if !op.Ready(b.Set) {
 				continue
 			}
-			if ok, _ := rt.e.cfg.Registry.Run(op, b); !ok {
+			if ok, _ := builtin.Standard.Run(op, b); !ok {
 				return done, false
 			}
 			done |= 1 << uint(i)
@@ -920,7 +921,7 @@ func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR
 	cr := p.cr
 	args := make([]ast.Term, len(cr.rule.Head.Args))
 	for i, a := range cr.rule.Head.Args {
-		v, err := rt.e.cfg.Registry.EvalSlots(a, p.b)
+		v, err := builtin.Standard.EvalSlots(a, p.b)
 		if err != nil || !v.Ground() {
 			return nil, false
 		}

@@ -5,7 +5,8 @@
 //
 // The default registry contains comparisons, arithmetic, the spatial
 // helpers used by the paper's examples (dist, close, isParallel) and list
-// utilities. Applications register further procedural built-ins with
+// utilities. The parser, the evaluators and the engine all use the one
+// Standard registry; Default builds a fresh copy a caller may extend with
 // Register*.
 package builtin
 

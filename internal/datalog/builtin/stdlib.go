@@ -8,44 +8,33 @@ import (
 	"repro/internal/datalog/ast"
 )
 
-// Defaults for the spatial/temporal built-ins used by the paper's example
-// programs. Applications tune these through DefaultConfig before calling
-// Default, or register their own implementations.
-type Config struct {
-	// CloseSpatial is the maximum Euclidean distance between two reports
+// Thresholds of the spatial/temporal built-ins used by the paper's
+// example programs.
+const (
+	// closeSpatial is the maximum Euclidean distance between two reports
 	// for close/2 to hold.
-	CloseSpatial float64
-	// CloseTemporalMin/Max bound the (strictly positive) time gap between
+	closeSpatial = 2.0
+	// closeTemporalMin/Max bound the (strictly positive) time gap between
 	// two consecutive reports on a trajectory.
-	CloseTemporalMin float64
-	CloseTemporalMax float64
-	// ParallelTolerance is the maximum angular difference (radians) for
+	closeTemporalMin = 0.0
+	closeTemporalMax = 3.0
+	// parallelTolerance is the maximum angular difference (radians) for
 	// isParallel/2 to hold between two trajectory headings.
-	ParallelTolerance float64
-}
+	parallelTolerance = 0.2
+)
 
-// DefaultConfig returns the thresholds used by the examples and tests.
-func DefaultConfig() Config {
-	return Config{
-		CloseSpatial:      2.0,
-		CloseTemporalMin:  0,
-		CloseTemporalMax:  3.0,
-		ParallelTolerance: 0.2,
-	}
-}
+// Standard is the registry the parser, the reference evaluator and the
+// distributed engine share: built once, and never registered into after.
+// Callers that extend a registry take their own from Default.
+var Standard = Default()
 
-// Default returns a registry preloaded with the standard library:
+// Default returns a fresh registry preloaded with the standard library:
 //
 //	Functions: dist/2, abs/1, min/2, max/2, len/1, head/1, tail/1
 //	Predicates: close/2, isParallel/2, member/2, even/1, odd/1
 //
 // plus the comparison operators which are always available.
 func Default() *Registry {
-	return WithConfig(DefaultConfig())
-}
-
-// WithConfig returns the default registry with the given thresholds.
-func WithConfig(cfg Config) *Registry {
 	r := New()
 
 	r.RegisterFunc("dist", 2, func(a []ast.Term) (ast.Term, error) {
@@ -128,7 +117,7 @@ func WithConfig(cfg Config) *Registry {
 
 	// close(R1, R2): R = r(X, Y, T). Two reports can be consecutive points
 	// on a trajectory when spatially near and temporally ordered within
-	// the configured gap (Example 2 of the paper).
+	// the allowed gap (Example 2 of the paper).
 	r.RegisterPred("close", 2, func(a []ast.Term) (bool, error) {
 		x1, y1, t1, err := reportOf(a[0])
 		if err != nil {
@@ -139,10 +128,10 @@ func WithConfig(cfg Config) *Registry {
 			return false, err
 		}
 		dt := t2 - t1
-		if dt <= cfg.CloseTemporalMin || dt > cfg.CloseTemporalMax {
+		if dt <= closeTemporalMin || dt > closeTemporalMax {
 			return false, nil
 		}
-		return math.Hypot(x1-x2, y1-y2) <= cfg.CloseSpatial, nil
+		return math.Hypot(x1-x2, y1-y2) <= closeSpatial, nil
 	})
 
 	// isParallel(L1, L2): two complete trajectories (lists of reports) are
@@ -161,7 +150,7 @@ func WithConfig(cfg Config) *Registry {
 			return false, err
 		}
 		d := math.Abs(angleDiff(h1, h2))
-		return d <= cfg.ParallelTolerance, nil
+		return d <= parallelTolerance, nil
 	})
 
 	return r

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/datalog/analysis"
 	"repro/internal/datalog/ast"
-	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/unify"
 )
 
@@ -280,33 +279,23 @@ func (db *Database) TotalSize() int {
 	return n
 }
 
-// Options tunes the evaluator.
-type Options struct {
-	// Registry supplies built-ins; nil means builtin.Default().
-	Registry *builtin.Registry
-	// MaxRounds bounds fixpoint iteration (function symbols can diverge).
-	MaxRounds int
-	// MaxTermDepth bounds the nesting depth of derived terms.
-	MaxTermDepth int
-}
+// Options is empty: the evaluator uses builtin.Standard and the
+// divergence limits below. The type stays only so that existing
+// eval.New(prog, eval.Options{}) call sites, the bench module's among
+// them, compile unchanged.
+type Options struct{}
 
-func (o *Options) fill() {
-	if o.Registry == nil {
-		o.Registry = builtin.Default()
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 10000
-	}
-	if o.MaxTermDepth == 0 {
-		o.MaxTermDepth = 64
-	}
-}
+// Divergence guards: function symbols can make a program's model
+// infinite, so fixpoint iteration and derived-term nesting are bounded.
+const (
+	maxRounds    = 10000
+	maxTermDepth = 64
+)
 
 // Evaluator computes the model of an analyzed program.
 type Evaluator struct {
 	prog *ast.Program
 	res  *analysis.Result
-	opts Options
 
 	// JoinOps counts join work: successful positive-subgoal matches plus
 	// negated-subgoal containment probes — the work metric used by the
@@ -416,13 +405,12 @@ func (e *Evaluator) keysOf(r *ast.Rule) *ruleKeys {
 }
 
 // New analyzes and prepares a program for evaluation.
-func New(p *ast.Program, opts Options) (*Evaluator, error) {
-	opts.fill()
+func New(p *ast.Program, _ Options) (*Evaluator, error) {
 	res, err := analysis.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{prog: p, res: res, opts: opts}, nil
+	return &Evaluator{prog: p, res: res}, nil
 }
 
 // Analysis exposes the analysis result.
@@ -495,8 +483,8 @@ func (e *Evaluator) evalStratum(db *Database, preds []string) error {
 	// Round 0: apply every rule against the full db (base facts are the
 	// implicit initial delta).
 	for round := 0; ; round++ {
-		if round > e.opts.MaxRounds {
-			return fmt.Errorf("eval: fixpoint did not converge within %d rounds (non-terminating function symbols?)", e.opts.MaxRounds)
+		if round > maxRounds {
+			return fmt.Errorf("eval: fixpoint did not converge within %d rounds (non-terminating function symbols?)", maxRounds)
 		}
 		next := e.spareSetMap
 		if next == nil {

@@ -39,16 +39,16 @@ func (e *Evaluator) applyRule(db *Database, r *ast.Rule, delta map[string]*Tuple
 					continue
 				}
 			}
-			v, err := e.opts.Registry.EvalTerm(a, s)
+			v, err := builtin.Standard.EvalTerm(a, s)
 			if err != nil {
 				return fmt.Errorf("eval: rule %d head: %w", r.ID, err)
 			}
 			if !v.Ground() {
 				return fmt.Errorf("eval: rule %d produced non-ground head argument %s", r.ID, v)
 			}
-			if v.Depth() > e.opts.MaxTermDepth {
+			if v.Depth() > maxTermDepth {
 				return fmt.Errorf("eval: derived term exceeds depth bound %d: %s",
-					e.opts.MaxTermDepth, Tuple{Pred: ks.head, Args: args})
+					maxTermDepth, Tuple{Pred: ks.head, Args: args})
 			}
 			args = append(args, v)
 		}
@@ -79,7 +79,7 @@ func (e *Evaluator) applyRule(db *Database, r *ast.Rule, delta map[string]*Tuple
 func (e *Evaluator) instantiateHead(r *ast.Rule, s unify.Subst) (Tuple, error) {
 	args := make([]ast.Term, len(r.Head.Args))
 	for i, a := range r.Head.Args {
-		v, err := e.opts.Registry.EvalTerm(a, s)
+		v, err := builtin.Standard.EvalTerm(a, s)
 		if err != nil {
 			return Tuple{}, fmt.Errorf("eval: rule %d head: %w", r.ID, err)
 		}
@@ -231,7 +231,7 @@ func (st *solveState) step(done uint64, n int, s unify.Subst, deferred []ast.Lit
 	bit := uint64(1) << uint(i)
 	l := st.r.Body[i]
 	if l.Builtin {
-		ok, ns, err := st.ev.opts.Registry.Eval(l, s)
+		ok, ns, err := builtin.Standard.Eval(l, s)
 		switch {
 		case errors.Is(err, builtin.ErrNotGround):
 			return st.step(done|bit, n+1, s, append(deferred, l), used)
@@ -403,7 +403,7 @@ var errNotReady = errors.New("eval: literal not ready")
 // sufficiently bound; errNotReady defers it.
 func (st *solveState) tryLiteral(l ast.Literal, s unify.Subst) (bool, unify.Subst, error) {
 	if l.Builtin {
-		ok, ns, err := st.ev.opts.Registry.Eval(l, s)
+		ok, ns, err := builtin.Standard.Eval(l, s)
 		if errors.Is(err, builtin.ErrNotGround) {
 			return false, s, errNotReady
 		}
@@ -412,7 +412,7 @@ func (st *solveState) tryLiteral(l ast.Literal, s unify.Subst) (bool, unify.Subs
 	// Negated relational literal: requires ground arguments.
 	args := make([]ast.Term, len(l.Args))
 	for i, a := range l.Args {
-		v, err := st.ev.opts.Registry.EvalTerm(a, s)
+		v, err := builtin.Standard.EvalTerm(a, s)
 		if err != nil {
 			return false, s, err
 		}
@@ -483,7 +483,7 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			if r.HeadAggs[i] != nil {
 				continue
 			}
-			v, err := e.opts.Registry.EvalTerm(a, s)
+			v, err := builtin.Standard.EvalTerm(a, s)
 			if err != nil {
 				return err
 			}
@@ -505,7 +505,7 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			groups[key] = g
 		}
 		for gi, pos := range aggPositions {
-			v, err := e.opts.Registry.EvalTerm(ast.Var(r.HeadAggs[pos].Var), s)
+			v, err := builtin.Standard.EvalTerm(ast.Var(r.HeadAggs[pos].Var), s)
 			if err != nil {
 				return err
 			}

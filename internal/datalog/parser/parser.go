@@ -21,9 +21,8 @@ func Parse(src string) (*ast.Program, error) {
 	return ParseWith(src, Options{})
 }
 
-// defaultIsBuiltin is the standard registry's predicate test, built once:
-// the registry is immutable after construction.
-var defaultIsBuiltin = builtin.Default().IsPred
+// defaultIsBuiltin is the shared standard registry's predicate test.
+var defaultIsBuiltin = builtin.Standard.IsPred
 
 // ParseWith parses a full program with explicit options.
 func ParseWith(src string, opts Options) (*ast.Program, error) {

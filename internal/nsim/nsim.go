@@ -75,11 +75,16 @@ type Handler interface {
 	Timer(n *Node, key string, data interface{})
 }
 
+// MinDelay and MaxDelay bound the per-hop delivery delay: every delivered
+// frame takes a uniform draw from [MinDelay, MaxDelay] ticks.
+const (
+	MinDelay Time = 1
+	MaxDelay Time = 4
+)
+
 // Config describes the radio and timing model.
 type Config struct {
 	Range    float64 // radio range (unit disk); default 1.0
-	MinDelay Time    // per-hop delivery delay lower bound; default 1
-	MaxDelay Time    // upper bound; default 4
 	LossRate float64 // per-transmission loss probability
 	MaxSkew  Time    // τc: max difference between two local clocks
 	Seed     int64   // randomness seed
@@ -103,12 +108,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Range == 0 {
 		c.Range = 1.0
-	}
-	if c.MinDelay == 0 {
-		c.MinDelay = 1
-	}
-	if c.MaxDelay < c.MinDelay {
-		c.MaxDelay = c.MinDelay + 3
 	}
 }
 
@@ -388,10 +387,7 @@ func (nw *Network) transmit(src *Node, dst NodeID, kind string, payload interfac
 	if !delivered {
 		return
 	}
-	delay := nw.cfg.MinDelay
-	if nw.cfg.MaxDelay > nw.cfg.MinDelay {
-		delay += Time(nw.rng.Int63n(int64(nw.cfg.MaxDelay - nw.cfg.MinDelay + 1)))
-	}
+	delay := MinDelay + Time(nw.rng.Int63n(int64(MaxDelay-MinDelay+1)))
 	if nw.faults != nil {
 		// Delivery faults: extra delay pushes the frame behind later
 		// traffic (reordering); dup schedules link-layer duplicate

@@ -169,18 +169,17 @@ func TestClockSkewBounded(t *testing.T) {
 }
 
 func TestBoundedDelays(t *testing.T) {
-	cfg := Config{MinDelay: 2, MaxDelay: 6, Seed: 6}
-	nw, _, b := twoNodeNet(cfg)
+	nw, _, b := twoNodeNet(Config{Seed: 6})
 	start := nw.Now()
 	nw.Node(0).Send(1, "ping", nil, 1)
 	end := nw.Run(0)
 	if b.pings != 1 {
 		t.Fatal("not delivered")
 	}
-	// ping + pong: between 2*2 and 2*6 ticks.
+	// ping + pong: two hops of [1, 4] ticks each.
 	el := end - start
-	if el < 4 || el > 12 {
-		t.Errorf("elapsed = %d, want within [4, 12]", el)
+	if el < 2 || el > 8 {
+		t.Errorf("elapsed = %d, want within [2, 8]", el)
 	}
 }
 

@@ -50,9 +50,13 @@ const (
 	defaultCacheSize  = 256
 	defaultBatchSize  = 64
 	defaultBatchDelay = 2 * time.Millisecond
-	defaultSubBuffer  = 64
 	defaultSpanRing   = 4096
 )
+
+// subBuffer is the per-subscription channel capacity: how far a
+// subscriber may fall behind the writers before it loses updates. A full
+// subscriber drops them and counts them under serve.subs.dropped.
+const subBuffer = 64
 
 // cacheShards is the number of independently locked result-cache
 // shards (canonical-goal hash partitioned); a power of two.
@@ -66,10 +70,6 @@ type Options struct {
 	// CacheSize caps the result cache (entries, summed across shards);
 	// 0 means the default (256). Negative disables caching.
 	CacheSize int
-	// SubscribeBuffer is the per-subscription channel capacity; 0
-	// means the default (64). A full subscriber drops updates and
-	// counts them under serve.subs.dropped.
-	SubscribeBuffer int
 	// BatchSize bounds the write buffer: the BatchSize-th buffered
 	// write flushes the batch synchronously. 0 means the default (64);
 	// 1 applies every write immediately (no coalescing).
@@ -237,9 +237,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	}
 	if opts.CacheSize == 0 {
 		opts.CacheSize = defaultCacheSize
-	}
-	if opts.SubscribeBuffer == 0 {
-		opts.SubscribeBuffer = defaultSubBuffer
 	}
 	if opts.BatchSize == 0 {
 		opts.BatchSize = defaultBatchSize
@@ -792,7 +789,7 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 		s:    s,
 		id:   id,
 		pred: pred,
-		ch:   make(chan Update, s.opts.SubscribeBuffer),
+		ch:   make(chan Update, subBuffer),
 	}
 	s.subs[id] = sub
 	return sub, nil

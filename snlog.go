@@ -23,7 +23,7 @@
 //	fmt.Println(cluster.Stats().Messages)
 //
 // Deployments accept functional options (WithScheme, WithLoss,
-// WithRetries, WithBatchLinks, WithTrace, ...); every cluster carries
+// WithRetries, WithFaults, WithTrace, ...); every cluster carries
 // a counter registry (Cluster.Snapshot) and, with WithTrace, a
 // structured event trace (Cluster.WriteTrace).
 //
@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog/analysis"
 	"repro/internal/datalog/ast"
-	"repro/internal/datalog/builtin"
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/magic"
 	"repro/internal/datalog/parser"
@@ -65,8 +64,6 @@ type (
 	Database = eval.Database
 	// Analysis is the result of static program analysis.
 	Analysis = analysis.Result
-	// Registry holds built-in predicates and functions.
-	Registry = builtin.Registry
 	// FaultSchedule scripts deterministic faults — crash/recover,
 	// link churn, partitions, duplication and reordering windows —
 	// against virtual time (see WithFaults).
@@ -198,12 +195,6 @@ type Options struct {
 	Server int
 	// MultiPass selects the multiple-pass join-computation scheme.
 	MultiPass bool
-	// SpatialRadius scopes storage/join regions (0 = unbounded).
-	SpatialRadius float64
-	// BandWidth generalizes PA rows/columns to geographic bands on
-	// arbitrary topologies; the Random topology defaults it to 1.5x the
-	// radio range when unset.
-	BandWidth float64
 	// LossRate is the per-transmission message loss probability.
 	LossRate float64
 	// MaxSkew bounds the clock skew between any two nodes (τc).
@@ -212,13 +203,8 @@ type Options struct {
 	Seed int64
 	// DefaultWindow is the sliding-window range for undeclared streams.
 	DefaultWindow int64
-	// Registry overrides the built-in registry.
-	Registry *Registry
 	// Retries is the link-layer ARQ re-attempt budget per transmission.
 	Retries int
-	// BatchLinks coalesces same-link messages within the skew bound
-	// into batch frames (see core.Config.BatchLinks).
-	BatchLinks bool
 	// TraceCapacity, when positive, attaches a trace ring buffer
 	// retaining up to this many trace events (send/recv/... plus the
 	// fault kinds), readable via Cluster.Trace and Cluster.WriteTrace.
@@ -248,13 +234,6 @@ func WithServer(node int) Option { return func(o *Options) { o.Server = node } }
 // WithMultiPass selects the multiple-pass join-computation scheme.
 func WithMultiPass() Option { return func(o *Options) { o.MultiPass = true } }
 
-// WithSpatialRadius scopes storage/join regions (0 = unbounded).
-func WithSpatialRadius(r float64) Option { return func(o *Options) { o.SpatialRadius = r } }
-
-// WithBandWidth overrides the geographic band width used to generalize
-// PA rows/columns on irregular topologies.
-func WithBandWidth(w float64) Option { return func(o *Options) { o.BandWidth = w } }
-
 // WithLoss sets the per-transmission message loss probability, in
 // [0, 1); Deploy refuses any other rate with ErrBadNetwork.
 func WithLoss(rate float64) Option { return func(o *Options) { o.LossRate = rate } }
@@ -271,12 +250,6 @@ func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 // WithDefaultWindow sets the sliding-window range for undeclared
 // streams.
 func WithDefaultWindow(rng int64) Option { return func(o *Options) { o.DefaultWindow = rng } }
-
-// WithBuiltins overrides the built-in predicate/function registry.
-func WithBuiltins(reg *Registry) Option { return func(o *Options) { o.Registry = reg } }
-
-// WithBatchLinks enables batched link transport.
-func WithBatchLinks() Option { return func(o *Options) { o.BatchLinks = true } }
 
 // WithFaults applies a deterministic fault schedule to the deployment.
 // The injector's probabilistic windows draw from their own rng seeded
@@ -307,6 +280,9 @@ func WithProvenance() Option { return func(o *Options) { o.Provenance = true } }
 type Topology struct {
 	build func(opt *Options) (*nsim.Network, error)
 	desc  string
+	// bandWidth, when positive, replaces the Perpendicular scheme's grid
+	// rows and columns with geographic bands of this width.
+	bandWidth float64
 }
 
 // String describes the topology ("grid 8x8").
@@ -324,17 +300,15 @@ func Grid(m int) Topology {
 
 // Random places n nodes uniformly at random in a side×side square with
 // the given radio range, retrying until the topology is connected. The
-// geographic band width defaults to 1.5× the radio range under the
-// Perpendicular scheme, matching the GPA generalization.
+// Perpendicular scheme runs on geographic bands 1.5× the radio range
+// wide, matching the GPA generalization.
 func Random(n int, side, radioRange float64) Topology {
 	return Topology{
 		desc: fmt.Sprintf("random n=%d side=%g range=%g", n, side, radioRange),
 		build: func(opt *Options) (*nsim.Network, error) {
-			if opt.BandWidth == 0 && opt.Scheme == Perpendicular {
-				opt.BandWidth = 1.5 * radioRange
-			}
 			return topo.RandomGeometric(n, side, radioRange, opt.Seed+1, simConfig(opt))
 		},
+		bandWidth: 1.5 * radioRange,
 	}
 }
 
@@ -377,10 +351,14 @@ func Deploy(t Topology, src string, opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deploy(nw, src, o)
+	var bandWidth float64
+	if o.Scheme == Perpendicular {
+		bandWidth = t.bandWidth
+	}
+	return deploy(nw, src, o, bandWidth)
 }
 
-func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
+func deploy(nw *nsim.Network, src string, opt Options, bandWidth float64) (*Cluster, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
@@ -389,11 +367,8 @@ func deploy(nw *nsim.Network, src string, opt Options) (*Cluster, error) {
 		Scheme:        opt.Scheme,
 		Server:        nsim.NodeID(opt.Server),
 		MultiPass:     opt.MultiPass,
-		SpatialRadius: opt.SpatialRadius,
-		BandWidth:     opt.BandWidth,
+		BandWidth:     bandWidth,
 		DefaultWindow: opt.DefaultWindow,
-		Registry:      opt.Registry,
-		BatchLinks:    opt.BatchLinks,
 		ReplayLog:     opt.ReplayLog,
 	})
 	if err != nil {

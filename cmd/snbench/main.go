@@ -218,7 +218,7 @@ func runTrace(path, kinds string, node int, pred string, quick bool) error {
 	// The trace and the counters watch the same hooks; any disagreement
 	// means a recording path was skipped or double-fired. Lifetime
 	// totals survive ring eviction, so this holds even if the ring
-	// wrapped (CountKinds would undercount then).
+	// wrapped.
 	agg := res.Trace.TotalKinds()
 	checks := []struct {
 		kind    obs.EventKind

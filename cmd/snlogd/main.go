@@ -23,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	snlog "repro"
 	"repro/internal/obs/export"
@@ -41,7 +40,6 @@ func main() {
 	batchDelay := flag.Duration("batch-delay", 0, "write batch deadline (0 = default 2ms, negative = size/freshness flushes only)")
 	stale := flag.Int64("stale", 0, "default staleness bound for queries that don't set one: max unapplied writes a served answer may omit (0 = always fresh, negative = unbounded)")
 	admin := flag.String("admin", "", "admin HTTP listen address (/metrics, /healthz, /snapshot, /trace, pprof); empty = disabled")
-	sampleInterval := flag.Duration("sample-interval", 5*time.Second, "admin rate-gauge sampling interval (serve.qps_1m, nsim.events_per_sec_1m)")
 	traceCap := flag.Int("trace", 0, "event trace ring capacity for the admin /trace endpoint (0 = no trace)")
 	spans := flag.Int("spans", 0, "per-query span ring capacity for /trace/query/<id> (0 = default 4096, negative = disabled)")
 	flag.Parse()
@@ -81,18 +79,12 @@ func main() {
 	srv := serve.NewServer(s, ln, serve.WithDefaultMaxLag(*stale))
 	fmt.Printf("snlogd: serving %s on %s (%d nodes)\n", flag.Arg(0), srv.Addr(), s.Cluster().Size())
 
-	// Live telemetry is strictly opt-in: without -admin no sampler runs,
-	// no HTTP listener binds, and the serve path is byte-for-byte the
-	// pre-admin daemon (pinned by make obs-guard).
+	// Live telemetry is strictly opt-in: without -admin no HTTP listener
+	// binds, and the serve path is byte-for-byte the pre-admin daemon
+	// (pinned by make obs-guard).
 	if *admin != "" {
-		reg := s.Cluster().Registry()
-		sampler := export.NewSampler(reg, *sampleInterval, time.Minute)
-		sampler.ExposeRate("serve.qps_1m", "serve.queries")
-		sampler.ExposeRate("nsim.events_per_sec_1m", "nsim.events")
-		sampler.Start()
-		defer sampler.Close()
 		adm, err := export.StartAdmin(*admin, export.Source{
-			Registry: reg,
+			Registry: s.Cluster().Registry(),
 			Trace:    s.Cluster().Trace(),
 			Spans:    s.Spans(),
 		})

@@ -328,8 +328,8 @@ func fetchSnapshot(base string) (map[string]int64, error) {
 	return snap, nil
 }
 
-// watchLoop is the snltop driver: poll, diff against the previous
-// sample, render. rounds 0 polls forever; clear toggles the ANSI
+// watchLoop is the snltop driver: poll, keep the polls of the last
+// minute, render. rounds 0 polls forever; clear toggles the ANSI
 // clear-and-home prefix (off in tests). A failed poll renders an error
 // line and keeps polling — the daemon restarting should not kill the
 // watcher.
@@ -337,8 +337,7 @@ func watchLoop(out io.Writer, fetch func() (map[string]int64, error), interval t
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	var prev map[string]int64
-	last := time.Now()
+	var polls []poll
 	for i := 0; rounds <= 0 || i < rounds; i++ {
 		if i > 0 {
 			time.Sleep(interval)
@@ -352,20 +351,39 @@ func watchLoop(out io.Writer, fetch func() (map[string]int64, error), interval t
 			fmt.Fprintf(out, "snltop: %v\n", err)
 			continue
 		}
-		fmt.Fprint(out, renderWatch(prev, cur, now.Sub(last)))
-		prev, last = cur, now
+		polls = append(polls, poll{at: now, snap: cur})
+		for now.Sub(polls[0].at) > time.Minute {
+			polls = polls[1:]
+		}
+		fmt.Fprint(out, renderWatch(polls))
 	}
 }
 
-// renderWatch formats one snltop frame from two consecutive snapshots.
-// Rates are the deltas over the poll window; totals, quantiles and the
-// daemon's own 1-minute gauges come from the current snapshot.
-func renderWatch(prev, cur map[string]int64, elapsed time.Duration) string {
-	rate := func(name string) int64 {
-		if prev == nil || elapsed <= 0 {
+// poll is one /snapshot sample and the time snltop took it.
+type poll struct {
+	at   time.Time
+	snap map[string]int64
+}
+
+// renderWatch formats one snltop frame from the polls of the last
+// minute, oldest first, the current poll last. Rates over the poll
+// window are deltas against the previous poll, "1m avg" rates deltas
+// against the oldest; totals and quantiles come from the current poll.
+func renderWatch(polls []poll) string {
+	cur, first := polls[len(polls)-1], polls[0]
+	// On the first frame the previous poll is empty: no rates, and the
+	// window figures are the lifetime ones.
+	prev := poll{at: cur.at}
+	if len(polls) > 1 {
+		prev = polls[len(polls)-2]
+	}
+	c, p := cur.snap, prev.snap
+	rate := func(name string, since poll) int64 {
+		secs := cur.at.Sub(since.at).Seconds()
+		if secs <= 0 {
 			return 0
 		}
-		return int64(float64(cur[name]-prev[name])/elapsed.Seconds() + 0.5)
+		return int64(float64(c[name]-since.snap[name])/secs + 0.5)
 	}
 	hitRate := func(hits, misses int64) string {
 		if hits+misses == 0 {
@@ -374,25 +392,23 @@ func renderWatch(prev, cur map[string]int64, elapsed time.Duration) string {
 		return fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(hits+misses))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "snltop — %s window\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "snltop — %s window\n", cur.at.Sub(prev.at).Round(time.Millisecond))
 	fmt.Fprintf(&b, "  queries   total %-10d qps %-8d 1m avg %d\n",
-		cur["serve.queries"], rate("serve.queries"), cur["serve.qps_1m"])
-	// Indexing a nil prev map yields 0, so the first frame's window
-	// figures are the lifetime ones.
-	dh, dm := cur["serve.cache.hits"]-prev["serve.cache.hits"], cur["serve.cache.misses"]-prev["serve.cache.misses"]
+		c["serve.queries"], rate("serve.queries", prev), rate("serve.queries", first))
+	dh, dm := c["serve.cache.hits"]-p["serve.cache.hits"], c["serve.cache.misses"]-p["serve.cache.misses"]
 	fmt.Fprintf(&b, "  cache     hits %-11d misses %-5d hit rate %s (window %s)\n",
-		cur["serve.cache.hits"], cur["serve.cache.misses"],
-		hitRate(cur["serve.cache.hits"], cur["serve.cache.misses"]), hitRate(dh, dm))
+		c["serve.cache.hits"], c["serve.cache.misses"],
+		hitRate(c["serve.cache.hits"], c["serve.cache.misses"]), hitRate(dh, dm))
 	fmt.Fprintf(&b, "  batches   size %-11d deadline %-3d fresh %-6d explicit %-3d writes/s %d\n",
-		cur["serve.batch.flush.size"], cur["serve.batch.flush.deadline"],
-		cur["serve.batch.flush.fresh"], cur["serve.batch.flush.explicit"],
-		rate("serve.batch.writes"))
+		c["serve.batch.flush.size"], c["serve.batch.flush.deadline"],
+		c["serve.batch.flush.fresh"], c["serve.batch.flush.explicit"],
+		rate("serve.batch.writes", prev))
 	fmt.Fprintf(&b, "  latency   p50 %-4dµs   p99 %-6dµs  max %-6dµs  stale served %d\n",
-		cur["serve.query_latency.p50"], cur["serve.query_latency.p99"],
-		cur["serve.query_latency.max"], cur["serve.stale.served"])
-	if _, ok := cur["nsim.events"]; ok {
+		c["serve.query_latency.p50"], c["serve.query_latency.p99"],
+		c["serve.query_latency.max"], c["serve.stale.served"])
+	if _, ok := c["nsim.events"]; ok {
 		fmt.Fprintf(&b, "  sim       events %-9d events/s %-4d 1m avg %d\n",
-			cur["nsim.events"], rate("nsim.events"), cur["nsim.events_per_sec_1m"])
+			c["nsim.events"], rate("nsim.events", prev), rate("nsim.events", first))
 	}
 	return b.String()
 }

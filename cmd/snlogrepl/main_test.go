@@ -269,6 +269,7 @@ path(X, Y) :- edge(X, Y).
 }
 
 func TestRenderWatch(t *testing.T) {
+	t0 := time.Unix(1000, 0)
 	prev := map[string]int64{
 		"serve.queries":      1000,
 		"serve.cache.hits":   500,
@@ -278,7 +279,6 @@ func TestRenderWatch(t *testing.T) {
 	}
 	cur := map[string]int64{
 		"serve.queries":           1200,
-		"serve.qps_1m":            95,
 		"serve.cache.hits":        680,
 		"serve.cache.misses":      120,
 		"serve.batch.writes":      60,
@@ -288,12 +288,11 @@ func TestRenderWatch(t *testing.T) {
 		"serve.query_latency.p99": 900,
 		"serve.query_latency.max": 1500,
 		"nsim.events":             11000,
-		"nsim.events_per_sec_1m":  480,
 	}
-	got := renderWatch(prev, cur, 2*time.Second)
+	got := renderWatch([]poll{{t0, prev}, {t0.Add(2 * time.Second), cur}})
 	for _, want := range []string{
+		"2s window",
 		"qps 100",        // (1200-1000)/2s
-		"1m avg 95",      // daemon gauge passthrough
 		"hit rate 85.0%", // lifetime 680/800
 		"(window 90.0%)", // delta 180/200
 		"p50 40",
@@ -304,10 +303,37 @@ func TestRenderWatch(t *testing.T) {
 			t.Errorf("frame missing %q:\n%s", want, got)
 		}
 	}
-	// First frame: no prev, no rates, no panic.
-	first := renderWatch(nil, cur, 0)
-	if !strings.Contains(first, "qps 0") || !strings.Contains(first, "hit rate 85.0%") {
+	// First frame: no previous poll, no rates, no panic.
+	first := renderWatch([]poll{{t0, cur}})
+	if !strings.Contains(first, "qps 0") || !strings.Contains(first, "1m avg 0") || !strings.Contains(first, "hit rate 85.0%") {
 		t.Errorf("first frame = %q", first)
+	}
+}
+
+// The "1m avg" columns average over every poll snltop kept from the
+// last minute — oldest to current — while qps and events/s cover only
+// the last poll window.
+func TestRenderWatchMinuteAverage(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	polls := []poll{
+		{t0, map[string]int64{"serve.queries": 0, "nsim.events": 0}},
+		{t0.Add(30 * time.Second), map[string]int64{"serve.queries": 1500, "nsim.events": 600}},
+		{t0.Add(58 * time.Second), map[string]int64{"serve.queries": 2900, "nsim.events": 1160}},
+		{t0.Add(60 * time.Second), map[string]int64{"serve.queries": 3000, "nsim.events": 1200}},
+	}
+	got := renderWatch(polls)
+	for _, want := range []string{
+		"qps 50       1m avg 50",  // (3000-2900)/2s; 3000/60s
+		"events/s 20   1m avg 20", // (1200-1160)/2s; 1200/60s
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("frame missing %q:\n%s", want, got)
+		}
+	}
+	// A burst in the last window moves qps, not the minute average.
+	polls[3].snap = map[string]int64{"serve.queries": 5900}
+	if got := renderWatch(polls); !strings.Contains(got, "qps 1500     1m avg 98") {
+		t.Errorf("burst frame:\n%s", got)
 	}
 }
 

@@ -349,7 +349,9 @@ func explainDump(src string, base []eval.Tuple, preds []string, want *eval.Datab
 
 // oracleProof rebuilds the oracle state with a SetOfDerivations
 // maintainer (the Run oracle uses plain semi-naive evaluation, which
-// keeps no witness structure) and unfolds the tuple's proof tree.
+// keeps no witness structure) by folding Insert over the surviving base
+// facts, and unfolds the tuple's proof tree. It runs only on a failing
+// sweep.
 func oracleProof(src string, base []eval.Tuple, tup eval.Tuple) string {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -359,8 +361,10 @@ func oracleProof(src string, base []eval.Tuple, tup eval.Tuple) string {
 	if err != nil {
 		return fmt.Sprintf("oracle maintainer: %v\n", err)
 	}
-	if _, err := m.InsertBatch(base); err != nil {
-		return fmt.Sprintf("oracle insert batch: %v\n", err)
+	for _, t := range base {
+		if _, err := m.Insert(t); err != nil {
+			return fmt.Sprintf("oracle insert: %v\n", err)
+		}
 	}
 	pt, err := m.ProofTree(tup)
 	if err != nil {

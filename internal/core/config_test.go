@@ -8,6 +8,7 @@ import (
 	"repro/internal/datalog/eval"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
+	"repro/internal/obs"
 	"repro/internal/topo"
 )
 
@@ -103,8 +104,9 @@ func TestDerivedStateQueriesEmptyEngine(t *testing.T) {
 	if e.DerivedDB().TotalSize() != 0 {
 		t.Error("fresh engine db non-empty")
 	}
-	max, avg := e.MaxMemoryTuples()
-	if max != 0 || avg != 0 {
-		t.Errorf("fresh memory = %d/%f", max, avg)
+	reg := obs.NewRegistry()
+	e.Observe(reg, nil)
+	if s := reg.Snapshot(); s.Get("core.mem.max_tuples") != 0 || s.Get("core.mem.total_tuples") != 0 {
+		t.Errorf("fresh memory = %d/%d", s.Get("core.mem.max_tuples"), s.Get("core.mem.total_tuples"))
 	}
 }

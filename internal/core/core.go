@@ -234,8 +234,11 @@ type Engine struct {
 	aggResults map[string][]eval.Tuple // head pred -> last epoch result
 	aggEpoch   int64
 
-	// ResultLog records finalized transitions of query predicates.
-	ResultLog []ResultEvent
+	// ResultLog records finalized transitions of query predicates. A
+	// holder may drop it at any time; resultsLogged keeps the lifetime
+	// count (core.results_logged).
+	ResultLog     []ResultEvent
+	resultsLogged int64
 
 	// finalizeFloor lifts finalize deadlines of candidates carrying
 	// pre-floor update stamps, so a replay's re-issued candidates (old
@@ -737,20 +740,6 @@ func (e *Engine) DerivationEntries(id nsim.NodeID) int {
 		n += len(h.derivs)
 	}
 	return n
-}
-
-// MaxMemoryTuples returns max and average per-node stored tuples
-// (replicas + derivations).
-func (e *Engine) MaxMemoryTuples() (max int, avg float64) {
-	total := 0
-	for _, n := range e.nw.Nodes() {
-		m := e.StoredReplicas(n.ID) + e.DerivationEntries(n.ID)
-		total += m
-		if m > max {
-			max = m
-		}
-	}
-	return max, float64(total) / float64(e.nw.Len())
 }
 
 // Analysis exposes the program analysis.

@@ -135,7 +135,7 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 		for p, v := range perPred {
 			emit("core.derived_live."+p, v)
 		}
-		emit("core.results_logged", int64(len(e.ResultLog)))
+		emit("core.results_logged", e.resultsLogged)
 		emit("routing.nearest_hits", e.router.Hits)
 		emit("routing.nearest_misses", e.router.Misses)
 	})
@@ -151,7 +151,7 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 // reg, if non-nil, gains two gauges sampled at Snapshot time:
 //
 //	core.prov.live      live (head, derivation) pairs in the graph
-//	core.prov.captured  derivations ever captured (slab length)
+//	core.prov.captured  derivations ever captured, removed ones included
 //
 // Passing g == nil detaches provenance (capture sites return to the
 // single nil-check no-op). The graph is wiped and rebuilt by Replay —

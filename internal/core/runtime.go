@@ -566,6 +566,7 @@ func (rt *nodeRT) atTarget(x, y float64) bool {
 // logResult appends a query-predicate transition to the ResultLog.
 func (rt *nodeRT) logResult(ev ResultEvent) {
 	rt.e.ResultLog = append(rt.e.ResultLog, ev)
+	rt.e.resultsLogged++
 }
 
 // recordTrace records an engine trace event (no-op without an attached

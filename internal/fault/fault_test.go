@@ -115,7 +115,7 @@ func TestTraceEventsMatchCounts(t *testing.T) {
 	if in2.Counts != in.Counts {
 		t.Fatalf("counts differ across identical runs: %+v vs %+v", in2.Counts, in.Counts)
 	}
-	kinds := tr.CountKinds()
+	kinds := tr.TotalKinds()
 	pairs := []struct {
 		kind obs.EventKind
 		n    int64

@@ -119,19 +119,3 @@ func SnapshotTable(title string, counters map[string]int64, prefixes ...string) 
 	}
 	return t
 }
-
-// Ratio formats a/b defensively.
-func Ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// Pct formats a percentage of part in whole.
-func Pct(part, whole int64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
-}

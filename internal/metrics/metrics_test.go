@@ -50,21 +50,6 @@ func TestRowsAccessor(t *testing.T) {
 	}
 }
 
-func TestRatioAndPct(t *testing.T) {
-	if got := Ratio(10, 4); got != 2.5 {
-		t.Errorf("Ratio = %v", got)
-	}
-	if got := Ratio(1, 0); got != 0 {
-		t.Errorf("Ratio by zero = %v", got)
-	}
-	if got := Pct(1, 4); got != 25 {
-		t.Errorf("Pct = %v", got)
-	}
-	if got := Pct(1, 0); got != 0 {
-		t.Errorf("Pct of zero = %v", got)
-	}
-}
-
 func TestExtraCellsDoNotPanic(t *testing.T) {
 	tbl := NewTable("t", "only")
 	tbl.AddRow(1, 2, 3) // more cells than columns

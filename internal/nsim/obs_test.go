@@ -48,7 +48,7 @@ func TestObserveCountersMatchFields(t *testing.T) {
 		t.Fatalf("events/nodes: %v", snap.Counters)
 	}
 
-	agg := tr.CountKinds()
+	agg := tr.TotalKinds()
 	if agg[obs.EvSend] != nw.TotalSent || agg[obs.EvRecv] != recv || agg[obs.EvDrop] != 0 {
 		t.Fatalf("trace aggregate %v vs sent=%d recv=%d", agg, nw.TotalSent, recv)
 	}
@@ -73,7 +73,7 @@ func TestObserveLossAndRetries(t *testing.T) {
 	}
 	// Each dropped attempt that was re-tried is a retry; totals bind
 	// sends = first attempts + retries.
-	agg := tr.CountKinds()
+	agg := tr.TotalKinds()
 	if agg[obs.EvDrop] != nw.TotalDropped || agg[obs.EvSend] != nw.TotalSent {
 		t.Fatalf("trace %v vs dropped=%d sent=%d", agg, nw.TotalDropped, nw.TotalSent)
 	}

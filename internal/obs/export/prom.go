@@ -1,9 +1,10 @@
 // Package export turns the in-process observability layer (internal/obs)
 // into live, pull-based surfaces: a Prometheus text-format encoder over
-// the registry, an admin HTTP server (/metrics, /healthz, /snapshot,
-// /trace, /trace/query/<id>, pprof), and a periodic sampler that derives
-// rate gauges (qps, events/sec) from counter deltas so a bare curl — no
-// scraper — sees rates.
+// the registry and an admin HTTP server (/metrics, /healthz, /snapshot,
+// /trace, /trace/query/<id>, pprof). It serves totals only: rates are
+// the readers' to derive — snltop from consecutive /snapshot polls,
+// Prometheus with rate() — so the layer runs no goroutine besides the
+// HTTP server.
 //
 // The export path shares no locks with the serve hot path: every surface
 // reads the same atomic Registry snapshot the post-run reporting already

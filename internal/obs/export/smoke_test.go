@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	snlog "repro"
 	"repro/internal/datalog/ast"
@@ -34,8 +33,6 @@ reach(X, Z) :- reach(X, Y), link(Y, Z).
 	defer s.Close()
 
 	reg := s.Cluster().Registry()
-	sampler := NewSampler(reg, time.Second, time.Minute)
-	sampler.ExposeRate("serve.qps_1m", "serve.queries")
 	adm, err := StartAdmin("127.0.0.1:0", Source{Registry: reg, Spans: s.Spans()})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +82,7 @@ reach(X, Z) :- reach(X, Y), link(Y, Z).
 		"snl_serve_cache_misses":      "counter",
 		"snl_serve_batch_flushes":     "counter",
 		"snl_serve_batch_flush_size":  "counter",
-		"snl_serve_qps_1m":            "gauge",
+		"snl_serve_read_concurrency":  "gauge",
 		"snl_serve_query_latency":     "histogram",
 		"snl_serve_query_spans_parse": "counter",
 	} {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
@@ -15,7 +16,6 @@ import (
 // loops pay one predictable nil check when histograms are off. The
 // enabled path is two atomic adds plus a CAS max — no allocation.
 type Histogram struct {
-	name   string
 	bounds []int64
 	counts []int64 // len(bounds)+1; last is the overflow bucket
 	sum    int64
@@ -26,18 +26,8 @@ type Histogram struct {
 // NewHistogram builds a standalone histogram (registry-less users).
 // bounds must be ascending; an empty bounds slice yields a single
 // overflow bucket (count/sum/max only).
-func NewHistogram(name string, bounds []int64) *Histogram {
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{name: name, bounds: b, counts: make([]int64, len(b)+1)}
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
+func NewHistogram(bounds []int64) *Histogram {
+	return &Histogram{bounds: slices.Clone(bounds), counts: make([]int64, len(bounds)+1)}
 }
 
 // Observe records one observation. No-op on a nil receiver.
@@ -103,50 +93,21 @@ func (h *Histogram) Buckets() (bounds, counts []int64) {
 	return bounds, counts
 }
 
-// Quantile returns the inclusive upper bound of the bucket holding the
-// q-quantile observation (0 <= q <= 1), clamped to Max so a sparse top
-// bucket never reports an estimate above the largest observation.
-// Interior quantiles whose rank lands in the overflow bucket clamp to
-// the overflow boundary (the last finite bound): the histogram cannot
-// localize observations beyond it, and reporting Max would promote the
-// single largest outlier (p100) to every high quantile. Quantile(1) is
-// exactly Max, and Snapshot exports ".max" separately. A histogram
-// with no finite bounds reports Max for every quantile. Returns 0 on
-// nil or an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	n := atomic.LoadInt64(&h.n)
-	if n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(n))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank >= n {
-		return h.Max()
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += atomic.LoadInt64(&h.counts[i])
-		if cum >= rank {
-			if i < len(h.bounds) {
-				if m := h.Max(); m < h.bounds[i] {
-					return m
-				}
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	// Overflow bucket: clamp at its boundary rather than reporting Max.
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return h.Max()
+// view copies the histogram's state. Count is read first: Observe
+// bumps a bucket before the count, so the copied buckets always cover
+// Count observations.
+func (h *Histogram) view() HistView {
+	n := h.Count()
+	bounds, counts := h.Buckets()
+	return HistView{Bounds: bounds, Counts: counts, Count: n, Sum: h.Sum(), Max: h.Max()}
 }
+
+// Quantile returns the inclusive upper bound of the bucket holding the
+// q-quantile observation (0 <= q <= 1), clamped to Max and, for an
+// interior quantile past the last bound, to that bound (the rules are
+// on HistView.quantile, which Snapshot's .p50/.p95/.p99 use too).
+// Returns 0 on nil or an empty histogram.
+func (h *Histogram) Quantile(q float64) int64 { return h.view().quantile(q) }
 
 // ExpBuckets builds n ascending bounds starting at start and growing by
 // factor (the usual power-of-two latency ladder).
@@ -156,15 +117,6 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 	for i := 0; i < n; i++ {
 		out = append(out, v)
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets builds n ascending bounds start, start+step, ...
-func LinearBuckets(start, step int64, n int) []int64 {
-	out := make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, start+int64(i)*step)
 	}
 	return out
 }
@@ -184,7 +136,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	}
 	h := r.hists[name]
 	if h == nil {
-		h = NewHistogram(name, bounds)
+		h = NewHistogram(bounds)
 		r.hists[name] = h
 	}
 	return h

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram("lat", []int64{10, 100, 1000})
+	h := NewHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 99, 500, 5000} {
 		h.Observe(v)
 	}
@@ -30,7 +30,7 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramNilIsNoOp(t *testing.T) {
 	var h *Histogram
 	h.Observe(5)
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 || h.Name() != "" {
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram should report zeros")
 	}
 	if b, c := h.Buckets(); b != nil || c != nil {
@@ -39,7 +39,7 @@ func TestHistogramNilIsNoOp(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram("q", ExpBuckets(1, 2, 4)) // 1 2 4 8
+	h := NewHistogram(ExpBuckets(1, 2, 4)) // 1 2 4 8
 	for v := int64(1); v <= 8; v++ {
 		h.Observe(v)
 	}
@@ -58,7 +58,7 @@ func TestHistogramQuantile(t *testing.T) {
 	if q := h.Quantile(1.0); q != 1000 {
 		t.Fatalf("p100 with overflow = %d, want the max 1000", q)
 	}
-	if NewHistogram("empty", nil).Quantile(0.5) != 0 {
+	if NewHistogram(nil).Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 }
@@ -68,7 +68,7 @@ func TestHistogramQuantile(t *testing.T) {
 // promoting the largest outlier to p99 overstates the tail by however
 // far the outlier sits beyond the ladder.
 func TestHistogramQuantileClampsAtOverflowBoundary(t *testing.T) {
-	h := NewHistogram("ovf", ExpBuckets(1, 2, 4)) // 1 2 4 8
+	h := NewHistogram(ExpBuckets(1, 2, 4)) // 1 2 4 8
 	for v := int64(1); v <= 8; v++ {
 		h.Observe(v)
 	}
@@ -82,7 +82,7 @@ func TestHistogramQuantileClampsAtOverflowBoundary(t *testing.T) {
 	}
 	// A boundless histogram has no boundary to clamp to: every
 	// quantile reports Max.
-	b := NewHistogram("nobounds", nil)
+	b := NewHistogram(nil)
 	b.Observe(7)
 	b.Observe(9000)
 	if q := b.Quantile(0.5); q != 9000 {
@@ -93,7 +93,7 @@ func TestHistogramQuantileClampsAtOverflowBoundary(t *testing.T) {
 // A sparse top bucket must not report a quantile above the largest
 // observation.
 func TestHistogramQuantileClampsToMax(t *testing.T) {
-	h := NewHistogram("clamp", []int64{64, 512})
+	h := NewHistogram([]int64{64, 512})
 	h.Observe(70) // lands in the 512 bucket
 	if q := h.Quantile(0.5); q != 70 {
 		t.Fatalf("p50 = %d, want clamped to max 70", q)
@@ -101,7 +101,7 @@ func TestHistogramQuantileClampsToMax(t *testing.T) {
 }
 
 func TestHistogramNegativeClampsToFirstBucket(t *testing.T) {
-	h := NewHistogram("neg", []int64{10, 100})
+	h := NewHistogram([]int64{10, 100})
 	h.Observe(-5)
 	_, counts := h.Buckets()
 	if counts[0] != 1 {
@@ -114,12 +114,6 @@ func TestBucketLadders(t *testing.T) {
 	for i, want := range []int64{64, 128, 256, 512} {
 		if exp[i] != want {
 			t.Fatalf("ExpBuckets = %v", exp)
-		}
-	}
-	lin := LinearBuckets(10, 5, 3)
-	for i, want := range []int64{10, 15, 20} {
-		if lin[i] != want {
-			t.Fatalf("LinearBuckets = %v", lin)
 		}
 	}
 }
@@ -149,7 +143,7 @@ func TestRegistryHistogramHandles(t *testing.T) {
 }
 
 func TestHistogramConcurrency(t *testing.T) {
-	h := NewHistogram("conc", ExpBuckets(1, 2, 10))
+	h := NewHistogram(ExpBuckets(1, 2, 10))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

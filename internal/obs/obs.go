@@ -13,11 +13,12 @@
 //     increment site — no branch on a config struct, no interface
 //     dispatch, no allocation.
 //
-//   - Providers and gauges are sampled only at Snapshot time. Metrics
-//     a component already tracks in plain fields (simulator message
-//     totals, per-node memory) are exposed through a provider callback
-//     instead of being double-counted on the hot path, which keeps
-//     Snapshot values exactly equal to the legacy fields they replace.
+//   - Providers and gauges (a gauge is a provider that emits one name)
+//     are sampled only at Snapshot time. Metrics a component already
+//     tracks in plain fields (simulator message totals, per-node
+//     memory) are exposed through a provider callback instead of being
+//     double-counted on the hot path, which keeps Snapshot values
+//     exactly equal to the legacy fields they replace.
 //
 // Snapshot flattens everything into a sorted name → value map; counter
 // names are dotted paths ("nsim.messages", "core.derivations.out/2")
@@ -25,6 +26,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,17 +65,13 @@ func (c *Counter) Value() int64 {
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
-	gauges    map[string]func() int64
 	hists     map[string]*Histogram
 	providers []func(emit func(name string, v int64))
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() int64),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter returns the live counter registered under name, creating it
@@ -93,21 +92,20 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge registers a callback sampled at Snapshot time under name.
-// Later registrations replace earlier ones. No-op on a nil registry.
+// Gauge registers a callback sampled at Snapshot time under name: a
+// provider that emits one name. No-op on a nil registry.
 func (r *Registry) Gauge(name string, fn func() int64) {
-	if r == nil || fn == nil {
-		return
+	if fn != nil {
+		r.Provide(func(emit func(string, int64)) { emit(name, fn()) })
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges[name] = fn
 }
 
 // Provide registers a bulk provider invoked at Snapshot time. A
 // provider emits any number of (name, value) pairs; components use it
 // to expose metrics they already track in plain fields without paying
-// anything on the hot path. No-op on a nil registry.
+// anything on the hot path. Providers run in registration order, so
+// when two emit the same name the later registration wins. No-op on a
+// nil registry.
 func (r *Registry) Provide(fn func(emit func(name string, v int64))) {
 	if r == nil || fn == nil {
 		return
@@ -159,63 +157,34 @@ type Snapshot struct {
 	Counters map[string]int64
 }
 
-// Snapshot samples all counters, gauges, and providers. A provider
-// emitting a name that collides with a live counter overwrites it —
-// by convention the two families use disjoint names. Returns an empty
+// Snapshot flattens one Families sample into a single name → value
+// map. Histograms become "<name>.count/.sum/.max/.p50/.p95/.p99" plus
+// cumulative "<name>.le_<bound>" bucket counters (only .count while
+// empty). On a name collision a gauge or provider emission overwrites
+// a histogram-derived name, which overwrites a live counter — by
+// convention the families use disjoint names. Returns an empty
 // snapshot on a nil registry.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Counters: make(map[string]int64)}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c
-	}
-	gauges := make(map[string]func() int64, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges[name] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	providers := make([]func(emit func(name string, v int64)), len(r.providers))
-	copy(providers, r.providers)
-	r.mu.Unlock()
-
-	// Sample outside the lock: providers may call back into code that
-	// takes its own locks or (pathologically) registers new metrics.
-	for name, c := range counters {
-		s.Counters[name] = c.Value()
-	}
-	// Histograms flatten into "<name>.count/.sum/.max/.p50/.p95/.p99"
-	// plus cumulative "<name>.le_<bound>" bucket counters.
-	for name, h := range hists {
-		s.Counters[name+".count"] = h.Count()
-		if h.Count() == 0 {
+	f := r.Families()
+	s := Snapshot{Counters: make(map[string]int64, len(f.Counters)+len(f.Gauges))}
+	maps.Copy(s.Counters, f.Counters)
+	for name, h := range f.Hists {
+		s.Counters[name+".count"] = h.Count
+		if h.Count == 0 {
 			continue
 		}
-		s.Counters[name+".sum"] = h.Sum()
-		s.Counters[name+".max"] = h.Max()
-		s.Counters[name+".p50"] = h.Quantile(0.50)
-		s.Counters[name+".p95"] = h.Quantile(0.95)
-		s.Counters[name+".p99"] = h.Quantile(0.99)
-		bounds, counts := h.Buckets()
+		s.Counters[name+".sum"] = h.Sum
+		s.Counters[name+".max"] = h.Max
+		s.Counters[name+".p50"] = h.quantile(0.50)
+		s.Counters[name+".p95"] = h.quantile(0.95)
+		s.Counters[name+".p99"] = h.quantile(0.99)
 		var cum int64
-		for i, b := range bounds {
-			cum += counts[i]
+		for i, b := range h.Bounds {
+			cum += h.Counts[i]
 			s.Counters[name+".le_"+strconv.FormatInt(b, 10)] = cum
 		}
 	}
-	for name, fn := range gauges {
-		s.Counters[name] = fn()
-	}
-	emit := func(name string, v int64) { s.Counters[name] = v }
-	for _, fn := range providers {
-		fn(emit)
-	}
+	maps.Copy(s.Counters, f.Gauges)
 	return s
 }
 
@@ -230,6 +199,41 @@ type HistView struct {
 	Max    int64
 }
 
+// quantile returns the inclusive upper bound of the bucket holding the
+// q-quantile observation (0 <= q <= 1), clamped to Max so a sparse top
+// bucket never reports an estimate above the largest observation.
+// Interior quantiles whose rank lands in the overflow bucket clamp to
+// the overflow boundary (the last finite bound): the histogram cannot
+// localize observations beyond it, and reporting Max would promote the
+// single largest outlier (p100) to every high quantile. quantile(1) is
+// exactly Max, and Snapshot exports ".max" separately. A histogram
+// with no finite bounds reports Max for every quantile. Returns 0 on
+// an empty view.
+func (v HistView) quantile(q float64) int64 {
+	if v.Count == 0 {
+		return 0
+	}
+	rank := max(int64(q*float64(v.Count)), 1)
+	if rank >= v.Count {
+		return v.Max
+	}
+	var cum int64
+	for i, c := range v.Counts {
+		cum += c
+		if cum >= rank {
+			if i < len(v.Bounds) {
+				return min(v.Max, v.Bounds[i])
+			}
+			break
+		}
+	}
+	// Overflow bucket: clamp at its boundary rather than reporting Max.
+	if len(v.Bounds) > 0 {
+		return v.Bounds[len(v.Bounds)-1]
+	}
+	return v.Max
+}
+
 // Families is a typed view of the registry for exporters that need to
 // distinguish metric kinds — Snapshot flattens everything into one
 // counter map, which loses the counter/gauge/histogram split an
@@ -242,9 +246,11 @@ type Families struct {
 
 // Families samples every registered metric, keeping the kinds apart:
 // live counters under Counters, gauge and provider samples under
-// Gauges, and full histogram states under Hists. Like Snapshot it
-// samples outside the registry lock. Returns empty families on a nil
-// registry.
+// Gauges, and full histogram states under Hists. It is the registry's
+// one sampling pass — Snapshot flattens its result. The registry is
+// copied under its lock and sampled outside it: providers may call
+// back into code that takes its own locks or (pathologically)
+// registers new metrics. Returns empty families on a nil registry.
 func (r *Registry) Families() Families {
 	f := Families{
 		Counters: make(map[string]int64),
@@ -255,41 +261,20 @@ func (r *Registry) Families() Families {
 		return f
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c
-	}
-	gauges := make(map[string]func() int64, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges[name] = fn
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
-	providers := make([]func(emit func(name string, v int64)), len(r.providers))
-	copy(providers, r.providers)
+	counters := maps.Clone(r.counters)
+	hists := maps.Clone(r.hists)
+	providers := slices.Clone(r.providers)
 	r.mu.Unlock()
 
 	for name, c := range counters {
 		f.Counters[name] = c.Value()
-	}
-	for name, fn := range gauges {
-		f.Gauges[name] = fn()
 	}
 	emit := func(name string, v int64) { f.Gauges[name] = v }
 	for _, fn := range providers {
 		fn(emit)
 	}
 	for name, h := range hists {
-		bounds, counts := h.Buckets()
-		f.Hists[name] = HistView{
-			Bounds: bounds,
-			Counts: counts,
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-			Max:    h.Max(),
-		}
+		f.Hists[name] = h.view()
 	}
 	return f
 }

@@ -110,6 +110,52 @@ func TestGaugesAndProviders(t *testing.T) {
 	}
 }
 
+// Snapshot is Families flattened: every kind lands under its own name
+// (histograms under their suffixes), and on a collision a gauge or
+// provider overwrites a histogram-derived name, which overwrites a
+// live counter. Among gauges and providers the later registration wins.
+func TestSnapshotFlattensFamilies(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(1)
+	r.Gauge("g", func() int64 { return 2 })
+	r.Provide(func(emit func(string, int64)) { emit("p", 3) })
+	h := r.Histogram("h", []int64{10, 100})
+	h.Observe(5)
+	h.Observe(50)
+	r.Histogram("empty", []int64{1})
+
+	r.Counter("h.max").Add(11) // counter vs histogram
+	r.Counter("cg").Add(12)    // counter vs gauge
+	r.Gauge("cg", func() int64 { return 13 })
+	r.Counter("cp").Add(14)                      // counter vs provider
+	r.Gauge("h.sum", func() int64 { return 15 }) // gauge vs histogram
+	r.Gauge("gp", func() int64 { return 16 })    // gauge, then provider
+	r.Provide(func(emit func(string, int64)) { emit("cp", 17); emit("gp", 18) })
+	r.Provide(func(emit func(string, int64)) { emit("pg", 19) }) // provider, then gauge
+	r.Gauge("pg", func() int64 { return 20 })
+
+	want := map[string]int64{
+		"c": 1, "g": 2, "p": 3, "empty.count": 0,
+		"h.count": 2, "h.sum": 15, "h.max": 50, "h.p50": 10, "h.p95": 10, "h.p99": 10,
+		"h.le_10": 1, "h.le_100": 2,
+		"cg": 13, "cp": 17, "gp": 18, "pg": 20,
+	}
+	got := r.Snapshot().Counters
+	if len(got) != len(want) {
+		t.Errorf("snapshot has %d names, want %d: %v", len(got), len(want), got)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %d, want %d", name, got[name], v)
+		}
+	}
+	// The typed view keeps the colliding kinds apart.
+	f := r.Families()
+	if f.Counters["cg"] != 12 || f.Gauges["cg"] != 13 || f.Counters["h.max"] != 11 || f.Hists["h"].Max != 50 {
+		t.Errorf("families = %+v", f)
+	}
+}
+
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")

@@ -11,20 +11,18 @@
 // Capture-path discipline matches the obs counter registry: the nil
 // *Graph is a valid disabled graph whose methods are single-branch
 // no-ops, so an engine that never attached provenance pays one nil
-// check per settle. When enabled, records are value-typed and appended
-// to a flat slab; body tuple keys go into a shared string arena rather
-// than per-record slices, so capture is O(body size) appends with no
-// per-record boxing.
+// check per settle. When enabled, the graph holds exactly the live
+// derivations: Remove forgets a record as the engine's own store does.
 package provenance
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Record is one captured derivation: rule instantiation identity plus
-// the transport facts needed for latency attribution. Value-typed and
-// slab-stored; body keys live in the graph's arena (bodyOff/bodyLen).
+// the transport facts needed for latency attribution.
 type Record struct {
 	Rule      int32  // rule ID that fired (engine rule numbering)
 	Producer  int32  // node that evaluated the join and emitted the candidate
@@ -34,68 +32,61 @@ type Record struct {
 	SettledAt int64  // virtual time the derivation was applied at the settler
 	Head      string // head tuple key ("pred/arity|args")
 	DerivKey  string // set-of-derivations key (rule id + body stamps)
-
-	bodyOff int32
-	bodyLen int32
 }
 
-// Derivation is a Record plus its materialized body keys — the view
-// type returned by queries (the slab never escapes).
+// Derivation is a Record plus its body tuple keys.
 type Derivation struct {
 	Record
 	Body []string
 }
 
-// Graph is a per-engine provenance store: an append-only slab of
-// Records, a shared body-key arena, and a liveness index mirroring the
-// engine's set-of-derivations maps (head key → deriv key → slab
-// index). Remove drops the index entry but keeps the slab record, so
-// the slab stays append-only and captured history is cheap to account.
+// Graph is a per-engine provenance store of the live derivations,
+// mirroring the engine's set-of-derivations maps (head key → deriv key
+// → derivation). Remove deletes the entry, so the graph holds what
+// Explain can reach and nothing else; Captured counts every Add.
 //
 // The nil Graph is a valid disabled graph: every method no-ops.
 type Graph struct {
-	mu       sync.Mutex
-	recs     []Record
-	arena    []string                    // body keys of all records, back to back
-	live     map[string]map[string]int32 // head → derivKey → index into recs
+	mu sync.Mutex
+	// head → derivKey → derivation. Values are pointers: most heads
+	// hold one or two derivations, and a small map's slots are
+	// allocated eight at a time, so inline 88-byte values would cost
+	// several times the records they hold.
+	live     map[string]map[string]*Derivation
 	liveN    int64
 	captured int64
 }
 
 // NewGraph returns an empty provenance graph.
 func NewGraph() *Graph {
-	return &Graph{live: make(map[string]map[string]int32)}
+	return &Graph{live: make(map[string]map[string]*Derivation)}
 }
 
-// Add captures one settled derivation. body is copied into the arena.
-// Re-adding a (head, derivKey) pair that is already live replaces its
-// record (the engine only calls Add when the deriv key is new, so this
-// is a defensive path). No-op on a nil receiver.
+// Add captures one settled derivation. The graph keeps body as given:
+// the caller must not mutate it afterwards. Re-adding a (head, derivKey)
+// pair that is already live replaces its record (the engine only calls
+// Add when the deriv key is new, so this is a defensive path). No-op on
+// a nil receiver.
 func (g *Graph) Add(r Record, body []string) {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
-	r.bodyOff = int32(len(g.arena))
-	r.bodyLen = int32(len(body))
-	g.arena = append(g.arena, body...)
-	idx := int32(len(g.recs))
-	g.recs = append(g.recs, r)
 	set := g.live[r.Head]
 	if set == nil {
-		set = make(map[string]int32)
+		set = make(map[string]*Derivation)
 		g.live[r.Head] = set
 	}
 	if _, dup := set[r.DerivKey]; !dup {
 		g.liveN++
 	}
-	set[r.DerivKey] = idx
+	set[r.DerivKey] = &Derivation{Record: r, Body: body}
 	g.captured++
 	g.mu.Unlock()
 }
 
-// Remove marks the (head, derivKey) derivation dead — the engine calls
-// this from the same deletion path that shrinks its set-of-derivations
+// Remove drops the (head, derivKey) derivation — the engine calls this
+// from the same deletion path that shrinks its set-of-derivations
 // store, so Explain never reports a tuple the engine no longer holds.
 // No-op on a nil receiver or an unknown pair.
 func (g *Graph) Remove(head, derivKey string) {
@@ -125,9 +116,7 @@ func (g *Graph) Reset() {
 		return
 	}
 	g.mu.Lock()
-	g.recs = g.recs[:0]
-	g.arena = g.arena[:0]
-	g.live = make(map[string]map[string]int32)
+	g.live = make(map[string]map[string]*Derivation)
 	g.liveN = 0
 	g.captured = 0
 	g.mu.Unlock()
@@ -160,13 +149,8 @@ func (g *Graph) derivationsLocked(head string) []Derivation {
 		return nil
 	}
 	out := make([]Derivation, 0, len(set))
-	for _, idx := range set {
-		r := g.recs[idx]
-		d := Derivation{Record: r}
-		if r.bodyLen > 0 {
-			d.Body = append([]string(nil), g.arena[r.bodyOff:r.bodyOff+r.bodyLen]...)
-		}
-		out = append(out, d)
+	for _, d := range set {
+		out = append(out, Derivation{Record: d.Record, Body: slices.Clone(d.Body)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DerivKey < out[j].DerivKey })
 	return out
@@ -183,7 +167,7 @@ func (g *Graph) LiveCount() int64 {
 }
 
 // Captured returns the number of derivations ever captured, including
-// ones since removed (slab length).
+// ones since removed.
 func (g *Graph) Captured() int64 {
 	if g == nil {
 		return 0

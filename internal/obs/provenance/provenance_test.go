@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,35 @@ func TestAddRemoveLiveness(t *testing.T) {
 	// Removing an unknown derivation is a no-op, not a panic.
 	g.Remove("a", "d9")
 	g.Remove("never-seen", "d1")
+}
+
+// Add/Remove churn leaves only the live records behind: the heap the
+// graph holds does not grow with the cycles, only Captured does.
+func TestChurnKeepsOnlyLiveRecords(t *testing.T) {
+	g := NewGraph()
+	g.Add(rec("a", "d1", 0), []string{"x"})
+	body := []string{"link/2|a\"c31\",a\"c32\"", "reach/2|a\"c0\",a\"c31\""}
+	churn := func(k int) {
+		for i := 0; i < k; i++ {
+			g.Add(rec("b", "d2", 1), body)
+			g.Remove("b", "d2")
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	churn(100)
+	before := heap()
+	churn(20000)
+	if grew := heap() - before; grew > 256<<10 {
+		t.Errorf("20000 add/remove cycles grew the heap by %d B; removed records must not be retained", grew)
+	}
+	if g.LiveCount() != 1 || g.Captured() != 20101 || g.Live("b") || len(g.Derivations("a")) != 1 {
+		t.Errorf("live=%d captured=%d, want 1 live record of 20101 captured", g.LiveCount(), g.Captured())
+	}
 }
 
 func TestReset(t *testing.T) {

@@ -1,7 +1,5 @@
 package obs
 
-import "sync"
-
 // Span is one timed stage of a served query. The serving layer
 // allocates a trace id at query ingress (Query/QueryStale/Explain) and
 // appends one span per stage — parse, cache_probe, eval (on a miss),
@@ -25,39 +23,20 @@ type Span struct {
 // is detectable. The nil ring is a valid disabled ring — Record on nil
 // is a single branch — which is how the serving layer turns span
 // capture off without branching on configuration.
-type SpanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	start int
-	n     int
-	total int64
-}
+type SpanRing struct{ ring[Span] }
 
 // NewSpanRing returns a ring retaining up to capacity spans
 // (minimum 1).
 func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanRing{buf: make([]Span, capacity)}
+	return &SpanRing{newRing[Span](capacity)}
 }
 
 // Record appends a span, evicting the oldest when full. No-op on a
 // nil receiver.
 func (r *SpanRing) Record(sp Span) {
-	if r == nil {
-		return
+	if r != nil {
+		r.record(sp)
 	}
-	r.mu.Lock()
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = sp
-		r.n++
-	} else {
-		r.buf[r.start] = sp
-		r.start = (r.start + 1) % len(r.buf)
-	}
-	r.total++
-	r.mu.Unlock()
 }
 
 // Len returns the number of retained spans (0 on nil).
@@ -65,9 +44,7 @@ func (r *SpanRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
+	return r.len()
 }
 
 // Total returns the number of spans ever recorded, including evicted
@@ -76,9 +53,7 @@ func (r *SpanRing) Total() int64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	return r.count()
 }
 
 // Spans returns the retained spans in recording order.
@@ -86,13 +61,7 @@ func (r *SpanRing) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+	return r.matching(nil)
 }
 
 // ByTrace returns the retained spans of one trace id in recording
@@ -102,13 +71,5 @@ func (r *SpanRing) ByTrace(id int64) []Span {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Span
-	for i := 0; i < r.n; i++ {
-		if sp := r.buf[(r.start+i)%len(r.buf)]; sp.Trace == id {
-			out = append(out, sp)
-		}
-	}
-	return out
+	return r.matching(func(sp Span) bool { return sp.Trace == id })
 }

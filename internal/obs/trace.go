@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"strconv"
-	"sync"
 )
 
 // EventKind classifies a trace event. The set mirrors the lifecycle of
@@ -82,21 +81,14 @@ type Event struct {
 // evicted events is known. The nil trace is a valid disabled trace:
 // Record on nil is a single branch.
 type Trace struct {
-	mu     sync.Mutex
-	buf    []Event
-	start  int                  // index of the oldest retained event
-	n      int                  // retained events
-	total  int64                // events ever recorded
+	ring[Event]
 	totals [numEventKinds]int64 // lifetime per-kind counts, eviction-proof
 }
 
 // NewTrace returns a ring buffer retaining up to capacity events
 // (minimum 1).
 func NewTrace(capacity int) *Trace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Trace{buf: make([]Event, capacity)}
+	return &Trace{ring: newRing[Event](capacity)}
 }
 
 // Record appends an event, evicting the oldest when full. No-op on a
@@ -106,14 +98,7 @@ func (t *Trace) Record(e Event) {
 		return
 	}
 	t.mu.Lock()
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = e
-		t.n++
-	} else {
-		t.buf[t.start] = e
-		t.start = (t.start + 1) % len(t.buf)
-	}
-	t.total++
+	t.push(e)
 	if int(e.Kind) < numEventKinds {
 		t.totals[e.Kind]++
 	}
@@ -125,9 +110,7 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
+	return t.len()
 }
 
 // Total returns the number of events ever recorded, including evicted
@@ -136,9 +119,7 @@ func (t *Trace) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.count()
 }
 
 // Dropped returns how many events were evicted by capacity pressure.
@@ -146,9 +127,7 @@ func (t *Trace) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - int64(t.n)
+	return t.dropped()
 }
 
 // Events returns the retained events in recording order.
@@ -156,37 +135,13 @@ func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
-	}
-	return out
-}
-
-// CountKinds aggregates the *retained* events by kind — the window the
-// ring still holds, not the run's history. Once the ring wraps
-// (Dropped() > 0) these counts undercount every kind that had events
-// evicted; use TotalKinds for lifetime totals that survive eviction.
-func (t *Trace) CountKinds() map[EventKind]int64 {
-	out := make(map[EventKind]int64)
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < t.n; i++ {
-		out[t.buf[(t.start+i)%len(t.buf)].Kind]++
-	}
-	return out
+	return t.matching(nil)
 }
 
 // TotalKinds returns lifetime per-kind event counts, including events
 // later evicted by capacity pressure. Kinds that never occurred are
-// omitted. This is the right aggregate to compare against registry
-// counters — it matches them at any ring capacity, where CountKinds
-// only matches while Dropped() == 0.
+// omitted. This is the aggregate to compare against registry counters:
+// it matches them at any ring capacity.
 func (t *Trace) TotalKinds() map[EventKind]int64 {
 	out := make(map[EventKind]int64)
 	if t == nil {
@@ -273,20 +228,7 @@ func appendEventJSON(line []byte, e Event) []byte {
 // escaping, though in practice predicate keys and wire kinds are
 // identifier-shaped.
 func (t *Trace) WriteJSONL(w io.Writer, f Filter) (int, error) {
-	bw := bufio.NewWriter(w)
-	written := 0
-	var line []byte
-	for _, e := range t.Events() {
-		if !f.Match(e) {
-			continue
-		}
-		line = appendEventJSON(line[:0], e)
-		if _, err := bw.Write(line); err != nil {
-			return written, err
-		}
-		written++
-	}
-	return written, bw.Flush()
+	return t.WriteTailJSONL(w, f, 0)
 }
 
 // WriteTailJSONL writes the newest n retained events passing f, in
@@ -294,11 +236,9 @@ func (t *Trace) WriteJSONL(w io.Writer, f Filter) (int, error) {
 // means no limit. This is the admin endpoint's `/trace?n=` view: the
 // tail of the ring, filtered first so the limit counts matching lines.
 func (t *Trace) WriteTailJSONL(w io.Writer, f Filter, n int) (int, error) {
-	matched := make([]Event, 0, 64)
-	for _, e := range t.Events() {
-		if f.Match(e) {
-			matched = append(matched, e)
-		}
+	var matched []Event
+	if t != nil {
+		matched = t.matching(f.Match)
 	}
 	if n > 0 && len(matched) > n {
 		matched = matched[len(matched)-n:]

@@ -64,7 +64,7 @@ func TestTraceCountKinds(t *testing.T) {
 	tr.Record(Event{Kind: EvSend})
 	tr.Record(Event{Kind: EvSend})
 	tr.Record(Event{Kind: EvDrop})
-	agg := tr.CountKinds()
+	agg := tr.TotalKinds()
 	if agg[EvSend] != 2 || agg[EvDrop] != 1 || agg[EvRecv] != 0 {
 		t.Fatalf("aggregate = %v", agg)
 	}
@@ -107,8 +107,7 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-// TotalKinds must survive ring eviction; CountKinds, by documented
-// contract, only reflects the retained window.
+// TotalKinds must survive ring eviction.
 func TestTraceTotalKindsSurvivesWrap(t *testing.T) {
 	tr := NewTrace(4)
 	for i := 0; i < 9; i++ {
@@ -122,12 +121,8 @@ func TestTraceTotalKindsSurvivesWrap(t *testing.T) {
 	if _, present := total[EvRecv]; present {
 		t.Fatal("TotalKinds should omit kinds that never occurred")
 	}
-	window := tr.CountKinds()
-	if window[EvSend] >= 9 {
-		t.Fatalf("CountKinds sends = %d; the wrapped ring should undercount the lifetime 9", window[EvSend])
-	}
-	if window[EvSend]+window[EvDrop] != int64(tr.Len()) {
-		t.Fatalf("CountKinds should sum to the retained window %d, got %v", tr.Len(), window)
+	if tr.Len() != 4 || tr.Dropped() != 6 {
+		t.Fatalf("len=%d dropped=%d, want the 4-event window after 6 evictions", tr.Len(), tr.Dropped())
 	}
 }
 

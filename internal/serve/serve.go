@@ -294,8 +294,9 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 		s.cache = newShardedCache(opts.CacheSize, cacheShards, s.evictions)
 	}
 	// Establish the initial quiescent snapshot (program-declared facts
-	// settle here) so reads never need to run the cluster.
-	s.lastEnd.Store(c.Run())
+	// settle here) so reads never need to run the cluster. No reader,
+	// writer or subscriber exists yet, so runLocked needs no lock.
+	s.runLocked()
 	go s.flusher()
 	if err := ctx.Err(); err != nil {
 		s.Close()
@@ -837,9 +838,13 @@ func (sub *Subscription) Close() {
 
 // runLocked runs the simulation to quiescence and fans out
 // derived-state diffs to subscribers, skipping every predicate whose
-// change counter did not move. Caller holds mu exclusively.
+// change counter did not move. It drops the engine's query-transition
+// log: the session answers from the derived view and never reads it,
+// and a long-lived session would otherwise keep every transition.
+// Caller holds mu exclusively.
 func (s *Session) runLocked() int64 {
 	end := s.c.Run()
+	s.c.Engine.ResultLog = nil
 	s.lastEnd.Store(end)
 	for pred, w := range s.watched {
 		ver := s.c.Engine.DerivedVersion(pred)

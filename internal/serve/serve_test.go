@@ -717,3 +717,37 @@ func TestCloseFlushesBufferedWrites(t *testing.T) {
 		t.Errorf("cluster reach/2 = %v, want the flushed fact derived", got)
 	}
 }
+
+// A session answers from the derived view and never reads the engine's
+// query-transition log, so it keeps none: after any number of synced
+// write cycles the log is empty, and core.results_logged still counts
+// every transition.
+func TestSessionKeepsNoResultLog(t *testing.T) {
+	s := openSession(t, reachSrc, Options{BatchDelay: -1})
+	ctx := context.Background()
+	if err := s.Inject(0, link("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := s.Inject(4, link("b", "c")); err != nil {
+			t.Fatal(err)
+		}
+		now, err := s.Sync(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteAt(now+1, 4, link("b", "c")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.Cluster().Engine.ResultLog); n != 0 {
+		t.Errorf("ResultLog holds %d transitions after 20 synced write cycles, want 0", n)
+	}
+	// reach(a, b) once, then reach(b, c) and reach(a, c) in and out per cycle.
+	if got := s.Cluster().Registry().Snapshot().Get("core.results_logged"); got != 1+20*4 {
+		t.Errorf("core.results_logged = %d, want %d", got, 1+20*4)
+	}
+}

@@ -73,8 +73,12 @@ func TestTraceEquivalenceE1(t *testing.T) {
 	if st.MaxNodeLoad != nw.MaxNodeLoad() {
 		t.Fatalf("MaxNodeLoad = %d, want %d", st.MaxNodeLoad, nw.MaxNodeLoad())
 	}
-	maxMem, avgMem := observed.Engine.MaxMemoryTuples()
-	if st.MaxMemory != maxMem || st.AvgMemory != avgMem {
+	maxMem, total := 0, 0
+	for _, n := range nw.Nodes() {
+		m := observed.Engine.StoredReplicas(n.ID) + observed.Engine.DerivationEntries(n.ID)
+		maxMem, total = max(maxMem, m), total+m
+	}
+	if avgMem := float64(total) / float64(nw.Len()); st.MaxMemory != maxMem || st.AvgMemory != avgMem {
 		t.Fatalf("memory stats diverged: (%d, %f) vs (%d, %f)", st.MaxMemory, st.AvgMemory, maxMem, avgMem)
 	}
 	for k, v := range nw.KindCounts {

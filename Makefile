@@ -38,15 +38,16 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay within 5 % of its allocation baseline (1.270 allocs/event, logged
+# stay within 5 % of its allocation baseline (1.240 allocs/event, logged
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (4.037) the same way,
+# node runtime's join path — to its own baseline (3.957) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (28 allocs).
 # TestReplicaHeapBytes holds the heap a windowed E1 m=18 run retains at
-# quiescence, per stored replica, to its baseline (339.8 B) the same way.
+# quiescence over the same deployment left idle, per injected tuple, to
+# its baseline (1,945 B) the same way.
 # TestJoinPathAllocations pins the join path where the cost is paid: one
 # extension is one allocation, a whole local-mode join phase allocates
 # only its candidate (its partials come from the engine's slab, released

@@ -129,7 +129,7 @@ func BenchmarkE11Aggregation(b *testing.B) {
 
 func BenchmarkE12Lifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl := experiments.E12Lifetime(8, 500, 60)
+		tbl := experiments.E12Lifetime(8, 400, 60)
 		if len(tbl.Rows()) != 3 {
 			b.Fatal("unexpected table shape")
 		}

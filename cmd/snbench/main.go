@@ -135,7 +135,7 @@ func main() {
 			return experiments.E11Aggregation([]int{6})
 		}},
 		{"E12", func() *metrics.Table {
-			return experiments.E12Lifetime(pick(10, 8), 500, pick(150, 60))
+			return experiments.E12Lifetime(pick(10, 8), 400, pick(150, 60))
 		}},
 		{"E13", func() *metrics.Table {
 			if full {

@@ -152,8 +152,13 @@ type Engine struct {
 	// termination test, which every walker hop performs.
 	router *routing.Engine
 
-	rules     []*compiledRule
-	triggers  map[string][]trigger // predKey -> triggers
+	rules    []*compiledRule
+	triggers map[string][]trigger // predKey -> triggers
+	// read holds the predicates some rule body reads: every trigger's,
+	// positive or negated, and every aggregate rule's relational subgoal.
+	// Only these have a storage region (launch); a generation of any other
+	// predicate is stored nowhere and starts no join phase.
+	read      map[string]bool
 	hasher    *ghash.Hasher
 	planner   *gpa.Planner
 	nodeTerms map[string]nsim.NodeID // term key -> node
@@ -276,6 +281,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		cfg:          cfg,
 		router:       routing.NewEngine(nw),
 		triggers:     make(map[string][]trigger),
+		read:         make(map[string]bool),
 		hasher:       ghash.ForNetwork(nw),
 		planner:      gpa.NewPlanner(nw, cfg.Scheme),
 		nodeTerms:    make(map[string]nsim.NodeID),
@@ -334,12 +340,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 			e.windows[p] = cfg.DefaultWindow
 		}
 	}
-	for p, w := range e.windows {
-		if w > 0 {
-			e.windowPreds = append(e.windowPreds, p)
-		}
-	}
-	sort.Strings(e.windowPreds)
 
 	e.knownPreds = make(map[string]bool, len(allPreds))
 	for p := range allPreds {
@@ -377,11 +377,26 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.scratch = newJoinScratch(e.maxVars)
+	// Only a predicate some rule reads is ever stored, so only those have
+	// a retention for the stores to know.
+	for p, w := range e.windows {
+		if w > 0 && e.read[p] {
+			e.windowPreds = append(e.windowPreds, p)
+		}
+	}
+	sort.Strings(e.windowPreds)
 
-	// Attach runtimes.
+	// Attach runtimes. Their storage and join plans serve the hash-placed
+	// predicates rules read; without one, no node needs them.
+	hashRead := false
+	for p := range e.read {
+		if _, placed := e.placements[p]; !placed {
+			hashRead = true
+		}
+	}
 	e.rts = make([]*nodeRT, nw.Len())
 	for _, n := range nw.Nodes() {
-		rt := newNodeRT(e, n)
+		rt := newNodeRT(e, n, hashRead)
 		e.rts[n.ID] = rt
 		n.App = rt
 	}
@@ -391,6 +406,11 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 // compileRules classifies each rule and builds the trigger index.
 func (e *Engine) compileRules() error {
 	for _, r := range e.prog.Rules {
+		for _, l := range r.Body {
+			if !l.Builtin {
+				e.read[l.PredKey()] = true
+			}
+		}
 		if len(r.Body) == 0 {
 			continue // facts are injected at start
 		}

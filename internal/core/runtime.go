@@ -253,6 +253,8 @@ type nodeRT struct {
 	store *window.Store
 	seq   int64
 	dedup routing.Dedup[floodKey]
+	// plans is nil on an engine whose rules read no hash-placed predicate.
+	plans *nodePlans
 
 	// homed is the home-node state for derived tuples (Definition 2), by
 	// tuple key. A record exists exactly while its derivation set is
@@ -328,20 +330,39 @@ type homed struct {
 	derivs map[string]bool // the derivation keys that support it
 }
 
+// nodePlans is a node's storage and join-computation plans, computed once:
+// they depend only on the node and the engine's planner, both fixed in New.
+type nodePlans struct {
+	storage, join gpa.Plan
+	// sweeps is the join column walked both ways from the node: one sweep
+	// leg toward each end of join's legs, each leg its own walker
+	// (sweepBothWays).
+	sweeps [2]gpa.Leg
+}
+
 // pendingCand is a buffered candidate with its deadline.
 type pendingCand struct {
 	c  *candR
 	at nsim.Time
 }
 
-func newNodeRT(e *Engine, n *nsim.Node) *nodeRT {
-	return &nodeRT{
+func newNodeRT(e *Engine, n *nsim.Node, withPlans bool) *nodeRT {
+	rt := &nodeRT{
 		e:           e,
 		node:        n,
 		store:       e.newStore(),
 		homed:       make(map[string]*homed),
 		aggSessions: make(map[string]*aggSession),
 	}
+	if withPlans {
+		p := &nodePlans{storage: e.planner.Storage(n), join: e.planner.Join(n)}
+		if legs := p.join.Legs; len(legs) == 2 {
+			p.sweeps = [2]gpa.Leg{legs[0], legs[1]}
+			p.sweeps[0].Sweep, p.sweeps[1].Sweep = true, true
+		}
+		rt.plans = p
+	}
+	return rt
 }
 
 // Init implements nsim.Handler.
@@ -454,6 +475,9 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 // idempotent by stamp and derivation keys are stamp-determined, so a
 // re-launch repairs lost state without creating divergent duplicates).
 func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, tau window.Stamp) {
+	if !rt.e.read[t.Pred] {
+		return // no rule reads it: nothing to store, nothing to join
+	}
 	// Storage phase.
 	rt.applyStoreLocal(t, id, delStamp)
 	if pl, ok := rt.e.placements[t.Pred]; ok {
@@ -490,7 +514,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 			}
 			return // no per-source join phase in the centralized scheme
 		default:
-			plan := rt.e.planner.Storage(rt.node)
+			plan := &rt.plans.storage
 			switch {
 			case plan.Band != nil:
 				sm := &storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1, Band: plan.Band}
@@ -501,12 +525,14 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 			case plan.Local:
 				// already stored locally
 			default:
-				for _, leg := range plan.Legs {
-					sm := &storeMsg{
-						Tuple: t, ID: id, Del: delStamp,
-						Legs:    []gpa.Leg{leg},
-						Visited: rt.walkFor(leg),
-					}
+				// Each leg is its own walker: the walkers are one allocation,
+				// and so are their paths.
+				legs := plan.Legs
+				ws, buf := make([]storeMsg, len(legs)), rt.pathBuf(legs)
+				for i := range ws {
+					sm := &ws[i]
+					*sm = storeMsg{Tuple: t, ID: id, Del: delStamp, Legs: legs[i : i+1]}
+					sm.Visited, buf = rt.startPath(buf, legs[i])
 					rt.forwardStore(sm)
 				}
 			}
@@ -547,14 +573,34 @@ type floodKey struct {
 // benchmark workloads paths run from 2 nodes (a one-hop result) to over
 // 100 (a result crossing a 64x64 grid).
 func (rt *nodeRT) walkFor(legs ...gpa.Leg) []nsim.NodeID {
+	return append(make([]nsim.NodeID, 0, rt.pathCap(legs...)), rt.node.ID)
+}
+
+// pathCap is the capacity walkFor gives the path of a walk along legs.
+func (rt *nodeRT) pathCap(legs ...gpa.Leg) int {
 	x, y := rt.node.X, rt.node.Y
 	var d float64
 	for _, l := range legs {
 		d = max(d, math.Abs(l.TargetX-x)+math.Abs(l.TargetY-y))
 		x, y = l.TargetX, l.TargetY
 	}
-	n := min(int(d/rt.e.nw.Config().Range)+2, rt.e.nw.Len())
-	return append(make([]nsim.NodeID, 0, n), rt.node.ID)
+	return min(int(d/rt.e.nw.Config().Range)+2, rt.e.nw.Len())
+}
+
+// pathBuf is one backing array for the paths of walkers leaving this
+// node, one walker per leg; startPath cuts each path from it with the
+// capacity walkFor would give it alone.
+func (rt *nodeRT) pathBuf(legs []gpa.Leg) []nsim.NodeID {
+	n := 0
+	for _, l := range legs {
+		n += rt.pathCap(l)
+	}
+	return make([]nsim.NodeID, 0, n)
+}
+
+func (rt *nodeRT) startPath(buf []nsim.NodeID, l gpa.Leg) (path, rest []nsim.NodeID) {
+	c := rt.pathCap(l)
+	return append(buf[:0:c], rt.node.ID), buf[c:c]
 }
 
 // atTarget answers the walker termination test through the engine's
@@ -708,7 +754,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		rt.forwardJoin(jm)
 		return
 	}
-	plan := rt.e.planner.Join(rt.node)
+	plan := &rt.plans.join
 	switch {
 	case plan.Band != nil:
 		jm := &joinMsg{
@@ -727,9 +773,13 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		rt.floodJoin(jm)
 	default:
 		if rt.e.cfg.MultiPass {
-			for _, p := range hashPartials {
-				rt.launchMultiPass(p, rec, plan)
+			for i := range hashPartials {
+				rt.launchMultiPass(hashPartials[i:i+1:i+1], rec)
 			}
+			return
+		}
+		if oneProbe(hashPartials) {
+			rt.sweepBothWays(hashPartials, rec)
 			return
 		}
 		jm := &joinMsg{
@@ -1352,8 +1402,7 @@ func (rt *nodeRT) processJoinHere(jm *joinMsg) {
 				skip = rt.pinnedNegIdx(p, rec)
 			}
 			negFromStart := p.negGroundAtSeed
-			if len(p.cr.negIdx) == 0 || (p.pinned < 0 && len(p.cr.negIdx) == 1) {
-				// No (remaining) negation to check across the region.
+			if !p.regionNeg() {
 				if !rt.negMatchLocal(p.cr, p.b, jm.Tau, skip) {
 					if c, ok := rt.mkCand(p, rec, true); ok {
 						rt.routeCand(c)
@@ -1500,16 +1549,65 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 	}
 }
 
-// launchMultiPass starts a one-rule multi-pass walker.
-func (rt *nodeRT) launchMultiPass(p *partialR, rec *updateRec, plan gpa.Plan) {
+// launchMultiPass starts a one-rule multi-pass walker for the one partial
+// in p. A partial one probe from complete needs a single pass, and that
+// pass is the two-way sweep the one-pass scheme makes of it.
+func (rt *nodeRT) launchMultiPass(p []*partialR, rec *updateRec) {
+	if oneProbe(p) {
+		rt.sweepBothWays(p, rec)
+		return
+	}
+	legs := rt.plans.join.Legs
 	jm := &joinMsg{
 		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-		Partials: []*partialR{p},
-		Legs:     plan.Legs,
-		Visited:  rt.walkFor(plan.Legs...),
-		PassRule: p.cr, PassPin: p.pinned,
+		Partials: p,
+		Legs:     legs,
+		Visited:  rt.walkFor(legs...),
+		PassRule: p[0].cr, PassPin: p[0].pinned,
 	}
 	rt.forwardJoin(jm)
+}
+
+// oneProbe reports whether every partial is one probe from complete:
+// exactly one positive subgoal is left and no negation has to be checked
+// across the region. A node's probe then emits whatever it completes and
+// passes on the partials as they came, so no node's probe depends on
+// another's, and the order the column is visited in does not matter.
+func oneProbe(partials []*partialR) bool {
+	for _, p := range partials {
+		if bits.OnesCount64(p.cr.posMask&^p.bound) != 1 || p.regionNeg() {
+			return false
+		}
+	}
+	return true
+}
+
+// regionNeg reports whether p's candidates must be checked across the
+// region against a negated subgoal: one the update did not pin.
+func (p *partialR) regionNeg() bool {
+	n := len(p.cr.negIdx)
+	return n > 0 && !(p.pinned < 0 && n == 1)
+}
+
+// sweepBothWays is the join phase of partials one probe from complete
+// (oneProbe): the source probes once, then one walker sweeps from it
+// toward each end of the column, instead of a seek leg that probes
+// nothing followed by one sweep. The walkers are one allocation, and so
+// are their paths; they share the partials, which saturate never extends
+// in place (their capacity is their length).
+func (rt *nodeRT) sweepBothWays(partials []*partialR, rec *updateRec) {
+	legs := rt.plans.sweeps[:]
+	ws, buf := make([]joinMsg, len(legs)), rt.pathBuf(legs)
+	src := joinMsg{Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del, Partials: partials}
+	rt.processJoinHere(&src)
+	n := len(src.Partials)
+	for i := range ws {
+		jm := &ws[i]
+		*jm = src
+		jm.Partials, jm.Legs = src.Partials[:n:n], legs[i:i+1]
+		jm.Visited, buf = rt.startPath(buf, legs[i])
+		rt.forwardJoin(jm)
+	}
 }
 
 // expire lazily reclaims replicas past their retention. The store knows

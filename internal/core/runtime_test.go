@@ -310,7 +310,7 @@ func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 	if !ok {
 		t.Fatal("r seed did not match")
 	}
-	legs := e.planner.Join(rt.node).Legs
+	legs := rt.plans.join.Legs
 	jm := &joinMsg{
 		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Partials: []*partialR{p},
 		Legs: legs, Visited: rt.walkFor(legs...),
@@ -336,9 +336,10 @@ func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 
 // A walker's path is sized for the longest leg it walks, so on a grid it
 // never outgrows its one allocation: every storage and join walk of a
-// Perpendicular 16x16 grid, and a result walk between any two nodes, fit
-// the capacity walkFor gives them (as launch, joinPhase and
-// forwardResult call it).
+// Perpendicular 16x16 grid, two-way join sweeps included, and a result
+// walk between any two nodes, fit the capacity walkFor gives them (as
+// launch, joinPhase and forwardResult call it; startPath cuts the same
+// capacity from a walker pair's shared array).
 func TestWalkerPathFitsItsLegs(t *testing.T) {
 	m := 16
 	nw := topo.Grid(m, nsim.Config{Seed: 1})
@@ -359,10 +360,13 @@ func TestWalkerPathFitsItsLegs(t *testing.T) {
 		}
 	}
 	for _, rt := range e.rts {
-		for _, l := range e.planner.Storage(rt.node).Legs {
+		for _, l := range rt.plans.storage.Legs {
 			fits("storage", rt, []gpa.Leg{l}) // each leg is its own walker
 		}
-		fits("join", rt, e.planner.Join(rt.node).Legs)
+		fits("join", rt, rt.plans.join.Legs)
+		for _, l := range rt.plans.sweeps {
+			fits("two-way join", rt, []gpa.Leg{l}) // so is each sweep
+		}
 		for _, to := range nw.Nodes() {
 			fits("result", rt, []gpa.Leg{{TargetX: to.X, TargetY: to.Y}})
 		}

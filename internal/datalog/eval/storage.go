@@ -33,28 +33,41 @@ type table struct {
 
 // Index is the hash index over a set of argument positions that both the
 // centralized tables and the window store's replica tables probe. Instead
-// of a map of materialized key strings it keeps chained parallel arrays:
-// a probe hashes the joint length-prefixed key bytes of the bound values
+// of a map of materialized key strings it keeps chained entries: a probe
+// hashes the joint length-prefixed key bytes of the bound values
 // (AppendBoundCols, ArgKey) and walks the chain of that hash bucket,
 // yielding candidate slots in ascending insertion order (entries append
 // at the chain tail, so chains stay sorted). A slot is whatever position
-// the owning table files the tuple under. The full 64-bit key hash stored
-// per entry filters cross-key collisions; two keys with the same hash
-// share candidates, so callers re-verify every candidate by term matching
-// and a surviving collision costs one extra match attempt, never a wrong
-// result.
+// the owning table files the tuple under. The key hash, folded to 32
+// bits, is stored per entry: its low bits pick the bucket, and the rest
+// filter cross-key collisions within it. Two keys with the same folded
+// hash share candidates, so callers re-verify every candidate by term
+// matching and a surviving collision costs one extra match attempt, never
+// a wrong result. The header holds the column set of an index over up to
+// inlineCols positions, so an index is three allocations: the header, the
+// bucket array and the 12-byte entries.
 type Index struct {
 	cols []int
 	mask uint32 // bucket count - 1; buckets sized to a power of two
 	// ht packs head and tail per hash bucket: ht[2b] is the first entry
 	// of bucket b (-1 = empty), ht[2b+1] the last (for O(1) ordered
 	// appends).
-	ht []int32
-	// ent packs the entries: ent[2e] is the table slot (ascending within
-	// each chain), ent[2e+1] the next entry in the same bucket (-1 end).
-	ent  []int32
-	hash []uint64 // entry -> full key hash
+	ht  []int32
+	ent []indexEntry
+	// colArr backs cols when the index is over at most inlineCols
+	// positions.
+	colArr [inlineCols]int
 }
+
+// indexEntry is one filed slot: its table slot (ascending within each
+// chain), the next entry in the same bucket (-1 ends the chain) and the
+// folded hash of its key.
+type indexEntry struct {
+	slot, next int32
+	hash       uint32
+}
+
+const inlineCols = 4
 
 // NewIndex returns an empty index over the (ascending) positions cols,
 // sized for live entries. cols may alias a caller's scratch buffer; it
@@ -65,12 +78,16 @@ func NewIndex(cols []int, live int) *Index {
 		n *= 2
 	}
 	ix := &Index{
-		cols: append([]int(nil), cols...),
 		mask: uint32(n - 1),
 		ht:   make([]int32, 2*n),
-		ent:  make([]int32, 0, 2*live),
-		hash: make([]uint64, 0, live),
+		ent:  make([]indexEntry, 0, live),
 	}
+	if len(cols) <= inlineCols {
+		ix.cols = ix.colArr[:len(cols)]
+	} else {
+		ix.cols = make([]int, len(cols))
+	}
+	copy(ix.cols, cols)
 	for i := range ix.ht {
 		ix.ht[i] = -1
 	}
@@ -86,13 +103,14 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func hashKeyBytes(b []byte) uint64 {
+// hashKeyBytes is the FNV-1a hash of b folded to 32 bits.
+func hashKeyBytes(b []byte) uint32 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime64
 	}
-	return h
+	return uint32(h ^ h>>32)
 }
 
 // Add files slot (which must exceed every slot already present) under
@@ -105,20 +123,19 @@ func (ix *Index) Add(args []ast.Term, slot int) {
 		k, tmp = appendArgKey(k, tmp, args[c])
 	}
 	h := hashKeyBytes(k)
-	e := int32(len(ix.hash))
-	ix.ent = append(ix.ent, int32(slot), -1)
-	ix.hash = append(ix.hash, h)
+	e := int32(len(ix.ent))
+	ix.ent = append(ix.ent, indexEntry{slot: int32(slot), next: -1, hash: h})
 	ix.link(e, h)
-	if len(ix.hash) > len(ix.ht) {
+	if len(ix.ent) > len(ix.ht) {
 		ix.rehash()
 	}
 }
 
 // link appends entry e to the tail of its hash bucket's chain.
-func (ix *Index) link(e int32, h uint64) {
-	b := 2 * (uint32(h) & ix.mask)
+func (ix *Index) link(e int32, h uint32) {
+	b := 2 * (h & ix.mask)
 	if t := ix.ht[b+1]; t >= 0 {
-		ix.ent[2*t+1] = e
+		ix.ent[t].next = e
 	} else {
 		ix.ht[b] = e
 	}
@@ -130,7 +147,7 @@ func (ix *Index) link(e int32, h uint64) {
 // slot order within every chain.
 func (ix *Index) rehash() {
 	n := len(ix.ht) // bucket count was n/2; double it
-	for n < len(ix.hash) {
+	for n < len(ix.ent) {
 		n *= 2
 	}
 	ix.mask = uint32(n - 1)
@@ -138,9 +155,9 @@ func (ix *Index) rehash() {
 	for i := range ix.ht {
 		ix.ht[i] = -1
 	}
-	for e := range ix.hash {
-		ix.ent[2*e+1] = -1
-		ix.link(int32(e), ix.hash[e])
+	for e := range ix.ent {
+		ix.ent[e].next = -1
+		ix.link(int32(e), ix.ent[e].hash)
 	}
 }
 
@@ -149,24 +166,23 @@ func (ix *Index) rehash() {
 type IndexIter struct {
 	ix *Index
 	e  int32
-	h  uint64
+	h  uint32
 }
 
 // Probe starts a walk over the slots filed under key (the encoding of
 // ArgKey and AppendBoundCols), plus those of any other key with the same
-// 64-bit hash.
+// folded hash.
 func (ix *Index) Probe(key []byte) IndexIter {
 	h := hashKeyBytes(key)
-	return IndexIter{ix: ix, e: ix.ht[2*(uint32(h)&ix.mask)], h: h}
+	return IndexIter{ix: ix, e: ix.ht[2*(h&ix.mask)], h: h}
 }
 
 // Next returns the next candidate slot in insertion order.
 func (it *IndexIter) Next() (int, bool) {
 	for it.e >= 0 {
-		e := it.e
-		it.e = it.ix.ent[2*e+1]
-		if it.ix.hash[e] == it.h {
-			return int(it.ix.ent[2*e]), true
+		e := &it.ix.ent[it.e]
+		if it.e = e.next; e.hash == it.h {
+			return int(e.slot), true
 		}
 	}
 	return 0, false

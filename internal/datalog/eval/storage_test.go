@@ -187,8 +187,8 @@ func TestIndexProbeOrder(t *testing.T) {
 var slotSink int
 
 // TestIndexAllocs pins what the index costs a centralized table. A build
-// allocates the index, its copy of the positions, the three arrays and
-// the table's list of indexes — the same handful at 16 and at 256 live
+// allocates the index (its positions inline), its bucket and entry arrays
+// and the table's list of indexes — the same four at 16 and at 256 live
 // tuples, because nothing is materialized per tuple. Finding a built
 // two-position index (no signature is rendered to look it up) and
 // probing it allocate nothing.
@@ -209,8 +209,8 @@ func TestIndexAllocs(t *testing.T) {
 	}
 	tab := fill(256)
 	small, large := build(fill(16)), build(tab)
-	if small != large || large > 6 {
-		t.Errorf("building an index allocates %v objects over 16 tuples and %v over 256, want the same and <= 6", small, large)
+	if small != large || large > 4 {
+		t.Errorf("building an index allocates %v objects over 16 tuples and %v over 256, want the same and <= 4", small, large)
 	}
 	key := []byte(ArgKey(tab.slots[40].t.Args, cols))
 	if n := testing.AllocsPerRun(100, func() {

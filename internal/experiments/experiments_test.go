@@ -180,7 +180,7 @@ func TestE10ShapeMagicPrunes(t *testing.T) {
 }
 
 func TestE12ShapePASurvivesSinkSchemesDie(t *testing.T) {
-	rows := E12Lifetime(10, 500, 150).Rows()
+	rows := E12Lifetime(10, 400, 150).Rows()
 	// PA, centroid, centralized.
 	if rows[0][1] != "never" || rows[0][2] != "0" {
 		t.Errorf("PA should survive: %v", rows[0])

@@ -89,8 +89,9 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 // observability off (EXPERIMENTS.md E13). The three obs-guard tests
 // measure exactly this loop and allow 5 % over it: the count is
 // deterministic but for map-growth jitter, and one extra allocation on
-// any per-message path is +1/event.
-const e1AllocBaseline = 1.270
+// any per-message path is +1/event. It was 1.270 before unread heads
+// lost their storage region and walkers their per-update plans.
+const e1AllocBaseline = 1.240
 
 // guardE1Allocs runs the prepared E1 network to quiescence and fails if
 // the run allocated more than the baseline allows.
@@ -126,9 +127,10 @@ func guardAllocs(t *testing.T, path string, baseline float64, run func() *nsim.N
 // bound variable, a term per D + 1, a key per partial) is several
 // allocations per event here (13.75 before partials were register files)
 // and fails tier-1. It was 6.089 before replica entries came from one
-// arena per engine, and 5.823 before a local expansion's partials came
-// from the engine's slab.
-const sptAllocBaseline = 4.037
+// arena per engine, 5.823 before a local expansion's partials came from
+// the engine's slab, and 4.037 before an index kept its entries in one
+// slice and its positions in its header.
+const sptAllocBaseline = 3.957
 
 func TestJoinAllocsSPT(t *testing.T) {
 	guardAllocs(t, "spt-join", sptAllocBaseline, func() *nsim.Network {
@@ -138,38 +140,51 @@ func TestJoinAllocsSPT(t *testing.T) {
 }
 
 // replicaHeapBaseline is what the windowed E1 m=18 run of
-// TestReplicaHeapBytes retains on the heap per stored replica after
-// quiescence: the whole engine and network divided by the replicas the
-// nodes' stores hold, so a store whose bookkeeping outgrows its replicas
-// (a per-table slab, a map that never shrinks, per-index scratch)
-// shows up here. It was 707.7 B with per-table slabs and a Go map per
-// table.
-const replicaHeapBaseline = 339.8
+// TestReplicaHeapBytes retains on the heap at quiescence per injected
+// base tuple, over what the same deployment retains with nothing
+// injected: the replicas the stores hold (18 per tuple on this grid),
+// their bookkeeping, and the derivation state the tuples leave. A store
+// whose bookkeeping outgrows its replicas (a per-table slab, a map that
+// never shrinks, per-index scratch) shows up here, and so does a change
+// that stores fewer replicas for the same input. The input is fixed, so
+// the figure no longer rises when replicas go unstored: read per stored
+// replica at quiescence it was 339.8 B (707.7 B with per-table slabs and
+// a Go map per table), and 692.5 B once unread heads lost their storage
+// region, with the whole retained heap down 2.53 → 2.10 MB. The same
+// formula read 2,593 B per tuple before that change.
+const replicaHeapBaseline = 1945.0
 
-// TestReplicaHeapBytes holds the retained heap per stored replica of a
+// TestReplicaHeapBytes holds the retained heap per injected tuple of a
 // windowed two-stream join, run long enough for expiry to recycle slots,
 // to its baseline + 5 %: a count, no wall clock.
 func TestReplicaHeapBytes(t *testing.T) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	e, nw := deployGrid(18, winSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
-	injectJoinWorkload(e, nw, 400, 17)
-	nw.Run(0)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	replicas := 0
-	for id := 0; id < nw.Len(); id++ {
-		replicas += e.StoredReplicas(nsim.NodeID(id))
+	const pairs = 400
+	retained := func(k int) (heap int64, replicas int) {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, nw := deployGrid(18, winSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
+		if k > 0 {
+			injectJoinWorkload(e, nw, k, 17)
+		}
+		nw.Run(0)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		for id := 0; id < nw.Len(); id++ {
+			replicas += e.StoredReplicas(nsim.NodeID(id))
+		}
+		runtime.KeepAlive(e)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), replicas
 	}
-	runtime.KeepAlive(e)
+	idle, _ := retained(0)
+	busy, replicas := retained(pairs)
 	if replicas == 0 {
 		t.Fatal("no replicas stored at quiescence")
 	}
-	perReplica := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(replicas)
-	t.Logf("windowed E1: %.1f retained heap B/replica over %d replicas", perReplica, replicas)
-	if perReplica > replicaHeapBaseline*1.05 {
-		t.Errorf("windowed E1 retains %.1f B/replica, baseline is %.1f + 5 %%", perReplica, replicaHeapBaseline)
+	perTuple := float64(busy-idle) / (2 * pairs)
+	t.Logf("windowed E1: %.1f B retained per injected tuple over the idle deployment's %d B (%d replicas at quiescence)", perTuple, idle, replicas)
+	if perTuple > replicaHeapBaseline*1.05 {
+		t.Errorf("windowed E1 retains %.1f B per injected tuple over its idle deployment, baseline is %.1f + 5 %%", perTuple, replicaHeapBaseline)
 	}
 }
 

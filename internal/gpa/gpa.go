@@ -165,7 +165,10 @@ func (p *Planner) Join(n *nsim.Node) Plan {
 		lo, hi := p.clip(n.Y, p.minY, p.maxY)
 		return Plan{Legs: []Leg{
 			// Seek to one end of the vertical line, then one sweep pass
-			// to the other end (the paper's one-pass scheme).
+			// to the other end (the paper's one-pass scheme). When no
+			// partial has to accumulate over the column, the engine
+			// instead sweeps from n toward both ends, one walker per
+			// end: the same nodes, each once, without the seek.
 			{TargetX: n.X, TargetY: lo, Sweep: false},
 			{TargetX: n.X, TargetY: hi, Sweep: true},
 		}}

@@ -456,7 +456,7 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 // It probes the (lazily built) position index unless no positions are
 // bound or the table is below indexMinTable; the result is always an
 // insertion-order subsequence of Visible, so callers behave identically
-// either way. A probe compares 64-bit key hashes, not keys, so on a hash
+// either way. A probe compares 32-bit key hashes, not keys, so on a hash
 // collision the result is a superset of the matching entries (and a scan
 // returns every visible entry): callers re-match each entry against
 // their literal. out is caller-owned scratch — reusing it across probes

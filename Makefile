@@ -44,7 +44,11 @@ serve-smoke:
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
 # node runtime's join path — to its own baseline (3.957) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
-# (client encode, server, client decode) to its baseline (28 allocs).
+# (client encode, server, client decode) to its baseline (8 allocs).
+# TestQueryAllocs pins the server's share in-process: a Session.query
+# hit makes at most 1 allocation (the goal's argument slice), Query adds
+# only the answer copy, and a cache-off miss of each BenchmarkColdQuery
+# shape (bf, fb, bb) stays under 20.
 # TestReplicaHeapBytes holds the heap a windowed E1 m=18 run retains at
 # quiescence over the same deployment left idle, per injected tuple, to
 # its baseline (1,945 B) the same way.
@@ -54,7 +58,7 @@ serve-smoke:
 # and zeroed on return), and a seen flood frame costs nothing.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
-	$(GO) test -run 'TestHotQueryAllocs' -v ./internal/serve/
+	$(GO) test -run 'TestHotQueryAllocs|TestQueryAllocs' -v ./internal/serve/
 	$(GO) test -run TestJoinPathAllocations -v ./internal/core/
 
 # End-to-end smoke of the live-telemetry surface: a serving session with
@@ -65,12 +69,14 @@ obs-export-smoke:
 	$(GO) test -run 'TestObsExportSmoke' -count=1 -v ./internal/obs/export/
 
 # Short coverage-guided fuzz passes: the Datalog front-end (Parse must
-# never panic, accepted programs round-trip) and the serve wire codec
+# never panic, accepted programs round-trip; the byte-offset lexer gives
+# the rune lexer's tokens and errors) and the serve wire codec
 # (newline-delimited JSON requests/responses, error codes and facts
 # round-trip; no input wedges the decoder). The 5s budgets are smoke
 # tests; run with a longer -fuzztime to actually hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog/parser -run '^$$' -fuzz FuzzParse -fuzztime 5s
+	$(GO) test ./internal/datalog/parser -run '^$$' -fuzz FuzzLexer -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWire -fuzztime 5s
 
 # CPU + heap profiles of the two headline hot loops (the E1 join

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,25 +21,14 @@ import (
 // Failures wrap the validation sentinels: ErrBadGoal (not a plain
 // positive literal), ErrBasePredicate, ErrArity, ErrUnknownPredicate.
 func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
-	src := strings.TrimSpace(goal)
-	if !strings.HasSuffix(src, ".") {
-		src += "."
-	}
-	r, err := parser.ParseRule(src)
+	lit, err := parser.ParseLiteral(strings.TrimSpace(goal))
 	if err != nil {
 		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q: %v", goal, err)
 	}
-	if len(r.Body) != 0 || r.HasAggregates() {
-		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q must be a single literal, not a rule", goal)
-	}
-	lit := r.Head
-	if lit.Negated || lit.Builtin {
-		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q must be a positive relational literal", goal)
-	}
-	key := lit.PredKey()
-	if prog.IsDerived(key) {
+	if prog.IsDerived(lit.PredKey()) {
 		return lit, nil
 	}
+	key := lit.PredKey()
 	known := KnownPredKeys(prog) // only a rejection needs the full set
 	if known[key] {
 		// Mentioned but not derived: declared .base or an undeclared
@@ -77,14 +67,13 @@ func KnownPredKeys(prog *ast.Program) map[string]bool {
 // MatchGoal filters tuples to those the goal literal matches: ground
 // goal arguments must be equal, variables bind (consistently — a
 // repeated variable must match equal arguments). Input order is
-// preserved.
+// preserved. It matches with a unify.Pattern, as Database.Match does,
+// allocating no binding per tuple.
 func MatchGoal(goal ast.Literal, tuples []eval.Tuple) []eval.Tuple {
+	pat := unify.NewPattern(goal.Args)
 	out := make([]eval.Tuple, 0, len(tuples))
 	for _, t := range tuples {
-		if len(t.Args) != len(goal.Args) {
-			continue
-		}
-		if _, ok := unify.MatchArgs(goal.Args, t.Args, unify.Subst{}); ok {
+		if pat.Match(t.Args) {
 			out = append(out, t)
 		}
 	}
@@ -95,31 +84,66 @@ func MatchGoal(goal ast.Literal, tuples []eval.Tuple) []eval.Tuple {
 // literal: ground arguments render as their tuple-key encoding and
 // variables are renamed by first occurrence, so "path(n0, X)" and
 // "path(n0, Y)" share an identity but "p(X, X)" and "p(X, Y)" do not.
-// The serving layer uses it as the result-cache key.
+// It is AppendCanonicalGoal's string form.
 func CanonicalGoal(goal ast.Literal) string {
-	names := make(map[string]int)
-	var b []byte
-	b = append(b, goal.PredKey()...)
+	var buf [64]byte
+	return string(AppendCanonicalGoal(buf[:0], goal))
+}
+
+// AppendCanonicalGoal appends goal's canonical identity (CanonicalGoal)
+// to b. The serving layer renders it into a stack buffer as the result-
+// cache key, so a cache hit builds no key string. Variables are renamed
+// from a table on the stack while a goal has few, and through a map
+// past that, so the cost stays linear in the goal's size.
+func AppendCanonicalGoal(b []byte, goal ast.Literal) []byte {
+	var nameArr [8]string
+	vars := varIDs{names: nameArr[:0]}
+	b = append(b, goal.Predicate...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(len(goal.Args)), 10)
 	b = append(b, '|')
 	for i, a := range goal.Args {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendCanonicalTerm(b, a, names)
+		b, vars = appendCanonicalTerm(b, a, vars)
 	}
-	return string(b)
+	return b
 }
 
-func appendCanonicalTerm(b []byte, t ast.Term, names map[string]int) []byte {
+// varIDs numbers a goal's variables by first occurrence: a variable's
+// id is its index in names.
+type varIDs struct {
+	names []string
+	index map[string]int // name -> id; nil while names fits its table
+}
+
+// appendCanonicalTerm appends t with its variables numbered, returning
+// vars with t's new ones added.
+func appendCanonicalTerm(b []byte, t ast.Term, vars varIDs) ([]byte, varIDs) {
 	switch t.Kind {
 	case ast.KindVar:
-		id, ok := names[t.Str]
-		if !ok {
-			id = len(names)
-			names[t.Str] = id
+		id := -1
+		if vars.index != nil {
+			if i, ok := vars.index[t.Str]; ok {
+				id = i
+			}
+		} else {
+			id = slices.Index(vars.names, t.Str)
+		}
+		if id < 0 {
+			id, vars.names = len(vars.names), append(vars.names, t.Str)
+			if vars.index != nil {
+				vars.index[t.Str] = id
+			} else if len(vars.names) > 8 {
+				vars.index = make(map[string]int, 2*len(vars.names))
+				for i, name := range vars.names {
+					vars.index[name] = i
+				}
+			}
 		}
 		b = append(b, '$')
-		return strconv.AppendInt(b, int64(id), 10)
+		return strconv.AppendInt(b, int64(id), 10), vars
 	case ast.KindCompound:
 		b = append(b, t.Str...)
 		b = append(b, '(')
@@ -127,10 +151,10 @@ func appendCanonicalTerm(b []byte, t ast.Term, names map[string]int) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendCanonicalTerm(b, a, names)
+			b, vars = appendCanonicalTerm(b, a, vars)
 		}
-		return append(b, ')')
+		return append(b, ')'), vars
 	default:
-		return t.AppendKey(b)
+		return t.AppendKey(b), vars
 	}
 }

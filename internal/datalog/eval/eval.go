@@ -194,25 +194,32 @@ func (db *Database) Tuples(pred string) []Tuple {
 // ground positions probe the table's hash index over exactly those
 // columns (built on first use — the one mutation a read can cause, so
 // concurrent callers serialise); a goal with none scans. Every
-// candidate is re-verified by matching, as at any other Index probe.
+// candidate is re-verified by a unify.Pattern, which matches on
+// registers as the node runtime does, so a candidate allocates nothing.
 func (db *Database) Match(goal ast.Literal) []Tuple {
 	tab := db.tables[goal.PredKey()]
 	if tab == nil {
 		return nil
 	}
+	pat := unify.NewPattern(goal.Args)
 	var out []Tuple
 	try := func(sl *slot) {
-		if sl.dead {
-			return
-		}
-		if _, ok := unify.MatchArgs(goal.Args, sl.t.Args, unify.Subst{}); ok {
+		if !sl.dead && pat.Match(sl.t.Args) {
 			out = append(out, sl.t)
 		}
 	}
+	// A goal binds nothing before its probe: its key is its ground
+	// arguments.
 	var colArr [8]int
 	var keyArr [64]byte
 	var tmpArr [48]byte
-	cols, key, _ := AppendBoundCols(colArr[:0], keyArr[:0], tmpArr[:0], goal.Args, unify.Subst{})
+	cols, key, tmp := colArr[:0], keyArr[:0], tmpArr[:0]
+	for j, a := range goal.Args {
+		if a.Ground() {
+			cols = append(cols, j)
+			key, tmp = appendArgKey(key, tmp, a)
+		}
+	}
 	if len(cols) > 0 {
 		it := tab.index(cols).Probe(key)
 		for si, ok := it.Next(); ok; si, ok = it.Next() {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind uint8
@@ -58,37 +59,62 @@ func (t token) String() string {
 	}
 }
 
+// lexer reads src by byte offset, decoding a rune only where a byte is
+// not ASCII. A token's text is a substring of src; only a string
+// literal holding an escape or invalid UTF-8 is copied. A NUL byte reads
+// as the end of input wherever it stands, and an invalid byte as
+// U+FFFD.
 type lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset of the next rune
 	line int
+	// dot is a '.' implied after src (ParseLiteral): the end of src
+	// yields it once, unless a line comment ran into the end first.
+	dot bool
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1}
-}
+// peek returns the rune at pos, 0 at the end of input.
+func (lx *lexer) peek() rune { return lx.peekAt(0) }
 
-func (lx *lexer) peek() rune {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
+// peekAt returns the rune off bytes past pos. Callers look past ASCII
+// runes only, so the byte offset is the rune offset.
 func (lx *lexer) peekAt(off int) rune {
-	if lx.pos+off >= len(lx.src) {
+	i := lx.pos + off
+	if i >= len(lx.src) {
 		return 0
 	}
-	return lx.src[lx.pos+off]
+	if c := lx.src[i]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[i:])
+	return r
 }
 
-func (lx *lexer) advance() rune {
-	r := lx.peek()
+// advance moves past the rune at pos.
+func (lx *lexer) advance() {
+	if lx.pos >= len(lx.src) {
+		return
+	}
+	c := lx.src[lx.pos]
+	if c >= utf8.RuneSelf {
+		_, n := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		lx.pos += n
+		return
+	}
 	lx.pos++
-	if r == '\n' {
+	if c == '\n' {
 		lx.line++
 	}
-	return r
+}
+
+// skipLine skips a line comment up to its newline.
+func (lx *lexer) skipLine() {
+	for lx.peek() != '\n' && lx.peek() != 0 {
+		lx.advance()
+	}
+	if lx.pos >= len(lx.src) {
+		lx.dot = false // the implied '.' is part of the comment
+	}
 }
 
 func (lx *lexer) skipSpaceAndComments() error {
@@ -100,23 +126,17 @@ func (lx *lexer) skipSpaceAndComments() error {
 		case unicode.IsSpace(r):
 			lx.advance()
 		case r == '%': // line comment
-			for lx.peek() != '\n' && lx.peek() != 0 {
-				lx.advance()
-			}
+			lx.skipLine()
 		case r == '/' && lx.peekAt(1) == '/':
-			for lx.peek() != '\n' && lx.peek() != 0 {
-				lx.advance()
-			}
+			lx.skipLine()
 		case r == '/' && lx.peekAt(1) == '*':
-			lx.advance()
-			lx.advance()
+			lx.pos += 2
 			for {
 				if lx.peek() == 0 {
 					return fmt.Errorf("line %d: unterminated block comment", lx.line)
 				}
 				if lx.peek() == '*' && lx.peekAt(1) == '/' {
-					lx.advance()
-					lx.advance()
+					lx.pos += 2
 					break
 				}
 				lx.advance()
@@ -135,6 +155,12 @@ func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '\''
 }
 
+// op returns the token of kind k spanning the n bytes at pos.
+func (lx *lexer) op(k tokenKind, n, line int) (token, error) {
+	lx.pos += n
+	return token{kind: k, text: lx.src[lx.pos-n : lx.pos], line: line}, nil
+}
+
 // next returns the next token.
 func (lx *lexer) next() (token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
@@ -143,6 +169,10 @@ func (lx *lexer) next() (token, error) {
 	line := lx.line
 	r := lx.peek()
 	if r == 0 {
+		if lx.dot && lx.pos >= len(lx.src) {
+			lx.dot = false
+			return token{kind: tokDot, text: ".", line: line}, nil
+		}
 		return token{kind: tokEOF, line: line}, nil
 	}
 
@@ -157,133 +187,125 @@ func (lx *lexer) next() (token, error) {
 	case '"':
 		return lx.lexString(line)
 	case '(':
-		lx.advance()
-		return token{kind: tokLParen, text: "(", line: line}, nil
+		return lx.op(tokLParen, 1, line)
 	case ')':
-		lx.advance()
-		return token{kind: tokRParen, text: ")", line: line}, nil
+		return lx.op(tokRParen, 1, line)
 	case '[':
-		lx.advance()
-		return token{kind: tokLBrack, text: "[", line: line}, nil
+		return lx.op(tokLBrack, 1, line)
 	case ']':
-		lx.advance()
-		return token{kind: tokRBrack, text: "]", line: line}, nil
+		return lx.op(tokRBrack, 1, line)
 	case ',':
-		lx.advance()
-		return token{kind: tokComma, text: ",", line: line}, nil
+		return lx.op(tokComma, 1, line)
 	case '|':
-		lx.advance()
-		return token{kind: tokBar, text: "|", line: line}, nil
+		return lx.op(tokBar, 1, line)
 	case '~':
-		lx.advance()
-		return token{kind: tokNot, text: "~", line: line}, nil
+		return lx.op(tokNot, 1, line)
 	case ':':
-		lx.advance()
-		if lx.peek() == '-' {
-			lx.advance()
-			return token{kind: tokColonDash, text: ":-", line: line}, nil
+		if lx.peekAt(1) == '-' {
+			return lx.op(tokColonDash, 2, line)
 		}
 		return token{}, fmt.Errorf("line %d: unexpected ':'", line)
 	case '.':
 		// Could be end-of-clause or a directive ".base" etc.
 		if isIdentStart(lx.peekAt(1)) {
-			lx.advance()
-			var b strings.Builder
+			lx.pos++
+			start := lx.pos
 			for isIdentRune(lx.peek()) {
-				b.WriteRune(lx.advance())
+				lx.advance()
 			}
-			return token{kind: tokDirective, text: b.String(), line: line}, nil
+			return token{kind: tokDirective, text: lx.src[start:lx.pos], line: line}, nil
 		}
-		lx.advance()
-		return token{kind: tokDot, text: ".", line: line}, nil
+		return lx.op(tokDot, 1, line)
 	case '<':
-		lx.advance()
-		if lx.peek() == '=' {
-			lx.advance()
-			return token{kind: tokOp, text: "<=", line: line}, nil
+		if lx.peekAt(1) == '=' {
+			return lx.op(tokOp, 2, line)
 		}
-		return token{kind: tokLt, text: "<", line: line}, nil
+		return lx.op(tokLt, 1, line)
 	case '>':
-		lx.advance()
-		if lx.peek() == '=' {
-			lx.advance()
-			return token{kind: tokOp, text: ">=", line: line}, nil
+		if lx.peekAt(1) == '=' {
+			return lx.op(tokOp, 2, line)
 		}
-		return token{kind: tokGt, text: ">", line: line}, nil
+		return lx.op(tokGt, 1, line)
 	case '=':
-		lx.advance()
-		if lx.peek() == '=' {
-			lx.advance()
-			return token{kind: tokOp, text: "==", line: line}, nil
+		if lx.peekAt(1) == '=' {
+			return lx.op(tokOp, 2, line)
 		}
-		return token{kind: tokOp, text: "=", line: line}, nil
+		return lx.op(tokOp, 1, line)
 	case '!':
-		lx.advance()
-		if lx.peek() == '=' {
-			lx.advance()
-			return token{kind: tokOp, text: "!=", line: line}, nil
+		if lx.peekAt(1) == '=' {
+			return lx.op(tokOp, 2, line)
 		}
 		return token{}, fmt.Errorf("line %d: unexpected '!'", line)
-	case '+', '*', '/':
-		lx.advance()
-		return token{kind: tokOp, text: string(r), line: line}, nil
-	case '-':
-		lx.advance()
-		return token{kind: tokOp, text: "-", line: line}, nil
+	case '+', '*', '/', '-':
+		return lx.op(tokOp, 1, line)
 	}
 	return token{}, fmt.Errorf("line %d: unexpected character %q", line, r)
 }
 
-func (lx *lexer) lexNumber(line int) (token, error) {
-	var b strings.Builder
+func (lx *lexer) skipDigits() {
 	for unicode.IsDigit(lx.peek()) {
-		b.WriteRune(lx.advance())
+		lx.advance()
 	}
+}
+
+func (lx *lexer) lexNumber(line int) (token, error) {
+	start := lx.pos
+	lx.skipDigits()
 	isFloat := false
 	if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
 		isFloat = true
-		b.WriteRune(lx.advance())
-		for unicode.IsDigit(lx.peek()) {
-			b.WriteRune(lx.advance())
-		}
+		lx.pos++
+		lx.skipDigits()
 	}
 	if lx.peek() == 'e' || lx.peek() == 'E' {
 		nxt := lx.peekAt(1)
 		nxt2 := lx.peekAt(2)
 		if unicode.IsDigit(nxt) || ((nxt == '+' || nxt == '-') && unicode.IsDigit(nxt2)) {
 			isFloat = true
-			b.WriteRune(lx.advance())
+			lx.pos++
 			if lx.peek() == '+' || lx.peek() == '-' {
-				b.WriteRune(lx.advance())
+				lx.pos++
 			}
-			for unicode.IsDigit(lx.peek()) {
-				b.WriteRune(lx.advance())
-			}
+			lx.skipDigits()
 		}
 	}
-	text := b.String()
+	text := lx.src[start:lx.pos]
 	if isFloat {
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(scannedPrefix(text), 64)
+		if err != nil {
 			return token{}, fmt.Errorf("line %d: bad float %q", line, text)
 		}
 		return token{kind: tokFloat, f: f, text: text, line: line}, nil
 	}
-	var i int64
-	if _, err := fmt.Sscanf(text, "%d", &i); err != nil {
+	i, err := strconv.ParseInt(scannedPrefix(text), 10, 64)
+	if err != nil {
 		return token{}, fmt.Errorf("line %d: bad integer %q", line, text)
 	}
 	return token{kind: tokInt, i: i, text: text, line: line}, nil
 }
 
-func (lx *lexer) lexIdent(line int) (token, error) {
-	var b strings.Builder
-	first := lx.advance()
-	b.WriteRune(first)
-	for isIdentRune(lx.peek()) {
-		b.WriteRune(lx.advance())
+// scannedPrefix is the part of a number token that carries its value:
+// the token up to its first non-ASCII byte, which is what fmt.Sscanf's
+// %d and %g read of it, the reading the language's numbers are defined
+// by. A token is unicode.IsDigit runes plus '.', 'e', 'E', '+' and '-',
+// so a non-ASCII digit ends the value ("12٣" is 12, "٣" no number).
+func scannedPrefix(text string) string {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return text[:i]
+		}
 	}
-	text := b.String()
+	return text
+}
+
+func (lx *lexer) lexIdent(line int) (token, error) {
+	start := lx.pos
+	first := lx.peek()
+	lx.advance()
+	for isIdentRune(lx.peek()) {
+		lx.advance()
+	}
+	text := lx.src[start:lx.pos]
 	switch text {
 	case "NOT", "not":
 		return token{kind: tokNot, text: text, line: line}, nil
@@ -296,34 +318,65 @@ func (lx *lexer) lexIdent(line int) (token, error) {
 	return token{kind: tokIdent, text: text, line: line}, nil
 }
 
+// lexString reads a string literal. Its text is the substring between
+// the quotes until an escape or an invalid byte needs decoding; from
+// there on it is built as one copy.
 func (lx *lexer) lexString(line int) (token, error) {
-	lx.advance() // opening quote
+	src := lx.src
+	start := lx.pos + 1 // past the opening quote
 	var b strings.Builder
-	for {
-		r := lx.peek()
-		switch r {
-		case 0, '\n':
-			return token{}, fmt.Errorf("line %d: unterminated string", line)
-		case '"':
-			lx.advance()
+	decoding := false
+	for i := start; i < len(src); {
+		switch c := src[i]; {
+		case c == '"':
+			lx.pos = i + 1
+			if !decoding {
+				return token{kind: tokString, text: src[start:i], line: line}, nil
+			}
 			return token{kind: tokString, text: b.String(), line: line}, nil
-		case '\\':
+		case c == '\n' || c == 0:
+			return token{}, fmt.Errorf("line %d: unterminated string", line)
+		case c == '\\':
 			// Accept the full Go escape set (\n, \t, \xNN, \uNNNN,
 			// octal, ...), not a hand-picked subset: printed programs
 			// render string literals with strconv.Quote, which emits
 			// \xNN for control bytes, and an accepted program must
-			// re-parse byte-identically. Every escape sequence is pure
-			// ASCII, so the byte count UnquoteChar reports equals the
-			// rune count to advance.
-			rest := string(lx.src[lx.pos:])
-			esc, _, tail, err := strconv.UnquoteChar(rest, '"')
+			// re-parse byte-identically. UnquoteChar reads the escape
+			// in place: n escapes cost O(n).
+			esc, _, tail, err := strconv.UnquoteChar(src[i:], '"')
 			if err != nil {
-				return token{}, fmt.Errorf("line %d: bad escape %q", line, rest[:min(len(rest), 2)])
+				return token{}, fmt.Errorf("line %d: bad escape %q", line, escapeText(src[i:]))
 			}
-			lx.pos += len(rest) - len(tail)
+			if !decoding {
+				b.WriteString(src[start:i])
+				decoding = true
+			}
 			b.WriteRune(esc)
+			i = len(src) - len(tail)
 		default:
-			b.WriteRune(lx.advance())
+			r, n := utf8.DecodeRuneInString(src[i:])
+			if r == utf8.RuneError && n == 1 && !decoding {
+				b.WriteString(src[start:i])
+				decoding = true
+			}
+			if decoding {
+				b.WriteRune(r)
+			}
+			i += n
 		}
 	}
+	return token{}, fmt.Errorf("line %d: unterminated string", line)
+}
+
+// escapeText is the bad-escape message's excerpt of rest (which starts
+// at the backslash): its first two bytes, the second taken from the
+// UTF-8 encoding of the rune there (U+FFFD for an invalid byte).
+func escapeText(rest string) string {
+	if len(rest) < 2 || rest[1] < utf8.RuneSelf {
+		return rest[:min(len(rest), 2)]
+	}
+	r, _ := utf8.DecodeRuneInString(rest[1:])
+	var enc [utf8.UTFMax]byte
+	utf8.EncodeRune(enc[:], r)
+	return string([]byte{'\\', enc[0]})
 }

@@ -2,7 +2,10 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
+	"unicode"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/builtin"
@@ -29,7 +32,7 @@ func ParseWith(src string, opts Options) (*ast.Program, error) {
 	if opts.IsBuiltin == nil {
 		opts.IsBuiltin = defaultIsBuiltin
 	}
-	p := &parser{lx: newLexer(src), opts: opts, prog: ast.NewProgram()}
+	p := parser{lx: lexer{src: src, line: 1}, opts: opts, prog: ast.NewProgram()}
 	if err := p.init(); err != nil {
 		return nil, err
 	}
@@ -55,7 +58,7 @@ func ParseRule(src string) (*ast.Rule, error) {
 
 // ParseTerm parses a single term.
 func ParseTerm(src string) (ast.Term, error) {
-	p := &parser{lx: newLexer(src), opts: Options{IsBuiltin: func(string, int) bool { return false }}}
+	p := parser{lx: lexer{src: src, line: 1}, opts: Options{IsBuiltin: func(string, int) bool { return false }}}
 	if err := p.init(); err != nil {
 		return ast.Term{}, err
 	}
@@ -69,8 +72,41 @@ func ParseTerm(src string) (ast.Term, error) {
 	return t, nil
 }
 
+// ParseLiteral parses one literal in rule-head syntax, such as
+// "path(n0, X)", with a trailing '.' optional: it reads the tokens
+// ParseRule reads of src + ".", or of src when src ends in '.'. It
+// accepts only what would be a bodiless rule with no aggregate and a
+// head that is not a built-in; a directive or trailing input is an
+// error. No ast.Program or ast.Rule is built, and symbols, functors,
+// variable names and escape-free strings are substrings of src.
+func ParseLiteral(src string) (ast.Literal, error) {
+	src = strings.TrimSuffix(strings.TrimRightFunc(src, unicode.IsSpace), ".")
+	p := parser{lx: lexer{src: src, line: 1, dot: true}, opts: Options{IsBuiltin: defaultIsBuiltin}}
+	if err := p.init(); err != nil {
+		return ast.Literal{}, err
+	}
+	line := p.tok.line
+	lit, aggs, err := p.head()
+	if err != nil {
+		return ast.Literal{}, err
+	}
+	if aggs != nil {
+		return ast.Literal{}, fmt.Errorf("line %d: an aggregate is not a literal", line)
+	}
+	if _, err := p.expect(tokDot, "'.' at end of literal"); err != nil {
+		return ast.Literal{}, err
+	}
+	if p.tok.kind != tokEOF {
+		return ast.Literal{}, p.errf("trailing input after literal: %s", p.tok)
+	}
+	if p.opts.IsBuiltin(lit.Predicate, len(lit.Args)) {
+		return ast.Literal{}, fmt.Errorf("line %d: predicate %s is a built-in", line, lit.PredKey())
+	}
+	return lit, nil
+}
+
 type parser struct {
-	lx   *lexer
+	lx   lexer
 	opts Options
 	prog *ast.Program
 
@@ -237,21 +273,26 @@ func (p *parser) head() (ast.Literal, []*ast.Aggregate, error) {
 		return ast.Literal{}, nil, err
 	}
 	lit := ast.Literal{Predicate: id.text}
-	var aggs []*ast.Aggregate
-	hasAgg := false
+	var aggs []*ast.Aggregate // nil unless an argument is an aggregate
 	if p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return ast.Literal{}, nil, err
 		}
+		// Arguments collect on the stack and are copied out once, at
+		// their final length.
+		var argBuf [8]ast.Term
+		args := argBuf[:0]
 		for {
 			arg, agg, err := p.headArg()
 			if err != nil {
 				return ast.Literal{}, nil, err
 			}
-			lit.Args = append(lit.Args, arg)
-			aggs = append(aggs, agg)
-			if agg != nil {
-				hasAgg = true
+			args = append(args, arg)
+			if agg != nil && aggs == nil {
+				aggs = make([]*ast.Aggregate, len(args)-1, len(args))
+			}
+			if aggs != nil {
+				aggs = append(aggs, agg)
 			}
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
@@ -264,9 +305,7 @@ func (p *parser) head() (ast.Literal, []*ast.Aggregate, error) {
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
 			return ast.Literal{}, nil, err
 		}
-	}
-	if !hasAgg {
-		aggs = nil
+		lit.Args = slices.Clone(args)
 	}
 	return lit, aggs, nil
 }

@@ -392,3 +392,195 @@ func (b *Slots) MatchArgs(patterns, values []ast.Term) bool {
 	}
 	return true
 }
+
+// Pattern is a literal's arguments compiled once for matching many
+// ground tuples, as a goal filters its candidates: variables are
+// numbered onto a register file, as ast.Rule.NumberVars numbers a rule,
+// so a candidate binds nothing on the heap. A variable that occurs once
+// is a wildcard; the repeated ones get slots by first occurrence. Up
+// to 8 arguments and 8 slots live in the Pattern itself.
+type Pattern struct {
+	n, slots int
+	args     []ast.Term // the numbered arguments, past len(argArr)
+	regs     []ast.Term // the registers, past len(regArr)
+	argArr   [8]ast.Term
+	regArr   [8]ast.Term
+}
+
+// NewPattern compiles args. Its cost is linear in their size, however
+// many variables they hold.
+func NewPattern(args []ast.Term) Pattern {
+	var tabArr [8]varUse
+	vars := varTable{list: tabArr[:0]}.count(args)
+	p := Pattern{n: len(args)}
+	for i := range vars.list {
+		vars.list[i].slot = -1
+		if vars.list[i].count > 1 {
+			vars.list[i].slot, p.slots = int64(p.slots), p.slots+1
+		}
+	}
+	if len(args) > len(p.argArr) {
+		p.args = make([]ast.Term, len(args))
+	}
+	for i, a := range args {
+		t, _ := vars.number(a, p.slots > 64)
+		if p.args != nil {
+			p.args[i] = t
+		} else {
+			p.argArr[i] = t
+		}
+	}
+	if p.slots > len(p.regArr) {
+		p.regs = make([]ast.Term, p.slots)
+	}
+	return p
+}
+
+// Match reports whether values match the pattern: ground arguments are
+// equal and a repeated variable meets equal values. Up to 64 slots it
+// is a Slots match; past that Set cannot tell a bound register from a
+// free one, and matchWide, which needs no set bits, takes over.
+func (p *Pattern) Match(values []ast.Term) bool {
+	if len(values) != p.n {
+		return false
+	}
+	args, regs := p.args, p.regs
+	if args == nil {
+		args = p.argArr[:p.n]
+	}
+	if regs == nil {
+		regs = p.regArr[:]
+	}
+	if p.slots > 64 {
+		for i := range args {
+			if !matchWide(regs, args[i], values[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	b := Slots{Regs: regs}
+	return b.MatchArgs(args, values)
+}
+
+// matchWide is Slots.Match for a wide pattern, one numbered in match
+// order: a slot's first occurrence (Int >= 0) stores its value, every
+// later one (Int = -(slot+2)) compares, and -1 is a wildcard.
+func matchWide(regs []ast.Term, pattern, value ast.Term) bool {
+	switch pattern.Kind {
+	case ast.KindVar:
+		switch {
+		case pattern.Int >= 0:
+			regs[pattern.Int] = value
+		case pattern.Int < -1:
+			return regs[-pattern.Int-2].Equal(value)
+		}
+		return true
+	case ast.KindCompound:
+		if value.Kind != ast.KindCompound || pattern.Str != value.Str ||
+			len(pattern.Args) != len(value.Args) {
+			return false
+		}
+		for i := range pattern.Args {
+			if !matchWide(regs, pattern.Args[i], value.Args[i]) {
+				return false
+			}
+		}
+		return true
+	default:
+		return pattern.Equal(value)
+	}
+}
+
+// varUse is one variable of a Pattern: its occurrences and slot, and
+// whether numbering has met it yet.
+type varUse struct {
+	name  string
+	count int
+	slot  int64
+	seen  bool
+}
+
+// varTable holds a Pattern's variables in order of first occurrence. It
+// finds a name by scanning while there are few and by a map past that,
+// so a goal of many variables costs time linear in them.
+type varTable struct {
+	list  []varUse
+	index map[string]int // name -> position in list; nil while list is short
+}
+
+const scanVars = 8
+
+func (v *varTable) find(name string) int {
+	if v.index != nil {
+		if i, ok := v.index[name]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range v.list {
+		if v.list[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// count returns v with ts's variables added and counted.
+func (v varTable) count(ts []ast.Term) varTable {
+	for _, t := range ts {
+		switch t.Kind {
+		case ast.KindVar:
+			i := v.find(t.Str)
+			if i < 0 {
+				i = len(v.list)
+				v.list = append(v.list, varUse{name: t.Str})
+				if v.index != nil {
+					v.index[t.Str] = i
+				} else if len(v.list) > scanVars {
+					v.index = make(map[string]int, 2*len(v.list))
+					for j := range v.list {
+						v.index[v.list[j].name] = j
+					}
+				}
+			}
+			v.list[i].count++
+		case ast.KindCompound:
+			v = v.count(t.Args)
+		}
+	}
+	return v
+}
+
+// number returns t with its variables numbered, and whether t holds a
+// variable; a ground compound is not copied. In a wide pattern a
+// slot's repeats carry -(slot+2) (matchWide).
+func (v *varTable) number(t ast.Term, wide bool) (ast.Term, bool) {
+	switch t.Kind {
+	case ast.KindVar:
+		u := &v.list[v.find(t.Str)]
+		t.Int = u.slot
+		if wide && u.seen && u.slot >= 0 {
+			t.Int = -u.slot - 2
+		}
+		u.seen = true
+		return t, true
+	case ast.KindCompound:
+		var args []ast.Term
+		for i, a := range t.Args {
+			a, hasVar := v.number(a, wide)
+			if hasVar && args == nil {
+				args = make([]ast.Term, len(t.Args))
+				copy(args, t.Args[:i])
+			}
+			if args != nil {
+				args[i] = a
+			}
+		}
+		if args != nil {
+			t.Args = args
+			return t, true
+		}
+	}
+	return t, false
+}

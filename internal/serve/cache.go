@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/datalog/eval"
@@ -12,7 +11,7 @@ import (
 // shardedCache is the point-query result cache, partitioned N ways by
 // canonical-goal hash so concurrent readers contend only on their own
 // shard's lock. An entry is keyed on the canonical goal
-// (core.CanonicalGoal) and stamped with the goal predicate's change
+// (core.AppendCanonicalGoal) and stamped with the goal predicate's change
 // counter (Engine.DerivedVersion) as read when the answer was probed.
 // It is a hit exactly while the counter has not moved: the counter
 // moves whenever the predicate's derived set does, so a hit is what a
@@ -47,6 +46,7 @@ type cacheShard struct {
 // cacheEntry is one cached point-query answer.
 type cacheEntry struct {
 	key     string
+	pred    string       // the goal's predicate key: ver is its change counter
 	answers []eval.Tuple // immutable once stored; callers copy
 	ver     uint64       // the goal predicate's change counter at the probe
 	elem    *list.Element
@@ -87,29 +87,34 @@ func newShardedCache(max, n int, evictions *obs.Counter) *shardedCache {
 	return c
 }
 
-// shard picks the shard owning key (FNV-32a of the canonical goal).
-func (c *shardedCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()&c.mask]
+// shard picks the shard owning key: FNV-32a of the canonical goal,
+// inline, so a key rendered into a stack buffer hashes in place.
+func shard[K string | []byte](c *shardedCache, key K) *cacheShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return c.shards[h&c.mask]
 }
 
-// get returns the entry for key if its predicate's counter still reads
-// ver (and marks it recently used), or nil; an entry from an earlier
-// counter value is evicted. The returned entry's fields are immutable;
-// callers copy answers before handing them out.
-func (c *shardedCache) get(key string, ver uint64) *cacheEntry {
+// get returns the entry for key if its predicate's counter, as version
+// reads it, still equals the entry's (and marks it recently used), or
+// nil; an entry from an earlier counter value is evicted. The returned
+// entry's fields are immutable; callers copy answers before handing
+// them out. A hit allocates nothing: key is looked up in place.
+func (c *shardedCache) get(key []byte, version func(pred string) uint64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
-	sh := c.shard(key)
+	sh := shard(c, key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.entries[key]
+	e := sh.entries[string(key)]
 	if e == nil {
 		return nil
 	}
-	if e.ver != ver {
+	if e.ver != version(e.pred) {
 		sh.remove(e, true)
 		return nil
 	}
@@ -123,7 +128,7 @@ func (c *shardedCache) put(e *cacheEntry) {
 	if c == nil {
 		return
 	}
-	sh := c.shard(e.key)
+	sh := shard(c, e.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if old := sh.entries[e.key]; old != nil {

@@ -669,17 +669,21 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 	}
 	s.enterRead()
 	s.queries.Inc()
-	key := core.CanonicalGoal(lit)
-	ver := s.c.Engine.DerivedVersion(lit.PredKey())
-	e := s.cache.get(key, ver)
+	// The key renders into a stack buffer: only a miss, storing its
+	// entry, makes it a string.
+	var keyBuf [128]byte
+	key := core.AppendCanonicalGoal(keyBuf[:0], lit)
+	e := s.cache.get(key, s.c.Engine.DerivedVersion)
 	if e != nil {
 		s.hits.Inc()
 		qt.step(stCacheProbe, "hit")
 	} else {
 		s.misses.Inc()
 		qt.step(stCacheProbe, "miss")
+		pred := lit.PredKey()
+		e = &cacheEntry{key: string(key), pred: pred, ver: s.c.Engine.DerivedVersion(pred)}
 		s.probeMu.Lock()
-		e = &cacheEntry{key: key, answers: s.c.Engine.DerivedDB().Match(lit), ver: ver}
+		e.answers = s.c.Engine.DerivedDB().Match(lit)
 		s.probeMu.Unlock()
 		qt.step(stEval, "")
 		s.cache.put(e)

@@ -179,7 +179,8 @@ func CodeError(code, msg string) error {
 
 // ParseFact parses a ground fact in source syntax ("link(a, b)",
 // trailing dot optional) into a tuple — the inject/delete wire format,
-// shared with the REPL.
+// shared with the REPL. The tuple holds no substring of src: a request
+// line is not pinned by the facts it stores.
 func ParseFact(src string) (eval.Tuple, error) {
 	src = strings.TrimSpace(src)
 	src = strings.TrimSuffix(src, ".")
@@ -187,18 +188,41 @@ func ParseFact(src string) (eval.Tuple, error) {
 	// wants a bare atom. Normalize so the wire format is a fixpoint
 	// (found by FuzzWire).
 	src = strings.TrimSuffix(src, "()")
-	src += "."
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return eval.Tuple{}, fmt.Errorf("serve: fact %q: %w", src, core.ErrBadGoal)
+	lit, err := parser.ParseLiteral(src)
+	if err != nil || strings.HasSuffix(strings.TrimSpace(src), ".") {
+		// The fact is src + ".", which ParseLiteral does not read when
+		// src ends in a '.' of its own; and telling a malformed fact
+		// from a rule or a directive takes the whole program.
+		prog, perr := parser.Parse(src + ".")
+		if perr != nil {
+			return eval.Tuple{}, fmt.Errorf("serve: fact %q: %w", src+".", core.ErrBadGoal)
+		}
+		if len(prog.Rules) != 1 || !prog.Rules[0].IsFact() {
+			return eval.Tuple{}, fmt.Errorf("serve: not a ground fact: %s.: %w", src, core.ErrNotGround)
+		}
+		lit = prog.Rules[0].Head
 	}
-	if len(prog.Rules) != 1 || !prog.Rules[0].IsFact() {
-		return eval.Tuple{}, fmt.Errorf("serve: not a ground fact: %s: %w", src, core.ErrNotGround)
+	for i, a := range lit.Args { // the literal's own slice: clone in place
+		if !a.Ground() {
+			return eval.Tuple{}, fmt.Errorf("serve: not a ground fact: %s.: %w", src, core.ErrNotGround)
+		}
+		lit.Args[i] = cloneTerm(a)
 	}
-	h := prog.Rules[0].Head
-	args := make([]ast.Term, len(h.Args))
-	copy(args, h.Args)
-	return eval.Tuple{Pred: h.PredKey(), Args: args}.Keyed(), nil
+	return eval.Tuple{Pred: lit.PredKey(), Args: lit.Args}.Keyed(), nil
+}
+
+// cloneTerm copies t's strings, and the argument lists holding them, out
+// of the source they were parsed from.
+func cloneTerm(t ast.Term) ast.Term {
+	t.Str = strings.Clone(t.Str)
+	if t.Args != nil {
+		args := make([]ast.Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = cloneTerm(a)
+		}
+		t.Args = args
+	}
+	return t
 }
 
 // The codec. A frame is encoded by hand into a reused buffer, byte for

@@ -283,16 +283,16 @@ func (t Term) AppendKey(b []byte) []byte {
 		b = strconv.AppendFloat(b, t.Float, 'g', -1, 64)
 	case KindString:
 		b = append(b, 's')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuoted(b, t.Str)
 	case KindSymbol:
 		b = append(b, 'a')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuoted(b, t.Str)
 	case KindVar:
 		b = append(b, 'v')
 		b = append(b, t.Str...)
 	case KindCompound:
 		b = append(b, 'c')
-		b = strconv.AppendQuote(b, t.Str)
+		b = appendQuoted(b, t.Str)
 		b = append(b, '(')
 		for i, a := range t.Args {
 			if i > 0 {
@@ -303,6 +303,20 @@ func (t Term) AppendKey(b []byte) []byte {
 		b = append(b, ')')
 	}
 	return b
+}
+
+// appendQuoted appends s quoted exactly as strconv.AppendQuote does,
+// without strconv's per-rune escape walk when every byte is printable
+// ASCII other than '"' and '\\' — the case of nearly every key.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // isArithOp reports whether functor is one of the infix arithmetic

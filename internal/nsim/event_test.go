@@ -3,7 +3,11 @@ package nsim
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 )
 
 // chattyApp drives a workload that exercises timers, unicast, broadcast
@@ -169,8 +173,8 @@ func TestTypedQueueOrdering(t *testing.T) {
 }
 
 // TestQuiescedQueueReleased: a run that drains the queue drops its
-// high-water backing array; one stopped by its time limit keeps the
-// pending events.
+// high-water keys and slab and resets the free list; one stopped by its
+// time limit keeps the pending events.
 func TestQuiescedQueueReleased(t *testing.T) {
 	nw := New(Config{Seed: 1})
 	n := nw.AddNode(0, 0)
@@ -180,17 +184,171 @@ func TestQuiescedQueueReleased(t *testing.T) {
 		n.SetTimer(Time(1+i%50), "t", nil)
 	}
 	nw.Run(25)
-	if nw.Pending() == 0 || cap(nw.queue) == 0 {
-		t.Fatalf("a time-limited run left %d events in a queue of capacity %d", nw.Pending(), cap(nw.queue))
+	q := &nw.queue
+	if nw.Pending() == 0 || cap(q.keys) == 0 || cap(q.slab) == 0 || q.free == 0 {
+		t.Fatalf("a time-limited run left %d events: key capacity %d, slab capacity %d, free head %d",
+			nw.Pending(), cap(q.keys), cap(q.slab), q.free)
 	}
+	released := func() bool { return cap(q.keys) == 0 && cap(q.slab) == 0 && q.free == 0 }
 	nw.Run(0)
-	if cap(nw.queue) != 0 {
-		t.Errorf("after quiescence the queue keeps capacity %d, want 0", cap(nw.queue))
+	if !released() {
+		t.Errorf("after quiescence the queue keeps key capacity %d, slab capacity %d, free head %d; want all 0",
+			cap(q.keys), cap(q.slab), q.free)
 	}
 	n.SetTimer(1, "again", nil)
 	nw.Run(0)
-	if nw.EventsProcessed != 1001 || cap(nw.queue) != 0 {
-		t.Errorf("rerun: %d events processed, queue capacity %d; want 1001 and 0", nw.EventsProcessed, cap(nw.queue))
+	if nw.EventsProcessed != 1001 || !released() {
+		t.Errorf("rerun: %d events processed, queue released %v; want 1001 and true", nw.EventsProcessed, released())
+	}
+}
+
+// TestEventQueueMatchesReference drives the queue with 100 k seeded,
+// interleaved pushes and pops — same-tick bursts, per-hop delays,
+// far-future timers and pushes behind the clock — against a reference
+// kept stably sorted by (at, seq). Every pop must return the
+// reference's head, with the payload pushed under that seq, so no live
+// slot is ever handed out twice.
+func TestEventQueueMatchesReference(t *testing.T) {
+	const ops = 100_000
+	r := rand.New(rand.NewSource(7))
+	var q eventQueue
+	var ref []qkey // slot holds nothing here; the payload carries seq
+	var now Time
+	var seq int64
+	pushes, pops := 0, 0
+	push := func(at Time) {
+		pushes++
+		seq++
+		q.push(at, seq, simEvent{kind: evTimer, node: int32(seq), str: "k", data: seq})
+		k := qkey{at: at, seq: seq}
+		i := sort.Search(len(ref), func(i int) bool { return k.less(ref[i]) })
+		ref = append(ref, qkey{})
+		copy(ref[i+1:], ref[i:])
+		ref[i] = k
+	}
+	for pushes+pops < ops {
+		if len(q.keys) > 0 && (len(ref) > 2000 || r.Intn(2) == 0) {
+			at, ev := q.pop()
+			want := ref[0]
+			ref = ref[1:]
+			pops++
+			if at != want.at || ev.data.(int64) != want.seq || int64(ev.node) != want.seq {
+				t.Fatalf("pop %d: got (at %d, seq %v, node %d), want (at %d, seq %d)", pops, at, ev.data, ev.node, want.at, want.seq)
+			}
+			now = at
+			continue
+		}
+		switch c := r.Intn(20); {
+		case c < 2: // same-tick burst
+			for i := r.Intn(16); i >= 0; i-- {
+				push(now)
+			}
+		case c < 3: // far-future timer
+			push(now + 6500 + Time(r.Intn(8)))
+		case c < 4: // behind the clock (ScheduleAt without its clamp)
+			push(now - Time(r.Intn(10)))
+		default:
+			push(now + Time(r.Intn(5)))
+		}
+	}
+	for len(q.keys) > 0 {
+		at, ev := q.pop()
+		if at != ref[0].at || ev.data.(int64) != ref[0].seq {
+			t.Fatalf("drain: got (at %d, seq %v), want (at %d, seq %d)", at, ev.data, ref[0].at, ref[0].seq)
+		}
+		ref = ref[1:]
+	}
+	if len(ref) != 0 {
+		t.Fatalf("queue drained with %d reference events left", len(ref))
+	}
+}
+
+// TestEventLayout pins the sizes the queue's cost rests on: a heap key
+// is 24 B and an event in the slab at most 48 B.
+func TestEventLayout(t *testing.T) {
+	if k, e := unsafe.Sizeof(qkey{}), unsafe.Sizeof(simEvent{}); k != 24 || e > 48 {
+		t.Errorf("qkey is %d B (want 24), simEvent %d B (want ≤ 48)", k, e)
+	}
+}
+
+// TestRunUntilNeverRewindsClock: a limit below the current time must not
+// move the clock back, or a timer armed afterwards fires before ticks
+// the network already reached.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	nw := New(Config{Seed: 1})
+	n := nw.AddNode(0, 0)
+	var fired []Time
+	n.App = appFunc{onTimer: func(string) { fired = append(fired, nw.Now()) }}
+	nw.Finalize()
+	n.SetTimer(10, "a", nil)
+	n.SetTimer(30, "b", nil)
+	if got := nw.Run(20); got != 20 {
+		t.Fatalf("Run(20) = %d, want 20", got)
+	}
+	if got := nw.Run(5); got != 20 {
+		t.Fatalf("Run(5) after reaching 20 = %d, want 20", got)
+	}
+	n.SetTimer(1, "late", nil)
+	nw.Run(0)
+	if want := []Time{10, 21, 30}; fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Errorf("timers fired at %v, want %v", fired, want)
+	}
+}
+
+// TestEventLoopAllocs: a 100 k-event run whose queue stays under 1 k
+// events allocates only to grow the key heap and the slab — recycled
+// slots cost nothing per event.
+func TestEventLoopAllocs(t *testing.T) {
+	const events, maxMallocs = 100_000, 64
+	nw := New(Config{Seed: 3})
+	for y := 0; y < 10; y++ {
+		for x := 0; x < 10; x++ {
+			nw.AddNode(float64(x), float64(y))
+		}
+	}
+	app := &relayApp{budget: events}
+	for _, n := range nw.Nodes() {
+		n.App = app
+	}
+	nw.Finalize()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw.Run(0)
+	runtime.ReadMemStats(&after)
+	if nw.EventsProcessed < events || app.maxPending > 1000 {
+		t.Fatalf("workload ran %d events with up to %d queued; want ≥ %d and ≤ 1000", nw.EventsProcessed, app.maxPending, events)
+	}
+	m := after.Mallocs - before.Mallocs
+	t.Logf("%d events, up to %d queued, %d mallocs", nw.EventsProcessed, app.maxPending, m)
+	if m > maxMallocs {
+		t.Errorf("%d events made %d mallocs, want ≤ %d", nw.EventsProcessed, m, maxMallocs)
+	}
+}
+
+// relayApp keeps a bounded queue busy: every node runs a timer chain,
+// and each expiry sends one message to a neighbor, until the event
+// budget is spent. It allocates nothing per event.
+type relayApp struct {
+	budget, maxPending int
+}
+
+func (a *relayApp) Init(n *Node) { n.SetTimer(Time(n.ID%4), "relay", nil) }
+
+func (a *relayApp) Receive(n *Node, m *Message) { a.count(n) }
+
+func (a *relayApp) Timer(n *Node, key string, data interface{}) {
+	a.count(n)
+	if a.budget > 0 {
+		nb := n.Neighbors()
+		n.Send(nb[a.budget%len(nb)], "relay", nil, 8)
+		n.SetTimer(3, key, nil)
+	}
+}
+
+func (a *relayApp) count(n *Node) {
+	a.budget--
+	if p := n.Network().Pending(); p > a.maxPending {
+		a.maxPending = p
 	}
 }
 

@@ -195,7 +195,7 @@ type Network struct {
 	nodes []*Node
 	now   Time
 	rng   *rand.Rand
-	queue typedQueue
+	queue eventQueue
 	seq   int64
 	index *spatialIndex
 	// scratch is the reusable delivery Message of the typed event loop
@@ -448,41 +448,45 @@ func (nw *Network) ScheduleAt(t Time, f func()) {
 
 func (nw *Network) schedule(t Time, f func()) {
 	nw.seq++
-	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evFunc, fn: f})
+	nw.queue.push(t, nw.seq, simEvent{kind: evFunc, data: f})
 }
 
 // scheduleTimer queues a Handler.Timer callback without allocating a
 // closure; the Down check happens at dispatch time.
 func (nw *Network) scheduleTimer(t Time, node NodeID, key string, data interface{}) {
 	nw.seq++
-	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evTimer, node: node, str: key, data: data})
+	nw.queue.push(t, nw.seq, simEvent{kind: evTimer, node: int32(node), str: key, data: data})
 }
 
 // scheduleDelivery queues a message delivery; the Message itself is
 // constructed at dispatch.
 func (nw *Network) scheduleDelivery(t Time, src, dst NodeID, kind string, payload interface{}, size int) {
 	nw.seq++
-	nw.queue.push(simEvent{at: t, seq: nw.seq, kind: evDelivery, node: dst, src: src, size: size, str: kind, data: payload})
+	nw.queue.push(t, nw.seq, simEvent{kind: evDelivery, node: int32(dst), src: int32(src), size: int32(size), str: kind, data: payload})
 }
 
 // Run processes events until the queue empties or time exceeds `until`
-// (0 means no limit). It returns the final simulation time. A run that
-// empties the queue releases its backing array.
+// (0 means no limit). It returns the final simulation time; a limit
+// already behind the clock leaves it where it is. A run that empties
+// the queue releases its storage.
 func (nw *Network) Run(until Time) Time {
 	if !nw.finalized {
 		nw.Finalize()
 	}
-	for len(nw.queue) > 0 {
-		if until > 0 && nw.queue[0].at > until {
-			nw.now = until
+	q := &nw.queue
+	for len(q.keys) > 0 {
+		if until > 0 && q.keys[0].at > until {
+			if until > nw.now {
+				nw.now = until
+			}
 			return nw.now
 		}
-		ev := nw.queue.pop()
-		if ev.at > nw.now {
-			nw.now = ev.at
+		at, ev := q.pop()
+		if at > nw.now {
+			nw.now = at
 		}
 		nw.EventsProcessed++
-		nw.hQueue.Observe(int64(len(nw.queue)))
+		nw.hQueue.Observe(int64(len(q.keys)))
 		switch ev.kind {
 		case evTimer:
 			n := nw.nodes[ev.node]
@@ -490,21 +494,21 @@ func (nw *Network) Run(until Time) Time {
 				n.App.Timer(n, ev.str, ev.data)
 			}
 		case evDelivery:
-			nw.scratch = Message{Src: ev.src, Dst: ev.node, Kind: ev.str, Payload: ev.data, Size: ev.size}
+			nw.scratch = Message{Src: NodeID(ev.src), Dst: NodeID(ev.node), Kind: ev.str, Payload: ev.data, Size: int(ev.size)}
 			nw.deliver(&nw.scratch)
 		default:
-			ev.fn()
+			ev.data.(func())()
 		}
 	}
-	// A drained queue would keep its high-water backing array — about
-	// 135 k events of 80 B after an 80×80 shortest-path-tree run — for as
-	// long as the network lives; let it go.
-	nw.queue = nil
+	// A drained queue would keep its high-water keys and slab — about
+	// 135 k events, 72 B each, after an 80×80 shortest-path-tree run —
+	// for as long as the network lives; let them go.
+	nw.queue = eventQueue{}
 	return nw.now
 }
 
 // Pending reports the number of queued events.
-func (nw *Network) Pending() int { return len(nw.queue) }
+func (nw *Network) Pending() int { return len(nw.queue.keys) }
 
 // MaxNodeLoad returns the maximum (sent + received) over all nodes — the
 // hotspot metric of experiment E2.

@@ -238,6 +238,29 @@ d(X) :- s(X).
 	}
 }
 
+// A RunUntil limit behind the cluster's clock leaves the clock where it
+// is: virtual time never runs backwards.
+func TestClusterRunUntilNeverRewindsClock(t *testing.T) {
+	c, err := Deploy(Grid(5), `
+.base s/1.
+d(X) :- s(X).
+`, WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.InjectAt(0, 3, NewTuple("s", Int(1)))
+	c.InjectAt(1000, 7, NewTuple("s", Int(2)))
+	if got := c.RunUntil(20); got != 20 {
+		t.Fatalf("RunUntil(20) = %d, want 20", got)
+	}
+	if got := c.RunUntil(5); got != 20 || c.Network.Now() != 20 {
+		t.Fatalf("RunUntil(5) after reaching 20 = %d (clock %d), want 20", got, c.Network.Now())
+	}
+	if got := c.Run(); got < 1000 || len(c.Results("d/1")) != 2 {
+		t.Errorf("run ended at %d with %d d/1 tuples, want ≥ 1000 and 2", got, len(c.Results("d/1")))
+	}
+}
+
 func TestMaintainerFacade(t *testing.T) {
 	m, err := NewMaintainer(`
 cov(L) :- veh(enemy, L), veh(friendly, L).

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 verify
+.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 goldens verify
 
 all: verify
 
@@ -105,5 +105,22 @@ profile:
 # cross-checking trace aggregates against the registry.
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
+
+# Record the snbench outputs a behaviour-preserving change must leave
+# byte-identical in $(GOLDENS): the quick sweep with its "(N.NNs)"
+# wall-time headers stripped, the observed-E1 trace (summary and JSONL),
+# one explained tuple and the histograms. A refactor records them at its
+# parent first: `make goldens` in a git clone of the parent, `make
+# goldens` here, then `diff -r <clone>/goldens goldens`.
+GOLDENS ?= goldens
+
+goldens:
+	mkdir -p $(GOLDENS)
+	$(GO) build -o $(GOLDENS)/snbench.bin ./cmd/snbench
+	cd $(GOLDENS) && ./snbench.bin -quick | sed -E 's/ \([0-9.]+s\) ===$$/ ===/' > quick.txt
+	cd $(GOLDENS) && ./snbench.bin -trace trace.jsonl > trace.txt
+	cd $(GOLDENS) && ./snbench.bin -explain 'j(n3,3)' > explain.txt
+	cd $(GOLDENS) && ./snbench.bin -hist > hist.txt
+	rm $(GOLDENS)/snbench.bin
 
 verify: build test vet race serve-smoke obs-guard obs-export-smoke fuzz-smoke

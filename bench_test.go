@@ -1,7 +1,7 @@
-package snlog
+package snlog_test
 
 // The benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (experiments E1..E10 in DESIGN.md). Each bench
+// paper's evaluation (experiments E1..E14 in DESIGN.md). Each bench
 // re-runs the corresponding experiment function — the same code the
 // snbench CLI uses to regenerate EXPERIMENTS.md — and reports the
 // headline figure as a custom metric so `go test -bench` output records
@@ -10,6 +10,7 @@ package snlog
 import (
 	"testing"
 
+	snlog "repro"
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/parser"
 	"repro/internal/experiments"
@@ -156,7 +157,7 @@ uncov(L, T) :- NOT cov(L, T), veh(enemy, L, T).
 `
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(src); err != nil {
+		if _, err := snlog.Parse(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,14 +168,14 @@ func BenchmarkCentralizedEvalTC(b *testing.B) {
 path(X, Y) :- edge(X, Y).
 path(X, Z) :- path(X, Y), edge(Y, Z).
 `
-	var facts []Tuple
+	var facts []snlog.Tuple
 	for i := int64(0); i < 60; i++ {
-		facts = append(facts, NewTuple("edge", Int(i), Int(i+1)))
+		facts = append(facts, snlog.NewTuple("edge", snlog.Int(i), snlog.Int(i+1)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := Eval(src, facts)
+		db, err := snlog.Eval(src, facts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,13 +192,13 @@ func BenchmarkDistributedJoinGrid10(b *testing.B) {
 out(X, Z) :- ra(X, Y), rb(Y, Z).
 `
 	for i := 0; i < b.N; i++ {
-		c, err := Deploy(Grid(10), src, WithSeed(int64(i)))
+		c, err := snlog.Deploy(snlog.Grid(10), src, snlog.WithSeed(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
 		for k := 0; k < 10; k++ {
-			c.InjectAt(int64(k*7), (k*13)%c.Size(), NewTuple("ra", Int(int64(k)), Int(int64(k))))
-			c.InjectAt(int64(k*7+3), (k*17+5)%c.Size(), NewTuple("rb", Int(int64(k)), Int(int64(k))))
+			c.InjectAt(int64(k*7), (k*13)%c.Size(), snlog.NewTuple("ra", snlog.Int(int64(k)), snlog.Int(int64(k))))
+			c.InjectAt(int64(k*7+3), (k*17+5)%c.Size(), snlog.NewTuple("rb", snlog.Int(int64(k)), snlog.Int(int64(k))))
 		}
 		c.Run()
 		if len(c.Results("out/2")) != 10 {
@@ -218,9 +219,9 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	if err != nil {
 		b.Fatal(err)
 	}
-	var facts []Tuple
+	var facts []snlog.Tuple
 	for i := int64(0); i < 60; i++ {
-		facts = append(facts, NewTuple("edge", Int(i), Int(i+1)))
+		facts = append(facts, snlog.NewTuple("edge", snlog.Int(i), snlog.Int(i+1)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

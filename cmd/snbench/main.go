@@ -181,6 +181,7 @@ func runTrace(path, kinds string, node int, pred string, quick bool) error {
 	// records ~20k events) so the JSONL export is complete; the counter
 	// cross-check below uses lifetime totals and holds at any capacity.
 	res := experiments.TraceE1(m, tuples, 1<<19)
+	trace := res.Trace()
 
 	f := obs.Filter{Node: obs.AnyNode, Pred: pred}
 	if node >= 0 {
@@ -200,7 +201,7 @@ func runTrace(path, kinds string, node int, pred string, quick bool) error {
 	if err != nil {
 		return err
 	}
-	written, err := res.Trace.WriteJSONL(out, f)
+	written, err := trace.WriteJSONL(out, f)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
@@ -208,18 +209,18 @@ func runTrace(path, kinds string, node int, pred string, quick bool) error {
 		return err
 	}
 
-	snap := res.Registry.Snapshot()
+	snap := res.Snapshot()
 	metrics.SnapshotTable(
 		fmt.Sprintf("observed E1 (grid %dx%d, %d tuples/stream)", m, m, tuples),
 		snap.Counters, "nsim.", "core.", "routing.").Render(os.Stdout)
 	fmt.Printf("\ntrace: %d events recorded, %d evicted, %d exported to %s\n",
-		res.Trace.Total(), res.Trace.Dropped(), written, path)
+		trace.Total(), trace.Dropped(), written, path)
 
 	// The trace and the counters watch the same hooks; any disagreement
 	// means a recording path was skipped or double-fired. Lifetime
 	// totals survive ring eviction, so this holds even if the ring
 	// wrapped.
-	agg := res.Trace.TotalKinds()
+	agg := trace.TotalKinds()
 	checks := []struct {
 		kind    obs.EventKind
 		counter string
@@ -257,7 +258,7 @@ func runExplain(lit, dotPath string, quick bool) error {
 	}
 
 	res := experiments.ProvE5(m)
-	snap := res.Registry.Snapshot()
+	snap := res.Snapshot()
 	fmt.Printf("E5 logicJ shortest-path tree, %dx%d grid: %d derivations captured, %d live\n\n",
 		m, m, snap.Get("core.prov.captured"), snap.Get("core.prov.live"))
 
@@ -299,7 +300,7 @@ func runHist(quick bool) error {
 	res := experiments.TraceE1Prov(m, tuples, 1)
 	fmt.Printf("observed E1 (grid %dx%d, %d tuples/stream), histograms:\n\n", m, m, tuples)
 	for _, name := range []string{"core.settle_ticks", "core.result_hops", "core.fanin", "nsim.queue_hist"} {
-		h := res.Registry.Histogram(name, nil)
+		h := res.Registry().Histogram(name, nil)
 		fmt.Printf("%s: count=%d p50=%d p95=%d max=%d\n",
 			name, h.Count(), h.Quantile(0.50), h.Quantile(0.95), h.Max())
 		bounds, counts := h.Buckets()

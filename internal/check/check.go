@@ -6,15 +6,13 @@ import (
 	"sort"
 	"strings"
 
+	snlog "repro"
 	"repro/internal/core"
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/parser"
 	"repro/internal/fault"
-	"repro/internal/gpa"
 	"repro/internal/nsim"
 	"repro/internal/obs"
-	"repro/internal/obs/provenance"
-	"repro/internal/topo"
 )
 
 // Config parameterizes one differential run. Everything random —
@@ -85,29 +83,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	g := Generate(r)
-	prog, err := parser.Parse(g.Src)
-	if err != nil {
+	if _, err := parser.Parse(g.Src); err != nil {
 		return nil, fmt.Errorf("check: generated program does not parse: %v\n%s", err, g.Src)
 	}
-
-	nw := topo.Grid(cfg.GridM, nsim.Config{Seed: cfg.Seed, MaxSkew: 4})
-	e, err := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular, ReplayLog: true})
-	if err != nil {
-		return nil, fmt.Errorf("check: generated program does not compile: %v\n%s", err, g.Src)
-	}
-	res := &Result{Program: g.Src, Engine: e}
-	reg := obs.NewRegistry()
-	if cfg.TraceCap > 0 {
-		res.Trace = obs.NewTrace(cfg.TraceCap)
-	}
-	nw.Observe(reg, res.Trace)
-	e.Observe(reg, res.Trace)
 	// Provenance is always on for differential runs: when the engine
 	// and oracle disagree, the dump below explains the divergent tuple
 	// from both sides, which is the whole point of the harness.
-	e.ObserveProvenance(reg, provenance.NewGraph())
-	nw.Finalize()
-	e.Start()
+	c, err := snlog.Deploy(snlog.Grid(cfg.GridM), g.Src,
+		snlog.WithSeed(cfg.Seed), snlog.WithMaxSkew(4), snlog.WithScheme(snlog.Perpendicular),
+		snlog.WithReplayLog(), snlog.WithTrace(cfg.TraceCap), snlog.WithProvenance())
+	if err != nil {
+		return nil, fmt.Errorf("check: generated program does not compile: %v\n%s", err, g.Src)
+	}
+	nw, e := c.Network, c.Engine
+	res := &Result{Program: g.Src, Engine: e, Trace: c.Trace()}
 
 	// Op times first: the fault schedule is laid over the middle half
 	// of the timeline, so the early ops seed state that the faults then
@@ -121,7 +110,7 @@ func Run(cfg Config) (*Result, error) {
 	from, to := times[cfg.Ops/4], times[(3*cfg.Ops)/4]
 	sched, pFrom, pTo := buildSchedule(r, nw, cfg.Churn, from, to)
 	in := fault.Attach(nw, sched, cfg.Seed*0x9E3779B9+1)
-	in.Observe(reg)
+	in.Observe(c.Registry())
 
 	// Interleaved workload. Deletions only target live tuples at their
 	// origin node (the paper's model: deletion happens at the source);

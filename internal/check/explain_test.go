@@ -28,15 +28,10 @@ func dumpEngine(t *testing.T, base ...eval.Tuple) *core.Engine {
 		t.Fatal(err)
 	}
 	nw := topo.Grid(3, nsim.Config{Seed: 5})
-	e, err := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular})
+	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, obs.NewRegistry(), nil, provenance.NewGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.Observe(reg, nil)
-	e.ObserveProvenance(reg, provenance.NewGraph())
-	nw.Finalize()
-	e.Start()
 	for _, tup := range base {
 		if err := e.InjectAt(0, 0, tup); err != nil {
 			t.Fatal(err)

@@ -262,7 +262,8 @@ type ResultEvent struct {
 	Node   nsim.NodeID
 }
 
-// New compiles prog onto the network. Must be called before nw.Finalize.
+// New compiles prog onto the network. Must be called before nw.Finalize;
+// Deploy runs the whole assembly.
 func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	if nw.Len() == 0 {
 		return nil, validationErrorf(ErrBadNetwork, "core: the network has no nodes")
@@ -400,6 +401,23 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		e.rts[n.ID] = rt
 		n.App = rt
 	}
+	return e, nil
+}
+
+// Deploy is the one assembly of a deployment: it compiles prog onto nw,
+// attaches the observers, finalizes the network and starts the engine.
+// Any of reg, trace and prov may be nil. The observers attach before
+// Start, so the program's seeded facts are traced and captured.
+func Deploy(nw *nsim.Network, prog *ast.Program, cfg Config, reg *obs.Registry, trace *obs.Trace, prov *provenance.Graph) (*Engine, error) {
+	e, err := New(nw, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw.Observe(reg, trace)
+	e.Observe(reg, trace)
+	e.ObserveProvenance(reg, prov)
+	nw.Finalize()
+	e.Start()
 	return e, nil
 }
 
@@ -767,6 +785,10 @@ func (e *Engine) Analysis() *analysis.Result { return e.res }
 
 // Network exposes the underlying network.
 func (e *Engine) Network() *nsim.Network { return e.nw }
+
+// TauS is the storage-phase bound τs the engine derived from its
+// network's geometry.
+func (e *Engine) TauS() nsim.Time { return e.tauS }
 
 // centroidFor picks the region node a tuple is stored at (hash-spread
 // over the centroid region).

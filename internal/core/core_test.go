@@ -25,12 +25,10 @@ func mustProg(t testing.TB, src string) *ast.Program {
 func buildGrid(t testing.TB, m int, src string, cfg Config, simCfg nsim.Config) (*Engine, *nsim.Network) {
 	t.Helper()
 	nw := topo.Grid(m, simCfg)
-	e, err := New(nw, mustProg(t, src), cfg)
+	e, err := Deploy(nw, mustProg(t, src), cfg, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	nw.Finalize()
-	e.Start()
 	return e, nw
 }
 
@@ -277,13 +275,11 @@ func TestLogicJShortestPathTreeDistributed(t *testing.T) {
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 10})
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := New(nw, prog, Config{})
+	e, err := Deploy(nw, prog, Config{}, nil, nil, nil) // seeds the root fact j(n0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	base := injectGridEdges(e, nw)
-	e.Start() // injects the root fact j(n0, 0)
 	nw.Run(0)
 
 	src := logicJSrc + "\nj(n0, 0).\n"
@@ -310,13 +306,11 @@ func TestLogicJTuplesLiveAtTheirNodes(t *testing.T) {
 	m := 3
 	nw := topo.Grid(m, nsim.Config{Seed: 11})
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := New(nw, prog, Config{})
+	e, err := Deploy(nw, prog, Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	injectGridEdges(e, nw)
-	e.Start()
 	nw.Run(0)
 	for _, n := range nw.Nodes() {
 		for _, h := range e.rts[n.ID].homed {

@@ -18,17 +18,11 @@ import (
 func buildProvGrid(t testing.TB, m int, src string, cfg Config, simCfg nsim.Config) (*Engine, *nsim.Network, *provenance.Graph) {
 	t.Helper()
 	nw := topo.Grid(m, simCfg)
-	e, err := New(nw, mustProg(t, src), cfg)
+	g := provenance.NewGraph()
+	e, err := Deploy(nw, mustProg(t, src), cfg, obs.NewRegistry(), nil, g)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	reg := obs.NewRegistry()
-	nw.Observe(reg, nil)
-	e.Observe(reg, nil)
-	g := provenance.NewGraph()
-	e.ObserveProvenance(reg, g)
-	nw.Finalize()
-	e.Start()
 	return e, nw, g
 }
 

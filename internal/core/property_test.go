@@ -181,13 +181,11 @@ h(X, Y, D1) :- g(X, Y), h(V, X, D), D1 = D + 1, NOT hp(Y, D1).
 `
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 21})
-	e, err := New(nw, mustProg(t, src), Config{})
+	e, err := Deploy(nw, mustProg(t, src), Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	base := injectGridEdges(e, nw)
-	e.Start()
 	nw.Run(0)
 	oracleCompare(t, e, src, base, "h/3")
 
@@ -220,12 +218,10 @@ func TestBandPAOnRandomTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(nw, mustProg(t, joinSrc), Config{Scheme: gpa.Perpendicular, BandWidth: 4.0})
+	e, err := Deploy(nw, mustProg(t, joinSrc), Config{Scheme: gpa.Perpendicular, BandWidth: 4.0}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
-	e.Start()
 	var base []eval.Tuple
 	for i := 0; i < 6; i++ {
 		a := eval.NewTuple("ra", ast.Int64(int64(i)), ast.Int64(int64(i)))

@@ -40,18 +40,17 @@ func (h regionProbe) Receive(n *nsim.Node, m *nsim.Message) {
 func probedGrid(t *testing.T, m int, src string, cfg Config) (*Engine, *nsim.Network, *obs.Registry, *int, map[nsim.NodeID]bool) {
 	t.Helper()
 	nw := topo.Grid(m, nsim.Config{Seed: 5})
-	e, err := New(nw, mustProg(t, src), cfg)
+	reg := obs.NewRegistry()
+	e, err := Deploy(nw, mustProg(t, src), cfg, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.Observe(reg, nil)
+	// Start only schedules; every timer and message is dispatched
+	// through n.App when the network runs, so wrapping here sees them all.
 	phases, joined := new(int), map[nsim.NodeID]bool{}
 	for _, n := range nw.Nodes() {
 		n.App = regionProbe{Handler: n.App, id: n.ID, phases: phases, joined: joined}
 	}
-	nw.Finalize()
-	e.Start()
 	return e, nw, reg, phases, joined
 }
 

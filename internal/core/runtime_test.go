@@ -21,11 +21,10 @@ import (
 // flood frame already seen costs nothing to recognise.
 func TestJoinPathAllocations(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
-	e, err := New(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{})
+	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	rt := e.rts[1]
 	sym := func(s string) ast.Term { return ast.Symbol(s) }
 	stamp := func(seq int64) window.Stamp { return window.Stamp{TS: seq, Node: 1, Seq: seq} }
@@ -158,11 +157,10 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	// End to end: edges (each one a local expansion somewhere) arrive
 	// spread over the time the stream walkers are in flight.
 	nw := topo.Grid(4, nsim.Config{Seed: 12})
-	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular})
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	var base []eval.Tuple
 	for _, n := range nw.Nodes() {
 		for _, nb := range n.Neighbors() {
@@ -173,7 +171,6 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 			base = append(base, g)
 		}
 	}
-	e.Start()
 	for i, tup := range streams {
 		if err := e.InjectAt(nsim.Time(3+i*29), nsim.NodeID((i*5)%nw.Len()), tup); err != nil {
 			t.Fatal(err)
@@ -189,11 +186,10 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	// Directly: the partials of a walker that joinPhase launched keep
 	// their registers and stamps across another node's local expansion.
 	nw = topo.Grid(3, nsim.Config{Seed: 1})
-	e, err = New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true})
+	e, err = Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	stamp := func(seq int64) window.Stamp { return window.Stamp{TS: seq, Node: 0, Seq: seq} }
 	sweep, local := e.rts[4], e.rts[1]
 	sweep.store.Insert(eval.NewTuple("s", i64(10), i64(20)), stamp(1))
@@ -241,11 +237,10 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 // received.
 func TestStoreFloodForwarding(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
-	e, err := New(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true})
+	e, err := Deploy(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	tup := eval.NewTuple("p", ast.Symbol("n4"))
 	frames := func(rt *nodeRT) []*storeMsg {
 		var out []*storeMsg
@@ -298,11 +293,10 @@ func TestStoreFloodForwarding(t *testing.T) {
 // the walker it was copied from, so neither can overwrite the other's.
 func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 	nw := topo.Grid(4, nsim.Config{Seed: 1})
-	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true})
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	rt := e.rts[5]
 	stamp := window.Stamp{TS: 1, Node: 5, Seq: 1}
 	rec := &updateRec{Tuple: eval.NewTuple("r", ast.Int64(0), ast.Int64(10)), ID: stamp, Tau: stamp}
@@ -343,11 +337,10 @@ func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 func TestWalkerPathFitsItsLegs(t *testing.T) {
 	m := 16
 	nw := topo.Grid(m, nsim.Config{Seed: 1})
-	e, err := New(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular})
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	fits := func(what string, rt *nodeRT, legs []gpa.Leg) {
 		c := cap(rt.walkFor(legs...))
 		from := rt.node.ID

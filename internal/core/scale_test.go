@@ -70,13 +70,11 @@ func TestScaleLogicJLargeGrid(t *testing.T) {
 	m := 15
 	nw := topoGrid(m)
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := New(nw, prog, Config{})
+	e, err := Deploy(nw, prog, Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Finalize()
 	injectGridEdges(e, nw)
-	e.Start()
 	nw.Run(0)
 	j := e.Derived("j/2")
 	if len(j) != m*m {

@@ -51,13 +51,11 @@ var DerivedByWalk = (*Engine).derivedByWalk
 func BenchmarkDerived80(b *testing.B) {
 	const m = 80
 	nw := topoGrid(m)
-	e, err := New(nw, mustProg(b, logicJSrc+"\nj(n0, 0).\n"), Config{})
+	e, err := Deploy(nw, mustProg(b, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw.Finalize()
 	injectGridEdges(e, nw)
-	e.Start()
 	nw.Run(0)
 	for _, read := range []struct {
 		name string

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction of the paper's
-// evaluation section (E1..E10 in DESIGN.md). Each experiment returns a
+// evaluation section (E1..E14 in DESIGN.md). Each experiment returns a
 // metrics.Table with the same rows/series the paper reports; the bench
 // harness (bench_test.go) and the snbench CLI both drive these
 // functions, so EXPERIMENTS.md is regenerated from a single source.
@@ -38,15 +38,15 @@ func mustProg(src string) *ast.Program {
 	return p
 }
 
-// deployGrid builds an engine over an m×m grid.
+// deployGrid deploys an unobserved engine over an m×m grid, with the
+// engine fields snlog.Deploy does not expose (SpatialRadius, BatchLinks,
+// the energy model) open to the caller.
 func deployGrid(m int, src string, cfg core.Config, sim nsim.Config) (*core.Engine, *nsim.Network) {
 	nw := topo.Grid(m, sim)
-	e, err := core.New(nw, mustProg(src), cfg)
+	e, err := core.Deploy(nw, mustProg(src), cfg, nil, nil, nil)
 	if err != nil {
 		panic(err)
 	}
-	nw.Finalize()
-	e.Start()
 	return e, nw
 }
 
@@ -206,22 +206,22 @@ h(X, Y, D1) :- g(X, Y), h(V, X, D), D1 = D + 1, NOT hp(Y, D1).
 
 // runSPTProgram deploys an SPT logic program and injects grid adjacency.
 func runSPTProgram(m int, src string, seed int64) (*core.Engine, *nsim.Network) {
-	nw := topo.Grid(m, nsim.Config{Seed: seed})
-	e, err := core.New(nw, mustProg(src), core.Config{})
-	if err != nil {
-		panic(err)
-	}
-	nw.Finalize()
-	for _, n := range nw.Nodes() {
+	e, nw := deployGrid(m, src, core.Config{}, nsim.Config{Seed: seed})
+	injectAdjacency(e)
+	nw.Run(0)
+	return e, nw
+}
+
+// injectAdjacency injects g(n, nb) at node n, at time 0, for every
+// neighbor nb of every node n.
+func injectAdjacency(e *core.Engine) {
+	for _, n := range e.Network().Nodes() {
 		for _, nb := range n.Neighbors() {
 			e.InjectAt(0, n.ID, eval.NewTuple("g",
 				ast.Symbol(fmt.Sprintf("n%d", n.ID)),
 				ast.Symbol(fmt.Sprintf("n%d", nb))))
 		}
 	}
-	e.Start()
-	nw.Run(0)
-	return e, nw
 }
 
 // E5SPT — shortest-path-tree construction: the deductive programs logicH
@@ -410,7 +410,7 @@ uncov(L, T) :- NOT cov(L, T), veh(enemy, L, T).
 		if n > 0 {
 			avg = float64(sum) / float64(n)
 		}
-		t.AddRow(m, int64(2*(nsim.Time(2*m)+4)*4), n, avg, max)
+		t.AddRow(m, int64(e.TauS()), n, avg, max)
 	}
 	return t
 }

@@ -1,101 +1,47 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/datalog/ast"
-	"repro/internal/datalog/eval"
-	"repro/internal/gpa"
-	"repro/internal/nsim"
-	"repro/internal/obs"
-	"repro/internal/obs/provenance"
-	"repro/internal/topo"
-)
-
-// ObservedE1 is an E1 run with the observability layer attached: the
-// network/engine after quiescence plus the registry and trace that
-// watched them. snbench -trace exports the trace and cross-checks its
-// aggregated counts against the registry (the two are recorded by the
-// same hot-path hooks, so they must agree exactly). Prov is non-nil
-// only for TraceE1Prov runs.
-type ObservedE1 struct {
-	Network  *nsim.Network
-	Engine   *core.Engine
-	Registry *obs.Registry
-	Trace    *obs.Trace
-	Prov     *provenance.Graph
-}
+import snlog "repro"
 
 // TraceE1 runs the E1 two-stream Perpendicular workload on an m×m grid
 // — the same program, seeds, and injection schedule as
-// E1JoinApproaches' PA row — with a counter registry and a trace ring
-// of the given capacity attached from deployment on.
-func TraceE1(m, tuplesPerStream, traceCap int) ObservedE1 {
-	return traceE1(m, tuplesPerStream, traceCap, false)
+// E1JoinApproaches' PA row — deployed through snlog.Deploy with a trace
+// ring of the given capacity attached from deployment on. snbench
+// -trace exports the trace and cross-checks its aggregated counts
+// against the cluster's registry (the two are recorded by the same
+// hot-path hooks, so they must agree exactly).
+func TraceE1(m, tuplesPerStream, traceCap int) *snlog.Cluster {
+	return traceE1(m, tuplesPerStream, snlog.WithTrace(traceCap))
 }
 
 // TraceE1Prov is TraceE1 with provenance attached too, so hop stamping
 // runs and all histogram families (including core.result_hops) fill —
 // the workload behind snbench -hist.
-func TraceE1Prov(m, tuplesPerStream, traceCap int) ObservedE1 {
-	return traceE1(m, tuplesPerStream, traceCap, true)
+func TraceE1Prov(m, tuplesPerStream, traceCap int) *snlog.Cluster {
+	return traceE1(m, tuplesPerStream, snlog.WithTrace(traceCap), snlog.WithProvenance())
 }
 
-func traceE1(m, tuplesPerStream, traceCap int, prov bool) ObservedE1 {
-	nw := topo.Grid(m, nsim.Config{Seed: 11})
-	e, err := core.New(nw, mustProg(twoStreamSrc), core.Config{Scheme: gpa.Perpendicular})
-	if err != nil {
-		panic(err)
-	}
-	reg := obs.NewRegistry()
-	tr := obs.NewTrace(traceCap)
-	nw.Observe(reg, tr)
-	e.Observe(reg, tr)
-	res := ObservedE1{Network: nw, Engine: e, Registry: reg, Trace: tr}
-	if prov {
-		res.Prov = provenance.NewGraph()
-		e.ObserveProvenance(reg, res.Prov)
-	}
-	nw.Finalize()
-	e.Start()
-	injectJoinWorkload(e, nw, 2*tuplesPerStream, 17)
-	nw.Run(0)
-	return res
-}
-
-// ProvenancedE5 is an E5 logicJ shortest-path-tree run with provenance
-// attached — the workload behind snbench -explain: every j/jp
-// derivation is captured, so Explain/Blame answer for any tree tuple.
-type ProvenancedE5 struct {
-	Network  *nsim.Network
-	Engine   *core.Engine
-	Registry *obs.Registry
-	Graph    *provenance.Graph
+func traceE1(m, tuplesPerStream int, opts ...snlog.Option) *snlog.Cluster {
+	c := mustDeploy(m, twoStreamSrc, append(opts, snlog.WithSeed(11), snlog.WithScheme(snlog.Perpendicular))...)
+	injectJoinWorkload(c.Engine, c.Network, 2*tuplesPerStream, 17)
+	c.Run()
+	return c
 }
 
 // ProvE5 mirrors E5SPT's logicJ row (same program, seed, and adjacency
-// injection) with the observability layer plus provenance attached.
-func ProvE5(m int) ProvenancedE5 {
-	nw := topo.Grid(m, nsim.Config{Seed: 41})
-	e, err := core.New(nw, mustProg(logicJSrc), core.Config{})
+// injection) deployed through snlog.Deploy with provenance attached —
+// the workload behind snbench -explain: every j/jp derivation is
+// captured, so Explain/Blame answer for any tree tuple.
+func ProvE5(m int) *snlog.Cluster {
+	c := mustDeploy(m, logicJSrc, snlog.WithSeed(41), snlog.WithProvenance())
+	injectAdjacency(c.Engine)
+	c.Run()
+	return c
+}
+
+func mustDeploy(m int, src string, opts ...snlog.Option) *snlog.Cluster {
+	c, err := snlog.Deploy(snlog.Grid(m), src, opts...)
 	if err != nil {
 		panic(err)
 	}
-	reg := obs.NewRegistry()
-	nw.Observe(reg, nil)
-	e.Observe(reg, nil)
-	g := provenance.NewGraph()
-	e.ObserveProvenance(reg, g)
-	nw.Finalize()
-	for _, n := range nw.Nodes() {
-		for _, nb := range n.Neighbors() {
-			e.InjectAt(0, n.ID, eval.NewTuple("g",
-				ast.Symbol(fmt.Sprintf("n%d", n.ID)),
-				ast.Symbol(fmt.Sprintf("n%d", nb))))
-		}
-	}
-	e.Start()
-	nw.Run(0)
-	return ProvenancedE5{Network: nw, Engine: e, Registry: reg, Graph: g}
+	return c
 }

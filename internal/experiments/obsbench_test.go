@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	snlog "repro"
 	"repro/internal/core"
 	"repro/internal/datalog/ast"
 	"repro/internal/gpa"
@@ -22,11 +23,11 @@ func TestTraceE1CountersMatchTrace(t *testing.T) {
 	// A deliberately tiny ring: TotalKinds counts the run's lifetime,
 	// so the trace/counter equality must hold even after eviction.
 	res := TraceE1(6, 10, 64)
-	if res.Trace.Dropped() == 0 {
+	if res.Trace().Dropped() == 0 {
 		t.Fatal("the tiny ring should have wrapped; the test no longer covers eviction")
 	}
-	agg := res.Trace.TotalKinds()
-	snap := res.Registry.Snapshot()
+	agg := res.Trace().TotalKinds()
+	snap := res.Snapshot()
 	checks := map[obs.EventKind]string{
 		obs.EvSend:   "nsim.messages",
 		obs.EvRecv:   "nsim.received",
@@ -48,29 +49,50 @@ func TestTraceE1CountersMatchTrace(t *testing.T) {
 	}
 }
 
-// TestTraceE1MatchesUnobserved proves observability does not perturb
-// the run: the observed E1 workload produces the same traffic and the
-// same derived results as the unobserved one (the regeneration
-// byte-identity criterion, checked at the engine level).
+// TestTraceE1MatchesUnobserved pins the two deployment routes to each
+// other: a run deployed through snlog.Deploy with observers attached
+// (TraceE1, ProvE5) produces the same traffic and the same derived
+// results as its unobserved twin deployed through deployGrid and
+// core.Deploy (the regeneration byte-identity criterion, checked at
+// the engine level).
 func TestTraceE1MatchesUnobserved(t *testing.T) {
-	obsRun := TraceE1(6, 10, 1<<16)
-	e, nw := deployGrid(6, twoStreamSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
-	injectJoinWorkload(e, nw, 20, 17)
-	nw.Run(0)
-
-	if nw.TotalSent != obsRun.Network.TotalSent || nw.TotalBytes != obsRun.Network.TotalBytes {
-		t.Fatalf("observed run diverged: %d/%d msgs, %d/%d bytes",
-			obsRun.Network.TotalSent, nw.TotalSent, obsRun.Network.TotalBytes, nw.TotalBytes)
+	cases := []struct {
+		name     string
+		pred     string
+		observed func() *snlog.Cluster
+		plain    func() (*core.Engine, *nsim.Network)
+	}{
+		{"E1", "out/2",
+			func() *snlog.Cluster { return TraceE1(6, 10, 1<<16) },
+			func() (*core.Engine, *nsim.Network) {
+				e, nw := deployGrid(6, twoStreamSrc, core.Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
+				injectJoinWorkload(e, nw, 20, 17)
+				nw.Run(0)
+				return e, nw
+			}},
+		{"E5", "j/2",
+			func() *snlog.Cluster { return ProvE5(6) },
+			func() (*core.Engine, *nsim.Network) { return runSPTProgram(6, logicJSrc, 41) }},
 	}
-	want := e.Derived("out/2")
-	got := obsRun.Engine.Derived("out/2")
-	if len(want) != len(got) || len(got) == 0 {
-		t.Fatalf("derived results diverged: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if !want[i].Equal(got[i]) {
-			t.Fatalf("result %d diverged: %v vs %v", i, got[i], want[i])
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			obsRun := tc.observed()
+			e, nw := tc.plain()
+			if nw.TotalSent != obsRun.Network.TotalSent || nw.TotalBytes != obsRun.Network.TotalBytes {
+				t.Fatalf("observed run diverged: %d/%d msgs, %d/%d bytes",
+					obsRun.Network.TotalSent, nw.TotalSent, obsRun.Network.TotalBytes, nw.TotalBytes)
+			}
+			want := e.Derived(tc.pred)
+			got := obsRun.Results(tc.pred)
+			if len(want) != len(got) || len(got) == 0 {
+				t.Fatalf("derived results diverged: %d vs %d", len(got), len(want))
+			}
+			for i := range want {
+				if !want[i].Equal(got[i]) {
+					t.Fatalf("result %d diverged: %v vs %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -196,15 +218,10 @@ func TestReplicaHeapBytes(t *testing.T) {
 // the fully-unobserved run.
 func TestProvDisabledOverheadE1(t *testing.T) {
 	nw := topo.Grid(18, nsim.Config{Seed: 11})
-	e, err := core.New(nw, mustProg(twoStreamSrc), core.Config{Scheme: gpa.Perpendicular})
+	e, err := core.Deploy(nw, mustProg(twoStreamSrc), core.Config{Scheme: gpa.Perpendicular}, obs.NewRegistry(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	nw.Observe(reg, nil)
-	e.Observe(reg, nil)
-	nw.Finalize()
-	e.Start()
 	injectJoinWorkload(e, nw, 40, 17)
 	if e.Provenance() != nil {
 		t.Fatal("provenance should be off in this guard")

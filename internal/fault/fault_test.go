@@ -21,24 +21,20 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 `
 
 // runTraced executes a fixed small workload on a 5x5 grid, optionally
-// under a fault schedule, and returns the serialized trace plus the
-// injector (nil when sched is nil — the baseline, never-attached run).
-func runTraced(t *testing.T, sched *Schedule, faultSeed int64) ([]byte, *Injector) {
+// under a fault schedule, and returns the trace plus the injector (nil
+// when sched is nil — the baseline, never-attached run).
+func runTraced(t *testing.T, sched *Schedule, faultSeed int64) (*obs.Trace, *Injector) {
 	t.Helper()
 	prog, err := parser.Parse(joinSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw := topo.Grid(5, nsim.Config{Seed: 42, MaxSkew: 3})
-	e, err := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular})
+	tr := obs.NewTrace(1 << 15)
+	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, nil, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace(1 << 15)
-	nw.Observe(nil, tr)
-	e.Observe(nil, tr)
-	nw.Finalize()
-	e.Start()
 	var in *Injector
 	if sched != nil {
 		in = Attach(nw, sched, faultSeed)
@@ -50,19 +46,26 @@ func runTraced(t *testing.T, sched *Schedule, faultSeed int64) ([]byte, *Injecto
 			eval.NewTuple("rb", ast.Int64(int64(i)), ast.Int64(int64(i+1))))
 	}
 	nw.Run(0)
+	return tr, in
+}
+
+// jsonl serializes a trace.
+func jsonl(t *testing.T, tr *obs.Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := tr.WriteJSONL(&buf, obs.Filter{}); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), in
+	return buf.Bytes()
 }
 
 // An attached-but-empty schedule must be a byte-identical no-op: the
 // injector draws nothing from any randomness stream and blocks
 // nothing, so the trace equals the never-attached baseline's.
 func TestEmptyScheduleIsByteIdenticalNoOp(t *testing.T) {
-	baseline, _ := runTraced(t, nil, 0)
-	attached, in := runTraced(t, NewSchedule(), 7)
+	baseTrace, _ := runTraced(t, nil, 0)
+	attachedTrace, in := runTraced(t, NewSchedule(), 7)
+	baseline, attached := jsonl(t, baseTrace), jsonl(t, attachedTrace)
 	if !bytes.Equal(baseline, attached) {
 		t.Fatalf("empty schedule perturbed the run: baseline %d bytes, attached %d bytes",
 			len(baseline), len(attached))
@@ -83,8 +86,9 @@ func churnSchedule() *Schedule {
 
 // The same (schedule, seed) pair must replay byte-identically.
 func TestScheduleSeedReplaysByteIdentically(t *testing.T) {
-	a, _ := runTraced(t, churnSchedule(), 99)
-	b, _ := runTraced(t, churnSchedule(), 99)
+	trA, _ := runTraced(t, churnSchedule(), 99)
+	trB, _ := runTraced(t, churnSchedule(), 99)
+	a, b := jsonl(t, trA), jsonl(t, trB)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same (schedule, seed) produced different traces: %d vs %d bytes", len(a), len(b))
 	}
@@ -95,23 +99,7 @@ func TestScheduleSeedReplaysByteIdentically(t *testing.T) {
 // radio counters get against the trace.
 func TestTraceEventsMatchCounts(t *testing.T) {
 	_, in := runTraced(t, churnSchedule(), 99)
-	// Re-run capturing the trace kinds (runTraced already returned the
-	// serialized bytes; parse counts from a fresh traced run instead).
-	prog, _ := parser.Parse(joinSrc)
-	nw := topo.Grid(5, nsim.Config{Seed: 42, MaxSkew: 3})
-	e, _ := core.New(nw, prog, core.Config{Scheme: gpa.Perpendicular})
-	tr := obs.NewTrace(1 << 15)
-	nw.Observe(nil, tr)
-	nw.Finalize()
-	e.Start()
-	in2 := Attach(nw, churnSchedule(), 99)
-	for i := 0; i < 6; i++ {
-		e.InjectAt(nsim.Time(i*150), nsim.NodeID((i*7)%nw.Len()),
-			eval.NewTuple("ra", ast.Int64(int64(i)), ast.Int64(int64(i))))
-		e.InjectAt(nsim.Time(i*150+40), nsim.NodeID((i*11+3)%nw.Len()),
-			eval.NewTuple("rb", ast.Int64(int64(i)), ast.Int64(int64(i+1))))
-	}
-	nw.Run(0)
+	tr, in2 := runTraced(t, churnSchedule(), 99)
 	if in2.Counts != in.Counts {
 		t.Fatalf("counts differ across identical runs: %+v vs %+v", in2.Counts, in.Counts)
 	}

@@ -363,36 +363,27 @@ func deploy(nw *nsim.Network, src string, opt Options, bandWidth float64) (*Clus
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(nw, prog, core.Config{
+	c := &Cluster{Network: nw, reg: obs.NewRegistry()}
+	if opt.TraceCapacity > 0 {
+		c.trace = obs.NewTrace(opt.TraceCapacity)
+	}
+	if opt.Provenance {
+		c.prov = provenance.NewGraph()
+	}
+	c.Engine, err = core.Deploy(nw, prog, core.Config{
 		Scheme:        opt.Scheme,
 		Server:        nsim.NodeID(opt.Server),
 		MultiPass:     opt.MultiPass,
 		BandWidth:     bandWidth,
 		DefaultWindow: opt.DefaultWindow,
 		ReplayLog:     opt.ReplayLog,
-	})
+	}, c.reg, c.trace, c.prov)
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
-	var trace *obs.Trace
-	if opt.TraceCapacity > 0 {
-		trace = obs.NewTrace(opt.TraceCapacity)
-	}
-	nw.Observe(reg, trace)
-	eng.Observe(reg, trace)
-	var prov *provenance.Graph
-	if opt.Provenance {
-		// Attach before Start so seeded derived facts are captured.
-		prov = provenance.NewGraph()
-		eng.ObserveProvenance(reg, prov)
-	}
-	nw.Finalize()
-	eng.Start()
-	c := &Cluster{Engine: eng, Network: nw, reg: reg, trace: trace, prov: prov}
 	if opt.FaultSchedule != nil {
 		c.faults = fault.Attach(nw, opt.FaultSchedule, opt.FaultSeed)
-		c.faults.Observe(reg)
+		c.faults.Observe(c.reg)
 	}
 	return c, nil
 }

@@ -42,7 +42,7 @@ serve-smoke:
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (3.957) the same way,
+# node runtime's join path — to its own baseline (3.671) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (8 allocs).
 # TestQueryAllocs pins the server's share in-process: a Session.query
@@ -55,7 +55,7 @@ serve-smoke:
 # TestJoinPathAllocations pins the join path where the cost is paid: one
 # extension is one allocation, a whole local-mode join phase allocates
 # only its candidate (its partials come from the engine's slab, released
-# and zeroed on return), and a seen flood frame costs nothing.
+# and zeroed on return), and a join flood already seen costs nothing.
 # TestEventLoopAllocs holds the simulator's event loop to growth only: a
 # 100 k-event run whose queue stays under 1 k events makes at most 64
 # mallocs in total, so a recycled event slot costs nothing.

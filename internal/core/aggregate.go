@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/datalog/ast"
@@ -173,8 +174,15 @@ func (rt *nodeRT) aggFinal(epoch string) {
 	rt.localAggContribution(s)
 	plan := rt.e.aggRules[s.pred]
 	r := plan.rule
+	// The epoch's output is in group-key order, not map order.
+	keys := make([]string, 0, len(s.groups.ByKey))
+	for k := range s.groups.ByKey {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	var out []eval.Tuple
-	for _, grp := range s.groups.ByKey {
+	for _, k := range keys {
+		grp := s.groups.ByKey[k]
 		args := make([]ast.Term, len(r.Head.Args))
 		gi, si := 0, 0
 		bad := false

@@ -177,3 +177,50 @@ d(X) :- s(X).`, Config{}, nsim.Config{Seed: 23})
 		t.Fatal("unknown aggregate predicate should error")
 	}
 }
+
+// An epoch's groups come out in group-key order, in AggregateResult and
+// in the ResultLog of an aggregate query alike: ten groups in map order
+// would be sorted by chance once in 10! runs.
+func TestAggregateResultInKeyOrder(t *testing.T) {
+	src := `
+.base reading/2.
+peak(G, max<T>) :- reading(G, T).
+.query peak/2.
+`
+	e, nw := buildGrid(t, 4, src, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 24})
+	var base []eval.Tuple
+	for i := 0; i < 30; i++ {
+		tup := eval.NewTuple("reading", ast.Symbol(fmt.Sprintf("g%d", (7*i)%10)), ast.Int64(int64(i)))
+		base = append(base, tup)
+		e.InjectAt(nsim.Time(i*5), nsim.NodeID(i%nw.Len()), tup)
+	}
+	if err := e.CollectAggregateAt(2000, "peak/2", 0); err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(0)
+
+	ev, err := eval.New(mustProg(t, src), eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ev.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantT := want.Tuples("peak/2")
+	if len(wantT) != 10 {
+		t.Fatalf("oracle has %d groups, want 10", len(wantT))
+	}
+	if got := e.AggregateResult("peak/2"); fmt.Sprint(got) != fmt.Sprint(wantT) {
+		t.Errorf("AggregateResult not in key order:\n got %v\nwant %v", got, wantT)
+	}
+	var logged []eval.Tuple
+	for _, ev := range e.ResultLog {
+		if ev.Tuple.Pred == "peak/2" {
+			logged = append(logged, ev.Tuple)
+		}
+	}
+	if fmt.Sprint(logged) != fmt.Sprint(wantT) {
+		t.Errorf("ResultLog not in key order:\n got %v\nwant %v", logged, wantT)
+	}
+}

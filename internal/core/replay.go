@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datalog/eval"
 	"repro/internal/nsim"
-	"repro/internal/routing"
 	"repro/internal/window"
 )
 
@@ -17,11 +16,12 @@ import (
 // program's true fixpoint.
 //
 // The repair is a full re-execution of the base timeline. Every node
-// drops its distributed state (replica store, set-of-derivations store,
-// flood dedup sets, buffered candidates), the routing cache is
-// invalidated (entries computed while a node was down would keep
-// routing around it after recovery), and every logged base generation —
-// insert or delete — is re-launched with its ORIGINAL stamps. The join
+// drops its distributed state (replica store, which is also what
+// recognises replica floods, set-of-derivations store, join-flood set,
+// buffered candidates), the routing cache is invalidated (entries
+// computed while a node was down would keep routing around it after
+// recovery), and every logged base generation — insert or delete — is
+// re-launched with its ORIGINAL stamps. The join
 // machinery then re-derives the IDB from scratch; derived cascades run
 // with fresh stamps, which all order after every base stamp.
 //
@@ -103,7 +103,7 @@ func (e *Engine) replayNow() {
 		rt.aggSessions = make(map[string]*aggSession)
 		rt.pendingCands = rt.pendingCands[:0]
 		rt.outbox = rt.outbox[:0]
-		rt.dedup = routing.Dedup[floodKey]{}
+		rt.joinFloods = nil
 	}
 	// Program facts of derived predicates are not rule-derived, so the
 	// base replay cannot restore them; re-seed them (fresh stamps).

@@ -252,7 +252,9 @@ type nodeRT struct {
 
 	store *window.Store
 	seq   int64
-	dedup routing.Dedup[floodKey]
+	// joinFloods, the join floods processed here, is the node's only flood
+	// memory: the store says whether a replica flood copy is news.
+	joinFloods map[floodKey]struct{}
 	// plans is nil on an engine whose rules read no hash-placed predicate.
 	plans *nodePlans
 
@@ -519,7 +521,6 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 			case plan.Band != nil:
 				sm := &storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1, Band: plan.Band}
 				rt.bandBroadcast(kindStore, sm, plan.Band, sizeOfTuple(t)+8)
-				rt.dedup.Check(floodKey{id: id, del: delStamp != nil})
 			case plan.Flood:
 				rt.floodStore(&storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1})
 			case plan.Local:
@@ -544,26 +545,40 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 	rt.node.SetTimer(rt.e.tauS+rt.e.tauC, timerJoinPhase, rec)
 }
 
-// applyStoreLocal stores a replica or records a deletion stamp.
-func (rt *nodeRT) applyStoreLocal(t eval.Tuple, id window.Stamp, del *window.Stamp) {
+// applyStoreLocal stores a replica or records a deletion stamp, and
+// reports whether it was news to the store.
+func (rt *nodeRT) applyStoreLocal(t eval.Tuple, id window.Stamp, del *window.Stamp) bool {
 	if del == nil {
-		rt.store.Insert(t, id)
-	} else {
-		rt.store.MarkDeleted(t.Pred, id, *del)
+		return rt.store.Insert(t, id)
 	}
+	return rt.store.MarkDeleted(t.Pred, id, *del)
 }
 
 // floodStore broadcasts a replication flood (TTL-limited for placements).
+// The source stored the replica first, so its store turns echoes away.
 func (rt *nodeRT) floodStore(sm *storeMsg) {
-	rt.dedup.Check(floodKey{id: sm.ID, del: sm.Del != nil}) // mark own
 	rt.bcast(kindStore, sm, sizeOfTuple(sm.Tuple)+8)
 }
 
-// floodKey identifies a flooded frame in a node's duplicate-suppression
-// set: a replication or a join flood of the update with stamp id.
+// floodKey identifies a join flood in a node's join-flood set: the
+// insertion or the deletion of the update with stamp id.
 type floodKey struct {
-	id        window.Stamp
-	join, del bool
+	id  window.Stamp
+	del bool
+}
+
+// seenJoinFlood records the join flood of update id and reports whether
+// the node had seen it before.
+func (rt *nodeRT) seenJoinFlood(id window.Stamp, del bool) bool {
+	k := floodKey{id: id, del: del}
+	if _, dup := rt.joinFloods[k]; dup {
+		return true
+	}
+	if rt.joinFloods == nil {
+		rt.joinFloods = make(map[floodKey]struct{})
+	}
+	rt.joinFloods[k] = struct{}{}
+	return false
 }
 
 // walkFor starts the visited set — the path — of a walker leaving this
@@ -660,10 +675,9 @@ func (rt *nodeRT) storeWalkerArrived(sm *storeMsg) {
 func (rt *nodeRT) onStore(sm *storeMsg) {
 	rt.expire()
 	if sm.Flood {
-		if rt.dedup.Check(floodKey{id: sm.ID, del: sm.Del != nil}) {
-			return
+		if !rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del) {
+			return // a copy the store has seen
 		}
-		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
 		// A frame is read-only once sent (every neighbour got the same
 		// pointer), so a copy is made only to carry a decremented TTL.
 		ttl := sm.TTL
@@ -762,7 +776,7 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 			Partials: hashPartials, Flood: true, Band: plan.Band,
 		}
 		rt.processJoinHere(jm)
-		rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del})
+		rt.seenJoinFlood(jm.ID, jm.Del)
 		rt.bandBroadcast(kindJoin, jm, plan.Band, rt.joinMsgSize(jm))
 	case plan.Flood:
 		jm := &joinMsg{
@@ -1345,7 +1359,7 @@ func (rt *nodeRT) joinMsgSize(jm *joinMsg) int {
 func (rt *nodeRT) onJoin(jm *joinMsg) {
 	rt.expire()
 	if jm.Flood {
-		if rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del}) {
+		if rt.seenJoinFlood(jm.ID, jm.Del) {
 			return
 		}
 		rt.processJoinHere(jm)
@@ -1491,7 +1505,7 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 		// region from here.
 		jm.FloodAfter = false
 		jm.Flood = true
-		rt.dedup.Check(floodKey{join: true, id: jm.ID, del: jm.Del})
+		rt.seenJoinFlood(jm.ID, jm.Del)
 		rt.processJoinHere(jm)
 		if jm.FloodTTL != 0 {
 			fwd := *jm

@@ -18,7 +18,7 @@ import (
 // extending a partial by one stored tuple allocates the successor and
 // nothing else — no binding nodes, no substituted arithmetic, no key —
 // a local-mode join phase allocates its candidate and no partial, and a
-// flood frame already seen costs nothing to recognise.
+// join flood already seen costs nothing to recognise.
 func TestJoinPathAllocations(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
 	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
@@ -84,14 +84,13 @@ func TestJoinPathAllocations(t *testing.T) {
 		}
 	}
 
-	key := floodKey{id: stamp(3), join: true}
-	rt.dedup.Check(key)
+	rt.seenJoinFlood(stamp(3), false)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if !rt.dedup.Check(key) {
-			t.Fatal("seen flood frame not recognised")
+		if !rt.seenJoinFlood(stamp(3), false) {
+			t.Fatal("seen join flood not recognised")
 		}
 	}); allocs != 0 {
-		t.Errorf("flood dedup on a seen key: %v allocs, want 0", allocs)
+		t.Errorf("join-flood set on a seen frame: %v allocs, want 0", allocs)
 	}
 }
 
@@ -363,5 +362,31 @@ func TestWalkerPathFitsItsLegs(t *testing.T) {
 		for _, to := range nw.Nodes() {
 			fits("result", rt, []gpa.Leg{{TargetX: to.X, TargetY: to.Y}})
 		}
+	}
+}
+
+// On logicJ every replicated tuple is a `.store … hops 1` flood, and the
+// store is what recognises a flood copy: after quiescence no node holds
+// a flood set beside its replicas (join floods are the only ones that
+// keep one, and logicJ has none), and the stores hold what they held
+// while a separate set of every replica flood sat beside them (6,087
+// replicas and 6,056 messages on Grid(16), seed 7).
+func TestReplicaFloodsKeepNoSet(t *testing.T) {
+	nw := topo.Grid(16, nsim.Config{Seed: 7})
+	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectGridEdges(e, nw)
+	nw.Run(0)
+	replicas := 0
+	for id, rt := range e.rts {
+		if len(rt.joinFloods) != 0 {
+			t.Errorf("node %d: %d join-flood entries on a program with no join flood", id, len(rt.joinFloods))
+		}
+		replicas += e.StoredReplicas(nsim.NodeID(id))
+	}
+	if replicas != 6087 || nw.TotalSent != 6056 {
+		t.Errorf("%d replicas, %d messages; want 6087 and 6056", replicas, nw.TotalSent)
 	}
 }

@@ -1,9 +1,9 @@
 // Package routing provides the forwarding primitives the distributed
-// engine builds on: greedy geographic unicast (exact row/column routing
-// on grids falls out as a special case), detour-tolerant greedy routing
-// for random topologies, sweep paths used by the Generalized
-// Perpendicular Approach's storage and join-computation regions, and a
-// duplicate-suppression cache for flooding.
+// engine builds on: detour-tolerant greedy geographic unicast (exact
+// row/column routing on grids falls out as a special case, and random
+// topologies' small voids are walked around) and the sweep paths used by
+// the Generalized Perpendicular Approach's storage and join-computation
+// regions.
 package routing
 
 import (
@@ -13,36 +13,14 @@ import (
 	"repro/internal/nsim"
 )
 
-// NextHopGreedy returns the neighbor of `from` strictly closest to the
-// target location, provided it improves on `from`'s own distance. ok is
-// false at a local minimum (void), which cannot happen on a connected
-// grid but can on random topologies — callers fall back to
-// NextHopGreedyAvoid.
-func NextHopGreedy(nw *nsim.Network, from nsim.NodeID, tx, ty float64) (nsim.NodeID, bool) {
-	self := nw.Node(from)
-	selfD := dist(self.X, self.Y, tx, ty)
-	best := from
-	bestD := selfD
-	for _, nb := range self.Neighbors() {
-		n := nw.Node(nb)
-		if n.Down {
-			continue
-		}
-		d := dist(n.X, n.Y, tx, ty)
-		if d < bestD-1e-12 {
-			best, bestD = nb, d
-		}
-	}
-	return best, best != from
-}
-
 // NextHopGreedyAvoid picks the neighbor closest to the target among
 // those not already visited, even if it does not strictly improve — a
 // lightweight detour strategy that, combined with the visited set carried
 // in the message, escapes small voids in random geometric graphs. The
 // visited set is the walk's path so far, carried as one slice and
 // scanned. Past about 8 nodes a scan costs more than a map lookup, but a
-// walker's path is one allocation where a map was several.
+// walker's path is one allocation where a map was several. ok is false
+// when every live neighbor is already on the path.
 func NextHopGreedyAvoid(nw *nsim.Network, from nsim.NodeID, tx, ty float64, visited []nsim.NodeID) (nsim.NodeID, bool) {
 	self := nw.Node(from)
 	best := from
@@ -202,27 +180,6 @@ func (e *Engine) nextHopAvoid(from nsim.NodeID, tx, ty float64) (nsim.NodeID, bo
 	}
 	return best, best != from
 }
-
-// Dedup suppresses duplicate flooded messages by a comparable ID. The
-// zero value is ready to use.
-type Dedup[K comparable] struct {
-	seen map[K]struct{}
-}
-
-// Check records id and reports whether it was seen before.
-func (d *Dedup[K]) Check(id K) bool {
-	if _, dup := d.seen[id]; dup {
-		return true
-	}
-	if d.seen == nil {
-		d.seen = make(map[K]struct{})
-	}
-	d.seen[id] = struct{}{}
-	return false
-}
-
-// Len returns the number of distinct IDs seen.
-func (d *Dedup[K]) Len() int { return len(d.seen) }
 
 // Bounds returns the bounding box of the network's node positions.
 func Bounds(nw *nsim.Network) (minX, minY, maxX, maxY float64) {

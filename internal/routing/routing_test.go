@@ -8,27 +8,35 @@ import (
 	"repro/internal/topo"
 )
 
+// walk steps from `from` toward (tx, ty) the way a walker does: one
+// NextHopGreedyAvoid hop at a time, the path its own visited set, until
+// AtTarget or no hop is left.
+func walk(nw *nsim.Network, from nsim.NodeID, tx, ty float64) []nsim.NodeID {
+	path := []nsim.NodeID{from}
+	for cur := from; !AtTarget(nw, cur, tx, ty); {
+		next, ok := NextHopGreedyAvoid(nw, cur, tx, ty, path)
+		if !ok {
+			break
+		}
+		path = append(path, next)
+		cur = next
+	}
+	return path
+}
+
 func TestGreedyOnGridFollowsRowThenStops(t *testing.T) {
 	m := 6
 	nw := topo.Grid(m, nsim.Config{Seed: 1})
 	nw.Finalize()
 	// From (0, 2) toward (5, 2): should walk the row.
-	cur := topo.GridID(m, 0, 2)
-	hops := 0
-	for {
-		next, ok := NextHopGreedy(nw, cur, 5, 2)
-		if !ok {
-			break
-		}
-		p, q := topo.GridCoords(m, next)
-		if q != 2 {
+	path := walk(nw, topo.GridID(m, 0, 2), 5, 2)
+	for _, id := range path {
+		if p, q := topo.GridCoords(m, id); q != 2 {
 			t.Fatalf("left the row: (%d,%d)", p, q)
 		}
-		cur = next
-		hops++
 	}
-	if cur != topo.GridID(m, 5, 2) || hops != 5 {
-		t.Errorf("ended at %d after %d hops", cur, hops)
+	if end := path[len(path)-1]; end != topo.GridID(m, 5, 2) || len(path)-1 != 5 {
+		t.Errorf("ended at %d after %d hops", end, len(path)-1)
 	}
 }
 
@@ -97,27 +105,6 @@ func TestAtTarget(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	// Keyed the way the engine keys it: a comparable struct, no rendering.
-	type frame struct {
-		join bool
-		seq  int64
-	}
-	var d Dedup[frame]
-	if d.Check(frame{seq: 1}) {
-		t.Error("first occurrence reported duplicate")
-	}
-	if !d.Check(frame{seq: 1}) {
-		t.Error("second occurrence not detected")
-	}
-	if d.Check(frame{join: true, seq: 1}) {
-		t.Error("unseen id reported duplicate")
-	}
-	if d.Len() != 2 {
-		t.Errorf("len = %d", d.Len())
-	}
-}
-
 func TestBounds(t *testing.T) {
 	nw := topo.Grid(4, nsim.Config{})
 	minX, minY, maxX, maxY := Bounds(nw)
@@ -130,19 +117,21 @@ func TestGreedySkipsDownNodes(t *testing.T) {
 	m := 5
 	nw := topo.Grid(m, nsim.Config{Seed: 3})
 	nw.Finalize()
-	// Kill the direct next hop: strict greedy hits a local minimum (no
-	// neighbor improves), while the avoid variant detours around it.
+	// Kill the direct next hop: no neighbor of (0, 2) improves on it, so
+	// the walk detours around the dead node and still arrives.
 	dead := topo.GridID(m, 1, 2)
 	nw.Node(dead).Down = true
-	if _, ok := NextHopGreedy(nw, topo.GridID(m, 0, 2), 4, 2); ok {
-		t.Error("strict greedy should report a local minimum here")
+	path := walk(nw, topo.GridID(m, 0, 2), 4, 2)
+	if slices.Contains(path, dead) {
+		t.Errorf("routed into a down node: %v", path)
 	}
-	next, ok := NextHopGreedyAvoid(nw, topo.GridID(m, 0, 2), 4, 2,
-		[]nsim.NodeID{topo.GridID(m, 0, 2)})
-	if !ok {
-		t.Fatal("avoid variant found no hop")
+	if end := path[len(path)-1]; end != topo.GridID(m, 4, 2) {
+		t.Errorf("walk ended at %d, want %d: %v", end, topo.GridID(m, 4, 2), path)
 	}
-	if next == dead {
-		t.Error("routed into a down node")
+	// With its other neighbors on the path too, (0, 2) has no hop left:
+	// the walk is at a local minimum.
+	stuck := []nsim.NodeID{topo.GridID(m, 0, 1), topo.GridID(m, 0, 3), topo.GridID(m, 0, 2)}
+	if next, ok := NextHopGreedyAvoid(nw, topo.GridID(m, 0, 2), 4, 2, stuck); ok {
+		t.Errorf("hop to %d from a node whose live neighbors are all on the path", next)
 	}
 }

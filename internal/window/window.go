@@ -22,6 +22,15 @@
 // shared with other stores, so results handed out by VisibleMatch and All
 // are valid only until the next mutating call on the same store: only
 // that store can free them, and another store reuses only freed slots.
+//
+// The store is also the node's record of which replica floods it has
+// seen. Insert reports whether its stamp is news: true for the first
+// insertion of a stamp to arrive, false for every later copy. MarkDeleted
+// reports whether its deletion stamp is news to the replica. A deletion
+// may arrive before its insertion; it then leaves a payload-less
+// tombstone, the insertion that follows reports true once and stores
+// nothing, and the deletion still wins. A flooding node forwards a copy
+// only when the store called it news.
 package window
 
 import (
@@ -92,7 +101,8 @@ type Entry struct {
 	// tomb marks a payload-less deletion record (MarkDeleted of an unknown
 	// ID). A flag and not Args == nil: a nullary fact has no arguments
 	// either, and it must join.
-	tomb bool
+	tomb     bool
+	inserted bool // a tombstone whose insertion arrived (news once, stored nothing)
 }
 
 // VisibleAt reports whether the entry participates in the join
@@ -415,11 +425,17 @@ func (s *Store) SetRetention(predKey string, retention int64) {
 }
 
 // Insert stores a replica; duplicates (same stamp) are idempotent.
-// Reports whether the entry was new.
+// Reports whether this is the first insertion of the stamp to arrive.
+// Over a tombstone the first insertion reports true and stores nothing,
+// so the deletion that arrived first still wins.
 func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
 	tab := s.table(t.Pred)
-	if tab.byID.get(id) != nil {
-		return false
+	if e := tab.byID.get(id); e != nil {
+		if !e.tomb || e.inserted {
+			return false
+		}
+		e.inserted = true
+		return true
 	}
 	e := s.arena.get()
 	e.Args, e.ID = t.Args, id
@@ -427,10 +443,12 @@ func (s *Store) Insert(t eval.Tuple, id Stamp) bool {
 	return true
 }
 
-// MarkDeleted records a deletion stamp on the replica with the given ID.
-// Unknown IDs are remembered as tombstones so a deletion arriving before
-// its insertion (message reordering) still wins.
-func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
+// MarkDeleted records a deletion stamp on the replica with the given ID
+// and reports whether the stamp was news to it: the replica carried no
+// deletion stamp, or a later one. Unknown IDs are remembered as
+// tombstones so a deletion arriving before its insertion (message
+// reordering) still wins.
+func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) bool {
 	tab := s.table(predKey)
 	e := tab.byID.get(id)
 	if e == nil {
@@ -438,10 +456,11 @@ func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) {
 		e.ID, e.tomb = id, true
 		s.add(tab, e)
 	}
-	if !e.Deleted || del.Less(e.Del) {
-		e.Deleted = true
-		e.Del = del
+	if e.Deleted && !del.Less(e.Del) {
+		return false
 	}
+	e.Deleted, e.Del = true, del
+	return true
 }
 
 // Visible returns the entries of predKey visible at τ under window w, in

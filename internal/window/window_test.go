@@ -105,11 +105,24 @@ func TestDeletionTombstoneBeforeInsert(t *testing.T) {
 	if got := s.Visible("s/1", Stamp{TS: 20, Node: 2}, 0); len(got) != 0 {
 		t.Error("tombstone matched")
 	}
-	s.Insert(tup(1), gen)
+	// The insertion behind it is news once, so a flood forwards it; it
+	// stores nothing, and later copies are not news.
+	if !s.Insert(tup(1), gen) {
+		t.Error("first insert over a tombstone reported old")
+	}
+	if s.Insert(tup(1), gen) {
+		t.Error("second insert over a tombstone reported new")
+	}
+	if s.MarkDeleted("s/1", gen, del) {
+		t.Error("repeated deletion stamp reported new")
+	}
 	// Insert after tombstone: the deletion must stick. Note Insert keeps
 	// the first entry for the stamp (the tombstone), preserving Del.
 	if got := s.Visible("s/1", Stamp{TS: 40, Node: 2}, 0); len(got) != 0 {
 		t.Error("deletion lost after reordered insert")
+	}
+	if s.Count("s/1") != 1 {
+		t.Errorf("count = %d, want the tombstone alone", s.Count("s/1"))
 	}
 }
 
@@ -135,8 +148,8 @@ func TestNullaryReplicaIsVisible(t *testing.T) {
 	// A deletion that arrives first still wins, whatever the arity.
 	early := Stamp{TS: 11, Node: 1, Seq: 2}
 	s.MarkDeleted("alarm/0", early, Stamp{TS: 12, Node: 1, Seq: 3})
-	if s.Insert(alarm, early) {
-		t.Error("insert over a tombstone reported new")
+	if !s.Insert(alarm, early) {
+		t.Error("first insert over a tombstone reported old")
 	}
 	if got := s.Visible("alarm/0", tau, 0); len(got) != 1 || got[0].ID != gen {
 		t.Errorf("Visible = %v after a tombstone-first ID, want only %v", got, gen)
@@ -284,8 +297,12 @@ func (m refStore) table(pred string) *refTable {
 
 func (m refStore) insert(pred string, args []ast.Term, id Stamp) bool {
 	tab := m.table(pred)
-	if tab.byID[id] != nil {
-		return false
+	if e := tab.byID[id]; e != nil {
+		if !e.tomb || e.inserted {
+			return false
+		}
+		e.inserted = true
+		return true
 	}
 	e := &Entry{Args: args, ID: id}
 	tab.byID[id] = e
@@ -293,16 +310,18 @@ func (m refStore) insert(pred string, args []ast.Term, id Stamp) bool {
 	return true
 }
 
-func (m refStore) markDeleted(pred string, id, del Stamp) {
+func (m refStore) markDeleted(pred string, id, del Stamp) bool {
 	tab := m.table(pred)
 	e := tab.byID[id]
 	if e == nil {
-		e = &Entry{ID: id} // tombstone: never in order
+		e = &Entry{ID: id, tomb: true} // tombstone: never in order
 		tab.byID[id] = e
 	}
 	if !e.Deleted || del.Less(e.Del) {
 		e.Deleted, e.Del = true, del
+		return true
 	}
+	return false
 }
 
 // expirePred is the map scan ExpirePred used to be.
@@ -516,8 +535,9 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 					lateTombs++
 				}
 				del := Stamp{TS: now + int64(r.Intn(4)), Node: 8, Seq: int64(step)}
-				s.MarkDeleted(pred, id, del)
-				m.markDeleted(pred, id, del)
+				if got, want := s.MarkDeleted(pred, id, del), m.markDeleted(pred, id, del); got != want {
+					t.Fatalf("seed %d step %d: store %d MarkDeleted(%v, %v) = %v, model %v", seed, step, k, id, del, got, want)
+				}
 				e := s.preds[pred].byID.get(id)
 				filed[k][e], used[e] = true, true
 				ids = append(ids, id)

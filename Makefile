@@ -58,12 +58,17 @@ serve-smoke:
 # and zeroed on return), and a join flood already seen costs nothing.
 # TestEventLoopAllocs holds the simulator's event loop to growth only: a
 # 100 k-event run whose queue stays under 1 k events makes at most 64
-# mallocs in total, so a recycled event slot costs nothing.
+# mallocs in total, so a recycled event slot costs nothing, and
+# TestKindCountsAllocs holds 100 k transmissions over 5 kinds to none
+# once the queue has grown (the per-kind counters are presized).
+# TestWalkerHopAllocs: once a walker has its path, one more store, join
+# or result hop — arrival test, next hop, per-kind count — makes 0
+# allocations.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
 	$(GO) test -run 'TestHotQueryAllocs|TestQueryAllocs' -v ./internal/serve/
-	$(GO) test -run TestJoinPathAllocations -v ./internal/core/
-	$(GO) test -run TestEventLoopAllocs -v ./internal/nsim/
+	$(GO) test -run 'TestJoinPathAllocations|TestWalkerHopAllocs' -v ./internal/core/
+	$(GO) test -run 'TestEventLoopAllocs|TestKindCountsAllocs' -v ./internal/nsim/
 
 # End-to-end smoke of the live-telemetry surface: a serving session with
 # the admin server on an ephemeral port, scraped over real HTTP —
@@ -75,26 +80,33 @@ obs-export-smoke:
 # Short coverage-guided fuzz passes: the Datalog front-end (Parse must
 # never panic, accepted programs round-trip; the byte-offset lexer gives
 # the rune lexer's tokens and errors), term keys (AppendKey's quote fast
-# path gives strconv.AppendQuote's bytes) and the serve wire codec
+# path gives strconv.AppendQuote's bytes), the serve wire codec
 # (newline-delimited JSON requests/responses, error codes and facts
-# round-trip; no input wedges the decoder). The 5s budgets are smoke
+# round-trip; no input wedges the decoder) and the greedy next hop (the
+# winner-first scan picks the hop of the one-loop reference on random
+# graphs, Down sets and paths). The 5s budgets are smoke
 # tests; run with a longer -fuzztime to actually hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog/parser -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	$(GO) test ./internal/datalog/parser -run '^$$' -fuzz FuzzLexer -fuzztime 5s
 	$(GO) test ./internal/datalog/ast -run '^$$' -fuzz FuzzAppendKey -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWire -fuzztime 5s
+	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzNextHopGreedyAvoid -fuzztime 5s
 
-# CPU + heap profiles of the three headline hot loops: the E1 join
-# pipeline, the E5 shortest-path tree (recursion through the node
-# runtime's join path over the simulator's event queue; 300 runs, so
-# the queue and key rendering show at their real share) and the E13
+# CPU + heap profiles of the four headline hot loops: the E1 join
+# pipeline, a 64x64 sliding-window join long enough for walker routing
+# to show at its real share (join_window's shape: E1's runs are a few
+# thousand events), the E5 shortest-path tree (recursion through the
+# node runtime's join path over the simulator's event queue; 300 runs,
+# so the queue and key rendering show at their real share) and the E13
 # batched-link simulator. Inspect with
 # `go tool pprof profiles/<name>.cpu.pprof`.
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkE1JoinApproaches' -benchtime 3x \
 		-cpuprofile profiles/e1.cpu.pprof -memprofile profiles/e1.mem.pprof -o profiles/e1.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinWindowGrid64' -benchtime 8x \
+		-cpuprofile profiles/joinwindow.cpu.pprof -memprofile profiles/joinwindow.mem.pprof -o profiles/joinwindow.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkE5SPT' -benchtime 300x \
 		-cpuprofile profiles/e5.cpu.pprof -memprofile profiles/e5.mem.pprof -o profiles/e5.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkE13Batching' -benchtime 3x \

@@ -8,6 +8,7 @@ package snlog_test
 // the reproduced numbers, not just wall time.
 
 import (
+	"math/rand"
 	"testing"
 
 	snlog "repro"
@@ -205,6 +206,49 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 			b.Fatal("wrong result")
 		}
 	}
+}
+
+// BenchmarkJoinWindowGrid64 is a sliding-window join long enough for
+// routing to show at its real share in a profile (E1's runs are a few
+// thousand events): out(X,Z) :- ra(X,Y), rb(Y,Z) under Perpendicular on
+// a 64x64 grid with a 2000-tick window, 1,200 seeded ra/rb pairs at
+// random nodes, pair i and pair i+600 sharing a join key. Every pair is
+// one derivation; the pairs that share a key sit 4,200 ticks apart,
+// outside the window. Reports simulated events per second.
+func BenchmarkJoinWindowGrid64(b *testing.B) {
+	const src = `
+.base ra/2.
+.base rb/2.
+out(X, Z) :- ra(X, Y), rb(Y, Z).
+`
+	const grid, pairs = 64, 1200
+	var events int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := snlog.Deploy(snlog.Grid(grid), src, snlog.WithScheme(snlog.Perpendicular),
+			snlog.WithDefaultWindow(2000), snlog.WithMaxSkew(5), snlog.WithSeed(7))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(7))
+		for k := 0; k < pairs; k++ {
+			key := snlog.Int(int64(k % (pairs / 2)))
+			at := int64(k * 7)
+			c.InjectAt(at, r.Intn(c.Size()), snlog.NewTuple("ra", snlog.Int(int64(k)), key))
+			c.InjectAt(at+3, r.Intn(c.Size()), snlog.NewTuple("rb", key, snlog.Int(int64(k))))
+		}
+		b.StartTimer()
+		c.Run()
+		b.StopTimer()
+		if got := len(c.Results("out/2")); got != pairs {
+			b.Fatalf("%d results, want %d", got, pairs)
+		}
+		events += c.Network.EventsProcessed
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkJoinIndexed exercises the centralized join machinery on the

@@ -148,10 +148,10 @@ total(sum<T>) :- reading(N, T).
 		t.Fatal(err)
 	}
 	nw.Run(0)
-	if nw.KindCounts[kindAggBuild] == 0 {
+	if nw.KindCounts()[kindAggBuild] == 0 {
 		t.Error("no tree-build messages")
 	}
-	if nw.KindCounts[kindAggPartial] == 0 {
+	if nw.KindCounts()[kindAggPartial] == 0 {
 		t.Error("no partial-state messages")
 	}
 	got := e.AggregateResult("total/1")

@@ -76,10 +76,10 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 				t.Fatalf("batching did not reduce bytes: %d batched vs %d unbatched",
 					nwOn.TotalBytes, nwOff.TotalBytes)
 			}
-			if nwOn.KindCounts[kindBatch] == 0 {
+			if nwOn.KindCounts()[kindBatch] == 0 {
 				t.Fatal("no frames were formed")
 			}
-			if nwOff.KindCounts[kindBatch] != 0 {
+			if nwOff.KindCounts()[kindBatch] != 0 {
 				t.Fatal("unbatched run formed frames")
 			}
 		})
@@ -109,7 +109,7 @@ func TestBatchFrameAccounting(t *testing.T) {
 	if nw.TotalBytes != wantBytes {
 		t.Fatalf("accounted %d bytes, want %d", nw.TotalBytes, wantBytes)
 	}
-	if nw.KindCounts[kindBatch] != 1 {
-		t.Fatalf("kind counts = %v", nw.KindCounts)
+	if nw.KindCounts()[kindBatch] != 1 {
+		t.Fatalf("kind counts = %v", nw.KindCounts())
 	}
 }

@@ -201,9 +201,13 @@ type Engine struct {
 	derivedVer map[string]uint64
 
 	// centroidNodes is the Centroid scheme's storage region: the nodes
-	// within centroidRadius of the bounding-box center.
-	centroidNodes  []nsim.NodeID
-	centroidRadius float64
+	// within centroidRadius of the bounding-box center (centroidX,
+	// centroidY), where every join walker seeks before flooding the
+	// region. Positions are fixed once the nodes are placed, so the
+	// center is computed once, in New.
+	centroidNodes        []nsim.NodeID
+	centroidRadius       float64
+	centroidX, centroidY float64
 
 	// knownPreds holds every predicate key the program mentions (rule
 	// heads and bodies, base declarations, windows, placements,
@@ -363,6 +367,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		e.centroidRadius = 1.5 * nw.Config().Range
 		minX, minY, maxX, maxY := routing.Bounds(nw)
 		cx, cy := (minX+maxX)/2, (minY+maxY)/2
+		e.centroidX, e.centroidY = cx, cy
 		for _, n := range nw.Nodes() {
 			dx, dy := n.X-cx, n.Y-cy
 			if dx*dx+dy*dy <= e.centroidRadius*e.centroidRadius+1e-9 {

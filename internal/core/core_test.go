@@ -473,10 +473,10 @@ func TestMessageCountsAccountedByKind(t *testing.T) {
 	e.InjectAt(0, 7, eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)))
 	e.InjectAt(3, 18, eval.NewTuple("rb", ast.Int64(2), ast.Int64(3)))
 	nw.Run(0)
-	if nw.KindCounts[kindStore] == 0 {
+	if nw.KindCounts()[kindStore] == 0 {
 		t.Error("no storage messages accounted")
 	}
-	if nw.KindCounts[kindJoin] == 0 {
+	if nw.KindCounts()[kindJoin] == 0 {
 		t.Error("no join messages accounted")
 	}
 	// Result messages may be zero when a result's home happens to be the

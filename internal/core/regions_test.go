@@ -153,7 +153,7 @@ func TestTwoWaySweep(t *testing.T) {
 			mustInject(t, e, 0, src, eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)))
 			nw.Run(0)
 			x, y := topo.GridCoords(m, src)
-			if got, want := nw.KindCounts[kindJoin], c.cost(y); got != want {
+			if got, want := nw.KindCounts()[kindJoin], c.cost(y); got != want {
 				t.Fatalf("update at (%d,%d): %d join messages, want %d", x, y, got, want)
 			}
 			if c.src != joinSrc {

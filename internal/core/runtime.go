@@ -51,6 +51,7 @@ type storeMsg struct {
 	ToNode    nsim.NodeID
 	HasToNode bool
 	Band      *gpa.Band
+	Route     routing.Memo // the current leg target's nearest node
 }
 
 // partialR is a partial result (Definition 1) in flight: the register
@@ -214,6 +215,7 @@ type joinMsg struct {
 	Legs    []gpa.Leg
 	LegIdx  int
 	Visited []nsim.NodeID
+	Route   routing.Memo // the current leg target's nearest node
 	Flood   bool
 	// FloodTTL bounds a flood's hop count (0 = unlimited); FloodAfter
 	// starts a TTL-flood once the legs finish (Centroid: seek to the
@@ -235,6 +237,7 @@ type resultMsg struct {
 	Home    nsim.NodeID
 	HasHome bool
 	Visited []nsim.NodeID // nil until the first hop is forwarded
+	Route   routing.Memo  // the target's nearest node
 }
 
 // updateRec is the pending join-phase work scheduled by a generation.
@@ -618,12 +621,6 @@ func (rt *nodeRT) startPath(buf []nsim.NodeID, l gpa.Leg) (path, rest []nsim.Nod
 	return append(buf[:0:c], rt.node.ID), buf[c:c]
 }
 
-// atTarget answers the walker termination test through the engine's
-// routing cache.
-func (rt *nodeRT) atTarget(x, y float64) bool {
-	return rt.e.router.AtTarget(rt.node.ID, x, y)
-}
-
 // logResult appends a query-predicate transition to the ResultLog.
 func (rt *nodeRT) logResult(ev ResultEvent) {
 	rt.e.ResultLog = append(rt.e.ResultLog, ev)
@@ -641,7 +638,7 @@ func (rt *nodeRT) recordTrace(ev obs.Event) {
 // forwardStore advances a storage walker one hop.
 func (rt *nodeRT) forwardStore(sm *storeMsg) {
 	leg := sm.Legs[sm.LegIdx]
-	arrived := rt.atTarget(leg.TargetX, leg.TargetY)
+	arrived := rt.e.router.AtTargetMemo(&sm.Route, rt.node.ID, leg.TargetX, leg.TargetY)
 	if sm.HasToNode {
 		arrived = sm.ToNode == rt.node.ID
 	}
@@ -755,9 +752,8 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 	if rt.e.cfg.Scheme == gpa.Centroid {
 		// Seek to the region center, then flood the region with a small
 		// TTL so every region node extends the pinned partials.
-		minX, minY, maxX, maxY := routing.Bounds(rt.e.nw)
 		ttl := int(rt.e.centroidRadius/rt.e.nw.Config().Range) + 2
-		legs := []gpa.Leg{{TargetX: (minX + maxX) / 2, TargetY: (minY + maxY) / 2}}
+		legs := []gpa.Leg{{TargetX: rt.e.centroidX, TargetY: rt.e.centroidY}}
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 			Partials:   hashPartials,
@@ -1063,7 +1059,7 @@ func (rt *nodeRT) forwardResult(rm *resultMsg) {
 	if rm.HasHome {
 		arrived = rm.Home == rt.node.ID
 	} else {
-		arrived = rt.atTarget(rm.TX, rm.TY)
+		arrived = rt.e.router.AtTargetMemo(&rm.Route, rt.node.ID, rm.TX, rm.TY)
 	}
 	if arrived {
 		rt.bufferCand(rm.Cand)
@@ -1472,7 +1468,7 @@ func (rt *nodeRT) passSubgoal(jm *joinMsg) int {
 // multi-pass iteration.
 func (rt *nodeRT) forwardJoin(jm *joinMsg) {
 	leg := jm.Legs[jm.LegIdx]
-	if !rt.atTarget(leg.TargetX, leg.TargetY) {
+	if !rt.e.router.AtTargetMemo(&jm.Route, rt.node.ID, leg.TargetX, leg.TargetY) {
 		next, ok := routing.NextHopGreedyAvoid(rt.e.nw, rt.node.ID, leg.TargetX, leg.TargetY, jm.Visited)
 		if ok {
 			jm.Visited = append(jm.Visited, next)

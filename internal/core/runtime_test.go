@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -91,6 +92,52 @@ func TestJoinPathAllocations(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("join-flood set on a seen frame: %v allocs, want 0", allocs)
+	}
+}
+
+// TestWalkerHopAllocs: once a walker has its path, one more hop of a
+// store, join or result walker — the arrival test, the next-hop decision
+// and the transmission with its per-kind count — allocates nothing.
+func TestWalkerHopAllocs(t *testing.T) {
+	const m = 16
+	e, nw := buildGrid(t, m, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 1})
+	// Grow the event queue first, so that the hops' frames take recycled
+	// slots (the queue's growth is TestEventLoopAllocs'), and keep it
+	// from emptying, which would release its storage.
+	for i := 0; i < 1000; i++ {
+		nw.ScheduleAt(0, func() {})
+	}
+	nw.ScheduleAt(1<<40, func() {})
+	nw.Run(1)
+	rt := e.rts[topo.GridID(m, 0, 0)]
+	far := gpa.Leg{TargetX: m - 1, TargetY: m - 1}
+	sm := &storeMsg{Tuple: eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)), Legs: []gpa.Leg{far}, Visited: rt.walkFor(far)}
+	jm := &joinMsg{Update: sm.Tuple, Legs: []gpa.Leg{far}, Visited: rt.walkFor(far)}
+	rm := &resultMsg{Cand: &candR{Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}, TX: far.TargetX, TY: far.TargetY, Visited: rt.walkFor(far)}
+	for _, hop := range []struct {
+		kind string
+		f    func()
+	}{
+		{kindStore, func() { sm.Visited = sm.Visited[:1]; rt.forwardStore(sm) }},
+		{kindJoin, func() { jm.Visited = jm.Visited[:1]; rt.forwardJoin(jm) }},
+		{kindResult, func() { rm.Visited = rm.Visited[:1]; rt.forwardResult(rm) }},
+	} {
+		hop.f() // the first hop computes the target's cache entry
+		sent := nw.KindCounts()[hop.kind]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 200; i++ {
+			hop.f()
+		}
+		runtime.ReadMemStats(&after)
+		if got := nw.KindCounts()[hop.kind] - sent; got != 200 {
+			t.Fatalf("%s: %d hops sent, want 200 (the walker arrived or was stranded)", hop.kind, got)
+		}
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("200 %s hops: %d mallocs", hop.kind, mallocs)
+		if mallocs != 0 {
+			t.Errorf("200 %s hops: %d mallocs, want 0", hop.kind, mallocs)
+		}
 	}
 }
 

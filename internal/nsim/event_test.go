@@ -136,8 +136,8 @@ func TestBroadcastStopsAtDeathBoundary(t *testing.T) {
 	nw.Finalize()
 	center.Broadcast("ping", nil, 4)
 	nw.Run(0)
-	if center.Sent != 1 || nw.KindCounts["ping"] != 1 {
-		t.Errorf("sent = %d (pings %d), want 1: dead radio kept broadcasting", center.Sent, nw.KindCounts["ping"])
+	if center.Sent != 1 || nw.KindCounts()["ping"] != 1 {
+		t.Errorf("sent = %d (pings %d), want 1: dead radio kept broadcasting", center.Sent, nw.KindCounts()["ping"])
 	}
 	delivered := 0
 	for _, a := range apps {
@@ -324,6 +324,60 @@ func TestEventLoopAllocs(t *testing.T) {
 		t.Errorf("%d events made %d mallocs, want ≤ %d", nw.EventsProcessed, m, maxMallocs)
 	}
 }
+
+// TestKindCountsAllocs: 100 k transmissions over 5 message kinds, and
+// their deliveries, allocate nothing once the queue has grown — the
+// per-kind counters are the slice New presized, and it never grows.
+func TestKindCountsAllocs(t *testing.T) {
+	nw := New(Config{Seed: 3})
+	nw.AddNode(0, 0)
+	nw.AddNode(0.5, 0)
+	for _, n := range nw.Nodes() {
+		n.App = nopApp{}
+	}
+	nw.Finalize()
+	// Grow the queue (its growth is TestEventLoopAllocs') and keep it
+	// from emptying, which would release its storage: a sentinel event
+	// waits past every run below.
+	for i := 0; i < 1000; i++ {
+		nw.ScheduleAt(0, func() {})
+	}
+	nw.ScheduleAt(1<<40, func() {})
+	nw.Run(1)
+	kinds := []string{"store", "join", "result", "aggb", "aggp"}
+	src := nw.Node(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 1000; i++ {
+			src.Send(1, kinds[i%len(kinds)], nil, 8+i%len(kinds))
+		}
+		nw.Run(nw.Now() + MaxDelay)
+	}
+	runtime.ReadMemStats(&after)
+	if m := after.Mallocs - before.Mallocs; m != 0 {
+		t.Errorf("100 k transmissions made %d mallocs, want 0", m)
+	}
+	if nw.Pending() != 1 {
+		t.Fatalf("%d events pending after the rounds, want only the sentinel", nw.Pending())
+	}
+	if cap(nw.kinds) != kindCap {
+		t.Errorf("kind counters grew to capacity %d, want %d", cap(nw.kinds), kindCap)
+	}
+	counts, bytes := nw.KindCounts(), nw.KindBytes()
+	for i, k := range kinds {
+		if counts[k] != 20_000 || bytes[k] != int64(20_000*(8+i)) {
+			t.Errorf("%s: %d frames, %d bytes; want 20000, %d", k, counts[k], bytes[k], 20_000*(8+i))
+		}
+	}
+}
+
+// nopApp receives and ignores everything.
+type nopApp struct{}
+
+func (nopApp) Init(*Node)                       {}
+func (nopApp) Receive(*Node, *Message)          {}
+func (nopApp) Timer(*Node, string, interface{}) {}
 
 // relayApp keeps a bounded queue busy: every node runs a timer chain,
 // and each expiry sends one message to a neighbor, until the event

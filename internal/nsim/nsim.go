@@ -206,8 +206,10 @@ type Network struct {
 	TotalSent    int64
 	TotalBytes   int64
 	TotalDropped int64
-	KindCounts   map[string]int64
-	KindBytes    map[string]int64
+	// kinds counts the transmissions and bytes of each message kind, in
+	// order of first use, found by scanning kind names with == (see
+	// countKind); KindCounts and KindBytes render them as maps.
+	kinds []kindStat
 	// TotalRetries counts ARQ re-attempts (transmissions beyond the
 	// first attempt of each frame); TotalSent includes them.
 	TotalRetries int64
@@ -239,11 +241,56 @@ type Network struct {
 func New(cfg Config) *Network {
 	cfg.fill()
 	return &Network{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		KindCounts: make(map[string]int64),
-		KindBytes:  make(map[string]int64),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		kinds: make([]kindStat, 0, kindCap),
 	}
+}
+
+// kindStat is the transmission count and byte total of one message kind.
+type kindStat struct {
+	kind         string
+	count, bytes int64
+}
+
+// kindCap presizes a network's kind counters: a deployment sends a
+// handful of kinds (the distributed engine's node runtime six), so a run
+// does not grow the slice.
+const kindCap = 8
+
+// countKind accounts one transmission of size bytes of kind. A run
+// sends a handful of kinds, each named by one string constant of its
+// sender, so the scan is a few pointer compares where a map would hash
+// the name twice per frame.
+func (nw *Network) countKind(kind string, size int) {
+	for i := range nw.kinds {
+		if k := &nw.kinds[i]; k.kind == kind {
+			k.count++
+			k.bytes += int64(size)
+			return
+		}
+	}
+	nw.kinds = append(nw.kinds, kindStat{kind: kind, count: 1, bytes: int64(size)})
+}
+
+// KindCounts returns the transmissions of each message kind sent so far
+// (ARQ re-attempts included), as a new map.
+func (nw *Network) KindCounts() map[string]int64 {
+	m := make(map[string]int64, len(nw.kinds))
+	for _, k := range nw.kinds {
+		m[k.kind] = k.count
+	}
+	return m
+}
+
+// KindBytes returns the bytes transmitted of each message kind so far,
+// as a new map.
+func (nw *Network) KindBytes() map[string]int64 {
+	m := make(map[string]int64, len(nw.kinds))
+	for _, k := range nw.kinds {
+		m[k.kind] = k.bytes
+	}
+	return m
 }
 
 // Config returns the network's configuration.
@@ -339,8 +386,7 @@ func (nw *Network) transmit(src *Node, dst NodeID, kind string, payload interfac
 		src.BytesOut += int64(size)
 		nw.TotalSent++
 		nw.TotalBytes += int64(size)
-		nw.KindCounts[kind]++
-		nw.KindBytes[kind] += int64(size)
+		nw.countKind(kind, size)
 		if attempt > 0 {
 			nw.TotalRetries++
 		}

@@ -64,8 +64,8 @@ func TestSendDeliverAndCounters(t *testing.T) {
 	if nw.TotalBytes != 24 {
 		t.Errorf("TotalBytes = %d", nw.TotalBytes)
 	}
-	if nw.KindCounts["ping"] != 1 || nw.KindCounts["pong"] != 1 {
-		t.Errorf("KindCounts = %v", nw.KindCounts)
+	if nw.KindCounts()["ping"] != 1 || nw.KindCounts()["pong"] != 1 {
+		t.Errorf("KindCounts = %v", nw.KindCounts())
 	}
 	n0 := nw.Node(0)
 	if n0.Sent != 1 || n0.Received != 1 || n0.BytesOut != 16 || n0.BytesIn != 8 {

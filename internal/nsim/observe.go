@@ -60,11 +60,9 @@ func (nw *Network) Observe(reg *obs.Registry, trace *obs.Trace) {
 		}
 		emit("nsim.received", recv)
 		emit("nsim.bytes_in", bytesIn)
-		for kind, v := range nw.KindCounts {
-			emit("nsim.messages."+kind, v)
-		}
-		for kind, v := range nw.KindBytes {
-			emit("nsim.bytes."+kind, v)
+		for _, k := range nw.kinds {
+			emit("nsim.messages."+k.kind, k.count)
+			emit("nsim.bytes."+k.kind, k.bytes)
 		}
 	})
 }

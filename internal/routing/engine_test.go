@@ -58,9 +58,9 @@ func TestEngineAtTargetMatchesPackage(t *testing.T) {
 	check()
 }
 
-// TestEngineGreedyPathMatchesPackage: the stamp-based scratch visited
-// set must trace exactly the path the per-call map produced, across many
-// reuses of the same engine (the point of the scratch is reuse).
+// TestEngineGreedyPathMatchesPackage: the engine's path, its target
+// found through the nearest cache, is exactly the package's path, across
+// many reuses of the same engine.
 func TestEngineGreedyPathMatchesPackage(t *testing.T) {
 	nw, err := topo.RandomGeometric(60, 8, 1.6, 5, nsim.Config{Seed: 5})
 	if err != nil {
@@ -81,6 +81,55 @@ func TestEngineGreedyPathMatchesPackage(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d hop %d: engine %d, package %d", trial, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestAtTargetMemoIsTheCache drives AtTargetMemo and, on a twin engine
+// over the same network, AtTarget through one random schedule: nodes go
+// down and come back up (with and without an Invalidate after), targets
+// are new or repeated, and walkers copy each other's memos. Every answer
+// and the final Hits/Misses must be the twin's — the cache's answer,
+// stale entries included, not the true nearest node.
+func TestAtTargetMemoIsTheCache(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := 3 + r.Intn(4)
+		nw := topo.Grid(m, nsim.Config{Seed: seed})
+		nw.Finalize()
+		memo, twin := NewEngine(nw), NewEngine(nw)
+		targets := [][2]float64{{0, 0}}
+		walkers := make([]Memo, 6)
+		for step := 0; step < 5000; step++ {
+			switch k := r.Intn(20); {
+			case k < 3:
+				n := nw.Node(nsim.NodeID(r.Intn(nw.Len())))
+				n.Down = !n.Down
+			case k == 3:
+				memo.Invalidate()
+				twin.Invalidate()
+			case k == 4:
+				walkers[r.Intn(len(walkers))] = walkers[r.Intn(len(walkers))]
+			case k == 5:
+				targets = append(targets, [2]float64{r.Float64() * float64(m), r.Float64() * float64(m)})
+			}
+			w := &walkers[r.Intn(len(walkers))]
+			tgt := targets[r.Intn(len(targets))]
+			if r.Intn(3) == 0 {
+				tgt = targets[len(targets)-1]
+			}
+			id := nsim.NodeID(r.Intn(nw.Len()))
+			if c, ok := twin.nearest[tgt]; ok && r.Intn(2) == 0 {
+				id = c // ask about the cache's own node as often as any other
+			}
+			got := memo.AtTargetMemo(w, id, tgt[0], tgt[1])
+			want := twin.AtTarget(id, tgt[0], tgt[1])
+			if got != want {
+				t.Fatalf("seed %d step %d: AtTargetMemo(%d, %v) = %v, AtTarget %v", seed, step, id, tgt, got, want)
+			}
+		}
+		if memo.Hits != twin.Hits || memo.Misses != twin.Misses {
+			t.Fatalf("seed %d: memo engine counted %d hits %d misses, twin %d %d", seed, memo.Hits, memo.Misses, twin.Hits, twin.Misses)
 		}
 	}
 }

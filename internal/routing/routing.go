@@ -17,25 +17,44 @@ import (
 // those not already visited, even if it does not strictly improve — a
 // lightweight detour strategy that, combined with the visited set carried
 // in the message, escapes small voids in random geometric graphs. The
-// visited set is the walk's path so far, carried as one slice and
-// scanned. Past about 8 nodes a scan costs more than a map lookup, but a
+// visited set is the walk's path so far, carried as one slice: a
 // walker's path is one allocation where a map was several. ok is false
 // when every live neighbor is already on the path.
+//
+// The path is scanned once per hop, not once per neighbor. The first
+// strict minimum over all live neighbors, if it is not on the path, is
+// also the first strict minimum over the live neighbors not on the path:
+// every neighbor before it is farther, and every neighbor after it is no
+// nearer. So the nearest live neighbor is found first and only that
+// winner is checked against the path; the neighbors are rescanned with
+// the path test only when the winner was visited, which on a greedy walk
+// toward a fixed target is the rare case of a detour.
 func NextHopGreedyAvoid(nw *nsim.Network, from nsim.NodeID, tx, ty float64, visited []nsim.NodeID) (nsim.NodeID, bool) {
-	self := nw.Node(from)
+	nbs := nw.Node(from).Neighbors()
+	best := nearestNeighbor(nw, nbs, from, tx, ty, nil)
+	if best == from || !slices.Contains(visited, best) {
+		return best, best != from
+	}
+	best = nearestNeighbor(nw, nbs, from, tx, ty, visited)
+	return best, best != from
+}
+
+// nearestNeighbor returns the first of nbs, in order, at the least
+// distance from (tx, ty) among those live and not in skip, or from when
+// there is none.
+func nearestNeighbor(nw *nsim.Network, nbs []nsim.NodeID, from nsim.NodeID, tx, ty float64, skip []nsim.NodeID) nsim.NodeID {
 	best := from
 	bestD := math.Inf(1)
-	for _, nb := range self.Neighbors() {
+	for _, nb := range nbs {
 		n := nw.Node(nb)
-		if n.Down || slices.Contains(visited, nb) {
+		if n.Down || slices.Contains(skip, nb) {
 			continue
 		}
-		d := dist(n.X, n.Y, tx, ty)
-		if d < bestD {
+		if d := dist(n.X, n.Y, tx, ty); d < bestD {
 			best, bestD = nb, d
 		}
 	}
-	return best, best != from
+	return best
 }
 
 // GreedyPath enumerates the greedy route from `from` to the node nearest
@@ -74,19 +93,27 @@ func dist(x1, y1, x2, y2 float64) float64 {
 // asks "is this node the one nearest the target?" on every hop of every
 // message, and the GPA sweep schemes reuse a small set of target points
 // (storage columns, join rows, the server position) millions of times —
-// so the engine memoizes NearestNode per target point. The cache is
-// sound because node positions are fixed after Finalize and Down
-// transitions are monotone (nodes never revive): the nearest node to a
-// point can only change when that node itself dies, so a cached entry is
-// revalidated with a single Down check and recomputed only then.
+// so the engine memoizes NearestNode per target point. Node positions are
+// fixed after Finalize, so the nearest node to a point changes only when
+// a node goes down or comes back up. A cached entry is revalidated with a
+// single Down check and recomputed when its node is down. Downs are not
+// monotone — fault injection recovers nodes — and a revival is not
+// noticed: an entry computed while the true nearest node was down keeps
+// answering the live node that replaced it until Invalidate drops it.
+//
+// Every recompute of an entry (its node was found down) and every
+// Invalidate advances the engine's generation; a first compute of a
+// point's entry does not, since it changes no entry that exists. A
+// walker keeps a Memo of its target's nearest node stamped with the
+// generation it was read at. While that generation stands, no entry
+// that existed then has been rewritten or dropped, and the memo's entry
+// existed (the memo was read from it), so the memo still holds the
+// cache's entry for its point and AtTargetMemo answers from it without
+// hashing.
 type Engine struct {
 	nw      *nsim.Network
 	nearest map[[2]float64]nsim.NodeID
-	// Scratch visited set for GreedyPath, reused across calls: stamp[i]
-	// == epoch marks node i visited in the current walk. Resetting is
-	// one integer increment instead of a fresh map per routed path.
-	stamp []int64
-	epoch int64
+	gen     uint64
 
 	// Cache effectiveness counters, exposed as routing.nearest_hits /
 	// routing.nearest_misses in the core engine's obs provider.
@@ -94,19 +121,29 @@ type Engine struct {
 	Misses int64
 }
 
+// Memo is a walker's copy of the engine's nearest-node entry for its
+// target point, valid while the engine's generation is gen. The zero
+// Memo is valid for no generation (an engine starts at generation 1).
+type Memo struct {
+	x, y float64
+	node nsim.NodeID
+	gen  uint64
+}
+
 // NewEngine creates a routing engine for nw.
 func NewEngine(nw *nsim.Network) *Engine {
-	return &Engine{nw: nw, nearest: make(map[[2]float64]nsim.NodeID)}
+	return &Engine{nw: nw, nearest: make(map[[2]float64]nsim.NodeID), gen: 1}
 }
 
 // Invalidate drops every cached nearest-node entry (the counters are
-// kept). The Down-check revalidation above is sound only while Down
-// transitions are monotone; fault injection recovers nodes, and a cache
-// entry computed while the true nearest node was down would otherwise
-// keep routing around it forever. Core's replay pass calls this after
-// the fault schedule heals.
+// kept) and with them every Memo. The Down-check revalidation above
+// does not see a node come back up; fault injection recovers nodes, and
+// a cache entry computed while the true nearest node was down would
+// otherwise keep routing around it forever. Core's replay pass calls
+// this after the fault schedule heals.
 func (e *Engine) Invalidate() {
 	clear(e.nearest)
+	e.gen++
 }
 
 // NearestNode returns the live node closest to (x, y), memoized per
@@ -118,6 +155,7 @@ func (e *Engine) NearestNode(x, y float64) *nsim.Node {
 			e.Hits++
 			return n
 		}
+		e.gen++ // the entry is recomputed: every Memo of it is stale
 	}
 	e.Misses++
 	n := e.nw.NearestNode(x, y)
@@ -135,16 +173,28 @@ func (e *Engine) AtTarget(id nsim.NodeID, tx, ty float64) bool {
 	return n != nil && n.ID == id
 }
 
-// GreedyPath is the engine counterpart of the package function, testing
-// membership against the reusable stamp array instead of scanning the
-// path: a route across a grid runs to tens of nodes, where the scan
-// makes a whole route about 4x slower.
-func (e *Engine) GreedyPath(from nsim.NodeID, tx, ty float64, maxHops int) []nsim.NodeID {
-	if len(e.stamp) < e.nw.Len() {
-		e.stamp = make([]int64, e.nw.Len())
+// AtTargetMemo is AtTarget for a walker that carries m from hop to hop:
+// it gives the same answer and counts the same hit or miss. While m is
+// of the current generation and for (tx, ty), m.node is the cache's
+// entry for the point, so the hit is answered from m with the cache's
+// own Down check; otherwise the cache answers and m is refreshed.
+func (e *Engine) AtTargetMemo(m *Memo, id nsim.NodeID, tx, ty float64) bool {
+	if m.gen == e.gen && m.x == tx && m.y == ty && !e.nw.Node(m.node).Down {
+		e.Hits++
+		return m.node == id
 	}
-	e.epoch++
-	e.stamp[from] = e.epoch
+	n := e.NearestNode(tx, ty)
+	if n == nil {
+		return false
+	}
+	*m = Memo{x: tx, y: ty, node: n.ID, gen: e.gen}
+	return n.ID == id
+}
+
+// GreedyPath is the engine counterpart of the package function: the
+// target is found through the nearest cache, and every hop is the
+// NextHopGreedyAvoid decision a walker makes.
+func (e *Engine) GreedyPath(from nsim.NodeID, tx, ty float64, maxHops int) []nsim.NodeID {
 	path := []nsim.NodeID{from}
 	cur := from
 	target := e.NearestNode(tx, ty)
@@ -152,33 +202,14 @@ func (e *Engine) GreedyPath(from nsim.NodeID, tx, ty float64, maxHops int) []nsi
 		if target != nil && cur == target.ID {
 			return path
 		}
-		next, ok := e.nextHopAvoid(cur, tx, ty)
+		next, ok := NextHopGreedyAvoid(e.nw, cur, tx, ty, path)
 		if !ok {
 			return path
 		}
-		e.stamp[next] = e.epoch
 		path = append(path, next)
 		cur = next
 	}
 	return path
-}
-
-// nextHopAvoid is NextHopGreedyAvoid against the engine's stamp set.
-func (e *Engine) nextHopAvoid(from nsim.NodeID, tx, ty float64) (nsim.NodeID, bool) {
-	self := e.nw.Node(from)
-	best := from
-	bestD := math.Inf(1)
-	for _, nb := range self.Neighbors() {
-		n := e.nw.Node(nb)
-		if n.Down || e.stamp[nb] == e.epoch {
-			continue
-		}
-		d := dist(n.X, n.Y, tx, ty)
-		if d < bestD {
-			best, bestD = nb, d
-		}
-	}
-	return best, best != from
 }
 
 // Bounds returns the bounding box of the network's node positions.

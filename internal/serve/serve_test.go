@@ -669,9 +669,12 @@ func TestShardedCacheBounds(t *testing.T) {
 // Readers really do share the session: a Query completes while another
 // goroutine holds the session's read lock, which the old
 // single-mutex design would deadlock on (deterministic, not timing
-// dependent: the lock is held for the whole query).
+// dependent: the lock is held for the whole query). The deadline
+// flusher is off: armed by the Inject, it could ask for the write lock
+// while the test holds the read lock, and a waiting writer holds back
+// every new reader (sync.RWMutex), the query's included.
 func TestQueriesProceedUnderSharedLock(t *testing.T) {
-	s := openSession(t, reachSrc, Options{})
+	s := openSession(t, reachSrc, Options{BatchDelay: -1})
 	if err := s.Inject(0, link("a", "b")); err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func NewArena() *Arena { return &Arena{} }
 
 // NewStore returns an empty store whose entries come from a.
 func (a *Arena) NewStore() *Store {
-	return &Store{preds: make(map[string]*predTable), nextDue: math.MaxInt64, arena: a}
+	return &Store{preds: make([]predSlot, 0, 4), nextDue: math.MaxInt64, arena: a}
 }
 
 func (a *Arena) get() *Entry {
@@ -377,7 +377,12 @@ func (tab *predTable) nextDue() int64 {
 
 // Store holds the replicas of many predicates at one node.
 type Store struct {
-	preds map[string]*predTable
+	// preds is the store's tables in creation order, found by scanning
+	// names with ==. A node stores a handful of predicates with short
+	// names, so a few compares (each ending at once on equal pointers or
+	// unequal lengths) cost less than hashing the name for a map probe
+	// two or three times per message.
+	preds []predSlot
 	// windowed lists the tables with a declared retention, and nextDue is
 	// the earliest local time at which one of their entries is past it:
 	// lowered by every insert and tombstone, recomputed after a due pass.
@@ -391,11 +396,28 @@ type Store struct {
 // NewStore returns an empty store with an arena of its own.
 func NewStore() *Store { return NewArena().NewStore() }
 
+// predSlot is one predicate's table in a Store.
+type predSlot struct {
+	name string
+	tab  *predTable
+}
+
+// lookup returns predKey's table, or nil if the store has none.
+func (s *Store) lookup(predKey string) *predTable {
+	for i := range s.preds {
+		if s.preds[i].name == predKey {
+			return s.preds[i].tab
+		}
+	}
+	return nil
+}
+
+// table returns predKey's table, creating it if the store has none.
 func (s *Store) table(predKey string) *predTable {
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	if tab == nil {
 		tab = &predTable{}
-		s.preds[predKey] = tab
+		s.preds = append(s.preds, predSlot{predKey, tab})
 	}
 	return tab
 }
@@ -483,7 +505,7 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 // are valid until the next mutating call on s (Insert, MarkDeleted,
 // ExpirePred, ExpireDue): expired slots are recycled.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	if tab == nil {
 		return out
 	}
@@ -516,7 +538,7 @@ const indexMinTable = 16
 // threshold, so callers can skip computing the bound-position key for a
 // probe that would scan anyway.
 func (s *Store) SmallTable(predKey string) bool {
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	return tab == nil || len(tab.order)-tab.gone < indexMinTable
 }
 
@@ -524,7 +546,7 @@ func (s *Store) SmallTable(predKey string) bool {
 // in insertion order; like VisibleMatch's, the entries are valid until
 // the next mutating call.
 func (s *Store) All(predKey string) []*Entry {
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	if tab == nil {
 		return nil
 	}
@@ -550,7 +572,7 @@ func (s *Store) ExpirePred(predKey string, nowLocal int64, retention int64) int 
 	if retention <= 0 {
 		return 0
 	}
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	if tab == nil {
 		return 0
 	}
@@ -583,7 +605,7 @@ func (s *Store) expireDue(nowLocal int64) int {
 // Count returns the number of stored entries for predKey (including
 // deletion-marked replicas awaiting expiry).
 func (s *Store) Count(predKey string) int {
-	tab := s.preds[predKey]
+	tab := s.lookup(predKey)
 	if tab == nil {
 		return 0
 	}
@@ -594,8 +616,8 @@ func (s *Store) Count(predKey string) int {
 // experiment E9.
 func (s *Store) TotalCount() int {
 	n := 0
-	for _, tab := range s.preds {
-		n += tab.byID.n
+	for _, p := range s.preds {
+		n += p.tab.byID.n
 	}
 	return n
 }

@@ -159,7 +159,7 @@ func TestNullaryReplicaIsVisible(t *testing.T) {
 	if n := s.ExpirePred("alarm/0", 100, 10); n != 2 || s.Count("alarm/0") != 0 {
 		t.Errorf("expired %d, %d left; want 2 and 0", n, s.Count("alarm/0"))
 	}
-	checkTable(t, s.preds["alarm/0"])
+	checkTable(t, s.lookup("alarm/0"))
 }
 
 func TestExpiry(t *testing.T) {
@@ -434,7 +434,8 @@ func checkSlotsConserved(t *testing.T, a *Arena, used map[*Entry]bool, stores ..
 	t.Helper()
 	held := map[*Entry]bool{}
 	for _, s := range stores {
-		for _, tab := range s.preds {
+		for _, p := range s.preds {
+			tab := p.tab
 			for _, e := range tab.order {
 				held[e] = true
 			}
@@ -502,7 +503,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				t.Fatalf("seed %d step %d: store %d Insert(%v) = %v, model %v", seed, step, k, id, got, want)
 			}
 			if got {
-				e := s.preds[pred].byID.get(id)
+				e := s.lookup(pred).byID.get(id)
 				if hadFree {
 					recycled++
 				}
@@ -517,7 +518,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			k := r.Intn(2)
 			s, m := stores[k], models[k]
 			pred := preds[r.Intn(len(preds))]
-			tab := s.preds[pred]
+			tab := s.lookup(pred)
 			switch op := r.Intn(100); {
 			case op < 65:
 				id := Stamp{TS: now - int64(r.Intn(skew+1)), Node: r.Intn(3), Seq: int64(r.Intn(4))}
@@ -538,7 +539,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				if got, want := s.MarkDeleted(pred, id, del), m.markDeleted(pred, id, del); got != want {
 					t.Fatalf("seed %d step %d: store %d MarkDeleted(%v, %v) = %v, model %v", seed, step, k, id, del, got, want)
 				}
-				e := s.preds[pred].byID.get(id)
+				e := s.lookup(pred).byID.get(id)
 				filed[k][e], used[e] = true, true
 				ids = append(ids, id)
 			case op < 91:
@@ -566,7 +567,7 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 				}
 				// Explicit ExpirePred calls leave nextDue a lower bound; a
 				// pass makes it exact again.
-				if want := s.preds["p/2"].nextDue(); pass && s.nextDue != want {
+				if want := s.lookup("p/2").nextDue(); pass && s.nextDue != want {
 					t.Fatalf("seed %d step %d: store %d nextDue = %d after a pass, want %d", seed, step, k, s.nextDue, want)
 				}
 			}
@@ -577,16 +578,16 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 						t.Fatalf("seed %d step %d: store %d Count(%s) = %d, model %d", seed, step, k, p, s.Count(p), m.count(p))
 					}
 					total += m.count(p)
-					if tab := s.preds[p]; tab != nil {
+					if tab := s.lookup(p); tab != nil {
 						checkTable(t, tab)
 					}
 				}
 				if s.TotalCount() != total {
 					t.Fatalf("seed %d step %d: store %d TotalCount = %d, model %d", seed, step, k, s.TotalCount(), total)
 				}
-				if s.nextDue > s.preds["p/2"].nextDue() {
+				if s.nextDue > s.lookup("p/2").nextDue() {
 					t.Fatalf("seed %d step %d: store %d nextDue = %d is past the oldest declared entry's %d",
-						seed, step, k, s.nextDue, s.preds["p/2"].nextDue())
+						seed, step, k, s.nextDue, s.lookup("p/2").nextDue())
 				}
 			}
 			checkArena(t, arena)
@@ -762,7 +763,7 @@ func TestBurstReleasesStampSlots(t *testing.T) {
 	for i := int64(0); i < burst; i++ {
 		s.Insert(tup(i), Stamp{TS: i / 100, Node: 1, Seq: i})
 	}
-	tab := s.preds["s/1"]
+	tab := s.lookup("s/1")
 	peak := len(tab.byID.slots)
 	if n := s.ExpireDue(burst); n != burst {
 		t.Fatalf("expired %d of %d", n, burst)
@@ -842,7 +843,7 @@ func TestIndexedStoreAllocs(t *testing.T) {
 		return s
 	}
 	build := func(s *Store) float64 {
-		tab := s.preds["p/2"]
+		tab := s.lookup("p/2")
 		return testing.AllocsPerRun(20, func() {
 			tab.indexes = nil
 			tab.index(cols)
@@ -877,7 +878,7 @@ func TestIndexedStoreAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("an insert into an indexed table allocates %v times, want 0", n)
 	}
-	if got := len(s.preds["p/2"].indexes); got != 2 {
+	if got := len(s.lookup("p/2").indexes); got != 2 {
 		t.Errorf("table has %d indexes, want 2", got)
 	}
 }

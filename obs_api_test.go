@@ -81,7 +81,7 @@ func TestTraceEquivalenceE1(t *testing.T) {
 	if avgMem := float64(total) / float64(nw.Len()); st.MaxMemory != maxMem || st.AvgMemory != avgMem {
 		t.Fatalf("memory stats diverged: (%d, %f) vs (%d, %f)", st.MaxMemory, st.AvgMemory, maxMem, avgMem)
 	}
-	for k, v := range nw.KindCounts {
+	for k, v := range nw.KindCounts() {
 		if st.ByKind[k] != v {
 			t.Fatalf("ByKind[%s] = %d, want %d", k, st.ByKind[k], v)
 		}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 goldens verify
+.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 goldens goldens-diff verify
 
 all: verify
 
@@ -121,9 +121,8 @@ trace-e1:
 # Record the snbench outputs a behaviour-preserving change must leave
 # byte-identical in $(GOLDENS): the quick sweep with its "(N.NNs)"
 # wall-time headers stripped, the observed-E1 trace (summary and JSONL),
-# one explained tuple and the histograms. A refactor records them at its
-# parent first: `make goldens` in a git clone of the parent, `make
-# goldens` here, then `diff -r <clone>/goldens goldens`.
+# one explained tuple and the histograms. A refactor compares them with
+# its parent's: `make goldens-diff BASE=<parent>`.
 GOLDENS ?= goldens
 
 goldens:
@@ -134,5 +133,19 @@ goldens:
 	cd $(GOLDENS) && ./snbench.bin -explain 'j(n3,3)' > explain.txt
 	cd $(GOLDENS) && ./snbench.bin -hist > hist.txt
 	rm $(GOLDENS)/snbench.bin
+
+# Record the goldens at BASE (any commit, branch or tag; default HEAD,
+# i.e. the last commit against the working tree) and here, and diff
+# them: BASE's are made in a git clone of this repository in a temporary
+# directory, removed afterwards. The clone is local; nothing is fetched.
+# Exits nonzero, printing the differences, when any output differs.
+BASE ?= HEAD
+
+goldens-diff:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git clone -q . "$$tmp/base" && git -C "$$tmp/base" checkout -q $(BASE) && \
+	$(MAKE) -s -C "$$tmp/base" goldens GO=$(GO) && \
+	$(MAKE) -s goldens && \
+	diff -r "$$tmp/base/goldens" $(GOLDENS) && echo "goldens at $(BASE) and here are identical"
 
 verify: build test vet race serve-smoke obs-guard obs-export-smoke fuzz-smoke

@@ -75,7 +75,7 @@ func main() {
 		}
 		defer c.Close()
 		fmt.Printf("snlogrepl — connected to %s (help for commands)\n", *connect)
-		remoteRepl(os.Stdin, os.Stdout, c)
+		loop(os.Stdin, os.Stdout, func(line string) bool { return remoteExecute(os.Stdout, c, line) })
 		return
 	}
 	src := ""
@@ -114,8 +114,10 @@ func newSession(src string) (*local, error) {
 	return &local{m: m, prog: prog}, nil
 }
 
-// repl runs the command loop; factored for tests.
-func repl(in io.Reader, out io.Writer, s *local) {
+// loop is the console's read loop: prompt, read a line, trim it, skip
+// it if blank, and hand it to exec until exec asks to quit or the input
+// ends.
+func loop(in io.Reader, out io.Writer, exec func(line string) bool) {
 	sc := bufio.NewScanner(in)
 	for {
 		fmt.Fprint(out, "> ")
@@ -127,10 +129,15 @@ func repl(in io.Reader, out io.Writer, s *local) {
 		if line == "" {
 			continue
 		}
-		if done := execute(out, s, line); done {
+		if exec(line) {
 			return
 		}
 	}
+}
+
+// repl runs the command loop against a local session.
+func repl(in io.Reader, out io.Writer, s *local) {
+	loop(in, out, func(line string) bool { return execute(out, s, line) })
 }
 
 const helpText = "  + fact(args).      assert\n  - fact(args).      retract\n  ? pred/arity       list tuples\n  ? goal(args)       point query (variables allowed)\n  ?                  list all derived\n  proof fact(args).  proof tree\n  stats              counters\n  quit               exit"
@@ -215,25 +222,6 @@ func execute(out io.Writer, s *local, line string) bool {
 		fmt.Fprintf(out, "  unknown command (try help)\n")
 	}
 	return false
-}
-
-// remoteRepl drives a live snlogd over the wire protocol.
-func remoteRepl(in io.Reader, out io.Writer, c *serve.Client) {
-	sc := bufio.NewScanner(in)
-	for {
-		fmt.Fprint(out, "> ")
-		if !sc.Scan() {
-			fmt.Fprintln(out)
-			return
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if done := remoteExecute(out, c, line); done {
-			return
-		}
-	}
 }
 
 // remoteExecute runs one command against a daemon; returns true to

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gpa"
 	"repro/internal/nsim"
 	"repro/internal/obs"
-	"repro/internal/obs/provenance"
 	"repro/internal/topo"
 )
 
@@ -28,7 +27,7 @@ func dumpEngine(t *testing.T, base ...eval.Tuple) *core.Engine {
 		t.Fatal(err)
 	}
 	nw := topo.Grid(3, nsim.Config{Seed: 5})
-	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, obs.NewRegistry(), nil, provenance.NewGraph())
+	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, obs.NewRegistry(), nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/datalog/analysis"
 	"repro/internal/datalog/ast"
@@ -234,9 +235,12 @@ type Engine struct {
 	hSettle *obs.Histogram
 	hHops   *obs.Histogram
 	hFanin  *obs.Histogram
-	// prov captures per-derivation lineage (ObserveProvenance). Nil
-	// until attached; every capture site is nil-guarded.
-	prov *provenance.Graph
+	// prov switches lineage capture on (Deploy): each entry of a home
+	// node's set-of-derivations then holds its provenance.Derivation.
+	// provLive/provCaptured count the held records and every record ever
+	// captured; Replay zeroes both with the store.
+	prov                   bool
+	provLive, provCaptured atomic.Int64
 
 	// TAG aggregation state.
 	aggRules   map[string]*aggRule     // head pred -> plan
@@ -411,16 +415,19 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 
 // Deploy is the one assembly of a deployment: it compiles prog onto nw,
 // attaches the observers, finalizes the network and starts the engine.
-// Any of reg, trace and prov may be nil. The observers attach before
-// Start, so the program's seeded facts are traced and captured.
-func Deploy(nw *nsim.Network, prog *ast.Program, cfg Config, reg *obs.Registry, trace *obs.Trace, prov *provenance.Graph) (*Engine, error) {
+// Either of reg and trace may be nil; prov switches provenance capture
+// on. The observers attach before Start, so the program's seeded facts
+// are traced and captured.
+func Deploy(nw *nsim.Network, prog *ast.Program, cfg Config, reg *obs.Registry, trace *obs.Trace, prov bool) (*Engine, error) {
 	e, err := New(nw, prog, cfg)
 	if err != nil {
 		return nil, err
 	}
 	nw.Observe(reg, trace)
 	e.Observe(reg, trace)
-	e.ObserveProvenance(reg, prov)
+	if prov {
+		e.captureProvenance(reg)
+	}
 	nw.Finalize()
 	e.Start()
 	return e, nil
@@ -592,20 +599,32 @@ func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 	key := t.Key()
 	h := rt.homed[key]
 	if h == nil {
-		h = &homed{derivs: make(map[string]bool)}
+		h = &homed{derivs: make(map[string]*provenance.Derivation)}
 		rt.homed[key] = h
 		e.homeAdded(t)
 	}
 	dk := fmt.Sprintf("fact:r%d", ruleID)
-	h.derivs[dk] = true
-	if e.prov != nil {
+	var d *provenance.Derivation
+	if e.prov {
 		now := int64(e.nw.Now())
-		e.prov.Add(provenance.Record{
+		d = &provenance.Derivation{Record: provenance.Record{
 			Rule: int32(ruleID), Producer: int32(nodeID), Settler: int32(nodeID),
 			SentAt: now, SettledAt: now, Head: key, DerivKey: dk,
-		}, nil)
+		}}
 	}
+	e.holdDeriv(h, dk, d)
 	h.t, h.id = t, rt.generate(t, nil)
+}
+
+// holdDeriv adds derivation dk, which h does not hold yet, to h's
+// set-of-derivations with its captured record d (nil when capture is
+// off), and counts the record.
+func (e *Engine) holdDeriv(h *homed, dk string, d *provenance.Derivation) {
+	h.derivs[dk] = d
+	if d != nil {
+		e.provLive.Add(1)
+		e.provCaptured.Add(1)
+	}
 }
 
 // homeFor returns the node where tuple t should originate: its placement

@@ -25,7 +25,7 @@ func mustProg(t testing.TB, src string) *ast.Program {
 func buildGrid(t testing.TB, m int, src string, cfg Config, simCfg nsim.Config) (*Engine, *nsim.Network) {
 	t.Helper()
 	nw := topo.Grid(m, simCfg)
-	e, err := Deploy(nw, mustProg(t, src), cfg, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, src), cfg, nil, nil, false)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestLogicJShortestPathTreeDistributed(t *testing.T) {
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 10})
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := Deploy(nw, prog, Config{}, nil, nil, nil) // seeds the root fact j(n0, 0)
+	e, err := Deploy(nw, prog, Config{}, nil, nil, false) // seeds the root fact j(n0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestLogicJTuplesLiveAtTheirNodes(t *testing.T) {
 	m := 3
 	nw := topo.Grid(m, nsim.Config{Seed: 11})
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := Deploy(nw, prog, Config{}, nil, nil, nil)
+	e, err := Deploy(nw, prog, Config{}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/datalog/ast"
@@ -10,17 +12,14 @@ import (
 	"repro/internal/obs/provenance"
 )
 
-// ErrNoProvenance is returned by Explain/Blame when ObserveProvenance
-// was never called (or was detached).
-var ErrNoProvenance = errors.New("core: provenance not attached (call ObserveProvenance before Start)")
-
-// Provenance returns the attached provenance graph (nil when off).
-func (e *Engine) Provenance() *provenance.Graph { return e.prov }
+// ErrNoProvenance is returned by Explain/Blame when the engine was
+// deployed with provenance capture off.
+var ErrNoProvenance = errors.New("core: provenance capture is off (deploy with it on)")
 
 // Explain answers "why is this tuple in the database": the derivation
-// DAG from the tuple down to base facts, built from the live records
-// of the provenance graph. pred is the predicate name with or without
-// the "/arity" suffix; args must be ground terms. Recursive programs
+// DAG from the tuple down to base facts, built from the records the
+// home nodes' set-of-derivations hold. pred is the predicate name with
+// or without the "/arity" suffix; args must be ground terms. Recursive programs
 // are handled by cycle cut-off (a tuple already on the path renders as
 // a [cycle] leaf).
 //
@@ -28,9 +27,9 @@ func (e *Engine) Provenance() *provenance.Graph { return e.prov }
 // derived tuple with no live derivation — never derived, or derived
 // and then deleted (negation flip, window expiry, cascaded removal) —
 // returns an error: the set-of-derivations store is the ground truth,
-// and provenance is garbage-collected on the same deletion path.
+// and a record goes with its entry.
 func (e *Engine) Explain(pred string, args ...ast.Term) (*provenance.Tree, error) {
-	if e.prov == nil {
+	if !e.prov {
 		return nil, ErrNoProvenance
 	}
 	t, err := e.resolveQuery(pred, args)
@@ -44,18 +43,19 @@ func (e *Engine) Explain(pred string, args ...ast.Term) (*provenance.Tree, error
 		}
 		return &provenance.Tree{Key: key, Base: true}, nil
 	}
-	if !e.prov.Live(key) {
-		return nil, fmt.Errorf("core: no live derivation of %s (not derived, deleted, or derived before provenance was attached)", key)
+	tree := provenance.Explain(key, e.derivations, e.isBaseKey)
+	if tree.Missing {
+		return nil, fmt.Errorf("core: no live derivation of %s (not derived, or deleted)", key)
 	}
-	return e.prov.Explain(key, e.isBaseKey), nil
+	return tree, nil
 }
 
 // Blame answers "why did this tuple settle when it did": the critical
 // path of derivations below the tuple — at each step the derivation
 // that made the tuple true, descending into the prerequisite that
 // settled last — with per-edge route time, hop count, and wait time.
-func (e *Engine) Blame(pred string, args ...ast.Term) (*provenance.Blame, error) {
-	if e.prov == nil {
+func (e *Engine) Blame(pred string, args ...ast.Term) (*provenance.CriticalPath, error) {
+	if !e.prov {
 		return nil, ErrNoProvenance
 	}
 	t, err := e.resolveQuery(pred, args)
@@ -66,11 +66,37 @@ func (e *Engine) Blame(pred string, args ...ast.Term) (*provenance.Blame, error)
 	if e.prog.IsBase(t.Pred) {
 		return nil, fmt.Errorf("core: %s is a base fact; Blame explains derived tuples", key)
 	}
-	bl := e.prov.Blame(key, e.isBaseKey)
+	bl := provenance.Blame(key, e.derivations, e.isBaseKey)
 	if bl == nil {
 		return nil, fmt.Errorf("core: no live derivation of %s", key)
 	}
 	return bl, nil
+}
+
+// derivations is the provenance.Source over the home nodes' stores:
+// head's records from every node that holds it, one per derivation key,
+// sorted by it. A tuple normally has one home; under faults two nodes
+// can hold the same derivation, and the later-settled record is kept,
+// so the node order of the scan does not decide what Explain prints.
+func (e *Engine) derivations(head string) []provenance.Derivation {
+	var out []provenance.Derivation
+	for _, rt := range e.rts {
+		h := rt.homed[head]
+		if h == nil {
+			continue
+		}
+		for _, d := range h.derivs {
+			i := slices.IndexFunc(out, func(o provenance.Derivation) bool { return o.DerivKey == d.DerivKey })
+			switch {
+			case i < 0:
+				out = append(out, *d)
+			case d.SettledAt > out[i].SettledAt:
+				out[i] = *d
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].DerivKey < out[j].DerivKey })
+	return out
 }
 
 // resolveQuery builds the ground tuple a provenance query names.

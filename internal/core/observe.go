@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/obs/provenance"
 )
 
 // Default histogram bucket ladders (inclusive upper bounds).
@@ -53,7 +52,7 @@ var (
 //
 //	core.settle_ticks        update visibility → finalize application
 //	core.fanin               positive-body join width
-//	core.result_hops         candidate routing hops (needs ObserveProvenance)
+//	core.result_hops         candidate routing hops (needs provenance capture)
 //	core.derived_live        live derived tuples across all home nodes
 //	core.derived_live.<pred> ditto, split by predicate
 //	core.results_logged      finalized transitions of query predicates
@@ -141,31 +140,29 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 	})
 }
 
-// ObserveProvenance attaches a provenance graph to the engine: every
-// settled derivation is captured as a (rule, head, body, producer,
-// settler, send/settle time, hop count) record, queryable through
-// Engine.Explain and Engine.Blame. Attach before Start so the seeded
-// derived facts are captured too. Enables hop stamping on the
-// simulator (candidate payloads get one bump per transmitted frame).
+// captureProvenance switches lineage capture on; Deploy calls it before
+// Start, so the seeded derived facts are captured too and every add
+// candidate carries its candProv. Each settled derivation then keeps a
+// (rule, head, body, producer, settler, send/settle time, hop count)
+// record as its entry's value in the home node's set-of-derivations,
+// queryable through Engine.Explain and Engine.Blame, and dropped with
+// the entry. Enables hop stamping on the simulator (candidate payloads
+// get one bump per transmitted frame).
 //
 // reg, if non-nil, gains two gauges sampled at Snapshot time:
 //
-//	core.prov.live      live (head, derivation) pairs in the graph
+//	core.prov.live      live (head, derivation) records held
 //	core.prov.captured  derivations ever captured, removed ones included
 //
-// Passing g == nil detaches provenance (capture sites return to the
-// single nil-check no-op). The graph is wiped and rebuilt by Replay —
-// pre-replay records would attribute tuples to derivations the
-// re-executed timeline never produced (same unsoundness argument as
-// incremental replay, DESIGN.md §11).
-func (e *Engine) ObserveProvenance(reg *obs.Registry, g *provenance.Graph) {
-	e.prov = g
-	if g == nil {
-		return
-	}
+// Replay zeroes both with the store it wipes: pre-replay records would
+// attribute tuples to derivations the re-executed timeline never
+// produced (same unsoundness argument as incremental replay, DESIGN.md
+// §11).
+func (e *Engine) captureProvenance(reg *obs.Registry) {
+	e.prov = true
 	e.nw.EnableHopStamps()
 	if reg != nil {
-		reg.Gauge("core.prov.live", g.LiveCount)
-		reg.Gauge("core.prov.captured", g.Captured)
+		reg.Gauge("core.prov.live", e.provLive.Load)
+		reg.Gauge("core.prov.captured", e.provCaptured.Load)
 	}
 }

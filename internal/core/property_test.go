@@ -181,7 +181,7 @@ h(X, Y, D1) :- g(X, Y), h(V, X, D), D1 = D + 1, NOT hp(Y, D1).
 `
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 21})
-	e, err := Deploy(nw, mustProg(t, src), Config{}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, src), Config{}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestBandPAOnRandomTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Deploy(nw, mustProg(t, joinSrc), Config{Scheme: gpa.Perpendicular, BandWidth: 4.0}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, joinSrc), Config{Scheme: gpa.Perpendicular, BandWidth: 4.0}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func probedGrid(t *testing.T, m int, src string, cfg Config) (*Engine, *nsim.Net
 	t.Helper()
 	nw := topo.Grid(m, nsim.Config{Seed: 5})
 	reg := obs.NewRegistry()
-	e, err := Deploy(nw, mustProg(t, src), cfg, reg, nil, nil)
+	e, err := Deploy(nw, mustProg(t, src), cfg, reg, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,12 +86,12 @@ func (e *Engine) ReplayLogLen() int {
 func (e *Engine) replayNow() {
 	e.finalizeFloor = e.nw.Now()
 	e.router.Invalidate()
-	// Provenance is wiped with the derivation state it mirrors: keeping
-	// pre-replay records would let Explain cite derivations the replayed
-	// timeline never produced (the §11 unsoundness argument again). The
-	// re-execution below rebuilds the graph through the normal capture
-	// hooks.
-	e.prov.Reset()
+	// Provenance lives in the homed maps wiped below, so it goes with
+	// them: keeping pre-replay records would let Explain cite derivations
+	// the replayed timeline never produced (the §11 unsoundness argument
+	// again). The re-execution recaptures through the normal hooks.
+	e.provLive.Store(0)
+	e.provCaptured.Store(0)
 	for _, pred := range e.derived.Predicates() {
 		e.derivedVer[pred]++
 	}

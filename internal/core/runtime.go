@@ -330,9 +330,12 @@ func (rt *nodeRT) scratch(cr *compiledRule, b unify.Slots) unify.Slots {
 
 // homed is one live derived tuple at its home node.
 type homed struct {
-	t      eval.Tuple
-	id     window.Stamp    // its generation stamp
-	derivs map[string]bool // the derivation keys that support it
+	t  eval.Tuple
+	id window.Stamp // its generation stamp
+	// derivs is its set-of-derivations: the derivation keys that support
+	// it, each with its captured lineage (nil while capture is off). It
+	// is the only lineage store: Engine.Explain reads it.
+	derivs map[string]*provenance.Derivation
 }
 
 // nodePlans is a node's storage and join-computation plans, computed once:
@@ -1009,7 +1012,7 @@ func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR
 		cr: cr, Head: eval.Tuple{Pred: cr.headPred, Args: args}, DerivKey: string(db),
 		Add: add, Update: rec.Tau, negCheckedFromStart: negFromStart,
 	}
-	if rt.e.prov != nil && add {
+	if rt.e.prov && add {
 		c.Prov = rt.captureProv(p)
 	}
 	return c, true
@@ -1018,8 +1021,8 @@ func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR
 // captureProv reconstructs the ground body tuples of a complete
 // partial — its registers bind every variable of the positive
 // subgoals — in body order like the deriv key's stamps, so record and
-// key describe the same instantiation. Only runs with provenance
-// attached; the disabled path never reaches it.
+// key describe the same instantiation. Only runs with capture on;
+// the disabled path never reaches it.
 func (rt *nodeRT) captureProv(p *partialR) *candProv {
 	body := make([]string, 0, len(p.cr.posIdx))
 	for _, i := range p.cr.posIdx {
@@ -1179,33 +1182,21 @@ func (rt *nodeRT) finalize(c *candR) {
 	if c.Add {
 		fresh := h == nil
 		if fresh {
-			h = &homed{t: head, derivs: make(map[string]bool)}
+			h = &homed{t: head, derivs: make(map[string]*provenance.Derivation)}
 			rt.homed[key] = h
 			rt.e.homeAdded(head)
 		}
-		if !h.derivs[c.DerivKey] && rt.e.prov != nil {
-			rec := provenance.Record{
-				Settler: int32(rt.node.ID), SettledAt: int64(rt.node.Now()),
-				Head: key, DerivKey: c.DerivKey,
+		if _, held := h.derivs[c.DerivKey]; !held {
+			var d *provenance.Derivation
+			if rt.e.prov {
+				d = &provenance.Derivation{Record: provenance.Record{
+					Rule: int32(c.cr.rule.ID), Producer: c.Prov.Producer, Settler: int32(rt.node.ID),
+					Hops: atomic.LoadInt32(&c.Prov.Hops), SentAt: c.Prov.SentAt, SettledAt: int64(rt.node.Now()),
+					Head: key, DerivKey: c.DerivKey,
+				}, Body: c.Prov.Body}
 			}
-			if c.cr != nil {
-				rec.Rule = int32(c.cr.rule.ID)
-			}
-			var body []string
-			if c.Prov != nil {
-				rec.Producer = c.Prov.Producer
-				rec.SentAt = c.Prov.SentAt
-				rec.Hops = atomic.LoadInt32(&c.Prov.Hops)
-				body = c.Prov.Body
-			} else {
-				// Candidate emitted before provenance was attached: record
-				// what the settle site knows.
-				rec.Producer = int32(rt.node.ID)
-				rec.SentAt = rec.SettledAt
-			}
-			rt.e.prov.Add(rec, body)
+			rt.e.holdDeriv(h, c.DerivKey, d)
 		}
-		h.derivs[c.DerivKey] = true
 		if fresh {
 			rt.e.cDerivations.Add(1)
 			rt.e.predDerive[c.Head.Pred].Add(1)
@@ -1214,11 +1205,17 @@ func (rt *nodeRT) finalize(c *candR) {
 		}
 		return
 	}
-	if h == nil || !h.derivs[c.DerivKey] {
+	if h == nil {
 		return // unknown derivation: harmless no-op (Section IV-A)
 	}
+	d, held := h.derivs[c.DerivKey]
+	if !held {
+		return
+	}
 	delete(h.derivs, c.DerivKey)
-	rt.e.prov.Remove(key, c.DerivKey)
+	if d != nil {
+		rt.e.provLive.Add(-1)
+	}
 	if len(h.derivs) == 0 {
 		delete(rt.homed, key)
 		rt.e.homeRemoved(h.t)

@@ -22,7 +22,7 @@ import (
 // join flood already seen costs nothing to recognise.
 func TestJoinPathAllocations(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	// End to end: edges (each one a local expansion somewhere) arrive
 	// spread over the time the stream walkers are in flight.
 	nw := topo.Grid(4, nsim.Config{Seed: 12})
-	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	// Directly: the partials of a walker that joinPhase launched keep
 	// their registers and stamps across another node's local expansion.
 	nw = topo.Grid(3, nsim.Config{Seed: 1})
-	e, err = Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true}, nil, nil, nil)
+	e, err = Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 // received.
 func TestStoreFloodForwarding(t *testing.T) {
 	nw := topo.Grid(3, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestStoreFloodForwarding(t *testing.T) {
 // the walker it was copied from, so neither can overwrite the other's.
 func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 	nw := topo.Grid(4, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 func TestWalkerPathFitsItsLegs(t *testing.T) {
 	m := 16
 	nw := topo.Grid(m, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestWalkerPathFitsItsLegs(t *testing.T) {
 // replicas and 6,056 messages on Grid(16), seed 7).
 func TestReplicaFloodsKeepNoSet(t *testing.T) {
 	nw := topo.Grid(16, nsim.Config{Seed: 7})
-	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestScaleLogicJLargeGrid(t *testing.T) {
 	m := 15
 	nw := topoGrid(m)
 	prog := mustProg(t, logicJSrc+"\nj(n0, 0).\n")
-	e, err := Deploy(nw, prog, Config{}, nil, nil, nil)
+	e, err := Deploy(nw, prog, Config{}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ var DerivedByWalk = (*Engine).derivedByWalk
 func BenchmarkDerived80(b *testing.B) {
 	const m = 80
 	nw := topoGrid(m)
-	e, err := Deploy(nw, mustProg(b, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, nil)
+	e, err := Deploy(nw, mustProg(b, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, false)
 	if err != nil {
 		b.Fatal(err)
 	}

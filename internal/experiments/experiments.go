@@ -43,7 +43,7 @@ func mustProg(src string) *ast.Program {
 // the energy model) open to the caller.
 func deployGrid(m int, src string, cfg core.Config, sim nsim.Config) (*core.Engine, *nsim.Network) {
 	nw := topo.Grid(m, sim)
-	e, err := core.Deploy(nw, mustProg(src), cfg, nil, nil, nil)
+	e, err := core.Deploy(nw, mustProg(src), cfg, nil, nil, false)
 	if err != nil {
 		panic(err)
 	}

@@ -215,18 +215,19 @@ func TestReplicaHeapBytes(t *testing.T) {
 // TestProvDisabledOverheadE1 guards the provenance-disabled path on the
 // same E1 m=18 hot loop, but with the counter/histogram registry
 // attached (the common production shape: metrics on, provenance off).
-// Counters are plain atomic adds and every provenance hook is a nil
-// check, so allocations per event must stay at the same baseline as
-// the fully-unobserved run.
+// Counters are plain atomic adds and every provenance hook is one
+// branch on the capture switch, so allocations per event must stay at
+// the same baseline as the fully-unobserved run.
 func TestProvDisabledOverheadE1(t *testing.T) {
 	nw := topo.Grid(18, nsim.Config{Seed: 11})
-	e, err := core.Deploy(nw, mustProg(twoStreamSrc), core.Config{Scheme: gpa.Perpendicular}, obs.NewRegistry(), nil, nil)
+	reg := obs.NewRegistry()
+	e, err := core.Deploy(nw, mustProg(twoStreamSrc), core.Config{Scheme: gpa.Perpendicular}, reg, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	injectJoinWorkload(e, nw, 40, 17)
-	if e.Provenance() != nil {
-		t.Fatal("provenance should be off in this guard")
+	if p := reg.Snapshot().Prefix("core.prov."); len(p) != 0 {
+		t.Fatalf("provenance should be off in this guard, but its counters are registered: %v", p)
 	}
 	guardE1Allocs(t, "provenance-off", nw)
 }

@@ -31,7 +31,7 @@ func runTraced(t *testing.T, sched *Schedule, faultSeed int64) (*obs.Trace, *Inj
 	}
 	nw := topo.Grid(5, nsim.Config{Seed: 42, MaxSkew: 3})
 	tr := obs.NewTrace(1 << 15)
-	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, nil, tr, nil)
+	e, err := core.Deploy(nw, prog, core.Config{Scheme: gpa.Perpendicular}, nil, tr, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type Tree struct {
 	Key     string // tuple key ("pred/arity|args")
 	Base    bool   // base (EDB) fact — expansion stops here
 	Cycle   bool   // key already on the path above — recursion cut off
-	Missing bool   // no live derivation (deleted, or derived before capture)
+	Missing bool   // no live derivation (never derived, or deleted)
 	Derivs  []*TreeDeriv
 }
 
@@ -33,27 +33,24 @@ type TreeDeriv struct {
 	Body      []*Tree
 }
 
-// Explain expands key's live derivations down to base facts. isBase
-// classifies a tuple key as EDB (expansion stops with a Base leaf);
-// recursive programs are handled by cutting any key already on the
-// current path with a Cycle leaf, so the result is finite even when
-// the derivation graph is cyclic. A derived key with no live
-// derivation yields a Missing leaf. Returns nil on a nil graph.
-func (g *Graph) Explain(key string, isBase func(string) bool) *Tree {
-	if g == nil {
-		return nil
-	}
-	return g.explain(key, isBase, make(map[string]bool))
+// Explain expands key's live derivations, as src reports them, down to
+// base facts. isBase classifies a tuple key as EDB (expansion stops
+// with a Base leaf); recursive programs are handled by cutting any key
+// already on the current path with a Cycle leaf, so the result is
+// finite even when the derivation graph is cyclic. A derived key with
+// no live derivation yields a Missing leaf.
+func Explain(key string, src Source, isBase func(string) bool) *Tree {
+	return explain(key, src, isBase, make(map[string]bool))
 }
 
-func (g *Graph) explain(key string, isBase func(string) bool, path map[string]bool) *Tree {
+func explain(key string, src Source, isBase func(string) bool, path map[string]bool) *Tree {
 	if isBase != nil && isBase(key) {
 		return &Tree{Key: key, Base: true}
 	}
 	if path[key] {
 		return &Tree{Key: key, Cycle: true}
 	}
-	ds := g.Derivations(key)
+	ds := src(key)
 	if len(ds) == 0 {
 		return &Tree{Key: key, Missing: true}
 	}
@@ -65,7 +62,7 @@ func (g *Graph) explain(key string, isBase func(string) bool, path map[string]bo
 			Hops: d.Hops, SentAt: d.SentAt, SettledAt: d.SettledAt,
 		}
 		for _, bk := range d.Body {
-			td.Body = append(td.Body, g.explain(bk, isBase, path))
+			td.Body = append(td.Body, explain(bk, src, isBase, path))
 		}
 		t.Derivs = append(t.Derivs, td)
 	}
@@ -121,12 +118,12 @@ type BlameStep struct {
 	Wait      int64 // SettledAt - next step's SettledAt
 }
 
-// Blame is the critical path of a derived tuple: the chain of
+// CriticalPath is what Blame returns for a derived tuple: the chain of
 // derivations that settled last, root first, ending at the last
 // derived tuple whose body is all base facts. Total is the root's
 // settle time — the end-to-end settle latency when virtual time starts
 // at the base injection.
-type Blame struct {
+type CriticalPath struct {
 	Steps []BlameStep
 	Total int64
 }
@@ -136,16 +133,13 @@ type Blame struct {
 // made the tuple true), then descends into the body tuple whose own
 // settle time is largest — the prerequisite the derivation actually
 // waited on. Cycles are cut by refusing to revisit a key. Returns nil
-// on a nil graph or when key has no live derivation.
-func (g *Graph) Blame(key string, isBase func(string) bool) *Blame {
-	if g == nil {
-		return nil
-	}
+// when key has no live derivation in src.
+func Blame(key string, src Source, isBase func(string) bool) *CriticalPath {
 	seen := map[string]bool{}
-	bl := &Blame{}
+	bl := &CriticalPath{}
 	for key != "" && !seen[key] && (isBase == nil || !isBase(key)) {
 		seen[key] = true
-		ds := g.Derivations(key)
+		ds := src(key)
 		if len(ds) == 0 {
 			break
 		}
@@ -167,7 +161,7 @@ func (g *Graph) Blame(key string, isBase func(string) bool) *Blame {
 			if seen[bk] || (isBase != nil && isBase(bk)) {
 				continue
 			}
-			bds := g.Derivations(bk)
+			bds := src(bk)
 			if len(bds) == 0 {
 				continue
 			}
@@ -194,7 +188,7 @@ func (g *Graph) Blame(key string, isBase func(string) bool) *Blame {
 }
 
 // String renders the critical path, root first.
-func (b *Blame) String() string {
+func (b *CriticalPath) String() string {
 	if b == nil {
 		return "(no live derivation)\n"
 	}

@@ -81,7 +81,7 @@ type Options struct {
 	// freshness-triggered flushes only — deterministic, used by the
 	// benchmarks and property tests).
 	BatchDelay time.Duration
-	// NoProvenance skips attaching the provenance graph. Explain then
+	// NoProvenance deploys with provenance capture off. Explain then
 	// returns an error; Query and the cache are unaffected.
 	NoProvenance bool
 	// Spans caps the per-query span ring (span records, summed over all

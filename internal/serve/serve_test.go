@@ -286,6 +286,69 @@ func TestExplainGroundGoal(t *testing.T) {
 	}
 }
 
+// Explain walks the home nodes' set-of-derivations, which every flush
+// rewrites; only the read phase (mu held shared) keeps the walk apart
+// from the write phase. Four readers Explain and Query while one writer
+// deletes and re-inserts the chain's last link through size-triggered
+// flushes (run under -race by make race).
+func TestConcurrentExplainDuringFlushes(t *testing.T) {
+	s := openSession(t, reachSrc, Options{BatchSize: 2, BatchDelay: -1})
+	node := func(i int) string { return fmt.Sprintf("n%d", i) }
+	for i := 0; i < 8; i++ {
+		if err := s.Inject(i%9, link(node(i), node(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// n7 -> n8 comes and goes; the rest of the chain stays.
+				if got, err := s.Query(ctx, "reach(n0, X)"); err != nil || len(got) < 7 || len(got) > 8 {
+					t.Errorf("reach(n0, X) = %d answers, %v; want 7 or 8", len(got), err)
+					return
+				}
+				if tree, err := s.Explain(ctx, "reach(n0, n7)"); err != nil || len(tree.Derivs) != 1 {
+					t.Errorf("reach(n0, n7) should explain through one derivation: %v", err)
+					return
+				}
+				if _, err := s.Explain(ctx, "reach(n0, n8)"); err != nil && !strings.Contains(err.Error(), "no live derivation") {
+					t.Errorf("reach(n0, n8): %v", err)
+					return
+				}
+			}
+		}()
+	}
+	last := link(node(7), node(8))
+	for c := 0; c < 40; c++ {
+		at := s.lastEnd.Load()
+		if err := s.DeleteAt(at+10, 7, last); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InjectAt(at+20, 7, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := s.Explain(ctx, "reach(n0, n8)"); err != nil {
+		t.Fatalf("the writer ends with n7 -> n8 inserted, yet: %v", err)
+	}
+	if snap := s.Snapshot(); snap.Get("serve.batch.flush.size") == 0 || snap.Get("core.prov.live") == 0 {
+		t.Fatalf("size flushes %d, core.prov.live %d; want both nonzero",
+			snap.Get("serve.batch.flush.size"), snap.Get("core.prov.live"))
+	}
+}
+
 func TestSubscribeDelivery(t *testing.T) {
 	s := openSession(t, reachSrc, Options{})
 	if err := s.Inject(0, link("a", "b")); err != nil {

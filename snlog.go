@@ -217,7 +217,7 @@ type Options struct {
 	// ReplayLog keeps per-node generation logs so Cluster.Replay can
 	// repair state lost to faults (see core.Config.ReplayLog).
 	ReplayLog bool
-	// Provenance attaches a per-derivation lineage graph, queryable
+	// Provenance captures a lineage record per derivation, queryable
 	// through Cluster.Explain and Cluster.Blame (see WithProvenance).
 	Provenance bool
 }
@@ -330,7 +330,6 @@ type Cluster struct {
 	reg    *obs.Registry
 	trace  *obs.Trace
 	faults *fault.Injector
-	prov   *provenance.Graph
 }
 
 // Deploy compiles src onto the given topology:
@@ -367,9 +366,6 @@ func deploy(nw *nsim.Network, src string, opt Options, bandWidth float64) (*Clus
 	if opt.TraceCapacity > 0 {
 		c.trace = obs.NewTrace(opt.TraceCapacity)
 	}
-	if opt.Provenance {
-		c.prov = provenance.NewGraph()
-	}
 	c.Engine, err = core.Deploy(nw, prog, core.Config{
 		Scheme:        opt.Scheme,
 		Server:        nsim.NodeID(opt.Server),
@@ -377,7 +373,7 @@ func deploy(nw *nsim.Network, src string, opt Options, bandWidth float64) (*Clus
 		BandWidth:     bandWidth,
 		DefaultWindow: opt.DefaultWindow,
 		ReplayLog:     opt.ReplayLog,
-	}, c.reg, c.trace, c.prov)
+	}, c.reg, c.trace, opt.Provenance)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +561,7 @@ type (
 	// BlameResult is a derived tuple's critical path — the chain of
 	// latest-settling derivations with per-edge attribution
 	// (Cluster.Blame; render with String).
-	BlameResult = provenance.Blame
+	BlameResult = provenance.CriticalPath
 )
 
 // AnyNode is the TraceFilter wildcard for the Node field.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 goldens goldens-diff verify
+.PHONY: all build test vet race bench serve-smoke obs-guard obs-export-smoke fuzz-smoke profile trace-e1 goldens goldens-diff loc verify
 
 all: verify
 
@@ -62,8 +62,13 @@ serve-smoke:
 # TestKindCountsAllocs holds 100 k transmissions over 5 kinds to none
 # once the queue has grown (the per-kind counters are presized).
 # TestWalkerHopAllocs: once a walker has its path, one more store, join
-# or result hop — arrival test, next hop, per-kind count — makes 0
-# allocations.
+# or result hop through the transport's advance — arrival test, next
+# hop, per-kind count — makes 0 allocations.
+# These three and the E1/E5 guards count with internal/mallocs.Count: the
+# exact process-wide malloc delta (never divided by a run count), taken
+# with GOMAXPROCS pinned to 1 after debug.FreeOSMemory, so that neither
+# another goroutine nor the runtime's background scavenger allocates
+# inside the window.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
 	$(GO) test -run 'TestHotQueryAllocs|TestQueryAllocs' -v ./internal/serve/
@@ -147,5 +152,29 @@ goldens-diff:
 	$(MAKE) -s -C "$$tmp/base" goldens GO=$(GO) && \
 	$(MAKE) -s goldens && \
 	diff -r "$$tmp/base/goldens" $(GOLDENS) && echo "goldens at $(BASE) and here are identical"
+
+# Print the Go line deltas between BASE and the working tree, new
+# untracked files included: added, removed and net lines, non-test and
+# test apart, per top-level package (internal/<pkg>, cmd/<cmd>, the
+# root package as "."), with bench/ (its own module) on its own line
+# after the total of the rest. `make loc BASE=<ref>`.
+loc:
+	@{ git diff --numstat --no-renames $(BASE) -- '*.go'; \
+	  git ls-files --others --exclude-standard -- '*.go' | xargs -r wc -l | \
+	    awk '$$2 != "total" { print $$1 "\t0\t" $$2 }'; } | \
+	awk -F'\t' ' \
+	  { n = split($$3, p, "/"); \
+	    k = p[1] == "bench" ? "bench/" : n == 1 ? "." : n == 2 ? p[1] : p[1] "/" p[2]; \
+	    t = $$3 ~ /_test\.go$$/; \
+	    add[k, t] += $$1; del[k, t] += $$2; seen[k] = 1 } \
+	  function row(name, a0, d0, a1, d1) { \
+	    printf "%-26s %+7d %+7d %+7d   %+7d %+7d %+7d\n", name, a0, -d0, a0 - d0, a1, -d1, a1 - d1 } \
+	  END { printf "%-26s %23s   %23s\n", "package", "non-test: + - net", "test: + - net"; \
+	    m = 0; for (k in seen) if (k != "bench/") keys[++m] = k; \
+	    for (i = 2; i <= m; i++) for (j = i; j > 1 && keys[j - 1] > keys[j]; j--) { x = keys[j]; keys[j] = keys[j - 1]; keys[j - 1] = x } \
+	    for (i = 1; i <= m; i++) { k = keys[i]; row(k, add[k, 0], del[k, 0], add[k, 1], del[k, 1]); \
+	      for (t = 0; t < 2; t++) { ta[t] += add[k, t]; td[t] += del[k, t] } } \
+	    row("total (bench/ apart)", ta[0], td[0], ta[1], td[1]); \
+	    k = "bench/"; row(k, add[k, 0], del[k, 0], add[k, 1], del[k, 1]) }'
 
 verify: build test vet race serve-smoke obs-guard obs-export-smoke fuzz-smoke

@@ -230,6 +230,7 @@ type Engine struct {
 	cExpired     *obs.Counter
 	predDerive   map[string]*obs.Counter
 	predDelete   map[string]*obs.Counter
+	cStranded    map[string]*obs.Counter // by frame kind
 	// Histograms (Observe with a registry): settle latency, candidate
 	// routing hops, derivation fan-in. Nil histograms are no-ops.
 	hSettle *obs.Histogram

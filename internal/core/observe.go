@@ -58,6 +58,8 @@ var (
 //	core.results_logged      finalized transitions of query predicates
 //	routing.nearest_hits     nearest-node cache hits
 //	routing.nearest_misses   nearest-node cache misses (recomputations)
+//	routing.stranded.<kind>  store, join and result walkers greedy routing
+//	                         stranded (every live neighbour on the path)
 //
 // trace, if non-nil, records EvDerive/EvDelete on derivation-state
 // transitions and EvSettle per applied candidate, with Pred set to the
@@ -76,6 +78,11 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 	e.cExpireCalls = reg.Counter("window.expire_calls")
 	e.cExpireDue = reg.Counter("window.expire_due")
 	e.cExpired = reg.Counter("window.expired")
+	e.cStranded = map[string]*obs.Counter{
+		kindStore:  reg.Counter("routing.stranded.store"),
+		kindJoin:   reg.Counter("routing.stranded.join"),
+		kindResult: reg.Counter("routing.stranded.result"),
+	}
 
 	// Pre-resolve the per-predicate handles for every predicate the
 	// program mentions, so the finalize path indexes a read-only map

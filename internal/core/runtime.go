@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -16,15 +15,7 @@ import (
 	"repro/internal/nsim"
 	"repro/internal/obs"
 	"repro/internal/obs/provenance"
-	"repro/internal/routing"
 	"repro/internal/window"
-)
-
-// Message kinds on the wire.
-const (
-	kindStore  = "store"  // replication / deletion-marker walker or flood
-	kindJoin   = "join"   // join-computation walker or flood
-	kindResult = "result" // complete result routed to its home node
 )
 
 // Timer keys.
@@ -36,22 +27,12 @@ const (
 // storeMsg replicates a tuple over its storage region (Del set turns it
 // into a deletion marker carrying the deletion stamp).
 type storeMsg struct {
-	Tuple eval.Tuple
-	ID    window.Stamp
-	Del   *window.Stamp
-
-	Legs     []gpa.Leg
-	LegIdx   int
-	Visited  []nsim.NodeID
-	Flood    bool
-	TTL      int // remaining flood hops; -1 = unlimited
+	walk
+	flood
+	Tuple    eval.Tuple
+	ID       window.Stamp
+	Del      *window.Stamp
 	ToServer bool
-	// ToNode: walk to this specific node and store only there (the
-	// Centroid scheme's hash-spread region storage).
-	ToNode    nsim.NodeID
-	HasToNode bool
-	Band      *gpa.Band
-	Route     routing.Memo // the current leg target's nearest node
 }
 
 // partialR is a partial result (Definition 1) in flight: the register
@@ -204,40 +185,26 @@ func (rm *resultMsg) BumpHop() {
 
 // joinMsg is a join-computation walker (or flood).
 type joinMsg struct {
+	legWalk
+	flood
 	Update eval.Tuple
 	ID     window.Stamp // generation stamp of the update tuple
 	Tau    window.Stamp // visibility stamp (deletion stamp for deletes)
 	Del    bool
+	Verify bool // verification pass: only filter Pending, no expansion
 
 	Partials []*partialR
 	Pending  []*candR
 
-	Legs    []gpa.Leg
-	LegIdx  int
-	Visited []nsim.NodeID
-	Route   routing.Memo // the current leg target's nearest node
-	Flood   bool
-	// FloodTTL bounds a flood's hop count (0 = unlimited); FloodAfter
-	// starts a TTL-flood once the legs finish (Centroid: seek to the
-	// region center, then flood the region).
-	FloodTTL   int
-	FloodAfter bool
-	Band       *gpa.Band
-
-	Verify   bool // verification pass: only filter Pending, no expansion
-	Pass     int  // multi-pass index
+	Pass     int // multi-pass index
 	PassRule *compiledRule
 	PassPin  int
 }
 
 // resultMsg routes one candidate to its home node.
 type resultMsg struct {
-	Cand    *candR
-	TX, TY  float64
-	Home    nsim.NodeID
-	HasHome bool
-	Visited []nsim.NodeID // nil until the first hop is forwarded
-	Route   routing.Memo  // the target's nearest node
+	walk
+	Cand *candR
 }
 
 // updateRec is the pending join-phase work scheduled by a generation.
@@ -411,7 +378,7 @@ func (rt *nodeRT) dispatch(src nsim.NodeID, kind string, payload interface{}) {
 	case kindJoin:
 		rt.onJoin(payload.(*joinMsg))
 	case kindResult:
-		rt.onResult(payload.(*resultMsg))
+		rt.walkResult(payload.(*resultMsg))
 	case kindAggBuild:
 		rt.onAggBuild(src, payload.(*aggBuildMsg))
 	case kindAggPartial:
@@ -487,36 +454,30 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 		return // no rule reads it: nothing to store, nothing to join
 	}
 	// Storage phase.
+	// The source stores first, so its store turns a flood's echoes away.
 	rt.applyStoreLocal(t, id, delStamp)
 	if pl, ok := rt.e.placements[t.Pred]; ok {
 		if pl.Hops > 0 {
-			rt.floodStore(&storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: pl.Hops})
+			rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, ttl: pl.Hops}})
 		}
 	} else {
 		switch rt.e.cfg.Scheme {
 		case gpa.Centroid:
 			home := rt.e.centroidFor(t.Key())
 			if home.ID != rt.node.ID {
-				legs := []gpa.Leg{{TargetX: home.X, TargetY: home.Y}}
-				sm := &storeMsg{
+				rt.walkStore(&storeMsg{
 					Tuple: t, ID: id, Del: delStamp,
-					Legs:   legs,
-					ToNode: home.ID, HasToNode: true,
-					Visited: rt.walkFor(legs...),
-				}
-				rt.forwardStore(sm)
+					walk: walk{x: home.X, y: home.Y, to: home},
+				})
 			}
 			// Join phase (below) floods the centroid region.
 		case gpa.Centralized:
 			if rt.node.ID != rt.e.cfg.Server {
 				server := rt.e.nw.Node(rt.e.cfg.Server)
-				legs := []gpa.Leg{{TargetX: server.X, TargetY: server.Y}}
-				sm := &storeMsg{
+				rt.walkStore(&storeMsg{
 					Tuple: t, ID: id, Del: delStamp, ToServer: true,
-					Legs:    legs,
-					Visited: rt.walkFor(legs...),
-				}
-				rt.forwardStore(sm)
+					walk: walk{x: server.X, y: server.Y},
+				})
 			} else {
 				rt.serverJoin(t, id, tau, delStamp != nil)
 			}
@@ -524,11 +485,8 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 		default:
 			plan := &rt.plans.storage
 			switch {
-			case plan.Band != nil:
-				sm := &storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1, Band: plan.Band}
-				rt.bandBroadcast(kindStore, sm, plan.Band, sizeOfTuple(t)+8)
-			case plan.Flood:
-				rt.floodStore(&storeMsg{Tuple: t, ID: id, Del: delStamp, Flood: true, TTL: -1})
+			case plan.Band != nil || plan.Flood:
+				rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, band: plan.Band}})
 			case plan.Local:
 				// already stored locally
 			default:
@@ -536,11 +494,9 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 				// and so are their paths.
 				legs := plan.Legs
 				ws, buf := make([]storeMsg, len(legs)), rt.pathBuf(legs)
-				for i := range ws {
-					sm := &ws[i]
-					*sm = storeMsg{Tuple: t, ID: id, Del: delStamp, Legs: legs[i : i+1]}
-					sm.Visited, buf = rt.startPath(buf, legs[i])
-					rt.forwardStore(sm)
+				for i, l := range legs {
+					ws[i] = storeMsg{Tuple: t, ID: id, Del: delStamp, walk: walk{x: l.TargetX, y: l.TargetY, path: rt.startPath(&buf, l)}}
+					rt.walkStore(&ws[i])
 				}
 			}
 		}
@@ -558,12 +514,6 @@ func (rt *nodeRT) applyStoreLocal(t eval.Tuple, id window.Stamp, del *window.Sta
 		return rt.store.Insert(t, id)
 	}
 	return rt.store.MarkDeleted(t.Pred, id, *del)
-}
-
-// floodStore broadcasts a replication flood (TTL-limited for placements).
-// The source stored the replica first, so its store turns echoes away.
-func (rt *nodeRT) floodStore(sm *storeMsg) {
-	rt.bcast(kindStore, sm, sizeOfTuple(sm.Tuple)+8)
 }
 
 // floodKey identifies a join flood in a node's join-flood set: the
@@ -587,43 +537,6 @@ func (rt *nodeRT) seenJoinFlood(id window.Stamp, del bool) bool {
 	return false
 }
 
-// walkFor starts the visited set — the path — of a walker leaving this
-// node along legs. A new leg restarts the path in the same backing array,
-// so it is sized for the longest leg: |dx|+|dy| over the radio range, the
-// hop count of a greedy walk on a unit grid. No one size fits: on the
-// benchmark workloads paths run from 2 nodes (a one-hop result) to over
-// 100 (a result crossing a 64x64 grid).
-func (rt *nodeRT) walkFor(legs ...gpa.Leg) []nsim.NodeID {
-	return append(make([]nsim.NodeID, 0, rt.pathCap(legs...)), rt.node.ID)
-}
-
-// pathCap is the capacity walkFor gives the path of a walk along legs.
-func (rt *nodeRT) pathCap(legs ...gpa.Leg) int {
-	x, y := rt.node.X, rt.node.Y
-	var d float64
-	for _, l := range legs {
-		d = max(d, math.Abs(l.TargetX-x)+math.Abs(l.TargetY-y))
-		x, y = l.TargetX, l.TargetY
-	}
-	return min(int(d/rt.e.nw.Config().Range)+2, rt.e.nw.Len())
-}
-
-// pathBuf is one backing array for the paths of walkers leaving this
-// node, one walker per leg; startPath cuts each path from it with the
-// capacity walkFor would give it alone.
-func (rt *nodeRT) pathBuf(legs []gpa.Leg) []nsim.NodeID {
-	n := 0
-	for _, l := range legs {
-		n += rt.pathCap(l)
-	}
-	return make([]nsim.NodeID, 0, n)
-}
-
-func (rt *nodeRT) startPath(buf []nsim.NodeID, l gpa.Leg) (path, rest []nsim.NodeID) {
-	c := rt.pathCap(l)
-	return append(buf[:0:c], rt.node.ID), buf[c:c]
-}
-
 // logResult appends a query-predicate transition to the ResultLog.
 func (rt *nodeRT) logResult(ev ResultEvent) {
 	rt.e.ResultLog = append(rt.e.ResultLog, ev)
@@ -638,33 +551,20 @@ func (rt *nodeRT) recordTrace(ev obs.Event) {
 	}
 }
 
-// forwardStore advances a storage walker one hop.
-func (rt *nodeRT) forwardStore(sm *storeMsg) {
-	leg := sm.Legs[sm.LegIdx]
-	arrived := rt.e.router.AtTargetMemo(&sm.Route, rt.node.ID, leg.TargetX, leg.TargetY)
-	if sm.HasToNode {
-		arrived = sm.ToNode == rt.node.ID
-	}
-	if arrived {
-		rt.storeWalkerArrived(sm)
+// walkStore takes a storage walker one hop on. A walk to a named node or
+// to the server ends in storing the replica there, and the server joins
+// it; a sweep walker stored it on its way.
+func (rt *nodeRT) walkStore(sm *storeMsg) {
+	switch rt.advance(&sm.walk, sm) {
+	case sent:
 		return
+	case stranded:
+		// The walk ends where the walker stopped, as if it had arrived.
 	}
-	next, ok := routing.NextHopGreedyAvoid(rt.e.nw, rt.node.ID, leg.TargetX, leg.TargetY, sm.Visited)
-	if !ok {
-		rt.storeWalkerArrived(sm)
-		return
-	}
-	sm.Visited = append(sm.Visited, next)
-	rt.send(next, kindStore, sm, sizeOfTuple(sm.Tuple)+8)
-}
-
-func (rt *nodeRT) storeWalkerArrived(sm *storeMsg) {
-	if sm.HasToNode {
+	if sm.to != nil || sm.ToServer {
 		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
-		return
 	}
 	if sm.ToServer {
-		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
 		rt.seq++
 		tau := window.Stamp{TS: int64(rt.node.LocalTime()), Node: int(rt.node.ID), Seq: rt.seq}
 		rt.serverJoin(sm.Tuple, sm.ID, tau, sm.Del != nil)
@@ -674,40 +574,17 @@ func (rt *nodeRT) storeWalkerArrived(sm *storeMsg) {
 // onStore handles a replication message.
 func (rt *nodeRT) onStore(sm *storeMsg) {
 	rt.expire()
-	if sm.Flood {
-		if !rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del) {
-			return // a copy the store has seen
-		}
-		// A frame is read-only once sent (every neighbour got the same
-		// pointer), so a copy is made only to carry a decremented TTL.
-		ttl := sm.TTL
-		if ttl > 0 {
-			ttl--
-		}
-		if ttl == 0 {
-			return
-		}
-		fwd := sm
-		if ttl != sm.TTL {
-			c := *sm
-			c.TTL = ttl
-			fwd = &c
-		}
-		if fwd.Band != nil {
-			rt.bandBroadcast(kindStore, fwd, fwd.Band, sizeOfTuple(sm.Tuple)+8)
-		} else {
-			rt.bcast(kindStore, fwd, sizeOfTuple(sm.Tuple)+8)
+	if sm.flooding {
+		if rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del) { // not a copy the store has seen
+			rt.relay(sm)
 		}
 		return
 	}
-	if sm.ToServer || sm.HasToNode {
-		// Pure transit toward the server / region node.
-		rt.forwardStore(sm)
-		return
+	if sm.to == nil && !sm.ToServer {
+		// Sweep replication: store here and keep walking.
+		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
 	}
-	// Sweep replication: store here and keep walking.
-	rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
-	rt.forwardStore(sm)
+	rt.walkStore(sm)
 }
 
 // --- join-computation phase ---
@@ -757,33 +634,27 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 		// TTL so every region node extends the pinned partials.
 		ttl := int(rt.e.centroidRadius/rt.e.nw.Config().Range) + 2
 		legs := []gpa.Leg{{TargetX: rt.e.centroidX, TargetY: rt.e.centroidY}}
-		jm := &joinMsg{
+		rt.walkJoin(&joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials:   hashPartials,
-			Legs:       legs,
-			Visited:    rt.walkFor(legs...),
-			FloodAfter: true, FloodTTL: ttl,
-		}
-		rt.forwardJoin(jm)
+			Partials: hashPartials,
+			legWalk:  along(legs, rt.walkFor(legs...)),
+			flood:    flood{ttl: ttl},
+		})
 		return
 	}
 	plan := &rt.plans.join
 	switch {
-	case plan.Band != nil:
+	case plan.Band != nil || plan.Flood:
 		jm := &joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials: hashPartials, Flood: true, Band: plan.Band,
+			Partials: hashPartials, flood: flood{flooding: true, band: plan.Band},
 		}
 		rt.processJoinHere(jm)
-		rt.seenJoinFlood(jm.ID, jm.Del)
-		rt.bandBroadcast(kindJoin, jm, plan.Band, rt.joinMsgSize(jm))
-	case plan.Flood:
-		jm := &joinMsg{
-			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials: hashPartials, Flood: true,
+		if plan.Band != nil {
+			// Only a band flood's source turns its echoes away.
+			rt.seenJoinFlood(jm.ID, jm.Del)
 		}
-		rt.processJoinHere(jm)
-		rt.floodJoin(jm)
+		rt.broadcast(jm)
 	default:
 		if rt.e.cfg.MultiPass {
 			for i := range hashPartials {
@@ -795,13 +666,11 @@ func (rt *nodeRT) joinPhase(rec *updateRec) {
 			rt.sweepBothWays(hashPartials, rec)
 			return
 		}
-		jm := &joinMsg{
+		rt.walkJoin(&joinMsg{
 			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 			Partials: hashPartials,
-			Legs:     plan.Legs,
-			Visited:  rt.walkFor(plan.Legs...),
-		}
-		rt.forwardJoin(jm)
+			legWalk:  along(plan.Legs, rt.walkFor(plan.Legs...)),
+		})
 	}
 }
 
@@ -1046,45 +915,25 @@ func (rt *nodeRT) routeCand(c *candR) {
 		if !ok2 {
 			return // head names an unknown node; drop
 		}
-		rm := &resultMsg{Cand: c, Home: home, HasHome: true}
 		hn := rt.e.nw.Node(home)
-		rm.TX, rm.TY = hn.X, hn.Y
-		rt.forwardResult(rm)
+		rt.walkResult(&resultMsg{Cand: c, walk: walk{x: hn.X, y: hn.Y, to: hn}})
 		return
 	}
 	tx, ty := rt.e.hasher.Location(head.Key())
-	rm := &resultMsg{Cand: c, TX: tx, TY: ty}
-	rt.forwardResult(rm)
+	rt.walkResult(&resultMsg{Cand: c, walk: walk{x: tx, y: ty}})
 }
 
-func (rt *nodeRT) forwardResult(rm *resultMsg) {
-	arrived := false
-	if rm.HasHome {
-		arrived = rm.Home == rt.node.ID
-	} else {
-		arrived = rt.e.router.AtTargetMemo(&rm.Route, rt.node.ID, rm.TX, rm.TY)
-	}
-	if arrived {
+// walkResult takes a result one hop toward its home, where it is
+// buffered until its finalize deadline.
+func (rt *nodeRT) walkResult(rm *resultMsg) {
+	switch rt.advance(&rm.walk, rm) {
+	case arrived:
 		rt.bufferCand(rm.Cand)
-		return
+	case stranded:
+		// The node where the result stranded acts as its home (best
+		// effort).
+		rt.bufferCand(rm.Cand)
 	}
-	next, ok := routing.NextHopGreedyAvoid(rt.e.nw, rt.node.ID, rm.TX, rm.TY, rm.Visited)
-	if !ok {
-		rt.bufferCand(rm.Cand) // stranded: act as home (best effort)
-		return
-	}
-	if rm.Visited == nil {
-		// First hop: only now does the route need its path. The origin
-		// is no neighbour of itself, so choosing next without it in the
-		// set changed nothing.
-		rm.Visited = rt.walkFor(gpa.Leg{TargetX: rm.TX, TargetY: rm.TY})
-	}
-	rm.Visited = append(rm.Visited, next)
-	rt.send(next, kindResult, rm, sizeOfTuple(rm.Cand.Head)+len(rm.Cand.DerivKey)+8)
-}
-
-func (rt *nodeRT) onResult(rm *resultMsg) {
-	rt.forwardResult(rm)
 }
 
 // bufferCand holds a candidate until its finalize deadline: candidates
@@ -1322,61 +1171,21 @@ func (rt *nodeRT) serverJoin(t eval.Tuple, id window.Stamp, tau window.Stamp, de
 
 // --- sweeping join walkers ---
 
-// bandBroadcast sends to every neighbor inside the band.
-func (rt *nodeRT) bandBroadcast(kind string, payload interface{}, band *gpa.Band, size int) {
-	for _, nb := range rt.node.Neighbors() {
-		n := rt.e.nw.Node(nb)
-		if band.Contains(n.X, n.Y) {
-			rt.send(nb, kind, payload, size)
-		}
-	}
-}
-
-// floodJoin broadcasts a join flood (local-storage scheme).
-func (rt *nodeRT) floodJoin(jm *joinMsg) {
-	rt.bcast(kindJoin, jm, rt.joinMsgSize(jm))
-}
-
-func (rt *nodeRT) joinMsgSize(jm *joinMsg) int {
-	n := sizeOfTuple(jm.Update) + 16
-	for _, p := range jm.Partials {
-		n += 8 + 6*bits.OnesCount64(p.bound)
-	}
-	for _, c := range jm.Pending {
-		n += sizeOfTuple(c.Head) + len(c.DerivKey)
-	}
-	return n
-}
-
 // onJoin processes a join walker or flood arriving at this node.
 func (rt *nodeRT) onJoin(jm *joinMsg) {
 	rt.expire()
-	if jm.Flood {
+	if jm.flooding {
 		if rt.seenJoinFlood(jm.ID, jm.Del) {
 			return
 		}
 		rt.processJoinHere(jm)
-		switch {
-		case jm.Band != nil:
-			rt.bandBroadcast(kindJoin, jm, jm.Band, rt.joinMsgSize(jm))
-		case jm.FloodTTL != 0:
-			fwd := *jm
-			if fwd.FloodTTL > 0 {
-				fwd.FloodTTL--
-			}
-			if fwd.FloodTTL != 0 {
-				rt.floodJoin(&fwd)
-			}
-		default:
-			rt.floodJoin(jm)
-		}
+		rt.relay(jm)
 		return
 	}
-	leg := jm.Legs[jm.LegIdx]
-	if leg.Sweep {
+	if jm.legs[jm.leg].Sweep {
 		rt.processJoinHere(jm)
 	}
-	rt.forwardJoin(jm)
+	rt.walkJoin(jm)
 }
 
 // processJoinHere expands the walker's partials against the local store
@@ -1459,33 +1268,24 @@ func (rt *nodeRT) passSubgoal(jm *joinMsg) int {
 	return remaining[jm.Pass]
 }
 
-// forwardJoin advances a join walker along its legs; at the end of the
+// walkJoin takes a join walker one hop along its legs; at the end of the
 // last leg it emits surviving pending candidates, launches a
 // verification pass for late-ground negations, or starts the next
 // multi-pass iteration.
-func (rt *nodeRT) forwardJoin(jm *joinMsg) {
-	leg := jm.Legs[jm.LegIdx]
-	if !rt.e.router.AtTargetMemo(&jm.Route, rt.node.ID, leg.TargetX, leg.TargetY) {
-		next, ok := routing.NextHopGreedyAvoid(rt.e.nw, rt.node.ID, leg.TargetX, leg.TargetY, jm.Visited)
-		if ok {
-			jm.Visited = append(jm.Visited, next)
-			rt.send(next, kindJoin, jm, rt.joinMsgSize(jm))
-			return
-		}
-		// Stranded: treat as end of leg.
+func (rt *nodeRT) walkJoin(jm *joinMsg) {
+	switch rt.advance(&jm.walk, jm) {
+	case sent:
+		return
+	case stranded:
+		// The leg ends where the walker stopped.
 	}
-	if jm.LegIdx+1 < len(jm.Legs) {
-		jm.LegIdx++
-		// A new leg is a new walk. No other walker shares this path's
-		// backing array (every copy that walks on starts its own), so
-		// it is reused.
-		jm.Visited = append(jm.Visited[:0], rt.node.ID)
-		if jm.Legs[jm.LegIdx].Sweep {
+	if jm.nextLeg(rt.node.ID) {
+		if jm.legs[jm.leg].Sweep {
 			// The transition node is the first node of the sweep leg;
 			// process it here — onJoin only fires on arrivals.
 			rt.processJoinHere(jm)
 		}
-		rt.forwardJoin(jm)
+		rt.walkJoin(jm)
 		return
 	}
 	rt.sweepFinished(jm)
@@ -1493,22 +1293,13 @@ func (rt *nodeRT) forwardJoin(jm *joinMsg) {
 
 // sweepFinished handles end-of-region logic.
 func (rt *nodeRT) sweepFinished(jm *joinMsg) {
-	if jm.FloodAfter {
+	if jm.ttl != 0 {
 		// Centroid: the walker reached the region center; flood the
 		// region from here.
-		jm.FloodAfter = false
-		jm.Flood = true
+		jm.flooding = true
 		rt.seenJoinFlood(jm.ID, jm.Del)
 		rt.processJoinHere(jm)
-		if jm.FloodTTL != 0 {
-			fwd := *jm
-			if fwd.FloodTTL > 0 {
-				fwd.FloodTTL--
-			}
-			if fwd.FloodTTL != 0 {
-				rt.floodJoin(&fwd)
-			}
-		}
+		rt.relay(jm)
 		return
 	}
 	// Multi-pass: start the next iteration if subgoals remain. A
@@ -1527,9 +1318,8 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 		if jm.Pass+1 < remaining && live {
 			nm := *jm
 			nm.Pass++
-			nm.LegIdx = 0
-			nm.Visited = rt.walkFor(nm.Legs...) // never jm's backing array
-			rt.forwardJoin(&nm)
+			nm.legWalk = along(jm.legs, rt.walkFor(jm.legs...)) // never jm's path
+			rt.walkJoin(&nm)
 			return
 		}
 	}
@@ -1545,14 +1335,11 @@ func (rt *nodeRT) sweepFinished(jm *joinMsg) {
 	}
 	jm.Pending = nil
 	if len(needVerify) > 0 {
-		vm := &joinMsg{
+		rt.walkJoin(&joinMsg{
 			Update: jm.Update, ID: jm.ID, Tau: jm.Tau, Del: jm.Del,
 			Pending: needVerify, Verify: true,
-			Legs:    jm.Legs,
-			Visited: rt.walkFor(jm.Legs...),
-		}
-		vm.LegIdx = 0
-		rt.forwardJoin(vm)
+			legWalk: along(jm.legs, rt.walkFor(jm.legs...)),
+		})
 	}
 }
 
@@ -1565,14 +1352,12 @@ func (rt *nodeRT) launchMultiPass(p []*partialR, rec *updateRec) {
 		return
 	}
 	legs := rt.plans.join.Legs
-	jm := &joinMsg{
+	rt.walkJoin(&joinMsg{
 		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
 		Partials: p,
-		Legs:     legs,
-		Visited:  rt.walkFor(legs...),
+		legWalk:  along(legs, rt.walkFor(legs...)),
 		PassRule: p[0].cr, PassPin: p[0].pinned,
-	}
-	rt.forwardJoin(jm)
+	})
 }
 
 // oneProbe reports whether every partial is one probe from complete:
@@ -1609,11 +1394,9 @@ func (rt *nodeRT) sweepBothWays(partials []*partialR, rec *updateRec) {
 	rt.processJoinHere(&src)
 	n := len(src.Partials)
 	for i := range ws {
-		jm := &ws[i]
-		*jm = src
-		jm.Partials, jm.Legs = src.Partials[:n:n], legs[i:i+1]
-		jm.Visited, buf = rt.startPath(buf, legs[i])
-		rt.forwardJoin(jm)
+		ws[i] = src
+		ws[i].Partials, ws[i].legWalk = src.Partials[:n:n], along(legs[i:i+1], rt.startPath(&buf, legs[i]))
+		rt.walkJoin(&ws[i])
 	}
 }
 

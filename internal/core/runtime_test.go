@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
 	"repro/internal/gpa"
 	"repro/internal/nsim"
-	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/window"
 )
@@ -92,52 +90,6 @@ func TestJoinPathAllocations(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("join-flood set on a seen frame: %v allocs, want 0", allocs)
-	}
-}
-
-// TestWalkerHopAllocs: once a walker has its path, one more hop of a
-// store, join or result walker — the arrival test, the next-hop decision
-// and the transmission with its per-kind count — allocates nothing.
-func TestWalkerHopAllocs(t *testing.T) {
-	const m = 16
-	e, nw := buildGrid(t, m, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 1})
-	// Grow the event queue first, so that the hops' frames take recycled
-	// slots (the queue's growth is TestEventLoopAllocs'), and keep it
-	// from emptying, which would release its storage.
-	for i := 0; i < 1000; i++ {
-		nw.ScheduleAt(0, func() {})
-	}
-	nw.ScheduleAt(1<<40, func() {})
-	nw.Run(1)
-	rt := e.rts[topo.GridID(m, 0, 0)]
-	far := gpa.Leg{TargetX: m - 1, TargetY: m - 1}
-	sm := &storeMsg{Tuple: eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)), Legs: []gpa.Leg{far}, Visited: rt.walkFor(far)}
-	jm := &joinMsg{Update: sm.Tuple, Legs: []gpa.Leg{far}, Visited: rt.walkFor(far)}
-	rm := &resultMsg{Cand: &candR{Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}, TX: far.TargetX, TY: far.TargetY, Visited: rt.walkFor(far)}
-	for _, hop := range []struct {
-		kind string
-		f    func()
-	}{
-		{kindStore, func() { sm.Visited = sm.Visited[:1]; rt.forwardStore(sm) }},
-		{kindJoin, func() { jm.Visited = jm.Visited[:1]; rt.forwardJoin(jm) }},
-		{kindResult, func() { rm.Visited = rm.Visited[:1]; rt.forwardResult(rm) }},
-	} {
-		hop.f() // the first hop computes the target's cache entry
-		sent := nw.KindCounts()[hop.kind]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 200; i++ {
-			hop.f()
-		}
-		runtime.ReadMemStats(&after)
-		if got := nw.KindCounts()[hop.kind] - sent; got != 200 {
-			t.Fatalf("%s: %d hops sent, want 200 (the walker arrived or was stranded)", hop.kind, got)
-		}
-		mallocs := after.Mallocs - before.Mallocs
-		t.Logf("200 %s hops: %d mallocs", hop.kind, mallocs)
-		if mallocs != 0 {
-			t.Errorf("200 %s hops: %d mallocs, want 0", hop.kind, mallocs)
-		}
 	}
 }
 
@@ -273,141 +225,6 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 		if !reflect.DeepEqual(q.b.Regs, before[i].regs) || !reflect.DeepEqual(q.stamps, before[i].stamps) {
 			t.Errorf("walker partial %d changed under a local expansion: regs %v stamps %v, was %v %v",
 				i, q.b.Regs, q.stamps, before[i].regs, before[i].stamps)
-		}
-	}
-}
-
-// A flood frame is shared by every neighbour that received it, so
-// forwarding copies it only to carry a decremented TTL; a frame whose TTL
-// runs out is not forwarded, and an unlimited flood forwards the frame it
-// received.
-func TestStoreFloodForwarding(t *testing.T) {
-	nw := topo.Grid(3, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, ".base p/1.\n.store p/1 at 0 hops 2.\n"), Config{BatchLinks: true}, nil, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tup := eval.NewTuple("p", ast.Symbol("n4"))
-	frames := func(rt *nodeRT) []*storeMsg {
-		var out []*storeMsg
-		for _, it := range rt.outbox {
-			out = append(out, it.payload.(*storeMsg))
-		}
-		rt.outbox = rt.outbox[:0]
-		return out
-	}
-
-	sm := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 1, Node: 4, Seq: 1}, Flood: true, TTL: 2}
-	for _, nb := range nw.Node(4).Neighbors() {
-		rt := e.rts[nb]
-		rt.onStore(sm)
-		if fwd := frames(rt); len(fwd) != len(rt.node.Neighbors()) {
-			t.Fatalf("node %d forwarded %d frames, want one per neighbour", nb, len(fwd))
-		} else {
-			for _, f := range fwd {
-				if f == sm || f.TTL != 1 {
-					t.Fatalf("node %d forwarded the received frame or TTL %d, want a TTL-1 copy", nb, f.TTL)
-				}
-			}
-		}
-		if sm.TTL != 2 {
-			t.Fatalf("the shared frame's TTL became %d after node %d forwarded", sm.TTL, nb)
-		}
-	}
-
-	last := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 2, Node: 4, Seq: 2}, Flood: true, TTL: 1}
-	e.rts[0].onStore(last)
-	if fwd := frames(e.rts[0]); len(fwd) != 0 {
-		t.Errorf("a TTL-1 frame was forwarded %d times", len(fwd))
-	}
-
-	open := &storeMsg{Tuple: tup, ID: window.Stamp{TS: 3, Node: 4, Seq: 3}, Flood: true, TTL: -1}
-	e.rts[0].onStore(open)
-	fwd := frames(e.rts[0])
-	if len(fwd) == 0 {
-		t.Fatal("an unlimited flood was not forwarded")
-	}
-	for _, f := range fwd {
-		if f != open {
-			t.Errorf("an unlimited flood forwarded a copy, want the received frame")
-		}
-	}
-}
-
-// Every copy of a walker that walks on starts its own path: the next
-// multi-pass iteration never shares its visited set's backing array with
-// the walker it was copied from, so neither can overwrite the other's.
-func TestWalkerCopiesOwnTheirPath(t *testing.T) {
-	nw := topo.Grid(4, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, MultiPass: true, BatchLinks: true}, nil, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := e.rts[5]
-	stamp := window.Stamp{TS: 1, Node: 5, Seq: 1}
-	rec := &updateRec{Tuple: eval.NewTuple("r", ast.Int64(0), ast.Int64(10)), ID: stamp, Tau: stamp}
-	p, ok := rt.seedPartial(e.triggers["r/2"][0], rec)
-	if !ok {
-		t.Fatal("r seed did not match")
-	}
-	legs := rt.plans.join.Legs
-	jm := &joinMsg{
-		Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Partials: []*partialR{p},
-		Legs: legs, Visited: rt.walkFor(legs...),
-		PassRule: p.cr, PassPin: p.pinned,
-	}
-	rt.sweepFinished(jm) // the first pass ends here; the second sets out
-	var next *joinMsg
-	for _, it := range rt.outbox {
-		if m, ok := it.payload.(*joinMsg); ok {
-			next = m
-		}
-	}
-	if next == nil || next == jm || next.Pass != 1 {
-		t.Fatalf("no second-pass walker left the node: %+v", next)
-	}
-	if &next.Visited[0] == &jm.Visited[0] {
-		t.Fatal("the second pass shares its path's backing array with the first")
-	}
-	if len(jm.Visited) != 1 || jm.Visited[0] != rt.node.ID {
-		t.Errorf("the first pass's path became %v", jm.Visited)
-	}
-}
-
-// A walker's path is sized for the longest leg it walks, so on a grid it
-// never outgrows its one allocation: every storage and join walk of a
-// Perpendicular 16x16 grid, two-way join sweeps included, and a result
-// walk between any two nodes, fit the capacity walkFor gives them (as
-// launch, joinPhase and forwardResult call it; startPath cuts the same
-// capacity from a walker pair's shared array).
-func TestWalkerPathFitsItsLegs(t *testing.T) {
-	m := 16
-	nw := topo.Grid(m, nsim.Config{Seed: 1})
-	e, err := Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fits := func(what string, rt *nodeRT, legs []gpa.Leg) {
-		c := cap(rt.walkFor(legs...))
-		from := rt.node.ID
-		for i, l := range legs {
-			path := routing.GreedyPath(nw, from, l.TargetX, l.TargetY, 4*m)
-			if len(path) > c {
-				t.Fatalf("%s walk from node %d, leg %d: %d nodes, capacity %d", what, rt.node.ID, i, len(path), c)
-			}
-			from = path[len(path)-1]
-		}
-	}
-	for _, rt := range e.rts {
-		for _, l := range rt.plans.storage.Legs {
-			fits("storage", rt, []gpa.Leg{l}) // each leg is its own walker
-		}
-		fits("join", rt, rt.plans.join.Legs)
-		for _, l := range rt.plans.sweeps {
-			fits("two-way join", rt, []gpa.Leg{l}) // so is each sweep
-		}
-		for _, to := range nw.Nodes() {
-			fits("result", rt, []gpa.Leg{{TargetX: to.X, TargetY: to.Y}})
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog/ast"
 	"repro/internal/gpa"
+	"repro/internal/mallocs"
 	"repro/internal/nsim"
 	"repro/internal/obs"
 	"repro/internal/obs/provenance"
@@ -126,15 +127,12 @@ func guardE1Allocs(t *testing.T, path string, nw *nsim.Network) {
 // per simulator event: a count, no wall clock.
 func guardAllocs(t *testing.T, path string, baseline float64, run func() *nsim.Network) {
 	t.Helper()
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nw := run()
-	runtime.ReadMemStats(&after)
+	var nw *nsim.Network
+	m := mallocs.Count(func() { nw = run() })
 	if nw.EventsProcessed == 0 {
 		t.Fatal("no events processed")
 	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(nw.EventsProcessed)
+	perEvent := float64(m) / float64(nw.EventsProcessed)
 	t.Logf("%s path: %.3f allocs/event over %d events", path, perEvent, nw.EventsProcessed)
 	if perEvent > baseline*1.05 {
 		t.Errorf("%s path allocates %.3f/event, baseline is %.3f + 5 %% (EXPERIMENTS.md E13)", path, perEvent, baseline)

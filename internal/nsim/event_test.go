@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
+
+	"repro/internal/mallocs"
 )
 
 // chattyApp drives a workload that exercises timers, unicast, broadcast
@@ -311,14 +312,10 @@ func TestEventLoopAllocs(t *testing.T) {
 		n.App = app
 	}
 	nw.Finalize()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	nw.Run(0)
-	runtime.ReadMemStats(&after)
+	m := mallocs.Count(func() { nw.Run(0) })
 	if nw.EventsProcessed < events || app.maxPending > 1000 {
 		t.Fatalf("workload ran %d events with up to %d queued; want ≥ %d and ≤ 1000", nw.EventsProcessed, app.maxPending, events)
 	}
-	m := after.Mallocs - before.Mallocs
 	t.Logf("%d events, up to %d queued, %d mallocs", nw.EventsProcessed, app.maxPending, m)
 	if m > maxMallocs {
 		t.Errorf("%d events made %d mallocs, want ≤ %d", nw.EventsProcessed, m, maxMallocs)
@@ -346,16 +343,14 @@ func TestKindCountsAllocs(t *testing.T) {
 	nw.Run(1)
 	kinds := []string{"store", "join", "result", "aggb", "aggp"}
 	src := nw.Node(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for round := 0; round < 100; round++ {
-		for i := 0; i < 1000; i++ {
-			src.Send(1, kinds[i%len(kinds)], nil, 8+i%len(kinds))
+	if m := mallocs.Count(func() {
+		for round := 0; round < 100; round++ {
+			for i := 0; i < 1000; i++ {
+				src.Send(1, kinds[i%len(kinds)], nil, 8+i%len(kinds))
+			}
+			nw.Run(nw.Now() + MaxDelay)
 		}
-		nw.Run(nw.Now() + MaxDelay)
-	}
-	runtime.ReadMemStats(&after)
-	if m := after.Mallocs - before.Mallocs; m != 0 {
+	}); m != 0 {
 		t.Errorf("100 k transmissions made %d mallocs, want 0", m)
 	}
 	if nw.Pending() != 1 {

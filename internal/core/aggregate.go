@@ -39,6 +39,9 @@ type aggBuildMsg struct {
 	Depth int
 }
 
+func (m *aggBuildMsg) kind() string { return kindAggBuild }
+func (m *aggBuildMsg) size() int    { return 10 }
+
 type aggPartialMsg struct {
 	Epoch  string
 	Groups *agg.Groups
@@ -117,7 +120,7 @@ func (rt *nodeRT) startAggEpoch(pred string) {
 	epoch := fmt.Sprintf("%s#%d", pred, rt.e.aggEpoch)
 	s := &aggSession{pred: pred, parent: rt.node.ID, isSink: true, groups: agg.NewGroups()}
 	rt.aggSessions[epoch] = s
-	rt.node.Broadcast(kindAggBuild, &aggBuildMsg{Epoch: epoch, Pred: pred, Depth: 0}, 10)
+	rt.broadcast(&aggBuildMsg{Epoch: epoch, Pred: pred, Depth: 0}, nil)
 	dmax := rt.e.aggMaxDepth()
 	rt.node.SetTimer(rt.e.aggSlot()*nsim.Time(dmax+2), timerAggFinal, epoch)
 }
@@ -130,7 +133,7 @@ func (rt *nodeRT) onAggBuild(from nsim.NodeID, m *aggBuildMsg) {
 	s := &aggSession{pred: m.Pred, parent: from, groups: agg.NewGroups()}
 	rt.aggSessions[m.Epoch] = s
 	depth := m.Depth + 1
-	rt.node.Broadcast(kindAggBuild, &aggBuildMsg{Epoch: m.Epoch, Pred: m.Pred, Depth: depth}, 10)
+	rt.broadcast(&aggBuildMsg{Epoch: m.Epoch, Pred: m.Pred, Depth: depth}, nil)
 	dmax := rt.e.aggMaxDepth()
 	slot := dmax - depth
 	if slot < 0 {
@@ -160,7 +163,7 @@ func (rt *nodeRT) aggSend(epoch string) {
 	s.sent = true
 	rt.localAggContribution(s)
 	if len(s.groups.ByKey) > 0 {
-		rt.node.Send(s.parent, kindAggPartial, &aggPartialMsg{Epoch: epoch, Groups: s.groups}, s.groups.Size())
+		rt.send(s.parent, kindAggPartial, &aggPartialMsg{Epoch: epoch, Groups: s.groups}, s.groups.Size())
 	}
 	delete(rt.aggSessions, epoch)
 }

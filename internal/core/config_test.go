@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
-	"repro/internal/gpa"
 	"repro/internal/nsim"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -57,17 +56,6 @@ j(Y, D1) :- g(X, Y), j(X, D), D1 = D + 1, NOT jp(Y, D1).
 	}
 	if !strings.Contains(out, "scheme=perpendicular") {
 		t.Errorf("scheme missing:\n%s", out)
-	}
-}
-
-func TestLocalStorageRejectsNegationAndMultiway(t *testing.T) {
-	nw := topo.Grid(4, nsim.Config{})
-	if _, err := New(nw, mustProg(t, uncovSrc), Config{Scheme: gpa.LocalStorage}); err == nil {
-		t.Error("local-storage with negation should be rejected")
-	}
-	nw2 := topo.Grid(4, nsim.Config{})
-	if _, err := New(nw2, mustProg(t, threeWaySrc), Config{Scheme: gpa.LocalStorage}); err == nil {
-		t.Error("local-storage three-way join should be rejected")
 	}
 }
 

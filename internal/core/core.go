@@ -201,15 +201,6 @@ type Engine struct {
 	// across Replay too.
 	derivedVer map[string]uint64
 
-	// centroidNodes is the Centroid scheme's storage region: the nodes
-	// within centroidRadius of the bounding-box center (centroidX,
-	// centroidY), where every join walker seeks before flooding the
-	// region. Positions are fixed once the nodes are placed, so the
-	// center is computed once, in New.
-	centroidNodes        []nsim.NodeID
-	centroidRadius       float64
-	centroidX, centroidY float64
-
 	// knownPreds holds every predicate key the program mentions (rule
 	// heads and bodies, base declarations, windows, placements,
 	// queries); injection validation checks against it.
@@ -293,7 +284,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		triggers:     make(map[string][]trigger),
 		read:         make(map[string]bool),
 		hasher:       ghash.ForNetwork(nw),
-		planner:      gpa.NewPlanner(nw, cfg.Scheme),
+		planner:      gpa.NewPlanner(nw, gpa.Planner{Scheme: cfg.Scheme, Server: cfg.Server, SpatialRadius: cfg.SpatialRadius, BandWidth: cfg.BandWidth}),
 		nodeTerms:    make(map[string]nsim.NodeID),
 		finalizePrio: make(map[string]int),
 		windows:      make(map[string]int64),
@@ -319,9 +310,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		}
 		e.aggRules[r.Head.PredKey()] = plan
 	}
-	e.planner.Server = cfg.Server
-	e.planner.SpatialRadius = cfg.SpatialRadius
-	e.planner.BandWidth = cfg.BandWidth
 	for _, n := range nw.Nodes() {
 		e.nodeTerms[ast.Symbol(fmt.Sprintf("n%d", n.ID)).Key()] = n.ID
 	}
@@ -366,22 +354,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	}
 	for _, p := range prog.Queries {
 		e.knownPreds[p] = true
-	}
-
-	if cfg.Scheme == gpa.Centroid {
-		e.centroidRadius = 1.5 * nw.Config().Range
-		minX, minY, maxX, maxY := routing.Bounds(nw)
-		cx, cy := (minX+maxX)/2, (minY+maxY)/2
-		e.centroidX, e.centroidY = cx, cy
-		for _, n := range nw.Nodes() {
-			dx, dy := n.X-cx, n.Y-cy
-			if dx*dx+dy*dy <= e.centroidRadius*e.centroidRadius+1e-9 {
-				e.centroidNodes = append(e.centroidNodes, n.ID)
-			}
-		}
-		if len(e.centroidNodes) == 0 {
-			e.centroidNodes = []nsim.NodeID{nw.NearestNode(cx, cy).ID}
-		}
 	}
 
 	if err := e.compileRules(); err != nil {
@@ -531,15 +503,14 @@ func (e *Engine) compileRules() error {
 			})
 		}
 	}
-	// The LocalStorage scheme floods updates and joins at each node;
-	// partial results cannot be accumulated coherently across a flood, so
-	// it only supports two-stream positive rules. The same restriction
-	// applies to band-mode PA on arbitrary topologies.
-	if e.cfg.Scheme == gpa.LocalStorage || e.cfg.Scheme == gpa.Centroid ||
-		(e.cfg.Scheme == gpa.Perpendicular && e.cfg.BandWidth > 0) {
+	// A join region that floods joins at each node it reaches, and partial
+	// results cannot be accumulated coherently across a flood, so it only
+	// supports two-stream positive rules. Every node's join plan has the
+	// same shape.
+	if e.planner.Join(e.nw.Node(0)).Flood {
 		for _, cr := range e.rules {
 			if cr.mode == hashMode && (len(cr.posIdx) > 2 || len(cr.negIdx) > 0) {
-				return fmt.Errorf("core: flood-based join regions (local-storage or band-PA) support only two-stream positive joins (rule %d)", cr.rule.ID)
+				return fmt.Errorf("core: rule %d: a join region that floods (local-storage, centroid, band-PA) supports only two-stream positive joins", cr.rule.ID)
 			}
 		}
 	}
@@ -814,19 +785,6 @@ func (e *Engine) Network() *nsim.Network { return e.nw }
 // TauS is the storage-phase bound τs the engine derived from its
 // network's geometry.
 func (e *Engine) TauS() nsim.Time { return e.tauS }
-
-// centroidFor picks the region node a tuple is stored at (hash-spread
-// over the centroid region).
-func (e *Engine) centroidFor(key string) *nsim.Node {
-	h := 0
-	for _, c := range key {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return e.nw.Node(e.centroidNodes[h%len(e.centroidNodes)])
-}
 
 // newStore returns an empty replica store that knows each windowed
 // predicate's retention, so the store can tell when something is due.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog/ast"
@@ -234,15 +235,39 @@ func TestBandPAOnRandomTopology(t *testing.T) {
 	oracleCompare(t, e, joinSrc, base, "out/2")
 }
 
-// Band-mode rejects programs beyond two-stream positive joins.
-func TestBandPARejectsComplexRules(t *testing.T) {
-	nw, err := topo.RandomGeometric(30, 8, 2.7, 33, nsim.Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(nw, mustProg(t, threeWaySrc), Config{Scheme: gpa.Perpendicular, BandWidth: 4.0})
-	if err == nil {
-		t.Fatal("three-way join should be rejected in band mode")
+// A join plan that floods (LocalStorage, Centroid, band-PA) joins only
+// two-stream positive rules: a three-stream rule and a rule with a
+// negated subgoal are refused at New, naming the rule. Perpendicular on
+// a grid walks its join column and accepts both.
+func TestFloodJoinsRejectComplexRules(t *testing.T) {
+	grid := func() (*nsim.Network, error) { return topo.Grid(6, nsim.Config{}), nil }
+	random := func() (*nsim.Network, error) { return topo.RandomGeometric(30, 8, 2.7, 33, nsim.Config{Seed: 9}) }
+	for _, c := range []struct {
+		name   string
+		nw     func() (*nsim.Network, error)
+		cfg    Config
+		refuse bool
+	}{
+		{"local-storage", grid, Config{Scheme: gpa.LocalStorage}, true},
+		{"centroid", grid, Config{Scheme: gpa.Centroid}, true},
+		{"band", random, Config{Scheme: gpa.Perpendicular, BandWidth: 4.0}, true},
+		{"perpendicular", grid, Config{Scheme: gpa.Perpendicular}, false},
+	} {
+		for _, r := range []struct{ name, src string }{{"three-stream", threeWaySrc}, {"negated", uncovSrc}} {
+			t.Run(c.name+"/"+r.name, func(t *testing.T) {
+				nw, err := c.nw()
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = New(nw, mustProg(t, r.src), c.cfg)
+				switch {
+				case c.refuse && (err == nil || !strings.Contains(err.Error(), "supports only two-stream positive joins")):
+					t.Errorf("New = %v, want the flood-join refusal", err)
+				case !c.refuse && err != nil:
+					t.Errorf("New = %v, want it accepted", err)
+				}
+			})
+		}
 	}
 }
 

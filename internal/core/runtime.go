@@ -29,10 +29,13 @@ const (
 type storeMsg struct {
 	walk
 	flood
-	Tuple    eval.Tuple
-	ID       window.Stamp
-	Del      *window.Stamp
-	ToServer bool
+	Tuple eval.Tuple
+	ID    window.Stamp
+	Del   *window.Stamp
+	// sweep: the walker stores at every node it passes; otherwise it
+	// stores where its walk ends. joinAtEnd: the join runs there too
+	// (gpa.Plan.OnArrival).
+	sweep, joinAtEnd bool
 }
 
 // partialR is a partial result (Definition 1) in flight: the register
@@ -309,10 +312,6 @@ type homed struct {
 // they depend only on the node and the engine's planner, both fixed in New.
 type nodePlans struct {
 	storage, join gpa.Plan
-	// sweeps is the join column walked both ways from the node: one sweep
-	// leg toward each end of join's legs, each leg its own walker
-	// (sweepBothWays).
-	sweeps [2]gpa.Leg
 }
 
 // pendingCand is a buffered candidate with its deadline.
@@ -330,12 +329,7 @@ func newNodeRT(e *Engine, n *nsim.Node, withPlans bool) *nodeRT {
 		aggSessions: make(map[string]*aggSession),
 	}
 	if withPlans {
-		p := &nodePlans{storage: e.planner.Storage(n), join: e.planner.Join(n)}
-		if legs := p.join.Legs; len(legs) == 2 {
-			p.sweeps = [2]gpa.Leg{legs[0], legs[1]}
-			p.sweeps[0].Sweep, p.sweeps[1].Sweep = true, true
-		}
-		rt.plans = p
+		rt.plans = &nodePlans{storage: e.planner.Storage(n), join: e.planner.Join(n)}
 	}
 	return rt
 }
@@ -458,53 +452,52 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 	rt.applyStoreLocal(t, id, delStamp)
 	if pl, ok := rt.e.placements[t.Pred]; ok {
 		if pl.Hops > 0 {
-			rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, ttl: pl.Hops}})
+			rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, ttl: pl.Hops}}, nil)
 		}
 	} else {
-		switch rt.e.cfg.Scheme {
-		case gpa.Centroid:
-			home := rt.e.centroidFor(t.Key())
-			if home.ID != rt.node.ID {
-				rt.walkStore(&storeMsg{
-					Tuple: t, ID: id, Del: delStamp,
-					walk: walk{x: home.X, y: home.Y, to: home},
-				})
+		walked := rt.storeHash(t, id, delStamp)
+		if rt.plans.join.OnArrival {
+			// The join runs where the storage walk ends: here, under the
+			// generation stamp, when nothing walked.
+			if !walked {
+				rt.joinHere(&updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil})
 			}
-			// Join phase (below) floods the centroid region.
-		case gpa.Centralized:
-			if rt.node.ID != rt.e.cfg.Server {
-				server := rt.e.nw.Node(rt.e.cfg.Server)
-				rt.walkStore(&storeMsg{
-					Tuple: t, ID: id, Del: delStamp, ToServer: true,
-					walk: walk{x: server.X, y: server.Y},
-				})
-			} else {
-				rt.serverJoin(t, id, tau, delStamp != nil)
-			}
-			return // no per-source join phase in the centralized scheme
-		default:
-			plan := &rt.plans.storage
-			switch {
-			case plan.Band != nil || plan.Flood:
-				rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, band: plan.Band}})
-			case plan.Local:
-				// already stored locally
-			default:
-				// Each leg is its own walker: the walkers are one allocation,
-				// and so are their paths.
-				legs := plan.Legs
-				ws, buf := make([]storeMsg, len(legs)), rt.pathBuf(legs)
-				for i, l := range legs {
-					ws[i] = storeMsg{Tuple: t, ID: id, Del: delStamp, walk: walk{x: l.TargetX, y: l.TargetY, path: rt.startPath(&buf, l)}}
-					rt.walkStore(&ws[i])
-				}
-			}
+			return
 		}
 	}
 
 	// Join-computation phase after the storage settle delay (Thm 3).
 	rec := &updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil}
 	rt.node.SetTimer(rt.e.tauS+rt.e.tauC, timerJoinPhase, rec)
+}
+
+// storeHash carries out this node's storage plan for a generation of a
+// hash-placed predicate, which the node has stored, and reports whether
+// a walker left to store it elsewhere.
+func (rt *nodeRT) storeHash(t eval.Tuple, id window.Stamp, del *window.Stamp) bool {
+	plan, join := &rt.plans.storage, rt.plans.join.OnArrival
+	switch {
+	case plan.Flood:
+		rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: del, flood: flood{flooding: true, ttl: plan.FloodTTL, band: plan.Band}}, plan.Band)
+	case plan.Region != nil:
+		home := rt.e.nw.Node(plan.Home(t.Key()))
+		if home.ID == rt.node.ID {
+			return false
+		}
+		rt.walkStore(&storeMsg{Tuple: t, ID: id, Del: del, joinAtEnd: join, walk: walk{x: home.X, y: home.Y, to: home}})
+	case plan.Legs != nil:
+		// Each leg is its own walker: the walkers are one allocation, and
+		// so are their paths.
+		legs := plan.Legs
+		ws, buf := make([]storeMsg, len(legs)), rt.pathBuf(legs)
+		for i, l := range legs {
+			ws[i] = storeMsg{Tuple: t, ID: id, Del: del, sweep: l.Sweep, joinAtEnd: join, walk: walk{x: l.TargetX, y: l.TargetY, path: rt.startPath(&buf, l)}}
+			rt.walkStore(&ws[i])
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // applyStoreLocal stores a replica or records a deletion stamp, and
@@ -551,9 +544,9 @@ func (rt *nodeRT) recordTrace(ev obs.Event) {
 	}
 }
 
-// walkStore takes a storage walker one hop on. A walk to a named node or
-// to the server ends in storing the replica there, and the server joins
-// it; a sweep walker stored it on its way.
+// walkStore takes a storage walker one hop on. A walk that does not
+// sweep ends in storing the replica, and perhaps joining it, where it
+// ends; a sweep walker stored it on its way.
 func (rt *nodeRT) walkStore(sm *storeMsg) {
 	switch rt.advance(&sm.walk, sm) {
 	case sent:
@@ -561,13 +554,14 @@ func (rt *nodeRT) walkStore(sm *storeMsg) {
 	case stranded:
 		// The walk ends where the walker stopped, as if it had arrived.
 	}
-	if sm.to != nil || sm.ToServer {
+	if !sm.sweep {
 		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
 	}
-	if sm.ToServer {
+	if sm.joinAtEnd {
+		// The update is joined under a stamp of the node it arrived at.
 		rt.seq++
 		tau := window.Stamp{TS: int64(rt.node.LocalTime()), Node: int(rt.node.ID), Seq: rt.seq}
-		rt.serverJoin(sm.Tuple, sm.ID, tau, sm.Del != nil)
+		rt.joinHere(&updateRec{Tuple: sm.Tuple, ID: sm.ID, Tau: tau, Del: sm.Del != nil})
 	}
 }
 
@@ -580,7 +574,7 @@ func (rt *nodeRT) onStore(sm *storeMsg) {
 		}
 		return
 	}
-	if sm.to == nil && !sm.ToServer {
+	if sm.sweep {
 		// Sweep replication: store here and keep walking.
 		rt.applyStoreLocal(sm.Tuple, sm.ID, sm.Del)
 	}
@@ -594,82 +588,52 @@ func (rt *nodeRT) onStore(sm *storeMsg) {
 func (rt *nodeRT) joinPhase(rec *updateRec) {
 	rt.expire()
 	trigs := rt.e.triggers[rec.Tuple.Pred]
-	if len(trigs) == 0 {
-		return
-	}
-	_, placed := rt.e.placements[rec.Tuple.Pred]
-	// Under naive broadcast every replica is local, so hash-mode rules
-	// are expanded here too, after the local-mode ones.
-	hashHere := rt.e.cfg.Scheme == gpa.NaiveBroadcast
-
-	var hashPartials []*partialR
-	for _, tg := range trigs {
-		switch {
-		case tg.rule.mode == localMode:
-			// Localized join: expand fully against the local store and
-			// route candidates to the head's placement node.
-			rt.expandHere(tg, rec)
-		case placed || hashHere:
-			// placed predicates only drive local-mode rules
-		default:
-			if p, ok := rt.seedPartial(tg, rec); ok {
-				hashPartials = append(hashPartials, p)
-			}
-		}
-	}
-	if hashHere && !placed {
+	if _, placed := rt.e.placements[rec.Tuple.Pred]; placed {
+		// A placed predicate drives only local-mode rules: a localized
+		// join expands fully against the local store and routes its
+		// candidates to the head's placement node.
 		for _, tg := range trigs {
-			if tg.rule.mode == hashMode {
-				rt.expandHere(tg, rec)
-			}
+			rt.expandHere(tg, rec)
 		}
-		return
-	}
-	if len(hashPartials) == 0 {
-		return
-	}
-
-	if rt.e.cfg.Scheme == gpa.Centroid {
-		// Seek to the region center, then flood the region with a small
-		// TTL so every region node extends the pinned partials.
-		ttl := int(rt.e.centroidRadius/rt.e.nw.Config().Range) + 2
-		legs := []gpa.Leg{{TargetX: rt.e.centroidX, TargetY: rt.e.centroidY}}
-		rt.walkJoin(&joinMsg{
-			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials: hashPartials,
-			legWalk:  along(legs, rt.walkFor(legs...)),
-			flood:    flood{ttl: ttl},
-		})
 		return
 	}
 	plan := &rt.plans.join
+	if plan.Legs == nil && !plan.Flood {
+		rt.joinHere(rec) // every replica is here
+		return
+	}
+	var partials []*partialR
+	for _, tg := range trigs {
+		if p, ok := rt.seedPartial(tg, rec); ok {
+			partials = append(partials, p)
+		}
+	}
+	if len(partials) == 0 {
+		return
+	}
 	switch {
-	case plan.Band != nil || plan.Flood:
+	case plan.Flood:
 		jm := &joinMsg{
-			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials: hashPartials, flood: flood{flooding: true, band: plan.Band},
+			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del, Partials: partials,
+			flood: flood{ttl: plan.FloodTTL, band: plan.Band},
 		}
-		rt.processJoinHere(jm)
-		if plan.Band != nil {
-			// Only a band flood's source turns its echoes away.
-			rt.seenJoinFlood(jm.ID, jm.Del)
+		if plan.Legs == nil {
+			rt.floodJoin(jm)
+			return
 		}
-		rt.broadcast(jm)
+		// Walk the legs, then flood from where they end (sweepFinished).
+		jm.legWalk, jm.afterLegs = along(plan.Legs, rt.walkFor(plan.Legs...)), true
+		rt.walkJoin(jm)
+	case rt.e.cfg.MultiPass:
+		for i := range partials {
+			rt.launchMultiPass(partials[i:i+1:i+1], rec)
+		}
+	case oneProbe(partials):
+		rt.sweepBothWays(partials, rec)
 	default:
-		if rt.e.cfg.MultiPass {
-			for i := range hashPartials {
-				rt.launchMultiPass(hashPartials[i:i+1:i+1], rec)
-			}
-			return
-		}
-		if oneProbe(hashPartials) {
-			rt.sweepBothWays(hashPartials, rec)
-			return
-		}
 		rt.walkJoin(&joinMsg{
-			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del,
-			Partials: hashPartials,
-			legWalk:  along(plan.Legs, rt.walkFor(plan.Legs...)),
+			Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del, Partials: partials,
+			legWalk: along(plan.Legs, rt.walkFor(plan.Legs...)),
 		})
 	}
 }
@@ -1109,10 +1073,10 @@ func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
 // expandHere seeds tg's partial from the update and saturates it against
 // the local store only, routing the complete results: a local-mode rule
 // (every negation deferred to finalize at the home), or a hash-mode rule
-// where all replicas are local (naive-broadcast, the central server),
-// whose stamp-ordered negation is then local too. The partials, seed
-// included, never leave the node — a candidate copies what it needs — so
-// they are drawn from the slab and released on return. This is the one
+// where all replicas are local (joinHere), whose stamp-ordered negation
+// is then local too. The partials, seed included, never leave the node —
+// a candidate copies what it needs — so they are drawn from the slab and
+// released on return. This is the one
 // place the slab is switched on.
 func (rt *nodeRT) expandHere(tg trigger, rec *updateRec) {
 	js := &rt.e.scratch
@@ -1159,13 +1123,12 @@ func (rt *nodeRT) pinnedNegIdx(p *partialR, rec *updateRec) int {
 	return -1
 }
 
-// serverJoin evaluates hash-mode rules entirely at the central server.
-func (rt *nodeRT) serverJoin(t eval.Tuple, id window.Stamp, tau window.Stamp, del bool) {
-	rec := &updateRec{Tuple: t, ID: id, Tau: tau, Del: del}
-	for _, tg := range rt.e.triggers[t.Pred] {
-		if tg.rule.mode == hashMode {
-			rt.expandHere(tg, rec)
-		}
+// joinHere joins an update of a hash-placed predicate against this
+// node's store alone: the join plan of a scheme that brings every replica
+// to one node (NaiveBroadcast's source, the Centralized server).
+func (rt *nodeRT) joinHere(rec *updateRec) {
+	for _, tg := range rt.e.triggers[rec.Tuple.Pred] {
+		rt.expandHere(tg, rec)
 	}
 }
 
@@ -1175,11 +1138,10 @@ func (rt *nodeRT) serverJoin(t eval.Tuple, id window.Stamp, tau window.Stamp, de
 func (rt *nodeRT) onJoin(jm *joinMsg) {
 	rt.expire()
 	if jm.flooding {
-		if rt.seenJoinFlood(jm.ID, jm.Del) {
-			return
+		if !rt.seenJoinFlood(jm.ID, jm.Del) {
+			rt.processJoinHere(jm)
+			rt.relay(jm)
 		}
-		rt.processJoinHere(jm)
-		rt.relay(jm)
 		return
 	}
 	if jm.legs[jm.leg].Sweep {
@@ -1291,15 +1253,20 @@ func (rt *nodeRT) walkJoin(jm *joinMsg) {
 	rt.sweepFinished(jm)
 }
 
+// floodJoin starts the join flood of jm at this node: the node marks the
+// flood as seen, so no copy that comes back is processed again, joins it
+// here and relays it.
+func (rt *nodeRT) floodJoin(jm *joinMsg) {
+	jm.flooding = true
+	rt.seenJoinFlood(jm.ID, jm.Del)
+	rt.processJoinHere(jm)
+	rt.relay(jm)
+}
+
 // sweepFinished handles end-of-region logic.
 func (rt *nodeRT) sweepFinished(jm *joinMsg) {
-	if jm.ttl != 0 {
-		// Centroid: the walker reached the region center; flood the
-		// region from here.
-		jm.flooding = true
-		rt.seenJoinFlood(jm.ID, jm.Del)
-		rt.processJoinHere(jm)
-		rt.relay(jm)
+	if jm.afterLegs {
+		rt.floodJoin(jm)
 		return
 	}
 	// Multi-pass: start the next iteration if subgoals remain. A
@@ -1388,7 +1355,7 @@ func (p *partialR) regionNeg() bool {
 // are their paths; they share the partials, which saturate never extends
 // in place (their capacity is their length).
 func (rt *nodeRT) sweepBothWays(partials []*partialR, rec *updateRec) {
-	legs := rt.plans.sweeps[:]
+	legs := rt.plans.join.Sweeps
 	ws, buf := make([]joinMsg, len(legs)), rt.pathBuf(legs)
 	src := joinMsg{Update: rec.Tuple, ID: rec.ID, Tau: rec.Tau, Del: rec.Del, Partials: partials}
 	rt.processJoinHere(&src)

@@ -254,3 +254,40 @@ func TestReplicaFloodsKeepNoSet(t *testing.T) {
 		t.Errorf("%d replicas, %d messages; want 6087 and 6056", replicas, nw.TotalSent)
 	}
 }
+
+// Centralized joins at the server (its join plan's OnArrival). An update
+// generated at the server is joined at once, under its generation stamp;
+// one generated elsewhere is joined as its storage walk arrives, under a
+// stamp the server takes then. That stamp orders the update's candidates
+// at finalize.
+func TestCentralizedJoinStamps(t *testing.T) {
+	const m = 3
+	server := topo.GridID(m, 1, 1)
+	e, nw := buildGrid(t, m, joinSrc, Config{Scheme: gpa.Centralized, Server: server}, nsim.Config{Seed: 2})
+	mustInject(t, e, 0, server, eval.NewTuple("rb", ast.Int64(2), ast.Int64(3)))
+	mustInject(t, e, 10, server, eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)))
+	mustInject(t, e, 20, 0, eval.NewTuple("ra", ast.Int64(5), ast.Int64(2)))
+	// By tick 100 both joins have run and neither candidate is due yet.
+	nw.Run(100)
+	update := map[int64]window.Stamp{} // by the head's first argument
+	for _, rt := range e.rts {
+		for _, pc := range rt.pendingCands {
+			update[pc.c.Head.Args[0].Int] = pc.c.Update
+		}
+	}
+	if len(update) != 2 {
+		t.Fatalf("candidates in flight for %d heads, want 2", len(update))
+	}
+	// The server's stamps count its generations (rb, then ra) and then the
+	// arrival of node 0's ra.
+	if got := update[1]; got.Node != int(server) || got.Seq != 2 {
+		t.Errorf("an update generated at the server joined under %+v, want its generation stamp (seq 2)", got)
+	}
+	if got := update[5]; got.Node != int(server) || got.Seq != 3 {
+		t.Errorf("an update from node 0 joined under %+v, want the server's stamp at arrival (seq 3)", got)
+	}
+	nw.Run(0)
+	if out := e.Derived("out/2"); len(out) != 2 {
+		t.Errorf("out/2 = %v, want out(1, 3) and out(5, 3)", out)
+	}
+}

@@ -147,10 +147,12 @@ func (rt *nodeRT) startPath(buf *[]nsim.NodeID, l gpa.Leg) []nsim.NodeID {
 	return path
 }
 
-// flood is a flood frame's reach. A join walker that carries a TTL floods
-// the region around the end of its legs (the Centroid scheme).
+// flood is a flood frame's reach.
 type flood struct {
 	flooding bool // the frame floods; otherwise it is a walker
+	// afterLegs: a join walker that floods, with this reach, from where
+	// its legs end (gpa.Plan.Flood on a plan with legs).
+	afterLegs bool
 	// ttl is the number of hops the frame travels from the node that
 	// sent it; 0 is unlimited.
 	ttl  int
@@ -178,14 +180,14 @@ func (rt *nodeRT) relay(f floodFrame) {
 		}
 		f = f.withTTL(ttl - 1)
 	}
-	rt.broadcast(f)
+	rt.broadcast(f, f.reach().band)
 }
 
-// broadcast sends f to every neighbour, or to those inside its band: one
-// radio broadcast, or with batching on one staged send per neighbour, so
-// same-tick floods coalesce per link.
-func (rt *nodeRT) broadcast(f floodFrame) {
-	kind, size, band := f.kind(), f.size(), f.reach().band
+// broadcast sends f to every neighbour, or to those inside band if it is
+// set: one radio broadcast, or with batching on one staged send per
+// neighbour, so same-tick floods coalesce per link.
+func (rt *nodeRT) broadcast(f frame, band *gpa.Band) {
+	kind, size := f.kind(), f.size()
 	if band == nil && !rt.e.cfg.BatchLinks {
 		rt.node.Broadcast(kind, f, size)
 		return

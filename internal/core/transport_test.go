@@ -151,6 +151,52 @@ func TestFloodRelay(t *testing.T) {
 	}
 }
 
+// Every node joins each join flood that reaches it exactly once, the
+// flood's source included: the node a flood starts at marks it as seen
+// before any copy can come back. Each join of an update here probes its
+// one unbound subgoal once, so the probes add up to the floods the nodes
+// have marked.
+func TestJoinFloodJoinsOncePerNode(t *testing.T) {
+	grid := func() (*nsim.Network, error) { return topo.Grid(6, nsim.Config{Seed: 3}), nil }
+	random := func() (*nsim.Network, error) { return topo.RandomGeometric(30, 8, 2.7, 33, nsim.Config{Seed: 9}) }
+	for _, c := range []struct {
+		name string
+		nw   func() (*nsim.Network, error)
+		cfg  Config
+	}{
+		{"local-storage", grid, Config{Scheme: gpa.LocalStorage}},
+		{"centroid", grid, Config{Scheme: gpa.Centroid}},
+		{"band", random, Config{Scheme: gpa.Perpendicular, BandWidth: 4}},
+	} {
+		nw, err := c.nw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		e, err := Deploy(nw, mustProg(t, joinSrc), c.cfg, reg, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra := eval.NewTuple("ra", ast.Int64(1), ast.Int64(2))
+		mustInject(t, e, 0, 3, ra)
+		mustInject(t, e, 5, nsim.NodeID(nw.Len()-2), eval.NewTuple("rb", ast.Int64(2), ast.Int64(3)))
+		if err := e.InjectDeleteAt(2000, 3, ra); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(0)
+		marked := 0
+		for _, rt := range e.rts {
+			marked += len(rt.joinFloods)
+		}
+		if probes := reg.Snapshot().Get("core.probes"); marked == 0 || probes != int64(marked) {
+			t.Errorf("%s: %d joins over %d marked join floods, want one each", c.name, probes, marked)
+		}
+		if out := e.Derived("out/2"); len(out) != 0 {
+			t.Errorf("%s: out/2 = %v after ra's deletion, want none", c.name, out)
+		}
+	}
+}
+
 // Each kind of walker strands on routing_test.go's void — (0, 2) of a
 // 5x5 grid with (1, 2) down, its other neighbours on the path, walking
 // toward (4, 2) — and each kind's policy holds: a store walker stores
@@ -376,7 +422,7 @@ func TestWalkerPathFitsItsLegs(t *testing.T) {
 			fits("storage", rt, []gpa.Leg{l}) // each leg is its own walker
 		}
 		fits("join", rt, rt.plans.join.Legs)
-		for _, l := range rt.plans.sweeps {
+		for _, l := range rt.plans.join.Sweeps {
 			fits("two-way join", rt, []gpa.Leg{l}) // so is each sweep
 		}
 		for _, to := range nw.Nodes() {

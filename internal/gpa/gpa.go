@@ -33,12 +33,12 @@ const (
 	// Centralized: every tuple is unicast to a central server that joins
 	// locally — the non-GPA baseline whose hotspot motivates PA.
 	Centralized
-	// Centroid: every tuple is routed to the network's centroid region
-	// (the central node and its radio neighborhood) and replicated
-	// there; joins run locally within the region. The scheme PA is
-	// compared against in the paper's reference [44] — cheaper paths
-	// than PA's rows, but a concentrated hotspot like the central
-	// server's, only spread over a few nodes.
+	// Centroid: every tuple is stored at one node of the network's
+	// centroid region (the nodes around the bounding-box centre), picked
+	// by its key; an update's join seeks the centre and floods the
+	// region. The scheme PA is compared against in the paper's reference
+	// [44] — cheaper paths than PA's rows, but a concentrated hotspot
+	// like the central server's, only spread over a few nodes.
 	Centroid
 )
 
@@ -58,9 +58,9 @@ func (s Scheme) String() string {
 	return "unknown"
 }
 
-// Leg is one routed segment of a phase: walk greedily toward Target;
-// when Sweep is set, act (replicate or join) at every node on the way,
-// otherwise only travel.
+// Leg is one routed segment of a walk: greedy hops toward (TargetX,
+// TargetY). A leg that sweeps acts (replicates or joins) at every node it
+// passes, the first included; any other leg only travels.
 type Leg struct {
 	TargetX, TargetY float64
 	Sweep            bool
@@ -91,17 +91,57 @@ func (b Band) Contains(x, y float64) bool {
 	return d <= b.Width/2+1e-9
 }
 
-// Plan is the set of legs a phase executes, starting at the source node.
-// Flood=true replaces legs with a network flood (TTL-limited when
-// FloodTTL > 0); Local=true means the phase acts only at the local node;
-// Band!=nil replaces legs with a band-scoped flood.
+// Plan is what one phase of an update does, starting at its source node,
+// which has stored the tuple. A plan with nothing to walk or flood acts
+// at the source alone.
 type Plan struct {
-	Legs     []Leg
-	Flood    bool
-	FloodTTL int // 0 = unlimited
-	Local    bool
+	// Legs: on a storage plan, each leg is walked from the source by a
+	// walker of its own, which stores at every node when the leg sweeps
+	// and otherwise where it ends; on a join plan, one walker walks them
+	// in order.
+	Legs []Leg
+	// Sweeps is a join plan's region walked from the source toward each
+	// of its ends, one sweeping walker per leg: the same nodes as Legs,
+	// each once, without the seek. The engine walks them when no partial
+	// result has to accumulate over the region.
+	Sweeps []Leg
+	// Region is a home region: the storage walk goes to the node of the
+	// region that Home picks for the tuple, and stores it there.
+	Region []nsim.NodeID
+	// FloodTTL and Band bound the flood of a plan with Flood set: the
+	// TTL it starts with (it reaches the nodes FloodTTL-1 hops away; 0 is
+	// unlimited), and the strip it stays inside.
+	FloodTTL int
 	Band     *Band
+	// Flood: the phase floods from where its legs end (the source, when
+	// it has none), acting at every node the flood reaches.
+	Flood bool
+	// OnArrival: the join runs where the storage walk ends, as it
+	// arrives there, and the source runs no join phase.
+	OnArrival bool
 }
+
+// Home is the node of the plan's home region that stores the tuple with
+// key key, picked by a hash of the key.
+func (p *Plan) Home(key string) nsim.NodeID {
+	h := 0
+	for _, c := range key {
+		h = h*31 + int(c)
+	}
+	if h < 0 {
+		h = -h
+	}
+	return p.Region[h%len(p.Region)]
+}
+
+// The Centroid scheme's home region is the nodes within centroidRadius
+// radio ranges of the network's bounding-box centre. A join floods it
+// from the node nearest the centre with TTL centroidTTL, ⌊centroidRadius⌋
+// + 2, which reaches the nodes two hops away.
+const (
+	centroidRadius = 1.5
+	centroidTTL    = 3
+)
 
 // Planner computes phase plans for a network and scheme.
 type Planner struct {
@@ -118,14 +158,36 @@ type Planner struct {
 	// (exact on grids).
 	BandWidth float64
 
+	nw                     *nsim.Network
 	minX, minY, maxX, maxY float64
+	// region is the Centroid scheme's home region, or the node nearest
+	// the centre when no node lies within centroidRadius of it.
+	region []nsim.NodeID
 }
 
-// NewPlanner builds a planner over the network's bounding box.
-func NewPlanner(nw *nsim.Network, scheme Scheme) *Planner {
-	p := &Planner{Scheme: scheme}
+// NewPlanner returns planner p for the network, whose nodes are placed.
+func NewPlanner(nw *nsim.Network, p Planner) *Planner {
+	p.nw = nw
 	p.minX, p.minY, p.maxX, p.maxY = routing.Bounds(nw)
-	return p
+	if p.Scheme == Centroid {
+		r := centroidRadius * nw.Config().Range
+		cx, cy := p.centre()
+		for _, n := range nw.Nodes() {
+			dx, dy := n.X-cx, n.Y-cy
+			if dx*dx+dy*dy <= r*r+1e-9 {
+				p.region = append(p.region, n.ID)
+			}
+		}
+		if len(p.region) == 0 {
+			p.region = []nsim.NodeID{nw.NearestNode(cx, cy).ID}
+		}
+	}
+	return &p
+}
+
+// centre is the centre of the network's bounding box.
+func (p *Planner) centre() (float64, float64) {
+	return (p.minX + p.maxX) / 2, (p.minY + p.maxY) / 2
 }
 
 // Storage returns the storage-phase plan for a tuple generated at n.
@@ -133,7 +195,7 @@ func (p *Planner) Storage(n *nsim.Node) Plan {
 	switch p.Scheme {
 	case Perpendicular:
 		if p.BandWidth > 0 {
-			return Plan{Band: &Band{Axis: 'y', Center: n.Y, Width: p.BandWidth}}
+			return Plan{Flood: true, Band: &Band{Axis: 'y', Center: n.Y, Width: p.BandWidth}}
 		}
 		lo, hi := p.clip(n.X, p.minX, p.maxX)
 		return Plan{Legs: []Leg{
@@ -142,17 +204,16 @@ func (p *Planner) Storage(n *nsim.Node) Plan {
 		}}
 	case NaiveBroadcast:
 		return Plan{Flood: true}
-	case LocalStorage:
-		return Plan{Local: true}
 	case Centralized:
-		return Plan{Legs: []Leg{{TargetX: -1, TargetY: -1, Sweep: false}}} // resolved by engine to server
+		if n.ID == p.Server {
+			return Plan{}
+		}
+		s := p.nw.Node(p.Server)
+		return Plan{Legs: []Leg{{TargetX: s.X, TargetY: s.Y}}}
 	case Centroid:
-		// Route to the centroid; the engine replicates one hop around it.
-		cx := (p.minX + p.maxX) / 2
-		cy := (p.minY + p.maxY) / 2
-		return Plan{Legs: []Leg{{TargetX: cx, TargetY: cy, Sweep: false}}}
+		return Plan{Region: p.region}
 	}
-	return Plan{Local: true}
+	return Plan{} // LocalStorage: the source's replica is the only one
 }
 
 // Join returns the join-computation-phase plan for an update at n.
@@ -160,28 +221,29 @@ func (p *Planner) Join(n *nsim.Node) Plan {
 	switch p.Scheme {
 	case Perpendicular:
 		if p.BandWidth > 0 {
-			return Plan{Band: &Band{Axis: 'x', Center: n.X, Width: p.BandWidth}}
+			return Plan{Flood: true, Band: &Band{Axis: 'x', Center: n.X, Width: p.BandWidth}}
 		}
 		lo, hi := p.clip(n.Y, p.minY, p.maxY)
-		return Plan{Legs: []Leg{
+		legs := []Leg{
 			// Seek to one end of the vertical line, then one sweep pass
-			// to the other end (the paper's one-pass scheme). When no
-			// partial has to accumulate over the column, the engine
-			// instead sweeps from n toward both ends, one walker per
-			// end: the same nodes, each once, without the seek.
+			// to the other end (the paper's one-pass scheme)...
 			{TargetX: n.X, TargetY: lo, Sweep: false},
 			{TargetX: n.X, TargetY: hi, Sweep: true},
-		}}
-	case NaiveBroadcast:
-		return Plan{Local: true}
+			// ...or sweep from n toward both ends.
+			{TargetX: n.X, TargetY: lo, Sweep: true},
+			{TargetX: n.X, TargetY: hi, Sweep: true},
+		}
+		return Plan{Legs: legs[:2:2], Sweeps: legs[2:]}
 	case LocalStorage:
 		return Plan{Flood: true}
 	case Centralized:
-		return Plan{Local: true} // the server joins on arrival
+		return Plan{OnArrival: true} // at the server
 	case Centroid:
-		return Plan{Local: true} // the centroid region joins on arrival
+		// Seek the centre, then flood the home region around it.
+		cx, cy := p.centre()
+		return Plan{Legs: []Leg{{TargetX: cx, TargetY: cy}}, Flood: true, FloodTTL: centroidTTL}
 	}
-	return Plan{Local: true}
+	return Plan{} // NaiveBroadcast: every replica is at the source
 }
 
 // clip bounds a sweep interval around c by the spatial radius.

@@ -140,3 +140,19 @@ func TestInjectTypedErrors(t *testing.T) {
 		}
 	}
 }
+
+// A predicate only a declaration names is one the program mentions, to
+// goals as to injection: with .window q/1 10., q(1) injects and the goal
+// q(X) names a base predicate.
+func TestDeclaredPredicateIsKnown(t *testing.T) {
+	e, _ := buildGrid(t, 3, goalSrc+".window q/1 10.\n", Config{}, nsim.Config{Seed: 1})
+	if err := e.Inject(0, eval.NewTuple("q", ast.Int64(1))); err != nil {
+		t.Fatalf("Inject(q(1)) = %v", err)
+	}
+	if _, err := ParseGoal(e.prog, "q(X)"); !errors.Is(err, ErrBasePredicate) {
+		t.Errorf("ParseGoal(q(X)) = %v, want errors.Is(ErrBasePredicate)", err)
+	}
+	if _, err := ParseGoal(e.prog, "q(X, Y)"); !errors.Is(err, ErrArity) {
+		t.Errorf("ParseGoal(q(X, Y)) = %v, want errors.Is(ErrArity)", err)
+	}
+}

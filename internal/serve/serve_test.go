@@ -349,6 +349,46 @@ func TestConcurrentExplainDuringFlushes(t *testing.T) {
 	}
 }
 
+// A predicate's watch lives while it has subscribers: once the last
+// subscription closes, no flush diffs the predicate again, and a later
+// Subscribe baselines afresh.
+func TestLastUnsubscribeDropsWatch(t *testing.T) {
+	s := openSession(t, reachSrc, Options{})
+	a, err := s.Subscribe("reach/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Subscribe("reach/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	a.Close() // idempotent: counts once
+	if len(s.watched) != 1 {
+		t.Fatalf("one subscriber left, %d watches; want 1", len(s.watched))
+	}
+	b.Close()
+	if len(s.watched) != 0 {
+		t.Fatalf("no subscriber left, %d watches; want 0", len(s.watched))
+	}
+	if err := s.Inject(0, link("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Subscribe("reach/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case u := <-c.C():
+		t.Fatalf("update %+v from before the subscription", u)
+	default:
+	}
+}
+
 func TestSubscribeDelivery(t *testing.T) {
 	s := openSession(t, reachSrc, Options{})
 	if err := s.Inject(0, link("a", "b")); err != nil {

@@ -120,6 +120,22 @@ func TestDeployRefusesUnusableNetwork(t *testing.T) {
 	}
 }
 
+// A server must name a node of the network, whatever the scheme: an
+// out-of-range server is refused with ErrBadNode instead of panicking.
+func TestDeployRefusesServerOutsideNetwork(t *testing.T) {
+	const src = ".base ra/2.\n.base rb/2.\nout(X, Z) :- ra(X, Y), rb(Y, Z).\n.query out/2.\n"
+	for _, scheme := range []Scheme{Centralized, Perpendicular} {
+		for _, server := range []int{99, -1, 9} {
+			if _, err := Deploy(Grid(3), src, WithScheme(scheme), WithServer(server)); !errors.Is(err, ErrBadNode) {
+				t.Errorf("%v server %d: Deploy err = %v, want errors.Is(ErrBadNode)", scheme, server, err)
+			}
+		}
+		if _, err := Deploy(Grid(3), src, WithScheme(scheme), WithServer(8)); err != nil {
+			t.Errorf("%v server 8: Deploy: %v", scheme, err)
+		}
+	}
+}
+
 func TestDeployOnRandomTopology(t *testing.T) {
 	c, err := Deploy(Random(40, 8, 2.6), `
 .base ra/2.

@@ -38,11 +38,12 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay within 5 % of its allocation baseline (1.240 allocs/event, logged
+# stay within 5 % of its allocation baseline (1.154 allocs/event, logged
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (3.671) the same way,
+# node runtime's join path — to its own baseline (2.185 allocs/event once
+# deployed; deploying and injecting it, 1,712 allocations) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (8 allocs).
 # TestQueryAllocs pins the server's share in-process: a Session.query

@@ -227,7 +227,7 @@ func (rt *nodeRT) localAggContribution(s *aggSession) {
 	r := plan.rule
 	lit := r.Body[plan.relIdx]
 	reg := builtin.Standard
-	for _, entry := range rt.store.All(lit.PredKey()) {
+	for _, entry := range rt.live(lit.PredKey()) {
 		if entry.ID.Node != int(rt.node.ID) {
 			continue // replica owned elsewhere
 		}

@@ -201,9 +201,8 @@ type Engine struct {
 	// across Replay too.
 	derivedVer map[string]uint64
 
-	// knownPreds holds every predicate key the program mentions (rule
-	// heads and bodies, base declarations, windows, placements,
-	// queries); injection validation checks against it.
+	// knownPreds is KnownPredKeys(prog): injection validation and
+	// provenance queries check against it.
 	knownPreds map[string]bool
 
 	// Observability handles (observe.go). All nil until Observe is
@@ -270,6 +269,9 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 	}
 	if loss := nw.Config().LossRate; !(loss >= 0 && loss < 1) {
 		return nil, validationErrorf(ErrBadNetwork, "core: loss rate %g outside [0, 1)", loss)
+	}
+	if s := cfg.Server; s < 0 || int(s) >= nw.Len() {
+		return nil, validationErrorf(ErrBadNode, "core: server %d out of range [0, %d)", s, nw.Len())
 	}
 	res, err := analysis.Analyze(prog)
 	if err != nil {
@@ -339,22 +341,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		}
 	}
 
-	e.knownPreds = make(map[string]bool, len(allPreds))
-	for p := range allPreds {
-		e.knownPreds[p] = true
-	}
-	for p := range prog.Base {
-		e.knownPreds[p] = true
-	}
-	for p := range prog.Windows {
-		e.knownPreds[p] = true
-	}
-	for p := range prog.Placements {
-		e.knownPreds[p] = true
-	}
-	for _, p := range prog.Queries {
-		e.knownPreds[p] = true
-	}
+	e.knownPreds = KnownPredKeys(prog)
 
 	if err := e.compileRules(); err != nil {
 		return nil, err

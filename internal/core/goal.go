@@ -31,8 +31,9 @@ func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
 	key := lit.PredKey()
 	known := KnownPredKeys(prog) // only a rejection needs the full set
 	if known[key] {
-		// Mentioned but not derived: declared .base or an undeclared
-		// extensional predicate appearing in rule bodies.
+		// Mentioned but not derived: declared .base, an undeclared
+		// extensional predicate appearing in rule bodies, or one only a
+		// declaration names.
 		return ast.Literal{}, validationErrorf(ErrBasePredicate, "core: goal %s: %s is a base predicate (inject base facts; query derived ones)", goal, key)
 	}
 	// Unknown as written: distinguish a wrong arity from a predicate
@@ -47,10 +48,21 @@ func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
 }
 
 // KnownPredKeys collects every predicate key the program mentions:
-// declared base predicates, rule heads, and relational body literals.
+// rule heads, relational body literals, and the predicates its .base,
+// .window, .store and .query declarations name. Injection, goals and
+// provenance queries all check against this one set.
 func KnownPredKeys(prog *ast.Program) map[string]bool {
 	seen := make(map[string]bool)
 	for k := range prog.Base {
+		seen[k] = true
+	}
+	for k := range prog.Windows {
+		seen[k] = true
+	}
+	for k := range prog.Placements {
+		seen[k] = true
+	}
+	for _, k := range prog.Queries {
 		seen[k] = true
 	}
 	for _, r := range prog.Rules {

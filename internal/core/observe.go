@@ -153,8 +153,8 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 // (rule, head, body, producer, settler, send/settle time, hop count)
 // record as its entry's value in the home node's set-of-derivations,
 // queryable through Engine.Explain and Engine.Blame, and dropped with
-// the entry. Enables hop stamping on the simulator (candidate payloads
-// get one bump per transmitted frame).
+// the entry. The hop count is the transport's: walkResult counts each
+// hop a result frame is sent.
 //
 // reg, if non-nil, gains two gauges sampled at Snapshot time:
 //
@@ -167,7 +167,6 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 // §11).
 func (e *Engine) captureProvenance(reg *obs.Registry) {
 	e.prov = true
-	e.nw.EnableHopStamps()
 	if reg != nil {
 		reg.Gauge("core.prov.live", e.provLive.Load)
 		reg.Gauge("core.prov.captured", e.provCaptured.Load)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/builtin"
@@ -107,6 +106,14 @@ type joinScratch struct {
 	seen map[uint64]*partialR // saturate's dedup set, by partialR.hash
 	due  []*candR             // drainFinalize's due candidates
 
+	// A store probe's key (bound columns, key bytes, AppendBoundCols'
+	// term scratch) and its result. A probe result is valid until the
+	// next probe: no consumer probes again before it is done with one.
+	cols []int
+	key  []byte
+	tmp  []byte
+	ents []*window.Entry
+
 	// blocks is the slab local expansions draw their partials from, in
 	// fixed chunks that never move; used counts the blocks handed out
 	// since the last release, and local routes newPartial to the slab.
@@ -119,7 +126,10 @@ type joinScratch struct {
 const slabChunk = 64
 
 func newJoinScratch(maxVars int) joinScratch {
-	return joinScratch{regs: make([]ast.Term, maxVars), seen: make(map[uint64]*partialR)}
+	return joinScratch{
+		regs: make([]ast.Term, maxVars), seen: make(map[uint64]*partialR),
+		cols: make([]int, 0, 8), key: make([]byte, 0, 64), tmp: make([]byte, 0, 48), ents: make([]*window.Entry, 0, 16),
+	}
 }
 
 // block hands out the next slab block, growing the slab by a chunk when
@@ -168,22 +178,12 @@ type candR struct {
 // candProv is the lineage captured at candidate emission: the ground
 // body tuple keys (positive subgoals, body order — matching the deriv
 // key's stamp order), the producing node, the virtual emission time,
-// and the hop count stamped by the transport (nsim.HopCounter).
+// and the hops its result frame has taken (walkResult counts them).
 type candProv struct {
 	Body     []string
 	Producer int32
 	SentAt   int64
 	Hops     int32
-}
-
-// BumpHop implements nsim.HopCounter: the simulator calls it once per
-// transmitted frame when hop stamping is enabled, so a settled
-// candidate knows how many radio transmissions its route took. The
-// count is read and written atomically.
-func (rm *resultMsg) BumpHop() {
-	if rm.Cand != nil && rm.Cand.Prov != nil {
-		atomic.AddInt32(&rm.Cand.Prov.Hops, 1)
-	}
 }
 
 // joinMsg is a join-computation walker (or flood).
@@ -251,43 +251,32 @@ type nodeRT struct {
 	// genLog records every base generation at this node
 	// (Config.ReplayLog) for fault-repair replay; see Engine.ReplayAt.
 	genLog []genRec
-
-	// Store-probe scratch, reused across subgoal expansions. Safe because
-	// each node runtime is driven by one simulator event at a time and no
-	// probe result outlives the loop that consumes it. The fixed arrays
-	// are the initial backing so a node's first probes do not allocate;
-	// the slices regrow on the heap only past those sizes.
-	colBuf []int
-	keyBuf []byte
-	tmpBuf []byte
-	entBuf []*window.Entry
-	colArr [8]int
-	keyArr [64]byte
-	tmpArr [48]byte
-	entArr [16]*window.Entry
 }
 
 // visibleMatch probes the node's store for the visible entries matching
-// the bound argument positions of cr's body literal i under b, reusing
-// the runtime's scratch buffers. The returned slice is valid until the
-// next call.
+// the bound argument positions of cr's body literal i under b, in the
+// engine's probe scratch. The returned slice is valid until the next
+// probe.
 func (rt *nodeRT) visibleMatch(cr *compiledRule, i int, b unify.Slots, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
-	l := &cr.lits[i]
-	if rt.colBuf == nil {
-		rt.colBuf = rt.colArr[:0]
-		rt.keyBuf = rt.keyArr[:0]
-		rt.tmpBuf = rt.tmpArr[:0]
-		rt.entBuf = rt.entArr[:0]
-	}
+	l, js := &cr.lits[i], &rt.e.scratch
 	if rt.store.SmallTable(l.pred) {
 		// The probe would scan anyway; don't pay for the key.
-		rt.entBuf = rt.store.VisibleMatch(l.pred, tau, l.win, nil, nil, rt.entBuf[:0])
-		return rt.entBuf
+		js.ents = rt.store.VisibleMatch(l.pred, tau, l.win, nil, nil, js.ents[:0])
+		return js.ents
 	}
-	rt.colBuf, rt.keyBuf, rt.tmpBuf = eval.AppendBoundCols(rt.colBuf, rt.keyBuf, rt.tmpBuf, cr.rule.Body[i].Args, b)
-	rt.entBuf = rt.store.VisibleMatch(l.pred, tau, l.win, rt.colBuf, rt.keyBuf, rt.entBuf[:0])
-	return rt.entBuf
+	js.cols, js.key, js.tmp = eval.AppendBoundCols(js.cols, js.key, js.tmp, cr.rule.Body[i].Args, b)
+	js.ents = rt.store.VisibleMatch(l.pred, tau, l.win, js.cols, js.key, js.ents[:0])
+	return js.ents
+}
+
+// live returns pred's live replicas here — those not marked deleted — in
+// insertion order, in the engine's probe scratch: valid until the next
+// probe.
+func (rt *nodeRT) live(pred string) []*window.Entry {
+	js := &rt.e.scratch
+	js.ents = rt.store.VisibleMatch(pred, window.Latest, 0, nil, nil, js.ents[:0])
+	return js.ents
 }
 
 // scratch returns the match registers loaded with b: matching and
@@ -891,6 +880,10 @@ func (rt *nodeRT) routeCand(c *candR) {
 // buffered until its finalize deadline.
 func (rt *nodeRT) walkResult(rm *resultMsg) {
 	switch rt.advance(&rm.walk, rm) {
+	case sent:
+		if p := rm.Cand.Prov; p != nil {
+			p.Hops++
+		}
 	case arrived:
 		rt.bufferCand(rm.Cand)
 	case stranded:
@@ -966,7 +959,7 @@ func (rt *nodeRT) drainFinalize() {
 				rt.e.hFanin.Observe(int64(len(c.cr.posIdx)))
 			}
 			if c.Prov != nil {
-				rt.e.hHops.Observe(int64(atomic.LoadInt32(&c.Prov.Hops)))
+				rt.e.hHops.Observe(int64(c.Prov.Hops))
 			}
 		}
 		rt.finalize(c)
@@ -1004,7 +997,7 @@ func (rt *nodeRT) finalize(c *candR) {
 			if rt.e.prov {
 				d = &provenance.Derivation{Record: provenance.Record{
 					Rule: int32(c.cr.rule.ID), Producer: c.Prov.Producer, Settler: int32(rt.node.ID),
-					Hops: atomic.LoadInt32(&c.Prov.Hops), SentAt: c.Prov.SentAt, SettledAt: int64(rt.node.Now()),
+					Hops: c.Prov.Hops, SentAt: c.Prov.SentAt, SettledAt: int64(rt.node.Now()),
 					Head: key, DerivKey: c.DerivKey,
 				}, Body: c.Prov.Body}
 			}
@@ -1052,7 +1045,7 @@ func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
 		return false
 	}
 	head, pred, args := s.Set, cr.lits[ni].pred, cr.rule.Body[ni].Args
-	for _, e := range rt.store.All(pred) {
+	for _, e := range rt.live(pred) {
 		if s.Set = head; s.MatchArgs(args, e.Args) {
 			return true
 		}

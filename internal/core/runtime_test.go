@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
@@ -12,6 +13,15 @@ import (
 	"repro/internal/topo"
 	"repro/internal/window"
 )
+
+// A node runtime holds no per-event scratch: the simulator runs one event
+// at a time, so the probe buffers are the engine's. Per-node buffers made
+// a node runtime 544 B on a 64-bit platform, times every node.
+func TestNodeRuntimeHoldsNoScratch(t *testing.T) {
+	if n := unsafe.Sizeof(nodeRT{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 144 {
+		t.Errorf("nodeRT is %d B, want at most 144", n)
+	}
+}
 
 // The join path's allocation budget, pinned where the cost is paid:
 // extending a partial by one stored tuple allocates the successor and

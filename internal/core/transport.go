@@ -277,16 +277,6 @@ type batchMsg struct {
 	Items []batchItem
 }
 
-// BumpHop implements nsim.HopCounter by forwarding the stamp to every
-// framed item, so batching keeps per-candidate hop counts intact.
-func (bm *batchMsg) BumpHop() {
-	for _, it := range bm.Items {
-		if hc, ok := it.Payload.(nsim.HopCounter); ok {
-			hc.BumpHop()
-		}
-	}
-}
-
 // outItem is a staged send. A consumed entry is marked by clearing its
 // kind.
 type outItem struct {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -427,6 +429,68 @@ func TestWalkerPathFitsItsLegs(t *testing.T) {
 		}
 		for _, to := range nw.Nodes() {
 			fits("result", rt, []gpa.Leg{{TargetX: to.X, TargetY: to.Y}})
+		}
+	}
+}
+
+// Every settled derivation's hop count is the number of hops its result
+// frame was sent: on a grid, where nothing strands or is lost, the hop
+// count of the greedy path from its producer to its head's home point,
+// whether or not batching packs result frames into shared link frames.
+func TestResultHopsAreGreedyPaths(t *testing.T) {
+	burst := func(e *Engine, nw *nsim.Network) {
+		r := rand.New(rand.NewSource(7))
+		at := nsim.Time(0)
+		for b := 0; b < 6; b++ {
+			at += nsim.Time(400 + r.Intn(300))
+			node := nsim.NodeID(r.Intn(nw.Len()))
+			for k := 0; k < 4; k++ {
+				y := int64(r.Intn(4))
+				mustInject(t, e, at, node, eval.NewTuple("ra", ast.Int64(int64(r.Intn(6))), ast.Int64(y)))
+				mustInject(t, e, at, node, eval.NewTuple("rb", ast.Int64(y), ast.Int64(int64(r.Intn(6)))))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		m      int
+		src    string
+		inject func(*Engine, *nsim.Network)
+	}{
+		{"hashed", 8, joinSrc, burst},
+		{"placed", 5, logicJSrc + "\nj(n0, 0).\n", func(e *Engine, nw *nsim.Network) { injectGridEdges(e, nw) }},
+	} {
+		for _, batch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/batch=%v", tc.name, batch), func(t *testing.T) {
+				e, nw := buildProvGrid(t, tc.m, tc.src, Config{Scheme: gpa.Perpendicular, BatchLinks: batch}, nsim.Config{Seed: 3})
+				tc.inject(e, nw)
+				nw.Run(0)
+				if batch && nw.KindCounts()[kindBatch] == 0 {
+					t.Fatal("batching framed nothing; the batched case covers nothing")
+				}
+				derivs, hops := 0, 0
+				for _, rt := range e.rts {
+					for _, h := range rt.homed {
+						x, y := e.hasher.Location(h.t.Key())
+						if pl, ok := e.placements[h.t.Pred]; ok {
+							home := nw.Node(e.nodeTerms[h.t.Args[pl.Arg].Key()])
+							x, y = home.X, home.Y
+						}
+						for _, d := range h.derivs {
+							path := routing.GreedyPath(nw, nsim.NodeID(d.Producer), x, y, nw.Len())
+							if want := int32(len(path) - 1); d.Hops != want || nsim.NodeID(d.Settler) != path[len(path)-1] {
+								t.Fatalf("%s from n%d settled at n%d after %d hops; the greedy path %v has %d",
+									d.DerivKey, d.Producer, d.Settler, d.Hops, path, want)
+							}
+							derivs++
+							hops += int(d.Hops)
+						}
+					}
+				}
+				if derivs == 0 || hops == 0 {
+					t.Fatalf("%d derivations over %d hops: the run moved no result", derivs, hops)
+				}
+			})
 		}
 	}
 }

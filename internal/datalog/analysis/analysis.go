@@ -111,12 +111,9 @@ func Analyze(p *ast.Program) (*Result, error) {
 			}
 			res.XY[scc[0]] = w
 		}
-		// Strata over the condensation still exist (negation internal to
-		// XY components is handled by staging, cross-component negation
-		// must still be stratified).
-		if err := g.checkCrossComponentNegation(sccs); err != nil {
-			return res, err
-		}
+		// Strata over the condensation still exist: negation internal to
+		// XY components is handled by staging, and the condensation is
+		// acyclic, so cross-component negation is stratified.
 		res.Strata, res.NumStrata = g.strata(sccs)
 	}
 
@@ -388,13 +385,6 @@ func (g *DepGraph) sccHasInternalNegation(scc []string) bool {
 		}
 	}
 	return false
-}
-
-// checkCrossComponentNegation verifies no negative edge is inside a cycle
-// of the condensation (it cannot be — condensation is acyclic), provided
-// sccs were computed; kept for interface completeness.
-func (g *DepGraph) checkCrossComponentNegation(sccs [][]string) error {
-	return nil
 }
 
 // strata assigns each predicate a stratum: the longest chain of negative

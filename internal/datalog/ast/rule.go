@@ -31,9 +31,6 @@ func BuiltinLit(pred string, args ...Term) Literal {
 	return Literal{Predicate: pred, Args: args, Builtin: true}
 }
 
-// Arity returns the number of arguments.
-func (l Literal) Arity() int { return len(l.Args) }
-
 // PredKey returns the "name/arity" key identifying the predicate.
 // Built by concatenation, not fmt — the evaluator's inner loop asks for
 // these keys constantly.

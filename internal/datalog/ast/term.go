@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -416,11 +415,6 @@ func (t Term) mapVars(f func(Term) Term) Term {
 	default:
 		return t
 	}
-}
-
-// SortTerms sorts terms in place by Compare.
-func SortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
 // FormatTerms renders a term slice as "t1, t2, ...".

@@ -12,7 +12,6 @@ package nsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/obs"
@@ -48,19 +47,6 @@ type Message struct {
 	Payload  interface{}
 	Size     int // accounted bytes (headers included by convention)
 }
-
-// HopCounter is implemented by payloads that want one bump per frame
-// transmission (ARQ retries of a frame count once). Stamping is off by
-// default — EnableHopStamps turns it on — so the unobserved transmit
-// path pays a single bool check and never a type assertion.
-type HopCounter interface {
-	BumpHop()
-}
-
-// EnableHopStamps makes transmit bump every HopCounter payload once
-// per frame sent. Used by the provenance layer to attribute per-edge
-// hop counts to result candidates.
-func (nw *Network) EnableHopStamps() { nw.hopStamp = true }
 
 // Handler is the application running on every node (the compiled user
 // program plus system layers, per Figure 2).
@@ -223,9 +209,6 @@ type Network struct {
 	// hQueue, when non-nil, samples the event-queue depth once per
 	// dispatched event (attached by Observe when given a registry).
 	hQueue *obs.Histogram
-	// hopStamp, when true, bumps HopCounter payloads once per frame
-	// transmission (EnableHopStamps; provenance hop attribution).
-	hopStamp bool
 
 	// faults, when non-nil, is consulted on every transmission attempt
 	// and delivery (SetFaults).
@@ -374,11 +357,6 @@ func (nw *Network) Finalize() {
 func (nw *Network) transmit(src *Node, dst NodeID, kind string, payload interface{}, size int) {
 	if src.Down {
 		return
-	}
-	if nw.hopStamp {
-		if hc, ok := payload.(HopCounter); ok {
-			hc.BumpHop()
-		}
 	}
 	delivered := false
 	for attempt := 0; attempt <= nw.cfg.Retries; attempt++ {
@@ -566,12 +544,6 @@ func (nw *Network) MaxNodeLoad() int64 {
 		}
 	}
 	return max
-}
-
-// Dist returns the Euclidean distance between two nodes.
-func (nw *Network) Dist(a, b NodeID) float64 {
-	na, nb := nw.nodes[a], nw.nodes[b]
-	return math.Hypot(na.X-nb.X, na.Y-nb.Y)
 }
 
 // NearestNode returns the live node closest to (x, y): an expanding-ring

@@ -333,6 +333,7 @@ func (s *Session) Close() error {
 		close(sub.ch)
 		delete(s.subs, id)
 	}
+	clear(s.watched)
 	s.mu.Unlock()
 	close(s.done)
 	return nil
@@ -785,9 +786,12 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 	// Baseline at the current quiescent state so the subscriber sees
 	// only changes from now on.
 	s.flushLocked(flushExplicit)
-	if _, ok := s.watched[pred]; !ok {
-		s.watched[pred] = &watch{ver: s.c.Engine.DerivedVersion(pred), seen: tuplesByKey(s.c.Results(pred))}
+	w := s.watched[pred]
+	if w == nil {
+		w = &watch{ver: s.c.Engine.DerivedVersion(pred), seen: tuplesByKey(s.c.Results(pred))}
+		s.watched[pred] = w
 	}
+	w.subs++
 	id := s.nextSub
 	s.nextSub++
 	sub := &Subscription{
@@ -809,10 +813,12 @@ type Update struct {
 }
 
 // watch is what a subscribed predicate's subscribers last saw: its
-// derived set, and the change counter it was read at.
+// derived set, and the change counter it was read at. It lives while
+// the predicate has subscribers, subs of them.
 type watch struct {
 	ver  uint64
 	seen map[string]eval.Tuple
+	subs int
 }
 
 // Subscription is a live watch on one derived predicate.
@@ -830,13 +836,19 @@ func (sub *Subscription) C() <-chan Update { return sub.ch }
 // Pred returns the watched predicate key.
 func (sub *Subscription) Pred() string { return sub.pred }
 
-// Close detaches the subscription and closes its channel. Idempotent.
+// Close detaches the subscription and closes its channel; the
+// predicate's last subscription drops its watch. Idempotent.
 func (sub *Subscription) Close() {
-	sub.s.mu.Lock()
-	defer sub.s.mu.Unlock()
-	if _, live := sub.s.subs[sub.id]; live {
-		delete(sub.s.subs, sub.id)
+	s := sub.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, live := s.subs[sub.id]; live {
+		delete(s.subs, sub.id)
 		close(sub.ch)
+		w := s.watched[sub.pred]
+		if w.subs--; w.subs == 0 {
+			delete(s.watched, sub.pred)
+		}
 	}
 }
 

@@ -19,8 +19,8 @@
 // old end, and the store keeps the earliest instant at which anything in
 // it can be due, so asking a store with nothing due is one comparison.
 // Reclaimed slots return to the Arena the store draws from, which may be
-// shared with other stores, so results handed out by VisibleMatch and All
-// are valid only until the next mutating call on the same store: only
+// shared with other stores, so results handed out by VisibleMatch are
+// valid only until the next mutating call on the same store: only
 // that store can free them, and another store reuses only freed slots.
 //
 // The store is also the node's record of which replica floods it has
@@ -61,6 +61,10 @@ func (s Stamp) Less(o Stamp) bool {
 	}
 	return s.Seq < o.Seq
 }
+
+// Latest orders after every generation stamp: an entry is visible at
+// Latest under no window exactly while it is live, not marked deleted.
+var Latest = Stamp{TS: math.MaxInt64, Node: math.MaxInt, Seq: math.MaxInt64}
 
 // Key renders the stamp as a compact unique string (the tuple ID of
 // Definition 2).
@@ -540,24 +544,6 @@ const indexMinTable = 16
 func (s *Store) SmallTable(predKey string) bool {
 	tab := s.lookup(predKey)
 	return tab == nil || len(tab.order)-tab.gone < indexMinTable
-}
-
-// All returns every live (non-deleted, non-tombstone) entry of predKey
-// in insertion order; like VisibleMatch's, the entries are valid until
-// the next mutating call.
-func (s *Store) All(predKey string) []*Entry {
-	tab := s.lookup(predKey)
-	if tab == nil {
-		return nil
-	}
-	var out []*Entry
-	for _, e := range tab.order {
-		if e.gone || e.Deleted {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // ExpirePred removes the entries of one predicate whose retention ended:

@@ -142,8 +142,8 @@ func TestNullaryReplicaIsVisible(t *testing.T) {
 	if got := s.Visible("alarm/0", tau, 0); len(got) != 1 || got[0].ID != gen {
 		t.Fatalf("Visible = %v, want the nullary replica", got)
 	}
-	if got := s.All("alarm/0"); len(got) != 1 {
-		t.Fatalf("All = %v, want the nullary replica", got)
+	if got := s.VisibleMatch("alarm/0", Latest, 0, nil, nil, nil); len(got) != 1 {
+		t.Fatalf("live replicas = %v, want the nullary replica", got)
 	}
 	// A deletion that arrives first still wins, whatever the arity.
 	early := Stamp{TS: 11, Node: 1, Seq: 2}
@@ -240,16 +240,18 @@ func TestExpirePredScoped(t *testing.T) {
 	}
 }
 
-func TestAllSkipsDeleted(t *testing.T) {
+// TestLatestSkipsDeleted: at Latest under no window, exactly the replicas
+// not marked deleted are visible.
+func TestLatestSkipsDeleted(t *testing.T) {
 	s := NewStore()
 	g1 := Stamp{TS: 1, Node: 1, Seq: 1}
 	g2 := Stamp{TS: 2, Node: 1, Seq: 2}
 	s.Insert(tup(1), g1)
 	s.Insert(tup(2), g2)
 	s.MarkDeleted("s/1", g1, Stamp{TS: 3, Node: 1, Seq: 3})
-	all := s.All("s/1")
-	if len(all) != 1 || all[0].Args[0].Int != 2 {
-		t.Errorf("All = %v", all)
+	live := s.VisibleMatch("s/1", Latest, 0, nil, nil, nil)
+	if len(live) != 1 || live[0].Args[0].Int != 2 {
+		t.Errorf("live replicas = %v", live)
 	}
 }
 
@@ -631,8 +633,8 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			if got, want := rowsOf(visible), m.rows(pred, func(e *Entry) bool { return e.VisibleAt(tau, w) }); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: Visible(%s, %v, %d) =\n%v\nmodel\n%v", seed, step, pred, tau, w, got, want)
 			}
-			if got, want := rowsOf(s.All(pred)), m.rows(pred, func(e *Entry) bool { return !e.Deleted }); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: All(%s) =\n%v\nmodel\n%v", seed, step, pred, got, want)
+			if got, want := rowsOf(s.VisibleMatch(pred, Latest, 0, nil, nil, nil)), m.rows(pred, func(e *Entry) bool { return !e.Deleted }); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: live(%s) =\n%v\nmodel\n%v", seed, step, pred, got, want)
 			}
 
 			// Inserts into the other store draw on the free list the two

@@ -99,13 +99,12 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWire -fuzztime 5s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzNextHopGreedyAvoid -fuzztime 5s
 
-# CPU + heap profiles of the four headline hot loops: the E1 join
+# CPU + heap profiles of the three headline hot loops: the E1 join
 # pipeline, a 64x64 sliding-window join long enough for walker routing
 # to show at its real share (join_window's shape: E1's runs are a few
-# thousand events), the E5 shortest-path tree (recursion through the
+# thousand events) and the E5 shortest-path tree (recursion through the
 # node runtime's join path over the simulator's event queue; 300 runs,
-# so the queue and key rendering show at their real share) and the E13
-# batched-link simulator. Inspect with
+# so the queue and key rendering show at their real share). Inspect with
 # `go tool pprof profiles/<name>.cpu.pprof`.
 profile:
 	mkdir -p profiles
@@ -115,8 +114,6 @@ profile:
 		-cpuprofile profiles/joinwindow.cpu.pprof -memprofile profiles/joinwindow.mem.pprof -o profiles/joinwindow.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkE5SPT' -benchtime 300x \
 		-cpuprofile profiles/e5.cpu.pprof -memprofile profiles/e5.mem.pprof -o profiles/e5.test .
-	$(GO) test -run '^$$' -bench 'BenchmarkE13Batching' -benchtime 3x \
-		-cpuprofile profiles/e13.cpu.pprof -memprofile profiles/e13.mem.pprof -o profiles/e13.test .
 	@echo "profiles written to profiles/ (go tool pprof profiles/e1.cpu.pprof)"
 
 # Export an observed-E1 event trace as JSONL plus the counter snapshot,

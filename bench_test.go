@@ -138,16 +138,6 @@ func BenchmarkE12Lifetime(b *testing.B) {
 	}
 }
 
-func BenchmarkE13Batching(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl := experiments.E13Batching([]int{6, 10}, 4, 3)
-		if len(tbl.Rows()) != 2 {
-			b.Fatal("unexpected table shape")
-		}
-	}
-}
-
 // --- micro-benchmarks of the core machinery ---
 
 func BenchmarkParse(b *testing.B) {

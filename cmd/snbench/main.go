@@ -137,12 +137,6 @@ func main() {
 		{"E12", func() *metrics.Table {
 			return experiments.E12Lifetime(pick(10, 8), 400, pick(150, 60))
 		}},
-		{"E13", func() *metrics.Table {
-			if full {
-				return experiments.E13Batching([]int{6, 10, 14}, 6, 4)
-			}
-			return experiments.E13Batching([]int{6, 10}, 4, 3)
-		}},
 		{"E14", func() *metrics.Table {
 			if full {
 				return experiments.E14Churn([]int{0, 1, 2, 4, 8}, 6)

@@ -58,14 +58,6 @@ type Config struct {
 	// DefaultWindow is the sliding-window range for streams without a
 	// .window declaration (0 = unbounded).
 	DefaultWindow int64
-	// BatchLinks coalesces the store/join/result tuples a node emits
-	// within one tick into a single framed link message per destination,
-	// accounted as one shared 8-byte header plus the sum of the tuple
-	// payloads. Default off: the per-tuple messages are the paper's
-	// accounting unit, and every published table is produced with
-	// batching disabled. The final derived database is identical either
-	// way (see TestBatchLinksEquivalence).
-	BatchLinks bool
 	// ReplayLog keeps a per-node log of every generation (insert or
 	// delete, base or cascaded derived) so Engine.ReplayAt can repair
 	// state lost to injected faults by re-executing the log with the

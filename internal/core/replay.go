@@ -102,7 +102,6 @@ func (e *Engine) replayNow() {
 		rt.homed = make(map[string]*homed)
 		rt.aggSessions = make(map[string]*aggSession)
 		rt.pendingCands = rt.pendingCands[:0]
-		rt.outbox = rt.outbox[:0]
 		rt.joinFloods = nil
 	}
 	// Program facts of derived predicates are not rule-derived, so the

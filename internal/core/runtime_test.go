@@ -15,11 +15,13 @@ import (
 )
 
 // A node runtime holds no per-event scratch: the simulator runs one event
-// at a time, so the probe buffers are the engine's. Per-node buffers made
-// a node runtime 544 B on a 64-bit platform, times every node.
+// at a time, so the probe buffers are the engine's, and a frame goes on
+// the radio when it is sent, so there is no outbox. Per-node buffers made
+// a node runtime 544 B on a 64-bit platform, times every node, and a
+// batching outbox 144 B.
 func TestNodeRuntimeHoldsNoScratch(t *testing.T) {
-	if n := unsafe.Sizeof(nodeRT{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 144 {
-		t.Errorf("nodeRT is %d B, want at most 144", n)
+	if n := unsafe.Sizeof(nodeRT{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 112 {
+		t.Errorf("nodeRT is %d B, want at most 112", n)
 	}
 }
 
@@ -194,7 +196,7 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	// Directly: the partials of a walker that joinPhase launched keep
 	// their registers and stamps across another node's local expansion.
 	nw = topo.Grid(3, nsim.Config{Seed: 1})
-	e, err = Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular, BatchLinks: true}, nil, nil, false)
+	e, err = Deploy(nw, mustProg(t, mixedSrc), Config{Scheme: gpa.Perpendicular}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +206,11 @@ func TestSlabLeavesInFlightPartials(t *testing.T) {
 	local.store.Insert(eval.NewTuple("j", ast.Symbol("n0"), i64(0)), stamp(2))
 
 	rr := &updateRec{Tuple: eval.NewTuple("r", i64(0), i64(10)), ID: stamp(3), Tau: stamp(3)}
+	delivered := capture(nw)
 	sweep.joinPhase(rr)
 	var jm *joinMsg
-	for _, it := range sweep.outbox {
-		if m, ok := it.payload.(*joinMsg); ok {
+	for _, d := range delivered() {
+		if m, ok := d.payload.(*joinMsg); ok {
 			jm = m
 		}
 	}

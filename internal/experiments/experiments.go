@@ -39,8 +39,8 @@ func mustProg(src string) *ast.Program {
 }
 
 // deployGrid deploys an unobserved engine over an m×m grid, with the
-// engine fields snlog.Deploy does not expose (SpatialRadius, BatchLinks,
-// the energy model) open to the caller.
+// engine fields snlog.Deploy does not expose (SpatialRadius, the energy
+// model) open to the caller.
 func deployGrid(m int, src string, cfg core.Config, sim nsim.Config) (*core.Engine, *nsim.Network) {
 	nw := topo.Grid(m, sim)
 	e, err := core.Deploy(nw, mustProg(src), cfg, nil, nil, false)
@@ -630,50 +630,6 @@ func E12Lifetime(m int, budget float64, updates int) *metrics.Table {
 			first = fmt.Sprintf("t=%d", nw.FirstDeath)
 		}
 		t.AddRow(scheme.String(), first, nw.Deaths, nearDead, len(e.Derived("out/2")))
-	}
-	return t
-}
-
-// injectBurstWorkload injects epoch bursts: at each epoch one source node
-// emits perBurst ra/rb pairs in the same tick, the batching-friendly
-// shape of a sensor sampling several readings per epoch (DESIGN.md §9).
-func injectBurstWorkload(e *core.Engine, nw *nsim.Network, bursts, perBurst int, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	at := nsim.Time(0)
-	for b := 0; b < bursts; b++ {
-		at += nsim.Time(400 + r.Intn(300))
-		node := nsim.NodeID(r.Intn(nw.Len()))
-		for k := 0; k < perBurst; k++ {
-			x := int64(r.Intn(3 * perBurst / 2))
-			y := int64(r.Intn(perBurst))
-			e.InjectAt(at, node, eval.NewTuple("ra", ast.Int64(x), ast.Int64(y)))
-			e.InjectAt(at, node, eval.NewTuple("rb", ast.Int64(y), ast.Int64(int64(r.Intn(3*perBurst/2)))))
-		}
-	}
-}
-
-// E13Batching — link-level message and byte cost of the two-stream
-// windowed join with and without batched link transport
-// (core.Config.BatchLinks; DESIGN.md §9). The derived database is
-// identical in both columns (TestBatchLinksEquivalence).
-func E13Batching(sizes []int, bursts, perBurst int) *metrics.Table {
-	t := metrics.NewTable(
-		"E13: batched link transport, two-stream join epoch bursts",
-		"grid m", "nodes", "msgs off", "msgs on", "msg redux %", "bytes off", "bytes on", "byte redux %")
-	for _, m := range sizes {
-		run := func(batch bool) *nsim.Network {
-			e, nw := deployGrid(m, twoStreamSrc,
-				core.Config{Scheme: gpa.Perpendicular, BatchLinks: batch},
-				nsim.Config{Seed: 13, MaxSkew: 5})
-			injectBurstWorkload(e, nw, bursts, perBurst, 29)
-			nw.Run(0)
-			return nw
-		}
-		off, on := run(false), run(true)
-		t.AddRow(m, m*m, off.TotalSent, on.TotalSent,
-			100*(1-float64(on.TotalSent)/float64(off.TotalSent)),
-			off.TotalBytes, on.TotalBytes,
-			100*(1-float64(on.TotalBytes)/float64(off.TotalBytes)))
 	}
 	return t
 }

@@ -56,7 +56,7 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 	// Output:
 	// before replay: 12
 	// after replay: 10
-	// {Crashes:1 Recovers:1 LinkDowns:1 LinkUps:1 Blocked:17 Duplicated:92 Reordered:0}
+	// {Crashes:1 Recovers:1 LinkDowns:1 LinkUps:1 Blocked:5 Duplicated:23 Reordered:0}
 	// equals Eval: true
 }
 

@@ -154,15 +154,6 @@ func applyArgs[B Bindings](b B, t ast.Term) ast.Term {
 	return ast.Compound(t.Str, args...)
 }
 
-// ApplyLiteral applies s to every argument of l.
-func (s Subst) ApplyLiteral(l ast.Literal) ast.Literal {
-	args := make([]ast.Term, len(l.Args))
-	for i, a := range l.Args {
-		args[i] = s.Apply(a)
-	}
-	return ast.Literal{Predicate: l.Predicate, Args: args, Negated: l.Negated, Builtin: l.Builtin}
-}
-
 // String renders the substitution as {X=1, Y=f(2)}.
 func (s Subst) String() string {
 	names := s.Names()

@@ -133,15 +133,6 @@ func TestMatchArgs(t *testing.T) {
 	}
 }
 
-func TestApplyLiteral(t *testing.T) {
-	s := Subst{}.Bind("X", ast.Int64(1))
-	l := ast.Lit("p", ast.Var("X"), ast.Var("Y"))
-	got := s.ApplyLiteral(l)
-	if got.Args[0].Int != 1 || got.Args[1].Str != "Y" {
-		t.Errorf("ApplyLiteral = %v", got)
-	}
-}
-
 func TestSubstString(t *testing.T) {
 	s := Subst{}.Bind("B", ast.Int64(2)).Bind("A", ast.Int64(1))
 	if got := s.String(); got != "{A=1, B=2}" {

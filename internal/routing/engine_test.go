@@ -32,19 +32,21 @@ func TestEngineNearestCacheInvalidatesOnDeath(t *testing.T) {
 	}
 }
 
-// TestEngineAtTargetMatchesPackage: the cached termination test agrees
-// with the package function on every (node, target) pair, before and
-// after deaths.
+// TestEngineAtTargetMatchesPackage: the cached termination test, with a
+// walker's memo per target, agrees with the package function on every
+// (node, target) pair, before and after deaths.
 func TestEngineAtTargetMatchesPackage(t *testing.T) {
 	m := 4
 	nw := topo.Grid(m, nsim.Config{Seed: 2})
 	nw.Finalize()
 	e := NewEngine(nw)
+	targets := [][2]float64{{0, 0}, {1.4, 2.2}, {3, 3}, {-1, 5}}
+	memos := make([]Memo, len(targets))
 	check := func() {
 		t.Helper()
 		for _, n := range nw.Nodes() {
-			for _, tgt := range [][2]float64{{0, 0}, {1.4, 2.2}, {3, 3}, {-1, 5}} {
-				got := e.AtTarget(n.ID, tgt[0], tgt[1])
+			for i, tgt := range targets {
+				got := e.AtTargetMemo(&memos[i], n.ID, tgt[0], tgt[1])
 				want := AtTarget(nw, n.ID, tgt[0], tgt[1])
 				if got != want {
 					t.Fatalf("AtTarget(%d, %v) = %v, want %v", n.ID, tgt, got, want)
@@ -86,7 +88,7 @@ func TestEngineGreedyPathMatchesPackage(t *testing.T) {
 }
 
 // TestAtTargetMemoIsTheCache drives AtTargetMemo and, on a twin engine
-// over the same network, AtTarget through one random schedule: nodes go
+// over the same network, NearestNode through one random schedule: nodes go
 // down and come back up (with and without an Invalidate after), targets
 // are new or repeated, and walkers copy each other's memos. Every answer
 // and the final Hits/Misses must be the twin's — the cache's answer,
@@ -123,9 +125,9 @@ func TestAtTargetMemoIsTheCache(t *testing.T) {
 				id = c // ask about the cache's own node as often as any other
 			}
 			got := memo.AtTargetMemo(w, id, tgt[0], tgt[1])
-			want := twin.AtTarget(id, tgt[0], tgt[1])
-			if got != want {
-				t.Fatalf("seed %d step %d: AtTargetMemo(%d, %v) = %v, AtTarget %v", seed, step, id, tgt, got, want)
+			n := twin.NearestNode(tgt[0], tgt[1])
+			if want := n != nil && n.ID == id; got != want {
+				t.Fatalf("seed %d step %d: AtTargetMemo(%d, %v) = %v, NearestNode says %v", seed, step, id, tgt, got, want)
 			}
 		}
 		if memo.Hits != twin.Hits || memo.Misses != twin.Misses {

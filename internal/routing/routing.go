@@ -166,18 +166,13 @@ func (e *Engine) NearestNode(x, y float64) *nsim.Node {
 	return n
 }
 
-// AtTarget reports whether node id is the closest live node to (tx, ty),
-// using the nearest cache.
-func (e *Engine) AtTarget(id nsim.NodeID, tx, ty float64) bool {
-	n := e.NearestNode(tx, ty)
-	return n != nil && n.ID == id
-}
-
-// AtTargetMemo is AtTarget for a walker that carries m from hop to hop:
-// it gives the same answer and counts the same hit or miss. While m is
-// of the current generation and for (tx, ty), m.node is the cache's
-// entry for the point, so the hit is answered from m with the cache's
-// own Down check; otherwise the cache answers and m is refreshed.
+// AtTargetMemo reports whether node id is the closest live node to
+// (tx, ty) by the nearest cache, for a walker that carries m from hop to
+// hop: it gives NearestNode's answer and counts the same hit or miss.
+// While m is of the current generation and for (tx, ty), m.node is the
+// cache's entry for the point, so the hit is answered from m with the
+// cache's own Down check; otherwise the cache answers and m is
+// refreshed.
 func (e *Engine) AtTargetMemo(m *Memo, id nsim.NodeID, tx, ty float64) bool {
 	if m.gen == e.gen && m.x == tx && m.y == ty && !e.nw.Node(m.node).Down {
 		e.Hits++

@@ -56,18 +56,6 @@ func RandomGeometric(n int, side, radioRange float64, seed int64, cfg nsim.Confi
 		n, side, side, radioRange)
 }
 
-// Line creates n nodes in a line with unit spacing.
-func Line(n int, cfg nsim.Config) *nsim.Network {
-	if cfg.Range == 0 {
-		cfg.Range = 1.0
-	}
-	nw := nsim.New(cfg)
-	for i := 0; i < n; i++ {
-		nw.AddNode(float64(i), 0)
-	}
-	return nw
-}
-
 // connected checks adjacency-graph connectivity before Finalize (which
 // would lock the node set) by recomputing neighborhoods locally.
 func connected(nw *nsim.Network, radioRange float64) bool {

@@ -88,11 +88,3 @@ func TestRandomGeometricDeterministicPlacement(t *testing.T) {
 		}
 	}
 }
-
-func TestLine(t *testing.T) {
-	nw := Line(4, nsim.Config{})
-	nw.Finalize()
-	if len(nw.Node(0).Neighbors()) != 1 || len(nw.Node(1).Neighbors()) != 2 {
-		t.Error("line adjacency wrong")
-	}
-}

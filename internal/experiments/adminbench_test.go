@@ -16,7 +16,8 @@ import (
 // untouched: export is pull-based, so with no StartAdmin call and no
 // sampler running there is no listener, no goroutine, and no handle on
 // the event path, and allocations per event stay at the same baseline
-// as the fully-unobserved run (e1AllocBaseline, EXPERIMENTS.md E13).
+// as the fully-unobserved run (e1AllocBaseline, EXPERIMENTS.md,
+// "Simulator substrate and the allocation guards").
 // Part of make obs-guard.
 func TestAdminDisabledOverheadE1(t *testing.T) {
 	// The zero Source is the "admin not configured" state snlogd runs in

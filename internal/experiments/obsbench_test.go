@@ -109,7 +109,8 @@ func TestObsDisabledOverheadE1(t *testing.T) {
 }
 
 // e1AllocBaseline is what the E1 m=18 hot loop allocates per event with
-// observability off (EXPERIMENTS.md E13). The three obs-guard tests
+// observability off (EXPERIMENTS.md, "Simulator substrate and the
+// allocation guards"). The three obs-guard tests
 // measure exactly this loop and allow 5 % over it: the count is
 // deterministic but for map-growth jitter, and one extra allocation on
 // any per-message path is +1/event. It was 1.270 before unread heads
@@ -137,7 +138,7 @@ func guardAllocs(t *testing.T, path string, baseline float64, run func() *nsim.N
 	perEvent := float64(m) / float64(nw.EventsProcessed)
 	t.Logf("%s path: %.3f allocs/event over %d events", path, perEvent, nw.EventsProcessed)
 	if perEvent > baseline*1.05 {
-		t.Errorf("%s path allocates %.3f/event, baseline is %.3f + 5 %% (EXPERIMENTS.md E13)", path, perEvent, baseline)
+		t.Errorf("%s path allocates %.3f/event, baseline is %.3f + 5 %% (EXPERIMENTS.md, allocation guards)", path, perEvent, baseline)
 	}
 }
 

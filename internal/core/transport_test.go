@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -512,41 +513,51 @@ func TestResultHopsAreGreedyPaths(t *testing.T) {
 // delivers a duplicate as the frame itself, so its walk is the one the
 // first copy went on with; were the second copy to advance it too, it
 // would find the first copy's next hop on the path, route around it and
-// settle its result off the greedy path. Under duplication of 30 % of
-// all frames, every held derivation's result still took the greedy path
-// from its producer to its head's home, and the derived set is the
-// fault-free run's.
+// settle its result off the greedy path, and a copy reaching the node
+// where the walk ended would be handled there again (a sweep's last node
+// re-sending its results, a Centralized storage walker re-joining its
+// update under a new server stamp). Under duplication of 30 % of all
+// frames, every held derivation's result still took the greedy path from
+// its producer to its head's home, the derived set is the fault-free
+// run's and so is every kind's message count.
 func TestDuplicatedWalkerWalksOnce(t *testing.T) {
 	const m = 8
-	run := func(dup bool) (*Engine, *nsim.Network) {
-		e, nw := buildProvGrid(t, m, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 5})
-		if dup {
-			fault.Attach(nw, fault.NewSchedule().Duplicate(0, 100000, 0.3), 5)
-		}
-		r := rand.New(rand.NewSource(11))
-		for i := 0; i < 40; i++ {
-			at, y := nsim.Time(i*7), ast.Int64(int64(i%20))
-			mustInject(t, e, at, nsim.NodeID(r.Intn(nw.Len())), eval.NewTuple("ra", ast.Int64(int64(i)), y))
-			mustInject(t, e, at+3, nsim.NodeID(r.Intn(nw.Len())), eval.NewTuple("rb", y, ast.Int64(int64(i))))
-		}
-		nw.Run(0)
-		return e, nw
+	for _, scheme := range []gpa.Scheme{gpa.Perpendicular, gpa.Centralized} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			run := func(dup bool) (*Engine, *nsim.Network) {
+				e, nw := buildProvGrid(t, m, joinSrc, Config{Scheme: scheme}, nsim.Config{Seed: 5})
+				if dup {
+					fault.Attach(nw, fault.NewSchedule().Duplicate(0, 100000, 0.3), 5)
+				}
+				r := rand.New(rand.NewSource(11))
+				for i := 0; i < 40; i++ {
+					at, y := nsim.Time(i*7), ast.Int64(int64(i%20))
+					mustInject(t, e, at, nsim.NodeID(r.Intn(nw.Len())), eval.NewTuple("ra", ast.Int64(int64(i)), y))
+					mustInject(t, e, at+3, nsim.NodeID(r.Intn(nw.Len())), eval.NewTuple("rb", y, ast.Int64(int64(i))))
+				}
+				nw.Run(0)
+				return e, nw
+			}
+			clean, cleanNw := run(false)
+			e, nw := run(true)
+			derivs, _ := greedyHops(t, e, nw)
+			keys := func(e *Engine) []string {
+				var ks []string
+				for _, t := range e.Derived("out/2") {
+					ks = append(ks, t.Key())
+				}
+				slices.Sort(ks)
+				return ks
+			}
+			if got, want := keys(e), keys(clean); len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("out/2 under duplication is %v, the fault-free run's %v; want the same set", got, want)
+			}
+			if got, want := nw.KindCounts(), cleanNw.KindCounts(); !maps.Equal(got, want) {
+				t.Errorf("messages by kind under duplication %v, fault-free %v; want equal", got, want)
+			}
+			t.Logf("%d derivations; %d messages under duplication, %d without", derivs, nw.TotalSent, cleanNw.TotalSent)
+		})
 	}
-	clean, cleanNw := run(false)
-	e, nw := run(true)
-	derivs, _ := greedyHops(t, e, nw)
-	keys := func(e *Engine) []string {
-		var ks []string
-		for _, t := range e.Derived("out/2") {
-			ks = append(ks, t.Key())
-		}
-		slices.Sort(ks)
-		return ks
-	}
-	if got, want := keys(e), keys(clean); len(want) == 0 || !slices.Equal(got, want) {
-		t.Errorf("out/2 under duplication is %v, the fault-free run's %v; want the same set", got, want)
-	}
-	t.Logf("%d derivations; %d messages under duplication, %d without", derivs, nw.TotalSent, cleanNw.TotalSent)
 }
 
 // greedyHops holds every derivation held in e to the greedy path from its

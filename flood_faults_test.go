@@ -150,27 +150,33 @@ func tupleKeys(ts []Tuple) []string {
 // whose walk had already moved on: until then the second copy advanced
 // the walk again, routed around the first copy's next hop and settled
 // its result off its home, and the naive, local and centroid rows held
-// more out/2 tuples than Eval before Replay.
+// more out/2 tuples than Eval before Replay. All rows were re-recorded
+// again when a node began to drop a duplicated walker copy whose walk had
+// ended (walk.handled): until then a copy reaching the walk's last node
+// was handled there again — a result candidate buffered and settled a
+// second time (every row's trace held those settles), a Centralized
+// storage walker re-joining its update under a new server stamp (the
+// centralized rows' messages and result sizes).
 func TestFloodsUnderFaultsGolden(t *testing.T) {
 	want := map[string]string{
-		"naive/1":       "end=638 msgs=4198 bytes=86137 out/2=11 | replay end=1102 msgs=8379 bytes=171624 out/2=11 events=21047 trace=0x92494fd867b4ec2b",
-		"naive/2":       "end=638 msgs=4239 bytes=87727 out/2=14 | replay end=1102 msgs=8478 bytes=175454 out/2=14 events=21295 trace=0xade9cd8af441a84f",
-		"naive/3":       "end=628 msgs=4345 bytes=89460 out/2=12 | replay end=1092 msgs=8690 bytes=178920 out/2=12 events=21823 trace=0x6994ba73239c20d0",
-		"local/1":       "end=638 msgs=4222 bytes=176822 out/2=11 | replay end=1102 msgs=8444 bytes=353644 out/2=11 events=21217 trace=0xc8b656e37b2087ec",
-		"local/2":       "end=638 msgs=4201 bytes=176020 out/2=14 | replay end=1102 msgs=8402 bytes=352040 out/2=14 events=21109 trace=0xc1d57ce2fe2ae52",
-		"local/3":       "end=628 msgs=4378 bytes=183114 out/2=12 | replay end=1092 msgs=8756 bytes=366228 out/2=12 events=21987 trace=0x3c86434c40f9d419",
-		"centroid/1":    "end=638 msgs=988 bytes=38845 out/2=11 | replay end=1102 msgs=1970 bytes=77460 out/2=11 events=5041 trace=0x5a710d2d1b4443ef",
-		"centroid/2":    "end=638 msgs=1031 bytes=40593 out/2=14 | replay end=1102 msgs=2060 bytes=81112 out/2=14 events=5311 trace=0xe8e1219fafede82c",
-		"centroid/3":    "end=628 msgs=1085 bytes=42196 out/2=12 | replay end=1092 msgs=2162 bytes=84096 out/2=12 events=5614 trace=0xe9b6c97e05cee8a6",
-		"centralized/1": "end=718 msgs=445 bytes=13559 out/2=17 | replay end=1207 msgs=836 bytes=25076 out/2=20 events=2320 trace=0x72799e8f4c559e3c",
-		"centralized/2": "end=698 msgs=515 bytes=16317 out/2=17 | replay end=1186 msgs=908 bytes=27986 out/2=17 events=2523 trace=0x7a3be30374c0e4e",
-		"centralized/3": "end=748 msgs=375 bytes=11932 out/2=15 | replay end=1237 msgs=659 bytes=20477 out/2=17 events=1850 trace=0xf93bfa76a0fb2f67",
-		"band/1":        "end=660 msgs=7775 bytes=231583 out/2=12 | replay end=1156 msgs=15538 bytes=462709 out/2=12 events=39172 trace=0x7c68a94c96aaa024",
-		"band/2":        "end=660 msgs=6720 bytes=212683 out/2=11 | replay end=1156 msgs=13430 bytes=424986 out/2=11 events=33736 trace=0x4e8c5aa326a01c99",
-		"band/3":        "end=660 msgs=5097 bytes=165534 out/2=12 | replay end=1156 msgs=10194 bytes=331068 out/2=12 events=25878 trace=0xbfdca10794dbb831",
-		"hops2/1":       "end=638 msgs=528 bytes=11694 pair/2=22 | replay end=1102 msgs=1056 bytes=23388 pair/2=22 events=2817 trace=0xc5f3588e0de875ee",
-		"hops2/2":       "end=638 msgs=512 bytes=11487 pair/2=14 | replay end=1102 msgs=1024 bytes=22974 pair/2=14 events=2732 trace=0xd185a593cde7ab7a",
-		"hops2/3":       "end=638 msgs=417 bytes=8715 pair/2=2 | replay end=1102 msgs=834 bytes=17430 pair/2=2 events=2112 trace=0xbad13e96ec16ff29",
+		"naive/1":       "end=638 msgs=4198 bytes=86137 out/2=11 | replay end=1102 msgs=8379 bytes=171624 out/2=11 events=21041 trace=0xdc9600c312d9aa4c",
+		"naive/2":       "end=638 msgs=4239 bytes=87727 out/2=14 | replay end=1102 msgs=8478 bytes=175454 out/2=14 events=21282 trace=0x20abc297a45bd535",
+		"naive/3":       "end=628 msgs=4345 bytes=89460 out/2=12 | replay end=1092 msgs=8690 bytes=178920 out/2=12 events=21818 trace=0x1cc6b7b33f1dc79b",
+		"local/1":       "end=638 msgs=4222 bytes=176822 out/2=11 | replay end=1102 msgs=8444 bytes=353644 out/2=11 events=21207 trace=0xe15931eb11c69f60",
+		"local/2":       "end=638 msgs=4201 bytes=176020 out/2=14 | replay end=1102 msgs=8402 bytes=352040 out/2=14 events=21095 trace=0x713bede2e596fbe4",
+		"local/3":       "end=628 msgs=4378 bytes=183114 out/2=12 | replay end=1092 msgs=8756 bytes=366228 out/2=12 events=21975 trace=0x50c891caeda673cb",
+		"centroid/1":    "end=638 msgs=988 bytes=38845 out/2=11 | replay end=1102 msgs=1970 bytes=77460 out/2=11 events=5031 trace=0x1dc5061bcc1943f9",
+		"centroid/2":    "end=638 msgs=1031 bytes=40593 out/2=14 | replay end=1102 msgs=2060 bytes=81112 out/2=14 events=5292 trace=0x1028234f8f06ab15",
+		"centroid/3":    "end=628 msgs=1085 bytes=42196 out/2=12 | replay end=1092 msgs=2162 bytes=84096 out/2=12 events=5594 trace=0x3aea1800bd9af94f",
+		"centralized/1": "end=722 msgs=358 bytes=10192 out/2=19 | replay end=1214 msgs=738 bytes=21299 out/2=16 events=1977 trace=0xa5d79d683d768d79",
+		"centralized/2": "end=736 msgs=448 bytes=13748 out/2=19 | replay end=1225 msgs=851 bytes=25781 out/2=18 events=2330 trace=0x2dc19aee29c1767b",
+		"centralized/3": "end=712 msgs=300 bytes=9099 out/2=17 | replay end=1202 msgs=585 bytes=17669 out/2=16 events=1600 trace=0xd3120754f83ca0fa",
+		"band/1":        "end=660 msgs=7775 bytes=231583 out/2=12 | replay end=1156 msgs=15538 bytes=462709 out/2=12 events=39135 trace=0x160907fad69f4c7f",
+		"band/2":        "end=660 msgs=6720 bytes=212683 out/2=11 | replay end=1156 msgs=13430 bytes=424986 out/2=11 events=33695 trace=0x5ee7fdc9ef87b909",
+		"band/3":        "end=660 msgs=5097 bytes=165534 out/2=12 | replay end=1156 msgs=10194 bytes=331068 out/2=12 events=25831 trace=0x759f555bf5599dcb",
+		"hops2/1":       "end=638 msgs=528 bytes=11694 pair/2=22 | replay end=1102 msgs=1056 bytes=23388 pair/2=22 events=2815 trace=0x37ce54ec8fcc069c",
+		"hops2/2":       "end=638 msgs=512 bytes=11487 pair/2=14 | replay end=1102 msgs=1024 bytes=22974 pair/2=14 events=2729 trace=0xe8bf46e1696a666f",
+		"hops2/3":       "end=638 msgs=417 bytes=8715 pair/2=2 | replay end=1102 msgs=834 bytes=17430 pair/2=2 events=2109 trace=0x2ce86f88d0847361",
 	}
 	for ci, cfg := range floodConfigs {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -42,14 +42,17 @@ type walk struct {
 	// first hop on a walk that set out without one.
 	path []nsim.NodeID
 	memo routing.Memo
+	// ended is set when the walker is handled at the node its walk ends.
+	ended bool
 }
 
-// movedOn reports whether the walker this node received has already
-// left it: its path ends at another node. The simulator delivers a
-// link-layer duplicate as the frame itself, so a second copy carries the
-// walk its first copy went on with, and must not advance it again.
-func (w *walk) movedOn(here nsim.NodeID) bool {
-	return len(w.path) > 0 && w.path[len(w.path)-1] != here
+// handled reports whether a copy of the walker this node received was
+// handled already: its path ends at another node (the walk moved on) or
+// its walk ended. The simulator delivers a link-layer duplicate as the
+// frame itself, so a second copy carries the walk its first copy went
+// on with, and must neither advance it again nor act at its end again.
+func (w *walk) handled(here nsim.NodeID) bool {
+	return w.ended || len(w.path) > 0 && w.path[len(w.path)-1] != here
 }
 
 // legWalk is a walk along legs, some of which may sweep: a join

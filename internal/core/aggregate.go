@@ -209,13 +209,6 @@ func (rt *nodeRT) aggFinal(epoch string) {
 		out = append(out, eval.Tuple{Pred: r.Head.PredKey(), Args: args})
 	}
 	rt.e.aggResults[s.pred] = out
-	if rt.e.queryPreds[s.pred] {
-		for _, t := range out {
-			rt.logResult(ResultEvent{
-				Tuple: t, Insert: true, At: rt.node.Now(), Node: rt.node.ID,
-			})
-		}
-	}
 	delete(rt.aggSessions, epoch)
 }
 

@@ -92,8 +92,11 @@ func (e *Engine) replayNow() {
 	// again). The re-execution recaptures through the normal hooks.
 	e.provLive.Store(0)
 	e.provCaptured.Store(0)
+	// The view loses every tuple: sorted predicates, canonical order.
 	for _, pred := range e.derived.Predicates() {
-		e.derivedVer[pred]++
+		for _, t := range e.derived.Tuples(pred) {
+			e.viewChanged(t, false, -1)
+		}
 	}
 	e.derived, e.extraHomes = eval.NewDatabase(), nil
 	e.arena = window.NewArena() // the old stores and their slots go together

@@ -21,11 +21,23 @@ import (
 // and puts its sleep timer on the one P's timer heap, whose growth is
 // a malloc that is not f's.
 func Count(f func()) uint64 {
+	before, after := measure(f)
+	return after.Mallocs - before.Mallocs
+}
+
+// Bytes returns how many heap bytes were allocated while f ran: the
+// process's MemStats.TotalAlloc delta, taken as Count takes its.
+func Bytes(f func()) uint64 {
+	before, after := measure(f)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// measure reads the memory statistics before and after f runs.
+func measure(f func()) (before, after runtime.MemStats) {
 	debug.FreeOSMemory()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return before, after
 }

@@ -8,9 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// shardedCache is the point-query result cache, partitioned N ways by
-// canonical-goal hash so concurrent readers contend only on their own
-// shard's lock. An entry is keyed on the canonical goal
+// cache is the point-query result cache: one mutex-guarded LRU of at
+// most max entries. An entry is keyed on the canonical goal
 // (core.AppendCanonicalGoal) and stamped with the goal predicate's change
 // counter (Engine.DerivedVersion) as read when the answer was probed.
 // It is a hit exactly while the counter has not moved: the counter
@@ -21,21 +20,11 @@ import (
 //
 // get and put run in the session's read phase: the deployment is
 // quiescent, so the counter a reader holds belongs to the answer it
-// stores, and two concurrent puts for one goal store equal answers.
-// The per-shard mutex orders same-shard readers; entries never move
-// between shards.
-//
-// Capacity is per shard: ceil(total/shards), min 1, evicted LRU
-// within the shard. A single-shard cache degenerates to a global LRU.
+// stores, and two concurrent puts for one goal store equal answers. The
+// mutex orders the readers.
 //
 // The nil cache (caching disabled) is a valid no-op receiver.
-type shardedCache struct {
-	shards []*cacheShard
-	mask   uint32
-}
-
-// cacheShard is one independently locked slice of the cache.
-type cacheShard struct {
+type cache struct {
 	mu        sync.Mutex
 	max       int
 	entries   map[string]*cacheEntry
@@ -68,34 +57,9 @@ func (e *cacheEntry) encoded() []byte {
 	return e.wire
 }
 
-// newShardedCache builds a cache totalling max entries across n shards;
-// n must be a power of two (the shard is picked by masking the hash).
-func newShardedCache(max, n int, evictions *obs.Counter) *shardedCache {
-	perShard := (max + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &shardedCache{shards: make([]*cacheShard, n), mask: uint32(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			max:       perShard,
-			entries:   make(map[string]*cacheEntry),
-			lru:       list.New(),
-			evictions: evictions,
-		}
-	}
-	return c
-}
-
-// shard picks the shard owning key: FNV-32a of the canonical goal,
-// inline, so a key rendered into a stack buffer hashes in place.
-func shard[K string | []byte](c *shardedCache, key K) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return c.shards[h&c.mask]
+// newCache builds a cache of at most max entries.
+func newCache(max int, evictions *obs.Counter) *cache {
+	return &cache{max: max, entries: make(map[string]*cacheEntry), lru: list.New(), evictions: evictions}
 }
 
 // get returns the entry for key if its predicate's counter, as version
@@ -103,50 +67,47 @@ func shard[K string | []byte](c *shardedCache, key K) *cacheShard {
 // nil; an entry from an earlier counter value is evicted. The returned
 // entry's fields are immutable; callers copy answers before handing
 // them out. A hit allocates nothing: key is looked up in place.
-func (c *shardedCache) get(key []byte, version func(pred string) uint64) *cacheEntry {
+func (c *cache) get(key []byte, version func(pred string) uint64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
-	sh := shard(c, key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[string(key)]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[string(key)]
 	if e == nil {
 		return nil
 	}
 	if e.ver != version(e.pred) {
-		sh.remove(e, true)
+		c.remove(e, true)
 		return nil
 	}
-	sh.lru.MoveToFront(e.elem)
+	c.lru.MoveToFront(e.elem)
 	return e
 }
 
-// put stores an entry in its shard, evicting the shard's least
-// recently used entry past capacity.
-func (c *shardedCache) put(e *cacheEntry) {
+// put stores an entry, evicting the least recently used entry past
+// capacity.
+func (c *cache) put(e *cacheEntry) {
 	if c == nil {
 		return
 	}
-	sh := shard(c, e.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old := sh.entries[e.key]; old != nil {
-		sh.remove(old, false)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.entries[e.key]; old != nil {
+		c.remove(old, false)
 	}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[e.key] = e
-	for len(sh.entries) > sh.max {
-		back := sh.lru.Back()
-		sh.remove(back.Value.(*cacheEntry), true)
+	e.elem = c.lru.PushFront(e)
+	c.entries[e.key] = e
+	for len(c.entries) > c.max {
+		c.remove(c.lru.Back().Value.(*cacheEntry), true)
 	}
 }
 
-// remove drops an entry; caller holds the shard lock.
-func (sh *cacheShard) remove(e *cacheEntry, count bool) {
-	delete(sh.entries, e.key)
-	sh.lru.Remove(e.elem)
+// remove drops an entry; caller holds the lock.
+func (c *cache) remove(e *cacheEntry, count bool) {
+	delete(c.entries, e.key)
+	c.lru.Remove(e.elem)
 	if count {
-		sh.evictions.Inc()
+		c.evictions.Inc()
 	}
 }

@@ -16,9 +16,11 @@
 // (Options.BatchDelay), or when an incoming query demands freshness.
 // Queries are fresh by default; QueryStale opts into answering from
 // the last quiesced snapshot with a reported freshness bound instead
-// of waiting for the in-flight batch. Repeated queries hit a sharded
+// of waiting for the in-flight batch. Repeated queries hit an LRU
 // result cache keyed on the canonical goal; an entry is good while the
-// goal predicate's change counter stands still (cache.go).
+// goal predicate's change counter stands still (cache.go). Subscribers
+// are fed the derived view's own transitions (core.Engine.ResultLog),
+// netted per sync.
 //
 // Command snlogd exposes the same operations to many concurrent
 // clients over newline-delimited JSON on TCP (server.go); Client is
@@ -58,17 +60,13 @@ const (
 // subscriber drops them and counts them under serve.subs.dropped.
 const subBuffer = 64
 
-// cacheShards is the number of independently locked result-cache
-// shards (canonical-goal hash partitioned); a power of two.
-const cacheShards = 8
-
 // Options configures a serving session.
 type Options struct {
 	// Deploy is passed through to snlog.Deploy (scheme, seed, loss,
 	// faults, ...).
 	Deploy []snlog.Option
-	// CacheSize caps the result cache (entries, summed across shards);
-	// 0 means the default (256). Negative disables caching.
+	// CacheSize caps the result cache in entries; 0 means the default
+	// (256). Negative disables caching.
 	CacheSize int
 	// BatchSize bounds the write buffer: the BatchSize-th buffered
 	// write flushes the batch synchronously. 0 means the default (64);
@@ -116,7 +114,7 @@ const (
 // cost on the query path is one atomic add, not a map lookup.
 const (
 	stParse      = iota // goal parse + validation
-	stCacheProbe        // sharded result-cache lookup (note: "hit"/"miss")
+	stCacheProbe        // result-cache lookup (note: "hit"/"miss")
 	stEval              // on a miss: the indexed probe of the derived set
 	stExplain           // provenance walk (Explain only)
 	stRespond           // post-read bookkeeping until the answer is returned
@@ -145,8 +143,7 @@ type writeOp struct {
 	tuple eval.Tuple // Keyed
 }
 
-// Session is one served deployment: a cluster, the sharded result
-// cache, the write buffer, and the subscriber fan-out. All methods are
+// Session is one served deployment: a cluster, the result cache, the write buffer, and the subscriber fan-out. All methods are
 // safe for concurrent use by many goroutines ("clients").
 //
 // Concurrency contract (the read/write-phase state machine): mu held
@@ -167,7 +164,7 @@ type Session struct {
 	opts   Options
 	closed bool
 
-	cache *shardedCache
+	cache *cache
 	// probeMu serialises cache-miss probes of the derived set: a probe
 	// builds the hash index over its binding pattern on first use, the
 	// one mutation on the read path. Only the probe is held under it —
@@ -176,7 +173,6 @@ type Session struct {
 
 	subs    map[int]*Subscription
 	nextSub int
-	watched map[string]*watch // by subscribed predicate
 
 	// Write buffer. bmu orders enqueues against drains; enqSeq is the
 	// last accepted write's sequence number (stored while bmu is
@@ -211,7 +207,6 @@ type Session struct {
 	subDrops     *obs.Counter
 	batchWrites  *obs.Counter
 	batchFlushes *obs.Counter
-	batchElided  *obs.Counter
 	applyErrors  *obs.Counter
 	staleServed  *obs.Counter
 	flushReasons [flushReasonCount]*obs.Counter
@@ -250,14 +245,13 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	reg := c.Registry()
 	prog := c.Engine.Analysis().Program
 	s := &Session{
-		c:       c,
-		prog:    prog,
-		known:   core.KnownPredKeys(prog),
-		opts:    opts,
-		subs:    make(map[int]*Subscription),
-		watched: make(map[string]*watch),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		c:     c,
+		prog:  prog,
+		known: core.KnownPredKeys(prog),
+		opts:  opts,
+		subs:  make(map[int]*Subscription),
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 
 		queries:      reg.Counter("serve.queries"),
 		hits:         reg.Counter("serve.cache.hits"),
@@ -266,7 +260,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 		subDrops:     reg.Counter("serve.subs.dropped"),
 		batchWrites:  reg.Counter("serve.batch.writes"),
 		batchFlushes: reg.Counter("serve.batch.flushes"),
-		batchElided:  reg.Counter("serve.batch.elided"),
 		applyErrors:  reg.Counter("serve.batch.apply_errors"),
 		staleServed:  reg.Counter("serve.stale.served"),
 		// Batch sizes: 1 .. 2048 exponential ladder.
@@ -291,7 +284,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	reg.Gauge("serve.read_concurrency", func() int64 { return s.readers.Load() })
 	reg.Gauge("serve.read_concurrency.peak", func() int64 { return s.readerPeak.Load() })
 	if opts.CacheSize > 0 {
-		s.cache = newShardedCache(opts.CacheSize, cacheShards, s.evictions)
+		s.cache = newCache(opts.CacheSize, s.evictions)
 	}
 	// Establish the initial quiescent snapshot (program-declared facts
 	// settle here) so reads never need to run the cluster. No reader,
@@ -329,11 +322,9 @@ func (s *Session) Close() error {
 	}
 	s.flushLocked(flushExplicit)
 	s.closed = true
-	for id, sub := range s.subs {
-		close(sub.ch)
-		delete(s.subs, id)
+	for _, sub := range s.subs {
+		sub.detach()
 	}
-	clear(s.watched)
 	s.mu.Unlock()
 	close(s.done)
 	return nil
@@ -453,7 +444,7 @@ func (s *Session) flushLocked(reason int) int64 {
 	if len(ops) == 0 {
 		return s.lastEnd.Load()
 	}
-	for _, op := range s.elideRedundant(ops) {
+	for _, op := range ops {
 		s.applyLocked(op)
 	}
 	s.batchFlushes.Inc()
@@ -462,53 +453,6 @@ func (s *Session) flushLocked(reason int) int64 {
 	end := s.runLocked()
 	s.appliedSeq.Store(ops[len(ops)-1].seq)
 	return end
-}
-
-// elideRedundant drops buffered inserts that repeat an earlier insert
-// in the same batch exactly (same kind, time, node and tuple key) —
-// the sensor-network common case of a node redundantly re-reporting a
-// reading it already reported. A repeat insert is not a no-op at the
-// engine level: it earns a fresh generation stamp, a full storage and
-// join cascade across the deployment and a duplicate result delta, all
-// without changing any query answer. Eliding it inside one coalesced
-// batch is therefore observation-equivalent. A key that is also
-// deleted somewhere in the batch is applied verbatim: which
-// generations that deletion retracts is the engine's business. The
-// freshness horizon is untouched: elision happens after acceptance, so
-// appliedSeq still advances over the elided ops.
-func (s *Session) elideRedundant(ops []writeOp) []writeOp {
-	if len(ops) < 2 {
-		return ops
-	}
-	var deleted map[string]bool
-	for _, op := range ops {
-		if op.kind == opDeleteAt {
-			if deleted == nil {
-				deleted = make(map[string]bool)
-			}
-			deleted[op.tuple.Key()] = true
-		}
-	}
-	type opSig struct {
-		kind opKind
-		at   int64
-		node int
-		key  string
-	}
-	seen := make(map[opSig]bool, len(ops))
-	kept := ops[:0]
-	for _, op := range ops {
-		if op.kind != opDeleteAt {
-			sig := opSig{kind: op.kind, at: op.at, node: op.node, key: op.tuple.Key()}
-			if seen[sig] && !deleted[op.tuple.Key()] {
-				s.batchElided.Inc()
-				continue
-			}
-			seen[sig] = true
-		}
-		kept = append(kept, op)
-	}
-	return kept
 }
 
 // applyLocked replays one buffered write against the cluster. Caller
@@ -603,7 +547,7 @@ func (s *Session) Spans() *obs.SpanRing { return s.spans }
 // "path(n0, X)". The goal is validated on the shared core.ParseGoal
 // path, any in-flight write batch is applied (Query is fresh — the
 // answer reflects every write acknowledged before the call), and the
-// answer is served from the sharded result cache while the goal
+// answer is served from the result cache while the goal
 // predicate's derived set has not changed since it was stored —
 // otherwise from an indexed probe of the derived set the network
 // maintains (bound arguments pick the index). Answers come back in
@@ -766,7 +710,7 @@ func (s *Session) explain(ctx context.Context, goal string, tid int64) (*snlog.E
 // Subscribe watches a derived predicate ("name/arity"): after every
 // batch apply (Query-forced, size, deadline or Sync) the
 // subscription's channel carries one Update per derived tuple that
-// appeared or disappeared since the previous sync. The baseline is
+// appeared or disappeared since the previous sync. Updates start from
 // the state at subscribe time, with any buffered writes applied
 // first. A subscriber that falls behind its buffer loses updates
 // (counted under serve.subs.dropped); Close the subscription when
@@ -783,22 +727,17 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 		}
 		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrUnknownPredicate)
 	}
-	// Baseline at the current quiescent state so the subscriber sees
-	// only changes from now on.
+	// Apply the buffered writes first, so the subscriber sees only
+	// changes from the current quiescent state on.
 	s.flushLocked(flushExplicit)
-	w := s.watched[pred]
-	if w == nil {
-		w = &watch{ver: s.c.Engine.DerivedVersion(pred), seen: tuplesByKey(s.c.Results(pred))}
-		s.watched[pred] = w
-	}
-	w.subs++
 	id := s.nextSub
 	s.nextSub++
 	sub := &Subscription{
-		s:    s,
-		id:   id,
-		pred: pred,
-		ch:   make(chan Update, subBuffer),
+		s:       s,
+		id:      id,
+		pred:    pred,
+		ch:      make(chan Update, subBuffer),
+		unwatch: s.c.Engine.Watch(pred),
 	}
 	s.subs[id] = sub
 	return sub, nil
@@ -812,105 +751,84 @@ type Update struct {
 	Tuple  eval.Tuple
 }
 
-// watch is what a subscribed predicate's subscribers last saw: its
-// derived set, and the change counter it was read at. It lives while
-// the predicate has subscribers, subs of them.
-type watch struct {
-	ver  uint64
-	seen map[string]eval.Tuple
-	subs int
-}
-
 // Subscription is a live watch on one derived predicate.
 type Subscription struct {
-	s    *Session
-	id   int
-	pred string
-	ch   chan Update
+	s       *Session
+	id      int
+	pred    string
+	ch      chan Update
+	unwatch func() // ends the engine's logging of pred for this watch
 }
 
 // C is the update stream. It is closed when the subscription or the
 // session closes.
 func (sub *Subscription) C() <-chan Update { return sub.ch }
 
-// Pred returns the watched predicate key.
+// Pred returns the subscribed predicate key.
 func (sub *Subscription) Pred() string { return sub.pred }
 
-// Close detaches the subscription and closes its channel; the
-// predicate's last subscription drops its watch. Idempotent.
+// Close detaches the subscription and closes its channel. Idempotent.
 func (sub *Subscription) Close() {
 	s := sub.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, live := s.subs[sub.id]; live {
-		delete(s.subs, sub.id)
-		close(sub.ch)
-		w := s.watched[sub.pred]
-		if w.subs--; w.subs == 0 {
-			delete(s.watched, sub.pred)
-		}
+		sub.detach()
 	}
 }
 
-// runLocked runs the simulation to quiescence and fans out
-// derived-state diffs to subscribers, skipping every predicate whose
-// change counter did not move. It drops the engine's query-transition
-// log: the session answers from the derived view and never reads it,
-// and a long-lived session would otherwise keep every transition.
-// Caller holds mu exclusively.
+// detach removes a live subscription, ends its watch and closes its
+// channel. Caller holds mu exclusively.
+func (sub *Subscription) detach() {
+	delete(sub.s.subs, sub.id)
+	sub.unwatch()
+	close(sub.ch)
+}
+
+// runLocked runs the simulation to quiescence, takes the engine's log of
+// view transitions and fans it out to subscribers, netted per tuple: a
+// tuple's transitions alternate insert and remove, so an even count of
+// them cancels and an odd count leaves its first. The log is dropped
+// either way, so a long-lived session keeps none of it. Caller holds mu
+// exclusively.
 func (s *Session) runLocked() int64 {
 	end := s.c.Run()
+	log := s.c.Engine.ResultLog
 	s.c.Engine.ResultLog = nil
 	s.lastEnd.Store(end)
-	for pred, w := range s.watched {
-		ver := s.c.Engine.DerivedVersion(pred)
-		if ver == w.ver {
-			continue
+	if len(s.subs) == 0 || len(log) == 0 {
+		return end
+	}
+	net := make(map[string]Update)
+	for _, ev := range log {
+		k := ev.Tuple.Key()
+		if _, odd := net[k]; odd {
+			delete(net, k)
+		} else {
+			net[k] = Update{Insert: ev.Insert, Tuple: ev.Tuple}
 		}
-		prev, cur := w.seen, tuplesByKey(s.c.Results(pred))
-		w.ver, w.seen = ver, cur
-		var ups []Update
-		for k, t := range prev {
-			if _, live := cur[k]; !live {
-				ups = append(ups, Update{Insert: false, Tuple: t})
-			}
+	}
+	ups := make([]Update, 0, len(net))
+	for _, u := range net {
+		ups = append(ups, u)
+	}
+	sort.Slice(ups, func(i, j int) bool {
+		if ups[i].Insert != ups[j].Insert {
+			return !ups[i].Insert // deletions first
 		}
-		for k, t := range cur {
-			if _, had := prev[k]; !had {
-				ups = append(ups, Update{Insert: true, Tuple: t})
-			}
-		}
-		if len(ups) == 0 {
-			continue
-		}
-		sort.Slice(ups, func(i, j int) bool {
-			if ups[i].Insert != ups[j].Insert {
-				return !ups[i].Insert // deletions first
-			}
-			return ups[i].Tuple.Key() < ups[j].Tuple.Key()
-		})
-		for _, sub := range s.subs {
-			if sub.pred != pred {
+		return ups[i].Tuple.Key() < ups[j].Tuple.Key()
+	})
+	for _, sub := range s.subs {
+		for _, u := range ups {
+			if u.Tuple.Pred != sub.pred {
 				continue
 			}
-			for _, u := range ups {
-				select {
-				case sub.ch <- u:
-				default:
-					s.subDrops.Inc()
-				}
+			select {
+			case sub.ch <- u:
+			default:
+				s.subDrops.Inc()
 			}
 		}
 	}
 	return end
-}
-
-// tuplesByKey indexes tuples by canonical key.
-func tuplesByKey(ts []eval.Tuple) map[string]eval.Tuple {
-	m := make(map[string]eval.Tuple, len(ts))
-	for _, t := range ts {
-		t = t.Keyed()
-		m[t.Key()] = t
-	}
-	return m
 }

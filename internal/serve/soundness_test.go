@@ -58,7 +58,6 @@ func runSoundnessSchedule(t *testing.T, seed int64) {
 	const (
 		ops       = 120
 		batchSize = 4
-		shards    = 4
 		nodes     = 9 // Grid(3)
 	)
 	opts := Options{
@@ -70,8 +69,8 @@ func runSoundnessSchedule(t *testing.T, seed int64) {
 	oracleOpts.CacheSize = -1 // the oracle: same session, no cache
 
 	cached := openSession(t, soundSrc, opts)
-	// Small and 4-way sharded: constant eviction/refill churn.
-	cached.cache = newShardedCache(16, shards, cached.evictions)
+	// Small: constant eviction/refill churn.
+	cached.cache = newCache(16, cached.evictions)
 	oracle := openSession(t, soundSrc, oracleOpts)
 
 	rng := rand.New(rand.NewSource(seed))

@@ -24,9 +24,10 @@ vet:
 
 # The window/eval index structures are shared per node runtime; the serve
 # layer multiplexes concurrent sessions and wire clients over one
-# cluster; prove them race-free on every verify.
+# cluster, and the admin endpoint samples its metrics beside the syncs;
+# prove them race-free on every verify.
 race:
-	$(GO) test -race ./internal/core/... ./internal/serve/...
+	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

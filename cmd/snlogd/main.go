@@ -84,9 +84,9 @@ func main() {
 	// (pinned by make obs-guard).
 	if *admin != "" {
 		adm, err := export.StartAdmin(*admin, export.Source{
-			Registry: s.Cluster().Registry(),
-			Trace:    s.Cluster().Trace(),
-			Spans:    s.Spans(),
+			Sample: s.Families,
+			Trace:  s.Cluster().Trace(),
+			Spans:  s.Spans(),
 		})
 		if err != nil {
 			fatal(err)

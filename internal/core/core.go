@@ -165,10 +165,9 @@ type Engine struct {
 	windowPreds []string
 	// placements per predicate.
 	placements map[string]ast.Placement
-	// logged counts, per predicate, the reasons its view transitions go
-	// to ResultLog: one for good from a .query declaration, one per live
-	// Watch.
-	logged map[string]int
+	// logged holds the predicates whose view transitions go to
+	// ResultLog: the .query declarations and every Watch.
+	logged map[string]bool
 
 	rts []*nodeRT // per-node runtimes, indexed by NodeID
 	// arena backs the entries of every node's replica store (newStore).
@@ -190,10 +189,6 @@ type Engine struct {
 	// tuples that have one.
 	derived    *eval.Database
 	extraHomes map[string]int
-	// derivedVer counts, per predicate, the changes of its derived set: a
-	// tuple appearing or disappearing, a replay wipe. It only ever grows,
-	// across Replay too.
-	derivedVer map[string]uint64
 
 	// knownPreds is KnownPredKeys(prog): injection validation and
 	// provenance queries check against it.
@@ -233,7 +228,7 @@ type Engine struct {
 	aggEpoch   int64
 
 	// ResultLog records the derived view's transitions of logged
-	// predicates (.query or under Watch) in the order they happen: a
+	// predicates (.query or watched) in the order they happen: a
 	// tuple's entries alternate insert and remove. A holder may drop it
 	// at any time; resultsLogged keeps the lifetime count
 	// (core.results_logged).
@@ -289,11 +284,10 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		finalizePrio: make(map[string]int),
 		windows:      make(map[string]int64),
 		placements:   prog.Placements,
-		logged:       make(map[string]int),
+		logged:       make(map[string]bool),
 		baseIDs:      make(map[string]baseGens),
 		arena:        window.NewArena(),
 		derived:      eval.NewDatabase(),
-		derivedVer:   make(map[string]uint64),
 		aggRules:     make(map[string]*aggRule),
 		aggResults:   make(map[string][]eval.Tuple),
 	}
@@ -319,7 +313,7 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		}
 	}
 	for _, q := range prog.Queries {
-		e.logged[q] = 1
+		e.logged[q] = true
 	}
 	// Window ranges.
 	allPreds := map[string]bool{}
@@ -734,28 +728,18 @@ func (e *Engine) homeRemoved(t eval.Tuple, node nsim.NodeID) {
 }
 
 // viewChanged records that the derived view gained (insert) or lost t:
-// it moves the predicate's change counter and, if the predicate is
-// logged, appends the transition to ResultLog. Every view transition
-// passes here, the replay wipe's included.
+// if the predicate is logged, it appends the transition to ResultLog.
+// Every view transition passes here, the replay wipe's included.
 func (e *Engine) viewChanged(t eval.Tuple, insert bool, node nsim.NodeID) {
-	e.derivedVer[t.Pred]++
-	if e.logged[t.Pred] > 0 {
+	if e.logged[t.Pred] {
 		e.ResultLog = append(e.ResultLog, ResultEvent{Tuple: t, Insert: insert, At: e.nw.Now(), Node: node})
 		e.resultsLogged++
 	}
 }
 
-// Watch logs pred's view transitions to ResultLog until the returned
-// unwatch is called, once. A .query predicate is logged for good;
-// watches of one predicate nest.
-func (e *Engine) Watch(pred string) (unwatch func()) {
-	e.logged[pred]++
-	return func() {
-		if e.logged[pred]--; e.logged[pred] == 0 {
-			delete(e.logged, pred)
-		}
-	}
-}
+// Watch logs pred's view transitions to ResultLog from now on, as a
+// .query declaration does.
+func (e *Engine) Watch(pred string) { e.logged[pred] = true }
 
 // Derived returns the live derived tuples of predKey across the network
 // (union of home-node states), in canonical order.
@@ -766,11 +750,6 @@ func (e *Engine) Derived(predKey string) []eval.Tuple { return e.derived.Tuples(
 // Match builds hash indexes on first use, so concurrent readers serialise
 // their probes.
 func (e *Engine) DerivedDB() *eval.Database { return e.derived }
-
-// DerivedVersion is predKey's change counter: it moves whenever the
-// predicate's derived set does (and on every replay wipe), and never goes
-// back, so an answer read at one value is current while the value holds.
-func (e *Engine) DerivedVersion(predKey string) uint64 { return e.derivedVer[predKey] }
 
 // StoredReplicas returns the total replica entries held at node id (the
 // E9 memory metric).

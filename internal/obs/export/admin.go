@@ -13,14 +13,25 @@ import (
 )
 
 // Source is what the admin server exposes. All fields are optional:
-// a nil Registry serves empty metric pages, a nil Trace an empty
-// trace tail, a nil Spans ring a 404 for every query trace. None of
+// a nil Sample serves empty metric pages, a nil Trace an empty trace
+// tail, a nil Spans ring a 404 for every query trace. Sample takes one
+// registry sample; a registry whose providers read state another
+// goroutine writes needs a guarded one (serve.Session.Families waits
+// for the sync in progress), otherwise Registry.Families does. None of
 // the fields are owned by the server — they are the same live handles
 // the daemon hands its cluster and session.
 type Source struct {
-	Registry *obs.Registry
-	Trace    *obs.Trace
-	Spans    *obs.SpanRing
+	Sample func() obs.Families
+	Trace  *obs.Trace
+	Spans  *obs.SpanRing
+}
+
+// sample takes one registry sample; empty without a Sample.
+func (src Source) sample() obs.Families {
+	if src.Sample == nil {
+		return obs.Families{}
+	}
+	return src.Sample()
 }
 
 // NewHandler builds the admin HTTP handler over src:
@@ -32,13 +43,13 @@ type Source struct {
 //	/trace/query/<id>     span records of one traced query (JSON array)
 //	/debug/pprof/...      net/http/pprof
 //
-// Every handler reads through the atomic registry/ring snapshots the
-// post-run reporters already use; none touches a serve-path lock.
+// The metric pages read one Sample each; the trace pages read the
+// rings' own snapshots. None touches a lock a query holds.
 func NewHandler(src Source) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteMetrics(w, src.Registry)
+		WriteMetrics(w, src.sample())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -47,7 +58,7 @@ func NewHandler(src Source) http.Handler {
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
-		enc.Encode(src.Registry.Snapshot().Counters)
+		enc.Encode(src.sample().Snapshot().Counters)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		f := obs.Filter{Node: obs.AnyNode}

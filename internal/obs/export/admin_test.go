@@ -21,7 +21,7 @@ func adminSource() Source {
 	for _, stage := range []string{"parse", "cache_probe", "eval", "respond"} {
 		sp.Record(obs.Span{Trace: 7, Stage: stage, DurUs: 5})
 	}
-	return Source{Registry: r, Trace: tr, Spans: sp}
+	return Source{Sample: r.Families, Trace: tr, Spans: sp}
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {

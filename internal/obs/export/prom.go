@@ -6,10 +6,10 @@
 // Prometheus with rate() — so the layer runs no goroutine besides the
 // HTTP server.
 //
-// The export path shares no locks with the serve hot path: every surface
-// reads the same atomic Registry snapshot the post-run reporting already
-// uses, so a scrape can never block a query and an unconfigured admin
-// server costs the hot path nothing.
+// The export path shares no locks with the serve read path: the metric
+// pages read one registry sample (Source.Sample), which may wait for a
+// sync but never for a query, so a scrape can never block a query and
+// an unconfigured admin server costs the hot path nothing.
 package export
 
 import (
@@ -41,7 +41,7 @@ func MetricName(name string) string {
 	return string(b)
 }
 
-// WriteMetrics encodes every registered metric in Prometheus text
+// WriteMetrics encodes one registry sample in Prometheus text
 // exposition format (version 0.0.4): live counters as counters, gauges
 // and provider samples as gauges, and histograms as native histogram
 // families — cumulative `_bucket{le="..."}` series (inclusive upper
@@ -50,8 +50,7 @@ func MetricName(name string) string {
 // order; if two registry names sanitize to the same metric name, the
 // first in sort order wins and the rest are dropped (exposing a
 // duplicate family would make the whole page unparseable).
-func WriteMetrics(w io.Writer, r *obs.Registry) error {
-	f := r.Families()
+func WriteMetrics(w io.Writer, f obs.Families) error {
 	bw := bufio.NewWriter(w)
 	seen := make(map[string]bool)
 

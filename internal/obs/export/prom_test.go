@@ -48,7 +48,7 @@ func goldenRegistry() *obs.Registry {
 
 func TestWriteMetricsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenRegistry()); err != nil {
+	if err := WriteMetrics(&buf, goldenRegistry().Families()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "metrics.golden")
@@ -68,7 +68,7 @@ func TestWriteMetricsGolden(t *testing.T) {
 
 func TestWriteMetricsNilRegistry(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, nil); err != nil {
+	if err := WriteMetrics(&buf, (*obs.Registry)(nil).Families()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -130,7 +130,7 @@ func parsePromText(t *testing.T, page string) (types map[string]string, samples 
 
 func TestWriteMetricsParses(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenRegistry()); err != nil {
+	if err := WriteMetrics(&buf, goldenRegistry().Families()); err != nil {
 		t.Fatal(err)
 	}
 	types, samples := parsePromText(t, buf.String())
@@ -170,7 +170,7 @@ func TestWriteMetricsParses(t *testing.T) {
 
 func TestWriteMetricsSorted(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenRegistry()); err != nil {
+	if err := WriteMetrics(&buf, goldenRegistry().Families()); err != nil {
 		t.Fatal(err)
 	}
 	var counterFamilies []string
@@ -190,7 +190,7 @@ func TestWriteMetricsLargeValues(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("big").Add(1 << 62)
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, r); err != nil {
+	if err := WriteMetrics(&buf, r.Families()); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("snl_big %d\n", int64(1)<<62)

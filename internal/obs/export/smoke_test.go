@@ -2,6 +2,7 @@ package export
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -32,8 +33,7 @@ reach(X, Z) :- reach(X, Y), link(Y, Z).
 	}
 	defer s.Close()
 
-	reg := s.Cluster().Registry()
-	adm, err := StartAdmin("127.0.0.1:0", Source{Registry: reg, Spans: s.Spans()})
+	adm, err := StartAdmin("127.0.0.1:0", Source{Sample: s.Families, Spans: s.Spans()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +103,67 @@ reach(X, Z) :- reach(X, Y), link(Y, Z).
 	}
 	if len(samples["snl_serve_query_latency"]) < 4 {
 		t.Errorf("query-latency histogram has no buckets: %v", samples["snl_serve_query_latency"])
+	}
+}
+
+// /metrics and /snapshot sample providers that read the cluster's
+// state, which a sync writes: scraped while a writer syncs, both pages
+// must answer from a sample taken between runs. Run under -race (make
+// race covers this package).
+func TestMetricsScrapeDuringSyncs(t *testing.T) {
+	ctx := context.Background()
+	s, err := serve.Open(ctx, `
+.base link/2.
+reach(X, Y) :- link(X, Y).
+reach(X, Z) :- reach(X, Y), link(Y, Z).
+`, snlog.Grid(3), serve.Options{BatchDelay: -1, Deploy: []snlog.Option{snlog.WithSeed(3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	adm, err := StartAdmin("127.0.0.1:0", Source{Sample: s.Families})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adm.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			l := eval.NewTuple("link", ast.Symbol(fmt.Sprintf("v%d", i)), ast.Symbol(fmt.Sprintf("v%d", i+1)))
+			if err := s.Inject(i%9, l); err != nil {
+				done <- err
+				return
+			}
+			if _, err := s.Sync(ctx); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scrapes == 0 {
+				t.Fatal("no scrape ran beside the syncs")
+			}
+			return
+		default:
+		}
+		for _, path := range []string{"/metrics", "/snapshot"} {
+			resp, err := http.Get("http://" + adm.Addr() + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 || (path == "/metrics" && !strings.Contains(string(body), "snl_nsim_messages")) {
+				t.Fatalf("GET %s: %d %v\n%s", path, resp.StatusCode, err, body)
+			}
+		}
 	}
 }

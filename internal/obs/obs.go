@@ -157,15 +157,17 @@ type Snapshot struct {
 	Counters map[string]int64
 }
 
-// Snapshot flattens one Families sample into a single name → value
-// map. Histograms become "<name>.count/.sum/.max/.p50/.p95/.p99" plus
+// Snapshot flattens one Families sample; it returns an empty snapshot
+// on a nil registry.
+func (r *Registry) Snapshot() Snapshot { return r.Families().Snapshot() }
+
+// Snapshot flattens the sample into a single name → value map.
+// Histograms become "<name>.count/.sum/.max/.p50/.p95/.p99" plus
 // cumulative "<name>.le_<bound>" bucket counters (only .count while
 // empty). On a name collision a gauge or provider emission overwrites
 // a histogram-derived name, which overwrites a live counter — by
-// convention the families use disjoint names. Returns an empty
-// snapshot on a nil registry.
-func (r *Registry) Snapshot() Snapshot {
-	f := r.Families()
+// convention the families use disjoint names.
+func (f Families) Snapshot() Snapshot {
 	s := Snapshot{Counters: make(map[string]int64, len(f.Counters)+len(f.Gauges))}
 	maps.Copy(s.Counters, f.Counters)
 	for name, h := range f.Hists {

@@ -10,18 +10,18 @@ import (
 
 // cache is the point-query result cache: one mutex-guarded LRU of at
 // most max entries. An entry is keyed on the canonical goal
-// (core.AppendCanonicalGoal) and stamped with the goal predicate's change
-// counter (Engine.DerivedVersion) as read when the answer was probed.
+// (core.AppendCanonicalGoal) and stamped with the goal predicate's
+// publish counter (Session.ver) as read when the answer was probed.
 // It is a hit exactly while the counter has not moved: the counter
-// moves whenever the predicate's derived set does, so a hit is what a
-// fresh probe would return, and a write that changes only other
-// predicates evicts nothing. A stale entry goes (and is counted as an
-// eviction) when a lookup finds it.
+// moves whenever a publish changes the predicate's tuples, so a hit is
+// what a fresh probe of the published view would return, and a write
+// that changes only other predicates evicts nothing. A stale entry goes
+// (and is counted as an eviction) when a lookup finds it.
 //
-// get and put run in the session's read phase: the deployment is
-// quiescent, so the counter a reader holds belongs to the answer it
-// stores, and two concurrent puts for one goal store equal answers. The
-// mutex orders the readers.
+// get and put run holding the session's mu shared: no publish runs, so
+// the counter a reader holds belongs to the answer it stores, and two
+// concurrent puts for one goal store equal answers. The mutex orders
+// the readers.
 //
 // The nil cache (caching disabled) is a valid no-op receiver.
 type cache struct {
@@ -35,9 +35,9 @@ type cache struct {
 // cacheEntry is one cached point-query answer.
 type cacheEntry struct {
 	key     string
-	pred    string       // the goal's predicate key: ver is its change counter
+	pred    string       // the goal's predicate key: ver is its publish counter
 	answers []eval.Tuple // immutable once stored; callers copy
-	ver     uint64       // the goal predicate's change counter at the probe
+	ver     uint64       // the goal predicate's publish counter at the probe
 	elem    *list.Element
 
 	// wire is the answers' wire encoding (appendAnswer, nil for none),
@@ -62,12 +62,12 @@ func newCache(max int, evictions *obs.Counter) *cache {
 	return &cache{max: max, entries: make(map[string]*cacheEntry), lru: list.New(), evictions: evictions}
 }
 
-// get returns the entry for key if its predicate's counter, as version
-// reads it, still equals the entry's (and marks it recently used), or
+// get returns the entry for key if its predicate's counter in ver
+// still equals the entry's (and marks it recently used), or
 // nil; an entry from an earlier counter value is evicted. The returned
 // entry's fields are immutable; callers copy answers before handing
 // them out. A hit allocates nothing: key is looked up in place.
-func (c *cache) get(key []byte, version func(pred string) uint64) *cacheEntry {
+func (c *cache) get(key []byte, ver map[string]uint64) *cacheEntry {
 	if c == nil {
 		return nil
 	}
@@ -77,7 +77,7 @@ func (c *cache) get(key []byte, version func(pred string) uint64) *cacheEntry {
 	if e == nil {
 		return nil
 	}
-	if e.ver != version(e.pred) {
+	if e.ver != ver[e.pred] {
 		c.remove(e, true)
 		return nil
 	}

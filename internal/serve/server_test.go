@@ -15,7 +15,12 @@ import (
 
 func startServer(t *testing.T, src string) (*Server, *Session) {
 	t.Helper()
-	s := openSession(t, src, Options{})
+	return startServerOpts(t, src, Options{})
+}
+
+func startServerOpts(t *testing.T, src string, opts Options) (*Server, *Session) {
+	t.Helper()
+	s := openSession(t, src, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

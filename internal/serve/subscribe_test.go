@@ -14,9 +14,8 @@ import (
 	"repro/internal/nsim"
 )
 
-// subSrc has a .query predicate, which the engine logs for good, and
-// one no .query names, which it logs only while a subscription watches
-// it.
+// subSrc has a .query predicate and one no .query names; a serving
+// session logs both.
 const subSrc = `
 .base link/2.
 .base down/1.
@@ -72,8 +71,8 @@ func (f *follower) catchUp(t *testing.T, s *Session, when string) {
 // setDown crashes (down) or recovers a node between syncs, while the
 // deployment is quiescent.
 func setDown(s *Session, node int, down bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	s.c.Engine.Network().Node(nsim.NodeID(node)).Down = down
 }
 
@@ -82,7 +81,7 @@ func setDown(s *Session, node int, down bool) {
 // of deliveries and two of whose nodes are down for a stretch of the
 // schedule: after every sync, a subscriber that applies the sync's
 // updates to its copy holds exactly Results of its predicate, for a
-// .query predicate and for one only the subscription logs. Links only
+// .query predicate and for one no .query names. Links only
 // go from a lower to a higher name: on a cyclic link graph Replay does
 // not quiesce (CHANGES.md).
 func TestSubscriptionFollowsResults(t *testing.T) {

@@ -203,10 +203,11 @@ func TestHotQueryAllocs(t *testing.T) {
 // TestQueryAllocs pins what a query allocates in-process, where the
 // server's share of it is paid: a cache hit makes at most one
 // allocation (the goal literal's argument slice), Query adds only the
-// copy of the answer it hands out, and a miss with the cache off —
-// goal parse, one indexed probe, the match of every candidate and the
-// sort — stays under 20 for each of BenchmarkColdQuery's shapes. All
-// are counts, no wall clock; `make obs-guard` runs it.
+// copy of the answer it hands out, a publish's sweep of the cache makes
+// none, and a miss with the cache off — goal parse, one indexed probe,
+// the match of every candidate and the sort — stays under 20 for each
+// of BenchmarkColdQuery's shapes. All are counts, no wall clock;
+// `make obs-guard` runs it.
 func TestQueryAllocs(t *testing.T) {
 	ctx := context.Background()
 	s := chainSession(t, 0)
@@ -230,6 +231,19 @@ func TestQueryAllocs(t *testing.T) {
 	}
 	if query != hit+1 {
 		t.Errorf("Query allocates %.1f objects, want Session.query's %.1f + the answer copy", query, hit)
+	}
+	for _, sh := range coldShapes {
+		if _, err := s.Query(ctx, sh.goal(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	entries := len(s.cache)
+	sweep := testing.AllocsPerRun(200, func() { s.dropCached([]string{"link/2"}) }) // no entry is link/2's
+	s.mu.Unlock()
+	t.Logf("publish sweep of %d entries: %.1f allocs", entries, sweep)
+	if sweep != 0 {
+		t.Errorf("a publish's sweep of the cache allocates %.1f objects, want 0", sweep)
 	}
 
 	cold := chainSession(t, -1)

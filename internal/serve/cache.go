@@ -1,44 +1,29 @@
 package serve
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/datalog/eval"
-	"repro/internal/obs"
 )
 
-// cache is the point-query result cache: one mutex-guarded LRU of at
-// most max entries. An entry is keyed on the canonical goal
-// (core.AppendCanonicalGoal) and stamped with the goal predicate's
-// publish counter (Session.ver) as read when the answer was probed.
-// It is a hit exactly while the counter has not moved: the counter
-// moves whenever a publish changes the predicate's tuples, so a hit is
-// what a fresh probe of the published view would return, and a write
-// that changes only other predicates evicts nothing. A stale entry goes
-// (and is counted as an eviction) when a lookup finds it.
-//
-// get and put run holding the session's mu shared: no publish runs, so
-// the counter a reader holds belongs to the answer it stores, and two
-// concurrent puts for one goal store equal answers. The mutex orders
-// the readers.
-//
-// The nil cache (caching disabled) is a valid no-op receiver.
-type cache struct {
-	mu        sync.Mutex
-	max       int
-	entries   map[string]*cacheEntry
-	lru       *list.List // front = most recently used; values are *cacheEntry
-	evictions *obs.Counter
-}
+// The point-query result cache is Session.cache: answers probed from
+// the published view, keyed on the canonical goal
+// (core.AppendCanonicalGoal). The view and the cache are one piece of
+// state under Session.mu. A query looks its goal up and, on a miss,
+// probes the view and stores the answer, all holding mu; a publish
+// applies its net transitions and, in the same section, drops every
+// entry of a predicate they touched (dropCached). So a hit is what a
+// fresh probe of the published view would return, and a write that
+// changes only other predicates drops nothing. There is no recency
+// order: storing into a full cache (Options.CacheSize entries) empties
+// it first. Every dropped entry counts in serve.cache.evictions.
 
-// cacheEntry is one cached point-query answer.
+// cacheEntry is one point-query answer: the cached one on a hit, a
+// miss's fresh one otherwise (stored unless the cache is off).
 type cacheEntry struct {
-	key     string
-	pred    string       // the goal's predicate key: ver is its publish counter
-	answers []eval.Tuple // immutable once stored; callers copy
-	ver     uint64       // the goal predicate's publish counter at the probe
-	elem    *list.Element
+	pred    string       // the goal's predicate key
+	answers []eval.Tuple // immutable once probed; callers copy
 
 	// wire is the answers' wire encoding (appendAnswer, nil for none),
 	// rendered once, by the entry's first wire read.
@@ -57,57 +42,25 @@ func (e *cacheEntry) encoded() []byte {
 	return e.wire
 }
 
-// newCache builds a cache of at most max entries.
-func newCache(max int, evictions *obs.Counter) *cache {
-	return &cache{max: max, entries: make(map[string]*cacheEntry), lru: list.New(), evictions: evictions}
+// store caches e under key, emptying the cache first if it is full.
+// Caller holds mu.
+func (s *Session) store(key string, e *cacheEntry) {
+	if len(s.cache) >= s.opts.CacheSize {
+		s.evictions.Add(int64(len(s.cache)))
+		clear(s.cache)
+	}
+	s.cache[key] = e
 }
 
-// get returns the entry for key if its predicate's counter in ver
-// still equals the entry's (and marks it recently used), or
-// nil; an entry from an earlier counter value is evicted. The returned
-// entry's fields are immutable; callers copy answers before handing
-// them out. A hit allocates nothing: key is looked up in place.
-func (c *cache) get(key []byte, ver map[string]uint64) *cacheEntry {
-	if c == nil {
-		return nil
+// dropCached drops the entries of every predicate in touched: one
+// sweep of the cache, allocating nothing. Caller holds mu.
+func (s *Session) dropCached(touched []string) {
+	dropped := 0
+	for k, e := range s.cache {
+		if slices.Contains(touched, e.pred) {
+			delete(s.cache, k)
+			dropped++
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[string(key)]
-	if e == nil {
-		return nil
-	}
-	if e.ver != ver[e.pred] {
-		c.remove(e, true)
-		return nil
-	}
-	c.lru.MoveToFront(e.elem)
-	return e
-}
-
-// put stores an entry, evicting the least recently used entry past
-// capacity.
-func (c *cache) put(e *cacheEntry) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old := c.entries[e.key]; old != nil {
-		c.remove(old, false)
-	}
-	e.elem = c.lru.PushFront(e)
-	c.entries[e.key] = e
-	for len(c.entries) > c.max {
-		c.remove(c.lru.Back().Value.(*cacheEntry), true)
-	}
-}
-
-// remove drops an entry; caller holds the lock.
-func (c *cache) remove(e *cacheEntry, count bool) {
-	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
-	if count {
-		c.evictions.Inc()
-	}
+	s.evictions.Add(int64(dropped))
 }

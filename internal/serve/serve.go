@@ -14,13 +14,15 @@
 // A sync runs the cluster to quiescence without holding readers off;
 // only its last step, publishing the sync's net view transitions
 // (core.Engine.ResultLog) to the session's own copy of the derived set,
-// is exclusive. Any number of queries probe that copy concurrently, and
-// never wait for a run: Query waits only for the flush of writes
-// acknowledged before it, and QueryStale opts into answering from the
-// last published set with a reported freshness bound instead. Repeated
-// queries hit an LRU result cache keyed on the canonical goal; an entry
-// is good while the goal predicate's publish counter stands still
-// (cache.go). Subscribers are fed the same net transitions.
+// takes the lock queries take. That copy and the answers cached from it
+// are one piece of state under one mutex: a query holds it for its
+// cache lookup and, on a miss, for the probe and the store; a publish
+// holds it to apply the transitions and drop the cached answers of
+// every predicate they touched (cache.go). No query waits for a run:
+// Query waits only for the flush of writes acknowledged before it, and
+// QueryStale opts into answering from the last published set with a
+// reported freshness bound instead. Subscribers are fed the same net
+// transitions.
 //
 // Command snlogd exposes the same operations to many concurrent
 // clients over newline-delimited JSON on TCP (server.go); Client is
@@ -151,43 +153,35 @@ type writeOp struct {
 // Concurrency contract: runMu serialises everything that drives or
 // walks the engine — a flush (apply the batch, run to quiescence),
 // Replay, Explain, Subscribe, Close and the metric samples — and guards
-// subs. Readers never take it. mu guards what readers read (view, ver,
-// closed, and the freshness horizon they report): queries hold it
-// shared, and a sync holds it exclusively only to publish — to apply
-// its net transitions to view and move ver — which is the one exclusive
-// section. Writes validate under mu shared, append to the buffer under
-// bmu, and return; only the flush pays the sync. Lock order: runMu, mu,
-// bmu.
+// subs. Queries never take it. mu guards what queries read: view, cache
+// and the freshness horizon they report. A query holds it for its
+// lookup and, on a miss, for the probe of view (which may build an
+// index) and the store; a sync holds it only to publish. Writes
+// validate against the immutable program and topology without a lock,
+// append to the buffer under bmu, and return; only the flush pays the
+// sync. Lock order: runMu, mu, bmu.
 type Session struct {
 	runMu  sync.Mutex
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	c      *snlog.Cluster
 	prog   *ast.Program
 	known  map[string]bool // core.KnownPredKeys(prog), computed once
 	opts   Options
-	closed bool // written holding runMu and mu; read holding either
+	closed atomic.Bool // stored holding runMu and bmu
 
 	// view is the derived set as of the last publish: the session's copy
-	// of the engine's view, sharing its immutable tuples. ver counts, per
-	// predicate, the publishes that changed its tuples. Both move only
-	// under mu held exclusively.
-	view *eval.Database
-	ver  map[string]uint64
-
-	cache *cache
-	// probeMu serialises cache-miss probes of view: a probe builds the
-	// hash index over its binding pattern on first use, the one mutation
-	// on the read path. Only the probe is held under it — not the copy,
-	// not the encode — and publish never takes it.
-	probeMu sync.Mutex
+	// of the engine's view, sharing its immutable tuples. cache holds
+	// answers probed from it (cache.go). Both are guarded by mu.
+	view  *eval.Database
+	cache map[string]*cacheEntry
 
 	subs    map[int]*Subscription
 	nextSub int
 
 	// Write buffer. bmu orders enqueues against drains; enqSeq is the
 	// last accepted write's sequence number (stored while bmu is
-	// held), appliedSeq the last one published (stored while mu is held
-	// exclusively). Lag = enqSeq - appliedSeq.
+	// held), appliedSeq the last one published (stored while mu is
+	// held). Lag = enqSeq - appliedSeq.
 	bmu        sync.Mutex
 	pending    []writeOp
 	nextSeq    int64 // under bmu
@@ -198,7 +192,7 @@ type Session struct {
 	kick chan struct{} // wakes the deadline flusher on 0->1 buffer
 	done chan struct{} // closed by Close; stops the flusher
 
-	readers    atomic.Int64 // queries currently holding mu shared
+	readers    atomic.Int64 // queries waiting on or holding mu
 	readerPeak atomic.Int64
 
 	// Per-query tracing: every Query/QueryStale/Explain ingress gets a
@@ -259,7 +253,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 		prog:  prog,
 		known: core.KnownPredKeys(prog),
 		opts:  opts,
-		ver:   make(map[string]uint64),
+		cache: make(map[string]*cacheEntry),
 		subs:  make(map[int]*Subscription),
 		kick:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
@@ -294,9 +288,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	}
 	reg.Gauge("serve.read_concurrency", func() int64 { return s.readers.Load() })
 	reg.Gauge("serve.read_concurrency.peak", func() int64 { return s.readerPeak.Load() })
-	if opts.CacheSize > 0 {
-		s.cache = newCache(opts.CacheSize, s.evictions)
-	}
 	// Every derived predicate's view transitions are logged from here on;
 	// the initial quiescent set (program-declared facts settle here) is
 	// copied whole. No reader, writer or subscriber exists yet, so this
@@ -345,13 +336,13 @@ func (s *Session) Lag() int64 { return s.enqSeq.Load() - s.appliedSeq.Load() }
 func (s *Session) Close() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil
 	}
-	// Closed first, so no write is accepted after the drain.
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	// Closed first, under bmu, so no write is appended after the drain.
+	s.bmu.Lock()
+	s.closed.Store(true)
+	s.bmu.Unlock()
 	s.flushLocked(flushExplicit)
 	for _, sub := range s.subs {
 		sub.detach()
@@ -391,24 +382,21 @@ func (s *Session) DeleteAt(at int64, node int, t eval.Tuple) error {
 // caller flushes synchronously, otherwise the first write of a batch
 // arms the deadline flusher.
 func (s *Session) enqueue(kind opKind, at int64, node int, t eval.Tuple) (int64, error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return 0, ErrClosed
-	}
 	if err := s.c.Validate(node, t); err != nil {
-		s.mu.RUnlock()
 		return 0, err
 	}
 	t = t.Keyed()
 	s.bmu.Lock()
+	if s.closed.Load() {
+		s.bmu.Unlock()
+		return 0, ErrClosed
+	}
 	s.nextSeq++
 	seq := s.nextSeq
 	s.pending = append(s.pending, writeOp{seq: seq, kind: kind, at: at, node: node, tuple: t})
 	n := len(s.pending)
 	s.enqSeq.Store(seq)
 	s.bmu.Unlock()
-	s.mu.RUnlock()
 	s.batchWrites.Inc()
 	if n >= s.opts.BatchSize {
 		// This writer pays the coalesced apply+sync for the whole
@@ -454,7 +442,7 @@ func (s *Session) flusher() {
 func (s *Session) flush(reason int) (int64, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return 0, ErrClosed
 	}
 	return s.flushLocked(reason), nil
@@ -511,7 +499,7 @@ func (s *Session) applyLocked(op writeOp) {
 func (s *Session) Replay() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	s.flushLocked(flushExplicit)
@@ -580,8 +568,8 @@ func (s *Session) Spans() *obs.SpanRing { return s.spans }
 // otherwise from an indexed probe of the derived set the network
 // maintains, as last published (bound arguments pick the index).
 // Answers come back in canonical order; the returned slice is the
-// caller's to keep. Concurrent queries proceed in parallel, and beside
-// a sync.
+// caller's to keep. Queries proceed beside a sync; concurrent queries
+// take turns only for the lookup and, on a miss, the probe.
 func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) {
 	answers, _, err := s.QueryStale(ctx, goal, 0)
 	return answers, err
@@ -636,35 +624,32 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 			return nil, Freshness{}, qt.id, err
 		}
 	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	if s.closed.Load() {
 		return nil, Freshness{}, qt.id, ErrClosed
 	}
-	s.enterRead()
 	s.queries.Inc()
 	// The key renders into a stack buffer: only a miss, storing its
 	// entry, makes it a string.
 	var keyBuf [128]byte
 	key := core.AppendCanonicalGoal(keyBuf[:0], lit)
-	e := s.cache.get(key, s.ver)
+	s.enterRead()
+	s.mu.Lock()
+	e := s.cache[string(key)]
 	if e != nil {
 		s.hits.Inc()
 		qt.step(stCacheProbe, "hit")
 	} else {
 		s.misses.Inc()
 		qt.step(stCacheProbe, "miss")
-		pred := lit.PredKey()
-		e = &cacheEntry{key: string(key), pred: pred, ver: s.ver[pred]}
-		s.probeMu.Lock()
-		e.answers = s.view.Match(lit)
-		s.probeMu.Unlock()
+		e = &cacheEntry{pred: lit.PredKey(), answers: s.view.Match(lit)}
 		qt.step(stEval, "")
-		s.cache.put(e)
+		if s.opts.CacheSize > 0 {
+			s.store(string(key), e)
+		}
 	}
 	fr := Freshness{Lag: s.Lag(), AsOf: s.lastEnd.Load()}
+	s.mu.Unlock()
 	s.readers.Add(-1)
-	s.mu.RUnlock()
 	if fr.Lag > 0 {
 		s.staleServed.Inc()
 	}
@@ -673,9 +658,9 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 	return e, fr, qt.id, nil
 }
 
-// enterRead tracks read-phase concurrency for the
-// serve.read_concurrency gauges. Caller holds mu shared and pairs
-// this with readers.Add(-1).
+// enterRead counts a query in flight for the serve.read_concurrency
+// gauges: from just before it asks for mu until just after it lets go.
+// Caller pairs this with readers.Add(-1).
 func (s *Session) enterRead() {
 	cur := s.readers.Add(1)
 	for {
@@ -719,7 +704,7 @@ func (s *Session) explain(ctx context.Context, goal string, tid int64) (*snlog.E
 	}
 	qt.step(stParse, "")
 	s.runMu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.runMu.Unlock()
 		return nil, qt.id, ErrClosed
 	}
@@ -742,7 +727,7 @@ func (s *Session) explain(ctx context.Context, goal string, tid int64) (*snlog.E
 func (s *Session) Subscribe(pred string) (*Subscription, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if !s.prog.IsDerived(pred) {
@@ -806,10 +791,10 @@ func (sub *Subscription) detach() {
 // netted per tuple: a tuple's transitions alternate insert and remove,
 // so an even count of them cancels and an odd count leaves its first.
 // Publishing applies the net transitions, deletions first and then in
-// key order, to view and moves ver — the only step that holds readers
-// off — and then fans them out to subscribers in the same order. The
-// log is dropped either way, so a long-lived session keeps none of it.
-// Caller holds runMu.
+// key order, to view and drops the cached answers of every predicate
+// they touched — the only step that holds queries off — and then fans
+// them out to subscribers in the same order. The log is dropped either
+// way, so a long-lived session keeps none of it. Caller holds runMu.
 func (s *Session) runLocked(seq int64) int64 {
 	end := s.c.Run()
 	log := s.c.Engine.ResultLog
@@ -824,8 +809,13 @@ func (s *Session) runLocked(seq int64) int64 {
 		}
 	}
 	ups := make([]Update, 0, len(net))
+	var predBuf [8]string
+	touched := predBuf[:0] // the distinct predicates of ups
 	for _, u := range net {
 		ups = append(ups, u)
+		if !slices.Contains(touched, u.Tuple.Pred) {
+			touched = append(touched, u.Tuple.Pred)
+		}
 	}
 	slices.SortFunc(ups, func(a, b Update) int {
 		if a.Insert != b.Insert {
@@ -843,8 +833,8 @@ func (s *Session) runLocked(seq int64) int64 {
 		} else {
 			s.view.Delete(u.Tuple)
 		}
-		s.ver[u.Tuple.Pred]++
 	}
+	s.dropCached(touched)
 	s.appliedSeq.Store(seq)
 	s.lastEnd.Store(end)
 	s.mu.Unlock()

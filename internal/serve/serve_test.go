@@ -140,10 +140,16 @@ func TestDeletionInvalidation(t *testing.T) {
 			snap.Get("serve.cache.hits"), snap.Get("serve.cache.misses"), snap.Get("serve.cache.evictions"))
 	}
 
-	// link(b, c) supports reach(a, c): reach/2 changes, the entry is
-	// stale and the re-query probes again.
+	// link(b, c) supports reach(a, c): reach/2 changes, the publish
+	// drops the entry and the re-query probes again.
 	if err := s.DeleteAt(200, 0, link("b", "c")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Snapshot().Get("serve.cache.evictions") == 0 {
+		t.Error("the publish that changed reach/2 did not evict its entry")
 	}
 	got := answers(t, s, "reach(a, X)")
 	if len(got) != 1 || got[0].Args[1].Str != "b" {
@@ -475,24 +481,38 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	s := openSession(t, reachSrc, Options{})
-	s.cache = newCache(2, s.evictions)
+// A full cache empties before it stores: at CacheSize 2 the third goal
+// drops both entries, counted as evictions, and is then stored alone;
+// every answer stays right.
+func TestCacheEmptiesWhenFull(t *testing.T) {
+	s := openSession(t, reachSrc, Options{CacheSize: 2})
 	for _, l := range []eval.Tuple{link("a", "b"), link("b", "c"), link("c", "d")} {
 		if err := s.Inject(0, l); err != nil {
 			t.Fatal(err)
 		}
 	}
-	answers(t, s, "reach(a, X)")
-	answers(t, s, "reach(b, X)")
-	answers(t, s, "reach(c, X)") // evicts reach(a, X)
+	want := map[string]int{"reach(a, X)": 3, "reach(b, X)": 2, "reach(c, X)": 1}
+	ask := func(goal string) {
+		t.Helper()
+		if got := answers(t, s, goal); len(got) != want[goal] {
+			t.Fatalf("%s = %v, want %d answers", goal, got, want[goal])
+		}
+	}
+	ask("reach(a, X)")
+	ask("reach(b, X)")
+	ask("reach(a, X)") // hit: the cache holds 2, its capacity
 	if s.cacheLen() != 2 {
 		t.Fatalf("cache len = %d, want 2", s.cacheLen())
 	}
-	answers(t, s, "reach(a, X)") // miss again
+	ask("reach(c, X)") // empties the cache, then is stored
+	if s.cacheLen() != 1 {
+		t.Fatalf("cache len after the third goal = %d, want 1", s.cacheLen())
+	}
+	ask("reach(a, X)") // miss: emptied with the rest
+	ask("reach(a, X)") // hit
 	snap := s.Snapshot()
-	if snap.Get("serve.cache.misses") != 4 {
-		t.Errorf("misses = %d, want 4 (LRU evicted the oldest)", snap.Get("serve.cache.misses"))
+	if h, m, e := snap.Get("serve.cache.hits"), snap.Get("serve.cache.misses"), snap.Get("serve.cache.evictions"); h != 2 || m != 4 || e != 2 {
+		t.Errorf("hits=%d misses=%d evictions=%d, want 2, 4 and 2", h, m, e)
 	}
 }
 
@@ -530,32 +550,52 @@ func TestQueryContextCancelled(t *testing.T) {
 
 // Many goroutine "clients" interleaving queries, injections, deletions
 // and subscriptions against one session. Run under -race; correctness
-// of the final answer is checked after the storm settles.
+// of the final answer is checked after the storm settles. At CacheSize 2
+// the cache is always full, so emptying it interleaves with misses that
+// build indexes of the view, hits and publishes.
 func TestConcurrentClients(t *testing.T) {
-	s := openSession(t, reachSrc, Options{})
+	for _, size := range []int{0, 2} {
+		t.Run(fmt.Sprintf("cache=%d", size), func(t *testing.T) {
+			concurrentClients(t, Options{CacheSize: size})
+		})
+	}
+}
+
+func concurrentClients(t *testing.T, opts Options) {
+	s := openSession(t, reachSrc, opts)
 	const clients = 8
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	start := make(chan struct{})
 	ctx := context.Background()
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			a := fmt.Sprintf("c%d", id)
 			b := fmt.Sprintf("c%d", (id+1)%clients)
 			sub, err := s.Subscribe("reach/2")
+			ready.Done()
 			if err != nil {
 				t.Errorf("client %d subscribe: %v", id, err)
 				return
 			}
 			defer sub.Close()
+			<-start
 			for j := 0; j < 10; j++ {
-				if err := s.Inject(id%9, link(a, b)); err != nil {
-					t.Errorf("client %d inject: %v", id, err)
-				}
 				// Four binding patterns, so that readers that missed build
 				// different indexes of the derived set at the same time.
 				goal := [...]string{"reach(A, X)", "reach(X, A)", "reach(A, A)", "reach(X, Y)"}[(id+j)%4]
-				if _, err := s.Query(ctx, strings.ReplaceAll(goal, "A", a)); err != nil {
+				goal = strings.ReplaceAll(goal, "A", a)
+				// Stale, so it waits for no flush: the clients' first misses
+				// build the view's indexes together.
+				if _, _, err := s.QueryStale(ctx, goal, -1); err != nil {
+					t.Errorf("client %d stale query: %v", id, err)
+				}
+				if err := s.Inject(id%9, link(a, b)); err != nil {
+					t.Errorf("client %d inject: %v", id, err)
+				}
+				if _, err := s.Query(ctx, goal); err != nil {
 					t.Errorf("client %d query: %v", id, err)
 				}
 				if j%3 == 2 {
@@ -574,6 +614,8 @@ func TestConcurrentClients(t *testing.T) {
 			}
 		}(i)
 	}
+	ready.Wait()
+	close(start)
 	wg.Wait()
 	// Every client ends its loop with the edge live (last delete at
 	// j==8, re-injected at j==9): full ring reachability.
@@ -582,18 +624,21 @@ func TestConcurrentClients(t *testing.T) {
 		t.Errorf("final reach(c0, X) = %d answers, want %d (full ring)", len(got), clients)
 	}
 	snap := s.Snapshot()
-	if q := snap.Get("serve.queries"); q != int64(clients*10+1) {
-		t.Errorf("serve.queries = %d, want %d", q, clients*10+1)
+	if q := snap.Get("serve.queries"); q != int64(clients*20+1) {
+		t.Errorf("serve.queries = %d, want %d", q, clients*20+1)
 	}
+	if peak := s.readerPeak.Load(); peak < 1 {
+		t.Errorf("serve.read_concurrency.peak = %d, want >= 1", peak)
+	}
+	t.Logf("hits %d, misses %d, evictions %d, read-concurrency peak %d", snap.Get("serve.cache.hits"),
+		snap.Get("serve.cache.misses"), snap.Get("serve.cache.evictions"), s.readerPeak.Load())
 }
 
 // cacheLen is the live entry count.
 func (s *Session) cacheLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	return len(s.cache.entries)
+	return len(s.cache)
 }
 
 // Writes coalesce: BatchSize writes trigger exactly one apply+sync
@@ -736,39 +781,6 @@ func TestBatchDeadlineFlush(t *testing.T) {
 	}
 	if len(got) != 1 || fr.Lag != 0 {
 		t.Errorf("after deadline flush: %d answers lag %d, want 1 answer lag 0", len(got), fr.Lag)
-	}
-}
-
-// Readers really do share the session: a Query completes while another
-// goroutine holds the session's read lock (mu shared), which the old
-// single-mutex design would deadlock on (deterministic, not timing
-// dependent: the lock is held for the whole query). The deadline
-// flusher is off: armed by the Inject, its publish could ask for mu
-// exclusively while the test holds it shared, and a waiting writer
-// holds back every new reader (sync.RWMutex), the query's included.
-func TestQueriesProceedUnderSharedLock(t *testing.T) {
-	s := openSession(t, reachSrc, Options{BatchDelay: -1})
-	if err := s.Inject(0, link("a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	answers(t, s, "reach(a, X)") // flush + warm the cache
-	s.mu.RLock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got := answers(t, s, "reach(a, X)"); len(got) != 1 {
-			t.Errorf("concurrent read = %v", got)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		s.mu.RUnlock()
-		t.Fatal("query blocked behind a concurrent reader: read path is not shared")
-	}
-	s.mu.RUnlock()
-	if peak := s.readerPeak.Load(); peak < 1 {
-		t.Errorf("serve.read_concurrency.peak = %d, want >= 1", peak)
 	}
 }
 

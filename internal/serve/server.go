@@ -106,8 +106,6 @@ type connState struct {
 	wmu sync.Mutex
 	buf []byte // the frame being written, reused under wmu
 
-	ans []byte // a cache-off answer's encoding; the handler's own
-
 	smu  sync.Mutex
 	subs map[int64]*Subscription
 	wg   sync.WaitGroup
@@ -163,8 +161,7 @@ func (srv *Server) handle(conn net.Conn) {
 }
 
 // dispatch runs one request. A query's tuples come back encoded: the
-// cache entry's memo, or — with the cache off — rendered afresh into
-// the handler's own buffer.
+// answer entry's memo.
 func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 	s := cs.srv.s
 	ctx := context.Background()
@@ -180,12 +177,7 @@ func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 		if err != nil {
 			return errResponse(err), nil
 		}
-		resp := &Response{OK: true, Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}
-		if s.cache == nil && len(e.answers) > 0 {
-			cs.ans = appendAnswer(cs.ans[:0], e.answers)
-			return resp, cs.ans
-		}
-		return resp, e.encoded()
+		return &Response{OK: true, Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}, e.encoded()
 	case "inject", "inject_at", "delete_at":
 		t, err := ParseFact(req.Arg)
 		if err != nil {

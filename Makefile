@@ -122,11 +122,12 @@ profile:
 trace-e1:
 	$(GO) run ./cmd/snbench -trace trace_e1.jsonl
 
-# Record the snbench outputs a behaviour-preserving change must leave
-# byte-identical in $(GOLDENS): the quick sweep with its "(N.NNs)"
+# Record the outputs a behaviour-preserving change must leave
+# byte-identical in $(GOLDENS): snbench's quick sweep with its "(N.NNs)"
 # wall-time headers stripped, the observed-E1 trace (summary and JSONL),
-# one explained tuple and the histograms. A refactor compares them with
-# its parent's: `make goldens-diff BASE=<parent>`.
+# one explained tuple and the histograms, and what each examples/*
+# program prints (all are seeded). A refactor compares them with its
+# parent's: `make goldens-diff BASE=<parent>`.
 GOLDENS ?= goldens
 
 goldens:
@@ -137,18 +138,23 @@ goldens:
 	cd $(GOLDENS) && ./snbench.bin -explain 'j(n3,3)' > explain.txt
 	cd $(GOLDENS) && ./snbench.bin -hist > hist.txt
 	rm $(GOLDENS)/snbench.bin
+	for ex in examples/*/; do n=$$(basename $$ex); \
+		$(GO) build -o $(GOLDENS)/$$n.bin ./$$ex && (cd $(GOLDENS) && ./$$n.bin > example_$$n.txt) && \
+		rm $(GOLDENS)/$$n.bin || exit 1; done
 
 # Record the goldens at BASE (any commit, branch or tag; default HEAD,
 # i.e. the last commit against the working tree) and here, and diff
 # them: BASE's are made in a git clone of this repository in a temporary
-# directory, removed afterwards. The clone is local; nothing is fetched.
-# Exits nonzero, printing the differences, when any output differs.
+# directory, removed afterwards, by this Makefile's goldens recipe, so
+# both sides record the same outputs. The clone is local; nothing is
+# fetched. Exits nonzero, printing the differences, when any output
+# differs.
 BASE ?= HEAD
 
 goldens-diff:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	git clone -q . "$$tmp/base" && git -C "$$tmp/base" checkout -q $(BASE) && \
-	$(MAKE) -s -C "$$tmp/base" goldens GO=$(GO) && \
+	$(MAKE) -s -C "$$tmp/base" -f $(CURDIR)/Makefile goldens GO=$(GO) && \
 	$(MAKE) -s goldens && \
 	diff -r "$$tmp/base/goldens" $(GOLDENS) && echo "goldens at $(BASE) and here are identical"
 

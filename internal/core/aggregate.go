@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/datalog/ast"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/datalog/eval"
 	"repro/internal/datalog/unify"
 	"repro/internal/nsim"
-	"repro/internal/routing"
 )
 
 // TAG-style in-network aggregation (Section IV-C points at TAG [32] for
@@ -18,12 +18,13 @@ import (
 //
 //	short(X, min<D>) :- path(X, D), D < 100.
 //
-// is not evaluated by the join machinery; instead the sink triggers an
-// epoch: a tree-building flood establishes parents and depths, every
-// node folds the tuples it *owns* (tuples whose generation stamp names
-// it — exactly one owner per tuple network-wide) into per-group partial
-// states, and partials merge hop-by-hop up the tree in depth-staggered
-// slots. The sink extracts the final groups.
+// is compiled like every rule (compileRules) but joins nothing and
+// triggers nothing; instead the sink triggers an epoch: a tree-building
+// flood establishes parents and depths, every node folds the tuples it
+// *owns* (tuples whose generation stamp names it — exactly one owner per
+// tuple network-wide) into per-group partial states on the rule's
+// compiled registers, and partials merge hop-by-hop up the tree in
+// depth-staggered slots. The sink extracts the final groups.
 
 // Message kinds for aggregation epochs.
 const (
@@ -35,7 +36,7 @@ const (
 
 type aggBuildMsg struct {
 	Epoch string
-	Pred  string // head predicate key of the aggregate rule
+	Pred  *pred // head predicate of the aggregate rule
 	Depth int
 }
 
@@ -49,58 +50,34 @@ type aggPartialMsg struct {
 
 // aggSession is one node's participation in an epoch.
 type aggSession struct {
-	pred   string
+	pred   *pred
 	parent nsim.NodeID
 	isSink bool
 	groups *agg.Groups // merged children + local (built at send time)
 	sent   bool
 }
 
-// aggRule is a validated aggregate rule plan.
-type aggRule struct {
-	rule   *ast.Rule
-	relIdx int // the single positive relational body index
-}
-
-// validateAggregateRule checks the TAG restrictions: exactly one
-// positive relational subgoal, no negation, builtins allowed.
-func validateAggregateRule(r *ast.Rule) (*aggRule, error) {
-	plan := &aggRule{rule: r, relIdx: -1}
-	for i, l := range r.Body {
-		if l.Builtin {
-			continue
-		}
-		if l.Negated {
-			return nil, fmt.Errorf("core: aggregate rule %d: negation is not supported in TAG collection", r.ID)
-		}
-		if plan.relIdx >= 0 {
-			return nil, fmt.Errorf("core: aggregate rule %d: TAG collection aggregates over a single stream; found a second subgoal %s", r.ID, l)
-		}
-		plan.relIdx = i
-	}
-	if plan.relIdx < 0 {
-		return nil, fmt.Errorf("core: aggregate rule %d has no relational subgoal", r.ID)
-	}
-	return plan, nil
-}
-
 // CollectAggregateAt schedules a TAG collection epoch for the aggregate
 // head predicate at the given sink and virtual time. The result is
 // available from AggregateResult after the network runs past the epoch.
 func (e *Engine) CollectAggregateAt(at nsim.Time, headPred string, sink nsim.NodeID) error {
-	if _, ok := e.aggRules[headPred]; !ok {
+	p := e.preds[headPred]
+	if p == nil || p.agg == nil {
 		return fmt.Errorf("core: no aggregate rule for %s", headPred)
 	}
 	e.nw.ScheduleAt(at, func() {
-		e.rts[sink].startAggEpoch(headPred)
+		e.rts[sink].startAggEpoch(p)
 	})
 	return nil
 }
 
 // AggregateResult returns the tuples produced by the last completed
-// collection epoch for the aggregate predicate.
+// collection epoch for the aggregate predicate, in canonical order.
 func (e *Engine) AggregateResult(headPred string) []eval.Tuple {
-	return e.aggResults[headPred]
+	if p := e.preds[headPred]; p != nil {
+		return p.aggResult
+	}
+	return nil
 }
 
 // aggSlot is the per-depth time slot of the collection schedule.
@@ -108,21 +85,15 @@ func (e *Engine) aggSlot() nsim.Time {
 	return 4 * nsim.MaxDelay
 }
 
-// aggMaxDepth conservatively bounds the collection tree depth.
-func (e *Engine) aggMaxDepth() int {
-	minX, minY, maxX, maxY := routing.Bounds(e.nw)
-	return int(maxX-minX) + int(maxY-minY) + 4
-}
-
-// startAggEpoch begins an epoch at the sink node.
-func (rt *nodeRT) startAggEpoch(pred string) {
+// startAggEpoch begins an epoch at the sink node. The schedule leaves one
+// slot per level of the deepest tree the network allows (Engine.diamHops).
+func (rt *nodeRT) startAggEpoch(p *pred) {
 	rt.e.aggEpoch++
-	epoch := fmt.Sprintf("%s#%d", pred, rt.e.aggEpoch)
-	s := &aggSession{pred: pred, parent: rt.node.ID, isSink: true, groups: agg.NewGroups()}
+	epoch := fmt.Sprintf("%s#%d", p.key, rt.e.aggEpoch)
+	s := &aggSession{pred: p, parent: rt.node.ID, isSink: true, groups: agg.NewGroups()}
 	rt.aggSessions[epoch] = s
-	rt.broadcast(&aggBuildMsg{Epoch: epoch, Pred: pred, Depth: 0}, nil)
-	dmax := rt.e.aggMaxDepth()
-	rt.node.SetTimer(rt.e.aggSlot()*nsim.Time(dmax+2), timerAggFinal, epoch)
+	rt.broadcast(&aggBuildMsg{Epoch: epoch, Pred: p, Depth: 0}, nil)
+	rt.node.SetTimer(rt.e.aggSlot()*(rt.e.diamHops+2), timerAggFinal, epoch)
 }
 
 // onAggBuild joins the collection tree (first announcement wins).
@@ -134,11 +105,7 @@ func (rt *nodeRT) onAggBuild(from nsim.NodeID, m *aggBuildMsg) {
 	rt.aggSessions[m.Epoch] = s
 	depth := m.Depth + 1
 	rt.broadcast(&aggBuildMsg{Epoch: m.Epoch, Pred: m.Pred, Depth: depth}, nil)
-	dmax := rt.e.aggMaxDepth()
-	slot := dmax - depth
-	if slot < 0 {
-		slot = 0
-	}
+	slot := max(int(rt.e.diamHops)-depth, 0)
 	rt.node.SetTimer(rt.e.aggSlot()*nsim.Time(slot)+1, timerAggSend, m.Epoch)
 }
 
@@ -168,132 +135,105 @@ func (rt *nodeRT) aggSend(epoch string) {
 	delete(rt.aggSessions, epoch)
 }
 
-// aggFinal completes the epoch at the sink.
+// aggFinal completes the epoch at the sink: each group whose aggregates
+// all have a value becomes a head tuple, in canonical tuple-key order.
 func (rt *nodeRT) aggFinal(epoch string) {
 	s, ok := rt.aggSessions[epoch]
 	if !ok || !s.isSink {
 		return
 	}
 	rt.localAggContribution(s)
-	plan := rt.e.aggRules[s.pred]
-	r := plan.rule
-	// The epoch's output is in group-key order, not map order.
-	keys := make([]string, 0, len(s.groups.ByKey))
-	for k := range s.groups.ByKey {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	var out []eval.Tuple
-	for _, k := range keys {
-		grp := s.groups.ByKey[k]
-		args := make([]ast.Term, len(r.Head.Args))
+	head := s.pred.agg.rule.HeadAggs
+	out := make([]eval.Tuple, 0, len(s.groups.ByKey))
+groups:
+	for _, grp := range s.groups.ByKey {
+		args := make([]ast.Term, len(head))
 		gi, si := 0, 0
-		bad := false
-		for i := range r.Head.Args {
-			if r.HeadAggs[i] == nil {
+		for i, ha := range head {
+			if ha == nil {
 				args[i] = grp.Args[gi]
 				gi++
 				continue
 			}
 			v, err := grp.States[si].Value()
 			if err != nil {
-				bad = true
-				break
+				continue groups
 			}
 			args[i] = v
 			si++
 		}
-		if bad {
-			continue
-		}
-		out = append(out, eval.Tuple{Pred: r.Head.PredKey(), Args: args})
+		out = append(out, eval.Tuple{Pred: s.pred.key, Args: args}.Keyed())
 	}
-	rt.e.aggResults[s.pred] = out
+	slices.SortFunc(out, func(a, b eval.Tuple) int { return strings.Compare(a.Key(), b.Key()) })
+	s.pred.aggResult = out
 	delete(rt.aggSessions, epoch)
 }
 
 // localAggContribution folds the tuples this node OWNS (generation stamp
 // names it) into the session's groups — ownership is unique network-wide,
-// so replicated storage never double-counts.
+// so replicated storage never double-counts. Each tuple is matched and
+// filtered on the aggregate rule's compiled registers, as a join's
+// update is.
 func (rt *nodeRT) localAggContribution(s *aggSession) {
-	plan := rt.e.aggRules[s.pred]
-	r := plan.rule
-	lit := r.Body[plan.relIdx]
-	reg := builtin.Standard
-	for _, entry := range rt.live(lit.PredKey()) {
+	cr := s.pred.agg
+	rel := cr.posIdx[0]
+	for _, entry := range rt.live(cr.lits[rel].pred.key) {
 		if entry.ID.Node != int(rt.node.ID) {
 			continue // replica owned elsewhere
 		}
-		sub, ok := unify.MatchArgs(lit.Args, entry.Args, unify.Subst{})
-		if !ok {
+		b := rt.scratch(cr, unify.Slots{})
+		if !b.MatchArgs(cr.rule.Body[rel].Args, entry.Args) {
 			continue
 		}
-		// Evaluate the rule's builtins (filters / computed values).
-		okAll := true
-		for _, l := range r.Body {
-			if !l.Builtin {
-				continue
-			}
-			pass, ns, err := reg.Eval(l, sub)
-			if err != nil || !pass {
-				okAll = false
-				break
-			}
-			sub = ns
-		}
-		if !okAll {
-			continue
-		}
-		// Group args and aggregate values.
-		var gargs []ast.Term
-		bad := false
-		for i, a := range r.Head.Args {
-			if r.HeadAggs[i] != nil {
-				continue
-			}
-			v, err := reg.EvalTerm(a, sub)
-			if err != nil || !v.Ground() {
-				bad = true
-				break
-			}
-			gargs = append(gargs, v)
-		}
-		if bad {
-			continue
-		}
-		grp, err := s.groups.Get(gargs, func() ([]*agg.State, error) {
-			var states []*agg.State
-			for _, ha := range r.HeadAggs {
-				if ha == nil {
-					continue
-				}
-				st, err := agg.New(ha.Func)
-				if err != nil {
-					return nil, err
-				}
-				states = append(states, st)
-			}
-			return states, nil
-		})
-		if err != nil {
-			continue
-		}
-		si := 0
-		for i, ha := range r.HeadAggs {
-			if ha == nil {
-				continue
-			}
-			_ = i
-			v, err := reg.EvalTerm(ast.Var(ha.Var), sub)
-			if err != nil || !v.Ground() {
-				break
-			}
-			if err := grp.States[si].Add(v); err != nil {
-				break
-			}
-			si++
+		if done, ok := rt.runBuiltins(cr, &b, 0); ok && done == cr.opMask {
+			aggFold(s.groups, cr.rule, b)
 		}
 	}
 }
 
-var _ = builtin.ErrNotGround // keep import stable across refactors
+// aggFold adds one body solution b of aggregate rule r to its group: the
+// non-aggregate head arguments name the group, and each aggregate absorbs
+// its variable's value.
+func aggFold(groups *agg.Groups, r *ast.Rule, b unify.Slots) {
+	var gargs []ast.Term
+	for i, a := range r.Head.Args {
+		if r.HeadAggs[i] != nil {
+			continue
+		}
+		v, err := builtin.Standard.EvalSlots(a, b)
+		if err != nil || !v.Ground() {
+			return
+		}
+		gargs = append(gargs, v)
+	}
+	grp, err := groups.Get(gargs, func() ([]*agg.State, error) {
+		var states []*agg.State
+		for _, ha := range r.HeadAggs {
+			if ha == nil {
+				continue
+			}
+			st, err := agg.New(ha.Func)
+			if err != nil {
+				return nil, err
+			}
+			states = append(states, st)
+		}
+		return states, nil
+	})
+	if err != nil {
+		return
+	}
+	si := 0
+	for i, ha := range r.HeadAggs {
+		if ha == nil {
+			continue
+		}
+		// The parser puts the aggregated variable at the aggregate's head
+		// position, numbered like every other.
+		v, err := builtin.Standard.EvalSlots(r.Head.Args[i], b)
+		if err != nil || !v.Ground() || grp.States[si].Add(v) != nil {
+			return
+		}
+		si++
+	}
+}

@@ -66,11 +66,13 @@ grouped(N, max<T>) :- reading(N, T).
 }
 
 // The TAG collection matches the centralized evaluator's multiset
-// aggregate semantics (including builtin filters in the body).
+// aggregate semantics: builtin filters in the body, and a group argument
+// a built-in binds, with two aggregates in one head.
 func TestTAGMatchesOracleAggregates(t *testing.T) {
 	src := `
 .base reading/2.
 stats(N, max<T>) :- reading(N, T), T > 5.
+zone(Z, count<T>, max<T>) :- reading(N, T), Z = T mod 3, T > 2.
 `
 	e, nw := buildGrid(t, 4, src, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 20})
 	var base []eval.Tuple
@@ -79,8 +81,11 @@ stats(N, max<T>) :- reading(N, T), T > 5.
 		base = append(base, tup)
 		e.InjectAt(nsim.Time(i*5), nsim.NodeID(i%nw.Len()), tup)
 	}
-	if err := e.CollectAggregateAt(2000, "stats/2", 0); err != nil {
-		t.Fatal(err)
+	preds := []string{"stats/2", "zone/3"}
+	for i, pred := range preds {
+		if err := e.CollectAggregateAt(nsim.Time(2000+1000*i), pred, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	nw.Run(0)
 
@@ -92,18 +97,20 @@ stats(N, max<T>) :- reading(N, T), T > 5.
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.AggregateResult("stats/2")
-	wantT := want.Tuples("stats/2")
-	if len(got) != len(wantT) {
-		t.Fatalf("got %d groups, oracle %d\ngot: %v\nwant: %v", len(got), len(wantT), got, wantT)
-	}
-	gotByKey := map[string]bool{}
-	for _, g := range got {
-		gotByKey[g.Key()] = true
-	}
-	for _, w := range wantT {
-		if !gotByKey[w.Key()] {
-			t.Errorf("missing group %v", w)
+	for _, pred := range preds {
+		got := e.AggregateResult(pred)
+		wantT := want.Tuples(pred)
+		if len(got) != len(wantT) {
+			t.Fatalf("%s: got %d groups, oracle %d\ngot: %v\nwant: %v", pred, len(got), len(wantT), got, wantT)
+		}
+		gotByKey := map[string]bool{}
+		for _, g := range got {
+			gotByKey[g.Key()] = true
+		}
+		for _, w := range wantT {
+			if !gotByKey[w.Key()] {
+				t.Errorf("%s: missing group %v", pred, w)
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -67,16 +67,16 @@ type Config struct {
 	ReplayLog bool
 }
 
-// deriveBounds sets the engine's timing bounds from the network: τs and
-// τj from its geometry at the slowest per-hop delay, τc from its clock
-// skew, and a finalize gap that separates same-stage predicates by a
-// storage phase plus four hops.
+// deriveBounds sets the engine's timing bounds from the network: its hop
+// diameter, τs and τj from its geometry at the slowest per-hop delay, τc
+// from its clock skew, and a finalize gap that separates same-stage
+// predicates by a storage phase plus four hops.
 func (e *Engine) deriveBounds() {
 	minX, minY, maxX, maxY := routing.Bounds(e.nw)
-	diamHops := nsim.Time((maxX-minX)+(maxY-minY)) + 4
-	e.tauS = 2 * diamHops * nsim.MaxDelay
+	e.diamHops = nsim.Time((maxX-minX)+(maxY-minY)) + 4
+	e.tauS = 2 * e.diamHops * nsim.MaxDelay
 	e.tauC = e.nw.Config().MaxSkew
-	e.tauJ = 2 * diamHops * nsim.MaxDelay
+	e.tauJ = 2 * e.diamHops * nsim.MaxDelay
 	e.finalizeGap = e.tauS + e.tauC + 4*nsim.MaxDelay
 }
 
@@ -106,7 +106,7 @@ type compiledRule struct {
 	lits         []compiledLit // by body index
 	posMask      uint64        // body indices of the positive subgoals
 	opMask       uint64        // body indices of the built-ins
-	headPred     string
+	head         *pred
 	// headPat is the head as a pattern over a settled tuple: arguments the
 	// registry evaluates (D + 1) cannot be matched back, so they are
 	// wildcards. liveNegMatch rebinds the negated variables through it.
@@ -116,11 +116,89 @@ type compiledRule struct {
 // compiledLit is what a probe or a built-in evaluation needs of body
 // literal i, worked out once.
 type compiledLit struct {
-	pred string     // predicate key ("" for a built-in)
-	win  int64      // its window range
+	pred *pred      // nil for a built-in
 	ord  int        // ordinal among the positive subgoals: the partial's stamp index
 	vars uint64     // slots a relational literal's arguments mention
 	op   builtin.Op // the built-in, compiled
+}
+
+// pred is everything the engine compiled about one predicate: New builds
+// one for each key KnownPredKeys lists, and compiled rules and literals
+// point at theirs, so a handler holding a rule looks nothing up.
+type pred struct {
+	key string
+	// derived: the head of a rule with a body (ast.Program.IsDerived).
+	// base: declared .base or never derived (IsBase); its generations are
+	// the ones InjectDelete names and replay re-executes.
+	derived, base bool
+	// ruled: a rule's head or body names it; only these have the
+	// core.derivations.<p> and core.deletions.<p> counters.
+	ruled bool
+	// read: some rule body reads it, so it has a storage region (launch).
+	// A generation of any other predicate is stored nowhere and starts no
+	// join phase.
+	read bool
+	win  int64 // window range (0 = unbounded)
+	// placed: a .store declaration places it at the node place names.
+	placed bool
+	place  ast.Placement
+	prio   int  // finalize priority among same-stage XY predicates
+	logged bool // view transitions go to ResultLog (.query or Watch)
+	// triggers are the body positions an update of it pins.
+	triggers []trigger
+	// derive and del count its derivations and deletions (Observe; nil
+	// counters are no-ops).
+	derive, del *obs.Counter
+	// agg is the aggregate rule it heads, run by TAG collection epochs
+	// (aggregate.go), and aggResult that rule's last epoch's tuples.
+	agg       *compiledRule
+	aggResult []eval.Tuple
+}
+
+// newPreds returns a record for each predicate prog mentions, holding what
+// the program text says of it: derived or base, window range
+// (defaultWindow where none is declared) and placement.
+func newPreds(prog *ast.Program, defaultWindow int64) map[string]*pred {
+	known := KnownPredKeys(prog)
+	preds := make(map[string]*pred, len(known))
+	for k := range known {
+		p := &pred{key: k, derived: prog.IsDerived(k), win: defaultWindow}
+		p.base = prog.Base[k] || !p.derived
+		if w, ok := prog.Windows[k]; ok {
+			p.win = w
+		}
+		p.place, p.placed = prog.Placements[k]
+		preds[k] = p
+	}
+	return preds
+}
+
+// classify is the one predicate check behind every front door: injection
+// (Validate), goals (ParseGoal), subscriptions (ClassifyPred) and
+// provenance queries (Explain, Blame). It returns key's record; a key the
+// program does not mention fails with ErrArity when the program names the
+// predicate at another arity, and with ErrUnknownPredicate otherwise.
+func classify(preds map[string]*pred, key string) (*pred, error) {
+	if p := preds[key]; p != nil {
+		return p, nil
+	}
+	// The messages hold a copy, so that a key the caller built on its
+	// stack (a goal's) stays there on the way to a record.
+	got, name := strings.Clone(key), key[:strings.LastIndexByte(key, '/')+1]
+	for k := range preds {
+		if len(k) > len(name) && k[:len(name)] == name {
+			return nil, validationErrorf(ErrArity, "arity mismatch (program declares %s, got %s)", k, got)
+		}
+	}
+	return nil, validationErrorf(ErrUnknownPredicate, "predicate %s not mentioned by the program", got)
+}
+
+// ClassifyPred reports whether the program derives predicate key ("name/
+// arity"): the classification every front door makes, failing with
+// ErrArity or ErrUnknownPredicate for a key the program does not mention.
+func (e *Engine) ClassifyPred(key string) (derived bool, err error) {
+	p, err := classify(e.preds, key)
+	return err == nil && p.derived, err
 }
 
 // trigger links a stream update to a rule evaluation.
@@ -141,33 +219,24 @@ type Engine struct {
 	// finalize delays of same-stage predicates (XY evaluation order). All
 	// four are derived from the network (deriveBounds).
 	tauS, tauC, tauJ, finalizeGap nsim.Time
+	// diamHops bounds a greedy path's hop count: the grid diameter plus
+	// slack. The timing bounds and the TAG collection schedule use it.
+	diamHops nsim.Time
 	// router caches nearest-node lookups for the geographic-unicast
 	// termination test, which every walker hop performs.
 	router *routing.Engine
 
-	rules    []*compiledRule
-	triggers map[string][]trigger // predKey -> triggers
-	// read holds the predicates some rule body reads: every trigger's,
-	// positive or negated, and every aggregate rule's relational subgoal.
-	// Only these have a storage region (launch); a generation of any other
-	// predicate is stored nowhere and starts no join phase.
-	read      map[string]bool
+	// rules are the compiled rules the join machinery runs; aggregate
+	// rules are compiled too, but their plans hang off their heads' records.
+	rules []*compiledRule
+	// preds holds one record per predicate the program mentions, by key.
+	preds map[string]*pred
+	// windowed lists the records stored with a positive window range,
+	// sorted by key: the retentions every node's store is told (newStore).
+	windowed  []*pred
 	hasher    *ghash.Hasher
 	planner   *gpa.Planner
 	nodeTerms map[string]nsim.NodeID // term key -> node
-	// finalizePrio orders same-stage predicates (XY witness); predicates
-	// absent from the map finalize with priority 0.
-	finalizePrio map[string]int
-	// windows per predicate (0 = unbounded).
-	windows map[string]int64
-	// windowPreds lists the predicates with a positive window range: the
-	// ones whose retention every node's store is told (newStore).
-	windowPreds []string
-	// placements per predicate.
-	placements map[string]ast.Placement
-	// logged holds the predicates whose view transitions go to
-	// ResultLog: the .query declarations and every Watch.
-	logged map[string]bool
 
 	rts []*nodeRT // per-node runtimes, indexed by NodeID
 	// arena backs the entries of every node's replica store (newStore).
@@ -190,10 +259,6 @@ type Engine struct {
 	derived    *eval.Database
 	extraHomes map[string]int
 
-	// knownPreds is KnownPredKeys(prog): injection validation and
-	// provenance queries check against it.
-	knownPreds map[string]bool
-
 	// Observability handles (observe.go). All nil until Observe is
 	// called: the nil counter/trace are no-ops, so the uninstrumented
 	// hot path pays one predictable nil check per site.
@@ -207,8 +272,6 @@ type Engine struct {
 	cExpireCalls *obs.Counter
 	cExpireDue   *obs.Counter
 	cExpired     *obs.Counter
-	predDerive   map[string]*obs.Counter
-	predDelete   map[string]*obs.Counter
 	cStranded    map[string]*obs.Counter // by frame kind
 	// Histograms (Observe with a registry): settle latency, candidate
 	// routing hops, derivation fan-in. Nil histograms are no-ops.
@@ -222,10 +285,8 @@ type Engine struct {
 	prov                   bool
 	provLive, provCaptured atomic.Int64
 
-	// TAG aggregation state.
-	aggRules   map[string]*aggRule     // head pred -> plan
-	aggResults map[string][]eval.Tuple // head pred -> last epoch result
-	aggEpoch   int64
+	// aggEpoch numbers TAG collection epochs.
+	aggEpoch int64
 
 	// ResultLog records the derived view's transitions of logged
 	// predicates (.query or watched) in the order they happen: a
@@ -271,91 +332,48 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		nw:           nw,
-		prog:         prog,
-		res:          res,
-		cfg:          cfg,
-		router:       routing.NewEngine(nw),
-		triggers:     make(map[string][]trigger),
-		read:         make(map[string]bool),
-		hasher:       ghash.ForNetwork(nw),
-		planner:      gpa.NewPlanner(nw, gpa.Planner{Scheme: cfg.Scheme, Server: cfg.Server, SpatialRadius: cfg.SpatialRadius, BandWidth: cfg.BandWidth}),
-		nodeTerms:    make(map[string]nsim.NodeID),
-		finalizePrio: make(map[string]int),
-		windows:      make(map[string]int64),
-		placements:   prog.Placements,
-		logged:       make(map[string]bool),
-		baseIDs:      make(map[string]baseGens),
-		arena:        window.NewArena(),
-		derived:      eval.NewDatabase(),
-		aggRules:     make(map[string]*aggRule),
-		aggResults:   make(map[string][]eval.Tuple),
+		nw:        nw,
+		prog:      prog,
+		res:       res,
+		cfg:       cfg,
+		router:    routing.NewEngine(nw),
+		preds:     newPreds(prog, cfg.DefaultWindow),
+		hasher:    ghash.ForNetwork(nw),
+		planner:   gpa.NewPlanner(nw, gpa.Planner{Scheme: cfg.Scheme, Server: cfg.Server, SpatialRadius: cfg.SpatialRadius, BandWidth: cfg.BandWidth}),
+		nodeTerms: make(map[string]nsim.NodeID),
+		baseIDs:   make(map[string]baseGens),
+		arena:     window.NewArena(),
+		derived:   eval.NewDatabase(),
 	}
 	e.deriveBounds()
-	// Aggregate rules are evaluated by TAG collection epochs, not by the
-	// join machinery; validate and register them.
-	for _, r := range prog.Rules {
-		if !r.HasAggregates() {
-			continue
-		}
-		plan, err := validateAggregateRule(r)
-		if err != nil {
-			return nil, err
-		}
-		e.aggRules[r.Head.PredKey()] = plan
-	}
 	for _, n := range nw.Nodes() {
 		e.nodeTerms[ast.Symbol(fmt.Sprintf("n%d", n.ID)).Key()] = n.ID
 	}
 	for _, w := range res.XY {
 		for i, p := range w.SameStageOrder {
-			e.finalizePrio[p] = i
+			e.preds[p].prio = i
 		}
 	}
 	for _, q := range prog.Queries {
-		e.logged[q] = true
+		e.preds[q].logged = true
 	}
-	// Window ranges.
-	allPreds := map[string]bool{}
-	for _, r := range prog.Rules {
-		allPreds[r.Head.PredKey()] = true
-		for _, l := range r.Body {
-			if !l.Builtin {
-				allPreds[l.PredKey()] = true
-			}
-		}
-	}
-	for p := range allPreds {
-		if w, ok := prog.Windows[p]; ok {
-			e.windows[p] = w
-		} else {
-			e.windows[p] = cfg.DefaultWindow
-		}
-	}
-
-	e.knownPreds = KnownPredKeys(prog)
-
 	if err := e.compileRules(); err != nil {
 		return nil, err
 	}
 	e.scratch = newJoinScratch(e.maxVars)
 	// Only a predicate some rule reads is ever stored, so only those have
-	// a retention for the stores to know.
-	for p, w := range e.windows {
-		if w > 0 && e.read[p] {
-			e.windowPreds = append(e.windowPreds, p)
-		}
-	}
-	sort.Strings(e.windowPreds)
-
-	// Attach runtimes. Their storage and join plans serve the hash-placed
-	// predicates rules read; without one, no node needs them.
+	// a retention for the stores to know. Their storage and join plans
+	// serve the hash-placed predicates rules read; without one, no node
+	// needs them.
 	hashRead := false
-	for p := range e.read {
-		if _, placed := e.placements[p]; !placed {
-			hashRead = true
+	for _, p := range e.preds {
+		if p.read && p.win > 0 {
+			e.windowed = append(e.windowed, p)
 		}
+		hashRead = hashRead || p.read && !p.placed
 	}
+	slices.SortFunc(e.windowed, func(a, b *pred) int { return strings.Compare(a.key, b.key) })
+
 	e.rts = make([]*nodeRT, nw.Len())
 	for _, n := range nw.Nodes() {
 		rt := newNodeRT(e, n, hashRead)
@@ -385,34 +403,29 @@ func Deploy(nw *nsim.Network, prog *ast.Program, cfg Config, reg *obs.Registry, 
 	return e, nil
 }
 
-// compileRules classifies each rule and builds the trigger index.
+// compileRules compiles every rule with a body to variable slots. An
+// ordinary rule is classified and indexed as a trigger of each predicate
+// its body names; an aggregate rule becomes its head's TAG plan.
 func (e *Engine) compileRules() error {
 	for _, r := range e.prog.Rules {
-		for _, l := range r.Body {
-			if !l.Builtin {
-				e.read[l.PredKey()] = true
-			}
-		}
+		head := e.preds[r.Head.PredKey()]
+		head.ruled = true
 		if len(r.Body) == 0 {
 			continue // facts are injected at start
 		}
-		if r.HasAggregates() {
-			continue // evaluated by TAG collection epochs
-		}
 		nr, nvars := r.NumberVars()
-		cr := &compiledRule{
-			rule: nr, nvars: nvars, lits: make([]compiledLit, len(r.Body)),
-			headPred: r.Head.PredKey(),
-		}
+		cr := &compiledRule{rule: nr, nvars: nvars, lits: make([]compiledLit, len(r.Body)), head: head}
 		r = nr
+		local := cr.head.placed // local if the head and every relational subgoal are placed
 		for i, l := range r.Body {
 			cl := &cr.lits[i]
 			if l.Builtin {
 				cl.op, cr.opMask = builtin.Compile(l), cr.opMask|1<<uint(i)
 				continue
 			}
-			cl.pred, cl.vars = l.PredKey(), unify.SlotMask(l.Args...)
-			cl.win = e.windows[cl.pred]
+			cl.pred, cl.vars = e.preds[l.PredKey()], unify.SlotMask(l.Args...)
+			cl.pred.read, cl.pred.ruled = true, true
+			local = local && cl.pred.placed
 			if l.Negated {
 				cr.negIdx = append(cr.negIdx, i)
 			} else {
@@ -421,41 +434,38 @@ func (e *Engine) compileRules() error {
 				cr.posMask |= 1 << uint(i)
 			}
 		}
-		for _, a := range r.Head.Args {
-			cr.headPat = append(cr.headPat, e.matchablePattern(a))
-		}
 		if nvars > e.maxVars {
 			e.maxVars = nvars
 		}
-		// Mode: local if the head and every relational subgoal have a
-		// declared placement.
-		local := true
-		if _, ok := e.placements[r.Head.PredKey()]; !ok {
-			local = false
+		if r.HasAggregates() {
+			// TAG collection folds one stream's owned tuples: exactly one
+			// positive relational subgoal, no negation, built-ins allowed.
+			switch {
+			case len(cr.negIdx) > 0:
+				return fmt.Errorf("core: aggregate rule %d: negation is not supported in TAG collection", r.ID)
+			case len(cr.posIdx) == 0:
+				return fmt.Errorf("core: aggregate rule %d has no relational subgoal", r.ID)
+			case len(cr.posIdx) > 1:
+				return fmt.Errorf("core: aggregate rule %d: TAG collection aggregates over a single stream; found a second subgoal %s", r.ID, r.Body[cr.posIdx[1]])
+			}
+			cr.head.agg = cr
+			continue
 		}
-		for _, l := range r.Body {
-			if l.Builtin {
-				continue
-			}
-			if _, ok := e.placements[l.PredKey()]; !ok {
-				local = false
-			}
+		for _, a := range r.Head.Args {
+			cr.headPat = append(cr.headPat, e.matchablePattern(a))
 		}
 		if local {
 			cr.mode = localMode
 		} else {
 			// Mixed placements are not supported: a placed predicate has
 			// no GPA storage region, so a hash-mode sweep would miss it.
-			for _, l := range r.Body {
-				if l.Builtin {
-					continue
-				}
-				if _, ok := e.placements[l.PredKey()]; ok {
-					return fmt.Errorf("core: rule %d mixes placed predicate %s with hash-placed ones; declare placements for all of the rule's predicates or none", r.ID, l.PredKey())
+			for _, cl := range cr.lits {
+				if p := cl.pred; p != nil && p.placed {
+					return fmt.Errorf("core: rule %d mixes placed predicate %s with hash-placed ones; declare placements for all of the rule's predicates or none", r.ID, p.key)
 				}
 			}
-			if _, ok := e.placements[r.Head.PredKey()]; ok {
-				return fmt.Errorf("core: rule %d has a placed head %s but hash-placed body", r.ID, r.Head.PredKey())
+			if cr.head.placed {
+				return fmt.Errorf("core: rule %d has a placed head %s but hash-placed body", r.ID, cr.head.key)
 			}
 			cr.mode = hashMode
 		}
@@ -465,7 +475,7 @@ func (e *Engine) compileRules() error {
 		// every one must occur in the head where matching can reach it.
 		matchable := unify.SlotMask(cr.headPat...)
 		for _, ni := range cr.negIdx {
-			same := e.sameXYComponent(cr.headPred, cr.lits[ni].pred)
+			same := e.sameXYComponent(cr.head.key, cr.lits[ni].pred.key)
 			cr.negSameStage = append(cr.negSameStage, same)
 			if (same || cr.mode == localMode) && cr.lits[ni].vars&^matchable != 0 {
 				return validationErrorf(ErrNegationNeedsHead, "core: rule %d: %s is checked at the head's home node by matching the settled head tuple, so each of its variables must appear in the head outside any evaluated expression; bind the expression in the body (D1 = D + 1) and use that variable in the head and in the negated subgoal",
@@ -474,12 +484,10 @@ func (e *Engine) compileRules() error {
 		}
 		e.rules = append(e.rules, cr)
 		for i, l := range r.Body {
-			if l.Builtin {
-				continue
+			if !l.Builtin {
+				p := cr.lits[i].pred
+				p.triggers = append(p.triggers, trigger{rule: cr, bodyIdx: i, negated: l.Negated})
 			}
-			e.triggers[l.PredKey()] = append(e.triggers[l.PredKey()], trigger{
-				rule: cr, bodyIdx: i, negated: l.Negated,
-			})
 		}
 	}
 	// A join region that floods joins at each node it reaches, and partial
@@ -529,10 +537,11 @@ func (e *Engine) Start() {
 	for _, f := range e.prog.Facts() {
 		f := f
 		t := eval.Tuple{Pred: f.Head.PredKey(), Args: f.Head.Args}
-		nodeID := e.homeFor(t)
-		if e.prog.IsDerived(t.Pred) {
+		p := e.preds[t.Pred]
+		nodeID := e.homeFor(p, t)
+		if p.derived {
 			e.nw.ScheduleAt(e.nw.Now(), func() {
-				e.seedDerivedFact(f.ID, t, nodeID)
+				e.seedDerivedFact(p, f.ID, t, nodeID)
 			})
 			continue
 		}
@@ -544,7 +553,7 @@ func (e *Engine) Start() {
 // nullary derivation at its home, so it shows up in the derived state
 // like any rule-derived tuple. Shared by Start and the replay pass
 // (which wipes derivation state and must re-seed).
-func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
+func (e *Engine) seedDerivedFact(p *pred, ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 	rt := e.rts[nodeID]
 	t = t.Keyed()
 	key := t.Key()
@@ -552,7 +561,7 @@ func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 	if h == nil {
 		h = &homed{derivs: make(map[string]*provenance.Derivation)}
 		rt.homed[key] = h
-		e.homeAdded(t, nodeID)
+		e.homeAdded(p, t, nodeID)
 	}
 	dk := fmt.Sprintf("fact:r%d", ruleID)
 	var d *provenance.Derivation
@@ -564,7 +573,7 @@ func (e *Engine) seedDerivedFact(ruleID int, t eval.Tuple, nodeID nsim.NodeID) {
 		}}
 	}
 	e.holdDeriv(h, dk, d)
-	h.t, h.id = t, rt.generate(t, nil)
+	h.t, h.id = t, rt.generate(p, t, nil)
 }
 
 // holdDeriv adds derivation dk, which h does not hold yet, to h's
@@ -578,26 +587,30 @@ func (e *Engine) holdDeriv(h *homed, dk string, d *provenance.Derivation) {
 	}
 }
 
-// homeFor returns the node where tuple t should originate: its placement
-// node if declared, else its geographic-hash home.
-func (e *Engine) homeFor(t eval.Tuple) nsim.NodeID {
-	if pl, ok := e.placements[t.Pred]; ok {
-		if id, ok2 := e.nodeTerms[t.Args[pl.Arg].Key()]; ok2 {
+// homeFor returns the node where tuple t of predicate p should
+// originate: its placement node if declared, else its geographic-hash
+// home.
+func (e *Engine) homeFor(p *pred, t eval.Tuple) nsim.NodeID {
+	if p.placed {
+		if id, ok := e.nodeTerms[t.Args[p.place.Arg].Key()]; ok {
 			return id
 		}
 	}
 	return e.hasher.Home(e.nw, t.Key()).ID
 }
 
-// validateInject rejects the misuse cases the runtime previously
-// accepted silently (or crashed on later): out-of-range nodes,
-// non-ground tuples, derived predicates (those are produced by rules,
-// never injected), unknown predicates, and arity mismatches against
-// the program's declarations. Each failure wraps the matching
-// sentinel (ErrBadNode, ErrNotGround, ErrDerivedPredicate,
-// ErrUnknownPredicate, ErrArity) for errors.Is dispatch; the messages
-// are unchanged.
-func (e *Engine) validateInject(node nsim.NodeID, t eval.Tuple) error {
+// Validate checks an injection without scheduling anything; Inject,
+// InjectAt, InjectDelete and InjectDeleteAt run it first. It rejects an
+// out-of-range node, a non-ground tuple, a derived predicate (derived
+// tuples come from rules, never injection), and a predicate the program
+// does not mention or declares at another arity, each failure wrapping
+// its sentinel (ErrBadNode, ErrNotGround, ErrDerivedPredicate,
+// ErrUnknownPredicate, ErrArity) for errors.Is dispatch. The serving
+// layer's write batching validates at enqueue time so a deferred apply
+// can never fail; the checks depend only on the immutable program and
+// topology, so a tuple that validates now still validates when the batch
+// is applied.
+func (e *Engine) Validate(node nsim.NodeID, t eval.Tuple) error {
 	if int(node) < 0 || int(node) >= e.nw.Len() {
 		return validationErrorf(ErrBadNode, "core: inject %s: node %d out of range [0, %d)", t, node, e.nw.Len())
 	}
@@ -606,52 +619,32 @@ func (e *Engine) validateInject(node nsim.NodeID, t eval.Tuple) error {
 			return validationErrorf(ErrNotGround, "core: inject %s: argument %s is not ground", t, a)
 		}
 	}
-	if e.prog.IsDerived(t.Pred) {
+	p, err := classify(e.preds, t.Pred)
+	if err != nil {
+		return fmt.Errorf("core: inject %s: %w", t, err)
+	}
+	if p.derived {
 		return validationErrorf(ErrDerivedPredicate, "core: inject %s: %s is a derived predicate (derived tuples come from rules, not injection)", t, t.Pred)
 	}
-	if !e.knownPreds[t.Pred] {
-		name := t.Name() + "/"
-		for p := range e.knownPreds {
-			if len(p) > len(name) && p[:len(name)] == name {
-				return validationErrorf(ErrArity, "core: inject %s: arity mismatch (program declares %s, got %s)", t, p, t.Pred)
-			}
-		}
-		return validationErrorf(ErrUnknownPredicate, "core: inject %s: predicate %s not mentioned by the program", t, t.Pred)
-	}
 	return nil
-}
-
-// Validate runs injection validation without scheduling anything: the
-// same checks, sentinels and messages Inject/InjectAt/InjectDeleteAt
-// apply. The serving layer's write batching validates at enqueue time
-// so a deferred apply can never fail; the checks depend only on the
-// immutable program and topology, so a tuple that validates now still
-// validates when the batch is applied.
-func (e *Engine) Validate(node nsim.NodeID, t eval.Tuple) error {
-	return e.validateInject(node, t)
 }
 
 // Inject generates base tuple t at the given node (scheduled
 // immediately). Returns an error — without scheduling anything — if
-// the injection fails validation (see validateInject).
+// the injection fails validation (see Validate).
 func (e *Engine) Inject(node nsim.NodeID, t eval.Tuple) error {
-	if err := e.validateInject(node, t); err != nil {
-		return err
-	}
-	e.nw.ScheduleAt(e.nw.Now(), func() {
-		e.rts[node].generate(t, nil)
-	})
-	return nil
+	return e.InjectAt(e.nw.Now(), node, t)
 }
 
 // InjectAt schedules the generation at an absolute simulation time.
 // Validation errors are reported immediately, before scheduling.
 func (e *Engine) InjectAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
-	if err := e.validateInject(node, t); err != nil {
+	if err := e.Validate(node, t); err != nil {
 		return err
 	}
+	p := e.preds[t.Pred]
 	e.nw.ScheduleAt(at, func() {
-		e.rts[node].generate(t, nil)
+		e.rts[node].generate(p, t, nil)
 	})
 	return nil
 }
@@ -661,7 +654,7 @@ func (e *Engine) InjectAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
 // deletion happens only at the source — a marker launched elsewhere would
 // sweep a different storage region). node is validated, not trusted.
 func (e *Engine) InjectDelete(node nsim.NodeID, t eval.Tuple) error {
-	if err := e.validateInject(node, t); err != nil {
+	if err := e.Validate(node, t); err != nil {
 		return err
 	}
 	if _, ok := e.baseIDs[t.Key()]; !ok {
@@ -675,7 +668,7 @@ func (e *Engine) InjectDelete(node nsim.NodeID, t eval.Tuple) error {
 // must have been generated by then (a tuple still unknown when the
 // deletion fires is skipped, since validation cannot see the future).
 func (e *Engine) InjectDeleteAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
-	if err := e.validateInject(node, t); err != nil {
+	if err := e.Validate(node, t); err != nil {
 		return err
 	}
 	e.nw.ScheduleAt(at, func() { e.deleteBase(t) })
@@ -697,17 +690,19 @@ func (e *Engine) deleteBase(t eval.Tuple) {
 		return
 	}
 	delete(e.baseIDs, key)
+	p := e.preds[t.Pred]
 	for _, id := range g.older {
-		e.rts[id.Node].generate(t, &id)
+		e.rts[id.Node].generate(p, t, &id)
 	}
-	e.rts[g.last.Node].generate(t, &g.last)
+	e.rts[g.last.Node].generate(p, t, &g.last)
 }
 
 // homeAdded and homeRemoved keep the derived view in step with the nodes'
-// homed records: node's record of t appeared or went; t carries its key.
-func (e *Engine) homeAdded(t eval.Tuple, node nsim.NodeID) {
+// homed records: node's record of t, of predicate p, appeared or went; t
+// carries its key.
+func (e *Engine) homeAdded(p *pred, t eval.Tuple, node nsim.NodeID) {
 	if e.derived.Insert(t) {
-		e.viewChanged(t, true, node)
+		e.viewChanged(p, t, true, node)
 		return
 	}
 	if e.extraHomes == nil {
@@ -716,30 +711,35 @@ func (e *Engine) homeAdded(t eval.Tuple, node nsim.NodeID) {
 	e.extraHomes[t.Key()]++
 }
 
-func (e *Engine) homeRemoved(t eval.Tuple, node nsim.NodeID) {
+func (e *Engine) homeRemoved(p *pred, t eval.Tuple, node nsim.NodeID) {
 	switch n := e.extraHomes[t.Key()]; {
 	case n > 1:
 		e.extraHomes[t.Key()] = n - 1
 	case n == 1:
 		delete(e.extraHomes, t.Key())
 	case e.derived.Delete(t):
-		e.viewChanged(t, false, node)
+		e.viewChanged(p, t, false, node)
 	}
 }
 
-// viewChanged records that the derived view gained (insert) or lost t:
-// if the predicate is logged, it appends the transition to ResultLog.
+// viewChanged records that the derived view gained (insert) or lost t, of
+// predicate p: if p is logged, it appends the transition to ResultLog.
 // Every view transition passes here, the replay wipe's included.
-func (e *Engine) viewChanged(t eval.Tuple, insert bool, node nsim.NodeID) {
-	if e.logged[t.Pred] {
+func (e *Engine) viewChanged(p *pred, t eval.Tuple, insert bool, node nsim.NodeID) {
+	if p.logged {
 		e.ResultLog = append(e.ResultLog, ResultEvent{Tuple: t, Insert: insert, At: e.nw.Now(), Node: node})
 		e.resultsLogged++
 	}
 }
 
 // Watch logs pred's view transitions to ResultLog from now on, as a
-// .query declaration does.
-func (e *Engine) Watch(pred string) { e.logged[pred] = true }
+// .query declaration does. A predicate the program does not mention
+// never changes, so watching one logs nothing.
+func (e *Engine) Watch(pred string) {
+	if p := e.preds[pred]; p != nil {
+		p.logged = true
+	}
+}
 
 // Derived returns the live derived tuples of predKey across the network
 // (union of home-node states), in canonical order.
@@ -778,16 +778,16 @@ func (e *Engine) TauS() nsim.Time { return e.tauS }
 // predicate's retention, so the store can tell when something is due.
 func (e *Engine) newStore() *window.Store {
 	s := e.arena.NewStore()
-	for _, pred := range e.windowPreds {
-		s.SetRetention(pred, e.retention(pred))
+	for _, p := range e.windowed {
+		s.SetRetention(p.key, e.retention(p.win))
 	}
 	return s
 }
 
 // retention computes the replica lifetime of Section IV-B:
-// (τs+τc) + τj + (τw+τc); unbounded windows never expire.
-func (e *Engine) retention(predKey string) int64 {
-	w := e.windows[predKey]
+// (τs+τc) + τj + (τw+τc) for window range w; unbounded windows never
+// expire.
+func (e *Engine) retention(w int64) int64 {
 	if w == 0 {
 		return 0
 	}
@@ -807,9 +807,9 @@ func (e *Engine) candSettle() nsim.Time {
 // finalizeDeadline computes the local time at which a candidate with the
 // given update stamp and head predicate must be applied; same-stage XY
 // predicates are staggered by their evaluation-order priority.
-func (e *Engine) finalizeDeadline(updateTS int64, predKey string) nsim.Time {
+func (e *Engine) finalizeDeadline(updateTS int64, head *pred) nsim.Time {
 	return nsim.Time(updateTS) + e.candSettle() +
-		e.finalizeGap*nsim.Time(1+e.finalizePrio[predKey])
+		e.finalizeGap*nsim.Time(1+head.prio)
 }
 
 // sizeOfTuple estimates the wire size of a tuple in bytes.

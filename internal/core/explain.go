@@ -32,12 +32,12 @@ func (e *Engine) Explain(pred string, args ...ast.Term) (*provenance.Tree, error
 	if !e.prov {
 		return nil, ErrNoProvenance
 	}
-	t, err := e.resolveQuery(pred, args)
+	t, p, err := e.resolveQuery(pred, args)
 	if err != nil {
 		return nil, err
 	}
 	key := t.Key()
-	if e.prog.IsBase(t.Pred) {
+	if p.base {
 		if _, live := e.baseIDs[key]; !live {
 			return nil, fmt.Errorf("core: base tuple %s is not live", key)
 		}
@@ -58,12 +58,12 @@ func (e *Engine) Blame(pred string, args ...ast.Term) (*provenance.CriticalPath,
 	if !e.prov {
 		return nil, ErrNoProvenance
 	}
-	t, err := e.resolveQuery(pred, args)
+	t, p, err := e.resolveQuery(pred, args)
 	if err != nil {
 		return nil, err
 	}
 	key := t.Key()
-	if e.prog.IsBase(t.Pred) {
+	if p.base {
 		return nil, fmt.Errorf("core: %s is a base fact; Blame explains derived tuples", key)
 	}
 	bl := provenance.Blame(key, e.derivations, e.isBaseKey)
@@ -99,29 +99,33 @@ func (e *Engine) derivations(head string) []provenance.Derivation {
 	return out
 }
 
-// resolveQuery builds the ground tuple a provenance query names.
-func (e *Engine) resolveQuery(pred string, args []ast.Term) (eval.Tuple, error) {
-	name := pred
+// resolveQuery builds the ground tuple a provenance query names, with its
+// predicate's record. Failures wrap ErrNotGround, ErrArity or
+// ErrUnknownPredicate.
+func (e *Engine) resolveQuery(query string, args []ast.Term) (eval.Tuple, *pred, error) {
+	name := query
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[:i]
 	}
 	for _, a := range args {
 		if !a.Ground() {
-			return eval.Tuple{}, fmt.Errorf("core: provenance query %s needs ground arguments", pred)
+			return eval.Tuple{}, nil, validationErrorf(ErrNotGround, "core: provenance query %s needs ground arguments", query)
 		}
 	}
 	t := eval.NewTuple(name, args...)
-	if !e.knownPreds[t.Pred] {
-		return eval.Tuple{}, fmt.Errorf("core: unknown predicate %s", t.Pred)
+	p, err := classify(e.preds, t.Pred)
+	if err != nil {
+		return eval.Tuple{}, nil, fmt.Errorf("core: provenance query %s: %w", query, err)
 	}
-	return t, nil
+	return t, p, nil
 }
 
 // isBaseKey classifies a tuple key ("pred/arity|args") as EDB for the
 // tree expansion.
 func (e *Engine) isBaseKey(key string) bool {
 	if i := strings.IndexByte(key, '|'); i >= 0 {
-		return e.prog.IsBase(key[:i])
+		p := e.preds[key[:i]]
+		return p != nil && p.base
 	}
 	return false
 }

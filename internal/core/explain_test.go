@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -138,11 +139,14 @@ func TestExplainDeletedByNegationFlip(t *testing.T) {
 func TestExplainQueryValidation(t *testing.T) {
 	e, nw := buildProvGrid(t, 4, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 7})
 	nw.Run(0)
-	if _, err := e.Explain("nosuch", ast.Int64(1)); err == nil {
-		t.Fatal("unknown predicate should error")
+	if _, err := e.Explain("nosuch", ast.Int64(1)); !errors.Is(err, ErrUnknownPredicate) {
+		t.Fatalf("unknown predicate: err = %v, want ErrUnknownPredicate", err)
 	}
-	if _, err := e.Explain("out", ast.Var("X"), ast.Int64(3)); err == nil {
-		t.Fatal("non-ground arguments should error")
+	if _, err := e.Blame("out", ast.Int64(1)); !errors.Is(err, ErrArity) {
+		t.Fatalf("wrong arity: err = %v, want ErrArity", err)
+	}
+	if _, err := e.Explain("out", ast.Var("X"), ast.Int64(3)); !errors.Is(err, ErrNotGround) {
+		t.Fatalf("non-ground arguments: err = %v, want ErrNotGround", err)
 	}
 	plain, _ := buildGrid(t, 4, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 7})
 	if _, err := plain.Explain("out", ast.Int64(1), ast.Int64(3)); err != ErrNoProvenance {

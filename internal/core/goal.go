@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,37 +15,41 @@ import (
 // ParseGoal parses a point-query goal such as "path(n0, X)" (trailing
 // dot optional) and validates it against prog: the goal must be a
 // single positive relational literal over a derived predicate of the
-// right arity. It is the shared validation front door of Cluster.Query
-// and the serving layer (internal/serve), so a goal rejected at the
-// REPL is rejected with the same typed error over the wire.
+// right arity. It is the validation front door of the centralized REPL;
+// Engine.ParseGoal applies the same checks to the engine's program, so a
+// goal rejected at the REPL is rejected with the same typed error over
+// the wire.
 //
 // Failures wrap the validation sentinels: ErrBadGoal (not a plain
 // positive literal), ErrBasePredicate, ErrArity, ErrUnknownPredicate.
 func ParseGoal(prog *ast.Program, goal string) (ast.Literal, error) {
+	if lit, err := parser.ParseLiteral(strings.TrimSpace(goal)); err == nil && prog.IsDerived(lit.PredKey()) {
+		return lit, nil // only a refusal needs the records, to say why
+	}
+	return parseGoal(newPreds(prog, 0), goal)
+}
+
+// ParseGoal parses and validates a goal as the package's ParseGoal does,
+// against the predicate records New built for the engine's program:
+// Cluster.Query and the serving layer parse goals here.
+func (e *Engine) ParseGoal(goal string) (ast.Literal, error) { return parseGoal(e.preds, goal) }
+
+func parseGoal(preds map[string]*pred, goal string) (ast.Literal, error) {
 	lit, err := parser.ParseLiteral(strings.TrimSpace(goal))
 	if err != nil {
 		return ast.Literal{}, validationErrorf(ErrBadGoal, "core: goal %q: %v", goal, err)
 	}
-	if prog.IsDerived(lit.PredKey()) {
-		return lit, nil
+	p, err := classify(preds, lit.PredKey())
+	if err != nil {
+		return ast.Literal{}, fmt.Errorf("core: goal %s: %w", goal, err)
 	}
-	key := lit.PredKey()
-	known := KnownPredKeys(prog) // only a rejection needs the full set
-	if known[key] {
+	if !p.derived {
 		// Mentioned but not derived: declared .base, an undeclared
 		// extensional predicate appearing in rule bodies, or one only a
 		// declaration names.
-		return ast.Literal{}, validationErrorf(ErrBasePredicate, "core: goal %s: %s is a base predicate (inject base facts; query derived ones)", goal, key)
+		return ast.Literal{}, validationErrorf(ErrBasePredicate, "core: goal %s: %s is a base predicate (inject base facts; query derived ones)", goal, p.key)
 	}
-	// Unknown as written: distinguish a wrong arity from a predicate
-	// the program never mentions, mirroring validateInject.
-	name := lit.Predicate + "/"
-	for p := range known {
-		if len(p) > len(name) && p[:len(name)] == name {
-			return ast.Literal{}, validationErrorf(ErrArity, "core: goal %s: arity mismatch (program declares %s, got %s)", goal, p, key)
-		}
-	}
-	return ast.Literal{}, validationErrorf(ErrUnknownPredicate, "core: goal %s: predicate %s not mentioned by the program", goal, key)
+	return lit, nil
 }
 
 // KnownPredKeys collects every predicate key the program mentions:

@@ -86,17 +86,14 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 		kindResult: reg.Counter("routing.stranded.result"),
 	}
 
-	// Pre-resolve the per-predicate handles for every predicate the
-	// program mentions, so the finalize path indexes a read-only map
-	// and never allocates. e.windows is keyed by exactly the rule
-	// predicates (heads and bodies).
+	// Resolve the per-predicate handles of every predicate a rule names
+	// into its record, so the finalize path never looks one up.
 	dv := reg.CounterVec("core.derivations")
 	del := reg.CounterVec("core.deletions")
-	e.predDerive = make(map[string]*obs.Counter, len(e.windows))
-	e.predDelete = make(map[string]*obs.Counter, len(e.windows))
-	for p := range e.windows {
-		e.predDerive[p] = dv.With(p)
-		e.predDelete[p] = del.With(p)
+	for _, p := range e.preds {
+		if p.ruled {
+			p.derive, p.del = dv.With(p.key), del.With(p.key)
+		}
 	}
 
 	// Histograms: settle latency (update visibility → finalize), join

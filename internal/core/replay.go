@@ -93,9 +93,10 @@ func (e *Engine) replayNow() {
 	e.provLive.Store(0)
 	e.provCaptured.Store(0)
 	// The view loses every tuple: sorted predicates, canonical order.
-	for _, pred := range e.derived.Predicates() {
-		for _, t := range e.derived.Tuples(pred) {
-			e.viewChanged(t, false, -1)
+	for _, key := range e.derived.Predicates() {
+		p := e.preds[key]
+		for _, t := range e.derived.Tuples(key) {
+			e.viewChanged(p, t, false, -1)
 		}
 	}
 	e.derived, e.extraHomes = eval.NewDatabase(), nil
@@ -111,17 +112,18 @@ func (e *Engine) replayNow() {
 	// base replay cannot restore them; re-seed them (fresh stamps).
 	for _, f := range e.prog.Facts() {
 		t := eval.Tuple{Pred: f.Head.PredKey(), Args: f.Head.Args}
-		if e.prog.IsDerived(t.Pred) {
-			e.seedDerivedFact(f.ID, t, e.homeFor(t))
+		if p := e.preds[t.Pred]; p.derived {
+			e.seedDerivedFact(p, f.ID, t, e.homeFor(p, t))
 		}
 	}
 	for _, rt := range e.rts {
 		for _, rec := range rt.genLog {
+			p := e.preds[rec.Tuple.Pred]
 			if rec.IsDel {
 				del := rec.Del
-				rt.launch(rec.Tuple, rec.ID, &del, del)
+				rt.launch(p, rec.Tuple, rec.ID, &del, del)
 			} else {
-				rt.launch(rec.Tuple, rec.ID, nil, rec.ID)
+				rt.launch(p, rec.Tuple, rec.ID, nil, rec.ID)
 			}
 		}
 	}

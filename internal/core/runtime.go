@@ -255,13 +255,13 @@ type nodeRT struct {
 func (rt *nodeRT) visibleMatch(cr *compiledRule, i int, b unify.Slots, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
 	l, js := &cr.lits[i], &rt.e.scratch
-	if rt.store.SmallTable(l.pred) {
+	if rt.store.SmallTable(l.pred.key) {
 		// The probe would scan anyway; don't pay for the key.
-		js.ents = rt.store.VisibleMatch(l.pred, tau, l.win, nil, nil, js.ents[:0])
+		js.ents = rt.store.VisibleMatch(l.pred.key, tau, l.pred.win, nil, nil, js.ents[:0])
 		return js.ents
 	}
 	js.cols, js.key, js.tmp = eval.AppendBoundCols(js.cols, js.key, js.tmp, cr.rule.Body[i].Args, b)
-	js.ents = rt.store.VisibleMatch(l.pred, tau, l.win, js.cols, js.key, js.ents[:0])
+	js.ents = rt.store.VisibleMatch(l.pred.key, tau, l.pred.win, js.cols, js.key, js.ents[:0])
 	return js.ents
 }
 
@@ -372,9 +372,10 @@ type genRec struct {
 }
 
 // generate starts the storage phase of an insertion (del == nil) or a
-// deletion of the tuple with original stamp *del. It returns the
-// generation stamp (for inserts) or the deletion stamp (for deletes).
-func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
+// deletion of the tuple t, of predicate p, with original stamp *del. It
+// returns the generation stamp (for inserts) or the deletion stamp (for
+// deletes).
+func (rt *nodeRT) generate(p *pred, t eval.Tuple, del *window.Stamp) window.Stamp {
 	rt.expire()
 	rt.seq++
 	stamp := window.Stamp{TS: int64(rt.node.LocalTime()), Node: int(rt.node.ID), Seq: rt.seq}
@@ -387,7 +388,7 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		ds := stamp // only a deletion pays for a stamp that escapes
 		delStamp = &ds
 	}
-	if del == nil && rt.e.prog.IsBase(t.Pred) {
+	if del == nil && p.base {
 		// A tuple reported again while live keeps its earlier generations:
 		// a deletion has to name every one (Engine.deleteBase).
 		key := t.Key()
@@ -398,7 +399,7 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		g.last = id
 		rt.e.baseIDs[key] = g
 	}
-	if rt.e.cfg.ReplayLog && rt.e.prog.IsBase(t.Pred) {
+	if rt.e.cfg.ReplayLog && p.base {
 		// Only base generations are logged: replay re-executes the base
 		// timeline and lets the join machinery re-derive everything else,
 		// so logging cascaded derived generations would only grow the log.
@@ -409,7 +410,7 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 		}
 		rt.genLog = append(rt.genLog, rec)
 	}
-	rt.launch(t, id, delStamp, stamp)
+	rt.launch(p, t, id, delStamp, stamp)
 	return stamp
 }
 
@@ -418,16 +419,16 @@ func (rt *nodeRT) generate(t eval.Tuple, del *window.Stamp) window.Stamp {
 // can re-execute logged generations stamp-for-stamp (replication is
 // idempotent by stamp and derivation keys are stamp-determined, so a
 // re-launch repairs lost state without creating divergent duplicates).
-func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, tau window.Stamp) {
-	if !rt.e.read[t.Pred] {
+func (rt *nodeRT) launch(p *pred, t eval.Tuple, id window.Stamp, delStamp *window.Stamp, tau window.Stamp) {
+	if !p.read {
 		return // no rule reads it: nothing to store, nothing to join
 	}
 	// Storage phase.
 	// The source stores first, so its store turns a flood's echoes away.
 	rt.applyStoreLocal(t, id, delStamp)
-	if pl, ok := rt.e.placements[t.Pred]; ok {
-		if pl.Hops > 0 {
-			rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, ttl: pl.Hops}}, nil)
+	if p.placed {
+		if p.place.Hops > 0 {
+			rt.broadcast(&storeMsg{Tuple: t, ID: id, Del: delStamp, flood: flood{flooding: true, ttl: p.place.Hops}}, nil)
 		}
 	} else {
 		walked := rt.storeHash(t, id, delStamp)
@@ -435,7 +436,7 @@ func (rt *nodeRT) launch(t eval.Tuple, id window.Stamp, delStamp *window.Stamp, 
 			// The join runs where the storage walk ends: here, under the
 			// generation stamp, when nothing walked.
 			if !walked {
-				rt.joinHere(&updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil})
+				rt.joinHere(p, &updateRec{Tuple: t, ID: id, Tau: tau, Del: delStamp != nil})
 			}
 			return
 		}
@@ -531,7 +532,7 @@ func (rt *nodeRT) walkStore(sm *storeMsg) {
 		// The update is joined under a stamp of the node it arrived at.
 		rt.seq++
 		tau := window.Stamp{TS: int64(rt.node.LocalTime()), Node: int(rt.node.ID), Seq: rt.seq}
-		rt.joinHere(&updateRec{Tuple: sm.Tuple, ID: sm.ID, Tau: tau, Del: sm.Del != nil})
+		rt.joinHere(rt.e.preds[sm.Tuple.Pred], &updateRec{Tuple: sm.Tuple, ID: sm.ID, Tau: tau, Del: sm.Del != nil})
 	}
 }
 
@@ -557,25 +558,23 @@ func (rt *nodeRT) onStore(sm *storeMsg) {
 // storage phase began.
 func (rt *nodeRT) joinPhase(rec *updateRec) {
 	rt.expire()
-	trigs := rt.e.triggers[rec.Tuple.Pred]
-	if _, placed := rt.e.placements[rec.Tuple.Pred]; placed {
+	p := rt.e.preds[rec.Tuple.Pred]
+	if p.placed {
 		// A placed predicate drives only local-mode rules: a localized
 		// join expands fully against the local store and routes its
 		// candidates to the head's placement node.
-		for _, tg := range trigs {
-			rt.expandHere(tg, rec)
-		}
+		rt.joinHere(p, rec)
 		return
 	}
 	plan := &rt.plans.join
 	if plan.Legs == nil && !plan.Flood {
-		rt.joinHere(rec) // every replica is here
+		rt.joinHere(p, rec) // every replica is here
 		return
 	}
 	var partials []*partialR
-	for _, tg := range trigs {
-		if p, ok := rt.seedPartial(tg, rec); ok {
-			partials = append(partials, p)
+	for _, tg := range p.triggers {
+		if q, ok := rt.seedPartial(tg, rec); ok {
+			partials = append(partials, q)
 		}
 	}
 	if len(partials) == 0 {
@@ -812,7 +811,7 @@ func (rt *nodeRT) mkCand(p *partialR, rec *updateRec, negFromStart bool) (*candR
 		add = rec.Del
 	}
 	c := &candR{
-		cr: cr, Head: eval.Tuple{Pred: cr.headPred, Args: args}, DerivKey: string(db),
+		cr: cr, Head: eval.Tuple{Pred: cr.head.key, Args: args}, DerivKey: string(db),
 		Add: add, Update: rec.Tau, negCheckedFromStart: negFromStart,
 	}
 	if rt.e.prov && add {
@@ -834,7 +833,7 @@ func (rt *nodeRT) captureProv(p *partialR) *candProv {
 		for j, a := range lit.Args {
 			args[j] = p.b.Apply(a)
 		}
-		body = append(body, eval.Tuple{Pred: p.cr.lits[i].pred, Args: args}.Key())
+		body = append(body, eval.Tuple{Pred: p.cr.lits[i].pred.key, Args: args}.Key())
 	}
 	return &candProv{Body: body, Producer: int32(rt.node.ID), SentAt: int64(rt.node.Now())}
 }
@@ -843,10 +842,10 @@ func (rt *nodeRT) captureProv(p *partialR) *candProv {
 func (rt *nodeRT) routeCand(c *candR) {
 	rt.e.cCandidates.Add(1)
 	head := c.Head
-	if pl, ok := rt.e.placements[head.Pred]; ok {
+	if hp := c.cr.head; hp.placed {
 		var kb [32]byte // the lookup key lives on the stack
-		home, ok2 := rt.e.nodeTerms[string(head.Args[pl.Arg].AppendKey(kb[:0]))]
-		if !ok2 {
+		home, ok := rt.e.nodeTerms[string(head.Args[hp.place.Arg].AppendKey(kb[:0]))]
+		if !ok {
 			return // head names an unknown node; drop
 		}
 		hn := rt.e.nw.Node(home)
@@ -882,13 +881,13 @@ func (rt *nodeRT) walkResult(rm *resultMsg) {
 // same-stage XY predicates staggered by priority — the "appropriate
 // delay" extensions of Section IV.
 func (rt *nodeRT) bufferCand(c *candR) {
-	deadline := rt.e.finalizeDeadline(c.Update.TS, c.Head.Pred)
+	deadline := rt.e.finalizeDeadline(c.Update.TS, c.cr.head)
 	if fl := rt.e.finalizeFloor; fl > 0 && c.Update.TS < int64(fl) {
 		// Replay re-issues candidates whose update stamps — and hence
 		// deadlines — are long past. Treating their timestamps as the
 		// replay start keeps them buffered until the repair traffic
 		// settles; the drain then applies everything in stamp order.
-		if fd := rt.e.finalizeDeadline(int64(fl), c.Head.Pred); fd > deadline {
+		if fd := rt.e.finalizeDeadline(int64(fl), c.cr.head); fd > deadline {
 			deadline = fd
 		}
 	}
@@ -938,9 +937,7 @@ func (rt *nodeRT) drainFinalize() {
 			// finalize application. Local stamps can run slightly ahead of
 			// global time (clock skew), so clamp into the first bucket.
 			rt.e.hSettle.Observe(int64(rt.node.Now()) - c.Update.TS)
-			if c.cr != nil {
-				rt.e.hFanin.Observe(int64(len(c.cr.posIdx)))
-			}
+			rt.e.hFanin.Observe(int64(len(c.cr.posIdx)))
 			if c.Prov != nil {
 				rt.e.hHops.Observe(int64(c.Prov.Hops))
 			}
@@ -955,7 +952,7 @@ func (rt *nodeRT) drainFinalize() {
 func (rt *nodeRT) finalize(c *candR) {
 	// Same-stage (XY) negation — and every negation of a local-mode rule
 	// — is verified here against the current live state.
-	if c.Add && c.cr != nil {
+	if c.Add {
 		for k, ni := range c.cr.negIdx {
 			if c.cr.mode != localMode && !c.cr.negSameStage[k] {
 				continue // already filtered during the sweep by stamp order
@@ -965,6 +962,7 @@ func (rt *nodeRT) finalize(c *candR) {
 			}
 		}
 	}
+	hp := c.cr.head
 	head := c.Head.Keyed() // one key string for the homed map and the view
 	key := head.Key()
 	h := rt.homed[key]
@@ -973,7 +971,7 @@ func (rt *nodeRT) finalize(c *candR) {
 		if fresh {
 			h = &homed{t: head, derivs: make(map[string]*provenance.Derivation)}
 			rt.homed[key] = h
-			rt.e.homeAdded(head, rt.node.ID)
+			rt.e.homeAdded(hp, head, rt.node.ID)
 		}
 		if _, held := h.derivs[c.DerivKey]; !held {
 			var d *provenance.Derivation
@@ -988,9 +986,9 @@ func (rt *nodeRT) finalize(c *candR) {
 		}
 		if fresh {
 			rt.e.cDerivations.Add(1)
-			rt.e.predDerive[c.Head.Pred].Add(1)
+			hp.derive.Add(1)
 			rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDerive, Pred: c.Head.Pred})
-			h.id = rt.generate(c.Head, nil)
+			h.id = rt.generate(hp, c.Head, nil)
 		}
 		return
 	}
@@ -1007,11 +1005,11 @@ func (rt *nodeRT) finalize(c *candR) {
 	}
 	if len(h.derivs) == 0 {
 		delete(rt.homed, key)
-		rt.e.homeRemoved(h.t, rt.node.ID)
+		rt.e.homeRemoved(hp, h.t, rt.node.ID)
 		rt.e.cDeletions.Add(1)
-		rt.e.predDelete[c.Head.Pred].Add(1)
+		hp.del.Add(1)
 		rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDelete, Pred: c.Head.Pred})
-		rt.generate(c.Head, &h.id)
+		rt.generate(hp, c.Head, &h.id)
 	}
 }
 
@@ -1027,7 +1025,7 @@ func (rt *nodeRT) liveNegMatch(ni int, c *candR) bool {
 	if !s.MatchArgs(cr.headPat, c.Head.Args) {
 		return false
 	}
-	head, pred, args := s.Set, cr.lits[ni].pred, cr.rule.Body[ni].Args
+	head, pred, args := s.Set, cr.lits[ni].pred.key, cr.rule.Body[ni].Args
 	for _, e := range rt.live(pred) {
 		if s.Set = head; s.MatchArgs(args, e.Args) {
 			return true
@@ -1089,7 +1087,7 @@ func (rt *nodeRT) expandHere(tg trigger, rec *updateRec) {
 func (rt *nodeRT) pinnedNegIdx(p *partialR, rec *updateRec) int {
 	s := rt.scratch(p.cr, p.b)
 	for _, ni := range p.cr.negIdx {
-		if p.cr.lits[ni].pred != rec.Tuple.Pred {
+		if p.cr.lits[ni].pred.key != rec.Tuple.Pred {
 			continue
 		}
 		if s.Set = p.b.Set; s.MatchArgs(p.cr.rule.Body[ni].Args, rec.Tuple.Args) {
@@ -1099,11 +1097,12 @@ func (rt *nodeRT) pinnedNegIdx(p *partialR, rec *updateRec) int {
 	return -1
 }
 
-// joinHere joins an update of a hash-placed predicate against this
-// node's store alone: the join plan of a scheme that brings every replica
-// to one node (NaiveBroadcast's source, the Centralized server).
-func (rt *nodeRT) joinHere(rec *updateRec) {
-	for _, tg := range rt.e.triggers[rec.Tuple.Pred] {
+// joinHere joins an update of predicate p against this node's store
+// alone: the join plan of a placed predicate, and of a scheme that brings
+// every replica to one node (NaiveBroadcast's source, the Centralized
+// server).
+func (rt *nodeRT) joinHere(p *pred, rec *updateRec) {
+	for _, tg := range p.triggers {
 		rt.expandHere(tg, rec)
 	}
 }

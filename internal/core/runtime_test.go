@@ -45,7 +45,7 @@ func TestJoinPathAllocations(t *testing.T) {
 	// NOT jp(Y, D1), pinned at g(n0, n1): the extension binds D from the
 	// stored j(n0, 0) and runs D1 = D + 1.
 	var tg trigger
-	for _, c := range e.triggers["g/2"] {
+	for _, c := range e.preds["g/2"].triggers {
 		if len(c.rule.negIdx) == 1 {
 			tg = c
 		}

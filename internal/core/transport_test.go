@@ -85,7 +85,7 @@ func follow(e *Engine, from nsim.NodeID, w *walk, f frame) (nsim.NodeID, outcome
 func TestWalkRoutes(t *testing.T) {
 	const m = 5
 	e, nw, _ := deployObserved(t, m)
-	cand := &candR{Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}
+	cand := &candR{cr: e.rules[0], Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}
 	for _, c := range []struct {
 		name string
 		from nsim.NodeID
@@ -120,7 +120,7 @@ func TestJoinWalkSweepsEachNodeOnce(t *testing.T) {
 	rt := e.rts[topo.GridID(m, 0, 0)]
 	stamp := window.Stamp{TS: 1, Node: int(rt.node.ID), Seq: 1}
 	rec := &updateRec{Tuple: eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)), ID: stamp, Tau: stamp}
-	p, ok := rt.seedPartial(e.triggers["ra/2"][0], rec)
+	p, ok := rt.seedPartial(e.preds["ra/2"].triggers[0], rec)
 	if !ok {
 		t.Fatal("ra seed did not match")
 	}
@@ -264,7 +264,7 @@ func TestStrandingPolicies(t *testing.T) {
 		t.Errorf("after a store walker stranded: stranded store/join/result = %v", c)
 	}
 
-	rt.walkResult(&resultMsg{walk: stuck(), Cand: &candR{Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}})
+	rt.walkResult(&resultMsg{walk: stuck(), Cand: &candR{cr: e.rules[0], Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}})
 	if len(rt.pendingCands) != 1 {
 		t.Errorf("stranded result: %d candidates buffered where it stranded, want 1", len(rt.pendingCands))
 	}
@@ -302,7 +302,7 @@ func TestWalkerHopAllocs(t *testing.T) {
 	far := []gpa.Leg{{TargetX: m - 1, TargetY: m - 1}}
 	sm := &storeMsg{Tuple: eval.NewTuple("ra", ast.Int64(1), ast.Int64(2)), walk: walk{x: far[0].TargetX, y: far[0].TargetY, path: rt.walkFor(far...)}}
 	jm := &joinMsg{Update: sm.Tuple, legWalk: along(far, rt.walkFor(far...))}
-	rm := &resultMsg{Cand: &candR{Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}, walk: walk{x: far[0].TargetX, y: far[0].TargetY}}
+	rm := &resultMsg{Cand: &candR{cr: e.rules[0], Head: eval.NewTuple("out", ast.Int64(1), ast.Int64(2)), DerivKey: "k"}, walk: walk{x: far[0].TargetX, y: far[0].TargetY}}
 	for _, hop := range []struct {
 		w *walk
 		f frame
@@ -405,7 +405,7 @@ func TestWalkerCopiesOwnTheirPath(t *testing.T) {
 	rt := e.rts[5]
 	stamp := window.Stamp{TS: 1, Node: 5, Seq: 1}
 	rec := &updateRec{Tuple: eval.NewTuple("r", ast.Int64(0), ast.Int64(10)), ID: stamp, Tau: stamp}
-	p, ok := rt.seedPartial(e.triggers["r/2"][0], rec)
+	p, ok := rt.seedPartial(e.preds["r/2"].triggers[0], rec)
 	if !ok {
 		t.Fatal("r seed did not match")
 	}
@@ -568,8 +568,8 @@ func greedyHops(t *testing.T, e *Engine, nw *nsim.Network) (derivs, hops int) {
 	for _, rt := range e.rts {
 		for _, h := range rt.homed {
 			x, y := e.hasher.Location(h.t.Key())
-			if pl, ok := e.placements[h.t.Pred]; ok {
-				home := nw.Node(e.nodeTerms[h.t.Args[pl.Arg].Key()])
+			if p := e.preds[h.t.Pred]; p.placed {
+				home := nw.Node(e.nodeTerms[h.t.Args[p.place.Arg].Key()])
 				x, y = home.X, home.Y
 			}
 			for _, d := range h.derivs {

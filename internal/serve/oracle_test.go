@@ -189,7 +189,7 @@ func assertThreeWay(t *testing.T, s *Session, src string, base []eval.Tuple, goa
 	t.Helper()
 	for _, goal := range goals {
 		got := tupleKeys(answers(t, s, goal))
-		lit, err := core.ParseGoal(s.prog, goal)
+		lit, err := s.c.Engine.ParseGoal(goal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func evalPred(t *testing.T, src string, base []eval.Tuple, goal string, s *Sessi
 	if err != nil {
 		t.Fatal(err)
 	}
-	lit, err := core.ParseGoal(s.prog, goal)
+	lit, err := s.c.Engine.ParseGoal(goal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func evalPred(t *testing.T, src string, base []eval.Tuple, goal string, s *Sessi
 
 func filterGoal(t *testing.T, s *Session, goal string, tuples []eval.Tuple) []eval.Tuple {
 	t.Helper()
-	lit, err := core.ParseGoal(s.prog, goal)
+	lit, err := s.c.Engine.ParseGoal(goal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,6 @@ import (
 
 	snlog "repro"
 	"repro/internal/core"
-	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
 	"repro/internal/obs"
 )
@@ -164,8 +163,6 @@ type Session struct {
 	runMu  sync.Mutex
 	mu     sync.Mutex
 	c      *snlog.Cluster
-	prog   *ast.Program
-	known  map[string]bool // core.KnownPredKeys(prog), computed once
 	opts   Options
 	closed atomic.Bool // stored holding runMu and bmu
 
@@ -247,11 +244,8 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 		opts.BatchDelay = defaultBatchDelay
 	}
 	reg := c.Registry()
-	prog := c.Engine.Analysis().Program
 	s := &Session{
 		c:     c,
-		prog:  prog,
-		known: core.KnownPredKeys(prog),
 		opts:  opts,
 		cache: make(map[string]*cacheEntry),
 		subs:  make(map[int]*Subscription),
@@ -292,7 +286,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	// the initial quiescent set (program-declared facts settle here) is
 	// copied whole. No reader, writer or subscriber exists yet, so this
 	// needs no lock.
-	for _, pred := range prog.DerivedPredicates() {
+	for _, pred := range c.Engine.Analysis().Program.DerivedPredicates() {
 		c.Engine.Watch(pred)
 	}
 	s.lastEnd.Store(c.Run())
@@ -614,7 +608,7 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 	if err := ctx.Err(); err != nil {
 		return nil, Freshness{}, qt.id, err
 	}
-	lit, err := core.ParseGoal(s.prog, goal) // prog is immutable: no lock
+	lit, err := s.c.Engine.ParseGoal(goal) // the program is immutable: no lock
 	if err != nil {
 		return nil, Freshness{}, qt.id, err
 	}
@@ -693,7 +687,7 @@ func (s *Session) explain(ctx context.Context, goal string, tid int64) (*snlog.E
 	if err := ctx.Err(); err != nil {
 		return nil, qt.id, err
 	}
-	lit, err := core.ParseGoal(s.prog, goal)
+	lit, err := s.c.Engine.ParseGoal(goal)
 	if err != nil {
 		return nil, qt.id, err
 	}
@@ -730,11 +724,11 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	if !s.prog.IsDerived(pred) {
-		if s.known[pred] {
-			return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrBasePredicate)
-		}
-		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrUnknownPredicate)
+	switch derived, err := s.c.Engine.ClassifyPred(pred); {
+	case err != nil:
+		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, err)
+	case !derived:
+		return nil, fmt.Errorf("serve: subscribe %s: %w", pred, core.ErrBasePredicate)
 	}
 	// Apply the buffered writes first, so the subscriber sees only
 	// changes from the current quiescent state on.

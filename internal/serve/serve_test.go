@@ -271,6 +271,9 @@ func TestQueryTypedErrors(t *testing.T) {
 	if _, err := s.Subscribe("ghost/1"); !errors.Is(err, snlog.ErrUnknownPredicate) {
 		t.Errorf("Subscribe unknown = %v", err)
 	}
+	if _, err := s.Subscribe("reach/3"); !errors.Is(err, snlog.ErrArity) {
+		t.Errorf("Subscribe wrong arity = %v", err)
+	}
 	if _, err := s.Explain(ctx, "reach(a, X)"); !errors.Is(err, core.ErrNotGround) {
 		t.Errorf("Explain non-ground = %v", err)
 	}

@@ -474,7 +474,7 @@ var (
 // cluster to quiescence first — Query reads, it does not advance
 // virtual time.
 func (c *Cluster) Query(goal string) ([]Tuple, error) {
-	lit, err := core.ParseGoal(c.Engine.Analysis().Program, goal)
+	lit, err := c.Engine.ParseGoal(goal)
 	if err != nil {
 		return nil, err
 	}
@@ -538,9 +538,6 @@ func (c *Cluster) AggregateResult(pred string) []Tuple {
 	return c.Engine.AggregateResult(pred)
 }
 
-// ResultDB snapshots all derived predicates.
-func (c *Cluster) ResultDB() *Database { return c.Engine.DerivedDB().Clone() }
-
 // Observability re-exports: the counter snapshot and trace types of
 // internal/obs, so applications can consume Cluster.Snapshot and
 // Cluster.Trace without importing internal packages.
@@ -585,16 +582,6 @@ func (c *Cluster) WriteTrace(w io.Writer, f TraceFilter) (int, error) {
 		return 0, fmt.Errorf("snlog: no trace attached; deploy with WithTrace")
 	}
 	return c.trace.WriteJSONL(w, f)
-}
-
-// WriteTraceTail writes the newest n retained trace events passing the
-// filter (n <= 0 = no limit) as JSONL — the windowed view the admin
-// endpoint's /trace?n= serves. Requires WithTrace.
-func (c *Cluster) WriteTraceTail(w io.Writer, f TraceFilter, n int) (int, error) {
-	if c.trace == nil {
-		return 0, fmt.Errorf("snlog: no trace attached; deploy with WithTrace")
-	}
-	return c.trace.WriteTailJSONL(w, f, n)
 }
 
 // Stats summarizes communication and memory costs.

@@ -425,7 +425,7 @@ d(X, Y) :- a(X, Y).
 }
 
 // Cluster.Query and the re-exported validation sentinels: goals are
-// validated on the same core.ParseGoal path the serving layer uses, so
+// validated on the same Engine.ParseGoal path the serving layer uses, so
 // errors match with errors.Is at the facade too.
 func TestClusterQueryFacade(t *testing.T) {
 	c, err := Deploy(Grid(4), `

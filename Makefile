@@ -47,6 +47,9 @@ serve-smoke:
 # deployed; deploying and injecting it, 1,712 allocations) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (8 allocs).
+# TestWireDecodeAllocs pins the codec's decode share of it: the
+# 30-tuple answer frame decodes in exactly 1 allocation (its []string),
+# the query frame in none.
 # TestQueryAllocs pins the server's share in-process: a Session.query
 # hit makes at most 1 allocation (the goal's argument slice), Query adds
 # only the answer copy, and a cache-off miss of each BenchmarkColdQuery
@@ -73,7 +76,7 @@ serve-smoke:
 # inside the window.
 obs-guard:
 	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
-	$(GO) test -run 'TestHotQueryAllocs|TestQueryAllocs' -v ./internal/serve/
+	$(GO) test -run 'TestHotQueryAllocs|TestWireDecodeAllocs|TestQueryAllocs' -v ./internal/serve/
 	$(GO) test -run 'TestJoinPathAllocations|TestWalkerHopAllocs' -v ./internal/core/
 	$(GO) test -run 'TestEventLoopAllocs|TestKindCountsAllocs' -v ./internal/nsim/
 

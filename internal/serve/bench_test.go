@@ -175,6 +175,77 @@ func BenchmarkHotQuery(b *testing.B) {
 	wg.Wait()
 }
 
+// hotFrames are the two frames of a serve_hot round trip, without
+// their newlines: the query for reach(s1_2, X) and its cached answer,
+// the 30 tuples of the rest of chain 1, as the server writes them.
+func hotFrames() (req, resp string) {
+	ts := make([]eval.Tuple, 30)
+	for j := range ts {
+		ts[j] = eval.NewTuple("reach", ast.Symbol(chainSym(1, 2)), ast.Symbol(chainSym(1, 3+j)))
+	}
+	q := appendRequest(nil, &Request{ID: 1234, Op: "query", Arg: "reach(s1_2, X)"})
+	a := appendResponse(nil, &Response{ID: 1234, OK: true, AsOf: 1765, TraceID: 56789}, appendAnswer(nil, ts))
+	return string(q[:len(q)-1]), string(a[:len(a)-1])
+}
+
+// BenchmarkDecodeResponse times the client's decode of one serve_hot
+// answer frame (about 700 bytes, 30 tuples); MB/s is over the frame.
+//
+//	go test -run '^$' -bench Decode -benchmem ./internal/serve/
+func BenchmarkDecodeResponse(b *testing.B) {
+	_, line := hotFrames()
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		var r Response
+		if err := decodeResponse(line, &r); err != nil || len(r.Tuples) != 30 {
+			b.Fatalf("%d tuples, %v", len(r.Tuples), err)
+		}
+	}
+}
+
+// BenchmarkDecodeRequest times the server's decode of one serve_hot
+// query frame.
+func BenchmarkDecodeRequest(b *testing.B) {
+	line, _ := hotFrames()
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		var r Request
+		if err := decodeRequest(line, &r); err != nil || r.Arg == "" {
+			b.Fatalf("%+v, %v", r, err)
+		}
+	}
+}
+
+// TestWireDecodeAllocs pins the codec's share of a cache-hit round
+// trip: decoding the 30-tuple answer frame allocates exactly its
+// []string (every tuple is a substring of the line), and decoding the
+// query frame allocates nothing. `make obs-guard` runs it.
+func TestWireDecodeAllocs(t *testing.T) {
+	req, resp := hotFrames()
+	got := testing.AllocsPerRun(200, func() {
+		var r Response
+		if err := decodeResponse(resp, &r); err != nil || len(r.Tuples) != 30 {
+			t.Fatalf("%d tuples, %v", len(r.Tuples), err)
+		}
+	})
+	t.Logf("decodeResponse of a 30-tuple answer (%d bytes): %.1f allocs", len(resp), got)
+	if got != 1 {
+		t.Errorf("decoding a 30-tuple answer allocates %.1f objects, want 1 (the []string)", got)
+	}
+	got = testing.AllocsPerRun(200, func() {
+		var r Request
+		if err := decodeRequest(req, &r); err != nil || r.Op != "query" {
+			t.Fatalf("%+v, %v", r, err)
+		}
+	})
+	t.Logf("decodeRequest of a query (%d bytes): %.1f allocs", len(req), got)
+	if got != 0 {
+		t.Errorf("decoding a query allocates %.1f objects, want 0", got)
+	}
+}
+
 // hotQueryAllocs is what one cache-hit round trip — client encode,
 // server decode and probe, the memoised answer's frame, client decode
 // of its 32 tuples — allocates on both sides (296 before the render-

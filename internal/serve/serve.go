@@ -514,11 +514,10 @@ func (s *Session) Sync(ctx context.Context) (int64, error) {
 	return s.flush(flushExplicit)
 }
 
-// qtrace carries one query's trace through its stages: step appends a
-// span covering the time since the previous step and bumps the stage's
-// counter. The zero-cost discipline lives in the callee (SpanRing and
-// Counter are nil-safe), so the query path is identical whether span
-// capture is on or off.
+// qtrace carries one query's trace through its stages: step bumps the
+// stage's counter and, when the session keeps a span ring, appends a
+// span covering the time since the previous step. With no ring
+// (Options.Spans < 0) a step reads no clock.
 type qtrace struct {
 	s     *Session
 	id    int64
@@ -537,6 +536,10 @@ func (s *Session) beginTrace(id int64, start time.Time) qtrace {
 }
 
 func (q *qtrace) step(stage int, note string) {
+	q.s.spanStage[stage].Inc()
+	if q.s.spans == nil {
+		return
+	}
 	now := time.Now()
 	q.s.spans.Record(obs.Span{
 		Trace:   q.id,
@@ -545,7 +548,6 @@ func (q *qtrace) step(stage int, note string) {
 		DurUs:   now.Sub(q.last).Microseconds(),
 		Note:    note,
 	})
-	q.s.spanStage[stage].Inc()
 	q.last = now
 }
 

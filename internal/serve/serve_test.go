@@ -95,6 +95,29 @@ func TestQueryCacheHitZeroEvalWork(t *testing.T) {
 	}
 }
 
+// With no span ring (Options.Spans < 0) a query records no span but
+// still counts every stage it passes and its latency.
+func TestSpansOffStillCountStages(t *testing.T) {
+	s := openSession(t, reachSrc, Options{Spans: -1})
+	if err := s.Inject(0, link("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	answers(t, s, "reach(a, X)") // a miss
+	answers(t, s, "reach(a, Y)") // a hit
+	if s.Spans() != nil {
+		t.Fatal("Spans() is not nil with Options.Spans < 0")
+	}
+	snap := s.Snapshot()
+	for stage, want := range map[string]int64{"parse": 2, "cache_probe": 2, "eval": 1, "explain": 0, "respond": 2} {
+		if got := snap.Get("serve.query.spans." + stage); got != want {
+			t.Errorf("serve.query.spans.%s = %d, want %d", stage, got, want)
+		}
+	}
+	if got := snap.Get("serve.query_latency.count"); got != 2 {
+		t.Errorf("latency histogram count = %d, want 2", got)
+	}
+}
+
 // twoFamilySrc holds two independent rule families, so a write can
 // change one derived predicate and leave the other alone.
 const twoFamilySrc = `

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -420,6 +421,12 @@ func decode(line string, ms []member) error {
 // decoder reads one frame. The first error stops it, and what it stored
 // before stays, as json.Unmarshal keeps it. A string with no escape and
 // no invalid UTF-8 is a substring of the line, not a copy.
+//
+// The common frame is plain ASCII: one-byte tokens are compared as
+// bytes, a string's plain run is scanned eight bytes at a time
+// (plainRun) and a string array's elements are decoded in a loop of
+// their own. Each of these is the first branch of the general path and
+// hands it the rest at the first byte it does not cover.
 type decoder struct {
 	s     string
 	i     int
@@ -436,59 +443,105 @@ func (d *decoder) fail(what string) {
 // ws skips whitespace and reports whether input is left; false after
 // an error.
 func (d *decoder) ws() bool {
-	for ; d.err == nil && d.i < len(d.s); d.i++ {
-		if c := d.s[d.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+	if d.err != nil {
+		return false
+	}
+	s, i := d.s, d.i
+	for ; i < len(s); i++ {
+		if c := s[i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			d.i = i
 			return true
 		}
 	}
+	d.i = i
 	return false
 }
 
-// eat consumes w if the input goes on with it; word does so after
-// whitespace.
-func (d *decoder) eat(w string) bool {
-	ok := d.err == nil && strings.HasPrefix(d.s[d.i:], w)
+// token consumes the byte c if, after whitespace, the input goes on
+// with it.
+func (d *decoder) token(c byte) bool {
+	ok := d.ws() && d.s[d.i] == c
+	if ok {
+		d.i++
+	}
+	return ok
+}
+
+// next consumes the byte c if the input goes on with it.
+func (d *decoder) next(c byte) bool {
+	ok := d.err == nil && d.i < len(d.s) && d.s[d.i] == c
+	if ok {
+		d.i++
+	}
+	return ok
+}
+
+// word consumes w if, after whitespace, the input goes on with it.
+func (d *decoder) word(w string) bool {
+	ok := d.ws() && strings.HasPrefix(d.s[d.i:], w)
 	if ok {
 		d.i += len(w)
 	}
 	return ok
 }
 
-func (d *decoder) word(w string) bool { return d.ws() && d.eat(w) }
-
-// list reads an object or an array, calling elem for each member or
-// element.
-func (d *decoder) list(open, close string, elem func()) {
-	if !d.word(open) {
-		d.fail("want " + open)
+// open consumes the byte that opens an object or an array.
+func (d *decoder) open(c byte) {
+	if !d.token(c) {
+		d.fail("want " + string(c))
 	} else if d.depth++; d.depth > 10000 {
 		d.fail("nested too deep")
 	}
-	for n := 0; d.err == nil && !d.word(close); n++ {
-		if n > 0 && !d.word(",") {
-			d.fail("want , or " + close)
-		}
-		elem()
+}
+
+// more reports whether the object or array whose n members or elements
+// have been read goes on, consuming its close byte when it does not and
+// the comma before the next one when it does.
+func (d *decoder) more(close byte, n int) bool {
+	ok := d.ws()
+	switch {
+	case ok && d.s[d.i] == close:
+		d.i++
+		d.depth--
+		return false
+	case ok && n == 0:
+		return true
+	case ok && d.s[d.i] == ',':
+		d.i++
+		return true
 	}
-	d.depth--
+	d.fail("want , or " + string(close))
+	return false
 }
 
 // object decodes an object into the fields ms points to, skipping a
 // member whose key names none.
 func (d *decoder) object(ms []member) {
-	d.list("{", "}", func() {
+	d.open('{')
+	for n := 0; d.more('}', n); n++ {
 		k := d.string()
-		if !d.word(":") {
+		if !d.token(':') {
 			d.fail("want :")
 		}
-		var p any
-		for _, m := range ms {
-			if k == m.name || strings.EqualFold(k, m.name) { // no two names fold alike
-				p = m.p
-			}
+		d.value(field(ms, k))
+	}
+}
+
+// field returns the field of the member k names: the one named k, else
+// the one whose name k folds to as encoding/json folds keys (no two
+// names fold alike), else nil.
+func field(ms []member, k string) any {
+	for _, m := range ms {
+		if k == m.name {
+			return m.p
 		}
-		d.value(p)
-	})
+	}
+	for _, m := range ms {
+		if strings.EqualFold(k, m.name) {
+			return m.p
+		}
+	}
+	return nil
 }
 
 // value decodes the next value into the field p points to, or skips it
@@ -496,10 +549,11 @@ func (d *decoder) object(ms []member) {
 // as it is and sets a slice, map or pointer to nil, and a repeated key
 // decodes over what the earlier one stored.
 func (d *decoder) value(p any) {
-	if d.err != nil {
+	if !d.ws() {
+		d.fail("want a value")
 		return
 	}
-	if d.word("null") {
+	if d.s[d.i] == 'n' && d.word("null") {
 		switch p := p.(type) {
 		case *[]string:
 			*p = nil
@@ -529,39 +583,23 @@ func (d *decoder) value(p any) {
 			*p = s
 		}
 	case *[]string:
-		ts, n := *p, 0
-		if ts == nil {
-			c := *d // count the elements first: one allocation
-			c.list("[", "]", func() { c.value(nil); n++ })
-			ts = make([]string, 0, n)
-		}
-		i := 0
-		d.list("[", "]", func() {
-			if i == cap(ts) {
-				ts = append(ts, "")
-			}
-			ts = ts[:max(i+1, len(ts))]
-			d.value(&ts[i])
-			i++
-		})
-		if *p = ts[:i]; i == 0 {
-			*p = []string{}
-		}
+		d.stringArray(p)
 	case *map[string]int64:
 		if *p == nil {
 			*p = make(map[string]int64)
 		}
 		m := *p
-		d.list("{", "}", func() {
-			var n int64
+		d.open('{')
+		for n := 0; d.more('}', n); n++ {
+			var v int64
 			k := d.string()
-			if !d.word(":") {
+			if !d.token(':') {
 				d.fail("want :")
 			}
-			if d.value(&n); d.err == nil {
-				m[k] = n
+			if d.value(&v); d.err == nil {
+				m[k] = v
 			}
-		})
+		}
 	case **Event:
 		if *p == nil {
 			*p = new(Event)
@@ -569,20 +607,88 @@ func (d *decoder) value(p any) {
 		ms := (*p).members()
 		d.object(ms[:])
 	case nil: // skip
-		switch {
-		case !d.ws():
-			d.fail("want a value")
-		case d.s[d.i] == '{':
+		switch c := d.s[d.i]; {
+		case c == '{':
 			d.object(nil)
-		case d.s[d.i] == '[':
-			d.list("[", "]", func() { d.value(nil) })
-		case d.s[d.i] == '"':
+		case c == '[':
+			d.open('[')
+			for n := 0; d.more(']', n); n++ {
+				d.value(nil)
+			}
+		case c == '"':
 			d.string()
 		case d.word("true"), d.word("false"):
 		default:
 			d.number()
 		}
 	}
+}
+
+// stringArray decodes an array of strings into *p, element by element over
+// the slice an earlier key may have left there, as json.Unmarshal does:
+// a null element leaves its string as it is, and the slice ends at the
+// last element. Into a nil slice, a counting pass over a copy of the
+// decoder sizes the array first, so it is one allocation.
+func (d *decoder) stringArray(p *[]string) {
+	ts := *p
+	if ts == nil {
+		ts = make([]string, 0, d.count())
+	}
+	d.open('[')
+	i := 0
+	for ; d.more(']', i); i++ {
+		if i == cap(ts) {
+			ts = append(ts, "")
+		}
+		ts = ts[:max(i+1, len(ts))]
+		switch {
+		case !d.ws():
+			d.fail("want a string")
+		case d.s[d.i] == '"':
+			d.i++
+			if s := d.quoted(); d.err == nil {
+				ts[i] = s
+			}
+		case !d.word("null"):
+			d.fail("want a string")
+		}
+	}
+	if *p = ts[:i]; i == 0 {
+		*p = []string{}
+	}
+}
+
+// count returns the number of elements of the array at d.i, counted up
+// to the first that is neither a string nor null; the decode that reads
+// them fails there. It works on a copy of d and checks no string.
+func (d decoder) count() int {
+	d.open('[')
+	n := 0
+	for ; d.more(']', n); n++ {
+		switch {
+		case !d.ws():
+			return n
+		case d.s[d.i] == '"':
+			d.i++
+			d.skipString()
+		case !d.word("null"):
+			return n
+		}
+	}
+	return n
+}
+
+// skipString moves past the string whose opening quote was read,
+// stepping over escapes without decoding them.
+func (d *decoder) skipString() {
+	s, i := d.s, d.i
+	for i = plainRun(s, i); i < len(s) && s[i] != '"'; i = plainRun(s, i) {
+		if s[i] == '\\' {
+			i++
+		}
+		i++
+	}
+	d.i = min(i+1, len(s))
 }
 
 // int reads an integer of the given width; after an error it returns
@@ -602,13 +708,13 @@ func (d *decoder) int(old int64, bits int) int64 {
 func (d *decoder) number() string {
 	d.ws()
 	start := d.i
-	d.eat("-")
-	ok := d.eat("0") || d.digits()
-	if d.eat(".") {
+	d.next('-')
+	ok := d.next('0') || d.digits()
+	if d.next('.') {
 		ok = d.digits() && ok
 	}
-	if d.eat("e") || d.eat("E") {
-		_ = d.eat("+") || d.eat("-")
+	if d.next('e') || d.next('E') {
+		_ = d.next('+') || d.next('-')
 		ok = d.digits() && ok
 	}
 	if !ok {
@@ -625,19 +731,64 @@ func (d *decoder) digits() bool {
 	return d.i > start
 }
 
+// plain marks the bytes that stand for themselves in a JSON string:
+// ASCII from space up, but for the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainRun returns the index of the first byte of s from i on that is
+// not plain, or len(s). While eight bytes are left it tests them as one
+// word: a byte is flagged when its top bit is set, when it is below a
+// space, or when it is a quote or a backslash (zero once XORed with
+// one). A borrow can flag a byte above a flagged one, never the lowest.
+func plainRun(s string, i int) int {
+	const ones, tops = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(s); i += 8 {
+		w := s[i : i+8]
+		x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+		q, b := x^(ones*'"'), x^(ones*'\\')
+		if m := (x | (x-ones*' ')&^x | (q-ones)&^q | (b-ones)&^b) & tops; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(s) && plain[s[i]] {
+		i++
+	}
+	return i
+}
+
 // string reads a string: a substring of the line, or — when it holds
 // an escape or invalid UTF-8 — a copy, decoded as encoding/json decodes
 // it (each invalid byte becomes U+FFFD).
 func (d *decoder) string() string {
-	if !d.word(`"`) {
+	if !d.token('"') {
 		d.fail("want a string")
 		return ""
 	}
+	return d.quoted()
+}
+
+// quoted reads the rest of a string whose opening quote was read. Its
+// plain run is scanned first; the loop below, which copies a later
+// plain run the same way, takes over at the first byte the run does not
+// cover, a closing quote aside.
+func (d *decoder) quoted() string {
 	start := d.i
+	if d.i = plainRun(d.s, start); d.i < len(d.s) && d.s[d.i] == '"' {
+		d.i++
+		return d.s[start : d.i-1]
+	}
 	var b []byte // the copy, once one is needed
 	for d.i < len(d.s) {
 		c, r, n := d.s[d.i], rune(-1), 1 // r >= 0 replaces the n input bytes
 		switch {
+		case plain[c]:
+			n = plainRun(d.s, d.i) - d.i
 		case c == '"':
 			if d.i++; b == nil {
 				return d.s[start : d.i-1]

@@ -98,6 +98,53 @@ func FuzzWire(f *testing.F) {
 		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, // one past it
 		`{"\u0069d":5,"id":6,"ID":7,"tuples":["\ud800\u0041","\udc00\udc00","\ud83d\ude00"]}`,
 	}
+	// The decoder's plain-string fast path hands over at the first byte
+	// it does not cover: each such byte class — a quote, a backslash, a
+	// control byte raw and escaped, a valid non-ASCII rune, invalid
+	// UTF-8 — at the first, a middle and the last byte of an element,
+	// in a string array and in a request string.
+	for _, x := range []string{`\"`, `\\`, `\n`, "\x01", `\u0001`, "é", "😀", "\xff", "\xe2\x82"} {
+		for _, e := range []string{x + "reach(a, b)", "reach(a" + x + ", b)", "reach(a, b)" + x} {
+			seeds = append(seeds,
+				`{"id":1,"ok":true,"tuples":["p(a)","`+e+`","q(b)"]}`,
+				`{"id":1,"ok":true,"tuples":["`+e+`"]}`,
+				`{"id":1,"op":"query","arg":"`+e+`"}`)
+		}
+	}
+	// The same classes, DEL and a space (plain bytes at the ends of the
+	// plain range) too, at every offset of an eight-byte word.
+	for k := 0; k < 17; k++ {
+		for _, x := range []string{`\"`, `\\`, "\x1f", " ", "\x7f", "é", "\xff"} {
+			seeds = append(seeds, `{"tuples":["`+strings.Repeat("a", k)+x+`b"],"op":"`+strings.Repeat("o", k)+x+`"}`)
+		}
+	}
+	seeds = append(seeds,
+		// Whitespace around the array's commas and brackets.
+		"{\"id\":1,\"tuples\": [ \"a\" , \"b\"\t,\r\n\"c\" ] ,\"ok\":true}",
+		`{"tuples":["a" ,"b", "c"]}`,
+		`{"tuples":["a"`+"\t"+`]}`,
+		// null elements, and empty arrays.
+		`{"tuples":[null]}`,
+		`{"tuples":["a",null,"b",null]}`,
+		`{"tuples":[]}`,
+		`{"tuples":[ ]}`,
+		`{"tuples":[],"tuples":["a"]}`,
+		// A second "tuples" decodes over the first one's slice: a null
+		// element keeps what the earlier array left there.
+		`{"tuples":["a","b","c"],"tuples":["x",null]}`,
+		`{"tuples":["a","b"],"tuples":[null,null,null,null]}`,
+		`{"tuples":["a","b","c"],"tuples":["x"],"tuples":[null,null,null,null,null]}`,
+		`{"tuples":["a"],"Tuples":[]}`,
+		// What ends the count early: a non-string element, a missing
+		// comma, a trailing comma, an unterminated array or string.
+		`{"tuples":["a",1]}`,
+		`{"tuples":["a",["b"]]}`,
+		`{"tuples":["a" "b"]}`,
+		`{"tuples":["a",]}`,
+		`{"tuples":["a",`,
+		`{"tuples":["a\"`,
+		`{"tuples":["a\\"]}`,
+	)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -24,10 +24,12 @@ vet:
 
 # The window/eval index structures are shared per node runtime; the serve
 # layer multiplexes concurrent sessions and wire clients over one
-# cluster, and the admin endpoint samples its metrics beside the syncs;
-# prove them race-free on every verify.
+# cluster, its misses probe the published view (an eval.Database) side
+# by side under a read lock while a missing index is built under the
+# write lock, and the admin endpoint samples its metrics beside the
+# syncs; prove them race-free on every verify.
 race:
-	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/...
+	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/... ./internal/datalog/eval/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -192,21 +192,31 @@ func (db *Database) Tuples(pred string) []Tuple {
 // order: ground goal arguments must be equal, variables bind
 // consistently (a repeated variable needs equal arguments). The goal's
 // ground positions probe the table's hash index over exactly those
-// columns (built on first use — the one mutation a read can cause, so
-// concurrent callers serialise); a goal with none scans. Every
-// candidate is re-verified by a unify.Pattern, which matches on
-// registers as the node runtime does, so a candidate allocates nothing.
+// columns, which Match builds on first use; a goal with none scans.
+// Building writes db, so goroutines that share a database probe it
+// with MatchRead instead. Every candidate is re-verified by a
+// unify.Pattern, which matches on registers as the node runtime does,
+// so a candidate allocates nothing.
 func (db *Database) Match(goal ast.Literal) []Tuple {
+	out, ok := db.MatchRead(goal)
+	if !ok {
+		db.buildIndex(goal)
+		out, _ = db.MatchRead(goal)
+	}
+	return out
+}
+
+// MatchRead is Match without the one write a read can cause: when the
+// index the goal probes is not built, it probes nothing and reports
+// false, and the caller asks Match, which builds it, holding off every
+// other reader. MatchRead only reads db, so any number of MatchRead
+// calls may run together while nothing writes db. A compaction
+// (Delete) drops a table's indexes, so an index can go missing again
+// after a write.
+func (db *Database) MatchRead(goal ast.Literal) (out []Tuple, ok bool) {
 	tab := db.tables[goal.PredKey()]
 	if tab == nil {
-		return nil
-	}
-	pat := unify.NewPattern(goal.Args)
-	var out []Tuple
-	try := func(sl *slot) {
-		if !sl.dead && pat.Match(sl.t.Args) {
-			out = append(out, sl.t)
-		}
+		return nil, true
 	}
 	// A goal binds nothing before its probe: its key is its ground
 	// arguments.
@@ -220,8 +230,20 @@ func (db *Database) Match(goal ast.Literal) []Tuple {
 			key, tmp = appendArgKey(key, tmp, a)
 		}
 	}
+	var ix *Index
 	if len(cols) > 0 {
-		it := tab.index(cols).Probe(key)
+		if ix = tab.builtIndex(cols); ix == nil {
+			return nil, false
+		}
+	}
+	pat := unify.NewPattern(goal.Args)
+	try := func(sl *slot) {
+		if !sl.dead && pat.Match(sl.t.Args) {
+			out = append(out, sl.t)
+		}
+	}
+	if ix != nil {
+		it := ix.Probe(key)
 		for si, ok := it.Next(); ok; si, ok = it.Next() {
 			try(&tab.slots[si])
 		}
@@ -231,7 +253,27 @@ func (db *Database) Match(goal ast.Literal) []Tuple {
 		}
 	}
 	sortByKey(out)
-	return out
+	return out, true
+}
+
+// buildIndex builds the index a Match of goal probes — the hash index
+// of the goal predicate's table over the goal's ground positions — if
+// the table exists and the index does not.
+func (db *Database) buildIndex(goal ast.Literal) {
+	tab := db.tables[goal.PredKey()]
+	if tab == nil {
+		return
+	}
+	var colArr [8]int
+	cols := colArr[:0]
+	for j, a := range goal.Args {
+		if a.Ground() {
+			cols = append(cols, j)
+		}
+	}
+	if len(cols) > 0 {
+		tab.index(cols)
+	}
 }
 
 // sortByKey puts tuples in canonical order.

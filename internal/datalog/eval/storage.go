@@ -249,12 +249,20 @@ func (tab *table) compact() {
 	tab.indexes = nil
 }
 
-// index returns the (lazily built) index over cols.
-func (tab *table) index(cols []int) *Index {
+// builtIndex returns the index over cols, or nil if it is not built.
+func (tab *table) builtIndex(cols []int) *Index {
 	for _, ix := range tab.indexes {
 		if ix.On(cols) {
 			return ix
 		}
+	}
+	return nil
+}
+
+// index returns the (lazily built) index over cols.
+func (tab *table) index(cols []int) *Index {
+	if ix := tab.builtIndex(cols); ix != nil {
+		return ix
 	}
 	ix := NewIndex(cols, tab.live())
 	for i, sl := range tab.slots {

@@ -39,16 +39,52 @@ func BenchmarkColdQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkColdQueryParallel is BenchmarkColdQuery with GOMAXPROCS
+// goroutines asking at once (b.RunParallel), each cycling a shape's
+// goals from its own offset: the misses' lock contention without the
+// wire. Spans are off, as in the repository benchmark's untraced runs,
+// so the span ring's mutex does not stand in for the session's locks.
+//
+//	go test -run '^$' -bench ColdQueryParallel -benchmem ./internal/serve/
+func BenchmarkColdQueryParallel(b *testing.B) {
+	s := openChains(b, Options{CacheSize: -1, Spans: -1})
+	ctx := context.Background()
+	for _, sh := range coldShapes {
+		goals := sh.goals()
+		b.Run(sh.name, func(b *testing.B) {
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				n := int(next.Add(1)) * len(goals) / 2
+				for ; pb.Next(); n++ {
+					k := n % len(goals)
+					ans, err := s.Query(ctx, goals[k])
+					if err != nil || len(ans) != sh.want(k/coldChains) {
+						b.Errorf("%s: %d answers, want %d (%v)", goals[k], len(ans), sh.want(k/coldChains), err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 const coldChains, coldChainLen = 4, 32
 
 // chainSession serves coldChains link chains of coldChainLen on a 3×3
 // grid, synced, with the given Options.CacheSize (-1: cache off).
 func chainSession(tb testing.TB, cacheSize int) *Session {
+	return openChains(tb, Options{CacheSize: cacheSize})
+}
+
+// openChains is chainSession with opts' CacheSize and Spans.
+func openChains(tb testing.TB, opts Options) *Session {
 	s, err := Open(context.Background(), reachSrc, snlog.Grid(3), Options{
 		Deploy:       []snlog.Option{snlog.WithSeed(7)},
-		CacheSize:    cacheSize,
+		CacheSize:    opts.CacheSize,
 		BatchDelay:   -1,
 		NoProvenance: true,
+		Spans:        opts.Spans,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -9,15 +9,17 @@ import (
 
 // The point-query result cache is Session.cache: answers probed from
 // the published view, keyed on the canonical goal
-// (core.AppendCanonicalGoal). The view and the cache are one piece of
-// state under Session.mu. A query looks its goal up and, on a miss,
-// probes the view and stores the answer, all holding mu; a publish
-// applies its net transitions and, in the same section, drops every
-// entry of a predicate they touched (dropCached). So a hit is what a
-// fresh probe of the published view would return, and a write that
-// changes only other predicates drops nothing. There is no recency
-// order: storing into a full cache (Options.CacheSize entries) empties
-// it first. Every dropped entry counts in serve.cache.evictions.
+// (core.AppendCanonicalGoal), under Session.mu; the view itself is
+// under Session.viewMu. A query looks its goal up holding mu. A miss
+// probes the view under viewMu's read side, noting the epoch it read,
+// and then stores the answer holding mu only if the epoch has not moved;
+// a publish applies its net transitions under viewMu and then, holding
+// mu, bumps the epoch and drops every entry of a predicate they touched
+// (dropCached). So a hit is what a fresh probe of the published view
+// would return, and a write that changes only other predicates drops
+// nothing. There is no recency order: storing into a full cache
+// (Options.CacheSize entries) empties it first. Every dropped entry
+// counts in serve.cache.evictions.
 
 // cacheEntry is one point-query answer: the cached one on a hit, a
 // miss's fresh one otherwise (stored unless the cache is off).

@@ -14,12 +14,14 @@
 // A sync runs the cluster to quiescence without holding readers off;
 // only its last step, publishing the sync's net view transitions
 // (core.Engine.ResultLog) to the session's own copy of the derived set,
-// takes the lock queries take. That copy and the answers cached from it
-// are one piece of state under one mutex: a query holds it for its
-// cache lookup and, on a miss, for the probe and the store; a publish
-// holds it to apply the transitions and drop the cached answers of
-// every predicate they touched (cache.go). No query waits for a run:
-// Query waits only for the flush of writes acknowledged before it, and
+// takes the locks queries take. That copy sits behind a read-write
+// lock: misses probe it side by side under the read side, and a publish
+// applies the transitions under the write side. The answers cached from
+// it sit behind a mutex of their own, which a query holds only for its
+// cache lookup and a miss only for its store; a publish holds it to
+// bump the view's epoch and drop the cached answers of every predicate
+// the transitions touched (cache.go). No query waits for a run: Query
+// waits only for the flush of writes acknowledged before it, and
 // QueryStale opts into answering from the last published set with a
 // reported freshness bound instead. Subscribers are fed the same net
 // transitions.
@@ -42,6 +44,7 @@ import (
 
 	snlog "repro"
 	"repro/internal/core"
+	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
 	"repro/internal/obs"
 )
@@ -152,25 +155,38 @@ type writeOp struct {
 // Concurrency contract: runMu serialises everything that drives or
 // walks the engine — a flush (apply the batch, run to quiescence),
 // Replay, Explain, Subscribe, Close and the metric samples — and guards
-// subs. Queries never take it. mu guards what queries read: view, cache
-// and the freshness horizon they report. A query holds it for its
-// lookup and, on a miss, for the probe of view (which may build an
-// index) and the store; a sync holds it only to publish. Writes
-// validate against the immutable program and topology without a lock,
-// append to the buffer under bmu, and return; only the flush pays the
-// sync. Lock order: runMu, mu, bmu.
+// subs. Queries never take it. viewMu guards view: a miss probes it
+// under the read side (eval.Database.MatchRead, which writes nothing),
+// and takes the write side only to build an index the probe found
+// missing; a publish applies its transitions under the write side. mu
+// guards cache and epoch: a hit holds it for its lookup, a miss for its
+// store, a publish for the epoch bump and the drop of stale entries.
+// The freshness horizon (appliedSeq, lastEnd) moves holding both, so
+// either one reads it consistent with what it guards. Writes validate
+// against the immutable program and topology without a lock, append to
+// the buffer under bmu, and return; only the flush pays the sync. Lock
+// order: runMu, viewMu, mu, bmu.
 type Session struct {
 	runMu  sync.Mutex
+	viewMu sync.RWMutex
 	mu     sync.Mutex
 	c      *snlog.Cluster
 	opts   Options
 	closed atomic.Bool // stored holding runMu and bmu
 
 	// view is the derived set as of the last publish: the session's copy
-	// of the engine's view, sharing its immutable tuples. cache holds
-	// answers probed from it (cache.go). Both are guarded by mu.
+	// of the engine's view, sharing its immutable tuples (under viewMu).
+	// cache holds answers probed from it (cache.go), and epoch counts the
+	// publishes, so a miss stores its answer only if no publish landed
+	// after its probe (both under mu; a publish moves epoch holding
+	// viewMu too).
 	view  *eval.Database
 	cache map[string]*cacheEntry
+	epoch uint64
+
+	// afterProbe, when set, runs between a miss's probe and its store:
+	// a test's seam for landing a publish there. Nil outside tests.
+	afterProbe func()
 
 	subs    map[int]*Subscription
 	nextSub int
@@ -189,7 +205,7 @@ type Session struct {
 	kick chan struct{} // wakes the deadline flusher on 0->1 buffer
 	done chan struct{} // closed by Close; stops the flusher
 
-	readers    atomic.Int64 // queries waiting on or holding mu
+	readers    atomic.Int64 // queries between their cache lookup and their answer
 	readerPeak atomic.Int64
 
 	// Per-query tracing: every Query/QueryStale/Explain ingress gets a
@@ -564,8 +580,9 @@ func (s *Session) Spans() *obs.SpanRing { return s.spans }
 // otherwise from an indexed probe of the derived set the network
 // maintains, as last published (bound arguments pick the index).
 // Answers come back in canonical order; the returned slice is the
-// caller's to keep. Queries proceed beside a sync; concurrent queries
-// take turns only for the lookup and, on a miss, the probe.
+// caller's to keep. Queries proceed beside a sync; concurrent misses
+// probe side by side, and queries take turns only for the cache lookup
+// and a miss's store.
 func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) {
 	answers, _, err := s.QueryStale(ctx, goal, 0)
 	return answers, err
@@ -629,22 +646,24 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 	var keyBuf [128]byte
 	key := core.AppendCanonicalGoal(keyBuf[:0], lit)
 	s.enterRead()
-	s.mu.Lock()
-	e := s.cache[string(key)]
+	var e *cacheEntry
+	var fr Freshness
+	if s.opts.CacheSize > 0 {
+		s.mu.Lock()
+		if e = s.cache[string(key)]; e != nil {
+			fr = s.freshness()
+		}
+		s.mu.Unlock()
+	}
 	if e != nil {
 		s.hits.Inc()
 		qt.step(stCacheProbe, "hit")
 	} else {
 		s.misses.Inc()
 		qt.step(stCacheProbe, "miss")
-		e = &cacheEntry{pred: lit.PredKey(), answers: s.view.Match(lit)}
+		e, fr = s.miss(lit, key)
 		qt.step(stEval, "")
-		if s.opts.CacheSize > 0 {
-			s.store(string(key), e)
-		}
 	}
-	fr := Freshness{Lag: s.Lag(), AsOf: s.lastEnd.Load()}
-	s.mu.Unlock()
 	s.readers.Add(-1)
 	if fr.Lag > 0 {
 		s.staleServed.Inc()
@@ -654,9 +673,49 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 	return e, fr, qt.id, nil
 }
 
+// miss probes the published view for lit under viewMu's read side,
+// beside other misses, and stores the answer under key unless a publish
+// has landed since the probe (epoch moved): a stored answer is then
+// always what a fresh probe of the published view returns. The answer
+// and its freshness are those of the view the probe read. A goal whose
+// index is missing (never probed, or dropped by a compaction) builds it
+// under the write side and probes there.
+func (s *Session) miss(lit ast.Literal, key []byte) (*cacheEntry, Freshness) {
+	s.viewMu.RLock()
+	epoch, fr := s.epoch, s.freshness()
+	answers, ok := s.view.MatchRead(lit)
+	s.viewMu.RUnlock()
+	if !ok {
+		s.viewMu.Lock()
+		epoch, fr = s.epoch, s.freshness()
+		answers = s.view.Match(lit)
+		s.viewMu.Unlock()
+	}
+	e := &cacheEntry{pred: lit.PredKey(), answers: answers}
+	if s.afterProbe != nil {
+		s.afterProbe()
+	}
+	if s.opts.CacheSize > 0 {
+		s.mu.Lock()
+		if s.epoch == epoch {
+			s.store(string(key), e)
+		}
+		s.mu.Unlock()
+	}
+	return e, fr
+}
+
+// freshness is the bound an answer from the published view carries.
+// Caller holds viewMu or mu: a publish moves appliedSeq and lastEnd
+// holding both.
+func (s *Session) freshness() Freshness {
+	return Freshness{Lag: s.Lag(), AsOf: s.lastEnd.Load()}
+}
+
 // enterRead counts a query in flight for the serve.read_concurrency
-// gauges: from just before it asks for mu until just after it lets go.
-// Caller pairs this with readers.Add(-1).
+// gauges: from just before its cache lookup until its answer is in hand
+// (a miss's probe and store included), so concurrent misses count
+// together. Caller pairs this with readers.Add(-1).
 func (s *Session) enterRead() {
 	cur := s.readers.Add(1)
 	for {
@@ -787,10 +846,11 @@ func (sub *Subscription) detach() {
 // netted per tuple: a tuple's transitions alternate insert and remove,
 // so an even count of them cancels and an odd count leaves its first.
 // Publishing applies the net transitions, deletions first and then in
-// key order, to view and drops the cached answers of every predicate
-// they touched — the only step that holds queries off — and then fans
-// them out to subscribers in the same order. The log is dropped either
-// way, so a long-lived session keeps none of it. Caller holds runMu.
+// key order, to view under viewMu (holding misses off), then bumps the
+// epoch and drops the cached answers of every predicate they touched
+// under mu (holding hits off), and then fans them out to subscribers in
+// the same order. The log is dropped either way, so a long-lived
+// session keeps none of it. Caller holds runMu.
 func (s *Session) runLocked(seq int64) int64 {
 	end := s.c.Run()
 	log := s.c.Engine.ResultLog
@@ -822,7 +882,7 @@ func (s *Session) runLocked(seq int64) int64 {
 		}
 		return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
 	})
-	s.mu.Lock()
+	s.viewMu.Lock()
 	for _, u := range ups {
 		if u.Insert {
 			s.view.Insert(u.Tuple)
@@ -830,10 +890,13 @@ func (s *Session) runLocked(seq int64) int64 {
 			s.view.Delete(u.Tuple)
 		}
 	}
+	s.mu.Lock()
+	s.epoch++
 	s.dropCached(touched)
 	s.appliedSeq.Store(seq)
 	s.lastEnd.Store(end)
 	s.mu.Unlock()
+	s.viewMu.Unlock()
 	for _, sub := range s.subs {
 		for _, u := range ups {
 			if u.Tuple.Pred != sub.pred {

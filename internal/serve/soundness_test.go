@@ -128,9 +128,9 @@ func runSoundnessSchedule(t *testing.T, seed int64) {
 			// A goal asked before whose predicate's published set has
 			// changed since must miss: that is the whole invalidation rule.
 			pred := goal[:strings.IndexByte(goal, '(')] + "/2"
-			cached.mu.Lock()
+			cached.viewMu.RLock()
 			published := strings.Join(tupleKeys(cached.view.Tuples(pred)), " ")
-			cached.mu.Unlock()
+			cached.viewMu.RUnlock()
 			if was, asked := servedAt[goal]; asked && was != published {
 				if cached.Snapshot().Get("serve.cache.misses") == missesBefore {
 					t.Fatalf("seed %d op %d: %q was a hit although %s changed from [%s] to [%s]", seed, i, goal, pred, was, published)
@@ -153,6 +153,9 @@ func runSoundnessSchedule(t *testing.T, seed int64) {
 				t.Fatalf("seed %d op %d: served lag %d exceeds bound %d", seed, i, cFr.Lag, maxLag)
 			}
 		}
+		// Invariant: every cached answer is what a fresh probe of the
+		// published view returns, whatever syncs this op caused.
+		checkCache(t, cached, goals)
 		// Invariant: the buffer never holds a full batch (the
 		// BatchSize-th write flushes synchronously).
 		if lag := cached.Lag(); lag >= int64(batchSize) {

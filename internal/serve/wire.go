@@ -232,61 +232,75 @@ func cloneTerm(t ast.Term) ast.Term {
 // json.Unmarshal accepts into the same struct: any key order and
 // whitespace, unknown keys, keys matched case-insensitively as
 // encoding/json matches them, every string escape. One member list per
-// struct drives both directions; FuzzWire holds both to encoding/json.
+// struct drives both directions: its key table (requestKeys,
+// responseKeys, eventKeys) and its fields method, which returns a
+// pointer to each member's field in the table's order. The tables are
+// static, and fields is small enough to be inlined, so a frame's member
+// list is built in place in its encoder's or decoder's frame: no table
+// is built elsewhere and copied in. FuzzWire holds both directions to
+// encoding/json; TestWireMembersFollowTags holds the lists to the
+// structs' json tags.
 
-// member is one object member: its key, a pointer to its field, and
-// whether an empty value is left out (`json:",omitempty"`).
-type member struct {
+// key is one object member's key, and whether an empty value is left
+// out (`json:",omitempty"`).
+type key struct {
 	name string
-	p    any
 	omit bool
 }
 
-func (r *Request) members() [9]member {
-	return [...]member{{"id", &r.ID, false}, {"op", &r.Op, false}, {"arg", &r.Arg, true},
-		{"node", &r.Node, true}, {"at", &r.At, true}, {"sub", &r.Sub, true},
-		{"stale", &r.Stale, true}, {"max_lag", &r.MaxLag, true}, {"trace_id", &r.TraceID, true}}
+var requestKeys = [...]key{{"id", false}, {"op", false}, {"arg", true},
+	{"node", true}, {"at", true}, {"sub", true},
+	{"stale", true}, {"max_lag", true}, {"trace_id", true}}
+
+func (r *Request) fields() [len(requestKeys)]any {
+	return [...]any{&r.ID, &r.Op, &r.Arg, &r.Node, &r.At, &r.Sub, &r.Stale, &r.MaxLag, &r.TraceID}
 }
 
-const tuplesMember = 4 // the index of "tuples" in Response.members
+const tuplesMember = 4 // the index of "tuples" in responseKeys
 
-func (r *Response) members() [15]member {
-	return [...]member{{"id", &r.ID, false}, {"ok", &r.OK, false}, {"error", &r.Error, true},
-		{"code", &r.Code, true}, {"tuples", &r.Tuples, true}, {"explain", &r.Explain, true},
-		{"sub", &r.Sub, true}, {"time", &r.Time, true}, {"stats", &r.Stats, true},
-		{"event", &r.Event, true}, {"batched", &r.Batched, true}, {"seq", &r.Seq, true},
-		{"lag", &r.Lag, true}, {"as_of", &r.AsOf, true}, {"trace_id", &r.TraceID, true}}
+var responseKeys = [...]key{{"id", false}, {"ok", false}, {"error", true},
+	{"code", true}, {"tuples", true}, {"explain", true},
+	{"sub", true}, {"time", true}, {"stats", true},
+	{"event", true}, {"batched", true}, {"seq", true},
+	{"lag", true}, {"as_of", true}, {"trace_id", true}}
+
+func (r *Response) fields() [len(responseKeys)]any {
+	return [...]any{&r.ID, &r.OK, &r.Error, &r.Code, &r.Tuples, &r.Explain, &r.Sub, &r.Time,
+		&r.Stats, &r.Event, &r.Batched, &r.Seq, &r.Lag, &r.AsOf, &r.TraceID}
 }
 
-func (e *Event) members() [3]member {
-	return [...]member{{"sub", &e.Sub, false}, {"insert", &e.Insert, false}, {"tuple", &e.Tuple, false}}
+var eventKeys = [...]key{{"sub", false}, {"insert", false}, {"tuple", false}}
+
+func (e *Event) fields() [len(eventKeys)]any {
+	return [...]any{&e.Sub, &e.Insert, &e.Tuple}
 }
 
 // appendRequest appends r's frame to b.
 func appendRequest(b []byte, r *Request) []byte {
-	ms := r.members()
-	return append(appendObject(b, ms[:]), '\n')
+	ps := r.fields()
+	return append(appendObject(b, requestKeys[:], ps[:]), '\n')
 }
 
 // appendResponse appends r's frame to b. A non-nil tuples is a query's
 // answer already encoded by appendAnswer; it stands in for r.Tuples.
 func appendResponse(b []byte, r *Response, tuples []byte) []byte {
-	ms := r.members()
+	ps := r.fields()
 	if tuples != nil {
-		ms[tuplesMember].p = &tuples
+		ps[tuplesMember] = &tuples
 	}
-	return append(appendObject(b, ms[:]), '\n')
+	return append(appendObject(b, responseKeys[:], ps[:]), '\n')
 }
 
-// appendObject appends the members as one JSON object, in order,
-// leaving out an empty omitempty one.
-func appendObject(b []byte, ms []member) []byte {
+// appendObject appends the members as one JSON object, in order: key
+// i's value is the field ps[i] points to. An empty omitempty member is
+// left out.
+func appendObject(b []byte, keys []key, ps []any) []byte {
 	sep := byte('{')
-	for _, m := range ms {
+	for i, k := range keys {
 		mark := len(b)
-		b = append(append(append(b, sep, '"'), m.name...), '"', ':')
+		b = append(append(append(b, sep, '"'), k.name...), '"', ':')
 		empty := false
-		switch p := m.p.(type) {
+		switch p := ps[i].(type) {
 		case *int64:
 			b, empty = strconv.AppendInt(b, *p, 10), *p == 0
 		case *int:
@@ -322,11 +336,11 @@ func appendObject(b []byte, ms []member) []byte {
 			b = append(b, '}')
 		case **Event:
 			if empty = *p == nil; !empty {
-				ems := (*p).members()
-				b = appendObject(b, ems[:])
+				eps := (*p).fields()
+				b = appendObject(b, eventKeys[:], eps[:])
 			}
 		}
-		if empty && m.omit {
+		if empty && k.omit {
 			b = b[:mark]
 		} else {
 			sep = ','
@@ -397,20 +411,20 @@ func appendJSONString(b []byte, s string) []byte {
 
 // decodeRequest decodes one request line into r.
 func decodeRequest(line string, r *Request) error {
-	ms := r.members()
-	return decode(line, ms[:])
+	ps := r.fields()
+	return decode(line, requestKeys[:], ps[:])
 }
 
 // decodeResponse decodes one response line into r.
 func decodeResponse(line string, r *Response) error {
-	ms := r.members()
-	return decode(line, ms[:])
+	ps := r.fields()
+	return decode(line, responseKeys[:], ps[:])
 }
 
-func decode(line string, ms []member) error {
+func decode(line string, keys []key, ps []any) error {
 	d := decoder{s: line}
 	if !d.word("null") {
-		d.object(ms)
+		d.object(keys, ps)
 	}
 	if d.ws() {
 		d.fail("data after the frame")
@@ -514,31 +528,31 @@ func (d *decoder) more(close byte, n int) bool {
 	return false
 }
 
-// object decodes an object into the fields ms points to, skipping a
-// member whose key names none.
-func (d *decoder) object(ms []member) {
+// object decodes an object into the fields ps points to, in keys'
+// order, skipping a member whose key names none.
+func (d *decoder) object(keys []key, ps []any) {
 	d.open('{')
 	for n := 0; d.more('}', n); n++ {
 		k := d.string()
 		if !d.token(':') {
 			d.fail("want :")
 		}
-		d.value(field(ms, k))
+		d.value(field(keys, ps, k))
 	}
 }
 
 // field returns the field of the member k names: the one named k, else
 // the one whose name k folds to as encoding/json folds keys (no two
 // names fold alike), else nil.
-func field(ms []member, k string) any {
-	for _, m := range ms {
+func field(keys []key, ps []any, k string) any {
+	for i, m := range keys {
 		if k == m.name {
-			return m.p
+			return ps[i]
 		}
 	}
-	for _, m := range ms {
+	for i, m := range keys {
 		if strings.EqualFold(k, m.name) {
-			return m.p
+			return ps[i]
 		}
 	}
 	return nil
@@ -604,12 +618,12 @@ func (d *decoder) value(p any) {
 		if *p == nil {
 			*p = new(Event)
 		}
-		ms := (*p).members()
-		d.object(ms[:])
+		eps := (*p).fields()
+		d.object(eventKeys[:], eps[:])
 	case nil: // skip
 		switch c := d.s[d.i]; {
 		case c == '{':
-			d.object(nil)
+			d.object(nil, nil)
 		case c == '[':
 			d.open('[')
 			for n := 0; d.more(']', n); n++ {

@@ -227,6 +227,40 @@ func TestWireBadRequestAnsweredUnderItsID(t *testing.T) {
 	}
 }
 
+// member is one object member as the codec sees it: its key, a pointer
+// to its field, and whether an empty value is left out.
+type member struct {
+	name string
+	p    any
+	omit bool
+}
+
+// zipMembers zips a struct's key table with its field pointers: its
+// member list, as TestWireMembersFollowTags compares it with the json
+// tags.
+func zipMembers(keys []key, ps []any) []member {
+	ms := make([]member, len(keys))
+	for i, k := range keys {
+		ms[i] = member{k.name, ps[i], k.omit}
+	}
+	return ms
+}
+
+func (r *Request) members() []member {
+	ps := r.fields()
+	return zipMembers(requestKeys[:], ps[:])
+}
+
+func (r *Response) members() []member {
+	ps := r.fields()
+	return zipMembers(responseKeys[:], ps[:])
+}
+
+func (e *Event) members() []member {
+	ps := e.fields()
+	return zipMembers(eventKeys[:], ps[:])
+}
+
 // The codec's member tables are the structs' json tags, field by field:
 // a field added, renamed or retagged without its member would silently
 // drop off the wire, where encoding/json carried it.

@@ -41,11 +41,11 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -count=1 -v ./internal/serve/
 
 # The disabled-observability overhead guards: the E1 m=18 hot loop must
-# stay within 5 % of its allocation baseline (1.154 allocs/event, logged
+# stay within 5 % of its allocation baseline (1.148 allocs/event, logged
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (2.185 allocs/event once
+# node runtime's join path — to its own baseline (2.156 allocs/event once
 # deployed; deploying and injecting it, 1,712 allocations) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (8 allocs).
@@ -58,7 +58,8 @@ serve-smoke:
 # shape (bf, fb, bb) stays under 20.
 # TestReplicaHeapBytes holds the heap a windowed E1 m=18 run retains at
 # quiescence over the same deployment left idle, per injected tuple, to
-# its baseline (1,945 B) the same way.
+# its baseline (1,877 B) the same way. The three fell (1.154, 2.185,
+# 1,945 B) when the engine stopped keeping a union of the derived set.
 # TestJoinPathAllocations pins the join path where the cost is paid: one
 # extension is one allocation, a whole local-mode join phase allocates
 # only its candidate (its partials come from the engine's slab, released

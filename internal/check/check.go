@@ -97,6 +97,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	nw, e := c.Network, c.Engine
 	res := &Result{Program: g.Src, Engine: e, Trace: c.Trace()}
+	// Watched from the start, a core.View fed the ResultLog is the derived set.
+	for _, pred := range e.Analysis().Program.DerivedPredicates() {
+		e.Watch(pred)
+	}
 
 	// Op times first: the fault schedule is laid over the middle half
 	// of the timeline, so the early ops seed state that the faults then
@@ -265,30 +269,20 @@ func oracle(src string, base []eval.Tuple) (*eval.Database, error) {
 }
 
 // diff compares the engine's derived state against the oracle database
-// per derived predicate; it returns "" on equality, else a description
-// of the first divergence.
+// per derived predicate; it returns "" on equality, else names the first
+// tuple (in the deriveds' declaration order, then key order) present on
+// exactly one side.
 func diff(preds []string, want *eval.Database, e *core.Engine) string {
-	got := e.DerivedDB()
-	for _, pred := range preds {
-		w, g := want.Tuples(pred), got.Tuples(pred)
-		if len(w) != len(g) {
-			return fmt.Sprintf("%s: engine has %d tuples, oracle %d", pred, len(g), len(w))
-		}
-		for i := range w {
-			if !g[i].Equal(w[i]) {
-				return fmt.Sprintf("%s: engine tuple %s, oracle %s", pred, g[i], w[i])
-			}
-		}
+	if tup, side, ok := firstDivergent(preds, want, e); ok {
+		return fmt.Sprintf("%s: %s", tup.Key(), side)
 	}
 	return ""
 }
 
-// firstDivergent identifies the concrete tuple behind a failed diff:
-// the first tuple (in the deriveds' declaration order, then database
-// order) present on exactly one side.
-func firstDivergent(preds []string, want, got *eval.Database) (eval.Tuple, string, bool) {
+// firstDivergent finds the tuple diff names, and which side has it.
+func firstDivergent(preds []string, want *eval.Database, e *core.Engine) (eval.Tuple, string, bool) {
 	for _, pred := range preds {
-		w, g := want.Tuples(pred), got.Tuples(pred)
+		w, g := want.Tuples(pred), e.Derived(pred)
 		wk := make(map[string]bool, len(w))
 		for _, t := range w {
 			wk[t.Key()] = true
@@ -317,11 +311,9 @@ func firstDivergent(preds []string, want, got *eval.Database) (eval.Tuple, strin
 // divergence report shows *why* each side believes what it believes,
 // not just that they disagree.
 func explainDump(src string, base []eval.Tuple, preds []string, want *eval.Database, e *core.Engine) string {
-	tup, side, ok := firstDivergent(preds, want, e.DerivedDB())
+	tup, side, ok := firstDivergent(preds, want, e)
 	if !ok {
-		// The diff tripped on a count/order artifact without a set
-		// difference; nothing to explain.
-		return ""
+		return "" // the sides agree: nothing to explain
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "first divergent tuple: %s (%s)\n", tup.Key(), side)

@@ -143,7 +143,7 @@ type pred struct {
 	placed bool
 	place  ast.Placement
 	prio   int  // finalize priority among same-stage XY predicates
-	logged bool // view transitions go to ResultLog (.query or Watch)
+	logged bool // home-record changes go to ResultLog (.query or Watch)
 	// triggers are the body positions an update of it pins.
 	triggers []trigger
 	// derive and del count its derivations and deletions (Observe; nil
@@ -249,16 +249,6 @@ type Engine struct {
 	// for later deletion, by tuple key.
 	baseIDs map[string]baseGens
 
-	// derived is the network's derived set as one database: the union of
-	// the nodes' homed records, updated at the three places such a record
-	// appears or disappears (finalize, seedDerivedFact, the replay wipe).
-	// Derived, DerivedDB and the serving layer read it. A fault can home
-	// one tuple at two nodes at once;
-	// extraHomes counts a tuple's homes beyond the first, and holds only
-	// tuples that have one.
-	derived    *eval.Database
-	extraHomes map[string]int
-
 	// Observability handles (observe.go). All nil until Observe is
 	// called: the nil counter/trace are no-ops, so the uninstrumented
 	// hot path pays one predictable nil check per site.
@@ -288,11 +278,10 @@ type Engine struct {
 	// aggEpoch numbers TAG collection epochs.
 	aggEpoch int64
 
-	// ResultLog records the derived view's transitions of logged
-	// predicates (.query or watched) in the order they happen: a
-	// tuple's entries alternate insert and remove. A holder may drop it
-	// at any time; resultsLogged keeps the lifetime count
-	// (core.results_logged).
+	// ResultLog records each home record of a logged predicate (.query
+	// or watched) appearing or going, in order: a tuple a fault homed at
+	// two nodes has two inserts. A holder may drop it at any time;
+	// resultsLogged keeps the lifetime count (core.results_logged).
 	ResultLog     []ResultEvent
 	resultsLogged int64
 
@@ -305,14 +294,74 @@ type Engine struct {
 	finalizeFloor nsim.Time
 }
 
-// ResultEvent is one transition of a logged predicate's derived view.
+// ResultEvent is one home record of a logged predicate appearing
+// (Insert) or going.
 type ResultEvent struct {
 	Tuple  eval.Tuple
 	Insert bool
-	At     nsim.Time // global time of the transition
-	// Node is the home node whose record made the transition, or -1 for
-	// a replay wipe.
-	Node nsim.NodeID
+	At     nsim.Time   // global time of the change
+	Node   nsim.NodeID // the home node whose record changed
+}
+
+// View is the derived set a ResultLog describes, fed from the first run
+// on: it counts each tuple's homes, and a tuple is a member while its
+// count is above zero. The engine keeps none; a serving session does.
+type View struct {
+	*eval.Database                // the tuples with a home; write it only through Apply
+	extra          map[string]int // homes beyond the first, of tuples with two or more
+}
+
+// NewView returns an empty view.
+func NewView() *View { return &View{Database: eval.NewDatabase(), extra: make(map[string]int)} }
+
+// Net folds log into the home counts and returns the changes to the
+// set, removals first and then by key, each as the tuple's last event;
+// Apply makes them. Net only reads the database, so its readers may run
+// beside it, but not Apply or another Net.
+func (v *View) Net(log []ResultEvent) []ResultEvent {
+	log = slices.Clone(log)
+	slices.SortStableFunc(log, func(a, b ResultEvent) int { return strings.Compare(a.Tuple.Key(), b.Tuple.Key()) })
+	changes := log[:0] // a tuple's change is written over its own events
+	for i := 0; i < len(log); {
+		k, in, homes := log[i].Tuple.Key(), v.Contains(log[i].Tuple), 0
+		if in {
+			homes = 1 + v.extra[k]
+		}
+		for ; i < len(log) && log[i].Tuple.Key() == k; i++ {
+			if log[i].Insert {
+				homes++
+			} else {
+				homes--
+			}
+		}
+		if delete(v.extra, k); homes > 1 {
+			v.extra[k] = homes - 1
+		}
+		if last := log[i-1]; (homes > 0) != in {
+			last.Insert = homes > 0
+			changes = append(changes, last)
+		}
+	}
+	slices.SortStableFunc(changes, func(a, b ResultEvent) int {
+		if a.Insert == b.Insert {
+			return 0
+		} else if a.Insert {
+			return 1
+		}
+		return -1
+	})
+	return changes
+}
+
+// Apply makes the changes Net returned.
+func (v *View) Apply(changes []ResultEvent) {
+	for _, ev := range changes {
+		if ev.Insert {
+			v.Insert(ev.Tuple)
+		} else {
+			v.Delete(ev.Tuple)
+		}
+	}
 }
 
 // New compiles prog onto the network. Must be called before nw.Finalize;
@@ -343,7 +392,6 @@ func New(nw *nsim.Network, prog *ast.Program, cfg Config) (*Engine, error) {
 		nodeTerms: make(map[string]nsim.NodeID),
 		baseIDs:   make(map[string]baseGens),
 		arena:     window.NewArena(),
-		derived:   eval.NewDatabase(),
 	}
 	e.deriveBounds()
 	for _, n := range nw.Nodes() {
@@ -561,7 +609,7 @@ func (e *Engine) seedDerivedFact(p *pred, ruleID int, t eval.Tuple, nodeID nsim.
 	if h == nil {
 		h = &homed{derivs: make(map[string]*provenance.Derivation)}
 		rt.homed[key] = h
-		e.homeAdded(p, t, nodeID)
+		e.homeChanged(p, t, true, nodeID)
 	}
 	dk := fmt.Sprintf("fact:r%d", ruleID)
 	var d *provenance.Derivation
@@ -697,42 +745,17 @@ func (e *Engine) deleteBase(t eval.Tuple) {
 	e.rts[g.last.Node].generate(p, t, &g.last)
 }
 
-// homeAdded and homeRemoved keep the derived view in step with the nodes'
-// homed records: node's record of t, of predicate p, appeared or went; t
-// carries its key.
-func (e *Engine) homeAdded(p *pred, t eval.Tuple, node nsim.NodeID) {
-	if e.derived.Insert(t) {
-		e.viewChanged(p, t, true, node)
-		return
-	}
-	if e.extraHomes == nil {
-		e.extraHomes = make(map[string]int)
-	}
-	e.extraHomes[t.Key()]++
-}
-
-func (e *Engine) homeRemoved(p *pred, t eval.Tuple, node nsim.NodeID) {
-	switch n := e.extraHomes[t.Key()]; {
-	case n > 1:
-		e.extraHomes[t.Key()] = n - 1
-	case n == 1:
-		delete(e.extraHomes, t.Key())
-	case e.derived.Delete(t):
-		e.viewChanged(p, t, false, node)
-	}
-}
-
-// viewChanged records that the derived view gained (insert) or lost t, of
-// predicate p: if p is logged, it appends the transition to ResultLog.
-// Every view transition passes here, the replay wipe's included.
-func (e *Engine) viewChanged(p *pred, t eval.Tuple, insert bool, node nsim.NodeID) {
+// homeChanged records that node's home record of t, of predicate p,
+// appeared (insert) or went: if p is logged, it appends the change to
+// ResultLog. t carries its key.
+func (e *Engine) homeChanged(p *pred, t eval.Tuple, insert bool, node nsim.NodeID) {
 	if p.logged {
 		e.ResultLog = append(e.ResultLog, ResultEvent{Tuple: t, Insert: insert, At: e.nw.Now(), Node: node})
 		e.resultsLogged++
 	}
 }
 
-// Watch logs pred's view transitions to ResultLog from now on, as a
+// Watch logs pred's home-record changes to ResultLog from now on, as a
 // .query declaration does. A predicate the program does not mention
 // never changes, so watching one logs nothing.
 func (e *Engine) Watch(pred string) {
@@ -741,15 +764,22 @@ func (e *Engine) Watch(pred string) {
 	}
 }
 
-// Derived returns the live derived tuples of predKey across the network
-// (union of home-node states), in canonical order.
-func (e *Engine) Derived(predKey string) []eval.Tuple { return e.derived.Tuples(predKey) }
-
-// DerivedDB is the live derived set of every predicate: the engine's own
-// view, not a copy. Read it at quiescence and do not write to it; its
-// Match builds hash indexes on first use, so concurrent readers serialise
-// their probes.
-func (e *Engine) DerivedDB() *eval.Database { return e.derived }
+// Derived returns the live derived tuples of predKey in canonical
+// order: the distinct tuples of every node's homed records (a fault can
+// home one tuple at two nodes). It walks every node, so its cost grows
+// with the network, not the answer.
+func (e *Engine) Derived(predKey string) []eval.Tuple {
+	var out []eval.Tuple
+	for _, rt := range e.rts {
+		for _, h := range rt.homed {
+			if h.t.Pred == predKey {
+				out = append(out, h.t)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b eval.Tuple) int { return strings.Compare(a.Key(), b.Key()) })
+	return slices.CompactFunc(out, func(a, b eval.Tuple) bool { return a.Key() == b.Key() })
+}
 
 // StoredReplicas returns the total replica entries held at node id (the
 // E9 memory metric).

@@ -44,10 +44,9 @@ func oracleCompare(t *testing.T, e *Engine, src string, base []eval.Tuple, preds
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.DerivedDB()
 	for _, pred := range preds {
 		w := want.Tuples(pred)
-		g := got.Tuples(pred)
+		g := e.Derived(pred)
 		if len(w) != len(g) {
 			t.Fatalf("%s: engine has %d tuples, oracle %d\nengine: %v\noracle: %v",
 				pred, len(g), len(w), g, w)

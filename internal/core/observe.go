@@ -55,9 +55,9 @@ var (
 //	core.result_hops         candidate routing hops (needs provenance capture)
 //	core.derived_live        live derived tuples across all home nodes
 //	core.derived_live.<pred> ditto, split by predicate
-//	core.results_logged      view transitions of logged predicates (.query
-//	                         or watched: a serving session watches every
-//	                         derived predicate)
+//	core.results_logged      home-record changes of logged predicates
+//	                         (.query or watched: a serving session watches
+//	                         every derived predicate), one per home
 //	routing.nearest_hits     nearest-node cache hits
 //	routing.nearest_misses   nearest-node cache misses (recomputations)
 //	routing.stranded.<kind>  store, join and result walkers greedy routing

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/datalog/eval"
 	"repro/internal/nsim"
@@ -92,14 +93,18 @@ func (e *Engine) replayNow() {
 	// again). The re-execution recaptures through the normal hooks.
 	e.provLive.Store(0)
 	e.provCaptured.Store(0)
-	// The view loses every tuple: sorted predicates, canonical order.
-	for _, key := range e.derived.Predicates() {
-		p := e.preds[key]
-		for _, t := range e.derived.Tuples(key) {
-			e.viewChanged(p, t, false, -1)
+	// Every home record goes, node by node, each node's in key order.
+	for _, rt := range e.rts {
+		keys := make([]string, 0, len(rt.homed))
+		for k := range rt.homed {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			t := rt.homed[k].t
+			e.homeChanged(e.preds[t.Pred], t, false, rt.node.ID)
 		}
 	}
-	e.derived, e.extraHomes = eval.NewDatabase(), nil
 	e.arena = window.NewArena() // the old stores and their slots go together
 	for _, rt := range e.rts {
 		rt.store = e.newStore()

@@ -963,7 +963,7 @@ func (rt *nodeRT) finalize(c *candR) {
 		}
 	}
 	hp := c.cr.head
-	head := c.Head.Keyed() // one key string for the homed map and the view
+	head := c.Head.Keyed() // one key string for the homed map and the log
 	key := head.Key()
 	h := rt.homed[key]
 	if c.Add {
@@ -971,7 +971,7 @@ func (rt *nodeRT) finalize(c *candR) {
 		if fresh {
 			h = &homed{t: head, derivs: make(map[string]*provenance.Derivation)}
 			rt.homed[key] = h
-			rt.e.homeAdded(hp, head, rt.node.ID)
+			rt.e.homeChanged(hp, head, true, rt.node.ID)
 		}
 		if _, held := h.derivs[c.DerivKey]; !held {
 			var d *provenance.Derivation
@@ -1005,7 +1005,7 @@ func (rt *nodeRT) finalize(c *candR) {
 	}
 	if len(h.derivs) == 0 {
 		delete(rt.homed, key)
-		rt.e.homeRemoved(hp, h.t, rt.node.ID)
+		rt.e.homeChanged(hp, h.t, false, rt.node.ID)
 		rt.e.cDeletions.Add(1)
 		hp.del.Add(1)
 		rt.recordTrace(obs.Event{At: int64(rt.node.Now()), Node: int32(rt.node.ID), Peer: -1, Kind: obs.EvDelete, Pred: c.Head.Pred})

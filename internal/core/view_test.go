@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,41 +12,10 @@ import (
 	"repro/internal/nsim"
 )
 
-// derivedByWalk is the per-node walk Engine.Derived was before the
-// engine kept its derived set as one database: the union of every node's
-// homed records, deduplicated by key (a fault can home one tuple at two
-// nodes), in canonical order. It stays as the reference the view is held
-// to (TestDerivedViewMatchesWalk) and measured against
-// (BenchmarkDerived80).
-func (e *Engine) derivedByWalk(predKey string) []eval.Tuple {
-	seen := map[string]eval.Tuple{}
-	for _, rt := range e.rts {
-		for k, h := range rt.homed {
-			if h.t.Pred == predKey {
-				seen[k] = h.t
-			}
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]eval.Tuple, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
-
-// DerivedByWalk hands the reference to the external test package, which
-// can import internal/check.
-var DerivedByWalk = (*Engine).derivedByWalk
-
 // BenchmarkDerived80 reads the derived set of logicJ at quiescence on an
 // 80×80 grid: j/2 (6,400 tuples: copy and sort) and a predicate nothing
-// derives (the floor of a call). By the view neither depends on the node
-// count; the walk visits all 6,400 nodes' maps either way.
+// derives (the floor of a call). Derived walks all 6,400 nodes' maps
+// either way.
 //
 //	go test -run '^$' -bench Derived80 -benchmem ./internal/core/
 func BenchmarkDerived80(b *testing.B) {
@@ -57,20 +27,144 @@ func BenchmarkDerived80(b *testing.B) {
 	}
 	injectGridEdges(e, nw)
 	nw.Run(0)
-	for _, read := range []struct {
-		name string
-		fn   func(*Engine, string) []eval.Tuple
-	}{{"view", (*Engine).Derived}, {"walk", (*Engine).derivedByWalk}} {
-		for pred, want := range map[string]int{"j/2": m * m, "none/0": 0} {
-			b.Run(read.name+"/"+pred, func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					if got := read.fn(e, pred); len(got) != want {
-						b.Fatalf("%s: %d tuples, want %d", pred, len(got), want)
-					}
+	for pred, want := range map[string]int{"j/2": m * m, "none/0": 0} {
+		b.Run(pred, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if got := e.Derived(pred); len(got) != want {
+					b.Fatalf("%s: %d tuples, want %d", pred, len(got), want)
 				}
-			})
+			}
+		})
+	}
+}
+
+// homes lists every home record, node by node and each node's in key
+// order: the order a replay wipe logs their removals in.
+func homes(e *Engine) []ResultEvent {
+	var out []ResultEvent
+	for _, rt := range e.rts {
+		keys := make([]string, 0, len(rt.homed))
+		for k := range rt.homed {
+			keys = append(keys, k)
 		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			out = append(out, ResultEvent{Tuple: rt.homed[k].t, Node: rt.node.ID})
+		}
+	}
+	return out
+}
+
+// MultiHomed counts the tuples homed at more than one node.
+func MultiHomed(e *Engine) int {
+	n := map[string]int{}
+	for _, h := range homes(e) {
+		n[h.Tuple.Key()]++
+	}
+	multi := 0
+	for _, c := range n {
+		if c > 1 {
+			multi++
+		}
+	}
+	return multi
+}
+
+// The log is per home: reach(a, c) settles at its home, the home
+// crashes, and a second derivation settles it at the live node nearest
+// the home point, so the log holds two inserts of it, one per node. A
+// replay wipe then logs one removal per home record, node by node and
+// each node's in key order (a chain of links puts two or more records
+// at some node), and two identical runs log the same events. The
+// program fact reach(z, z) is homed like a derived tuple, and read back.
+func TestResultLogIsPerHome(t *testing.T) {
+	const src = `
+.base link/2.
+reach(X, Y) :- link(X, Y).
+reach(X, Z) :- reach(X, Y), link(Y, Z).
+reach(z, z).
+.query reach/2.
+`
+	link := func(a, b string) eval.Tuple { return eval.NewTuple("link", ast.Symbol(a), ast.Symbol(b)) }
+	ac := eval.NewTuple("reach", ast.Symbol("a"), ast.Symbol("c"))
+	zz := eval.NewTuple("reach", ast.Symbol("z"), ast.Symbol("z"))
+	hasZZ := func(e *Engine, when string) {
+		t.Helper()
+		if !slices.ContainsFunc(e.Derived("reach/2"), func(t eval.Tuple) bool { return t.Key() == zz.Key() }) {
+			t.Fatalf("%s: Derived misses the program fact reach(z, z)", when)
+		}
+	}
+	run := func() []ResultEvent {
+		e, nw := buildGrid(t, 3, src, Config{ReplayLog: true}, nsim.Config{Seed: 7})
+		for i := 0; i < 5; i++ {
+			if err := e.Inject(nsim.NodeID(i), link(fmt.Sprint("p", i), fmt.Sprint("p", i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Inject(0, link("a", "c")); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(0)
+		hasZZ(e, "started")
+		first := slices.IndexFunc(e.ResultLog, func(ev ResultEvent) bool { return ev.Tuple.Key() == ac.Key() })
+		home := nw.Node(e.ResultLog[first].Node)
+		home.Down = true
+		for _, l := range []eval.Tuple{link("a", "b"), link("b", "c")} {
+			if err := e.Inject((home.ID+1)%9, l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Run(0)
+		home.Down = false
+		var at []nsim.NodeID
+		for _, ev := range e.ResultLog {
+			if ev.Tuple.Key() == ac.Key() {
+				if !ev.Insert {
+					t.Fatalf("reach(a, c) lost a home: %+v", ev)
+				}
+				at = append(at, ev.Node)
+			}
+		}
+		if len(at) != 2 || at[0] != home.ID || at[1] == home.ID {
+			t.Fatalf("reach(a, c) inserted at %v; want its home %d, then another node", at, home.ID)
+		}
+		if MultiHomed(e) != 1 {
+			t.Fatalf("%d tuples have two homes, want reach(a, c) alone", MultiHomed(e))
+		}
+		want := homes(e)
+		shared := false
+		for i := 1; i < len(want); i++ {
+			shared = shared || want[i].Node == want[i-1].Node
+		}
+		if !shared {
+			t.Fatal("no node holds two home records: the wipe's key order went untested")
+		}
+		before := len(e.ResultLog)
+		if err := e.Replay(); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(0)
+		wiped := e.ResultLog[before:]
+		if len(wiped) < len(want) {
+			t.Fatalf("the replay logged %d events, want at least the %d removals", len(wiped), len(want))
+		}
+		for i, h := range want {
+			if ev := wiped[i]; ev.Insert || ev.Node != h.Node || ev.Tuple.Key() != h.Tuple.Key() {
+				t.Fatalf("replay event %d is %+v, want the removal of %s at node %d", i, ev, h.Tuple, h.Node)
+			}
+		}
+		for _, ev := range wiped[len(want):] {
+			if !ev.Insert {
+				t.Fatalf("the replay logged a removal past its wipe: %+v", ev)
+			}
+		}
+		hasZZ(e, "replayed")
+		return e.ResultLog
+	}
+	first, second := run(), run()
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Errorf("two identical runs logged different events:\n%v\n%v", first, second)
 	}
 }
 
@@ -123,6 +217,3 @@ reach(X, Z) :- reach(X, Y), link(Y, Z).
 		})
 	}
 }
-
-// ExtraHomes counts the tuples homed at more than one node.
-func ExtraHomes(e *Engine) int { return len(e.extraHomes) }

@@ -34,7 +34,10 @@ func TestConcurrentMatchRead(t *testing.T) {
 			ast.Literal{Predicate: "e", Args: []ast.Term{k, v}},
 			ast.Literal{Predicate: "e", Args: []ast.Term{x, y}})
 	}
-	ref := db.Clone()
+	ref := NewDatabase()
+	for _, tup := range db.Tuples("e/2") {
+		ref.Insert(tup)
+	}
 	want := make([]string, len(goals))
 	for i, g := range goals {
 		want[i] = fmt.Sprint(ref.Match(g))

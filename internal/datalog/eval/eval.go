@@ -302,23 +302,6 @@ func (db *Database) Predicates() []string {
 	return out
 }
 
-// Clone deep-copies the database (terms shared; they are immutable).
-// Live tuples keep their relative insertion order; indexes are not
-// copied (they rebuild lazily).
-func (db *Database) Clone() *Database {
-	n := NewDatabase()
-	for pred, tab := range db.tables {
-		nt := newTable()
-		for _, sl := range tab.slots {
-			if !sl.dead {
-				nt.insertNew(sl.t)
-			}
-		}
-		n.tables[pred] = nt
-	}
-	return n
-}
-
 // TotalSize returns the total number of tuples.
 func (db *Database) TotalSize() int {
 	n := 0

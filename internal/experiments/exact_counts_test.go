@@ -116,9 +116,8 @@ func TestExactCounts(t *testing.T) {
 				mem = runSamplingMem(e, nw)
 			}
 			got := counts{events: nw.EventsProcessed, sent: nw.TotalSent, bytes: nw.TotalBytes, end: nw.Now(), mem: mem}
-			db := e.DerivedDB()
-			for _, pred := range db.Predicates() {
-				got.derived += db.Count(pred)
+			for _, pred := range e.Analysis().Program.DerivedPredicates() {
+				got.derived += len(e.Derived(pred))
 			}
 			if got != c.want {
 				t.Errorf("counts moved:\n got %+v\nwant %+v", got, c.want)

@@ -2,9 +2,9 @@
 // door between a deployed deductive program and its users. It reports
 // what the network has derived: the paper hashes every derived tuple to
 // a home node, Theorems 1–3 make those records the answer to every goal
-// at quiescence, and the engine keeps their union as one indexed
-// database (core.Engine.DerivedDB) — a query is a probe of it, windows
-// and faults included, and there is no second evaluator behind it.
+// at quiescence; a session counts the engine's log of their changes
+// into the deployment's one indexed copy of them (core.View) — a query
+// is a probe of it, windows and faults included, with no second evaluator.
 //
 // A Session wraps a running cluster behind a concurrent, context-aware
 // client API. Writes (Inject / DeleteAt) enqueue into a bounded buffer
@@ -12,9 +12,8 @@
 // buffer fills (Options.BatchSize), when the batch deadline expires
 // (Options.BatchDelay), or when an incoming query demands freshness.
 // A sync runs the cluster to quiescence without holding readers off;
-// only its last step, publishing the sync's net view transitions
-// (core.Engine.ResultLog) to the session's own copy of the derived set,
-// takes the locks queries take. That copy sits behind a read-write
+// only its last step, publishing the sync's net changes to the view,
+// takes the locks queries take. The view sits behind a read-write
 // lock: misses probe it side by side under the read side, and a publish
 // applies the transitions under the write side. The answers cached from
 // it sit behind a mutex of their own, which a query holds only for its
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,13 +172,13 @@ type Session struct {
 	opts   Options
 	closed atomic.Bool // stored holding runMu and bmu
 
-	// view is the derived set as of the last publish: the session's copy
-	// of the engine's view, sharing its immutable tuples (under viewMu).
+	// view is the derived set as of the last publish, the deployment's
+	// only copy (written holding runMu, its database holding viewMu too).
 	// cache holds answers probed from it (cache.go), and epoch counts the
 	// publishes, so a miss stores its answer only if no publish landed
 	// after its probe (both under mu; a publish moves epoch holding
 	// viewMu too).
-	view  *eval.Database
+	view  *core.View
 	cache map[string]*cacheEntry
 	epoch uint64
 
@@ -235,6 +233,12 @@ type Session struct {
 // serving session. The context bounds Open itself (deployment is
 // synchronous and fast; ctx is checked before and after). Provenance
 // is attached by default so Explain works; see Options.NoProvenance.
+//
+// Open runs the deployment to quiescence before it returns, and that
+// run drains every scheduled event: with snlog.WithFaults, the whole
+// fault schedule plays out before the first write, so no served write
+// can fall inside a crash window. Syncing to a horizon instead
+// (ROADMAP item 4(c)) is the fix.
 func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -298,16 +302,13 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	}
 	reg.Gauge("serve.read_concurrency", func() int64 { return s.readers.Load() })
 	reg.Gauge("serve.read_concurrency.peak", func() int64 { return s.readerPeak.Load() })
-	// Every derived predicate's view transitions are logged from here on;
-	// the initial quiescent set (program-declared facts settle here) is
-	// copied whole. No reader, writer or subscriber exists yet, so this
-	// needs no lock.
+	// Every derived predicate is logged from the first run on, which is
+	// published onto an empty view as a sync is; nothing else holds s yet.
 	for _, pred := range c.Engine.Analysis().Program.DerivedPredicates() {
 		c.Engine.Watch(pred)
 	}
-	s.lastEnd.Store(c.Run())
-	c.Engine.ResultLog = nil
-	s.view = c.Engine.DerivedDB().Clone()
+	s.view = core.NewView()
+	s.runLocked(0)
 	go s.flusher()
 	if err := ctx.Err(); err != nil {
 		s.Close()
@@ -842,54 +843,25 @@ func (sub *Subscription) detach() {
 }
 
 // runLocked runs the simulation to quiescence and publishes what it
-// derived, as of write seq. The engine's log of view transitions is
-// netted per tuple: a tuple's transitions alternate insert and remove,
-// so an even count of them cancels and an odd count leaves its first.
-// Publishing applies the net transitions, deletions first and then in
-// key order, to view under viewMu (holding misses off), then bumps the
-// epoch and drops the cached answers of every predicate they touched
-// under mu (holding hits off), and then fans them out to subscribers in
-// the same order. The log is dropped either way, so a long-lived
-// session keeps none of it. Caller holds runMu.
+// derived, as of write seq: the view nets the engine's log by home count
+// outside every lock readers take, applies the net changes under viewMu
+// (holding misses off), then bumps the epoch and drops the cached
+// answers of every predicate they touched under mu (holding hits off),
+// and fans them out to subscribers, removals first and then by key. The
+// log is dropped, so a long-lived session keeps none. Caller holds runMu.
 func (s *Session) runLocked(seq int64) int64 {
 	end := s.c.Run()
-	log := s.c.Engine.ResultLog
+	changes := s.view.Net(s.c.Engine.ResultLog)
 	s.c.Engine.ResultLog = nil
-	net := make(map[string]Update, len(log))
-	for _, ev := range log {
-		k := ev.Tuple.Key()
-		if _, odd := net[k]; odd {
-			delete(net, k)
-		} else {
-			net[k] = Update{Insert: ev.Insert, Tuple: ev.Tuple}
-		}
-	}
-	ups := make([]Update, 0, len(net))
 	var predBuf [8]string
-	touched := predBuf[:0] // the distinct predicates of ups
-	for _, u := range net {
-		ups = append(ups, u)
-		if !slices.Contains(touched, u.Tuple.Pred) {
-			touched = append(touched, u.Tuple.Pred)
+	touched := predBuf[:0] // the distinct predicates of changes
+	for _, ev := range changes {
+		if !slices.Contains(touched, ev.Tuple.Pred) {
+			touched = append(touched, ev.Tuple.Pred)
 		}
 	}
-	slices.SortFunc(ups, func(a, b Update) int {
-		if a.Insert != b.Insert {
-			if a.Insert {
-				return 1 // deletions first
-			}
-			return -1
-		}
-		return strings.Compare(a.Tuple.Key(), b.Tuple.Key())
-	})
 	s.viewMu.Lock()
-	for _, u := range ups {
-		if u.Insert {
-			s.view.Insert(u.Tuple)
-		} else {
-			s.view.Delete(u.Tuple)
-		}
-	}
+	s.view.Apply(changes)
 	s.mu.Lock()
 	s.epoch++
 	s.dropCached(touched)
@@ -898,12 +870,12 @@ func (s *Session) runLocked(seq int64) int64 {
 	s.mu.Unlock()
 	s.viewMu.Unlock()
 	for _, sub := range s.subs {
-		for _, u := range ups {
-			if u.Tuple.Pred != sub.pred {
+		for _, ev := range changes {
+			if ev.Tuple.Pred != sub.pred {
 				continue
 			}
 			select {
-			case sub.ch <- u:
+			case sub.ch <- Update{Insert: ev.Insert, Tuple: ev.Tuple}:
 			default:
 				s.subDrops.Inc()
 			}

@@ -478,7 +478,7 @@ func (c *Cluster) Query(goal string) ([]Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Engine.DerivedDB().Match(lit), nil
+	return core.MatchGoal(lit, c.Engine.Derived(lit.PredKey())), nil
 }
 
 // Registry exposes the cluster's live counter registry so embedding

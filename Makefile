@@ -25,8 +25,9 @@ vet:
 # The window/eval index structures are shared per node runtime; the serve
 # layer multiplexes concurrent sessions and wire clients over one
 # cluster, its misses probe the published view (an eval.Database) side
-# by side under a read lock while a missing index is built under the
-# write lock, and the admin endpoint samples its metrics beside the
+# by side under a read lock, and store their answers in the cache before
+# leaving it, while a missing index is built under the write lock; the
+# admin endpoint samples its metrics beside the
 # syncs; prove them race-free on every verify.
 race:
 	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/... ./internal/datalog/eval/...

@@ -7,8 +7,8 @@ import (
 
 // ExampleWithFaults runs the README's robustness snippet: a crash, a
 // partition and duplicated deliveries over a join, with a deletion
-// inside the partition window. Replay re-executes the logged base
-// timeline once the schedule has healed, and the derived set is then
+// inside the partition window. Replay re-executes the base timeline,
+// read off each node's own replicas, once the schedule has healed, and the derived set is then
 // the centralized evaluator's over the surviving base facts.
 func ExampleWithFaults() {
 	const src = `
@@ -21,7 +21,7 @@ out(X, Z) :- ra(X, Y), rb(Y, Z).
 		CrashWindow(200, 500, 12).    // node 12 down for [200, 500)
 		Partition(300, 600, 0, 1, 2). // nodes {0,1,2} cut off
 		Duplicate(100, 700, 0.2)      // 20% of deliveries doubled
-	cluster, err := Deploy(Grid(6), src, WithFaults(sched, 99), WithReplayLog())
+	cluster, err := Deploy(Grid(6), src, WithFaults(sched, 99))
 	if err != nil {
 		fmt.Println(err)
 		return

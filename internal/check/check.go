@@ -70,7 +70,8 @@ type Result struct {
 // a simulated grid under the seed's fault schedule, run the network
 // dry, and compare the engine's derived state against the centralized
 // oracle over the surviving base facts — repairing with Engine.Replay
-// and re-checking up to MaxRepair times.
+// (which re-launches each node's own base generations, read off its
+// replica store) and re-checking up to MaxRepair times.
 func Run(cfg Config) (*Result, error) {
 	if cfg.GridM == 0 {
 		cfg.GridM = 6
@@ -91,7 +92,7 @@ func Run(cfg Config) (*Result, error) {
 	// from both sides, which is the whole point of the harness.
 	c, err := snlog.Deploy(snlog.Grid(cfg.GridM), g.Src,
 		snlog.WithSeed(cfg.Seed), snlog.WithMaxSkew(4), snlog.WithScheme(snlog.Perpendicular),
-		snlog.WithReplayLog(), snlog.WithTrace(cfg.TraceCap), snlog.WithProvenance())
+		snlog.WithTrace(cfg.TraceCap), snlog.WithProvenance())
 	if err != nil {
 		return nil, fmt.Errorf("check: generated program does not compile: %v\n%s", err, g.Src)
 	}
@@ -181,9 +182,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for res.Mismatch != "" && res.Rounds < cfg.MaxRepair {
 		res.Rounds++
-		if err := e.Replay(); err != nil {
-			return nil, err
-		}
+		e.Replay()
 		nw.Run(0)
 		res.Mismatch = diff(g.Deriveds, want, e)
 	}

@@ -28,17 +28,18 @@ func TestGeneratedProgramsCompile(t *testing.T) {
 	}
 }
 
-// The tentpole acceptance test: across ≥20 distinct seeds of
-// (program, workload, fault schedule) — including runs whose deletions
-// land inside an open partition — the engine's final derived state
-// must equal the centralized oracle over the surviving base facts,
-// repairing with Engine.Replay where the faults lost state.
+// The tentpole acceptance test: across seeds 0–999 of (program,
+// workload, fault schedule) — including runs whose deletions land
+// inside an open partition, and over half of them replaying at least
+// once — the engine's final derived state must equal the centralized
+// oracle over the surviving base facts, repairing with Engine.Replay
+// where the faults lost state.
 func TestDifferentialSweep(t *testing.T) {
-	seeds := make([]int64, 0, 24)
+	seeds := make([]int64, 0, 1000)
 	if *seedFlag >= 0 {
 		seeds = append(seeds, *seedFlag)
 	} else {
-		for s := int64(0); s < 24; s++ {
+		for s := int64(0); s < 1000; s++ {
 			seeds = append(seeds, s)
 		}
 	}

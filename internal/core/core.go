@@ -58,13 +58,6 @@ type Config struct {
 	// DefaultWindow is the sliding-window range for streams without a
 	// .window declaration (0 = unbounded).
 	DefaultWindow int64
-	// ReplayLog keeps a per-node log of every generation (insert or
-	// delete, base or cascaded derived) so Engine.ReplayAt can repair
-	// state lost to injected faults by re-executing the log with the
-	// original stamps (see replay.go). Default off: the log is pure
-	// overhead on fault-free runs and would perturb the allocation
-	// baselines.
-	ReplayLog bool
 }
 
 // deriveBounds sets the engine's timing bounds from the network: its hop
@@ -129,7 +122,7 @@ type pred struct {
 	key string
 	// derived: the head of a rule with a body (ast.Program.IsDerived).
 	// base: declared .base or never derived (IsBase); its generations are
-	// the ones InjectDelete names and replay re-executes.
+	// the ones InjectDeleteAt names and replay re-executes.
 	derived, base bool
 	// ruled: a rule's head or body names it; only these have the
 	// core.derivations.<p> and core.deletions.<p> counters.
@@ -648,7 +641,7 @@ func (e *Engine) homeFor(p *pred, t eval.Tuple) nsim.NodeID {
 }
 
 // Validate checks an injection without scheduling anything; Inject,
-// InjectAt, InjectDelete and InjectDeleteAt run it first. It rejects an
+// InjectAt and InjectDeleteAt run it first. It rejects an
 // out-of-range node, a non-ground tuple, a derived predicate (derived
 // tuples come from rules, never injection), and a predicate the program
 // does not mention or declares at another arity, each failure wrapping
@@ -697,24 +690,13 @@ func (e *Engine) InjectAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
 	return nil
 }
 
-// InjectDelete deletes a previously injected base tuple: every live
-// generation of it, each from the node that generated it (per the paper,
-// deletion happens only at the source — a marker launched elsewhere would
-// sweep a different storage region). node is validated, not trusted.
-func (e *Engine) InjectDelete(node nsim.NodeID, t eval.Tuple) error {
-	if err := e.Validate(node, t); err != nil {
-		return err
-	}
-	if _, ok := e.baseIDs[t.Key()]; !ok {
-		return fmt.Errorf("core: deleting unknown base tuple %s", t)
-	}
-	e.nw.ScheduleAt(e.nw.Now(), func() { e.deleteBase(t) })
-	return nil
-}
-
-// InjectDeleteAt schedules the deletion at an absolute time; the tuple
-// must have been generated by then (a tuple still unknown when the
-// deletion fires is skipped, since validation cannot see the future).
+// InjectDeleteAt schedules the deletion of a previously injected base
+// tuple at an absolute time: every live generation of it, each from the
+// node that generated it (per the paper, deletion happens only at the
+// source — a marker launched elsewhere would sweep a different storage
+// region). node is validated, not trusted. The tuple must have been
+// generated by then (a tuple still unknown when the deletion fires is
+// skipped, since validation cannot see the future).
 func (e *Engine) InjectDeleteAt(at nsim.Time, node nsim.NodeID, t eval.Tuple) error {
 	if err := e.Validate(node, t); err != nil {
 		return err

@@ -10,10 +10,10 @@ import (
 	"repro/internal/nsim"
 )
 
-// The four injection entry points must reject exactly the same bad
+// The three injection entry points must reject exactly the same bad
 // inputs: a deletion API that validated less than Inject would let
 // malformed tuples reach the generation path only on the delete side.
-// Every case below must fail on all four, with the same complaint.
+// Every case below must fail on all three, with the same complaint.
 func TestInjectDeleteValidationParity(t *testing.T) {
 	e, _ := buildGrid(t, 4, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 11})
 
@@ -37,7 +37,6 @@ func TestInjectDeleteValidationParity(t *testing.T) {
 	entries := []entry{
 		{"Inject", e.Inject},
 		{"InjectAt", func(n nsim.NodeID, tup eval.Tuple) error { return e.InjectAt(50, n, tup) }},
-		{"InjectDelete", e.InjectDelete},
 		{"InjectDeleteAt", func(n nsim.NodeID, tup eval.Tuple) error { return e.InjectDeleteAt(50, n, tup) }},
 	}
 	for _, c := range cases {
@@ -61,16 +60,12 @@ func TestInjectDeleteValidationParity(t *testing.T) {
 	}
 }
 
-// InjectDelete alone additionally requires the tuple to exist already;
-// InjectDeleteAt defers that check to fire time (the tuple may well be
-// injected between scheduling and firing), so it must accept the same
-// call that InjectDelete rejects.
+// InjectDeleteAt defers the tuple's existence to fire time (the tuple
+// may well be injected between scheduling and firing), so it must
+// accept the deletion of a tuple not yet injected.
 func TestInjectDeleteUnknownTuple(t *testing.T) {
 	e, nw := buildGrid(t, 4, joinSrc, Config{Scheme: gpa.Perpendicular}, nsim.Config{Seed: 12})
 	ghost := eval.NewTuple("ra", ast.Int64(7), ast.Int64(7))
-	if err := e.InjectDelete(0, ghost); err == nil || !strings.Contains(err.Error(), "unknown base tuple") {
-		t.Fatalf("InjectDelete of a never-injected tuple: err = %v, want unknown-base-tuple", err)
-	}
 	if err := e.InjectDeleteAt(500, 0, ghost); err != nil {
 		t.Fatalf("InjectDeleteAt must defer existence to fire time, got %v", err)
 	}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/datalog/eval"
@@ -21,10 +22,17 @@ import (
 // recognises replica floods, set-of-derivations store, join-flood set,
 // buffered candidates), the routing cache is invalidated (entries
 // computed while a node was down would keep routing around it after
-// recovery), and every logged base generation — insert or delete — is
+// recovery), and every base generation — insert or delete — is
 // re-launched with its ORIGINAL stamps. The join
 // machinery then re-derives the IDB from scratch; derived cascades run
 // with fresh stamps, which all order after every base stamp.
+//
+// The base timeline needs no log of its own: it is read, before the
+// wipe, off each node's own replicas (baseTimeline). A source stores its
+// generation before anything else (launch), and a deletion stamps the
+// replica instead of removing it (Section IV-B), so a node's store holds
+// every base generation it made, deletions included, until a window
+// expires it.
 //
 // Stamp preservation is what makes the re-execution equivalent to
 // evaluating the program over the surviving base set:
@@ -47,44 +55,34 @@ import (
 // A wholesale wipe may look heavy-handed next to an incremental patch,
 // but incremental repair is unsound for negation: a derivation added
 // because a sweep could not see a blocked replica of a negated
-// predicate is never named by any logged removal, so no amount of
-// re-adding retracts it. Re-deriving from the base log uses the
+// predicate is never named by any base removal, so no amount of
+// re-adding retracts it. Re-deriving from the base timeline uses the
 // paper's own maintenance machinery as the repair path — negated-
 // stream triggers re-emit exactly the retractions the faults ate.
 //
 // Preconditions: call at quiescence (fault schedule healed, event
 // queue otherwise drained — in-flight walkers would re-apply stale
 // partial state after the wipe), and with unbounded windows (expiry
-// reclaims old-stamp replicas before the re-execution can use them).
+// reclaims old-stamp replicas before the re-execution can use them, and
+// a generation whose replica its source has expired is not re-launched
+// at all).
 // Cascades through k rule strata settle within the replayed drains;
 // the differential harness in internal/check runs the network dry
 // after each pass and re-checks, repeating while the derived set still
 // disagrees with the oracle.
 
-// Replay schedules a repair pass now. It requires Config.ReplayLog.
-func (e *Engine) Replay() error { return e.ReplayAt(e.nw.Now()) }
+// Replay schedules a repair pass now.
+func (e *Engine) Replay() { e.ReplayAt(e.nw.Now()) }
 
 // ReplayAt schedules a repair pass at the given simulation time (see
 // the package comment above for the preconditions).
-func (e *Engine) ReplayAt(at nsim.Time) error {
-	if !e.cfg.ReplayLog {
-		return fmt.Errorf("core: ReplayAt needs Config.ReplayLog (the generation log is off)")
-	}
-	e.nw.ScheduleAt(at, e.replayNow)
-	return nil
-}
-
-// ReplayLogLen returns the total logged base generations across all
-// nodes (0 unless Config.ReplayLog).
-func (e *Engine) ReplayLogLen() int {
-	n := 0
-	for _, rt := range e.rts {
-		n += len(rt.genLog)
-	}
-	return n
-}
+func (e *Engine) ReplayAt(at nsim.Time) { e.nw.ScheduleAt(at, e.replayNow) }
 
 func (e *Engine) replayNow() {
+	timelines := make([][]baseGen, len(e.rts))
+	for i, rt := range e.rts {
+		timelines[i] = rt.baseTimeline()
+	}
 	e.finalizeFloor = e.nw.Now()
 	e.router.Invalidate()
 	// Provenance lives in the homed maps wiped below, so it goes with
@@ -121,15 +119,48 @@ func (e *Engine) replayNow() {
 			e.seedDerivedFact(p, f.ID, t, e.homeFor(p, t))
 		}
 	}
-	for _, rt := range e.rts {
-		for _, rec := range rt.genLog {
-			p := e.preds[rec.Tuple.Pred]
-			if rec.IsDel {
-				del := rec.Del
-				rt.launch(p, rec.Tuple, rec.ID, &del, del)
-			} else {
-				rt.launch(p, rec.Tuple, rec.ID, nil, rec.ID)
-			}
+	for i, rt := range e.rts {
+		for _, g := range timelines[i] {
+			rt.launch(e.preds[g.t.Pred], g.t, g.id, g.del, g.stamp())
 		}
 	}
+}
+
+// baseGen is one base generation a node made: an insert of t with
+// generation stamp id, or, when del is set, its deletion at *del.
+type baseGen struct {
+	t   eval.Tuple
+	id  window.Stamp
+	del *window.Stamp
+}
+
+// stamp is the stamp the generation was made under.
+func (g baseGen) stamp() window.Stamp {
+	if g.del != nil {
+		return *g.del
+	}
+	return g.id
+}
+
+// baseTimeline returns the base generations this node made, in the order
+// it made them, read off its own replicas: each replica of a base
+// predicate whose ID the node stamped is an insert at ID, then, if it is
+// marked deleted, a deletion at Del. Every generate raises rt.seq, so
+// Seq order is generation order. A generation of a predicate no rule
+// reads stored nothing, and launched nothing either.
+func (rt *nodeRT) baseTimeline() []baseGen {
+	var gens []baseGen
+	rt.store.Replicas(func(predKey string, en *window.Entry) {
+		if en.ID.Node != int(rt.node.ID) || !rt.e.preds[predKey].base {
+			return
+		}
+		t := eval.Tuple{Pred: predKey, Args: en.Args}
+		gens = append(gens, baseGen{t: t, id: en.ID})
+		if en.Deleted {
+			del := en.Del
+			gens = append(gens, baseGen{t: t, id: en.ID, del: &del})
+		}
+	})
+	slices.SortFunc(gens, func(a, b baseGen) int { return cmp.Compare(a.stamp().Seq, b.stamp().Seq) })
+	return gens
 }

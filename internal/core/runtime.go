@@ -242,10 +242,6 @@ type nodeRT struct {
 	// deadlines; they drain in update-stamp order so ties on the
 	// deadline tick cannot apply a removal before the add it targets.
 	pendingCands []pendingCand
-
-	// genLog records every base generation at this node
-	// (Config.ReplayLog) for fault-repair replay; see Engine.ReplayAt.
-	genLog []genRec
 }
 
 // visibleMatch probes the node's store for the visible entries matching
@@ -362,15 +358,6 @@ func (rt *nodeRT) Receive(n *nsim.Node, m *nsim.Message) {
 
 // --- generation: a tuple is inserted or deleted at this node ---
 
-// genRec is one logged base generation (Config.ReplayLog): enough to
-// re-execute the storage and join phases with the original stamps.
-type genRec struct {
-	Tuple eval.Tuple
-	ID    window.Stamp // generation stamp of the tuple
-	Del   window.Stamp // deletion stamp; meaningful when IsDel
-	IsDel bool
-}
-
 // generate starts the storage phase of an insertion (del == nil) or a
 // deletion of the tuple t, of predicate p, with original stamp *del. It
 // returns the generation stamp (for inserts) or the deletion stamp (for
@@ -399,24 +386,13 @@ func (rt *nodeRT) generate(p *pred, t eval.Tuple, del *window.Stamp) window.Stam
 		g.last = id
 		rt.e.baseIDs[key] = g
 	}
-	if rt.e.cfg.ReplayLog && p.base {
-		// Only base generations are logged: replay re-executes the base
-		// timeline and lets the join machinery re-derive everything else,
-		// so logging cascaded derived generations would only grow the log.
-		rec := genRec{Tuple: t, ID: id}
-		if delStamp != nil {
-			rec.Del = *delStamp
-			rec.IsDel = true
-		}
-		rt.genLog = append(rt.genLog, rec)
-	}
 	rt.launch(p, t, id, delStamp, stamp)
 	return stamp
 }
 
 // launch executes the storage and join-computation phases of a
 // generation with the given stamps. Split from generate so ReplayAt
-// can re-execute logged generations stamp-for-stamp (replication is
+// can re-execute past generations stamp-for-stamp (replication is
 // idempotent by stamp and derivation keys are stamp-determined, so a
 // re-launch repairs lost state without creating divergent duplicates).
 func (rt *nodeRT) launch(p *pred, t eval.Tuple, id window.Stamp, delStamp *window.Stamp, tau window.Stamp) {

@@ -11,11 +11,10 @@ import (
 // the published view, keyed on the canonical goal
 // (core.AppendCanonicalGoal), under Session.mu; the view itself is
 // under Session.viewMu. A query looks its goal up holding mu. A miss
-// probes the view under viewMu's read side, noting the epoch it read,
-// and then stores the answer holding mu only if the epoch has not moved;
-// a publish applies its net transitions under viewMu and then, holding
-// mu, bumps the epoch and drops every entry of a predicate they touched
-// (dropCached). So a hit is what a fresh probe of the published view
+// probes the view under viewMu's read side and stores the answer holding
+// mu before it lets viewMu go; a publish applies its net transitions
+// under viewMu's write side and then, holding mu, drops every entry of
+// a predicate they touched (dropCached). So a hit is what a fresh probe of the published view
 // would return, and a write that changes only other predicates drops
 // nothing. There is no recency order: storing into a full cache
 // (Options.CacheSize entries) empties it first. Every dropped entry

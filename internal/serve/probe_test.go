@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	snlog "repro"
 	"repro/internal/core"
@@ -44,75 +45,57 @@ func checkCache(t *testing.T, s *Session, goals []string) {
 	}
 }
 
-// rendered joins the source-syntax renderings of ts, in their order.
-func rendered(ts []eval.Tuple) string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.String()
-	}
-	return strings.Join(out, " ")
-}
-
-// A miss probes the published view under its read lock and stores the
-// answer afterwards; a publish that lands in between must keep that
-// answer out of the cache. The answer the miss returns is the one of
-// the view it probed, with that view's freshness. afterProbe is the
-// seam that lands the publish there.
-func TestPublishBetweenProbeAndStore(t *testing.T) {
+// A miss stores its answer before it leaves its section of viewMu, so
+// a publish, which needs the write side, cannot land between its probe
+// and its store. Holding mu stalls a miss at its store; viewMu must
+// stay held until mu is released, on the path that builds an index
+// under the write side and on the one that probes under the read side.
+func TestMissStoresInsideItsRead(t *testing.T) {
 	ctx := context.Background()
 	s := openSession(t, reachSrc, Options{BatchDelay: -1})
-	if err := s.Inject(0, link("a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Sync(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goal = "reach(a, X)"
-	published := false
-	s.afterProbe = func() {
-		if published {
-			return
-		}
-		published = true
-		if err := s.Inject(1, link("b", "c")); err != nil {
-			t.Error(err)
-		}
-		if _, err := s.Sync(ctx); err != nil {
-			t.Error(err)
+	for _, l := range []eval.Tuple{link("a", "b"), link("b", "c")} {
+		if err := s.Inject(0, l); err != nil {
+			t.Fatal(err)
 		}
 	}
-	got, fr, err := s.QueryStale(ctx, goal, 0)
-	if err != nil {
+	if _, err := s.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !published {
-		t.Fatal("the seam never ran: the query was not a miss")
+	goals := []string{"reach(a, X)", "reach(b, X)"} // the first builds the bf index
+	for i, g := range goals {
+		lit, err := s.c.Engine.ParseGoal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			s.miss(lit, core.AppendCanonicalGoal(nil, lit))
+			close(done)
+		}()
+		// The miss has reached its store once viewMu stays held.
+		var heldSince time.Time
+		for deadline := time.Now().Add(5 * time.Second); heldSince.IsZero() || time.Since(heldSince) < 20*time.Millisecond; {
+			if s.viewMu.TryLock() {
+				s.viewMu.Unlock()
+				heldSince = time.Time{}
+			} else if heldSince.IsZero() {
+				heldSince = time.Now()
+			}
+			if time.Now().After(deadline) {
+				s.mu.Unlock()
+				<-done
+				t.Fatalf("%s: a miss stalled at its store does not hold viewMu", g)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		s.mu.Unlock()
+		<-done
+		if n := s.cacheLen(); n != i+1 {
+			t.Fatalf("%s: the cache holds %d entries, want %d", g, n, i+1)
+		}
 	}
-	if got := rendered(got); got != "reach(a, b)" {
-		t.Errorf("the miss answered [%s], want the probed view's [reach(a, b)]", got)
-	}
-	if fr != (Freshness{Lag: 0, AsOf: before}) {
-		t.Errorf("the miss reported %+v, want the probed view's %+v", fr, Freshness{Lag: 0, AsOf: before})
-	}
-	if n := s.cacheLen(); n != 0 {
-		t.Errorf("the cache holds %d entries after a publish landed between probe and store, want 0", n)
-	}
-	checkCache(t, s, []string{goal})
-
-	// The next miss sees the new view, and with no publish in between it
-	// is stored.
-	misses := s.misses.Value()
-	if got := rendered(answers(t, s, goal)); got != "reach(a, b) reach(a, c)" {
-		t.Errorf("after the publish %s = [%s], want [reach(a, b) reach(a, c)]", goal, got)
-	}
-	if s.misses.Value() != misses+1 {
-		t.Errorf("the query after the publish was not a miss")
-	}
-	if n := s.cacheLen(); n != 1 {
-		t.Errorf("the cache holds %d entries after an undisturbed miss, want 1", n)
-	}
-	checkCache(t, s, []string{goal})
+	checkCache(t, s, goals)
 }
 
 // Two goroutines miss over BenchmarkColdQuery's goals — every shape,

@@ -17,12 +17,12 @@
 // lock: misses probe it side by side under the read side, and a publish
 // applies the transitions under the write side. The answers cached from
 // it sit behind a mutex of their own, which a query holds only for its
-// cache lookup and a miss only for its store; a publish holds it to
-// bump the view's epoch and drop the cached answers of every predicate
-// the transitions touched (cache.go). No query waits for a run: Query
-// waits only for the flush of writes acknowledged before it, and
-// QueryStale opts into answering from the last published set with a
-// reported freshness bound instead. Subscribers are fed the same net
+// cache lookup and a miss only for its store, still inside its read of
+// the view; a publish holds it to drop the cached answers of every
+// predicate the transitions touched (cache.go). No query waits for a
+// run: Query waits only for the flush of writes acknowledged before it,
+// and QueryStale opts into answering from the last published set with
+// a reported freshness bound instead. Subscribers are fed the same net
 // transitions.
 //
 // Command snlogd exposes the same operations to many concurrent
@@ -157,8 +157,9 @@ type writeOp struct {
 // under the read side (eval.Database.MatchRead, which writes nothing),
 // and takes the write side only to build an index the probe found
 // missing; a publish applies its transitions under the write side. mu
-// guards cache and epoch: a hit holds it for its lookup, a miss for its
-// store, a publish for the epoch bump and the drop of stale entries.
+// guards cache: a hit holds it for its lookup, a miss for its store
+// (inside its viewMu section, so no publish lands between probe and
+// store), a publish for the drop of stale entries.
 // The freshness horizon (appliedSeq, lastEnd) moves holding both, so
 // either one reads it consistent with what it guards. Writes validate
 // against the immutable program and topology without a lock, append to
@@ -174,17 +175,9 @@ type Session struct {
 
 	// view is the derived set as of the last publish, the deployment's
 	// only copy (written holding runMu, its database holding viewMu too).
-	// cache holds answers probed from it (cache.go), and epoch counts the
-	// publishes, so a miss stores its answer only if no publish landed
-	// after its probe (both under mu; a publish moves epoch holding
-	// viewMu too).
+	// cache holds answers probed from it (cache.go), under mu.
 	view  *core.View
 	cache map[string]*cacheEntry
-	epoch uint64
-
-	// afterProbe, when set, runs between a miss's probe and its store:
-	// a test's seam for landing a publish there. Nil outside tests.
-	afterProbe func()
 
 	subs    map[int]*Subscription
 	nextSub int
@@ -501,8 +494,9 @@ func (s *Session) applyLocked(op writeOp) {
 	}
 }
 
-// Replay schedules the Replay-based repair pass (requires
-// snlog.WithReplayLog) and runs it. Repair rebuilds the engine's
+// Replay schedules Cluster.Replay's repair pass and runs it: every
+// node re-launches its own base generations, read off its replica
+// store, so any deployment can replay. Repair rebuilds the engine's
 // derived set wholesale; what it publishes is the net change, so a
 // cached answer outlives it exactly when its predicate came back as it
 // was. Buffered writes are applied first so the repair sees the full
@@ -514,9 +508,7 @@ func (s *Session) Replay() error {
 		return ErrClosed
 	}
 	s.flushLocked(flushExplicit)
-	if err := s.c.Replay(); err != nil {
-		return err
-	}
+	s.c.Replay()
 	s.runLocked(s.appliedSeq.Load())
 	return nil
 }
@@ -675,35 +667,37 @@ func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*c
 }
 
 // miss probes the published view for lit under viewMu's read side,
-// beside other misses, and stores the answer under key unless a publish
-// has landed since the probe (epoch moved): a stored answer is then
-// always what a fresh probe of the published view returns. The answer
-// and its freshness are those of the view the probe read. A goal whose
-// index is missing (never probed, or dropped by a compaction) builds it
-// under the write side and probes there.
+// beside other misses, and stores the answer under key before leaving
+// it: a publish needs the write side, so none lands between probe and
+// store, and a stored answer is always what a fresh probe of the
+// published view returns. A goal whose index is missing (never probed,
+// or dropped by a compaction) builds it under the write side and
+// probes and stores there.
 func (s *Session) miss(lit ast.Literal, key []byte) (*cacheEntry, Freshness) {
 	s.viewMu.RLock()
-	epoch, fr := s.epoch, s.freshness()
-	answers, ok := s.view.MatchRead(lit)
+	if answers, ok := s.view.MatchRead(lit); ok {
+		e, fr := s.keep(lit, key, answers)
+		s.viewMu.RUnlock()
+		return e, fr
+	}
 	s.viewMu.RUnlock()
-	if !ok {
-		s.viewMu.Lock()
-		epoch, fr = s.epoch, s.freshness()
-		answers = s.view.Match(lit)
-		s.viewMu.Unlock()
-	}
+	s.viewMu.Lock()
+	e, fr := s.keep(lit, key, s.view.Match(lit))
+	s.viewMu.Unlock()
+	return e, fr
+}
+
+// keep stores a miss's answers to lit under key (unless the cache is
+// off) and returns them with the view's freshness. Caller holds viewMu,
+// either side, since the probe.
+func (s *Session) keep(lit ast.Literal, key []byte, answers []eval.Tuple) (*cacheEntry, Freshness) {
 	e := &cacheEntry{pred: lit.PredKey(), answers: answers}
-	if s.afterProbe != nil {
-		s.afterProbe()
-	}
 	if s.opts.CacheSize > 0 {
 		s.mu.Lock()
-		if s.epoch == epoch {
-			s.store(string(key), e)
-		}
+		s.store(string(key), e)
 		s.mu.Unlock()
 	}
-	return e, fr
+	return e, s.freshness()
 }
 
 // freshness is the bound an answer from the published view carries.
@@ -845,10 +839,10 @@ func (sub *Subscription) detach() {
 // runLocked runs the simulation to quiescence and publishes what it
 // derived, as of write seq: the view nets the engine's log by home count
 // outside every lock readers take, applies the net changes under viewMu
-// (holding misses off), then bumps the epoch and drops the cached
-// answers of every predicate they touched under mu (holding hits off),
-// and fans them out to subscribers, removals first and then by key. The
-// log is dropped, so a long-lived session keeps none. Caller holds runMu.
+// (holding misses off), then drops the cached answers of every
+// predicate they touched under mu (holding hits off), and fans them out
+// to subscribers, removals first and then by key. The log is dropped,
+// so a long-lived session keeps none. Caller holds runMu.
 func (s *Session) runLocked(seq int64) int64 {
 	end := s.c.Run()
 	changes := s.view.Net(s.c.Engine.ResultLog)
@@ -863,7 +857,6 @@ func (s *Session) runLocked(seq int64) int64 {
 	s.viewMu.Lock()
 	s.view.Apply(changes)
 	s.mu.Lock()
-	s.epoch++
 	s.dropCached(touched)
 	s.appliedSeq.Store(seq)
 	s.lastEnd.Store(end)

@@ -90,7 +90,7 @@ func TestSubscriptionFollowsResults(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			sched := snlog.NewFaultSchedule().Duplicate(0, 1_000_000, 0.3)
 			s := openSession(t, subSrc, Options{BatchSize: 4, BatchDelay: -1, Deploy: []snlog.Option{
-				snlog.WithSeed(seed), snlog.WithFaults(sched, seed), snlog.WithReplayLog(),
+				snlog.WithSeed(seed), snlog.WithFaults(sched, seed),
 			}})
 			ctx := context.Background()
 			var followers []*follower

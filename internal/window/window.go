@@ -489,6 +489,18 @@ func (s *Store) MarkDeleted(predKey string, id Stamp, del Stamp) bool {
 	return true
 }
 
+// Replicas calls f with every unexpired replica, tombstones skipped: the
+// tables in creation order, each in insertion order. f must not mutate s.
+func (s *Store) Replicas(f func(predKey string, e *Entry)) {
+	for _, p := range s.preds {
+		for _, e := range p.tab.order {
+			if !e.gone {
+				f(p.name, e)
+			}
+		}
+	}
+}
+
 // Visible returns the entries of predKey visible at τ under window w, in
 // deterministic (insertion) order. Tombstone-only entries never match.
 func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {

@@ -255,6 +255,33 @@ func TestLatestSkipsDeleted(t *testing.T) {
 	}
 }
 
+// Replicas walks the tables in creation order, each in insertion order
+// (not stamp order), deletion-marked replicas included; it skips
+// expired replicas and payload-less tombstones.
+func TestReplicasWalk(t *testing.T) {
+	s := NewStore()
+	u := func(v int64) eval.Tuple { return eval.NewTuple("u", ast.Int64(v)) }
+	s.Insert(tup(3), Stamp{TS: 30, Node: 1, Seq: 1})
+	s.MarkDeleted("t/1", Stamp{TS: 31, Node: 2, Seq: 1}, Stamp{TS: 32, Node: 2, Seq: 2})
+	s.Insert(u(1), Stamp{TS: 10, Node: 1, Seq: 2})
+	s.Insert(tup(1), Stamp{TS: 5, Node: 1, Seq: 3})
+	gen := Stamp{TS: 50, Node: 1, Seq: 4}
+	s.Insert(tup(2), gen)
+	s.MarkDeleted("s/1", gen, Stamp{TS: 51, Node: 1, Seq: 5})
+	s.MarkDeleted("s/1", Stamp{TS: 55, Node: 3, Seq: 1}, Stamp{TS: 56, Node: 3, Seq: 2})
+	if n := s.ExpirePred("s/1", 60, 40); n != 1 {
+		t.Fatalf("ExpirePred reclaimed %d, want s(1) alone", n)
+	}
+	var got []string
+	s.Replicas(func(predKey string, e *Entry) {
+		got = append(got, fmt.Sprintf("%s %v deleted=%t", predKey, e.Args, e.Deleted))
+	})
+	want := []string{"s/1 [3] deleted=false", "s/1 [2] deleted=true", "u/1 [1] deleted=false"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Replicas walked %q, want %q", got, want)
+	}
+}
+
 func TestTotalCount(t *testing.T) {
 	s := NewStore()
 	s.Insert(eval.NewTuple("a", ast.Int64(1)), Stamp{TS: 0, Node: 1, Seq: 1})

@@ -214,9 +214,6 @@ type Options struct {
 	FaultSchedule *FaultSchedule
 	// FaultSeed seeds the injector's probabilistic windows.
 	FaultSeed int64
-	// ReplayLog keeps per-node generation logs so Cluster.Replay can
-	// repair state lost to faults (see core.Config.ReplayLog).
-	ReplayLog bool
 	// Provenance captures a lineage record per derivation, queryable
 	// through Cluster.Explain and Cluster.Blame (see WithProvenance).
 	Provenance bool
@@ -258,10 +255,6 @@ func WithDefaultWindow(rng int64) Option { return func(o *Options) { o.DefaultWi
 func WithFaults(s *FaultSchedule, seed int64) Option {
 	return func(o *Options) { o.FaultSchedule, o.FaultSeed = s, seed }
 }
-
-// WithReplayLog keeps per-node generation logs so Cluster.Replay can
-// repair state lost to injected faults.
-func WithReplayLog() Option { return func(o *Options) { o.ReplayLog = true } }
 
 // WithTrace attaches a trace ring buffer retaining up to capacity
 // events.
@@ -372,7 +365,6 @@ func deploy(nw *nsim.Network, src string, opt Options, bandWidth float64) (*Clus
 		MultiPass:     opt.MultiPass,
 		BandWidth:     bandWidth,
 		DefaultWindow: opt.DefaultWindow,
-		ReplayLog:     opt.ReplayLog,
 	}, c.reg, c.trace, opt.Provenance)
 	if err != nil {
 		return nil, err
@@ -422,11 +414,12 @@ func (c *Cluster) Run() int64 { return int64(c.Network.Run(0)) }
 // RunUntil processes events up to the given virtual time.
 func (c *Cluster) RunUntil(t int64) int64 { return int64(c.Network.Run(nsim.Time(t))) }
 
-// Replay schedules a repair pass that re-executes the logged base
-// timeline to restore state lost to injected faults; run the cluster
-// dry afterwards. Requires WithReplayLog. Call at quiescence, after
-// the fault schedule has healed (FaultSchedule.End).
-func (c *Cluster) Replay() error { return c.Engine.Replay() }
+// Replay schedules a repair pass that re-executes the base timeline —
+// every node's own base generations, read off its replica store — to
+// restore state lost to injected faults; run the cluster dry
+// afterwards. Call at quiescence, after the fault schedule has healed
+// (FaultSchedule.End), on a deployment whose windows are unbounded.
+func (c *Cluster) Replay() { c.Engine.Replay() }
 
 // FaultCounts reports the fault injector's bookkeeping (zero without
 // WithFaults).

@@ -3,6 +3,7 @@ package snlog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -709,5 +710,53 @@ func TestNegatedEqIsATest(t *testing.T) {
 		if len(want) != 6 || fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: cluster d = %v, centralized %v (want 6 tuples)", cond, got, want)
 		}
+	}
+}
+
+// Replay needs nothing from Deploy: each node re-launches the base
+// generations its own store holds. A node crashes while the workload
+// runs and a deletion fires inside the crash window; the replayed
+// results are snlog.Eval's over the surviving facts.
+func TestReplayNeedsNoLog(t *testing.T) {
+	const src = `
+.base ra/2.
+.base rb/2.
+out(X, Z) :- ra(X, Y), rb(Y, Z).
+`
+	sched := NewFaultSchedule().CrashWindow(100, 900, 12).CrashWindow(100, 900, 13)
+	c, err := Deploy(Grid(5), src, WithFaults(sched, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []Tuple
+	for i := 0; i < 10; i++ {
+		ra := NewTuple("ra", Int(int64(i%4)), Int(int64(i%3)))
+		rb := NewTuple("rb", Int(int64(i%3)), Int(int64(i)))
+		if err := c.InjectAt(int64(40+80*i), (7*i)%25, ra); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.InjectAt(int64(60+80*i), (11*i+3)%25, rb); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, ra, rb)
+	}
+	gone := NewTuple("ra", Int(1), Int(1))
+	if err := c.DeleteAt(500, 7, gone); err != nil {
+		t.Fatal(err)
+	}
+	live = without(live, gone)
+	oracle, err := Eval(src, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tupleKeys(oracle.Tuples("out/2"))
+	c.Run()
+	if slices.Equal(tupleKeys(c.Results("out/2")), want) {
+		t.Fatal("the crashes cost no result: the repair is not exercised")
+	}
+	c.Replay()
+	c.Run()
+	if got := tupleKeys(c.Results("out/2")); !slices.Equal(got, want) {
+		t.Fatalf("after Replay out/2 is %v, snlog.Eval's %v", got, want)
 	}
 }

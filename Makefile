@@ -27,10 +27,12 @@ vet:
 # cluster, its misses probe the published view (an eval.Database) side
 # by side under a read lock, and store their answers in the cache before
 # leaving it, while a missing index is built under the write lock; the
-# admin endpoint samples its metrics beside the
-# syncs; prove them race-free on every verify.
+# admin endpoint samples its metrics beside the syncs; snlogrepl's
+# remote tests drive a Server and a Client together (the session's
+# deadline timer, the client's read loop delivering events); prove them
+# race-free on every verify.
 race:
-	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/... ./internal/datalog/eval/...
+	$(GO) test -race ./internal/core/... ./internal/serve/... ./internal/obs/... ./internal/datalog/eval/... ./cmd/snlogrepl/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

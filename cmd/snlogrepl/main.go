@@ -35,6 +35,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,7 +76,7 @@ func main() {
 		}
 		defer c.Close()
 		fmt.Printf("snlogrepl — connected to %s (help for commands)\n", *connect)
-		loop(os.Stdin, os.Stdout, func(line string) bool { return remoteExecute(os.Stdout, c, line) })
+		repl(os.Stdin, os.Stdout, remote{c})
 		return
 	}
 	src := ""
@@ -94,9 +95,75 @@ func main() {
 	repl(os.Stdin, os.Stdout, m)
 }
 
-// local is an in-process console session: the incremental maintainer
-// plus the parsed program (for goal validation on the shared
-// core.ParseGoal path).
+// console is what the command loop drives: an in-process maintainer
+// (local) or a daemon (remote). A command returns the lines it prints,
+// or the error it prints instead.
+type console interface {
+	stats() ([]string, error)
+	query(arg string) ([]string, error) // a goal, pred/arity, or "" for all
+	change(insert bool, fact string) ([]string, error)
+	proof(fact string) (string, error)
+}
+
+// repl is the console's read loop: prompt, read a line, trim it, skip
+// it if blank, and execute it until a command quits or the input ends.
+func repl(in io.Reader, out io.Writer, c console) {
+	sc := bufio.NewScanner(in)
+	for {
+		fmt.Fprint(out, "> ")
+		if !sc.Scan() {
+			fmt.Fprintln(out)
+			return
+		}
+		if line := strings.TrimSpace(sc.Text()); line != "" && execute(out, c, line) {
+			return
+		}
+	}
+}
+
+const helpText = "  + fact(args).      assert\n  - fact(args).      retract\n  ? pred/arity       list tuples\n  ? goal(args)       point query (variables allowed)\n  ?                  list all derived\n  proof fact(args).  proof tree\n  stats              counters\n  quit               exit"
+
+// execute runs one command line against c; returns true to quit.
+func execute(out io.Writer, c console, line string) bool {
+	var lines []string
+	var err error
+	switch {
+	case line == "quit" || line == "exit":
+		return true
+	case line == "help":
+		fmt.Fprintln(out, helpText)
+	case line == "stats":
+		lines, err = c.stats()
+	case line == "?", strings.HasPrefix(line, "? "):
+		lines, err = c.query(strings.TrimSpace(line[1:]))
+	case strings.HasPrefix(line, "+ "), strings.HasPrefix(line, "- "):
+		lines, err = c.change(line[0] == '+', line[2:])
+	case strings.HasPrefix(line, "proof "):
+		var tree string
+		tree, err = c.proof(strings.TrimSpace(line[len("proof "):]))
+		lines = strings.Split(strings.TrimRight(tree, "\n"), "\n")
+	default:
+		lines = []string{"unknown command (try help)"}
+	}
+	if err != nil {
+		fmt.Fprintf(out, "  error: %v\n", err)
+		return false
+	}
+	for _, l := range lines {
+		fmt.Fprintf(out, "  %s\n", l)
+	}
+	return false
+}
+
+// remoteExecute runs one command line against a daemon; returns true to
+// quit.
+func remoteExecute(out io.Writer, c *serve.Client, line string) bool {
+	return execute(out, remote{c}, line)
+}
+
+// local is an in-process console: the incremental maintainer plus the
+// parsed program (for goal validation on the shared core.ParseGoal
+// path).
 type local struct {
 	m    *eval.Maintainer
 	prog *ast.Program
@@ -114,188 +181,133 @@ func newSession(src string) (*local, error) {
 	return &local{m: m, prog: prog}, nil
 }
 
-// loop is the console's read loop: prompt, read a line, trim it, skip
-// it if blank, and hand it to exec until exec asks to quit or the input
-// ends.
-func loop(in io.Reader, out io.Writer, exec func(line string) bool) {
-	sc := bufio.NewScanner(in)
-	for {
-		fmt.Fprint(out, "> ")
-		if !sc.Scan() {
-			fmt.Fprintln(out)
-			return
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if exec(line) {
-			return
-		}
-	}
+func (s *local) stats() ([]string, error) {
+	st := s.m.Stats()
+	return []string{fmt.Sprintf("join ops: %d, scan ops: %d, derivations held: %d, cascade steps: %d",
+		st.JoinOps, st.ScanOps, st.DerivationsHeld, st.CascadeSteps)}, nil
 }
 
-// repl runs the command loop against a local session.
-func repl(in io.Reader, out io.Writer, s *local) {
-	loop(in, out, func(line string) bool { return execute(out, s, line) })
-}
-
-const helpText = "  + fact(args).      assert\n  - fact(args).      retract\n  ? pred/arity       list tuples\n  ? goal(args)       point query (variables allowed)\n  ?                  list all derived\n  proof fact(args).  proof tree\n  stats              counters\n  quit               exit"
-
-// execute runs one command against the local session; returns true to
-// quit.
-func execute(out io.Writer, s *local, line string) bool {
-	m := s.m
+// query answers a goal on the shared validation path — the same typed
+// errors as Cluster.Query and the daemon — and lists a predicate, or
+// every derived one, straight from the database.
+func (s *local) query(arg string) ([]string, error) {
+	db := s.m.DB()
+	var lines []string
 	switch {
-	case line == "quit" || line == "exit":
-		return true
-	case line == "help":
-		fmt.Fprintln(out, helpText)
-	case line == "stats":
-		st := m.Stats()
-		fmt.Fprintf(out, "  join ops: %d, scan ops: %d, derivations held: %d, cascade steps: %d\n",
-			st.JoinOps, st.ScanOps, st.DerivationsHeld, st.CascadeSteps)
-	case line == "?":
-		for _, pred := range m.DB().Predicates() {
-			fmt.Fprintf(out, "  %% %s\n", pred)
-			for _, t := range m.DB().Tuples(pred) {
-				fmt.Fprintf(out, "  %v\n", t)
-			}
+	case arg == "":
+		for _, p := range db.Predicates() {
+			lines = tupleLines(append(lines, "% "+p), db.Tuples(p))
 		}
-	case strings.HasPrefix(line, "? "):
-		arg := strings.TrimSpace(line[2:])
-		if !strings.Contains(arg, "(") {
-			// pred/arity listing.
-			for _, t := range m.DB().Tuples(arg) {
-				fmt.Fprintf(out, "  %v\n", t)
-			}
-			return false
-		}
-		// Goal query on the shared validation path: same typed errors
-		// as Cluster.Query and the daemon.
-		lit, err := core.ParseGoal(s.prog, arg)
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		for _, t := range core.MatchGoal(lit, m.DB().Tuples(lit.PredKey())) {
-			fmt.Fprintf(out, "  %v\n", t)
-		}
-	case strings.HasPrefix(line, "+ "), strings.HasPrefix(line, "- "):
-		tup, err := parseFact(line[2:])
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		var changes []eval.Change
-		if line[0] == '+' {
-			changes, err = m.Insert(tup)
-		} else {
-			changes, err = m.Delete(tup)
-		}
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		for _, c := range changes {
-			op := "+"
-			if !c.Insert {
-				op = "-"
-			}
-			fmt.Fprintf(out, "  %s %v\n", op, c.Tuple)
-		}
-	case strings.HasPrefix(line, "proof "):
-		tup, err := parseFact(strings.TrimSpace(line[len("proof "):]))
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		tree, err := m.ProofTree(tup)
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		for _, l := range strings.Split(strings.TrimRight(tree.String(), "\n"), "\n") {
-			fmt.Fprintf(out, "  %s\n", l)
-		}
-	default:
-		fmt.Fprintf(out, "  unknown command (try help)\n")
+		return lines, nil
+	case !strings.Contains(arg, "("):
+		return tupleLines(nil, db.Tuples(arg)), nil
 	}
-	return false
+	lit, err := core.ParseGoal(s.prog, arg)
+	if err != nil {
+		return nil, err
+	}
+	return tupleLines(nil, core.MatchGoal(lit, db.Tuples(lit.PredKey()))), nil
 }
 
-// remoteExecute runs one command against a daemon; returns true to
-// quit.
-func remoteExecute(out io.Writer, c *serve.Client, line string) bool {
-	ctx := context.Background()
-	switch {
-	case line == "quit" || line == "exit":
-		return true
-	case line == "help":
-		fmt.Fprintln(out, helpText)
-	case line == "stats":
-		stats, err := c.Stats(ctx)
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		names := make([]string, 0, len(stats))
-		for n := range stats {
-			if strings.HasPrefix(n, "serve.") {
-				names = append(names, n)
-			}
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(out, "  %s: %d\n", n, stats[n])
-		}
-	case line == "?":
-		fmt.Fprintln(out, "  error: bare ? is local-only; query a goal, e.g. ? reach(a, X)")
-	case strings.HasPrefix(line, "? "):
-		arg := strings.TrimSpace(line[2:])
-		if !strings.Contains(arg, "(") {
-			// pred/arity: expand to an all-free goal.
-			g, err := goalForPred(arg)
-			if err != nil {
-				fmt.Fprintf(out, "  error: %v\n", err)
-				return false
-			}
-			arg = g
-		}
-		tuples, err := c.Query(ctx, arg)
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		for _, t := range tuples {
-			fmt.Fprintf(out, "  %s\n", t)
-		}
-	case strings.HasPrefix(line, "+ "):
-		if err := c.Inject(ctx, 0, strings.TrimSuffix(strings.TrimSpace(line[2:]), ".")); err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-		}
-	case strings.HasPrefix(line, "- "):
-		now, err := c.Sync(ctx)
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		if err := c.DeleteAt(ctx, now+1, 0, strings.TrimSuffix(strings.TrimSpace(line[2:]), ".")); err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-		}
-	case strings.HasPrefix(line, "proof "):
-		expl, err := c.Explain(ctx, strings.TrimSuffix(strings.TrimSpace(line[len("proof "):]), "."))
-		if err != nil {
-			fmt.Fprintf(out, "  error: %v\n", err)
-			return false
-		}
-		for _, l := range strings.Split(strings.TrimRight(expl, "\n"), "\n") {
-			fmt.Fprintf(out, "  %s\n", l)
-		}
-	default:
-		fmt.Fprintf(out, "  unknown command (try help)\n")
+// change asserts or retracts a fact and lists what that derived and
+// retracted in turn.
+func (s *local) change(insert bool, fact string) ([]string, error) {
+	tup, err := parseFact(fact)
+	if err != nil {
+		return nil, err
 	}
-	return false
+	apply := s.m.Delete
+	if insert {
+		apply = s.m.Insert
+	}
+	changes, err := apply(tup)
+	lines := make([]string, len(changes))
+	for i, c := range changes {
+		lines[i] = "- " + c.Tuple.String()
+		if c.Insert {
+			lines[i] = "+ " + c.Tuple.String()
+		}
+	}
+	return lines, err
+}
+
+func (s *local) proof(fact string) (string, error) {
+	tup, err := parseFact(fact)
+	if err != nil {
+		return "", err
+	}
+	tree, err := s.m.ProofTree(tup)
+	if err != nil {
+		return "", err
+	}
+	return tree.String(), nil
+}
+
+// remote is a console on a daemon: an assert injects at node 0, and a
+// retract deletes one tick past the time the daemon syncs to.
+type remote struct{ c *serve.Client }
+
+func (r remote) stats() ([]string, error) {
+	stats, err := r.c.Stats(context.Background())
+	names := make([]string, 0, len(stats))
+	for n := range stats {
+		if strings.HasPrefix(n, "serve.") {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for i, n := range names {
+		names[i] = fmt.Sprintf("%s: %d", n, stats[n])
+	}
+	return names, err
+}
+
+// query expands pred/arity to an all-free goal: "reach/2" asks
+// "reach(V0, V1)".
+func (r remote) query(arg string) ([]string, error) {
+	switch {
+	case arg == "":
+		return nil, errors.New("bare ? is local-only; query a goal, e.g. ? reach(a, X)")
+	case strings.Contains(arg, "("):
+		return r.c.Query(context.Background(), arg)
+	}
+	i := strings.LastIndex(arg, "/")
+	if i < 0 {
+		return nil, fmt.Errorf("want pred/arity or a goal, got %q", arg)
+	}
+	n, err := strconv.Atoi(arg[i+1:])
+	if err != nil || n < 0 {
+		return nil, fmt.Errorf("bad arity in %q", arg)
+	}
+	vars := make([]string, n)
+	for j := range vars {
+		vars[j] = "V" + strconv.Itoa(j)
+	}
+	return r.c.Query(context.Background(), arg[:i]+"("+strings.Join(vars, ", ")+")")
+}
+
+func (r remote) change(insert bool, fact string) ([]string, error) {
+	ctx, fact := context.Background(), strings.TrimSuffix(strings.TrimSpace(fact), ".")
+	if insert {
+		return nil, r.c.Inject(ctx, 0, fact)
+	}
+	now, err := r.c.Sync(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return nil, r.c.DeleteAt(ctx, now+1, 0, fact)
+}
+
+func (r remote) proof(fact string) (string, error) {
+	return r.c.Explain(context.Background(), strings.TrimSuffix(fact, "."))
+}
+
+// tupleLines appends one line per tuple to lines.
+func tupleLines(lines []string, ts []eval.Tuple) []string {
+	for _, t := range ts {
+		lines = append(lines, t.String())
+	}
+	return lines
 }
 
 // fetchSnapshot pulls the flat name → value metric map from a daemon's
@@ -399,23 +411,6 @@ func renderWatch(polls []poll) string {
 			c["nsim.events"], rate("nsim.events", prev), rate("nsim.events", first))
 	}
 	return b.String()
-}
-
-// goalForPred turns "reach/2" into the all-free goal "reach(V0, V1)".
-func goalForPred(key string) (string, error) {
-	i := strings.LastIndex(key, "/")
-	if i < 0 {
-		return "", fmt.Errorf("want pred/arity or a goal, got %q", key)
-	}
-	n, err := strconv.Atoi(key[i+1:])
-	if err != nil || n < 0 {
-		return "", fmt.Errorf("bad arity in %q", key)
-	}
-	vars := make([]string, n)
-	for j := range vars {
-		vars[j] = "V" + strconv.Itoa(j)
-	}
-	return key[:i] + "(" + strings.Join(vars, ", ") + ")", nil
 }
 
 // parseFact parses "pred(args)." (trailing dot optional) into a tuple,

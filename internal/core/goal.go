@@ -97,18 +97,11 @@ func MatchGoal(goal ast.Literal, tuples []eval.Tuple) []eval.Tuple {
 	return out
 }
 
-// CanonicalGoal returns a canonical identity string for a goal
-// literal: ground arguments render as their tuple-key encoding and
+// AppendCanonicalGoal appends a canonical identity for a goal literal
+// to b: ground arguments render as their tuple-key encoding and
 // variables are renamed by first occurrence, so "path(n0, X)" and
 // "path(n0, Y)" share an identity but "p(X, X)" and "p(X, Y)" do not.
-// It is AppendCanonicalGoal's string form.
-func CanonicalGoal(goal ast.Literal) string {
-	var buf [64]byte
-	return string(AppendCanonicalGoal(buf[:0], goal))
-}
-
-// AppendCanonicalGoal appends goal's canonical identity (CanonicalGoal)
-// to b. The serving layer renders it into a stack buffer as the result-
+// The serving layer renders it into a stack buffer as the result-
 // cache key, so a cache hit builds no key string. Variables are renamed
 // from a table on the stack while a goal has few, and through a map
 // past that, so the cost stays linear in the goal's size.

@@ -100,7 +100,7 @@ func TestCanonicalGoalIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseGoal(%q): %v", goal, err)
 		}
-		return CanonicalGoal(lit)
+		return string(AppendCanonicalGoal(nil, lit))
 	}
 	if key("path(n0, X)") != key("path(n0, Y)") {
 		t.Error("variable renaming must not change the goal identity")

@@ -14,13 +14,13 @@ import (
 // routes pushed subscription events to their ClientSub. The REPL's
 // -connect mode and the serve tests ride on it.
 //
-// Lifecycle: the read loop owns the connection's inbound side and is
-// the only sender on (and closer of) the internal event channel; one
-// pump goroutine drains that channel and dispatches to subscriptions.
-// Whatever ends the connection — Close, a server-side drop, a read
-// error — the read loop exits, closes the event channel, and the pump
-// drains and exits: no goroutine outlives the connection. Close is
-// idempotent and waits for both.
+// Lifecycle: a Client runs one goroutine, the read loop. It owns the
+// connection's inbound side: it hands each response to its caller and
+// each pushed event to its ClientSub, without blocking. Whatever ends
+// the connection — Close, a server-side drop, a read error — the read
+// loop fails every pending call and subscription and exits: no
+// goroutine outlives the connection. Close is idempotent and waits for
+// the read loop.
 type Client struct {
 	conn net.Conn
 
@@ -35,8 +35,7 @@ type Client struct {
 	err     error // terminal read error, ErrClosed after Close
 	closed  bool
 
-	events   chan Event    // readLoop -> pump; closed by readLoop on exit
-	pumpDone chan struct{} // closed when the pump goroutine exits
+	readDone chan struct{} // closed when the read loop exits
 }
 
 // Dial connects to an snlogd address.
@@ -54,18 +53,15 @@ func NewClient(conn net.Conn) *Client {
 		conn:     conn,
 		pending:  make(map[int64]chan *Response),
 		subs:     make(map[int64]*ClientSub),
-		events:   make(chan Event, 256),
-		pumpDone: make(chan struct{}),
+		readDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	go c.pump()
 	return c
 }
 
 // Close drops the connection; in-flight calls fail with ErrClosed,
-// subscription channels close, and both background goroutines (read
-// loop and event pump) are waited out. Idempotent: the second and
-// later calls return nil immediately.
+// subscription channels close, and the read loop is waited out.
+// Idempotent: the second and later calls return nil immediately.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -76,15 +72,17 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	c.fail(ErrClosed)
 	err := c.conn.Close()
-	// The closed connection unblocks the read loop, which closes the
-	// event channel, which drains the pump.
-	<-c.pumpDone
+	<-c.readDone // the closed connection ends the read loop
 	return err
 }
 
 // readLoop decodes every frame of the connection. A frame it cannot
-// decode fails the connection: its caller could never be answered.
+// decode fails the connection: its caller could never be answered. An
+// event is looked up and sent under mu — the lock ClientSub.Close and
+// fail close channels under — so a send never races a close; a
+// subscriber whose buffer is full loses the event, as on the server.
 func (c *Client) readLoop() {
+	defer close(c.readDone)
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var err error
@@ -98,14 +96,17 @@ func (c *Client) readLoop() {
 			err = fmt.Errorf("serve: undecodable frame %.64q: %w", line, derr)
 			break
 		}
-		if resp.Event != nil {
-			// Blocking send: the pump always drains until this channel
-			// closes, and never blocks itself (subscription dispatch is
-			// non-blocking), so this cannot deadlock.
-			c.events <- *resp.Event
+		c.mu.Lock()
+		if ev := resp.Event; ev != nil {
+			if sub := c.subs[ev.Sub]; sub != nil {
+				select {
+				case sub.ch <- *ev:
+				default:
+				}
+			}
+			c.mu.Unlock()
 			continue
 		}
-		c.mu.Lock()
 		ch := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
@@ -120,24 +121,6 @@ func (c *Client) readLoop() {
 		err = ErrClosed
 	}
 	c.fail(err)
-	close(c.events) // single sender; lets the pump exit
-}
-
-// pump dispatches pushed events to their subscription. Lookup and
-// send happen under c.mu — the same lock ClientSub.Close and fail
-// close channels under — so a send can never race a close.
-func (c *Client) pump() {
-	defer close(c.pumpDone)
-	for ev := range c.events {
-		c.mu.Lock()
-		if sub := c.subs[ev.Sub]; sub != nil {
-			select {
-			case sub.ch <- ev:
-			default: // slow local consumer: drop, like the server side
-			}
-		}
-		c.mu.Unlock()
-	}
 }
 
 // fail terminates every pending call and subscription.
@@ -151,9 +134,9 @@ func (c *Client) fail(err error) {
 	for _, ch := range pending {
 		close(ch)
 	}
-	// Close subscription channels under mu: the pump looks subs up and
-	// sends under the same lock, so after this section it can neither
-	// find nor send on a closed channel.
+	// Close subscription channels under mu: the read loop looks subs up
+	// and sends under the same lock, so after this section it can
+	// neither find nor send on a closed channel.
 	for id, s := range c.subs {
 		delete(c.subs, id)
 		close(s.ch)
@@ -229,11 +212,8 @@ func (c *Client) Query(ctx context.Context, goal string) ([]string, error) {
 // overriding any server-side default bound), and reports the served
 // answer's freshness bound.
 func (c *Client) QueryStale(ctx context.Context, goal string, maxLag int64) ([]string, Freshness, error) {
-	resp, err := c.call(ctx, &Request{Op: "query", Arg: goal, Stale: true, MaxLag: maxLag})
-	if err != nil {
-		return nil, Freshness{}, err
-	}
-	return resp.Tuples, Freshness{Lag: resp.Lag, AsOf: resp.AsOf}, nil
+	tuples, fr, _, err := c.QueryTraced(ctx, goal, maxLag, 0)
+	return tuples, fr, err
 }
 
 // QueryTraced is QueryStale plus trace correlation: traceID 0 lets the
@@ -314,7 +294,7 @@ func (s *ClientSub) Close() error {
 	_, live := s.c.subs[s.id]
 	if live {
 		delete(s.c.subs, s.id)
-		close(s.ch) // under mu: pump can no longer find the sub
+		close(s.ch) // under mu: the read loop can no longer find the sub
 	}
 	s.c.mu.Unlock()
 	if !live {

@@ -13,10 +13,10 @@ import (
 
 // Regression: the client used to leak its event-dispatch goroutine
 // when the server closed the connection while a subscription was
-// live — the read loop exited but nothing ended the pump. Now the
-// read loop closes the event channel on exit, the pump drains and
-// stops, and Close is idempotent. Goroutine count must return to the
-// pre-dial baseline.
+// live — the read loop exited but nothing ended the dispatcher. Now
+// the read loop delivers events itself and is the client's only
+// goroutine, and Close is idempotent. Goroutine count must return to
+// the pre-dial baseline.
 func TestClientNoGoroutineLeakOnServerDrop(t *testing.T) {
 	s := openSession(t, reachSrc, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -65,7 +65,7 @@ func TestClientNoGoroutineLeakOnServerDrop(t *testing.T) {
 		t.Errorf("sub.Close after client close = %v, want nil", err)
 	}
 
-	// Both client goroutines (read loop + pump) must be gone.
+	// The client's goroutine (its read loop) must be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
@@ -130,5 +130,80 @@ func TestClientUndecodableFrameFailsCall(t *testing.T) {
 				t.Fatal("ping still waiting 5s after an undecodable reply")
 			}
 		})
+	}
+}
+
+// waitGoroutines waits up to 5s for the goroutine count to fall to n.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines: %d > %d\n%s", runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A Client runs one goroutine, its read loop, and Close waits it out.
+func TestNewClientStartsOneGoroutine(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	before := runtime.NumGoroutine()
+	c := NewClient(local)
+	if got := runtime.NumGoroutine() - before; got != 1 {
+		c.Close()
+		t.Fatalf("NewClient started %d goroutines, want 1", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}
+
+// The read loop hands events to a ClientSub in the order the session
+// published them: a burst of syncs, one insertion each, read
+// concurrently, arrives whole and in order. 48 events fit both the
+// session's subscription buffer and the client's, so none is dropped.
+func TestClientSubEventsInPublishOrder(t *testing.T) {
+	const n = 48
+	srv, s := startServer(t, reachSrc)
+	c := dialClient(t, srv)
+	sub, err := c.Subscribe(context.Background(), "reach/2", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []string, 1)
+	go func() {
+		var evs []string
+		for len(evs) < n {
+			select {
+			case ev := <-sub.C():
+				if !ev.Insert {
+					evs = append(evs, "- "+ev.Tuple)
+				} else {
+					evs = append(evs, ev.Tuple)
+				}
+			case <-time.After(5 * time.Second):
+				got <- evs
+				return
+			}
+		}
+		got <- evs
+	}()
+	want := make([]string, n)
+	for i := range want {
+		a, b := fmt.Sprintf("s%d", i), fmt.Sprintf("t%d", i)
+		if err := s.Inject(0, link(a, b)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprintf("reach(%s, %s)", a, b)
+	}
+	if evs := <-got; strings.Join(evs, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("events out of publish order or lost:\n got %q\nwant %q", evs, want)
 	}
 }

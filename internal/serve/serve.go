@@ -9,8 +9,10 @@
 // A Session wraps a running cluster behind a concurrent, context-aware
 // client API. Writes (Inject / DeleteAt) enqueue into a bounded buffer
 // that is applied and synced as ONE coalesced batch — flushed when the
-// buffer fills (Options.BatchSize), when the batch deadline expires
-// (Options.BatchDelay), or when an incoming query demands freshness.
+// buffer fills (Options.BatchSize), when the batch deadline's timer
+// fires (Options.BatchDelay), or when an incoming query demands
+// freshness. A session runs no goroutine of its own: the deadline is a
+// time.AfterFunc timer, and its callback runs only while it fires.
 // A sync runs the cluster to quiescence without holding readers off;
 // only its last step, publishing the sync's net changes to the view,
 // takes the locks queries take. The view sits behind a read-write
@@ -76,8 +78,8 @@ type Options struct {
 	// 1 applies every write immediately (no coalescing).
 	BatchSize int
 	// BatchDelay is the deadline for a non-empty write buffer: a
-	// background flusher applies the batch this long after its first
-	// write, so writes are never stranded waiting for a query. 0 means
+	// batch's first write arms a timer that applies the batch this long
+	// after it, so writes are never stranded waiting for a query. 0 means
 	// the default (2ms); negative disables the deadline (size- and
 	// freshness-triggered flushes only — deterministic, used by the
 	// benchmarks and property tests).
@@ -163,8 +165,10 @@ type writeOp struct {
 // The freshness horizon (appliedSeq, lastEnd) moves holding both, so
 // either one reads it consistent with what it guards. Writes validate
 // against the immutable program and topology without a lock, append to
-// the buffer under bmu, and return; only the flush pays the sync. Lock
-// order: runMu, viewMu, mu, bmu.
+// the buffer under bmu, and return; only the flush pays the sync. A
+// batch's first write arms the deadline timer under bmu, where Close
+// stops it, so none is armed after Close; its callback is a flush like
+// any other. Lock order: runMu, viewMu, mu, bmu.
 type Session struct {
 	runMu  sync.Mutex
 	viewMu sync.RWMutex
@@ -179,22 +183,22 @@ type Session struct {
 	view  *core.View
 	cache map[string]*cacheEntry
 
-	subs    map[int]*Subscription
-	nextSub int
+	subs    map[int64]*Subscription
+	nextSub int64 // the last subscription's id; ids start at 1
 
 	// Write buffer. bmu orders enqueues against drains; enqSeq is the
 	// last accepted write's sequence number (stored while bmu is
 	// held), appliedSeq the last one published (stored while mu is
-	// held). Lag = enqSeq - appliedSeq.
+	// held). Lag = enqSeq - appliedSeq. deadline, under bmu, is the
+	// batch deadline's timer, made by the first batch that arms it (nil
+	// while none has, and always when BatchDelay < 0).
 	bmu        sync.Mutex
 	pending    []writeOp
 	nextSeq    int64 // under bmu
+	deadline   *time.Timer
 	enqSeq     atomic.Int64
 	appliedSeq atomic.Int64
 	lastEnd    atomic.Int64 // virtual time of the last published quiesce
-
-	kick chan struct{} // wakes the deadline flusher on 0->1 buffer
-	done chan struct{} // closed by Close; stops the flusher
 
 	readers    atomic.Int64 // queries between their cache lookup and their answer
 	readerPeak atomic.Int64
@@ -261,9 +265,7 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 		c:     c,
 		opts:  opts,
 		cache: make(map[string]*cacheEntry),
-		subs:  make(map[int]*Subscription),
-		kick:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		subs:  make(map[int64]*Subscription),
 
 		queries:      reg.Counter("serve.queries"),
 		hits:         reg.Counter("serve.cache.hits"),
@@ -302,7 +304,6 @@ func Open(ctx context.Context, src string, t snlog.Topology, opts Options) (*Ses
 	}
 	s.view = core.NewView()
 	s.runLocked(0)
-	go s.flusher()
 	if err := ctx.Err(); err != nil {
 		s.Close()
 		return nil, err
@@ -334,24 +335,29 @@ func (s *Session) Families() obs.Families {
 // applied, synced and published.
 func (s *Session) Lag() int64 { return s.enqSeq.Load() - s.appliedSeq.Load() }
 
-// Close shuts the session: the remaining write batch is applied (every
-// acknowledged write reaches the deployment), subscriptions are
-// closed, and every later operation returns ErrClosed. Idempotent.
+// Close shuts the session: the batch deadline's timer is stopped, the
+// remaining write batch is applied (every acknowledged write reaches
+// the deployment), subscriptions are closed, and every later operation
+// returns ErrClosed. Idempotent.
 func (s *Session) Close() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	if s.closed.Load() {
 		return nil
 	}
-	// Closed first, under bmu, so no write is appended after the drain.
+	// Closed first, under bmu, so no write is appended and no deadline
+	// armed after the drain. A callback already firing finds the
+	// session closed and does nothing.
 	s.bmu.Lock()
 	s.closed.Store(true)
+	if s.deadline != nil {
+		s.deadline.Stop()
+	}
 	s.bmu.Unlock()
 	s.flushLocked(flushExplicit)
 	for _, sub := range s.subs {
 		sub.detach()
 	}
-	close(s.done)
 	return nil
 }
 
@@ -384,7 +390,7 @@ func (s *Session) DeleteAt(at int64, node int, t eval.Tuple) error {
 // returns its sequence number (the wire's batch ack). The write is
 // applied by the next flush: when this write fills the buffer the
 // caller flushes synchronously, otherwise the first write of a batch
-// arms the deadline flusher.
+// arms the deadline timer.
 func (s *Session) enqueue(kind opKind, at int64, node int, t eval.Tuple) (int64, error) {
 	if err := s.c.Validate(node, t); err != nil {
 		return 0, err
@@ -400,6 +406,16 @@ func (s *Session) enqueue(kind opKind, at int64, node int, t eval.Tuple) (int64,
 	s.pending = append(s.pending, writeOp{seq: seq, kind: kind, at: at, node: node, tuple: t})
 	n := len(s.pending)
 	s.enqSeq.Store(seq)
+	if n == 1 && s.opts.BatchSize > 1 && s.opts.BatchDelay > 0 {
+		// The batch's first write arms its deadline. If a size or fresh
+		// flush drains the batch first, the deadline's flush finds the
+		// buffer empty and does nothing.
+		if s.deadline == nil {
+			s.deadline = time.AfterFunc(s.opts.BatchDelay, func() { s.flush(flushDeadline) })
+		} else {
+			s.deadline.Reset(s.opts.BatchDelay)
+		}
+	}
 	s.bmu.Unlock()
 	s.batchWrites.Inc()
 	if n >= s.opts.BatchSize {
@@ -409,37 +425,8 @@ func (s *Session) enqueue(kind opKind, at int64, node int, t eval.Tuple) (int64,
 		if _, err := s.flush(flushSize); err != nil && !errors.Is(err, ErrClosed) {
 			return seq, err
 		}
-	} else if n == 1 && s.opts.BatchDelay > 0 {
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
 	}
 	return seq, nil
-}
-
-// flusher is the deadline arm of the batch state machine: BatchDelay
-// after a batch's first write it applies whatever has accumulated, so
-// a write never waits indefinitely for a query to force freshness.
-func (s *Session) flusher() {
-	if s.opts.BatchDelay <= 0 {
-		return
-	}
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.kick:
-			t := time.NewTimer(s.opts.BatchDelay)
-			select {
-			case <-s.done:
-				t.Stop()
-				return
-			case <-t.C:
-				s.flush(flushDeadline) // no-op if a size/fresh flush won the race
-			}
-		}
-	}
 }
 
 // flush applies the buffered batch under runMu.
@@ -587,20 +574,11 @@ func (s *Session) Query(ctx context.Context, goal string) ([]eval.Tuple, error) 
 // reports the actual freshness bound. A negative maxLag means
 // unbounded. maxLag 0 is Query.
 func (s *Session) QueryStale(ctx context.Context, goal string, maxLag int64) ([]eval.Tuple, Freshness, error) {
-	answers, fr, _, err := s.QueryTraced(ctx, goal, maxLag, 0)
-	return answers, fr, err
-}
-
-// QueryTraced is QueryStale plus trace correlation: traceID 0 lets the
-// session allocate one, a nonzero id is the caller's correlation key.
-// Either way the effective id is returned alongside the answer, and
-// the query's stage spans land in Spans() under that id.
-func (s *Session) QueryTraced(ctx context.Context, goal string, maxLag, traceID int64) ([]eval.Tuple, Freshness, int64, error) {
-	e, fr, tid, err := s.query(ctx, goal, staleLag(maxLag), traceID)
+	e, fr, _, err := s.query(ctx, goal, staleLag(maxLag), 0)
 	if err != nil {
-		return nil, fr, tid, err
+		return nil, fr, err
 	}
-	return append([]eval.Tuple(nil), e.answers...), fr, tid, nil
+	return append([]eval.Tuple(nil), e.answers...), fr, nil
 }
 
 func staleLag(maxLag int64) int64 {
@@ -612,8 +590,11 @@ func staleLag(maxLag int64) int64 {
 
 // query is the one query path. It returns the entry holding the answer
 // — the cached one on a hit; on a miss a fresh one, stored unless the
-// cache is off — whose fields are immutable: Query and its siblings copy
-// the answers out, the server writes the entry's encoding.
+// cache is off — whose fields are immutable: Query and QueryStale copy
+// the answers out, the server writes the entry's encoding. tid 0
+// allocates a trace id, a nonzero one is the caller's correlation key;
+// the effective id is returned, and the stage spans land in Spans()
+// under it.
 func (s *Session) query(ctx context.Context, goal string, maxLag, tid int64) (*cacheEntry, Freshness, int64, error) {
 	start := time.Now()
 	qt := s.beginTrace(tid, start)
@@ -731,9 +712,10 @@ func (s *Session) Explain(ctx context.Context, goal string) (*snlog.ExplainTree,
 	return tree, err
 }
 
-// ExplainTraced is Explain plus trace correlation, mirroring
-// QueryTraced: the effective trace id is returned and the walk's spans
-// land in Spans() under it.
+// ExplainTraced is Explain plus trace correlation: traceID 0 lets the
+// session allocate one, a nonzero id is the caller's correlation key;
+// the effective id is returned and the walk's spans land in Spans()
+// under it.
 func (s *Session) ExplainTraced(ctx context.Context, goal string, traceID int64) (*snlog.ExplainTree, int64, error) {
 	return s.explain(ctx, goal, traceID)
 }
@@ -789,10 +771,9 @@ func (s *Session) Subscribe(pred string) (*Subscription, error) {
 	// Apply the buffered writes first, so the subscriber sees only
 	// changes from the current quiescent state on.
 	s.flushLocked(flushExplicit)
-	id := s.nextSub
 	s.nextSub++
-	sub := &Subscription{s: s, id: id, pred: pred, ch: make(chan Update, subBuffer)}
-	s.subs[id] = sub
+	sub := &Subscription{s: s, id: s.nextSub, pred: pred, ch: make(chan Update, subBuffer)}
+	s.subs[sub.id] = sub
 	return sub, nil
 }
 
@@ -804,10 +785,11 @@ type Update struct {
 	Tuple  eval.Tuple
 }
 
-// Subscription is a live watch on one derived predicate.
+// Subscription is a live watch on one derived predicate. Its id,
+// unique in the session from 1 on, names it on the wire too.
 type Subscription struct {
 	s    *Session
-	id   int
+	id   int64
 	pred string
 	ch   chan Update
 }

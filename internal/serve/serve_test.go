@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -783,7 +784,7 @@ func TestQueryStaleServesSnapshot(t *testing.T) {
 	}
 }
 
-// The deadline flusher applies a lone write without any query or sync
+// The deadline timer applies a lone write without any query or sync
 // forcing it.
 func TestBatchDeadlineFlush(t *testing.T) {
 	s := openSession(t, reachSrc, Options{BatchSize: 1024, BatchDelay: 2 * time.Millisecond})
@@ -909,4 +910,78 @@ func TestSessionKeepsNoResultLog(t *testing.T) {
 	if got := s.Cluster().Registry().Snapshot().Get("core.results_logged"); got != 1+20*4 {
 		t.Errorf("core.results_logged = %d, want %d", got, 1+20*4)
 	}
+}
+
+// A session runs no goroutine of its own: Open with the default batch
+// deadline starts none (the deadline is a timer, armed by a batch's
+// first write), and Close with a deadline armed stops it and returns at
+// once, leaving the goroutine count where it was before Open.
+func TestSessionRunsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := Open(context.Background(), reachSrc, snlog.Grid(3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		s.Close()
+		t.Fatalf("Open started %d goroutines", got-before)
+	}
+	s.Close()
+
+	s, err = Open(context.Background(), reachSrc, snlog.Grid(3), Options{BatchSize: 1024, BatchDelay: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Inject(0, link("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close with a deadline armed took %v", d)
+	}
+	if s.Lag() != 0 {
+		t.Errorf("Close left %d writes unapplied", s.Lag())
+	}
+	if s.deadline.Stop() {
+		t.Error("the deadline timer was still armed after Close")
+	}
+	waitGoroutines(t, before)
+}
+
+// Writes racing Close under a short deadline: every acknowledged write
+// is applied, no deadline fires into a closed session's state, and no
+// goroutine is left behind. Run it under -race.
+func TestCloseRacesDeadline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		s, err := Open(context.Background(), reachSrc, snlog.Grid(3), Options{BatchSize: 1024, BatchDelay: time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				if err := s.Inject(0, link("a", fmt.Sprintf("n%d", j))); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Error(err)
+					}
+					return
+				}
+			}
+		}()
+		time.Sleep(time.Duration(i%4) * 100 * time.Microsecond)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if s.Lag() != 0 {
+			t.Fatalf("round %d: Close left %d writes unapplied", i, s.Lag())
+		}
+	}
+	waitGoroutines(t, before)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // Server exposes a Session to many concurrent clients over the wire
@@ -27,8 +26,6 @@ type Server struct {
 	conns  map[net.Conn]bool
 	closed bool
 	wg     sync.WaitGroup
-
-	nextSub atomic.Int64
 }
 
 // ServerOption configures a Server.
@@ -98,7 +95,8 @@ func (srv *Server) acceptLoop() {
 
 // connState is the per-connection handler state: a frame buffer
 // guarded by a write lock (request responses and subscription pumps
-// interleave) and the connection's live subscriptions.
+// interleave) and the connection's live subscriptions, by their
+// Subscription's id, which is also their wire id.
 type connState struct {
 	srv  *Server
 	conn net.Conn
@@ -216,18 +214,17 @@ func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 		if err != nil {
 			return errResponse(err), nil
 		}
-		id := cs.srv.nextSub.Add(1)
 		cs.smu.Lock()
 		if cs.subs == nil { // connection tearing down
 			cs.smu.Unlock()
 			sub.Close()
 			return errResponse(ErrClosed), nil
 		}
-		cs.subs[id] = sub
+		cs.subs[sub.id] = sub
 		cs.wg.Add(1)
 		cs.smu.Unlock()
-		go cs.pump(id, sub)
-		return &Response{OK: true, Sub: id}, nil
+		go cs.pump(sub)
+		return &Response{OK: true, Sub: sub.id}, nil
 	case "unsubscribe":
 		cs.smu.Lock()
 		sub := cs.subs[req.Sub]
@@ -247,10 +244,10 @@ func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 }
 
 // pump forwards one subscription's updates to the connection.
-func (cs *connState) pump(id int64, sub *Subscription) {
+func (cs *connState) pump(sub *Subscription) {
 	defer cs.wg.Done()
 	for u := range sub.C() {
-		r := &Response{OK: true, Event: &Event{Sub: id, Insert: u.Insert, Tuple: u.Tuple.String()}}
+		r := &Response{OK: true, Event: &Event{Sub: sub.id, Insert: u.Insert, Tuple: u.Tuple.String()}}
 		if cs.send(r, nil) != nil {
 			sub.Close()
 			return

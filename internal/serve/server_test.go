@@ -130,6 +130,10 @@ func TestWireSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The wire names a subscription by its Subscription's id, from 1.
+	if sub.id != 1 {
+		t.Errorf("first wire subscription id = %d, want 1", sub.id)
+	}
 	if err := c.Inject(ctx, 0, "link(a, b)"); err != nil {
 		t.Fatal(err)
 	}

@@ -107,42 +107,35 @@ const (
 	CodeInternal         = "internal"
 )
 
-var codeToErr = map[string]error{
-	CodeBadGoal:          core.ErrBadGoal,
-	CodeBasePredicate:    core.ErrBasePredicate,
-	CodeArity:            core.ErrArity,
-	CodeUnknownPredicate: core.ErrUnknownPredicate,
-	CodeDerivedPredicate: core.ErrDerivedPredicate,
-	CodeNotGround:        core.ErrNotGround,
-	CodeBadNode:          core.ErrBadNode,
-	CodeClosed:           ErrClosed,
+// wireCodes pairs each validation sentinel with its wire code. ErrorCode
+// walks it in order (the first sentinel err matches names it); CodeError
+// looks a code up in it.
+var wireCodes = [...]struct {
+	code string
+	err  error
+}{
+	{CodeBadGoal, core.ErrBadGoal},
+	{CodeBasePredicate, core.ErrBasePredicate},
+	{CodeArity, core.ErrArity},
+	{CodeUnknownPredicate, core.ErrUnknownPredicate},
+	{CodeDerivedPredicate, core.ErrDerivedPredicate},
+	{CodeNotGround, core.ErrNotGround},
+	{CodeBadNode, core.ErrBadNode},
+	{CodeClosed, ErrClosed},
 }
 
 // ErrorCode classifies err for the wire. The mapping is exhaustive over
 // the exported validation sentinels; anything else is internal.
 func ErrorCode(err error) string {
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.Is(err, core.ErrBadGoal):
-		return CodeBadGoal
-	case errors.Is(err, core.ErrBasePredicate):
-		return CodeBasePredicate
-	case errors.Is(err, core.ErrArity):
-		return CodeArity
-	case errors.Is(err, core.ErrUnknownPredicate):
-		return CodeUnknownPredicate
-	case errors.Is(err, core.ErrDerivedPredicate):
-		return CodeDerivedPredicate
-	case errors.Is(err, core.ErrNotGround):
-		return CodeNotGround
-	case errors.Is(err, core.ErrBadNode):
-		return CodeBadNode
-	case errors.Is(err, ErrClosed):
-		return CodeClosed
-	default:
-		return CodeInternal
 	}
+	for _, w := range wireCodes {
+		if errors.Is(err, w.err) {
+			return w.code
+		}
+	}
+	return CodeInternal
 }
 
 // wireError is a server-reported error reconstructed client-side: the
@@ -165,15 +158,17 @@ func (e *wireError) Unwrap() error { return e.kind }
 // own human message — rather than stuffing the raw wire code into the
 // text ("not_ground: tuple not ground").
 func CodeError(code, msg string) error {
-	kind, known := codeToErr[code]
-	if msg == "" {
-		if known {
-			return kind
+	for _, w := range wireCodes {
+		if w.code != code {
+			continue
 		}
-		msg = code
+		if msg == "" {
+			return w.err
+		}
+		return &wireError{msg: msg, kind: w.err}
 	}
-	if known {
-		return &wireError{msg: msg, kind: kind}
+	if msg == "" {
+		msg = code
 	}
 	return errors.New(msg)
 }

@@ -120,6 +120,15 @@ func TestWireLegacyFrameServedIdentically(t *testing.T) {
 	}
 }
 
+// codeToErr is wireCodes as a map, for the tests that look a code up.
+var codeToErr = func() map[string]error {
+	m := make(map[string]error, len(wireCodes))
+	for _, w := range wireCodes {
+		m[w.code] = w.err
+	}
+	return m
+}()
+
 // CodeError must never leak the raw wire code into the human-readable
 // message when the server sent no message of its own: a code-only
 // response maps straight to the sentinel (regression: snlogrepl

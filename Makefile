@@ -48,8 +48,8 @@ serve-smoke:
 # by each test) when Observe was never called, when metrics are on but
 # provenance is off, and with the telemetry export layer linked in but
 # no admin endpoint configured. Their sibling holds E5's logicJ run — the
-# node runtime's join path — to its own baseline (2.156 allocs/event once
-# deployed; deploying and injecting it, 1,712 allocations) the same way,
+# node runtime's join path — to its own baseline (1.998 allocs/event once
+# deployed; deploying and injecting it, 1,676 allocations) the same way,
 # and TestHotQueryAllocs holds one snlogd cache-hit round trip over TCP
 # (client encode, server, client decode) to its baseline (8 allocs).
 # TestWireDecodeAllocs pins the codec's decode share of it: the
@@ -63,6 +63,9 @@ serve-smoke:
 # quiescence over the same deployment left idle, per injected tuple, to
 # its baseline (1,877 B) the same way. The three fell (1.154, 2.185,
 # 1,945 B) when the engine stopped keeping a union of the derived set.
+# TestSPTHeapBytes does the same for logicJ on Grid(16), per injected
+# adjacency fact (1,521 B; 2,074.7 B while nodes kept their settled
+# candidates and replica tables built an index on their first probe).
 # TestJoinPathAllocations pins the join path where the cost is paid: one
 # extension is one allocation, a whole local-mode join phase allocates
 # only its candidate (its partials come from the engine's slab, released
@@ -81,7 +84,7 @@ serve-smoke:
 # another goroutine nor the runtime's background scavenger allocates
 # inside the window.
 obs-guard:
-	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes' -v ./internal/experiments/
+	$(GO) test -run 'TestObsDisabledOverheadE1|TestProvDisabledOverheadE1|TestAdminDisabledOverheadE1|TestJoinAllocsSPT|TestReplicaHeapBytes|TestSPTHeapBytes' -v ./internal/experiments/
 	$(GO) test -run 'TestHotQueryAllocs|TestWireDecodeAllocs|TestQueryAllocs' -v ./internal/serve/
 	$(GO) test -run 'TestJoinPathAllocations|TestWalkerHopAllocs' -v ./internal/core/
 	$(GO) test -run 'TestEventLoopAllocs|TestKindCountsAllocs' -v ./internal/nsim/

@@ -38,6 +38,9 @@ var (
 //	window.expire_calls      expiry checks by the node handlers (expire)
 //	window.expire_due        those that found a replica past its retention
 //	window.expired           replicas and tombstones reclaimed
+//	window.index_builds      replica-table indexes built (window.Arena.Observe)
+//	window.indexed_probes    keyed store probes an index answered
+//	window.keyed_scans       keyed store probes answered by a scan
 //
 // Snapshot-time providers expose state the engine already tracks, so
 // observed and unobserved runs execute identical hot paths for them:
@@ -80,6 +83,7 @@ func (e *Engine) Observe(reg *obs.Registry, trace *obs.Trace) {
 	e.cExpireCalls = reg.Counter("window.expire_calls")
 	e.cExpireDue = reg.Counter("window.expire_due")
 	e.cExpired = reg.Counter("window.expired")
+	e.arena.Observe(reg)
 	e.cStranded = map[string]*obs.Counter{
 		kindStore:  reg.Counter("routing.stranded.store"),
 		kindJoin:   reg.Counter("routing.stranded.join"),

@@ -103,11 +103,12 @@ func (e *Engine) replayNow() {
 			e.homeChanged(e.preds[t.Pred], t, false, rt.node.ID)
 		}
 	}
-	e.arena = window.NewArena() // the old stores and their slots go together
+	e.arena = e.arena.Renew() // the old stores and their slots go together
 	for _, rt := range e.rts {
 		rt.store = e.newStore()
 		rt.homed = make(map[string]*homed)
 		rt.aggSessions = make(map[string]*aggSession)
+		clear(rt.pendingCands)
 		rt.pendingCands = rt.pendingCands[:0]
 		rt.joinFloods = nil
 	}

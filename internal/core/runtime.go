@@ -251,10 +251,10 @@ type nodeRT struct {
 func (rt *nodeRT) visibleMatch(cr *compiledRule, i int, b unify.Slots, tau window.Stamp) []*window.Entry {
 	rt.e.cProbes.Add(1)
 	l, js := &cr.lits[i], &rt.e.scratch
-	if rt.store.SmallTable(l.pred.key) {
+	if ents, scanned := rt.store.KeyedScan(l.pred.key, tau, l.pred.win, js.ents[:0]); scanned {
 		// The probe would scan anyway; don't pay for the key.
-		js.ents = rt.store.VisibleMatch(l.pred.key, tau, l.pred.win, nil, nil, js.ents[:0])
-		return js.ents
+		js.ents = ents
+		return ents
 	}
 	js.cols, js.key, js.tmp = eval.AppendBoundCols(js.cols, js.key, js.tmp, cr.rule.Body[i].Args, b)
 	js.ents = rt.store.VisibleMatch(l.pred.key, tau, l.pred.win, js.cols, js.key, js.ents[:0])
@@ -888,6 +888,10 @@ func (rt *nodeRT) drainFinalize() {
 			rest = append(rest, pc)
 		}
 	}
+	// The dropped tail still points at the candidates now due: clear it,
+	// or a settled candidate stays reachable, with its keys, head and
+	// partial, for as long as the node lives.
+	clear(rt.pendingCands[len(rest):])
 	rt.pendingCands = rest
 	slices.SortStableFunc(due, func(a, b *candR) int {
 		switch {

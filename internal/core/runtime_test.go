@@ -268,6 +268,37 @@ func TestReplicaFloodsKeepNoSet(t *testing.T) {
 	}
 }
 
+// A node lets go of the candidates it has settled: drainFinalize keeps
+// the pending ones in the front of pendingCands, and nothing past them
+// in the backing array may still point at a settled candidate (with its
+// keys, head and partial). logicJ on Grid(8) leaves none pending at
+// quiescence; with the vacated tail left as it was, 226 stale
+// candidates stayed reachable.
+func TestSettledCandidatesReleased(t *testing.T) {
+	nw := topo.Grid(8, nsim.Config{Seed: 7})
+	e, err := Deploy(nw, mustProg(t, logicJSrc+"\nj(n0, 0).\n"), Config{}, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injectGridEdges(e, nw)
+	nw.Run(0)
+	pending, stale := 0, 0
+	for _, rt := range e.rts {
+		pending += len(rt.pendingCands)
+		for _, pc := range rt.pendingCands[len(rt.pendingCands):cap(rt.pendingCands)] {
+			if pc.c != nil {
+				stale++
+			}
+		}
+	}
+	if pending != 0 {
+		t.Fatalf("%d candidates pending at quiescence", pending)
+	}
+	if stale != 0 {
+		t.Errorf("%d settled candidates still referenced past the pending ones", stale)
+	}
+}
+
 // Centralized joins at the server (its join plan's OnArrival). An update
 // generated at the server is joined at once, under its generation stamp;
 // one generated elsewhere is joined as its storage walk arrives, under a

@@ -234,6 +234,7 @@ func (tab *table) delete(key string) bool {
 
 // compact drops dead slots, preserving the relative order of the live
 // ones, and discards indexes (they are rebuilt lazily on next probe).
+// The vacated tail is cleared, or it would keep the dropped tuples alive.
 func (tab *table) compact() {
 	live := tab.slots[:0]
 	for _, sl := range tab.slots {
@@ -241,6 +242,7 @@ func (tab *table) compact() {
 			live = append(live, sl)
 		}
 	}
+	clear(tab.slots[len(live):])
 	tab.slots = live
 	tab.dead = 0
 	for i, sl := range tab.slots {

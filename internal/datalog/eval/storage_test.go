@@ -103,6 +103,29 @@ func TestDeleteCompactPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestCompactReleasesDeadTuples: compaction leaves no dropped tuple in
+// the vacated tail of the slot array, where it would stay reachable for
+// as long as the table lives.
+func TestCompactReleasesDeadTuples(t *testing.T) {
+	db := NewDatabase()
+	for i := 0; i < 100; i++ {
+		db.Insert(NewTuple("x", ast.Int64(int64(i))))
+	}
+	tab := db.tables["x/1"]
+	// The 51st deletion leaves more dead slots than live ones.
+	for i := 0; i < 51; i++ {
+		db.Delete(NewTuple("x", ast.Int64(int64(i))))
+	}
+	if len(tab.slots) != 49 || tab.dead != 0 {
+		t.Fatalf("table did not compact: %d slots, %d dead", len(tab.slots), tab.dead)
+	}
+	for i, sl := range tab.slots[len(tab.slots):cap(tab.slots)] {
+		if sl.t.Args != nil || sl.t.Pred != "" {
+			t.Fatalf("slot %d past the %d live ones still holds %v", len(tab.slots)+i, len(tab.slots), sl.t)
+		}
+	}
+}
+
 // checkAggregatesAgainstDirectFold checks grouped avg/count/max over
 // random readings against the same folds written out by hand, in
 // insertion order (the order aggregate rules scan in, whatever the join

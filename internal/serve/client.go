@@ -30,12 +30,19 @@ type Client struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	pending map[int64]chan *Response
+	pending map[int64]pendingCall
 	subs    map[int64]*ClientSub
 	err     error // terminal read error, ErrClosed after Close
 	closed  bool
 
 	readDone chan struct{} // closed when the read loop exits
+}
+
+// pendingCall is a request awaiting its response. A subscribe's carries
+// the stream to register under the id its response names.
+type pendingCall struct {
+	ch  chan *Response
+	sub *ClientSub
 }
 
 // Dial connects to an snlogd address.
@@ -51,7 +58,7 @@ func Dial(addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
-		pending:  make(map[int64]chan *Response),
+		pending:  make(map[int64]pendingCall),
 		subs:     make(map[int64]*ClientSub),
 		readDone: make(chan struct{}),
 	}
@@ -80,7 +87,10 @@ func (c *Client) Close() error {
 // decode fails the connection: its caller could never be answered. An
 // event is looked up and sent under mu — the lock ClientSub.Close and
 // fail close channels under — so a send never races a close; a
-// subscriber whose buffer is full loses the event, as on the server.
+// subscriber whose buffer is full loses the event, as on the server. A
+// subscribe's stream is registered as its response is read, before the
+// next frame: the server writes a subscription's events after that
+// response, so none arrives for an id the loop does not know.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	sc := bufio.NewScanner(c.conn)
@@ -107,11 +117,15 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			continue
 		}
-		ch := c.pending[resp.ID]
+		p := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
+		if p.sub != nil && resp.OK {
+			p.sub.id = resp.Sub
+			c.subs[resp.Sub] = p.sub
+		}
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if p.ch != nil {
+			p.ch <- resp
 		}
 	}
 	if err == nil {
@@ -130,9 +144,9 @@ func (c *Client) fail(err error) {
 		c.err = err
 	}
 	pending := c.pending
-	c.pending = make(map[int64]chan *Response)
-	for _, ch := range pending {
-		close(ch)
+	c.pending = make(map[int64]pendingCall)
+	for _, p := range pending {
+		close(p.ch)
 	}
 	// Close subscription channels under mu: the read loop looks subs up
 	// and sends under the same lock, so after this section it can
@@ -146,6 +160,12 @@ func (c *Client) fail(err error) {
 
 // call sends one request and waits for its response or ctx.
 func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
+	return c.callSub(ctx, req, nil)
+}
+
+// callSub is call; a non-nil sub is registered by the read loop under
+// the id a successful response names.
+func (c *Client) callSub(ctx context.Context, req *Request, sub *ClientSub) (*Response, error) {
 	req.ID = c.nextID.Add(1)
 	ch := make(chan *Response, 1)
 	c.mu.Lock()
@@ -154,7 +174,7 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.pending[req.ID] = ch
+	c.pending[req.ID] = pendingCall{ch, sub}
 	c.mu.Unlock()
 
 	c.wmu.Lock()
@@ -310,18 +330,15 @@ func (c *Client) Subscribe(ctx context.Context, pred string, buffer int) (*Clien
 	if buffer <= 0 {
 		buffer = 64
 	}
-	resp, err := c.call(ctx, &Request{Op: "subscribe", Arg: pred})
-	if err != nil {
-		return nil, err
-	}
-	sub := &ClientSub{c: c, id: resp.Sub, ch: make(chan Event, buffer)}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	sub := &ClientSub{c: c, ch: make(chan Event, buffer)}
+	if _, err := c.callSub(ctx, &Request{Op: "subscribe", Arg: pred}, sub); err != nil {
+		// ctx may have ended after the read loop registered it.
+		c.mu.Lock()
+		if c.subs[sub.id] == sub {
+			delete(c.subs, sub.id)
+		}
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.subs[resp.Sub] = sub
-	c.mu.Unlock()
 	return sub, nil
 }

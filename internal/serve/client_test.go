@@ -7,6 +7,8 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -205,5 +207,118 @@ func TestClientSubEventsInPublishOrder(t *testing.T) {
 	}
 	if evs := <-got; strings.Join(evs, "; ") != strings.Join(want, "; ") {
 		t.Fatalf("events out of publish order or lost:\n got %q\nwant %q", evs, want)
+	}
+}
+
+// frameConn hands its reader one frame per Read. The client's read loop
+// reads through a bufio.Scanner, which calls Read only once it has
+// handled every frame it holds, so a Read means the read loop is done
+// with every earlier frame. see is called with each frame as it is
+// handed over.
+type frameConn struct {
+	net.Conn
+	r    *bufio.Reader
+	rest []byte
+	see  func(frame []byte)
+}
+
+func (f *frameConn) Read(p []byte) (int, error) {
+	if len(f.rest) == 0 {
+		frame, err := f.r.ReadBytes('\n')
+		if len(frame) == 0 {
+			return 0, err
+		}
+		f.see(frame)
+		f.rest = frame
+	}
+	n := copy(p, f.rest)
+	f.rest = f.rest[n:]
+	return n, nil
+}
+
+// A client loses none of its own subscription's events. One connection
+// injects and syncs in a loop, so every sync publishes an event to every
+// live subscription; another dials, subscribes and closes 300 times.
+// Each event frame reaching the subscriber's read loop must find its
+// subscription registered, unless the test has already closed it: the
+// server writes the subscribe response before the subscription's first
+// event, and the read loop registers the subscription as it reads that
+// response, before it reads the next frame.
+func TestSubscribeLosesNoEvents(t *testing.T) {
+	srv, _ := startServer(t, reachSrc)
+	writer := dialClient(t, srv)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				wrote <- nil
+				return
+			default:
+			}
+			if err := writer.Inject(ctx, 0, fmt.Sprintf("link(s%d, t%d)", i, i)); err != nil {
+				wrote <- err
+				return
+			}
+			if _, err := writer.Sync(ctx); err != nil {
+				wrote <- err
+				return
+			}
+		}
+	}()
+
+	var mu sync.Mutex
+	closed := map[int64]bool{} // subscriptions the test has closed
+	events, lost := 0, 0
+	for round := 0; round < 300; round++ {
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var client atomic.Pointer[Client]
+		fc := &frameConn{Conn: conn, r: bufio.NewReader(conn)}
+		fc.see = func(frame []byte) {
+			var resp Response
+			if decodeResponse(string(frame), &resp) != nil || resp.Event == nil {
+				return
+			}
+			c := client.Load()
+			mu.Lock()
+			c.mu.Lock()
+			events++
+			if c.subs[resp.Event.Sub] == nil && !closed[resp.Event.Sub] {
+				lost++
+			}
+			c.mu.Unlock()
+			mu.Unlock()
+		}
+		c := NewClient(fc)
+		client.Store(c)
+		sub, err := c.Subscribe(ctx, "reach/2", 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		closed[sub.id] = true
+		mu.Unlock()
+		if err := sub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	close(stop)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	t.Logf("%d events reached the subscriber's read loop", events)
+	if events == 0 {
+		t.Fatal("no event reached a subscriber: the test no longer races the writer")
+	}
+	if lost != 0 {
+		t.Errorf("%d events for a live subscription found it unregistered", lost)
 	}
 }

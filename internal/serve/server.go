@@ -150,22 +150,30 @@ func (srv *Server) handle(conn net.Conn) {
 			cs.send(&Response{ID: req.ID, Error: "bad request: " + err.Error(), Code: CodeBadRequest}, nil)
 			continue
 		}
-		resp, tuples := cs.dispatch(&req)
+		resp, tuples, sub := cs.dispatch(&req)
 		resp.ID = req.ID
 		if err := cs.send(resp, tuples); err != nil {
 			return
+		}
+		if sub != nil {
+			// Only now: the client learns the subscription's id from the
+			// response, so its first event must follow it. Updates
+			// published meanwhile wait in the subscription's buffer.
+			cs.wg.Add(1)
+			go cs.pump(sub)
 		}
 	}
 }
 
 // dispatch runs one request. A query's tuples come back encoded: the
-// answer entry's memo.
-func (cs *connState) dispatch(req *Request) (*Response, []byte) {
+// answer entry's memo. A subscribe returns its new subscription, whose
+// pump the caller starts once the response is written.
+func (cs *connState) dispatch(req *Request) (*Response, []byte, *Subscription) {
 	s := cs.srv.s
 	ctx := context.Background()
 	switch req.Op {
 	case "ping":
-		return &Response{OK: true}, nil
+		return &Response{OK: true}, nil, nil
 	case "query":
 		maxLag := cs.srv.defaultMaxLag
 		if req.Stale {
@@ -173,13 +181,13 @@ func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 		}
 		e, fr, tid, err := s.query(ctx, req.Arg, staleLag(maxLag), req.TraceID)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
-		return &Response{OK: true, Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}, e.encoded()
+		return &Response{OK: true, Lag: fr.Lag, AsOf: fr.AsOf, TraceID: tid}, e.encoded(), nil
 	case "inject", "inject_at", "delete_at":
 		t, err := ParseFact(req.Arg)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
 		var kind opKind
 		switch req.Op {
@@ -192,54 +200,52 @@ func (cs *connState) dispatch(req *Request) (*Response, []byte) {
 		}
 		seq, err := s.enqueue(kind, req.At, req.Node, t)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
 		// The ack means "validated and accepted": the apply+sync rides
 		// the coalesced batch. Seq lets a client await it via sync.
-		return &Response{OK: true, Batched: true, Seq: seq}, nil
+		return &Response{OK: true, Batched: true, Seq: seq}, nil, nil
 	case "sync":
 		end, err := s.Sync(ctx)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
-		return &Response{OK: true, Time: end, Seq: s.appliedSeq.Load()}, nil
+		return &Response{OK: true, Time: end, Seq: s.appliedSeq.Load()}, nil, nil
 	case "explain":
 		tree, tid, err := s.ExplainTraced(ctx, req.Arg, req.TraceID)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
-		return &Response{OK: true, Explain: tree.String(), TraceID: tid}, nil
+		return &Response{OK: true, Explain: tree.String(), TraceID: tid}, nil, nil
 	case "subscribe":
 		sub, err := s.Subscribe(req.Arg)
 		if err != nil {
-			return errResponse(err), nil
+			return errResponse(err), nil, nil
 		}
 		cs.smu.Lock()
 		if cs.subs == nil { // connection tearing down
 			cs.smu.Unlock()
 			sub.Close()
-			return errResponse(ErrClosed), nil
+			return errResponse(ErrClosed), nil, nil
 		}
 		cs.subs[sub.id] = sub
-		cs.wg.Add(1)
 		cs.smu.Unlock()
-		go cs.pump(sub)
-		return &Response{OK: true, Sub: sub.id}, nil
+		return &Response{OK: true, Sub: sub.id}, nil, sub
 	case "unsubscribe":
 		cs.smu.Lock()
 		sub := cs.subs[req.Sub]
 		delete(cs.subs, req.Sub)
 		cs.smu.Unlock()
 		if sub == nil {
-			return &Response{OK: false, Error: fmt.Sprintf("unknown subscription %d", req.Sub), Code: CodeBadRequest}, nil
+			return &Response{OK: false, Error: fmt.Sprintf("unknown subscription %d", req.Sub), Code: CodeBadRequest}, nil, nil
 		}
 		sub.Close()
-		return &Response{OK: true}, nil
+		return &Response{OK: true}, nil, nil
 	case "stats":
 		snap := s.Snapshot()
-		return &Response{OK: true, Stats: snap.Counters}, nil
+		return &Response{OK: true, Stats: snap.Counters}, nil, nil
 	default:
-		return &Response{OK: false, Error: fmt.Sprintf("unknown op %q", req.Op), Code: CodeBadRequest}, nil
+		return &Response{OK: false, Error: fmt.Sprintf("unknown op %q", req.Op), Code: CodeBadRequest}, nil, nil
 	}
 }
 

@@ -8,11 +8,13 @@
 //
 // Storage mirrors the centralized evaluator's indexed layer and shares its
 // index (eval.Index): entries are kept per predicate in insertion order
-// (deterministic in the simulator) with lazily built hash indexes on
-// argument-position sets, so rule firing probes the matching chain
-// instead of scanning every visible replica. A probe yields an
-// insertion-order subsequence of the full scan, so a probe and a scan see
-// candidates in the same order.
+// (deterministic in the simulator) with hash indexes on argument-position
+// sets, so rule firing probes the matching chain instead of scanning
+// every visible replica. A table builds an index only once its keyed
+// scans have paid for it (indexCredit): most replica tables are a grid
+// row or a neighbourhood, probed a few times between compactions. A probe
+// yields an insertion-order subsequence of the full scan, so a probe and
+// a scan see candidates in the same order.
 //
 // Expiry costs what expires: every entry is also threaded on a list
 // ordered by generation time, so reclaiming pops the due entries off the
@@ -39,6 +41,7 @@ import (
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
+	"repro/internal/obs"
 )
 
 // Stamp totally orders updates across the network: local timestamp first,
@@ -139,6 +142,9 @@ type predTable struct {
 	// at probe time, so an index never needs updating when an entry is
 	// marked deleted or expires; compaction renumbers order and drops them.
 	indexes []*eval.Index
+	// credit is the entries keyed scans have visited since the last index
+	// build or compaction: what the table has paid for want of an index.
+	credit int
 
 	oldest, newest *Entry
 	// retention is the declared replica lifetime (SetRetention); 0 when
@@ -156,6 +162,10 @@ type predTable struct {
 type Arena struct {
 	chunk []Entry // the unused tail of the newest chunk
 	free  *Entry  // recycled slots, linked through newer
+
+	// The access-path counters of every store built from the arena; nil
+	// (no-op) until Observe.
+	cBuilds, cIndexed, cScans *obs.Counter
 }
 
 const arenaChunk = 1024
@@ -167,6 +177,22 @@ func NewArena() *Arena { return &Arena{} }
 // NewStore returns an empty store whose entries come from a.
 func (a *Arena) NewStore() *Store {
 	return &Store{preds: make([]predSlot, 0, 4), nextDue: math.MaxInt64, arena: a}
+}
+
+// Observe counts, in reg, what keyed probes of the arena's stores cost:
+// window.index_builds (indexes built), window.indexed_probes (probes
+// answered by an index) and window.keyed_scans (keyed probes answered by
+// a scan). A nil reg leaves them uncounted.
+func (a *Arena) Observe(reg *obs.Registry) {
+	a.cBuilds = reg.Counter("window.index_builds")
+	a.cIndexed = reg.Counter("window.indexed_probes")
+	a.cScans = reg.Counter("window.keyed_scans")
+}
+
+// Renew returns an empty arena that counts into a's counters, so a's
+// stores and their slots can be dropped together.
+func (a *Arena) Renew() *Arena {
+	return &Arena{cBuilds: a.cBuilds, cIndexed: a.cIndexed, cScans: a.cScans}
 }
 
 func (a *Arena) get() *Entry {
@@ -302,21 +328,57 @@ func (tab *predTable) add(e *Entry) {
 	}
 }
 
-// index returns the (lazily built) index over cols.
-func (tab *predTable) index(cols []int) *eval.Index {
+// live is the number of unexpired replicas in order.
+func (tab *predTable) live() int { return len(tab.order) - tab.gone }
+
+// unearned reports whether the table has not yet paid for a new index: it
+// is below indexMinTable, or its keyed scans since the last build or
+// compaction have visited fewer than indexCredit × live entries.
+func (tab *predTable) unearned() bool {
+	live := tab.live()
+	return live < indexMinTable || tab.credit < indexCredit*live
+}
+
+// index returns the index over cols: the one the table holds, or a new
+// one if the table has earned it (which spends the credit), or nil.
+func (tab *predTable) index(a *Arena, cols []int) *eval.Index {
 	for _, ix := range tab.indexes {
 		if ix.On(cols) {
 			return ix
 		}
 	}
-	ix := eval.NewIndex(cols, len(tab.order)-tab.gone)
+	if tab.unearned() {
+		return nil
+	}
+	ix := eval.NewIndex(cols, tab.live())
 	for i, e := range tab.order {
 		if !e.gone {
 			ix.Add(e.Args, i)
 		}
 	}
 	tab.indexes = append(tab.indexes, ix)
+	tab.credit = 0
+	a.cBuilds.Add(1)
 	return ix
+}
+
+// scan appends the entries visible at τ under window w, in insertion
+// order.
+func (tab *predTable) scan(tau Stamp, w int64, out []*Entry) []*Entry {
+	for _, e := range tab.order {
+		if !e.gone && e.VisibleAt(tau, w) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// keyedScan is scan for a keyed probe that no index answers: it charges
+// the entries it visits to the table's credit.
+func (tab *predTable) keyedScan(a *Arena, tau Stamp, w int64, out []*Entry) []*Entry {
+	tab.credit += len(tab.order)
+	a.cScans.Add(1)
+	return tab.scan(tau, w, out)
 }
 
 // expire reclaims the entries with nowLocal - ID.TS > retention: a
@@ -349,7 +411,8 @@ func (tab *predTable) expire(a *Arena, nowLocal, retention int64) int {
 
 // compact drops expired entries from order (preserving relative order)
 // and recycles their slots; the indexes number into the old order, so
-// they are discarded for lazy rebuild.
+// they are discarded, and a new one must be earned from scratch. The
+// vacated tail of order is cleared: its slots are recycled entries.
 func (tab *predTable) compact(a *Arena) {
 	live := tab.order[:0]
 	for _, e := range tab.order {
@@ -359,9 +422,11 @@ func (tab *predTable) compact(a *Arena) {
 			live = append(live, e)
 		}
 	}
+	clear(tab.order[len(live):])
 	tab.order = live
 	tab.gone = 0
 	tab.indexes = nil
+	tab.credit = 0
 }
 
 // dueAt is the first local time at which e is past the declared
@@ -510,30 +575,31 @@ func (s *Store) Visible(predKey string, tau Stamp, w int64) []*Entry {
 // VisibleMatch appends to out the visible entries of predKey whose
 // argument values at positions cols have joint key key (per eval.ArgKey,
 // passed as raw bytes: the probe hashes them and materializes nothing).
-// It probes the (lazily built) position index unless no positions are
-// bound or the table is below indexMinTable; the result is always an
-// insertion-order subsequence of Visible, so callers behave identically
-// either way. A probe compares 32-bit key hashes, not keys, so on a hash
-// collision the result is a superset of the matching entries (and a scan
-// returns every visible entry): callers re-match each entry against
-// their literal. out is caller-owned scratch — reusing it across probes
-// is what keeps the per-expansion lookup allocation-free. The entries
-// are valid until the next mutating call on s (Insert, MarkDeleted,
-// ExpirePred, ExpireDue): expired slots are recycled.
+// It probes the table's index over cols unless no positions are bound or
+// the table holds no such index and has not earned one (indexCredit);
+// the result is always an insertion-order subsequence of Visible, so
+// callers behave identically either way. A probe compares 32-bit key
+// hashes, not keys, so on a hash collision the result is a superset of
+// the matching entries (and a scan returns every visible entry): callers
+// re-match each entry against their literal. out is caller-owned scratch
+// — reusing it across probes is what keeps the per-expansion lookup
+// allocation-free. The entries are valid until the next mutating call on
+// s (Insert, MarkDeleted, ExpirePred, ExpireDue): expired slots are
+// recycled.
 func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key []byte, out []*Entry) []*Entry {
 	tab := s.lookup(predKey)
 	if tab == nil {
 		return out
 	}
-	if len(cols) == 0 || len(tab.order)-tab.gone < indexMinTable {
-		for _, e := range tab.order {
-			if !e.gone && e.VisibleAt(tau, w) {
-				out = append(out, e)
-			}
-		}
-		return out
+	if len(cols) == 0 {
+		return tab.scan(tau, w, out)
 	}
-	it := tab.index(cols).Probe(key)
+	ix := tab.index(s.arena, cols)
+	if ix == nil {
+		return tab.keyedScan(s.arena, tau, w, out)
+	}
+	s.arena.cIndexed.Add(1)
+	it := ix.Probe(key)
 	for i, ok := it.Next(); ok; i, ok = it.Next() {
 		if e := tab.order[i]; !e.gone && e.VisibleAt(tau, w) {
 			out = append(out, e)
@@ -542,20 +608,41 @@ func (s *Store) VisibleMatch(predKey string, tau Stamp, w int64, cols []int, key
 	return out
 }
 
-// indexMinTable is the live-entry count below which VisibleMatch scans
-// instead of building an index: sensor-node replica tables are often a
-// handful of entries, and there a linear scan beats the build cost of an
-// index that may be discarded on the next compaction. Scanning and
-// probing yield the same insertion-order candidates (callers re-match
-// every entry), so the cutover is invisible to results.
+// indexMinTable is the live-entry count below which a table builds no
+// index: sensor-node replica tables are often a handful of entries, and
+// there a linear scan beats the build cost of an index that may be
+// discarded on the next compaction. Scanning and probing yield the same
+// insertion-order candidates (callers re-match every entry), so the
+// cutover is invisible to results.
 const indexMinTable = 16
 
-// SmallTable reports whether predKey's table is below the index
-// threshold, so callers can skip computing the bound-position key for a
-// probe that would scan anyway.
-func (s *Store) SmallTable(predKey string) bool {
+// indexCredit is k in the build rule: a table builds the index for a
+// probed position set only once its keyed scans, since its last build or
+// compaction, have visited indexCredit × live entries. k is the ratio of
+// what building an index costs per entry it files to what a scan costs
+// per entry it visits, measured by BenchmarkIndexBuild and
+// BenchmarkKeyedScan: ≈ 9 at 20 and at 64 entries (EXPERIMENTS.md,
+// "Replica indexes that pay for themselves"). So the scans a table makes
+// while it earns an index cost about what building it would, and a table
+// probed only a few times between compactions never builds one.
+const indexCredit = 9
+
+// KeyedScan answers a keyed probe of predKey by scanning when the probe
+// would scan whatever its positions: the table is absent, or holds no
+// index and has not earned one. It then appends the visible entries to
+// out, charges the scan to the table's credit, and reports true, so the
+// caller need not compute the bound-position key of a probe that would
+// not read it. Otherwise it returns out unchanged and false, and the
+// caller probes with VisibleMatch.
+func (s *Store) KeyedScan(predKey string, tau Stamp, w int64, out []*Entry) ([]*Entry, bool) {
 	tab := s.lookup(predKey)
-	return tab == nil || len(tab.order)-tab.gone < indexMinTable
+	if tab == nil {
+		return out, true
+	}
+	if len(tab.indexes) > 0 || !tab.unearned() {
+		return out, false
+	}
+	return tab.keyedScan(s.arena, tau, w, out), true
 }
 
 // ExpirePred removes the entries of one predicate whose retention ended:

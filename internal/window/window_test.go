@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datalog/ast"
 	"repro/internal/datalog/eval"
+	"repro/internal/obs"
 )
 
 func tup(v int64) eval.Tuple { return eval.NewTuple("s", ast.Int64(v)) }
@@ -414,8 +415,9 @@ func rowsOf(es []*Entry) []row {
 
 // checkTable verifies the structure ExpirePred relies on: the
 // generation-time list holds exactly the byID entries in non-decreasing
-// TS order with consistent back links, and gone counts the flagged
-// entries of order and stays at most half of it.
+// TS order with consistent back links, gone counts the flagged entries
+// of order and stays at most half of it, and nothing past order's length
+// points at an entry.
 func checkTable(t *testing.T, tab *predTable) {
 	t.Helper()
 	n := 0
@@ -443,6 +445,12 @@ func checkTable(t *testing.T, tab *predTable) {
 	}
 	if gone != tab.gone || gone > len(tab.order)/2 {
 		t.Fatalf("gone = %d, counted %d of %d in order", tab.gone, gone, len(tab.order))
+	}
+	// Compaction clears what it vacates: those slots are recycled.
+	for i, e := range tab.order[len(tab.order):cap(tab.order)] {
+		if e != nil {
+			t.Fatalf("order[%d], past the %d entries, still points at an entry", len(tab.order)+i, len(tab.order))
+		}
 	}
 }
 
@@ -622,9 +630,6 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			checkArena(t, arena)
 			checkSlotsConserved(t, arena, used, stores[:]...)
 
-			small := s.SmallTable(pred)
-			scanned = scanned || small
-			probed = probed || !small
 			tau := Stamp{TS: now + int64(r.Intn(6)) - 2, Node: 9, Seq: int64(step)}
 			w := []int64{0, 15, 60}[r.Intn(3)]
 			cols := colSets[r.Intn(len(colSets))]
@@ -640,11 +645,24 @@ func TestVisibleMatchEqualsFilteredVisible(t *testing.T) {
 			}
 			visible := s.Visible(pred, tau, w)
 			want := matching(visible)
-			raw := s.VisibleMatch(pred, tau, w, cols, []byte(key), nil)
-			// Below the cutover the probe degrades to the scan and
-			// callers re-match; above it, it returns exactly the bucket.
+			// Half the probes ask KeyedScan first, as the node runtime
+			// does; the rest go to VisibleMatch directly.
+			var raw []*Entry
+			keyless := false
+			if r.Intn(2) == 0 {
+				raw, keyless = s.KeyedScan(pred, tau, w, nil)
+			}
+			if !keyless {
+				raw = s.VisibleMatch(pred, tau, w, cols, []byte(key), nil)
+			}
+			// A table that has not earned an index scans and callers
+			// re-match; an index returns exactly the bucket. The call
+			// probed an index iff the table holds one over cols now.
+			indexed := !keyless && s.lookup(pred) != nil && s.lookup(pred).indexOn(cols)
+			scanned = scanned || !indexed
+			probed = probed || indexed
 			got := matching(raw)
-			if !small && len(raw) != len(got) {
+			if indexed && len(raw) != len(got) {
 				t.Fatalf("seed %d step %d cols %v: index probe returned %d entries, %d of them match the key",
 					seed, step, cols, len(raw), len(got))
 			}
@@ -874,8 +892,8 @@ func TestIndexedStoreAllocs(t *testing.T) {
 	build := func(s *Store) float64 {
 		tab := s.lookup("p/2")
 		return testing.AllocsPerRun(20, func() {
-			tab.indexes = nil
-			tab.index(cols)
+			tab.indexes, tab.credit = nil, indexCredit*tab.live()
+			tab.index(s.arena, cols)
 		})
 	}
 	s := fill(256)
@@ -895,6 +913,7 @@ func TestIndexedStoreAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a two-position probe allocates %v times, want 0", n)
 	}
+	s.lookup("p/2").credit = indexCredit * 256
 	s.VisibleMatch("p/2", tau, 0, []int{0}, key, out[:0]) // a second index to maintain
 	tuples := make([]eval.Tuple, 101)                     // AllocsPerRun warms up with one extra call
 	for i := range tuples {
@@ -910,6 +929,177 @@ func TestIndexedStoreAllocs(t *testing.T) {
 	if got := len(s.lookup("p/2").indexes); got != 2 {
 		t.Errorf("table has %d indexes, want 2", got)
 	}
+}
+
+// indexOn reports whether the table holds an index over cols.
+func (tab *predTable) indexOn(cols []int) bool {
+	for _, ix := range tab.indexes {
+		if ix.On(cols) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestIndexEarnedByScans pins the build rule: a table of live entries
+// builds the index for a probed position set on the first keyed probe
+// at which its keyed scans since the last build or compaction have
+// visited indexCredit × live entries; until then every keyed probe
+// scans, KeyedScan included. A build spends the credit, so a second
+// position set earns its own index; compaction discards the indexes and
+// the credit; a table below indexMinTable never builds, whatever it
+// has visited. The arena's counters see each path.
+func TestIndexEarnedByScans(t *testing.T) {
+	const live = 20
+	reg := obs.NewRegistry()
+	arena := NewArena()
+	arena.Observe(reg)
+	s := arena.NewStore()
+	s.SetRetention("p/2", 1000)
+	for i := 0; i < live; i++ {
+		s.Insert(eval.NewTuple("p", ast.Int64(int64(i%4)), ast.Int64(int64(i))), Stamp{TS: int64(i), Node: 1, Seq: int64(i)})
+	}
+	tab := s.lookup("p/2")
+	tau := Stamp{TS: 1 << 20}
+	key := []byte(eval.ArgKey([]ast.Term{ast.Int64(1)}, []int{0}))
+	probe := func(cols []int) int { return len(s.VisibleMatch("p/2", tau, 0, cols, key, nil)) }
+	counts := func() [3]int64 {
+		snap := reg.Snapshot()
+		return [3]int64{snap.Get("window.index_builds"), snap.Get("window.indexed_probes"), snap.Get("window.keyed_scans")}
+	}
+
+	// Earning: scan, scan, ..., build. Half the scans go through
+	// KeyedScan, which must agree with VisibleMatch on which path runs.
+	scans := indexCredit // the credit after n scans is n × live
+	for i := 0; i < scans; i++ {
+		if i%2 == 0 {
+			if out, scanned := s.KeyedScan("p/2", tau, 0, nil); !scanned || len(out) != live {
+				t.Fatalf("keyed probe %d: KeyedScan = %d entries, %v; want a scan of all %d", i, len(out), scanned, live)
+			}
+		} else if n := probe([]int{0}); n != live {
+			t.Fatalf("keyed probe %d returned %d entries, want a scan of all %d", i, n, live)
+		}
+		if len(tab.indexes) != 0 {
+			t.Fatalf("index built after %d scans (credit %d of %d)", i+1, tab.credit, indexCredit*live)
+		}
+	}
+	if _, scanned := s.KeyedScan("p/2", tau, 0, nil); scanned {
+		t.Fatal("KeyedScan scanned a table that has earned its index")
+	}
+	if n := probe([]int{0}); n != live/4 || !tab.indexOn([]int{0}) || tab.credit != 0 {
+		t.Fatalf("the probe that reached the credit returned %d entries (want %d), index built %v, credit left %d",
+			n, live/4, tab.indexOn([]int{0}), tab.credit)
+	}
+	if got, want := counts(), [3]int64{1, 1, indexCredit}; got != want {
+		t.Fatalf("builds, indexed probes, keyed scans = %v, want %v", got, want)
+	}
+
+	// The index answers from now on; another position set starts from
+	// the spent credit and scans until it has earned its own.
+	probe([]int{0})
+	if _, scanned := s.KeyedScan("p/2", tau, 0, nil); scanned {
+		t.Fatal("KeyedScan scanned a table that holds an index")
+	}
+	for i := 0; i < scans; i++ {
+		probe([]int{1})
+	}
+	if tab.indexOn([]int{1}) {
+		t.Fatal("a second position set was indexed on credit the first one spent")
+	}
+	probe([]int{1})
+	if !tab.indexOn([]int{1}) {
+		t.Fatal("a second position set did not earn its index")
+	}
+	if got, want := counts(), [3]int64{2, 3, 2 * indexCredit}; got != want {
+		t.Fatalf("builds, indexed probes, keyed scans = %v, want %v", got, want)
+	}
+
+	// Compaction resets the credit: grow the table to 36, charge one
+	// scan, then expire the 20 oldest, more than half.
+	for i := 0; i < 16; i++ {
+		s.Insert(eval.NewTuple("p", ast.Int64(int64(i%4)), ast.Int64(int64(100+i))), Stamp{TS: int64(100 + i), Node: 1, Seq: int64(100 + i)})
+	}
+	probe([]int{0, 1})
+	if tab.credit != live+16 {
+		t.Fatalf("credit = %d after one scan, want %d", tab.credit, live+16)
+	}
+	s.ExpirePred("p/2", live+1000, 1000)
+	if tab.live() != 16 || len(tab.indexes) != 0 || tab.credit != 0 || len(tab.order) != 16 {
+		t.Fatalf("after compaction: %d live of %d in order, %d indexes, credit %d; want 16, 16, 0, 0",
+			tab.live(), len(tab.order), len(tab.indexes), tab.credit)
+	}
+	for i := 0; i < indexCredit; i++ {
+		probe([]int{0})
+	}
+	if tab.indexOn([]int{0}) {
+		t.Fatal("index rebuilt before the compacted table earned it")
+	}
+	probe([]int{0})
+	if !tab.indexOn([]int{0}) {
+		t.Fatal("the compacted table did not earn its index back")
+	}
+
+	// Below the floor no credit buys an index.
+	small := arena.NewStore()
+	for i := 0; i < indexMinTable-1; i++ {
+		small.Insert(eval.NewTuple("p", ast.Int64(int64(i)), ast.Int64(0)), Stamp{TS: int64(i), Node: 2, Seq: int64(i)})
+	}
+	for i := 0; i < 100*indexCredit; i++ {
+		small.VisibleMatch("p/2", tau, 0, []int{0}, key, nil)
+	}
+	if n := len(small.lookup("p/2").indexes); n != 0 {
+		t.Fatalf("a %d-entry table built %d indexes", indexMinTable-1, n)
+	}
+}
+
+// BenchmarkIndexBuild and BenchmarkKeyedScan are the pair indexCredit is
+// read from: what building a table's index costs per entry it files,
+// and what a keyed scan of the same table costs per entry it visits
+// (build-ns/entry over scan-ns/entry is k). The table is warm in cache,
+// as a node's is while it sweeps one update.
+func BenchmarkIndexBuild(b *testing.B) {
+	for _, live := range []int{20, 64} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			s, tab := benchTable(live)
+			cols := []int{0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.indexes, tab.credit = nil, indexCredit*live
+				tab.index(s.arena, cols)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live), "ns/entry")
+		})
+	}
+}
+
+func BenchmarkKeyedScan(b *testing.B) {
+	for _, live := range []int{20, 64} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			s, tab := benchTable(live)
+			cols := []int{0}
+			key := []byte(eval.ArgKey([]ast.Term{ast.Int64(1)}, cols))
+			tau := Stamp{TS: 1 << 20}
+			var out []*Entry
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab.credit = 0
+				out = s.VisibleMatch("p/2", tau, 0, cols, key, out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*live), "ns/entry")
+		})
+	}
+}
+
+// benchTable is a store holding live replicas of p/2 with four distinct
+// first arguments, as a grid row's table holds a handful of keys.
+func benchTable(live int) (*Store, *predTable) {
+	s := NewStore()
+	for i := 0; i < live; i++ {
+		s.Insert(eval.NewTuple("p", ast.Int64(int64(i%4)), ast.Int64(int64(i))), Stamp{TS: int64(i), Node: 1, Seq: int64(i)})
+	}
+	return s, s.lookup("p/2")
 }
 
 // BenchmarkStoreSlidingWindow times the window layer at the table sizes

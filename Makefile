@@ -54,7 +54,7 @@ serve-smoke:
 # (client encode, server, client decode) to its baseline (8 allocs).
 # TestWireDecodeAllocs pins the codec's decode share of it: the
 # 30-tuple answer frame decodes in exactly 1 allocation (its []string),
-# the query frame in none.
+# the query frame in none, a pushed event frame in 1 (its Event).
 # TestQueryAllocs pins the server's share in-process: a Session.query
 # hit makes at most 1 allocation (the goal's argument slice), Query adds
 # only the answer copy, and a cache-off miss of each BenchmarkColdQuery
@@ -99,9 +99,11 @@ obs-export-smoke:
 # Short coverage-guided fuzz passes: the Datalog front-end (Parse must
 # never panic, accepted programs round-trip; the byte-offset lexer gives
 # the rune lexer's tokens and errors), term keys (AppendKey's quote fast
-# path gives strconv.AppendQuote's bytes), the serve wire codec
-# (newline-delimited JSON requests/responses, error codes and facts
-# round-trip; no input wedges the decoder) and the greedy next hop (the
+# path gives strconv.AppendQuote's bytes), the serve wire codec (the
+# frame reader and encoding/json agree on every line: the reader takes
+# only lines it decodes as json.Unmarshal does and hands it every other
+# one; frames re-encode to json.Marshal's bytes, error codes and facts
+# round-trip) and the greedy next hop (the
 # winner-first scan picks the hop of the one-loop reference on random
 # graphs, Down sets and paths). The 5s budgets are smoke
 # tests; run with a longer -fuzztime to actually hunt.

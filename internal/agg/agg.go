@@ -167,22 +167,28 @@ func NewGroups() *Groups {
 	return &Groups{ByKey: make(map[string]*Group)}
 }
 
-// Get returns the bucket for the group args, creating it with fresh
-// states built by mk.
-func (g *Groups) Get(args []ast.Term, mk func() ([]*State, error)) (*Group, error) {
-	key := ""
+// Get returns the bucket for the group args, creating it with a fresh
+// state for each non-nil aggregate of aggs (a rule's HeadAggs).
+func (g *Groups) Get(args []ast.Term, aggs []*ast.Aggregate) (*Group, error) {
+	var b []byte
 	for _, a := range args {
-		key += a.Key() + "|"
+		b = append(a.AppendKey(b), '|')
 	}
-	if grp, ok := g.ByKey[key]; ok {
+	if grp, ok := g.ByKey[string(b)]; ok {
 		return grp, nil
 	}
-	states, err := mk()
-	if err != nil {
-		return nil, err
+	grp := &Group{Args: args}
+	for _, a := range aggs {
+		if a == nil {
+			continue
+		}
+		st, err := New(a.Func)
+		if err != nil {
+			return nil, err
+		}
+		grp.States = append(grp.States, st)
 	}
-	grp := &Group{Args: args, States: states}
-	g.ByKey[key] = grp
+	g.ByKey[string(b)] = grp
 	return grp, nil
 }
 

@@ -163,12 +163,9 @@ func TestQuickMergeEqualsDirectFold(t *testing.T) {
 }
 
 func TestGroupsMergeDeepCopies(t *testing.T) {
-	mk := func() ([]*State, error) {
-		s, err := New("sum")
-		return []*State{s}, err
-	}
+	aggs := []*ast.Aggregate{{Func: "sum"}}
 	a := NewGroups()
-	g, err := a.Get([]ast.Term{ast.Symbol("k")}, mk)
+	g, err := a.Get([]ast.Term{ast.Symbol("k")}, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +187,14 @@ func TestGroupsMergeDeepCopies(t *testing.T) {
 }
 
 func TestGroupsMergeCombines(t *testing.T) {
-	mk := func() ([]*State, error) {
-		s, err := New("count")
-		return []*State{s}, err
-	}
+	aggs := []*ast.Aggregate{{Func: "count"}}
 	a := NewGroups()
-	ga, _ := a.Get([]ast.Term{ast.Int64(1)}, mk)
+	ga, _ := a.Get([]ast.Term{ast.Int64(1)}, aggs)
 	ga.States[0].Add(ast.Int64(0))
 	b := NewGroups()
-	gb, _ := b.Get([]ast.Term{ast.Int64(1)}, mk)
+	gb, _ := b.Get([]ast.Term{ast.Int64(1)}, aggs)
 	gb.States[0].Add(ast.Int64(0))
-	gb2, _ := b.Get([]ast.Term{ast.Int64(2)}, mk)
+	gb2, _ := b.Get([]ast.Term{ast.Int64(2)}, aggs)
 	gb2.States[0].Add(ast.Int64(0))
 
 	if err := a.Merge(b); err != nil {

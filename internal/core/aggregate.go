@@ -206,20 +206,7 @@ func aggFold(groups *agg.Groups, r *ast.Rule, b unify.Slots) {
 		}
 		gargs = append(gargs, v)
 	}
-	grp, err := groups.Get(gargs, func() ([]*agg.State, error) {
-		var states []*agg.State
-		for _, ha := range r.HeadAggs {
-			if ha == nil {
-				continue
-			}
-			st, err := agg.New(ha.Func)
-			if err != nil {
-				return nil, err
-			}
-			states = append(states, st)
-		}
-		return states, nil
-	})
+	grp, err := groups.Get(gargs, r.HeadAggs)
 	if err != nil {
 		return
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/datalog/ast"
@@ -464,19 +463,11 @@ func (st *solveState) finish(s unify.Subst, deferred []ast.Literal, used []posTu
 // computes, where each owned tuple contributes exactly once).
 // Solutions are enumerated in body order so the fold order of each
 // multiset (which matters for floating-point sums) is independent of
-// the subgoal-ordering heuristic.
+// the subgoal-ordering heuristic. The groups are an agg.Groups, the
+// table the in-network collection folds into; the head tuples are
+// inserted in canonical key order.
 func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
-	type group struct {
-		groupArgs []ast.Term
-		states    []*agg.State // per aggregate position: the fold so far
-	}
-	groups := make(map[string]*group)
-	aggPositions := []int{}
-	for i, a := range r.HeadAggs {
-		if a != nil {
-			aggPositions = append(aggPositions, i)
-		}
-	}
+	groups := agg.NewGroups()
 	err := e.streamBodyIn(nil, db, r, nil, -1, true, nil, func(s unify.Subst, _ []posTuple) error {
 		gargs := make([]ast.Term, 0, len(r.Head.Args))
 		for i, a := range r.Head.Args {
@@ -489,58 +480,51 @@ func (e *Evaluator) applyAggregateRule(db *Database, r *ast.Rule) error {
 			}
 			gargs = append(gargs, v)
 		}
-		// Length-prefixed encoding: group keys cannot collide however the
-		// rendered values nest or what characters they contain.
-		key := ArgKeyVals(gargs)
-		g := groups[key]
-		if g == nil {
-			g = &group{groupArgs: gargs, states: make([]*agg.State, len(aggPositions))}
-			for gi, pos := range aggPositions {
-				st, err := agg.New(r.HeadAggs[pos].Func)
-				if err != nil {
-					return fmt.Errorf("eval: rule %d: %w", r.ID, err)
-				}
-				g.states[gi] = st
-			}
-			groups[key] = g
+		g, err := groups.Get(gargs, r.HeadAggs)
+		if err != nil {
+			return fmt.Errorf("eval: rule %d: %w", r.ID, err)
 		}
-		for gi, pos := range aggPositions {
-			v, err := builtin.Standard.EvalTerm(ast.Var(r.HeadAggs[pos].Var), s)
+		si := 0
+		for _, a := range r.HeadAggs {
+			if a == nil {
+				continue
+			}
+			v, err := builtin.Standard.EvalTerm(ast.Var(a.Var), s)
 			if err != nil {
 				return err
 			}
-			if err := g.states[gi].Add(v); err != nil {
+			if err := g.States[si].Add(v); err != nil {
 				return fmt.Errorf("eval: rule %d: %w", r.ID, err)
 			}
+			si++
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := groups[k]
+	out := make([]Tuple, 0, len(groups.ByKey))
+	for _, g := range groups.ByKey {
 		args := make([]ast.Term, len(r.Head.Args))
-		gi, ai := 0, 0
-		for i := range r.Head.Args {
-			if r.HeadAggs[i] == nil {
-				args[i] = g.groupArgs[ai]
-				ai++
+		gi, si := 0, 0
+		for i, a := range r.HeadAggs {
+			if a == nil {
+				args[i] = g.Args[gi]
+				gi++
 				continue
 			}
-			v, err := g.states[gi].Value()
+			v, err := g.States[si].Value()
 			if err != nil {
 				return fmt.Errorf("eval: rule %d: %w", r.ID, err)
 			}
 			args[i] = v
-			gi++
+			si++
 		}
-		db.Insert(Tuple{Pred: r.Head.PredKey(), Args: args})
+		out = append(out, Tuple{Pred: r.Head.PredKey(), Args: args}.Keyed())
+	}
+	sortByKey(out)
+	for _, t := range out {
+		db.Insert(t)
 	}
 	return nil
 }

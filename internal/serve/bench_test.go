@@ -257,7 +257,8 @@ func BenchmarkDecodeRequest(b *testing.B) {
 // TestWireDecodeAllocs pins the codec's share of a cache-hit round
 // trip: decoding the 30-tuple answer frame allocates exactly its
 // []string (every tuple is a substring of the line), and decoding the
-// query frame allocates nothing. `make obs-guard` runs it.
+// query frame allocates nothing. A pushed event frame allocates its
+// Event and no more. `make obs-guard` runs it.
 func TestWireDecodeAllocs(t *testing.T) {
 	req, resp := hotFrames()
 	got := testing.AllocsPerRun(200, func() {
@@ -279,6 +280,18 @@ func TestWireDecodeAllocs(t *testing.T) {
 	t.Logf("decodeRequest of a query (%d bytes): %.1f allocs", len(req), got)
 	if got != 0 {
 		t.Errorf("decoding a query allocates %.1f objects, want 0", got)
+	}
+	ev := appendResponse(nil, &Response{OK: true, Event: &Event{Sub: 3, Insert: true, Tuple: "reach(s1_2, s1_9)"}}, nil)
+	event := string(ev[:len(ev)-1])
+	got = testing.AllocsPerRun(200, func() {
+		var r Response
+		if err := decodeResponse(event, &r); err != nil || r.Event == nil || r.Event.Sub != 3 {
+			t.Fatalf("%+v, %v", r, err)
+		}
+	})
+	t.Logf("decodeResponse of an event (%d bytes): %.1f allocs", len(event), got)
+	if got != 1 {
+		t.Errorf("decoding an event allocates %.1f objects, want 1 (the Event)", got)
 	}
 }
 

@@ -39,10 +39,13 @@ type Client struct {
 }
 
 // pendingCall is a request awaiting its response. A subscribe's carries
-// the stream to register under the id its response names.
+// the stream to register under the id its response names; once its
+// caller has given up (gone), the read loop unsubscribes that id
+// instead.
 type pendingCall struct {
-	ch  chan *Response
-	sub *ClientSub
+	ch   chan *Response
+	sub  *ClientSub
+	gone bool
 }
 
 // Dial connects to an snlogd address.
@@ -90,7 +93,9 @@ func (c *Client) Close() error {
 // subscriber whose buffer is full loses the event, as on the server. A
 // subscribe's stream is registered as its response is read, before the
 // next frame: the server writes a subscription's events after that
-// response, so none arrives for an id the loop does not know.
+// response, so none arrives for an id the loop does not know. A
+// subscribe whose caller gave up is unsubscribed there instead; the
+// answer to that unsubscribe waits for no one.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	sc := bufio.NewScanner(c.conn)
@@ -119,12 +124,15 @@ func (c *Client) readLoop() {
 		}
 		p := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
-		if p.sub != nil && resp.OK {
+		if p.sub != nil && resp.OK && !p.gone {
 			p.sub.id = resp.Sub
 			c.subs[resp.Sub] = p.sub
 		}
 		c.mu.Unlock()
-		if p.ch != nil {
+		if p.gone && resp.OK {
+			// A failed write ends the connection; the next read sees it.
+			_ = c.write(&Request{Op: "unsubscribe", Sub: resp.Sub})
+		} else if p.ch != nil {
 			p.ch <- resp
 		}
 	}
@@ -164,8 +172,13 @@ func (c *Client) call(ctx context.Context, req *Request) (*Response, error) {
 }
 
 // callSub is call; a non-nil sub is registered by the read loop under
-// the id a successful response names.
+// the id a successful response names. A call whose ctx is already done
+// writes nothing. A subscribe whose ctx ends before its response stays
+// pending, so the read loop can unsubscribe what the server registered.
 func (c *Client) callSub(ctx context.Context, req *Request, sub *ClientSub) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	req.ID = c.nextID.Add(1)
 	ch := make(chan *Response, 1)
 	c.mu.Lock()
@@ -174,14 +187,10 @@ func (c *Client) callSub(ctx context.Context, req *Request, sub *ClientSub) (*Re
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.pending[req.ID] = pendingCall{ch, sub}
+	c.pending[req.ID] = pendingCall{ch: ch, sub: sub}
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	c.wbuf = appendRequest(c.wbuf[:0], req)
-	_, err := c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.write(req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
@@ -204,10 +213,24 @@ func (c *Client) callSub(ctx context.Context, req *Request, sub *ClientSub) (*Re
 		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, req.ID)
+		if p, ok := c.pending[req.ID]; ok && sub != nil {
+			p.gone = true
+			c.pending[req.ID] = p
+		} else {
+			delete(c.pending, req.ID)
+		}
 		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
+}
+
+// write sends one request frame.
+func (c *Client) write(req *Request) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = appendRequest(c.wbuf[:0], req)
+	_, err := c.conn.Write(c.wbuf)
+	return err
 }
 
 // Ping round-trips a no-op.
@@ -332,12 +355,10 @@ func (c *Client) Subscribe(ctx context.Context, pred string, buffer int) (*Clien
 	}
 	sub := &ClientSub{c: c, ch: make(chan Event, buffer)}
 	if _, err := c.callSub(ctx, &Request{Op: "subscribe", Arg: pred}, sub); err != nil {
-		// ctx may have ended after the read loop registered it.
-		c.mu.Lock()
-		if c.subs[sub.id] == sub {
-			delete(c.subs, sub.id)
-		}
-		c.mu.Unlock()
+		// ctx may have ended after the read loop registered it. The
+		// caller is told why the subscribe failed, not how the
+		// unsubscribe went.
+		_ = sub.Close()
 		return nil, err
 	}
 	return sub, nil

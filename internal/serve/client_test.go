@@ -322,3 +322,79 @@ func TestSubscribeLosesNoEvents(t *testing.T) {
 		t.Errorf("%d events for a live subscription found it unregistered", lost)
 	}
 }
+
+// A subscribe whose caller gives up leaves no subscription on the
+// server. One whose context is already done is never sent; one whose
+// context ends while its response is in flight (held back here until
+// the caller has returned) is unsubscribed by the read loop as that
+// response arrives. Each case ends with a round trip, after which the
+// session must hold no subscription.
+func TestSubscribeAbandonedLeavesNoSubscription(t *testing.T) {
+	srv, s := startServer(t, reachSrc)
+	subs := func() int {
+		s.runMu.Lock()
+		defer s.runMu.Unlock()
+		return len(s.subs)
+	}
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold atomic.Bool // hold back the next subscribe response
+	arrived, release := make(chan struct{}), make(chan struct{})
+	fc := &frameConn{Conn: conn, r: bufio.NewReader(conn)}
+	fc.see = func(frame []byte) {
+		var resp Response
+		if decodeResponse(string(frame), &resp) == nil && resp.OK && resp.Sub != 0 && resp.Event == nil &&
+			hold.CompareAndSwap(true, false) {
+			close(arrived)
+			<-release
+		}
+	}
+	c := NewClient(fc)
+	defer c.Close()
+	ctx := context.Background()
+
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := c.Subscribe(done, "reach/2", 0); err != context.Canceled {
+		t.Fatalf("subscribe under a cancelled context: %v", err)
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := subs(); n != 0 {
+		t.Fatalf("a subscribe under a cancelled context left %d subscriptions", n)
+	}
+
+	hold.Store(true)
+	inFlight, cancel := context.WithCancel(ctx)
+	returned := make(chan error, 1)
+	go func() {
+		_, err := c.Subscribe(inFlight, "reach/2", 0)
+		returned <- err
+	}()
+	<-arrived
+	cancel()
+	if err := <-returned; err != context.Canceled {
+		t.Fatalf("subscribe cancelled in flight: %v", err)
+	}
+	close(release)
+	// The read loop writes the unsubscribe before it reads the frame
+	// after the subscribe's response, so before the first ping returns;
+	// the server answers a connection's requests in order, so the second
+	// ping's answer follows the unsubscribe's.
+	for range 2 {
+		if err := c.Ping(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := subs(); n != 0 {
+		t.Fatalf("a subscribe cancelled in flight left %d subscriptions", n)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.subs) != 0 || len(c.pending) != 0 {
+		t.Fatalf("the client holds %d subscriptions and %d pending calls", len(c.subs), len(c.pending))
+	}
+}

@@ -1,14 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/core"
@@ -223,18 +222,18 @@ func cloneTerm(t ast.Term) ast.Term {
 
 // The codec. A frame is encoded by hand into a reused buffer, byte for
 // byte what a json.Encoder writes (HTML escaping and the trailing
-// newline included), and decoded by hand, accepting exactly the lines
-// json.Unmarshal accepts into the same struct: any key order and
-// whitespace, unknown keys, keys matched case-insensitively as
-// encoding/json matches them, every string escape. One member list per
-// struct drives both directions: its key table (requestKeys,
-// responseKeys, eventKeys) and its fields method, which returns a
-// pointer to each member's field in the table's order. The tables are
-// static, and fields is small enough to be inlined, so a frame's member
-// list is built in place in its encoder's or decoder's frame: no table
-// is built elsewhere and copied in. FuzzWire holds both directions to
-// encoding/json; TestWireMembersFollowTags holds the lists to the
-// structs' json tags.
+// newline included). A line is decoded by a reader for that form —
+// members in table order, no whitespace, no null, no escape — which
+// shares the line's strings; any other line goes to json.Unmarshal, so
+// a frame another encoder writes decodes as encoding/json decodes it.
+// One member list per struct drives both directions: its key table
+// (requestKeys, responseKeys, eventKeys) and its fields method, which
+// returns a pointer to each member's field in the table's order. The
+// tables are static, and fields is small enough to be inlined, so a
+// frame's member list is built in place in its encoder's or decoder's
+// frame: no table is built elsewhere and copied in. FuzzWire holds both
+// directions to encoding/json; TestWireMembersFollowTags holds the lists
+// to the structs' json tags.
 
 // key is one object member's key, and whether an empty value is left
 // out (`json:",omitempty"`).
@@ -404,356 +403,240 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(append(b, s[start:]...), '"')
 }
 
-// decodeRequest decodes one request line into r.
+// decodeRequest decodes one request line into r, a zero Request.
 func decodeRequest(line string, r *Request) error {
 	ps := r.fields()
-	return decode(line, requestKeys[:], ps[:])
+	if readFrame(line, requestKeys[:], ps[:]) {
+		return nil
+	}
+	return unmarshal(line, r)
 }
 
-// decodeResponse decodes one response line into r.
+// decodeResponse decodes one response line into r, a zero Response.
 func decodeResponse(line string, r *Response) error {
 	ps := r.fields()
-	return decode(line, responseKeys[:], ps[:])
+	if readFrame(line, responseKeys[:], ps[:]) {
+		return nil
+	}
+	return unmarshal(line, r)
 }
 
-func decode(line string, keys []key, ps []any) error {
-	d := decoder{s: line}
-	if !d.word("null") {
-		d.object(keys, ps)
+// unmarshal decodes a line the reader did not read with encoding/json,
+// into a zero value. That value replaces *r when json.Unmarshal takes
+// the line, and when it only fails to store a value of the wrong type
+// (it decodes the rest, so an id past a bad member is read). On a syntax
+// error json.Unmarshal stores nothing, and what the reader stored before
+// it stopped stands: a frame of ours cut off keeps its id.
+func unmarshal[T any](line string, r *T) error {
+	var v T
+	err := json.Unmarshal([]byte(line), &v)
+	var te *json.UnmarshalTypeError
+	if err == nil || errors.As(err, &te) {
+		*r = v
 	}
-	if d.ws() {
-		d.fail("data after the frame")
-	}
-	return d.err
+	return err
 }
 
-// decoder reads one frame. The first error stops it, and what it stored
-// before stays, as json.Unmarshal keeps it. A string with no escape and
-// no invalid UTF-8 is a substring of the line, not a copy.
-//
-// The common frame is plain ASCII: one-byte tokens are compared as
-// bytes, a string's plain run is scanned eight bytes at a time
-// (plainRun) and a string array's elements are decoded in a loop of
-// their own. Each of these is the first branch of the general path and
-// hands it the rest at the first byte it does not cover.
-type decoder struct {
-	s     string
-	i     int
-	err   error
-	depth int // open objects and arrays; encoding/json allows 10000
+// readFrame reads line as the frame appendObject writes into the fields
+// ps points to, and reports whether line is in that form.
+func readFrame(line string, keys []key, ps []any) bool {
+	r := reader{s: line}
+	return r.object(keys, ps) && r.i == len(line)
 }
 
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: offset %d: %s", d.i, what)
-	}
-}
-
-// ws skips whitespace and reports whether input is left; false after
-// an error.
-func (d *decoder) ws() bool {
-	if d.err != nil {
-		return false
-	}
-	s, i := d.s, d.i
-	for ; i < len(s); i++ {
-		if c := s[i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			d.i = i
-			return true
-		}
-	}
-	d.i = i
-	return false
-}
-
-// token consumes the byte c if, after whitespace, the input goes on
-// with it.
-func (d *decoder) token(c byte) bool {
-	ok := d.ws() && d.s[d.i] == c
-	if ok {
-		d.i++
-	}
-	return ok
+// reader reads the form appendObject writes: no whitespace and no null,
+// an object's members in its key table's order (each present or left
+// out), integers as strconv.AppendInt writes them, strings with no
+// escape and valid UTF-8. Each method reports whether the input was in
+// that form, and a value is stored only once it has been read. A string
+// is a substring of the line, not a copy.
+type reader struct {
+	s string
+	i int
 }
 
 // next consumes the byte c if the input goes on with it.
-func (d *decoder) next(c byte) bool {
-	ok := d.err == nil && d.i < len(d.s) && d.s[d.i] == c
+func (r *reader) next(c byte) bool {
+	ok := r.i < len(r.s) && r.s[r.i] == c
 	if ok {
-		d.i++
+		r.i++
 	}
 	return ok
 }
 
-// word consumes w if, after whitespace, the input goes on with it.
-func (d *decoder) word(w string) bool {
-	ok := d.ws() && strings.HasPrefix(d.s[d.i:], w)
+// word consumes w if the input goes on with it.
+func (r *reader) word(w string) bool {
+	ok := strings.HasPrefix(r.s[r.i:], w)
 	if ok {
-		d.i += len(w)
+		r.i += len(w)
 	}
 	return ok
 }
 
-// open consumes the byte that opens an object or an array.
-func (d *decoder) open(c byte) {
-	if !d.token(c) {
-		d.fail("want " + string(c))
-	} else if d.depth++; d.depth > 10000 {
-		d.fail("nested too deep")
-	}
-}
-
-// more reports whether the object or array whose n members or elements
-// have been read goes on, consuming its close byte when it does not and
-// the comma before the next one when it does.
-func (d *decoder) more(close byte, n int) bool {
-	ok := d.ws()
-	switch {
-	case ok && d.s[d.i] == close:
-		d.i++
-		d.depth--
+// list reads open, then elements, each read by elem and separated by
+// commas, then close.
+func (r *reader) list(open, close byte, elem func() bool) bool {
+	if !r.next(open) {
 		return false
-	case ok && n == 0:
-		return true
-	case ok && d.s[d.i] == ',':
-		d.i++
+	}
+	if r.next(close) {
 		return true
 	}
-	d.fail("want , or " + string(close))
+	for elem() {
+		if r.next(close) {
+			return true
+		}
+		if !r.next(',') {
+			return false
+		}
+	}
 	return false
 }
 
-// object decodes an object into the fields ps points to, in keys'
-// order, skipping a member whose key names none.
-func (d *decoder) object(keys []key, ps []any) {
-	d.open('{')
-	for n := 0; d.more('}', n); n++ {
-		k := d.string()
-		if !d.token(':') {
-			d.fail("want :")
+// object reads an object into the fields ps points to, in keys' order.
+func (r *reader) object(keys []key, ps []any) bool {
+	k := 0 // the first member the next key may name
+	return r.list('{', '}', func() bool {
+		name, ok := r.string()
+		for ok && k < len(keys) && keys[k].name != name {
+			k++
 		}
-		d.value(field(keys, ps, k))
-	}
+		if !ok || k == len(keys) || !r.next(':') {
+			return false
+		}
+		k++
+		return r.value(ps[k-1])
+	})
 }
 
-// field returns the field of the member k names: the one named k, else
-// the one whose name k folds to as encoding/json folds keys (no two
-// names fold alike), else nil.
-func field(keys []key, ps []any, k string) any {
-	for i, m := range keys {
-		if k == m.name {
-			return ps[i]
-		}
-	}
-	for i, m := range keys {
-		if strings.EqualFold(k, m.name) {
-			return ps[i]
-		}
-	}
-	return nil
-}
-
-// value decodes the next value into the field p points to, or skips it
-// when p is nil, with json.Unmarshal's semantics: null leaves a scalar
-// as it is and sets a slice, map or pointer to nil, and a repeated key
-// decodes over what the earlier one stored.
-func (d *decoder) value(p any) {
-	if !d.ws() {
-		d.fail("want a value")
-		return
-	}
-	if d.s[d.i] == 'n' && d.word("null") {
-		switch p := p.(type) {
-		case *[]string:
-			*p = nil
-		case *map[string]int64:
-			*p = nil
-		case **Event:
-			*p = nil
-		}
-		return
-	}
+// value reads a value into the field p points to.
+func (r *reader) value(p any) bool {
 	switch p := p.(type) {
 	case *int64:
-		*p = d.int(*p, 64)
-	case *int:
-		*p = int(d.int(int64(*p), strconv.IntSize))
-	case *bool:
-		switch {
-		case d.word("true"):
-			*p = true
-		case d.word("false"):
-			*p = false
-		default:
-			d.fail("want a boolean")
+		n, ok := r.int(64)
+		if ok {
+			*p = n
 		}
+		return ok
+	case *int:
+		n, ok := r.int(strconv.IntSize)
+		if ok {
+			*p = int(n)
+		}
+		return ok
+	case *bool:
+		t := r.word("true")
+		if t || r.word("false") {
+			*p = t
+			return true
+		}
+		return false
 	case *string:
-		if s := d.string(); d.err == nil {
+		s, ok := r.string()
+		if ok {
 			*p = s
 		}
+		return ok
 	case *[]string:
-		d.stringArray(p)
+		// Counted on a copy of the reader first: one allocation.
+		ts := make([]string, 0, r.count())
+		ok := r.list('[', ']', func() bool {
+			s, ok := r.string()
+			if ok {
+				ts = append(ts, s)
+			}
+			return ok
+		})
+		if ok {
+			*p = ts
+		}
+		return ok
 	case *map[string]int64:
-		if *p == nil {
-			*p = make(map[string]int64)
-		}
-		m := *p
-		d.open('{')
-		for n := 0; d.more('}', n); n++ {
-			var v int64
-			k := d.string()
-			if !d.token(':') {
-				d.fail("want :")
+		m := make(map[string]int64)
+		ok := r.list('{', '}', func() bool {
+			k, ok := r.string()
+			if !ok || !r.next(':') {
+				return false
 			}
-			if d.value(&v); d.err == nil {
-				m[k] = v
-			}
+			m[k], ok = r.int(64)
+			return ok
+		})
+		if ok {
+			*p = m
 		}
+		return ok
 	case **Event:
-		if *p == nil {
-			*p = new(Event)
+		e := new(Event)
+		eps := e.fields()
+		ok := r.object(eventKeys[:], eps[:])
+		if ok {
+			*p = e
 		}
-		eps := (*p).fields()
-		d.object(eventKeys[:], eps[:])
-	case nil: // skip
-		switch c := d.s[d.i]; {
-		case c == '{':
-			d.object(nil, nil)
-		case c == '[':
-			d.open('[')
-			for n := 0; d.more(']', n); n++ {
-				d.value(nil)
-			}
-		case c == '"':
-			d.string()
-		case d.word("true"), d.word("false"):
-		default:
-			d.number()
-		}
+		return ok
 	}
+	return false
 }
 
-// stringArray decodes an array of strings into *p, element by element over
-// the slice an earlier key may have left there, as json.Unmarshal does:
-// a null element leaves its string as it is, and the slice ends at the
-// last element. Into a nil slice, a counting pass over a copy of the
-// decoder sizes the array first, so it is one allocation.
-func (d *decoder) stringArray(p *[]string) {
-	ts := *p
-	if ts == nil {
-		ts = make([]string, 0, d.count())
-	}
-	d.open('[')
-	i := 0
-	for ; d.more(']', i); i++ {
-		if i == cap(ts) {
-			ts = append(ts, "")
-		}
-		ts = ts[:max(i+1, len(ts))]
-		switch {
-		case !d.ws():
-			d.fail("want a string")
-		case d.s[d.i] == '"':
-			d.i++
-			if s := d.quoted(); d.err == nil {
-				ts[i] = s
-			}
-		case !d.word("null"):
-			d.fail("want a string")
-		}
-	}
-	if *p = ts[:i]; i == 0 {
-		*p = []string{}
-	}
-}
-
-// count returns the number of elements of the array at d.i, counted up
-// to the first that is neither a string nor null; the decode that reads
-// them fails there. It works on a copy of d and checks no string.
-func (d decoder) count() int {
-	d.open('[')
+// count returns the number of strings the array at r.i starts with. It
+// works on a copy of the reader.
+func (r reader) count() int {
 	n := 0
-	for ; d.more(']', n); n++ {
-		switch {
-		case !d.ws():
-			return n
-		case d.s[d.i] == '"':
-			d.i++
-			d.skipString()
-		case !d.word("null"):
-			return n
+	r.list('[', ']', func() bool {
+		_, ok := r.string()
+		if ok {
+			n++
 		}
-	}
+		return ok
+	})
 	return n
 }
 
-// skipString moves past the string whose opening quote was read,
-// stepping over escapes without decoding them.
-func (d *decoder) skipString() {
-	s, i := d.s, d.i
-	for i = plainRun(s, i); i < len(s) && s[i] != '"'; i = plainRun(s, i) {
-		if s[i] == '\\' {
-			i++
+// int reads an integer of the given bit size, written with no leading
+// zero and no minus sign before 0.
+func (r *reader) int(bits int) (int64, bool) {
+	start := r.i
+	r.next('-')
+	digits := r.i
+	for r.i < len(r.s) && '0' <= r.s[r.i] && r.s[r.i] <= '9' {
+		r.i++
+	}
+	if r.i == digits || r.s[digits] == '0' && (r.i > digits+1 || digits > start) {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(r.s[start:r.i], 10, bits)
+	return n, err == nil
+}
+
+// string reads a string with no escape and valid UTF-8.
+func (r *reader) string() (string, bool) {
+	if !r.next('"') {
+		return "", false
+	}
+	start := r.i
+	for i := plainRun(r.s, start); i < len(r.s); i = plainRun(r.s, i) {
+		switch c := r.s[i]; {
+		case c == '"':
+			r.i = i + 1
+			return r.s[start:i], true
+		case c < utf8.RuneSelf: // a backslash or a control byte
+			return "", false
 		}
-		i++
+		rn, n := utf8.DecodeRuneInString(r.s[i:])
+		if rn == utf8.RuneError && n == 1 {
+			return "", false
+		}
+		i += n
 	}
-	d.i = min(i+1, len(s))
+	return "", false
 }
 
-// int reads an integer of the given width; after an error it returns
-// old.
-func (d *decoder) int(old int64, bits int) int64 {
-	n, err := strconv.ParseInt(d.number(), 10, bits)
-	if err != nil {
-		d.fail("want an integer")
-	}
-	if d.err != nil {
-		return old
-	}
-	return n
-}
-
-// number reads a number, checked against the JSON grammar.
-func (d *decoder) number() string {
-	d.ws()
-	start := d.i
-	d.next('-')
-	ok := d.next('0') || d.digits()
-	if d.next('.') {
-		ok = d.digits() && ok
-	}
-	if d.next('e') || d.next('E') {
-		_ = d.next('+') || d.next('-')
-		ok = d.digits() && ok
-	}
-	if !ok {
-		d.fail("want a value")
-	}
-	return d.s[start:d.i]
-}
-
-func (d *decoder) digits() bool {
-	start := d.i
-	for d.i < len(d.s) && '0' <= d.s[d.i] && d.s[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-// plain marks the bytes that stand for themselves in a JSON string:
-// ASCII from space up, but for the quote and the backslash.
-var plain = func() (t [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// plainRun returns the index of the first byte of s from i on that is
-// not plain, or len(s). While eight bytes are left it tests them as one
-// word: a byte is flagged when its top bit is set, when it is below a
-// space, or when it is a quote or a backslash (zero once XORed with
-// one). A borrow can flag a byte above a flagged one, never the lowest.
+// plainRun returns the index of the first byte of s from i on that does
+// not stand for itself in a JSON string, or len(s): the plain bytes are
+// ASCII from space up, but for the quote and the backslash. While eight
+// bytes are left it tests them as one word: a byte is flagged when its
+// top bit is set, when it is below a space, or when it is a quote or a
+// backslash (zero once XORed with one). A borrow can flag a byte above a
+// flagged one, never the lowest.
 func plainRun(s string, i int) int {
 	const ones, tops = 0x0101010101010101, 0x8080808080808080
 	for ; i+8 <= len(s); i += 8 {
@@ -765,100 +648,8 @@ func plainRun(s string, i int) int {
 			return i + bits.TrailingZeros64(m)/8
 		}
 	}
-	for i < len(s) && plain[s[i]] {
+	for i < len(s) && ' ' <= s[i] && s[i] < utf8.RuneSelf && s[i] != '"' && s[i] != '\\' {
 		i++
 	}
 	return i
-}
-
-// string reads a string: a substring of the line, or — when it holds
-// an escape or invalid UTF-8 — a copy, decoded as encoding/json decodes
-// it (each invalid byte becomes U+FFFD).
-func (d *decoder) string() string {
-	if !d.token('"') {
-		d.fail("want a string")
-		return ""
-	}
-	return d.quoted()
-}
-
-// quoted reads the rest of a string whose opening quote was read. Its
-// plain run is scanned first; the loop below, which copies a later
-// plain run the same way, takes over at the first byte the run does not
-// cover, a closing quote aside.
-func (d *decoder) quoted() string {
-	start := d.i
-	if d.i = plainRun(d.s, start); d.i < len(d.s) && d.s[d.i] == '"' {
-		d.i++
-		return d.s[start : d.i-1]
-	}
-	var b []byte // the copy, once one is needed
-	for d.i < len(d.s) {
-		c, r, n := d.s[d.i], rune(-1), 1 // r >= 0 replaces the n input bytes
-		switch {
-		case plain[c]:
-			n = plainRun(d.s, d.i) - d.i
-		case c == '"':
-			if d.i++; b == nil {
-				return d.s[start : d.i-1]
-			}
-			return string(b)
-		case c < 0x20:
-			d.fail("control byte in a string")
-			return ""
-		case c == '\\':
-			if r, n = d.escape(); r < 0 {
-				d.fail("bad escape")
-				return ""
-			}
-		case c >= utf8.RuneSelf:
-			if r, n = utf8.DecodeRuneInString(d.s[d.i:]); r != utf8.RuneError || n > 1 {
-				r = -1 // valid UTF-8 stands as it is
-			}
-		}
-		switch {
-		case r >= 0 && b == nil:
-			b = append(make([]byte, 0, 2*(d.i-start)+utf8.UTFMax), d.s[start:d.i]...)
-			b = utf8.AppendRune(b, r)
-		case r >= 0:
-			b = utf8.AppendRune(b, r)
-		case b != nil:
-			b = append(b, d.s[d.i:d.i+n]...)
-		}
-		d.i += n
-	}
-	d.fail("unterminated string")
-	return ""
-}
-
-// escape decodes the escape at d.i: its rune and length, or -1. A
-// surrogate pair is one rune and a lone surrogate U+FFFD, as in
-// encoding/json.
-func (d *decoder) escape() (rune, int) {
-	s := d.s[d.i:]
-	if len(s) > 1 {
-		if k := strings.IndexByte(`"\/bfnrt`, s[1]); k >= 0 {
-			return rune("\"\\/\b\f\n\r\t"[k]), 2
-		}
-	}
-	r := hex4(s)
-	if r < 0 || !utf16.IsSurrogate(r) {
-		return r, 6
-	}
-	if r2 := utf16.DecodeRune(r, hex4(s[6:])); r2 != unicode.ReplacementChar {
-		return r2, 12
-	}
-	return unicode.ReplacementChar, 6
-}
-
-// hex4 returns the value of the \uXXXX escape s starts with, or -1.
-func hex4(s string) rune {
-	if len(s) < 6 || !strings.HasPrefix(s, `\u`) {
-		return -1
-	}
-	n, err := strconv.ParseUint(s[2:6], 16, 32)
-	if err != nil {
-		return -1
-	}
-	return rune(n)
 }

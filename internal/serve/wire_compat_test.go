@@ -114,6 +114,22 @@ func TestWireLegacyFrameServedIdentically(t *testing.T) {
 		}
 	}
 
+	// Frames another encoder writes — keys in another order, whitespace,
+	// escapes in the goal — leave the form the frame reader takes, go to
+	// encoding/json and are answered the same.
+	for i, frame := range []string{
+		`{"arg":"reach(a, X)","id":3,"op":"query"}`,
+		`{ "id": 4, "op": "query", "arg": "reach(a, X)" }`,
+		`{"id":5,"op":"query","arg":"reach(\u0061, X)"}`,
+		`{"id":6,"op":"query","arg":"reach(a,\tX)"}`,
+		`{"Op":"query","ID":7,"Arg":"reach(a, X)","trace_id":null}`,
+	} {
+		got := send(frame)
+		if want := int64(i + 3); !got.OK || got.ID != want || !reflect.DeepEqual(got.Tuples, legacy.Tuples) {
+			t.Fatalf("%s answered %+v, want id %d and tuples %v", frame, got, want, legacy.Tuples)
+		}
+	}
+
 	// The client-chosen id keys the span ring.
 	if spans := s.Spans().ByTrace(77); len(spans) == 0 {
 		t.Fatal("no spans recorded under the client-chosen trace id")
@@ -199,9 +215,11 @@ func TestClientQueryTraced(t *testing.T) {
 }
 
 // A request that is not well-formed is answered with code bad_request
-// under its own id when the id was readable before the error — a reply
-// under id 0 matches no pending call. A line with no readable id keeps
-// id 0.
+// under its own id when the id was readable — a reply under id 0
+// matches no pending call. A line encoding/json can read up to a value
+// of the wrong type is read past it, so its id is readable wherever it
+// stands; in a line cut off, only an id the frame reader stored before
+// it stopped is. A line with no readable id keeps id 0.
 func TestWireBadRequestAnsweredUnderItsID(t *testing.T) {
 	srv, _ := startServer(t, reachSrc)
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -217,7 +235,9 @@ func TestWireBadRequestAnsweredUnderItsID(t *testing.T) {
 		{`{"id":7,"op":"query","arg":5}`, 7},
 		{`{"op":"query","id":9,"stale":"yes"}`, 9},
 		{`{"id":11,"op":"query","arg":"reach(a, X)"`, 11},
-		{`{"op":5,"id":12}`, 0},
+		{`{"op":5,"id":12}`, 12},
+		{`{"op":"query","id":12`, 0},
+		{`{"id":"x","op":5}`, 0},
 		{`not json`, 0},
 	} {
 		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {

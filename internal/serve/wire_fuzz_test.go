@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,18 +18,22 @@ import (
 // FuzzWire hammers the newline-delimited JSON wire codec with
 // malformed JSON, truncated lines, oversized payloads and bogus error
 // codes, holding the hand codec to encoding/json, its reference. The
+// decoder is two parts: a reader for the form the encoder writes, and
+// json.Unmarshal for every line the reader does not take. The
 // properties pinned:
 //
 //   - Decoding never panics, whatever the bytes.
 //   - decodeRequest and decodeResponse accept exactly the lines
 //     json.Unmarshal accepts into the same struct, with an equal value:
-//     key order, whitespace, unknown and repeated keys, null, every
-//     string escape, invalid UTF-8, nesting depth. Keys fold as in
-//     encoding/json (strings.EqualFold), non-ASCII folds such as ſ → s
-//     included.
+//     the reader and encoding/json agree on every line the reader
+//     takes, and a line that leaves the encoder's form at any member —
+//     key order, case or repetition, unknown keys, whitespace, null,
+//     escapes, invalid UTF-8, numbers written another way, a frame cut
+//     off — is handed over whole.
 //   - appendRequest(nil, &v) and appendResponse(nil, &v, nil) are
 //     json.Marshal(&v) plus '\n' for every decoded v, and decode back
-//     to v.
+//     to v; the frame reader takes them unless a string in them holds
+//     an escape.
 //   - CodeError(code, msg) reconstructs an error whose ErrorCode maps
 //     back to the same code for every known code; unknown codes
 //     degrade to an untyped error (classified internal), never a
@@ -145,6 +151,7 @@ func FuzzWire(f *testing.F) {
 		`{"tuples":["a\"`,
 		`{"tuples":["a\\"]}`,
 	)
+	seeds = append(seeds, offCanonical()...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -157,6 +164,9 @@ func FuzzWire(f *testing.F) {
 			}
 			out := appendRequest(nil, &req)
 			sameBytes(t, out, &req)
+			var read Request
+			rps := read.fields()
+			readsOwn(t, out, readFrame(string(out[:len(out)-1]), requestKeys[:], rps[:]))
 			var again Request
 			if err := decodeRequest(string(out), &again); err != nil || again != req {
 				t.Fatalf("request round trip: %+v -> %q -> %+v, %v", req, out, again, err)
@@ -170,6 +180,9 @@ func FuzzWire(f *testing.F) {
 			}
 			out := appendResponse(nil, &resp, nil)
 			sameBytes(t, out, &resp)
+			var read Response
+			sps := read.fields()
+			readsOwn(t, out, readFrame(string(out[:len(out)-1]), responseKeys[:], sps[:]))
 			var again Response
 			if err := decodeResponse(string(out), &again); err != nil || !responseEqual(&resp, &again) {
 				t.Fatalf("response round trip: %+v -> %q -> %+v, %v", resp, out, again, err)
@@ -210,6 +223,67 @@ func FuzzWire(f *testing.F) {
 	})
 }
 
+// offCanonical returns frames that leave the encoder's form at one
+// member each, of a request, a response and an event: the member moved,
+// repeated, its key's case changed or an unknown key put before it, a
+// space, a null or an escape in it, an integer written 1.0, 01 or -0,
+// and the frame cut off after it.
+func offCanonical() []string {
+	request := []string{`"id":7`, `"op":"query"`, `"arg":"reach(a, X)"`, `"node":3`, `"at":100`,
+		`"sub":2`, `"stale":true`, `"max_lag":-1`, `"trace_id":9`}
+	response := []string{`"id":1`, `"ok":true`, `"error":"e"`, `"code":"arity"`,
+		`"tuples":["reach(a, b)","reach(a, c)"]`, `"explain":"x"`, `"sub":4`, `"time":5`,
+		`"stats":{"a":1,"b":-2}`, `"event":{"sub":1,"insert":true,"tuple":"reach(a, b)"}`,
+		`"batched":true`, `"seq":6`, `"lag":2`, `"as_of":17`, `"trace_id":42`}
+	event := []string{`"sub":1`, `"insert":true`, `"tuple":"reach(a, b)"`}
+	var out []string
+	for _, c := range []struct {
+		members    []string
+		head, tail string
+	}{
+		{request, "{", "}"},
+		{response, "{", "}"},
+		{event, `{"id":0,"ok":true,"event":{`, "}}"},
+	} {
+		with := func(i int, m ...string) string { // m in place of member i
+			ms := append(append(slices.Clone(c.members[:i]), m...), c.members[i+1:]...)
+			return c.head + strings.Join(ms, ",") + c.tail
+		}
+		for i, m := range c.members {
+			k, v, _ := strings.Cut(m, ":")
+			out = append(out,
+				with(i, c.members[(i+1)%len(c.members)], m), // moved
+				with(i, m, m),
+				with(i, strings.ToUpper(k)+":"+v),
+				with(i, `"zz":1`, m),
+				with(i, k+": "+v),
+				with(i, k+":null"),
+				with(i, `"\u00`+fmt.Sprintf("%02x", k[1])+k[2:]+":"+v),
+				c.head+strings.Join(c.members[:i+1], ","))
+			if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+				out = append(out, with(i, k+":1.0"), with(i, k+":01"), with(i, k+":-0"))
+			}
+			if strings.HasPrefix(v, `"`) {
+				out = append(out, with(i, k+`:"\u0041`+v[1:]), with(i, k+`: `+v+` `))
+			}
+		}
+	}
+	return out
+}
+
+// Each of offCanonical's frames is handed to encoding/json: the frame
+// reader takes none of them, as a request or as a response.
+func TestOffCanonicalLeavesTheReader(t *testing.T) {
+	for _, line := range offCanonical() {
+		var req Request
+		var resp Response
+		rps, sps := req.fields(), resp.fields()
+		if readFrame(line, requestKeys[:], rps[:]) || readFrame(line, responseKeys[:], sps[:]) {
+			t.Errorf("the frame reader takes %s", line)
+		}
+	}
+}
+
 // differ fails the test when encoding/json and the hand decoder
 // disagree on whether line is a frame, and reports whether both took
 // it.
@@ -219,6 +293,15 @@ func differ(t *testing.T, line []byte, jerr, err error) bool {
 		t.Fatalf("%q: encoding/json says %v, the hand decoder %v", line, jerr, err)
 	}
 	return err == nil
+}
+
+// readsOwn fails the test unless the frame reader took out, a frame of
+// the encoder's, when none of its strings holds an escape.
+func readsOwn(t *testing.T, out []byte, took bool) {
+	t.Helper()
+	if !took && !bytes.ContainsRune(out, '\\') {
+		t.Fatalf("the frame reader does not take the encoder's %q", out)
+	}
 }
 
 // sameBytes fails the test unless out is what a json.Encoder writes
@@ -286,10 +369,10 @@ func TestWireOversizedLine(t *testing.T) {
 	}
 }
 
-// A string that needs unquoting is copied into a buffer sized from the
-// string, not from the rest of the line: a frame of many short escaped
-// strings decodes in memory linear in its length. Sized from the rest
-// of the line, this one allocated 188 MB.
+// A frame of many short escaped strings leaves the frame reader's form,
+// goes to encoding/json, and decodes in memory linear in its length. A
+// hand decoder that sized each unquoted copy from the rest of the line
+// allocated 188 MB for this one.
 func TestWireDecodeEscapedStringsLinear(t *testing.T) {
 	line := `{"id":1,"tuples":[` + strings.Repeat(`"a\nb",`, 5000) + `"x"]}`
 	var before, after runtime.MemStats

@@ -105,7 +105,10 @@ obs-export-smoke:
 # one; frames re-encode to json.Marshal's bytes, error codes and facts
 # round-trip) and the greedy next hop (the
 # winner-first scan picks the hop of the one-loop reference on random
-# graphs, Down sets and paths). The 5s budgets are smoke
+# graphs, Down sets and paths) and the maintainer's envelope (over
+# link timelines for left- and right-recursive reach, the three
+# maintenance modes agree while CheckLocallyNonRecursive has passed
+# after every op so far). The 5s budgets are smoke
 # tests; run with a longer -fuzztime to actually hunt.
 fuzz-smoke:
 	$(GO) test ./internal/datalog/parser -run '^$$' -fuzz FuzzParse -fuzztime 5s
@@ -113,6 +116,7 @@ fuzz-smoke:
 	$(GO) test ./internal/datalog/ast -run '^$$' -fuzz FuzzAppendKey -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzWire -fuzztime 5s
 	$(GO) test ./internal/routing -run '^$$' -fuzz FuzzNextHopGreedyAvoid -fuzztime 5s
+	$(GO) test ./internal/datalog/eval -run '^$$' -fuzz FuzzMaintainerEnvelope -fuzztime 5s
 
 # CPU + heap profiles of the three headline hot loops: the E1 join
 # pipeline, a 64x64 sliding-window join long enough for walker routing

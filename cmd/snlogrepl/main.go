@@ -236,7 +236,7 @@ func (s *local) proof(fact string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	tree, err := s.m.ProofTree(tup)
+	tree, err := s.m.Explain(tup)
 	if err != nil {
 		return "", err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestReplSession(t *testing.T) {
 		t.Errorf("retract output = %q", got)
 	}
 	got = run("proof uncov(loc(1, 1), 5)")
-	if !strings.Contains(got, "veh(enemy, loc(1, 1), 5)") {
+	if !strings.Contains(got, `veh/3|a"enemy",c"loc"(i1,i1),i5  [base]`) {
 		t.Errorf("proof output = %q", got)
 	}
 	got = run("stats")
@@ -135,13 +136,15 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	}
 }
 
-func TestRemoteExecute(t *testing.T) {
-	sess, err := serve.Open(context.Background(), `
+const pathSrc = `
 .base edge/2.
 path(X, Y) :- edge(X, Y).
 path(X, Z) :- path(X, Y), edge(Y, Z).
 .query path/2.
-`, snlog.Grid(2), serve.Options{})
+`
+
+func TestRemoteExecute(t *testing.T) {
+	sess, err := serve.Open(context.Background(), pathSrc, snlog.Grid(2), serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +182,20 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 	got = run("proof path(a, c)")
 	if !strings.Contains(got, "edge") {
 		t.Errorf("remote proof = %q", got)
+	}
+	// Both modes print one tree: the local one differs only by the
+	// transport facts no network captured for it.
+	local, err := newSession(pathSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lout strings.Builder
+	for _, line := range []string{"+ edge(a, b)", "+ edge(b, c)", "proof path(a, c)"} {
+		lout.Reset()
+		execute(&lout, local, line)
+	}
+	if transport := regexp.MustCompile(`  \(producer [^)]*\)`); transport.ReplaceAllString(got, "") != lout.String() {
+		t.Errorf("remote proof:\n%s\nlocal proof:\n%s", got, lout.String())
 	}
 	got = run("- edge(b, c)")
 	if strings.Contains(got, "error") {

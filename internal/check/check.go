@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/nsim"
 	"repro/internal/obs"
+	"repro/internal/obs/provenance"
 )
 
 // Config parameterizes one differential run. Everything random —
@@ -59,9 +60,9 @@ type Result struct {
 	Engine *core.Engine
 	// ExplainDump, set on the first failed comparison (before any
 	// repair round rewrites history), renders both sides' view of the
-	// first divergent tuple: the engine's distributed provenance tree
-	// and the oracle's centralized proof tree over the surviving base
-	// facts. Empty when the run matched on the first try.
+	// first divergent tuple: the engine's provenance tree and the
+	// oracle's, over the surviving base facts, in one format. Empty when
+	// the run matched on the first try.
 	ExplainDump string
 }
 
@@ -305,10 +306,10 @@ func firstDivergent(preds []string, want *eval.Database, e *core.Engine) (eval.T
 }
 
 // explainDump renders both sides' explanation of the first divergent
-// tuple — the engine's provenance tree (or the reason it has none) and
-// the oracle's proof tree over the surviving base facts — so a
-// divergence report shows *why* each side believes what it believes,
-// not just that they disagree.
+// tuple, each a provenance.Tree drawn by the one renderer (or the reason
+// it has none): the engine's, and the oracle's over the surviving base
+// facts — so a divergence report shows *why* each side believes what it
+// believes, not just that they disagree.
 func explainDump(src string, base []eval.Tuple, preds []string, want *eval.Database, e *core.Engine) string {
 	tup, side, ok := firstDivergent(preds, want, e)
 	if !ok {
@@ -317,38 +318,37 @@ func explainDump(src string, base []eval.Tuple, preds []string, want *eval.Datab
 	var b strings.Builder
 	fmt.Fprintf(&b, "first divergent tuple: %s (%s)\n", tup.Key(), side)
 	b.WriteString("--- engine (distributed provenance) ---\n")
-	if tree, err := e.Explain(tup.Pred, tup.Args...); err != nil {
-		fmt.Fprintf(&b, "%v\n", err)
-	} else {
-		b.WriteString(tree.String())
-	}
-	b.WriteString("--- oracle (centralized proof tree) ---\n")
-	b.WriteString(oracleProof(src, base, tup))
+	b.WriteString(render(e.Explain(tup.Pred, tup.Args...)))
+	b.WriteString("--- oracle (centralized derivations) ---\n")
+	b.WriteString(render(oracleExplain(src, base, tup)))
 	return b.String()
 }
 
-// oracleProof rebuilds the oracle state with a SetOfDerivations
+// render is tree's rendering, or err's line when there is no tree.
+func render(tree *provenance.Tree, err error) string {
+	if err != nil {
+		return err.Error() + "\n"
+	}
+	return tree.String()
+}
+
+// oracleExplain rebuilds the oracle state with a SetOfDerivations
 // maintainer (the Run oracle uses plain semi-naive evaluation, which
 // keeps no witness structure) by folding Insert over the surviving base
-// facts, and unfolds the tuple's proof tree. It runs only on a failing
-// sweep.
-func oracleProof(src string, base []eval.Tuple, tup eval.Tuple) string {
+// facts, and explains the tuple. It runs only on a failing sweep.
+func oracleExplain(src string, base []eval.Tuple, tup eval.Tuple) (*provenance.Tree, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
-		return fmt.Sprintf("oracle parse: %v\n", err)
+		return nil, err
 	}
 	m, err := eval.NewMaintainer(prog, eval.SetOfDerivations, eval.Options{})
 	if err != nil {
-		return fmt.Sprintf("oracle maintainer: %v\n", err)
+		return nil, err
 	}
 	for _, t := range base {
 		if _, err := m.Insert(t); err != nil {
-			return fmt.Sprintf("oracle insert: %v\n", err)
+			return nil, err
 		}
 	}
-	pt, err := m.ProofTree(tup)
-	if err != nil {
-		return fmt.Sprintf("%v\n", err)
-	}
-	return pt.String()
+	return m.Explain(tup)
 }

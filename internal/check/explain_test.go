@@ -83,7 +83,7 @@ func TestExplainDumpOracleExtra(t *testing.T) {
 		"first divergent tuple: d/2|i9,i4",
 		"the oracle derives it, the engine does not",
 		"no live derivation", // the engine side refuses
-		"b(9, 4)",            // the oracle proof tree reaches the base fact
+		"b/2|i9,i4  [base]",  // the oracle proof tree reaches the base fact
 	} {
 		if !strings.Contains(dump, part) {
 			t.Errorf("dump missing %q:\n%s", part, dump)

@@ -299,17 +299,6 @@ func ArgKey(args []ast.Term, cols []int) string {
 	return string(b)
 }
 
-// ArgKeyVals is ArgKey over an already-projected value slice.
-func ArgKeyVals(vals []ast.Term) string {
-	var barr [64]byte
-	var tarr [48]byte
-	b, tmp := barr[:0], tarr[:0]
-	for _, v := range vals {
-		b, tmp = appendArgKey(b, tmp, v)
-	}
-	return string(b)
-}
-
 // TupleSet is an ordered, deduplicating tuple collection — the semi-naive
 // deltas and per-round emission buffers use it so flush order is the
 // (deterministic) insertion order rather than Go map order.

@@ -48,24 +48,22 @@ var keySink string // keeps the measured calls from being optimized away
 // TestArgKeyInjective pins the length-prefixed index-key encoding
 // against splice collisions.
 func TestArgKeyInjective(t *testing.T) {
-	a := ArgKeyVals([]ast.Term{ast.Symbol("ab"), ast.Symbol("c")})
-	b := ArgKeyVals([]ast.Term{ast.Symbol("a"), ast.Symbol("bc")})
+	both := []int{0, 1}
+	a := ArgKey([]ast.Term{ast.Symbol("ab"), ast.Symbol("c")}, both)
+	b := ArgKey([]ast.Term{ast.Symbol("a"), ast.Symbol("bc")}, both)
 	if a == b {
-		t.Fatalf("ArgKeyVals collision: %q", a)
+		t.Fatalf("ArgKey collision: %q", a)
 	}
 	if got := ArgKey([]ast.Term{ast.Symbol("x"), ast.Symbol("y"), ast.Symbol("z")}, []int{0, 2}); got !=
-		ArgKeyVals([]ast.Term{ast.Symbol("x"), ast.Symbol("z")}) {
+		ArgKey([]ast.Term{ast.Symbol("x"), ast.Symbol("z")}, both) {
 		t.Fatalf("ArgKey projection mismatch: %q", got)
 	}
-	// Both build in stack scratch: the result string is the only
+	// It builds in stack scratch: the result string is the only
 	// allocation.
 	args := []ast.Term{ast.Symbol("alpha"), ast.Int64(1234567), ast.Symbol("omega")}
 	cols := []int{0, 2}
 	if n := testing.AllocsPerRun(100, func() { keySink = ArgKey(args, cols) }); n > 1 {
 		t.Errorf("ArgKey allocates %v times per key, want <= 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { keySink = ArgKeyVals(args) }); n > 1 {
-		t.Errorf("ArgKeyVals allocates %v times per key, want <= 1", n)
 	}
 }
 

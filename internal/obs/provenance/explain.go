@@ -22,7 +22,8 @@ type Tree struct {
 
 // TreeDeriv is one rule instantiation inside a Tree: the captured
 // transport facts plus the subtrees of its body tuples, in the deriv
-// key's stamp order.
+// key's stamp order. A derivation no network captured (eval.Maintainer's)
+// has Producer -1, and its transport facts are not rendered.
 type TreeDeriv struct {
 	Rule      int32
 	Producer  int32
@@ -94,8 +95,12 @@ func (t *Tree) render(b *strings.Builder, indent string) {
 	}
 	b.WriteByte('\n')
 	for _, d := range t.Derivs {
-		fmt.Fprintf(b, "%s  <- rule %d  (producer n%d -> settler n%d, sent t=%d, settled t=%d, %d hops)\n",
-			indent, d.Rule, d.Producer, d.Settler, d.SentAt, d.SettledAt, d.Hops)
+		fmt.Fprintf(b, "%s  <- rule %d", indent, d.Rule)
+		if d.Producer >= 0 {
+			fmt.Fprintf(b, "  (producer n%d -> settler n%d, sent t=%d, settled t=%d, %d hops)",
+				d.Producer, d.Settler, d.SentAt, d.SettledAt, d.Hops)
+		}
+		b.WriteByte('\n')
 		for _, c := range d.Body {
 			c.render(b, indent+"     ")
 		}
@@ -225,8 +230,11 @@ func WriteDOT(w io.Writer, t *Tree) error {
 		for _, d := range t.Derivs {
 			dn := id
 			id++
-			fmt.Fprintf(bw, "  n%d [label=%s, shape=ellipse];\n", dn,
-				strconv.Quote(fmt.Sprintf("rule %d\\nt=%d, %d hops", d.Rule, d.SettledAt, d.Hops)))
+			label := fmt.Sprintf("rule %d", d.Rule)
+			if d.Producer >= 0 {
+				label += fmt.Sprintf("\\nt=%d, %d hops", d.SettledAt, d.Hops)
+			}
+			fmt.Fprintf(bw, "  n%d [label=%s, shape=ellipse];\n", dn, strconv.Quote(label))
 			fmt.Fprintf(bw, "  n%d -> n%d;\n", me, dn)
 			for _, c := range d.Body {
 				fmt.Fprintf(bw, "  n%d -> n%d;\n", dn, walk(c))

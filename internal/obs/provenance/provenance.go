@@ -17,7 +17,7 @@ package provenance
 // the transport facts needed for latency attribution.
 type Record struct {
 	Rule      int32  // rule ID that fired (engine rule numbering)
-	Producer  int32  // node that evaluated the join and emitted the candidate
+	Producer  int32  // node that evaluated the join and emitted the candidate; -1 off-network
 	Settler   int32  // home node where the derivation settled
 	Hops      int32  // radio transmissions the candidate took producer→settler
 	SentAt    int64  // virtual time the candidate was emitted at the producer

@@ -402,7 +402,11 @@ type row struct {
 }
 
 func rowOf(e *Entry) row {
-	return row{ID: e.ID, Args: eval.ArgKeyVals(e.Args), Deleted: e.Deleted, Del: e.Del}
+	all := make([]int, len(e.Args))
+	for i := range all {
+		all[i] = i
+	}
+	return row{ID: e.ID, Args: eval.ArgKey(e.Args, all), Deleted: e.Deleted, Del: e.Del}
 }
 
 func rowsOf(es []*Entry) []row {

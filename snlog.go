@@ -115,8 +115,6 @@ type (
 	Maintainer = eval.Maintainer
 	// MaintMode selects the maintenance approach.
 	MaintMode = eval.Mode
-	// ProofTree witnesses how a derived tuple follows from base facts.
-	ProofTree = eval.ProofTree
 )
 
 // Maintenance approaches.
@@ -546,7 +544,7 @@ type (
 	// only node 0; use AnyNode for no node constraint).
 	TraceFilter = obs.Filter
 	// ExplainTree is a derived tuple's derivation DAG down to base
-	// facts (Cluster.Explain; render with String).
+	// facts (Cluster.Explain, Maintainer.Explain; render with String).
 	ExplainTree = provenance.Tree
 	// BlameResult is a derived tuple's critical path — the chain of
 	// latest-settling derivations with per-edge attribution

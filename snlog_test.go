@@ -292,11 +292,11 @@ uncov(L) :- NOT cov(L), veh(enemy, L).
 	if m.DB().Count("uncov/1") != 1 {
 		t.Errorf("uncov = %v", m.DB().Tuples("uncov/1"))
 	}
-	tree, err := m.ProofTree(NewTuple("uncov", Int(1)))
+	tree, err := m.Explain(NewTuple("uncov", Int(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.IsLeaf() {
+	if len(tree.Derivs) == 0 {
 		t.Error("derived tuple should have children")
 	}
 	if _, err := NewMaintainer(`broken(`, Counting); err == nil {
